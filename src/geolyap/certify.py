@@ -10,6 +10,7 @@ stable anchor string from the fixed checklist so failures are nameable.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,10 +25,14 @@ from .flows import (
     Trajectory,
     contraction_envelope_check,
     flow_samples,
+    geodesic_stencil,
+    lie_stencil,
     pushforward,
     timed_lie_derivative,
 )
 from .lyapunov import (
+    DIFF_EPS,
+    LIE_H,
     LyapunovFunction,
     TheoreticalBounds,
     construct_exp_V,
@@ -87,16 +92,23 @@ class CheckRow:
     def to_dict(self) -> dict:
         return {
             "name": self.name, "anchor": self.anchor,
-            "theory": self.theoretical, "measured": self.measured,
-            "margin": self.margin, "pass": self.passed,
+            "theory": float(self.theoretical), "measured": float(self.measured),
+            "margin": float(self.margin), "pass": bool(self.passed),
         }
 
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Collection of check rows; the verdict is their conjunction."""
+    """Collection of check rows; the verdict is their conjunction.
+
+    Converse-certificate verification also attaches the certificate it
+    checked and the quantities of its state grid, one row per state with
+    columns (t, distance, V, lie derivative).
+    """
 
     rows: tuple[CheckRow, ...]
+    certificate: Certificate | None = dataclasses.field(default=None, compare=False)
+    samples: np.ndarray | None = dataclasses.field(default=None, compare=False)
 
     @property
     def verdict(self) -> bool:
@@ -344,15 +356,17 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
                                 rel_tol: float = DEFAULT_REL_TOL,
                                 abs_tol: float = DEFAULT_ABS_TOL,
                                 envelope_horizon: float = 3.0,
-                                n_pairs: int | None = None,
-                                map_fn: Callable | None = None) -> CertificationReport:
+                                n_pairs: int | None = None) -> CertificationReport:
     """Verify every inequality of a constructed exponential certificate.
 
     Rows: the two-sided contraction envelope on sampled pairs, the sandwich
     c1 d^p <= V <= c2 d^p, the decay rate c3, the telescoping identity for
     the lie derivative, the differential bound c4, and the pushforward growth
-    bound.  Sample inputs are drawn up front from the seeded generator, so a
-    parallel ``map_fn`` changes nothing in the output.
+    bound.  Sample inputs are drawn up front from the seeded generator; each
+    stage then integrates its whole grid as one batch.  Every V value (the
+    states, the Lie-derivative and differential stencils) shares the horizon
+    and comes from one batched flow; the telescoping endpoints integrate
+    separately, so the identity check does not lean on V.
     """
     cert = make_certificate(field, x_star, L, envelope, delta, p,
                             n_nodes=n_nodes, step=step)
@@ -360,51 +374,46 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     m = field.manifold
     rng = np.random.default_rng(seed)
     states = sample_states(m, x_star, grid, rng)
-    mapper = map_fn if map_fn is not None else map
 
     # Two-sided contraction envelope on sampled pairs.
     pair_count = n_pairs if n_pairs is not None else max(4, grid.n_points // 4)
     taus0 = np.linspace(0.0, envelope_horizon, 7)
-    pair_inputs = []
+    pair_t, pair_x1, pair_x2 = [], [], []
     for i in range(pair_count):
-        t0 = grid.t0_list[i % len(grid.t0_list)]
+        pair_t.append(grid.t0_list[i % len(grid.t0_list)])
         v1 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
         v2 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
-        pair_inputs.append((t0, ManifoldPoint(m, m.exp(x_star.coords, v1)),
-                            ManifoldPoint(m, m.exp(x_star.coords, v2))))
-
-    def check_pair(args):
-        t0, x1, x2 = args
-        return contraction_envelope_check(field, L, x1, x2, t0, t0 + taus0, step=step)
-
-    pair_reports = list(mapper(check_pair, pair_inputs))
+        pair_x1.append(m.exp(x_star.coords, v1))
+        pair_x2.append(m.exp(x_star.coords, v2))
+    pair_t = np.array(pair_t)
+    pair_reports = contraction_envelope_check(
+        field, L, ManifoldPoint(m, np.array(pair_x1)), ManifoldPoint(m, np.array(pair_x2)),
+        pair_t, pair_t[:, None] + taus0, step=step)
     contraction_margin = min(min(r.worst_lower_margin, r.worst_upper_margin)
                              for r in pair_reports)
     contraction_pass = all(r.passed for r in pair_reports)
     rows = [CheckRow("contraction-envelope", ANCHOR_CONTRACTION, 0.0,
                      -contraction_margin, contraction_margin, contraction_pass)]
 
-    def state_quantities(state):
-        t, x = state
-        d = m.dist(x.coords, x_star.coords)
-        v_val = cert.V.evaluate(t, x)
-        lie = cert.V.lie_derivative(t, x)
-        end = flow_samples(field, t, x.coords, [t + delta], step)[0]
-        telescoped = m.dist(end, x_star.coords) ** p - d ** p
-        return d, v_val, lie, telescoped
+    t = np.array([s for s, _ in states])
+    x = np.array([pt.coords for _, pt in states])
+    # Unit directions for the differential bound, drawn after the pairs.
+    directions = np.array([m.random_tangent(rng, xi, norm=1.0) for xi in x])
+    d = m.dist(x, x_star.coords)
+    lie_plus, lie_minus = lie_stencil(field, t, m.project(x), LIE_H, step)
+    eps_hat = DIFF_EPS / m.norm(x, directions)
+    diff_plus, diff_minus = geodesic_stencil(m, x, directions, eps_hat)
+    v_val, v_plus, v_minus, v_dplus, v_dminus = cert.V.evaluate_groups([
+        (t, x), (t + LIE_H, lie_plus), (t - LIE_H, lie_minus), (t, diff_plus), (t, diff_minus)])
+    lie = (v_plus - v_minus) / (2.0 * LIE_H)
+    end = flow_samples(field, t, x, [delta], step)[-1]
+    telescoped = m.dist(end, x_star.coords) ** p - d ** p
 
-    quantities = list(mapper(state_quantities, states))
-
-    ratio_lo = math.inf
-    ratio_hi = -math.inf
-    rate_lo = math.inf
-    telescope_err = 0.0
-    for d, v_val, lie, telescoped in quantities:
-        dp = d ** p
-        ratio_lo = min(ratio_lo, v_val / dp)
-        ratio_hi = max(ratio_hi, v_val / dp)
-        rate_lo = min(rate_lo, (-lie + abs_tol) / max(v_val, 1e-300))
-        telescope_err = max(telescope_err, abs(lie - telescoped))
+    ratio = v_val / d ** p
+    ratio_lo = float(np.min(ratio))
+    ratio_hi = float(np.max(ratio))
+    rate_lo = float(np.min((-lie + abs_tol) / np.maximum(v_val, 1e-300)))
+    telescope_err = float(np.max(np.abs(lie - telescoped)))
     lo_margin = ratio_lo / b.c1 - (1.0 - rel_tol)
     hi_margin = (1.0 + rel_tol) - ratio_hi / b.c2
     decay_margin = rate_lo / b.c3 - (1.0 - rel_tol)
@@ -417,32 +426,22 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     rows.append(_upper_row("telescoping-identity", ANCHOR_TELESCOPE,
                            TELESCOPE_TOL, telescope_err, TELESCOPE_TOL))
 
-    # Differential bound |dV(v)| <= c4 d^{p-1}|v| on unit directions drawn up front.
-    diff_inputs = [(t, x, TangentVector(x, m.random_tangent(rng, x.coords, norm=1.0)))
-                   for t, x in states]
-
-    def differential_ratio(args):
-        t, x, v = args
-        d = m.dist(x.coords, x_star.coords)
-        dv = cert.V.directional_derivative(t, x, v)
-        return abs(dv) / (b.c4 * d ** (p - 1.0))
-
-    diff_worst = max(mapper(differential_ratio, diff_inputs))
+    # Differential bound |dV(v)| <= c4 d^{p-1}|v| on the unit directions.
+    dv = (v_dplus - v_dminus) / (2.0 * eps_hat)
+    diff_worst = float(np.max(np.abs(dv) / (b.c4 * d ** (p - 1.0))))
     rows.append(_upper_row("differential-bound", ANCHOR_DIFFERENTIAL,
                            1.0 + rel_tol, diff_worst, 1.0))
 
-    push_inputs = diff_inputs[:min(10, len(diff_inputs))]
-
-    def pushforward_ratio(args):
-        t, x, v = args
-        out = pushforward(field, t, x, v, t + delta, step=step)
-        return out.norm / math.exp(L * delta)
-
-    push_worst = max(mapper(pushforward_ratio, push_inputs))
+    n_push = min(10, len(states))
+    base = ManifoldPoint(m, x[:n_push])
+    pushed = pushforward(field, t[:n_push], base, TangentVector(base, directions[:n_push]),
+                         t[:n_push] + delta, step=step)
+    push_worst = float(np.max(pushed.norm)) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,
                            1.0 + PUSHFORWARD_TOL, push_worst, 1.0))
 
-    return CertificationReport(tuple(rows))
+    samples = np.stack([t, d, v_val, lie], axis=1)
+    return CertificationReport(tuple(rows), certificate=cert, samples=samples)
 
 
 # -- disturbance robustness -------------------------------------------------------
@@ -465,17 +464,17 @@ def input_lipschitz_estimate(field: TimeVaryingField, region: Region,
     if not us:
         raise ValueError("all input samples are zero")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    zero = np.zeros_like(us[0])
-    for _ in range(n_points):
-        x = region.sample(rng)
-        for u in us:
-            for t in t_samples:
-                diff = m.project_tangent(
-                    x, np.asarray(field.input_rhs(t, x, u), dtype=float)
-                    - np.asarray(field.input_rhs(t, x, zero), dtype=float))
-                worst = max(worst, m.norm(x, diff) / float(np.linalg.norm(u)))
-    return worst
+    x = np.array([region.sample(rng) for _ in range(n_points)])
+    u = np.array(us)
+    times = np.asarray(t_samples, dtype=float)
+    # Rows: every (state, input, time) triple, forced and unforced in one call.
+    rows_x = np.repeat(x, len(u) * len(times), axis=0)
+    rows_u = np.tile(np.repeat(u, len(times), axis=0), (len(x), 1))
+    rows_t = np.tile(times, len(x) * len(u))
+    forced, free = field.input_rhs(rows_t, np.stack([rows_x, rows_x]),
+                                   np.stack([rows_u, np.zeros_like(rows_u)]))
+    diff = m.project_tangent(rows_x, forced - free)
+    return float(np.max(m.norm(rows_x, diff) / np.linalg.norm(rows_u, axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -536,8 +535,7 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
                 certificate: Certificate, input_signal: Callable[[float], np.ndarray],
                 input_bound: float, horizons: Sequence[float], seed: int = 0,
                 grid: GridSpec | None = None, step: float = 1e-2,
-                rel_tol: float = DEFAULT_REL_TOL, traj_tol: float = 0.05,
-                map_fn: Callable | None = None) -> ISSReport:
+                rel_tol: float = DEFAULT_REL_TOL, traj_tol: float = 0.05) -> ISSReport:
     """Certify disturbance robustness of a verified exponential certificate.
 
     (a) pointwise: along the disturbed flow, the lie derivative of V stays
@@ -545,7 +543,8 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     (b) trajectory: tail suprema of V over each horizon stay below
     c4 L_u |u|_inf / c3 within ``traj_tol`` (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
-    ultimate distance bound follows through c1.
+    ultimate distance bound follows through c1.  Each part evaluates V on
+    its whole sample set in one batched flow.
     """
     if field.input_rhs is None:
         raise ValueError("field has no input channel")
@@ -553,9 +552,9 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
         raise ValueError("input bound must be nonnegative")
     m = field.manifold
     b = certificate.bounds
+    V = certificate.V
     gs = grid if grid is not None else GridSpec(24, 1.0)
     rng = np.random.default_rng(seed)
-    mapper = map_fn if map_fn is not None else map
 
     max_horizon = max(horizons)
     check_input_signal(input_signal, input_bound, max_horizon + max(gs.t0_list))
@@ -573,39 +572,31 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
 
     # (a) pointwise decay inequality on the sampled grid.
     states = sample_states(m, x_star, gs, rng)
-
-    def pointwise_margin(state):
-        t, x = state
-        v_val = certificate.V.evaluate(t, x)
-        lie = timed_lie_derivative(certificate.V.evaluate, closed, t, x, step=step)
-        bound_val = -b.c3 * v_val + forcing
-        scale = b.c3 * v_val + forcing + DEFAULT_ABS_TOL
-        return (bound_val + rel_tol * scale + DEFAULT_ABS_TOL - lie) / scale
-
-    worst_pointwise = min(mapper(pointwise_margin, states))
+    t = np.array([s for s, _ in states])
+    x = np.array([pt.coords for _, pt in states])
+    plus, minus = lie_stencil(closed, t, m.project(x), LIE_H, step)
+    v_val, v_plus, v_minus = V.evaluate_groups([(t, x), (t + LIE_H, plus), (t - LIE_H, minus)])
+    lie = (v_plus - v_minus) / (2.0 * LIE_H)
+    bound_val = -b.c3 * v_val + forcing
+    scale = b.c3 * v_val + forcing + DEFAULT_ABS_TOL
+    worst_pointwise = float(np.min((bound_val + rel_tol * scale + DEFAULT_ABS_TOL - lie) / scale))
     rows = [CheckRow("iss-pointwise-decay", ANCHOR_ISS_POINTWISE,
                      forcing, forcing, worst_pointwise, worst_pointwise >= 0.0)]
 
-    # (b) ultimate bound along disturbed trajectories.
+    # (b) ultimate bound along disturbed trajectories: tail samples of each
+    # horizon, for all starts at once.
     start_dirs = [m.random_tangent(rng, x_star.coords, norm=gs.radius) for _ in range(3)]
-    starts = [m.exp(x_star.coords, v) for v in start_dirs]
-    v0_max = max(certificate.V._evaluate_raw(0.0, x0) for x0 in starts)
-
-    def trajectory_limsup(horizon):
-        worst_v = 0.0
-        worst_d = 0.0
-        for x0 in starts:
-            t_burn = 0.6 * horizon
-            ts = np.arange(t_burn, horizon + 1e-9, 0.25)
-            pts = flow_samples(closed, 0.0, x0, ts, step)
-            worst_v = max(worst_v, max(certificate.V._evaluate_raw(float(t), p)
-                                       for t, p in zip(ts, pts)))
-            worst_d = max(worst_d, max(m.dist(p, x_star.coords) for p in pts))
-        return worst_v, worst_d
-
-    tail_suprema = list(mapper(trajectory_limsup, list(horizons)))
-    measured_limsup = max(v for v, _ in tail_suprema)
-    measured_d = max(d for _, d in tail_suprema)
+    starts = m.exp(x_star.coords, np.array(start_dirs))
+    groups = [(0.0, starts)]
+    measured_d = 0.0
+    for horizon in horizons:
+        ts = np.arange(0.6 * horizon, horizon + 1e-9, 0.25)
+        pts = flow_samples(closed, 0.0, starts, ts, step)
+        measured_d = max(measured_d, float(np.max(m.dist(pts, x_star.coords))))
+        groups.append((np.repeat(ts, len(starts)), pts))
+    v_starts, *v_tails = V.evaluate_groups(groups)
+    v0_max = float(np.max(v_starts))
+    measured_limsup = max(float(np.max(v)) for v in v_tails)
     # Comparison equation: V(t) <= V0 e^{-c3 t} + predicted; the transient term
     # keeps the check meaningful for small or zero input bounds.
     transient = v0_max * math.exp(-b.c3 * (1.0 - rel_tol) * 0.6 * min(horizons))
@@ -638,30 +629,29 @@ def run_geometry_suite(manifold: Manifold, seed: int, n: int,
     m = manifold
     reach = min(m.cut_locus_radius * 0.45, 1.5)
 
-    roundtrip_worst = 0.0
-    isometry_worst = 0.0
-    triangle_worst = -math.inf
-    drift_worst = 0.0
+    # Draw every sample first, in the order the checks consume them; each
+    # check then runs on the whole sample stack at once.
+    draws = []
     for _ in range(n):
         x = m.project(m.random_point(rng))
         v = m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0))
-        y = m.exp(x, v)
-        if inject_fault:
-            y = y + 1e-6  # simulated broken renormalization
-        drift_worst = max(drift_worst, m.constraint_violation(y))
-        back = m.log(x, y)
-        roundtrip_worst = max(roundtrip_worst, m.norm(x, back - v))
-
-        z = m.exp(x, m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0)))
+        to_z = m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0))
         u1 = m.random_tangent(rng, x, norm=1.0)
         u2 = m.random_tangent(rng, x, norm=1.0)
-        before = m.inner(x, u1, u2)
-        after = m.inner(z, m.transport(x, z, u1), m.transport(x, z, u2))
-        isometry_worst = max(isometry_worst, abs(after - before))
-
-        w = m.exp(x, m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0)))
-        triangle_worst = max(triangle_worst,
-                             m.dist(x, w) - (m.dist(x, z) + m.dist(z, w)))
+        to_w = m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0))
+        draws.append((x, v, to_z, u1, u2, to_w))
+    x, v, to_z, u1, u2, to_w = (np.array(a) for a in zip(*draws))
+    y = m.exp(x, v)
+    if inject_fault:
+        y = y + 1e-6  # simulated broken renormalization
+    drift_worst = float(np.max(m.constraint_violation(y)))
+    roundtrip_worst = float(np.max(m.norm(x, m.log(x, y) - v)))
+    z = m.exp(x, to_z)
+    before = m.inner(x, u1, u2)
+    after = m.inner(z, m.transport(x, z, u1), m.transport(x, z, u2))
+    isometry_worst = float(np.max(np.abs(after - before)))
+    w = m.exp(x, to_w)
+    triangle_worst = float(np.max(m.dist(x, w) - (m.dist(x, z) + m.dist(z, w))))
 
     # Distance vs. Richardson-extrapolated geodesic arc length.
     arc_worst = 0.0
@@ -673,8 +663,8 @@ def run_geometry_suite(manifold: Manifold, seed: int, n: int,
         vlog = m.log(x, y)
 
         def chord_sum(k):
-            pts = [m.exp(x, (i / k) * vlog) for i in range(k + 1)]
-            return sum(m.dist(pts[i], pts[i + 1]) for i in range(k))
+            pts = m.exp(x, m.rows(np.arange(k + 1) / k) * vlog)
+            return float(np.sum(m.dist(pts[:-1], pts[1:])))
 
         extrapolated = (4.0 * chord_sum(128) - chord_sum(64)) / 3.0
         arc_worst = max(arc_worst, abs(extrapolated - d))

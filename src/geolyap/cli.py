@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the config seed")
         if name != "flow":
             cmd.add_argument("--workers", type=int, default=1,
-                             help="worker threads for sample grids")
+                             help="accepted and ignored: every sample grid runs as "
+                                  "one batch in one thread")
         if name == "certify":
             cmd.add_argument("--mode", choices=("exp", "massera"), default="exp",
                              help="exponential or asymptotic construction")
@@ -85,10 +86,9 @@ def main(argv=None) -> int:
                                        Path(args.out), inject_fault=args.inject_fault)
         config = _load(args)
         if args.command == "certify":
-            return run_certify(config, Path(args.out), mode=args.mode,
-                               workers=args.workers)
+            return run_certify(config, Path(args.out), mode=args.mode)
         if args.command == "iss":
-            return run_iss(config, Path(args.out), workers=args.workers)
+            return run_iss(config, Path(args.out))
         if args.command == "flow":
             return run_flow(config, Path(args.out))
         raise AssertionError(f"unhandled command {args.command}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +101,6 @@ class StabilityEnvelope:
     @property
     def is_exponential(self) -> bool:
         return self.stability_class == "LES"
-
-    def bound(self, d0: float, elapsed: float) -> float:
-        if self.is_exponential:
-            return self.K * math.exp(-self.rate * elapsed) * d0
-        return self.beta(d0, elapsed)
 
     def to_json(self) -> dict:
         return {

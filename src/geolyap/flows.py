@@ -4,10 +4,12 @@ The integrator is a geometric fourth-order Runge-Kutta scheme: stage
 derivatives are evaluated at points reached by the exponential map, parallel
 transported back to the tangent space at the step's base point, combined with
 the classical RK4 weights, and the step is taken with one exponential map
-followed by constraint projection.  Flow pushforwards are computed by
-geodesic-variation finite differences, and Lipschitz constants are estimated
-in the parallel-transport sense (transported field differences over distance)
-alongside the covariant-derivative form.
+followed by constraint projection.  One loop (:func:`flow_samples`) steps a
+batch of states, each from its own start time, on a shared elapsed-time
+grid.  Flow pushforwards are computed by geodesic-variation finite
+differences, and Lipschitz constants are estimated in the parallel-transport
+sense (transported field differences over distance) alongside the
+covariant-derivative form.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .manifolds import (
+    CUT_MARGIN,
     CutLocusError,
     Manifold,
     ManifoldMismatchError,
@@ -29,6 +32,7 @@ from .manifolds import (
 DEFAULT_STEP = 1e-3
 LIPSCHITZ_SAFETY = 1.05   # inflation factor applied before envelope use
 CUT_FLAG_MARGIN = 1e-3    # envelope rows this close to the cut locus are flagged
+_GRID_TOL = 1e-9          # relative slack before a gap gets one more substep
 
 
 class IntegrationError(RuntimeError):
@@ -43,11 +47,12 @@ class IntegrationError(RuntimeError):
 class TimeVaryingField:
     """Evaluatable vector field f(t, x), optionally with an input channel.
 
-    ``rhs(t, coords) -> components`` is the raw kernel used by the
-    integrator; outputs are projected onto the tangent space at every call.
-    ``input_rhs(t, coords, u)`` realizes f(t, x, u) for disturbance studies.
-    Handles must be pure with respect to observable state so they can be
-    called concurrently.
+    ``rhs(t, X) -> components`` is the raw kernel used by the integrator: ``X``
+    holds one state or a batch ``(..., *ambient_shape)`` and ``t`` is a scalar
+    or per-row times (broadcast per row with ``manifold.rows``).  Outputs are
+    projected onto the tangent spaces at every call.  ``input_rhs(t, X, u)``
+    realizes f(t, x, u) for disturbance studies, with ``u`` shared or per row.
+    Handles must be pure with respect to observable state.
     """
 
     manifold: Manifold
@@ -61,20 +66,17 @@ class TimeVaryingField:
             eq.setflags(write=False)
             object.__setattr__(self, "equilibrium", eq)
 
-    def eval_raw(self, t: float, coords: np.ndarray) -> np.ndarray:
-        return self.manifold.project_tangent(coords, np.asarray(self.rhs(t, coords), dtype=float))
+    def eval_raw(self, t, coords: np.ndarray) -> np.ndarray:
+        raw = np.asarray(self.rhs(t, coords), dtype=float)
+        if raw.shape != np.shape(coords):
+            raw = np.broadcast_to(raw, np.shape(coords))
+        return self.manifold.project_tangent(coords, raw)
 
     def __call__(self, t: float, x: ManifoldPoint) -> TangentVector:
         if x.manifold != self.manifold:
             raise ManifoldMismatchError(
                 f"field on {self.manifold.name} evaluated at a {x.manifold.name} point")
         return TangentVector(x, self.eval_raw(t, x.coords))
-
-    @property
-    def equilibrium_point(self) -> ManifoldPoint | None:
-        if self.equilibrium is None:
-            return None
-        return ManifoldPoint(self.manifold, self.equilibrium)
 
     def equilibrium_residual(self, t_samples: Sequence[float] = (0.0, 1.0, 5.0, 10.0)) -> float:
         """Max field norm at the declared equilibrium over sampled times."""
@@ -90,7 +92,7 @@ class TimeVaryingField:
             raise ValueError("field has no input channel")
         input_rhs = self.input_rhs
 
-        def closed(t: float, coords: np.ndarray) -> np.ndarray:
+        def closed(t, coords: np.ndarray) -> np.ndarray:
             return input_rhs(t, coords, np.asarray(signal(t), dtype=float))
 
         return TimeVaryingField(self.manifold, closed, equilibrium=None)
@@ -112,29 +114,13 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.times[-1])
-
-    def point(self, i: int) -> ManifoldPoint:
-        return ManifoldPoint(self.manifold, self.points[i])
-
-    @property
-    def final_point(self) -> ManifoldPoint:
-        return self.point(len(self.times) - 1)
-
     def distances_to(self, x: ManifoldPoint) -> np.ndarray:
-        m = self.manifold
-        return np.array([m.dist(p, x.coords) for p in self.points])
+        return self.manifold.dist(self.points, x.coords)
 
     def max_step_length(self) -> float:
-        m = self.manifold
-        return max((m.dist(self.points[i], self.points[i + 1])
-                    for i in range(len(self.times) - 1)), default=0.0)
+        if len(self.times) < 2:
+            return 0.0
+        return float(np.max(self.manifold.dist(self.points[:-1], self.points[1:])))
 
     def to_json(self) -> dict:
         """Serialize as {kind, step, times, points} with points row-major."""
@@ -154,7 +140,7 @@ class Trajectory:
         return header, rows
 
 
-def _rk4_step(field: TimeVaryingField, t: float, x: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(field: TimeVaryingField, t, x: np.ndarray, dt: float) -> np.ndarray:
     m = field.manifold
     k1 = field.eval_raw(t, x)
     x2 = m.exp(x, (0.5 * dt) * k1)
@@ -167,73 +153,96 @@ def _rk4_step(field: TimeVaryingField, t: float, x: np.ndarray, dt: float) -> np
     return m.project(m.exp(x, v))
 
 
-def _advance(field: TimeVaryingField, t0: float, x0: np.ndarray,
-             t1: float, step: float) -> np.ndarray:
-    """Integrate from (t0, x0) to t1, shortening the last step to land exactly."""
-    x = x0
-    t = t0
-    n_full = int((t1 - t0) / step)
-    for i in range(n_full):
-        x = _rk4_step(field, t, x, step)
-        t = t0 + (i + 1) * step
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError("non-finite state during integration", t)
-    if t < t1 - 1e-15 * max(1.0, abs(t1)):
-        x = _rk4_step(field, t, x, t1 - t)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError("non-finite state during integration", t1)
-    return x
+def _check_finite(m: Manifold, x: np.ndarray, t):
+    finite = np.isfinite(x)
+    if not finite.all():
+        row_ok = finite.all(axis=tuple(range(-len(m.ambient_shape), 0)))
+        t_bad = np.broadcast_to(t, np.shape(row_ok))[~row_ok]
+        raise IntegrationError("non-finite state during integration", float(np.ravel(t_bad)[0]))
 
 
-def flow(field: TimeVaryingField, t0: float, x0: ManifoldPoint,
-         t1: float, step: float = DEFAULT_STEP) -> Trajectory:
-    """Numerical flow of the field from (t0, x0) to t1, sampled per step."""
-    if x0.manifold != field.manifold:
+def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[float],
+                 step: float = DEFAULT_STEP) -> np.ndarray:
+    """Flow states at the elapsed times ``offsets`` after the start time ``t0``.
+
+    ``x0`` holds one state or a batch ``(..., *ambient_shape)``; ``t0`` is a
+    scalar or per-row start times.  All rows step together on one shared
+    grid: each gap between consecutive offsets (nondecreasing, >= 0) is split
+    into equal substeps no longer than ``step``, so the offsets are hit
+    exactly.  Returns an array of shape ``(len(offsets),) + x0.shape``.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    nodes = [0.0]
+    keep = []
+    for s in offsets:
+        s = float(s)
+        gap = s - nodes[-1]
+        if gap < -1e-12:
+            raise ValueError("sample offsets must be nondecreasing and >= 0")
+        if gap > 1e-15 * max(1.0, abs(s)):
+            n_sub = max(1, math.ceil(gap / step - _GRID_TOL))
+            base = nodes[-1]
+            nodes.extend(base + i * (gap / n_sub) for i in range(1, n_sub))
+            nodes.append(s)
+        keep.append(len(nodes) - 1)
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for a, b in zip(nodes, nodes[1:]):
+        x = _rk4_step(field, t0 + a, x, b - a)
+        _check_finite(field.manifold, x, t0 + b)
+        states.append(x)
+    return np.stack([states[i] for i in keep])
+
+
+def _step_offsets(span: float, step: float) -> np.ndarray:
+    """Elapsed grid 0, step, 2 step, ... ending on ``span`` exactly."""
+    n = max(1, math.ceil(span / step - _GRID_TOL)) if span > 0 else 0
+    offsets = np.arange(n + 1) * step
+    offsets[-1] = span
+    return offsets
+
+
+def _advance(field: TimeVaryingField, t0, x0: np.ndarray, span: float,
+             step: float) -> np.ndarray:
+    """States after ``span``, stepping on the dense grid of :func:`_step_offsets`."""
+    return flow_samples(field, t0, x0, _step_offsets(span, step), step)[-1]
+
+
+def _shared_span(t0, t1, message: str) -> float:
+    """The common length of the rows' time intervals [t0, t1]."""
+    spans = np.ravel(np.asarray(t1, dtype=float) - np.asarray(t0, dtype=float))
+    if np.any(spans < 0):
+        raise ValueError(message)
+    span = float(spans.max())
+    if np.any(spans < span - 1e-9 * max(1.0, span)):
+        raise ValueError("batched rows must share one time span")
+    return span
+
+
+def flow(field: TimeVaryingField, t0, x0, t1, step: float = DEFAULT_STEP):
+    """Numerical flow from (t0, x0) to t1, sampled at t0 + k*step and ending on t1.
+
+    ``x0`` is a point, giving a :class:`Trajectory`, or a sequence of points
+    with per-point ``t0`` and ``t1`` sharing one span, giving a list of
+    trajectories integrated as one batch.
+    """
+    single = isinstance(x0, ManifoldPoint)
+    points = [x0] if single else list(x0)
+    if any(p.manifold != field.manifold for p in points):
         raise ManifoldMismatchError("initial condition manifold does not match the field")
-    if t1 < t0:
-        raise ValueError(f"t1 must be >= t0, got [{t0}, {t1}]")
+    span = _shared_span(t0, t1, f"t1 must be >= t0, got [{t0}, {t1}]")
     if step <= 0:
         raise ValueError("step must be positive")
     m = field.manifold
-    times = [t0]
-    pts = [m.project(x0.coords.copy())]
-    t = t0
-    x = pts[0]
-    while t < t1 - 1e-15 * max(1.0, abs(t1)):
-        dt = min(step, t1 - t)
-        x = _rk4_step(field, t, x, dt)
-        t = min(t + dt, t1)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError("non-finite state during integration", t)
-        times.append(t)
-        pts.append(x)
-    return Trajectory(m, np.asarray(times), np.stack(pts), step)
-
-
-def flow_samples(field: TimeVaryingField, t0: float, x0: np.ndarray,
-                 times: Sequence[float], step: float = DEFAULT_STEP) -> list[np.ndarray]:
-    """Flow states at the requested times (sorted, all >= t0).
-
-    Each gap is split into equal substeps no longer than ``step`` so the
-    sample times are hit exactly.
-    """
-    x = np.asarray(x0, dtype=float)
-    out = []
-    t = t0
-    for target in times:
-        if target < t - 1e-12:
-            raise ValueError("sample times must be nondecreasing and >= t0")
-        gap = target - t
-        if gap > 1e-15 * max(1.0, abs(target)):
-            n_sub = max(1, math.ceil(gap / step - 1e-12))
-            dt = gap / n_sub
-            for i in range(n_sub):
-                x = _rk4_step(field, t + i * dt, x, dt)
-            if not np.all(np.isfinite(x)):
-                raise IntegrationError("non-finite state during integration", target)
-            t = target
-        out.append(x)
-    return out
+    offsets = _step_offsets(span, step)
+    starts = np.broadcast_to(np.asarray(t0, dtype=float), (len(points),))
+    ends = np.broadcast_to(np.asarray(t1, dtype=float), (len(points),))
+    x = m.project(np.stack([p.coords for p in points]))
+    pts = flow_samples(field, t0 if single else starts, x, offsets, step)
+    trajectories = [Trajectory(m, np.append(start + offsets[:-1], end), pts[:, i], step)
+                    for i, (start, end) in enumerate(zip(starts, ends))]
+    return trajectories[0] if single else trajectories
 
 
 def semigroup_residual(field: TimeVaryingField, t0: float, x0: ManifoldPoint,
@@ -243,50 +252,59 @@ def semigroup_residual(field: TimeVaryingField, t0: float, x0: ManifoldPoint,
         raise ValueError(f"need t0 <= t_mid <= t1, got {(t0, t_mid, t1)}")
     m = field.manifold
     x_start = m.project(x0.coords.copy())
-    direct = _advance(field, t0, x_start, t1, step)
-    mid = _advance(field, t0, x_start, t_mid, step)
-    via = _advance(field, t_mid, mid, t1, step)
+    direct = _advance(field, t0, x_start, t1 - t0, step)
+    mid = _advance(field, t0, x_start, t_mid - t0, step)
+    via = _advance(field, t_mid, mid, t1 - t_mid, step)
     return m.dist(direct, via)
 
 
-def pushforward(field: TimeVaryingField, t: float, x: ManifoldPoint, v: TangentVector,
-                tau: float, step: float = DEFAULT_STEP, eps: float = 1e-5) -> TangentVector:
+def geodesic_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray, eps_hat) -> np.ndarray:
+    """exp_x(+eps_hat v) and exp_x(-eps_hat v), stacked on a new leading axis."""
+    dv = m.rows(eps_hat) * v
+    return np.stack([m.exp(coords, dv), m.exp(coords, -dv)])
+
+
+def pushforward(field: TimeVaryingField, t, x: ManifoldPoint, v: TangentVector,
+                tau, step: float = DEFAULT_STEP, eps: float = 1e-5) -> TangentVector:
     """Flow pushforward of v under x -> phi(tau; t, x).
 
     Computed by the geodesic-variation central difference: the base point is
     perturbed by exp_x(+/- eps_hat v), both perturbations are flowed to tau,
     and the transported difference of logarithms at the flowed base point is
-    divided by 2 eps_hat.  The perturbation arc length is ``eps``.  If the
-    difference stencil hits the cut locus, eps is reduced and the stencil
-    retried before giving up.
+    divided by 2 eps_hat.  The perturbation arc length is ``eps``.  Rows whose
+    difference stencil hits the cut locus retry with a smaller eps before
+    giving up.  ``x`` and ``v`` may hold a batch of points (leading axes) with
+    per-row ``t`` and ``tau`` sharing one span; the base point, the stencil
+    and every row integrate as one batch.
     """
-    if tau < t:
-        raise ValueError("tau must be >= t")
+    span = _shared_span(t, tau, "tau must be >= t")
     if x.manifold != field.manifold:
         raise ManifoldMismatchError("point manifold does not match the field")
     if v.base.manifold != x.manifold or not np.array_equal(v.base.coords, x.coords):
         raise ManifoldMismatchError("tangent vector is not based at the given point")
     m = field.manifold
-    if tau == t:
+    if span == 0.0:
         return v
-    y0 = _advance(field, t, m.project(x.coords.copy()), tau, step)
-    y0_point = ManifoldPoint(m, y0)
     nv = m.norm(x.coords, v.components)
-    if nv == 0.0:
-        return TangentVector(y0_point, np.zeros(m.ambient_shape))
-    eps_hat = eps / nv
-    last_error: CutLocusError | None = None
-    for _ in range(3):
-        try:
-            y_plus = _advance(field, t, m.exp(x.coords, eps_hat * v.components), tau, step)
-            y_minus = _advance(field, t, m.exp(x.coords, -eps_hat * v.components), tau, step)
-            w = (m.log(y0, y_plus) - m.log(y0, y_minus)) / (2.0 * eps_hat)
-            return TangentVector(y0_point, m.project_tangent(y0, w))
-        except CutLocusError as err:
-            last_error = err
-            eps_hat *= 0.1
-    raise CutLocusError(f"pushforward stencil kept hitting the cut locus: {last_error}",
-                        x.coords, y0)
+    zero = nv == 0.0
+    eps_hat = eps / np.where(zero, 1.0, nv)
+    t_rows = np.broadcast_to(np.asarray(t, dtype=float), np.shape(nv))
+    start = np.concatenate([m.project(np.array(x.coords))[None],
+                            geodesic_stencil(m, x.coords, v.components, eps_hat)])
+    ends = _advance(field, t, start, span, step)
+    y0, ends = ends[0], ends[1:]
+    bad = np.zeros(np.shape(nv), dtype=bool)
+    for attempt in range(3):
+        if attempt:
+            eps_hat = np.where(bad, 0.1 * eps_hat, eps_hat)
+            retry = geodesic_stencil(m, x.coords[bad], v.components[bad], eps_hat[bad])
+            ends[:, bad] = _advance(field, t_rows[bad], retry, span, step)
+        bad = np.any(m.dist(y0, ends) > m.cut_locus_radius - CUT_MARGIN, axis=0)
+        if not np.any(bad):
+            w = (m.log(y0, ends[0]) - m.log(y0, ends[1])) / m.rows(2.0 * eps_hat)
+            w = np.where(m.rows(zero), 0.0, m.project_tangent(y0, w))
+            return TangentVector(ManifoldPoint(m, y0), w)
+    raise CutLocusError("pushforward stencil kept hitting the cut locus", x.coords, y0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +352,8 @@ def lipschitz_estimate(field: TimeVaryingField, region: Region,
     Deterministic given the seed.  Half of the covariant-derivative sample
     points sit on the region boundary, where the covariant norm of the
     built-in attractors peaks.  Degenerate pairs (distance below 1e-10) are
-    skipped.
+    skipped.  Samples are drawn first; the field is then evaluated on all of
+    them, at every sample time, in one call.
     """
     m = field.manifold
     if region.center.manifold != m:
@@ -346,34 +365,28 @@ def lipschitz_estimate(field: TimeVaryingField, region: Region,
     if region.radius >= m.cut_locus_radius:
         raise ValueError("region radius must stay below the cut-locus radius")
     rng = np.random.default_rng(seed)
-    t_list = list(t_samples) or [0.0]
+    t_list = np.asarray(list(t_samples) or [0.0], dtype=float)
 
-    transport_max = 0.0
-    usable_pairs = 0
-    for _ in range(n_pairs):
-        p = region.sample(rng)
-        q = region.sample(rng)
-        d = m.dist(p, q)
-        if d < 1e-10:
-            continue
-        usable_pairs += 1
-        for t in t_list:
-            diff = m.transport(p, q, field.eval_raw(t, p)) - field.eval_raw(t, q)
-            transport_max = max(transport_max, m.norm(q, diff) / d)
-    if usable_pairs == 0:
+    pairs = np.array([(region.sample(rng), region.sample(rng)) for _ in range(n_pairs)])
+    d = m.dist(pairs[:, 0], pairs[:, 1])
+    if not np.any(d >= 1e-10):
         raise ValueError("all sampled pairs were degenerate; enlarge the region")
-
-    covariant_max = 0.0
+    p, q, d = pairs[d >= 1e-10, 0], pairs[d >= 1e-10, 1], d[d >= 1e-10]
+    x, v = [], []
     for i in range(n_pairs):
-        x = region.sample(rng, on_boundary=(i % 2 == 0))
-        v = m.random_tangent(rng, x, norm=1.0)
-        x_plus = m.exp(x, fd_step * v)
-        x_minus = m.exp(x, -fd_step * v)
-        for t in t_list:
-            dv = (m.transport(x_plus, x, field.eval_raw(t, x_plus))
-                  - m.transport(x_minus, x, field.eval_raw(t, x_minus))) / (2.0 * fd_step)
-            covariant_max = max(covariant_max, m.norm(x, dv))
+        x.append(region.sample(rng, on_boundary=(i % 2 == 0)))
+        v.append(m.random_tangent(rng, x[-1], norm=1.0))
+    x = np.array(x)
+    x_plus, x_minus = geodesic_stencil(m, x, np.array(v), fd_step)
 
+    # One field call: every sample point at every sample time (leading axis).
+    points = np.concatenate([p, q, x_plus, x_minus])
+    f = field.eval_raw(np.repeat(t_list, len(points)),
+                       np.concatenate([points] * len(t_list))).reshape((len(t_list),) + points.shape)
+    f_p, f_q, f_plus, f_minus = np.split(f, np.cumsum([len(p), len(q), len(x)]), axis=1)
+    transport_max = float(np.max(m.norm(q, m.transport(p, q, f_p) - f_q) / d))
+    dv = (m.transport(x_plus, x, f_plus) - m.transport(x_minus, x, f_minus)) / (2.0 * fd_step)
+    covariant_max = float(np.max(m.norm(x, dv)))
     return LipschitzEstimate(transport_max, covariant_max, region, n_pairs)
 
 
@@ -402,42 +415,70 @@ class ContractionReport:
 
 
 def contraction_envelope_check(field: TimeVaryingField, L: float,
-                               x1: ManifoldPoint, x2: ManifoldPoint, t: float,
+                               x1: ManifoldPoint, x2: ManifoldPoint, t,
                                tau_grid: Sequence[float], step: float = DEFAULT_STEP,
-                               slack: float = 1e-6) -> ContractionReport:
+                               slack: float = 1e-6):
     """Verify d0 e^{-L dt} <= d(phi, phi) <= d0 e^{L dt} along the flow.
 
     The multiplicative slack absorbs integrator error.  Rows whose pair drifts
     within the cut-locus margin are flagged rather than failed, since the
     two-sided bound presumes a smoothly varying minimizing geodesic.
+
+    ``x1`` and ``x2`` may hold a batch of pairs (one leading axis) with
+    per-pair start times ``t`` and one row of ``tau_grid`` per pair, all at
+    the same offsets from their ``t``; the 2 x pairs states then integrate as
+    one batch and one report per pair comes back.
     """
     m = field.manifold
-    taus = sorted(float(tau) for tau in tau_grid)
-    if taus and taus[0] < t:
+    single = np.ndim(x1.coords) == len(m.ambient_shape)
+    a, b = (x1.coords[None], x2.coords[None]) if single else (x1.coords, x2.coords)
+    starts = np.broadcast_to(np.asarray(t, dtype=float), (len(a),))
+    taus = np.sort(np.broadcast_to(np.asarray(tau_grid, dtype=float),
+                                   (len(a), np.shape(tau_grid)[-1])), axis=-1)
+    elapsed = taus - starts[:, None]
+    if np.any(elapsed[:, 0] < 0):
         raise ValueError("tau grid must start at or after t")
-    d0 = m.dist(x1.coords, x2.coords)
-    pts1 = flow_samples(field, t, x1.coords, taus, step)
-    pts2 = flow_samples(field, t, x2.coords, taus, step)
-    rows = []
-    worst_lower = math.inf
-    worst_upper = math.inf
-    for tau, a, b in zip(taus, pts1, pts2):
-        d = m.dist(a, b)
-        lower = d0 * math.exp(-L * (tau - t))
-        upper = d0 * math.exp(L * (tau - t))
-        flagged = math.isfinite(m.cut_locus_radius) and d >= m.cut_locus_radius - CUT_FLAG_MARGIN
-        ok_lower = d * (1.0 + slack) >= lower
-        ok_upper = d <= upper * (1.0 + slack)
-        if lower > 0:
-            worst_lower = min(worst_lower, d * (1.0 + slack) / lower - 1.0)
-            worst_upper = min(worst_upper, upper * (1.0 + slack) / d - 1.0 if d > 0 else math.inf)
-        rows.append(ContractionRow(tau, d, lower, upper, ok_lower and ok_upper, flagged))
-    if not math.isfinite(worst_lower):
-        worst_lower = 0.0
-    if not math.isfinite(worst_upper):
-        worst_upper = 0.0
-    passed = all(r.passed for r in rows if not r.flagged)
-    return ContractionReport(tuple(rows), worst_lower, worst_upper, passed)
+    offsets = elapsed[0]
+    if np.any(np.abs(elapsed - offsets) > 1e-9 * max(1.0, float(offsets[-1]))):
+        raise ValueError("batched pairs must share one tau grid relative to their t")
+    d0 = m.dist(a, b)
+    pts = flow_samples(field, starts, np.stack([a, b]), offsets, step)
+    d = np.moveaxis(m.dist(pts[:, 0], pts[:, 1]), 0, -1)       # (pairs, taus)
+    lower = d0[:, None] * np.exp(-L * offsets)
+    upper = d0[:, None] * np.exp(L * offsets)
+    flagged = math.isfinite(m.cut_locus_radius) & (d >= m.cut_locus_radius - CUT_FLAG_MARGIN)
+    ok = (d * (1.0 + slack) >= lower) & (d <= upper * (1.0 + slack))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower_margin = np.where(lower > 0, d * (1.0 + slack) / lower - 1.0, math.inf)
+        upper_margin = np.where((lower > 0) & (d > 0), upper * (1.0 + slack) / d - 1.0,
+                                math.inf)
+    worst_lower, worst_upper = (np.where(np.isfinite(w), w, 0.0) for w in
+                                (lower_margin.min(axis=-1), upper_margin.min(axis=-1)))
+    reports = []
+    for i in range(len(a)):
+        rows = map(ContractionRow, taus[i].tolist(), d[i].tolist(), lower[i].tolist(),
+                   upper[i].tolist(), ok[i].tolist(), flagged[i].tolist())
+        reports.append(ContractionReport(tuple(rows), float(worst_lower[i]),
+                                         float(worst_upper[i]), bool(np.all(ok[i] | flagged[i]))))
+    return reports[0] if single else reports
+
+
+def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,
+                step: float) -> np.ndarray:
+    """Flow states at t + h and, integrating backward in time, at t - h.
+
+    Both directions run as one batch; returns shape ``(2,) + coords.shape``.
+    ``t`` is a scalar or per-row times.
+    """
+    m = field.manifold
+    lead = np.ndim(coords) - len(m.ambient_shape)
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * lead)
+
+    def rhs(s, X):
+        return m.rows(sign) * field.eval_raw(np.where(sign > 0, s, 2.0 * t - s), X)
+
+    both = TimeVaryingField(m, rhs)
+    return flow_samples(both, t, np.stack([coords, coords]), [h], step)[-1]
 
 
 def timed_lie_derivative(V: Callable[[float, ManifoldPoint], float],
@@ -458,15 +499,8 @@ def timed_lie_derivative(V: Callable[[float, ManifoldPoint], float],
     m = field.manifold
     sub = step if step is not None else h / 4.0
     x0 = m.project(x.coords.copy())
-    x_plus = ManifoldPoint(m, _advance(field, t, x0, t + h, sub))
-    v_plus = V(t + h, x_plus)
     if t_floor is not None and t - h < t_floor:
-        return (v_plus - V(t, ManifoldPoint(m, x0))) / h
-
-    def reversed_rhs(s: float, coords: np.ndarray) -> np.ndarray:
-        return -field.eval_raw(2.0 * t - s, coords)
-
-    reverse = TimeVaryingField(m, reversed_rhs)
-    x_minus = ManifoldPoint(m, _advance(reverse, t, x0, t + h, sub))
-    v_minus = V(t - h, x_minus)
-    return (v_plus - v_minus) / (2.0 * h)
+        x_plus = flow_samples(field, t, x0, [h], sub)[-1]
+        return (V(t + h, ManifoldPoint(m, x_plus)) - V(t, ManifoldPoint(m, x0))) / h
+    x_plus, x_minus = lie_stencil(field, t, x0, h, sub)
+    return (V(t + h, ManifoldPoint(m, x_plus)) - V(t - h, ManifoldPoint(m, x_minus))) / (2.0 * h)

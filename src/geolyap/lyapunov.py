@@ -20,14 +20,21 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .envelopes import KLEnvelope, StabilityEnvelope
-from .flows import DEFAULT_STEP, TimeVaryingField, flow_samples, timed_lie_derivative
+from .flows import (
+    DEFAULT_STEP,
+    TimeVaryingField,
+    flow_samples,
+    geodesic_stencil,
+    timed_lie_derivative,
+)
 from .manifolds import ManifoldMismatchError, ManifoldPoint, TangentVector
 
 DEFAULT_QUADRATURE_NODES = 65
 DEFAULT_POWER = 2.0
+LIE_H = 1e-3      # time half-width of the Lie-derivative stencil
+DIFF_EPS = 1e-4   # arc length of the differential stencil
 
 
 class InvalidDeltaError(ValueError):
@@ -142,7 +149,8 @@ class LyapunovFunction:
 
     ``mode`` is "exponential" (integrand d^p over horizon delta) or "massera"
     (integrand G(d) over the truncation horizon, with ``tail_bound`` the
-    certified truncation error).
+    certified truncation error; ``reshaping`` maps distance arrays to G).
+    Evaluations share the horizon, so states with their own times batch.
     """
 
     field: TimeVaryingField
@@ -152,7 +160,7 @@ class LyapunovFunction:
     n_nodes: int = DEFAULT_QUADRATURE_NODES
     step: float = DEFAULT_STEP
     mode: str = "exponential"
-    reshaping: Callable[[float], float] | None = None
+    reshaping: Callable[[np.ndarray], np.ndarray] | None = None
     tail_bound: float = 0.0
 
     def __post_init__(self):
@@ -163,40 +171,52 @@ class LyapunovFunction:
         if self.mode == "massera" and self.reshaping is None:
             raise ValueError("massera mode requires a reshaping function")
 
-    def _evaluate_raw(self, t: float, coords: np.ndarray) -> float:
+    def _evaluate_raw(self, t, coords: np.ndarray):
+        """V at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
         m = self.field.manifold
-        taus = t + np.linspace(0.0, self.horizon, self.n_nodes)
-        pts = flow_samples(self.field, t, coords, taus, self.step)
-        dists = [m.dist(p, self.x_star.coords) for p in pts]
-        if self.mode == "massera":
-            vals = np.array([self.reshaping(d) for d in dists])
-        else:
-            vals = np.asarray(dists) ** self.p
-        return float(np.dot(_simpson_weights(self.n_nodes, self.horizon), vals))
+        offsets = np.linspace(0.0, self.horizon, self.n_nodes)
+        pts = flow_samples(self.field, t, coords, offsets, self.step)
+        # Quadrature nodes last and contiguous: each row sums in the same order
+        # whether it is evaluated alone or in a batch.
+        dists = np.ascontiguousarray(np.moveaxis(m.dist(pts, self.x_star.coords), 0, -1))
+        vals = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
+        return np.sum(vals * _simpson_weights(self.n_nodes, self.horizon), axis=-1)
 
-    def evaluate(self, t: float, x: ManifoldPoint) -> float:
+    def evaluate(self, t, x: ManifoldPoint):
+        """V(t, x); a batched point with per-row t gives one value per row."""
         if x.manifold != self.field.manifold:
             raise ManifoldMismatchError("point manifold does not match the certificate")
-        return self._evaluate_raw(t, x.coords)
+        value = self._evaluate_raw(t, x.coords)
+        return float(value) if np.ndim(value) == 0 else value
+
+    def evaluate_groups(self, groups: Sequence[tuple]) -> list[np.ndarray]:
+        """V over ``(times, states)`` groups (one time per state, or shared)
+        in one batched flow; the values come back split per group."""
+        m = self.field.manifold
+        states = [np.reshape(x, (-1,) + m.ambient_shape) for _, x in groups]
+        times = np.concatenate([np.broadcast_to(np.asarray(t, dtype=float), (len(x),))
+                                for (t, _), x in zip(groups, states)])
+        values = self._evaluate_raw(times, np.concatenate(states))
+        return np.split(values, np.cumsum([len(x) for x in states])[:-1])
 
     __call__ = evaluate
 
-    def lie_derivative(self, t: float, x: ManifoldPoint, h: float = 1e-3,
+    def lie_derivative(self, t: float, x: ManifoldPoint, h: float = LIE_H,
                        t_floor: float | None = None) -> float:
         return timed_lie_derivative(self.evaluate, self.field, t, x,
                                     h=h, step=self.step, t_floor=t_floor)
 
     def directional_derivative(self, t: float, x: ManifoldPoint, v: TangentVector,
-                               eps: float = 1e-4) -> float:
+                               eps: float = DIFF_EPS) -> float:
         """dV(t, .)(v) by a central geodesic difference of arc length eps."""
         m = self.field.manifold
         nv = m.norm(x.coords, v.components)
         if nv == 0.0:
             return 0.0
         eps_hat = eps / nv
-        plus = self._evaluate_raw(t, m.exp(x.coords, eps_hat * v.components))
-        minus = self._evaluate_raw(t, m.exp(x.coords, -eps_hat * v.components))
-        return (plus - minus) / (2.0 * eps_hat)
+        stencil = geodesic_stencil(m, x.coords, v.components, eps_hat)
+        plus, minus = self._evaluate_raw(t, stencil)
+        return float((plus - minus) / (2.0 * eps_hat))
 
 
 def construct_exp_V(field: TimeVaryingField, x_star: ManifoldPoint, delta: float,
@@ -237,26 +257,29 @@ class MasseraFunction:
     grid_spacing: float
 
     def __post_init__(self):
+        from scipy.interpolate import PchipInterpolator  # only Massera mode needs scipy
+
         interp = PchipInterpolator(self.s_knots, self.gprime_knots)
         object.__setattr__(self, "_gprime", interp)
         object.__setattr__(self, "_g_integral", interp.antiderivative())
 
-    def derivative(self, s: float) -> float:
-        """G'(s); constant extension beyond the represented range."""
-        if s <= 0.0:
-            return 0.0
-        if s >= self.s_knots[-1]:
-            return float(self.gprime_knots[-1])
-        return float(self._gprime(s))
-
-    def value(self, s: float) -> float:
-        """G(s) = integral of G' from 0; linear extension beyond the range."""
-        if s <= 0.0:
-            return 0.0
+    def _piecewise(self, s, inside: Callable, beyond: Callable):
+        """``inside`` on (0, s_max), ``beyond`` from s_max on, 0 at s <= 0."""
+        s = np.asarray(s, dtype=float)
         s_max = float(self.s_knots[-1])
-        if s >= s_max:
-            return float(self._g_integral(s_max)) + float(self.gprime_knots[-1]) * (s - s_max)
-        return float(self._g_integral(s))
+        out = np.where(s >= s_max, beyond(s, s_max), inside(np.clip(s, 0.0, s_max)))
+        out = np.where(s <= 0.0, 0.0, out)
+        return float(out) if out.ndim == 0 else out
+
+    def derivative(self, s):
+        """G'(s), elementwise; constant extension beyond the represented range."""
+        return self._piecewise(s, self._gprime,
+                               lambda s, s_max: np.full(s.shape, self.gprime_knots[-1]))
+
+    def value(self, s):
+        """G(s) = integral of G' from 0, elementwise; linear extension beyond the range."""
+        return self._piecewise(s, self._g_integral, lambda s, s_max: (
+            self._g_integral(s_max) + self.gprime_knots[-1] * (s - s_max)))
 
     __call__ = value
 
@@ -275,7 +298,7 @@ class MasseraFunction:
         mask = self.envelope_times >= t_start - 1e-12
         ts = self.envelope_times[mask]
         gs = self.envelope_values[mask]
-        grid_part = float(np.trapezoid([self.value(g) for g in gs], ts)) if len(ts) > 1 else 0.0
+        grid_part = float(np.trapezoid(self.value(gs), ts)) if len(ts) > 1 else 0.0
         beyond = float(gs[-1]) * math.exp(self.grid_spacing) * math.exp(-t_end)
         return grid_part + beyond
 
@@ -284,9 +307,8 @@ class MasseraFunction:
         u = np.asarray(u_values, dtype=float)
         if len(u) != len(self.envelope_times):
             raise ValueError("u samples must align with the envelope time grid")
-        i1 = float(np.trapezoid([self.value(s) for s in u], self.envelope_times))
-        i2 = float(np.trapezoid([self.derivative(s) * hv for s, hv in zip(u, self.h_values)],
-                                self.envelope_times))
+        i1 = float(np.trapezoid(self.value(u), self.envelope_times))
+        i2 = float(np.trapezoid(self.derivative(u) * self.h_values, self.envelope_times))
         return i1, i2
 
 
@@ -324,7 +346,7 @@ def massera_G(t_grid: Sequence[float], g_values: Sequence[float],
     spacing = float(np.max(np.diff(ts)))
     partial = MasseraFunction(s_knots, gprime_knots, ts, gs, h_vals,
                               k1=0.0, k2=0.0, grid_spacing=spacing)
-    grid_k1 = float(np.trapezoid([partial.value(g) for g in gs], ts))
+    grid_k1 = float(np.trapezoid(partial.value(gs), ts))
     grid_k2 = float(np.trapezoid(gprime_at_knots * h_vals, ts))
     t_end = float(ts[-1])
     tail_k1 = float(gs[-1]) * math.exp(spacing) * math.exp(-t_end)
@@ -360,4 +382,4 @@ def construct_ugas_V(field: TimeVaryingField, x_star: ManifoldPoint,
             f"certified tail {tail:.3e} exceeds the tolerance {tail_tol:.3e}; "
             "extend the envelope horizon or enlarge t_max")
     return LyapunovFunction(field, x_star, t_max, 1.0, n_nodes, step,
-                            "massera", reshaping.value, tail)
+                            "massera", reshaping, tail)

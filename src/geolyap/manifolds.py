@@ -7,7 +7,8 @@ representation (unit vectors, rotation matrices, Minkowski hyperboloid), so
 every operation -- metric, exponential/logarithm maps, distance, parallel
 transport along minimizing geodesics -- is an exact coordinate-free formula.
 Constraint drift is repaired by projection after each manifold-valued
-computation.
+computation.  Every kernel op is vectorized over leading batch axes, so a
+single point and a batch of points run the same code.
 
 Pairs at or beyond each other's cut locus are rejected explicitly
 (:class:`CutLocusError`) rather than resolved by an arbitrary choice of
@@ -50,7 +51,8 @@ class CutLocusError(GeometryError):
 
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
-    """A point on a manifold, stored in the embedding representation."""
+    """A point on a manifold in the embedding representation (batched flow
+    routines also take a stack of points with leading axes)."""
 
     manifold: "Manifold"
     coords: np.ndarray
@@ -58,10 +60,6 @@ class ManifoldPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", np.array(self.coords, dtype=float))
         self.coords.setflags(write=False)
-
-    @property
-    def kind(self) -> str:
-        return self.manifold.name
 
     def to_json(self) -> dict:
         """Serialize as {kind, coords} with matrices flattened row-major."""
@@ -100,17 +98,32 @@ class TangentVector:
         }
 
     def __repr__(self):
-        return f"TangentVector({self.manifold.name}, |v|={self.norm:.6g})"
+        return f"TangentVector({self.manifold.name}, |v|={np.round(self.norm, 6)})"
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _where(cond, a, b):
+    """``np.where`` that gives a NumPy scalar, not a 0-d array, for a single row."""
+    return np.where(cond, a, b)[()]
+
+
+def _reject_cut(angle, coords, other, message: str):
+    if (angle > math.pi - CUT_MARGIN).any():
+        raise CutLocusError(message, coords, other)
 
 
 class Manifold(ABC):
     """Closed-form geometry kernel for one manifold.
 
     The abstract methods form the raw ndarray layer used by integrators and
-    estimators; the ``point``/``tangent`` constructors wrap validated arrays
-    into :class:`ManifoldPoint` / :class:`TangentVector`.  All operations are
-    pure and instances are stateless, so values are safe to share across
-    threads.
+    estimators.  They take arrays ``(..., *ambient_shape)`` whose leading
+    (batch) axes broadcast row by row; a single point has none.  A check that
+    fails on any row raises for the whole call.  ``point``/``tangent`` wrap
+    validated arrays into :class:`ManifoldPoint` / :class:`TangentVector`.
+    All operations are pure and instances are stateless.
     """
 
     name: str
@@ -129,11 +142,11 @@ class Manifold(ABC):
         """Project an ambient array onto the tangent space at ``coords``."""
 
     @abstractmethod
-    def constraint_violation(self, coords: np.ndarray) -> float:
+    def constraint_violation(self, coords: np.ndarray):
         """Residual of the manifold constraint at ``coords`` (0 when exact)."""
 
     @abstractmethod
-    def inner(self, coords: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    def inner(self, coords: np.ndarray, u: np.ndarray, v: np.ndarray):
         """Riemannian inner product of tangents ``u``, ``v`` at ``coords``."""
 
     @abstractmethod
@@ -145,7 +158,7 @@ class Manifold(ABC):
         """Initial velocity of the minimizing geodesic ``coords`` -> ``other``."""
 
     @abstractmethod
-    def dist(self, coords: np.ndarray, other: np.ndarray) -> float:
+    def dist(self, coords: np.ndarray, other: np.ndarray):
         """Riemannian (geodesic) distance."""
 
     @abstractmethod
@@ -155,16 +168,17 @@ class Manifold(ABC):
     @abstractmethod
     def random_point(self, rng: np.random.Generator) -> np.ndarray: ...
 
-    def tangent_violation(self, coords: np.ndarray, comps: np.ndarray) -> float:
-        diff = comps - self.project_tangent(coords, comps)
-        return float(np.sqrt(np.sum(diff * diff)))
+    def rows(self, values) -> np.ndarray:
+        """Per-row scalars shaped to broadcast against ``(..., *ambient_shape)`` arrays."""
+        a = np.asarray(values)
+        return a.reshape(a.shape + (1,) * len(self.ambient_shape))
 
-    def norm(self, coords: np.ndarray, v: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(coords, v, v), 0.0))
+    def norm(self, coords: np.ndarray, v: np.ndarray):
+        return np.sqrt(np.maximum(self.inner(coords, v, v), 0.0))
 
     def random_tangent(self, rng: np.random.Generator, coords: np.ndarray,
                        norm: float = 1.0) -> np.ndarray:
-        """Random tangent of the requested norm, uniform in direction."""
+        """Random tangent at one point, of the requested norm, uniform in direction."""
         for _ in range(16):
             v = self.project_tangent(coords, rng.standard_normal(self.ambient_shape))
             n = self.norm(coords, v)
@@ -172,25 +186,36 @@ class Manifold(ABC):
                 return v * (norm / n)
         raise GeometryError("could not sample a nondegenerate tangent direction")
 
-    def tangent_basis(self, coords: np.ndarray) -> list[np.ndarray]:
-        """Orthonormal tangent basis at ``coords`` (Gram-Schmidt of projected
-        ambient axes; deterministic)."""
-        basis: list[np.ndarray] = []
-        flat_dim = int(np.prod(self.ambient_shape))
-        for i in range(flat_dim):
-            if len(basis) == self.dim:
-                break
-            e = np.zeros(flat_dim)
-            e[i] = 1.0
-            v = self.project_tangent(coords, e.reshape(self.ambient_shape))
-            for b in basis:
-                v = v - self.inner(coords, v, b) * b
-            n = self.norm(coords, v)
-            if n > 1e-8:
-                basis.append(v / n)
-        if len(basis) != self.dim:
-            raise GeometryError(f"degenerate tangent basis at {coords!r}")
-        return basis
+    def tangent_basis(self, coords: np.ndarray) -> np.ndarray:
+        """Orthonormal tangent bases, shape ``(..., dim, *ambient_shape)``.
+
+        Per row: Gram-Schmidt of the projected ambient axes in order, skipping
+        axes that are (nearly) normal, so each row keeps its own choice of
+        axes; deterministic.
+        """
+        coords = np.asarray(coords, dtype=float)
+        amb = self.ambient_shape
+        lead = coords.shape[:coords.ndim - len(amb)]
+        flat = coords.reshape((-1,) + amb)
+        n_rows, size = len(flat), int(np.prod(amb))
+        axes = np.broadcast_to(
+            self.project_tangent(flat[:, None], np.eye(size).reshape((size,) + amb)),
+            (n_rows, size) + amb)
+        basis = np.zeros((n_rows, self.dim) + amb)
+        count = np.zeros(n_rows, dtype=int)
+        rows = np.arange(n_rows)
+        for i in range(size):
+            v = axes[:, i]
+            for j in range(min(i, self.dim)):  # unfilled slots are zero: nothing to subtract
+                b = basis[:, j]
+                v = v - self.rows(self.inner(flat, v, b)) * b
+            n = self.norm(flat, v)
+            take = (n > 1e-8) & (count < self.dim)
+            basis[rows[take], count[take]] = v[take] / self.rows(n[take])
+            count += take
+            if count.min() == self.dim:
+                return basis.reshape(lead + (self.dim,) + amb)
+        raise GeometryError(f"degenerate tangent basis at {coords!r}")
 
     # -- wrapper layer ------------------------------------------------------
 
@@ -232,16 +257,16 @@ class Euclidean(Manifold):
         self.cut_locus_radius = math.inf
 
     def project(self, coords):
-        return np.asarray(coords, dtype=float).copy()
+        return np.array(coords, dtype=float)
 
     def project_tangent(self, coords, ambient):
-        return np.asarray(ambient, dtype=float).copy()
+        return np.array(ambient, dtype=float)
 
     def constraint_violation(self, coords):
-        return 0.0
+        return np.zeros(np.shape(coords)[:-1])[()]
 
     def inner(self, coords, u, v):
-        return float(np.dot(u, v))
+        return np.vecdot(u, v)
 
     def exp(self, coords, v):
         return coords + v
@@ -250,10 +275,10 @@ class Euclidean(Manifold):
         return other - coords
 
     def dist(self, coords, other):
-        return float(np.linalg.norm(other - coords))
+        return _norm(other - coords)
 
     def transport(self, coords, other, v):
-        return v.copy()
+        return np.array(v, dtype=float)
 
     def random_point(self, rng):
         return rng.standard_normal(self.dim)
@@ -271,112 +296,140 @@ class Sphere(Manifold):
         self.cut_locus_radius = math.pi
 
     def project(self, coords):
-        nrm = np.linalg.norm(coords)
-        if nrm < _TINY:
+        nrm = _norm(coords)
+        if (nrm < _TINY).any():
             raise GeometryError("cannot project the origin onto the sphere")
-        return coords / nrm
+        return coords / nrm[..., None]
 
     def project_tangent(self, coords, ambient):
-        return ambient - np.dot(coords, ambient) * coords
+        return ambient - np.vecdot(coords, ambient)[..., None] * coords
 
     def constraint_violation(self, coords):
-        return abs(float(np.linalg.norm(coords)) - 1.0)
+        return np.abs(_norm(coords) - 1.0)
 
     def inner(self, coords, u, v):
-        return float(np.dot(u, v))
+        return np.vecdot(u, v)
 
     def exp(self, coords, v):
-        theta = np.linalg.norm(v)
-        if theta < _TINY:
-            return self.project(coords + v)
-        return self.project(math.cos(theta) * coords + (math.sin(theta) / theta) * v)
+        # Rows with |v| below _TINY move by less than 1e-15: no special case.
+        theta = _norm(v)
+        return self.project(np.cos(theta)[..., None] * coords
+                            + (np.sin(theta) / np.maximum(theta, _TINY))[..., None] * v)
 
     def _log_parts(self, coords, other):
-        c = float(np.dot(coords, other))
-        w = other - c * coords
-        s = float(np.linalg.norm(w))
-        theta = math.atan2(s, c)
-        return w, s, theta
+        c = np.vecdot(coords, other)
+        w = other - c[..., None] * coords
+        s = _norm(w)
+        return c, w, s, np.arctan2(s, c)
 
     def log(self, coords, other):
-        w, s, theta = self._log_parts(coords, other)
-        if theta > math.pi - CUT_MARGIN:
-            raise CutLocusError("antipodal pair: logarithm map is not unique", coords, other)
-        if s < _TINY:
-            return self.project_tangent(coords, w)
-        return self.project_tangent(coords, (theta / s) * w)
+        _, w, s, theta = self._log_parts(coords, other)
+        _reject_cut(theta, coords, other, "antipodal pair: logarithm map is not unique")
+        return self.project_tangent(coords, (theta / np.maximum(s, _TINY))[..., None] * w)
 
     def dist(self, coords, other):
-        if np.array_equal(coords, other):
-            return 0.0
-        _, s, theta = self._log_parts(coords, other)
-        return theta
+        theta = self._log_parts(coords, other)[3]
+        return _where((coords == other).all(axis=-1), 0.0, theta)
 
     def transport(self, coords, other, v):
-        c = float(np.dot(coords, other))
-        _, _, theta = self._log_parts(coords, other)
-        if theta > math.pi - CUT_MARGIN:
-            raise CutLocusError("antipodal pair: transport geodesic is not unique", coords, other)
-        factor = float(np.dot(other, v)) / (1.0 + c)
-        return self.project_tangent(other, v - factor * (coords + other))
+        c, _, _, theta = self._log_parts(coords, other)
+        _reject_cut(theta, coords, other, "antipodal pair: transport geodesic is not unique")
+        factor = np.vecdot(other, v) / (1.0 + c)
+        return self.project_tangent(other, v - factor[..., None] * (coords + other))
 
     def random_point(self, rng):
         return self.project(rng.standard_normal(self.dim + 1))
 
 
+_EYE3 = np.eye(3)
+# hat(w) = w @ _HAT_BASIS, flattened row-major; each entry picks one +/- w_k.
+_HAT_BASIS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                       [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                       [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+_VEE_INDEX = [7, 2, 3]  # flat positions of W[2, 1], W[0, 2], W[1, 0]
+
+
 def _hat(w: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    return (w @ _HAT_BASIS).reshape(w.shape[:-1] + (3, 3))
+
+
+def _flat(A: np.ndarray) -> np.ndarray:
+    return A.reshape(A.shape[:-2] + (9,))
 
 
 def _vee(W: np.ndarray) -> np.ndarray:
-    return np.array([W[2, 1], W[0, 2], W[1, 0]])
+    return _flat(W)[..., _VEE_INDEX]
+
+
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    return _norm(_flat(A))
 
 
 def _rodrigues(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp(hat(w)) by the Rodrigues formula."""
-    theta2 = float(np.dot(w, w))
-    theta = math.sqrt(theta2)
+    """Rotation matrices exp(hat(w)) by the Rodrigues formula."""
+    theta2 = np.vecdot(w, w)
+    theta = np.sqrt(theta2)
     K = _hat(w)
-    if theta < 1e-8:
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
+    small = theta < 1e-8
+    if small.any():  # series coefficients on those rows
+        safe, safe2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta2)
+        a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+        b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe2)
     else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta2
-    return np.eye(3) + a * K + b * (K @ K)
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / theta2
+    return _EYE3 + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
 
-def _rotation_angle(Q: np.ndarray) -> float:
-    s = 0.5 * float(np.linalg.norm(_vee(Q - Q.T)))
-    c = 0.5 * (float(np.trace(Q)) - 1.0)
-    return math.atan2(s, c)
+def _rotation_angle(Q: np.ndarray) -> np.ndarray:
+    s = 0.5 * _norm(_vee(Q - Q.mT))
+    c = 0.5 * (np.trace(Q, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(s, c)
 
 
-def _rotation_vector(Q: np.ndarray) -> np.ndarray:
-    """Rotation vector of Q with angle in [0, pi); raises near pi."""
-    theta = _rotation_angle(Q)
-    v = 0.5 * _vee(Q - Q.T)  # = sin(theta) * axis
-    if theta < 1e-7:
-        return v * (1.0 + theta * theta / 6.0)
-    if theta < 2.9:
-        return v * (theta / math.sin(theta))
-    # Near pi: recover the axis from the symmetric part, orient by the skew part.
-    c = math.cos(theta)
-    nn = np.clip((np.diag(Q) - c) / (1.0 - c), 0.0, None)
-    n = np.sqrt(nn)
-    k = int(np.argmax(n))
-    S = 0.5 * (Q + Q.T)
-    for i in range(3):
-        if i != k and n[k] > 0:
-            n[i] = S[i, k] / ((1.0 - c) * n[k])
-    n = n / np.linalg.norm(n)
-    if np.dot(v, n) < 0.0:
-        n = -n
-    return theta * n
+def _near_pi_axis(Q: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotation vectors of a stack of rotations with angles near pi.
+
+    The axis comes from the symmetric part (largest diagonal entry as pivot),
+    oriented by the skew part ``v``.
+    """
+    c = np.cos(theta)[:, None]
+    n = np.sqrt(np.clip((np.diagonal(Q, axis1=-2, axis2=-1) - c) / (1.0 - c), 0.0, None))
+    rows = np.arange(len(n))
+    k = np.argmax(n, axis=-1)
+    nk = n[rows, k]
+    S = 0.5 * (Q + Q.mT)
+    from_pivot = S[rows, :, k] / ((1.0 - c) * np.where(nk > 0, nk, 1.0)[:, None])
+    n = np.where((np.arange(3) != k[:, None]) & (nk > 0)[:, None], from_pivot, n)
+    n = n / _norm(n)[:, None]
+    n = np.where((np.vecdot(v, n) < 0.0)[:, None], -n, n)
+    return theta[:, None] * n
+
+
+def _rotation_vector(Q: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Rotation vectors of Q with angles theta in [0, pi); the caller rejects
+    angles near pi."""
+    theta = np.asarray(theta)
+    v = 0.5 * _vee(Q - Q.mT)  # = sin(theta) * axis
+    small = theta < 1e-7
+    if small.any():  # series scale on those rows
+        scale = np.where(small, 1.0 + theta * theta / 6.0,
+                         theta / np.sin(np.where(small, 1.0, theta)))
+    else:
+        scale = theta / np.sin(theta)
+    out = v * scale[..., None]
+    near_pi = theta >= 2.9
+    if np.any(near_pi):
+        out[near_pi] = _near_pi_axis(Q[near_pi], theta[near_pi], v[near_pi])
+    return out
+
+
+def _polar(A: np.ndarray) -> np.ndarray:
+    """Nearest rotations of a stack of matrices by SVD."""
+    U, _, Vt = np.linalg.svd(A)
+    signs = np.ones(U.shape[:-1])
+    signs[..., 2] = np.sign(np.linalg.det(U @ Vt))
+    return (U * signs[..., None, :]) @ Vt
 
 
 class SpecialOrthogonal3(Manifold):
@@ -394,58 +447,55 @@ class SpecialOrthogonal3(Manifold):
 
     def project(self, coords):
         # Cheap Newton polish for near-rotations, full polar projection otherwise.
-        G = coords.T @ coords
-        if np.linalg.norm(G - np.eye(3)) < 1e-8 and np.linalg.det(coords) > 0:
-            R = coords @ (1.5 * np.eye(3) - 0.5 * G)
-            return R @ (1.5 * np.eye(3) - 0.5 * (R.T @ R))
-        U, _, Vt = np.linalg.svd(coords)
-        D = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))])
-        return U @ D @ Vt
+        G = coords.mT @ coords
+        newton = (_frobenius(G - _EYE3) < 1e-8) & (np.linalg.det(coords) > 0)
+        if newton.all():
+            R = coords @ (1.5 * _EYE3 - 0.5 * G)
+            return R @ (1.5 * _EYE3 - 0.5 * (R.mT @ R))
+        out = np.empty(np.shape(coords))
+        if newton.any():
+            R = coords[newton] @ (1.5 * _EYE3 - 0.5 * G[newton])
+            out[newton] = R @ (1.5 * _EYE3 - 0.5 * (R.mT @ R))
+        out[~newton] = _polar(coords[~newton])
+        return out
 
     def project_tangent(self, coords, ambient):
-        A = coords.T @ ambient
-        return coords @ (0.5 * (A - A.T))
+        A = coords.mT @ ambient
+        return coords @ (0.5 * (A - A.mT))
 
     def constraint_violation(self, coords):
-        ortho = float(np.linalg.norm(coords.T @ coords - np.eye(3)))
-        return ortho + abs(float(np.linalg.det(coords)) - 1.0)
+        return _frobenius(coords.mT @ coords - _EYE3) + np.abs(np.linalg.det(coords) - 1.0)
 
     def _alg(self, coords, v) -> np.ndarray:
-        A = coords.T @ v
-        return _vee(0.5 * (A - A.T))
+        A = coords.mT @ v
+        return _vee(0.5 * (A - A.mT))
 
     def inner(self, coords, u, v):
-        return float(np.dot(self._alg(coords, u), self._alg(coords, v)))
+        return np.vecdot(self._alg(coords, u), self._alg(coords, v))
 
     def exp(self, coords, v):
         return self.project(coords @ _rodrigues(self._alg(coords, v)))
 
     def log(self, coords, other):
-        Q = coords.T @ other
-        if _rotation_angle(Q) > math.pi - CUT_MARGIN:
-            raise CutLocusError("rotation angle at pi: logarithm map is not unique",
-                                coords, other)
-        return coords @ _hat(_rotation_vector(Q))
+        Q = coords.mT @ other
+        theta = _rotation_angle(Q)
+        _reject_cut(theta, coords, other, "rotation angle at pi: logarithm map is not unique")
+        return coords @ _hat(_rotation_vector(Q, theta))
 
     def dist(self, coords, other):
-        if np.array_equal(coords, other):
-            return 0.0
-        return _rotation_angle(coords.T @ other)
+        return _where((coords == other).all(axis=(-2, -1)), 0.0,
+                      _rotation_angle(coords.mT @ other))
 
     def transport(self, coords, other, v):
-        Q = coords.T @ other
-        if _rotation_angle(Q) > math.pi - CUT_MARGIN:
-            raise CutLocusError("rotation angle at pi: transport geodesic is not unique",
-                                coords, other)
-        w = _rotation_vector(Q)
-        H = _rodrigues(0.5 * w)
+        Q = coords.mT @ other
+        theta = _rotation_angle(Q)
+        _reject_cut(theta, coords, other, "rotation angle at pi: transport geodesic is not unique")
+        H = _rodrigues(0.5 * _rotation_vector(Q, theta))
         V = _hat(self._alg(coords, v))
         return self.project_tangent(other, coords @ H @ V @ H)
 
     def random_point(self, rng):
-        U, _, Vt = np.linalg.svd(rng.standard_normal((3, 3)))
-        D = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))])
-        return U @ D @ Vt
+        return _polar(rng.standard_normal((3, 3)))
 
 
 class Hyperbolic2(Manifold):
@@ -461,52 +511,50 @@ class Hyperbolic2(Manifold):
         self.ambient_shape = (3,)
         self.cut_locus_radius = math.inf
 
+    _SIGNATURE = np.array([-1.0, 1.0, 1.0])
+
     @staticmethod
-    def _mdot(a: np.ndarray, b: np.ndarray) -> float:
-        return float(a[1] * b[1] + a[2] * b[2] - a[0] * b[0])
+    def _mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.vecdot(a, b * Hyperbolic2._SIGNATURE)
 
     def project(self, coords):
         s = -self._mdot(coords, coords)
-        if s <= _TINY:
+        if (s <= _TINY).any():
             raise GeometryError("coordinates are not timelike; cannot project")
-        x = coords / math.sqrt(s)
-        return x if x[0] > 0 else -x
+        x = coords / np.sqrt(s)[..., None]
+        return np.where((x[..., 0] > 0)[..., None], x, -x)
 
     def project_tangent(self, coords, ambient):
-        return ambient + self._mdot(coords, ambient) * coords
+        return ambient + self._mdot(coords, ambient)[..., None] * coords
 
     def constraint_violation(self, coords):
-        return abs(self._mdot(coords, coords) + 1.0)
+        return np.abs(self._mdot(coords, coords) + 1.0)
 
     def inner(self, coords, u, v):
         return self._mdot(u, v)
 
     def exp(self, coords, v):
-        theta = math.sqrt(max(self._mdot(v, v), 0.0))
-        if theta < _TINY:
-            return self.project(coords + v)
-        return self.project(math.cosh(theta) * coords + (math.sinh(theta) / theta) * v)
+        # Rows with |v| below _TINY move by less than 1e-15: no special case.
+        theta = np.sqrt(np.maximum(self._mdot(v, v), 0.0))
+        return self.project(np.cosh(theta)[..., None] * coords
+                            + (np.sinh(theta) / np.maximum(theta, _TINY))[..., None] * v)
+
+    def _log_parts(self, coords, other):
+        c = -self._mdot(coords, other)
+        w = other - c[..., None] * coords
+        return w, np.sqrt(np.maximum(self._mdot(w, w), 0.0))  # s = sinh(distance)
 
     def log(self, coords, other):
-        c = -self._mdot(coords, other)
-        w = other - c * coords
-        s = math.sqrt(max(self._mdot(w, w), 0.0))  # = sinh(distance)
-        if s < _TINY:
-            return self.project_tangent(coords, w)
-        theta = math.asinh(s)
-        return self.project_tangent(coords, (theta / s) * w)
+        w, s = self._log_parts(coords, other)
+        return self.project_tangent(coords, (np.arcsinh(s) / np.maximum(s, _TINY))[..., None] * w)
 
     def dist(self, coords, other):
-        if np.array_equal(coords, other):
-            return 0.0
-        c = -self._mdot(coords, other)
-        w = other - c * coords
-        return math.asinh(math.sqrt(max(self._mdot(w, w), 0.0)))
+        s = self._log_parts(coords, other)[1]
+        return _where((coords == other).all(axis=-1), 0.0, np.arcsinh(s))
 
     def transport(self, coords, other, v):
-        denom = 1.0 - self._mdot(coords, other)
-        factor = self._mdot(other, v) / denom
-        return self.project_tangent(other, v + factor * (coords + other))
+        factor = self._mdot(other, v) / (1.0 - self._mdot(coords, other))
+        return self.project_tangent(other, v + factor[..., None] * (coords + other))
 
     def random_point(self, rng):
         origin = np.array([1.0, 0.0, 0.0])
@@ -555,14 +603,6 @@ def inner(x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
     _require_base(x, u)
     _require_base(x, v)
     return x.manifold.inner(x.coords, u.components, v.components)
-
-
-def norm(v: TangentVector) -> float:
-    return v.norm
-
-
-def zero_tangent(x: ManifoldPoint) -> TangentVector:
-    return TangentVector(x, np.zeros(x.manifold.ambient_shape))
 
 
 def exp_map(x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
@@ -629,19 +669,11 @@ class GeodesicSegment:
         """Max norm of the transport-corrected velocity difference per step."""
         m = self.start.manifold
         h = 1.0 / n_steps
-        worst = 0.0
-        for i in range(n_steps):
-            a = self.point(i * h).coords
-            b = self.point((i + 1) * h).coords
-            va = m.log(a, b) / h                      # velocity at a (exact on a geodesic)
-            vb = m.log(b, self.point(min((i + 2) * h, 1.0)).coords)
-            if i + 2 <= n_steps:
-                vb = vb / h
-            else:
-                continue
-            residual = m.transport(b, a, vb) - va
-            worst = max(worst, m.norm(a, residual))
-        return worst
+        s = np.arange(n_steps + 1) * h
+        pts = m.exp(self.start.coords, m.rows(s) * self.initial_velocity.components)
+        velocity = m.log(pts[:-1], pts[1:]) / h  # at each node (exact on a geodesic)
+        residual = m.transport(pts[1:-1], pts[:-2], velocity[1:]) - velocity[:-1]
+        return float(np.max(m.norm(pts[:-2], residual), initial=0.0))
 
 
 # -- first variation of arc length --------------------------------------------
@@ -660,8 +692,8 @@ class FirstVariationTerms:
 
 def _curve_length(m: Manifold, curve: Callable[[float], ManifoldPoint],
                   s_grid: np.ndarray) -> float:
-    pts = [np.asarray(curve(float(s)).coords) for s in s_grid]
-    return sum(m.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    pts = np.array([curve(float(s)).coords for s in s_grid])
+    return float(np.sum(m.dist(pts[:-1], pts[1:])))
 
 
 def first_variation_terms(x: ManifoldPoint, y: ManifoldPoint,

@@ -3,9 +3,8 @@
 Each runner validates everything it needs before creating any output file
 (config errors must not leave partial output), then writes reports and CSV
 dumps with deterministic bytes: seeded sampling, ordered reductions, sorted
-JSON keys, and no timestamps.  Worker pools only parallelize the per-sample
-map; inputs are drawn up front, so the byte output is independent of the
-worker count.
+JSON keys, and no timestamps.  Each stage draws its samples up front and
+integrates them as one batch.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +24,14 @@ from .certify import (
     check_input_signal,
     classify_stability,
     iss_certify,
-    make_certificate,
     run_geometry_suite,
     sample_states,
     verify_converse_certificate,
 )
 from .config import ConfigError, ScenarioConfig
 from .envelopes import StabilityEnvelope
-from .flows import Region, flow, lipschitz_estimate
-from .lyapunov import LyapunovFunction, choose_delta, construct_ugas_V, massera_G
+from .flows import Region, flow, lie_stencil, lipschitz_estimate
+from .lyapunov import LIE_H, choose_delta, construct_ugas_V
 from .manifolds import GeometryError, ManifoldPoint, manifold_from_name
 
 logger = logging.getLogger("geolyap")
@@ -42,10 +39,8 @@ logger = logging.getLogger("geolyap")
 EXIT_OK = 0
 EXIT_CERTIFICATION_FAILED = 2
 EXIT_CONFIG_ERROR = 3
-
-
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+SAMPLES_CSV_ROWS = 24   # certify samples.csv: the first states of the verification grid
+SAMPLES_HEADER = ["t", "distance", "V", "lie_derivative"]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
@@ -56,20 +51,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-class _Mapper:
-    """Order-preserving map, optionally over a thread pool."""
+def _write_reports(out_dir: Path, payload: dict, text: str, samples=None):
+    """report.json (schema 1), report.txt and, given (header, rows), samples.csv."""
+    report = json.dumps({"schema_version": 1, **payload}, indent=2, sort_keys=True)
+    (out_dir / "report.json").write_text(report + "\n")
+    (out_dir / "report.txt").write_text(text)
+    if samples is not None:
+        _write_csv(out_dir / "samples.csv", *samples)
 
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
 
-    def __enter__(self):
-        self._pool = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
-        return (lambda fn, items: self._pool.map(fn, items)) if self._pool else map
-
-    def __exit__(self, *exc):
-        if self._pool:
-            self._pool.shutdown()
-        return False
+def _stage_failure(out_dir: Path, mode: str, envelope: StabilityEnvelope,
+                   stage_anchor: str, message: str) -> int:
+    """Reports for a run that stopped at a named stage before any certificate."""
+    _write_reports(out_dir, {"mode": mode, "envelope": envelope.to_json(),
+                             "report": _failure_report(stage_anchor, message)},
+                   "certification FAILED\n" + message + "\n")
+    return EXIT_CERTIFICATION_FAILED
 
 
 def _estimate_lipschitz(config: ScenarioConfig, field) -> float:
@@ -84,14 +81,16 @@ def _estimate_lipschitz(config: ScenarioConfig, field) -> float:
 def _fit_trajectories(config: ScenarioConfig, spec, horizon: float):
     rng = np.random.default_rng(config.seed + 1)
     m = config.manifold
-    trajectories = []
+    starts, t0s = [], []
     n_starts = max(3, min(8, config.grid.n_points // 4))
     for t0 in config.grid.t0_list:
         for _ in range(n_starts):
             r = config.grid.radius * rng.uniform(0.3, 1.0)
             v = m.random_tangent(rng, config.equilibrium.coords, norm=r)
-            x0 = ManifoldPoint(m, m.exp(config.equilibrium.coords, v))
-            trajectories.append(flow(spec.field, t0, x0, t0 + horizon, config.step))
+            starts.append(ManifoldPoint(m, m.exp(config.equilibrium.coords, v)))
+            t0s.append(t0)
+    t0s = np.array(t0s)
+    trajectories = flow(spec.field, t0s, starts, t0s + horizon, config.step)
     return classify_stability(trajectories, config.equilibrium)
 
 
@@ -102,33 +101,10 @@ def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float
 
 
 def _failure_report(stage_anchor: str, message: str) -> dict:
-    return {
-        "verdict": False,
-        "failed_stage": stage_anchor,
-        "message": message,
-        "rows": [],
-    }
+    return {"verdict": False, "failed_stage": stage_anchor, "message": message, "rows": []}
 
 
-def _samples_csv_rows(V: LyapunovFunction, field, x_star: ManifoldPoint,
-                      grid: GridSpec, seed: int, step: float, mapper) -> list[list]:
-    m = field.manifold
-    rng = np.random.default_rng(seed + 2)
-    states = sample_states(m, x_star, GridSpec(min(grid.n_points, 24), grid.radius,
-                                               grid.t0_list), rng)
-
-    def one(state):
-        t, x = state
-        d = m.dist(x.coords, x_star.coords)
-        v = V.evaluate(t, x)
-        lie = V.lie_derivative(t, x)
-        return [t, d, v, lie]
-
-    return [row for row in mapper(one, states)]
-
-
-def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp",
-                workers: int = 1) -> int:
+def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int:
     """estimate L -> fit envelope -> choose horizon -> construct V -> verify."""
     if mode not in ("exp", "massera"):
         raise ConfigError(f"mode must be 'exp' or 'massera', got {mode!r}")
@@ -147,54 +123,31 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp",
                    f"{envelope.stability_class}, not exponentially stable "
                    f"(fit residual {envelope.fit_residual:.3g})")
             logger.error(msg)
-            _write_json(out_dir / "report.json", {
-                "schema_version": 1, "mode": mode, "envelope": envelope.to_json(),
-                "report": _failure_report(ANCHOR_ENVELOPE_FIT, msg),
-            })
-            (out_dir / "report.txt").write_text("certification FAILED\n" + msg + "\n")
-            return EXIT_CERTIFICATION_FAILED
+            return _stage_failure(out_dir, mode, envelope, ANCHOR_ENVELOPE_FIT, msg)
         L = _estimate_lipschitz(config, spec.field)
         delta = _resolve_delta(config, envelope)
-        with _Mapper(workers) as mapper:
-            report = verify_converse_certificate(
-                spec.field, config.equilibrium, L, envelope, delta, config.p,
-                GridSpec(config.grid.n_points, config.grid.radius, config.grid.t0_list),
-                seed=config.seed, step=config.step,
-                envelope_horizon=config.envelope_horizon, map_fn=mapper)
-            certificate = make_certificate(spec.field, config.equilibrium, L,
-                                           envelope, delta, config.p, step=config.step)
-            samples = _samples_csv_rows(certificate.V, spec.field, config.equilibrium,
-                                        GridSpec(config.grid.n_points, config.grid.radius,
-                                                 config.grid.t0_list),
-                                        config.seed, config.step, mapper)
-        payload = {
-            "schema_version": 1,
-            "mode": mode,
-            "envelope": envelope.to_json(),
-            "certificate": certificate.to_json(),
-            "report": report.to_dict(),
-        }
-        _write_json(out_dir / "report.json", payload)
-        (out_dir / "report.txt").write_text(report.to_text())
-        _write_csv(out_dir / "samples.csv", ["t", "distance", "V", "lie_derivative"], samples)
+        report = verify_converse_certificate(
+            spec.field, config.equilibrium, L, envelope, delta, config.p,
+            GridSpec(config.grid.n_points, config.grid.radius, config.grid.t0_list),
+            seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon)
+        payload = {"mode": mode, "envelope": envelope.to_json(),
+                   "certificate": report.certificate.to_json(), "report": report.to_dict()}
+        # samples.csv: the verification grid's own quantities, for its first states.
+        _write_reports(out_dir, payload, report.to_text(),
+                       (SAMPLES_HEADER, report.samples[:SAMPLES_CSV_ROWS].tolist()))
         return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
 
-    return _run_certify_massera(config, spec, envelope, out_dir, workers)
+    return _run_certify_massera(config, spec, envelope, out_dir)
 
 
 def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelope,
-                         out_dir: Path, workers: int) -> int:
+                         out_dir: Path) -> int:
     if config.massera is None:
         raise ConfigError("massera mode requires a 'massera' config section")
     if envelope.stability_class == "US":
-        msg = ("ugas-envelope: trajectories do not decay; "
-               "asymptotic construction unavailable")
-        _write_json(out_dir / "report.json", {
-            "schema_version": 1, "mode": "massera", "envelope": envelope.to_json(),
-            "report": _failure_report("ugas-envelope", msg),
-        })
-        (out_dir / "report.txt").write_text("certification FAILED\n" + msg + "\n")
-        return EXIT_CERTIFICATION_FAILED
+        return _stage_failure(out_dir, "massera", envelope, "ugas-envelope",
+                              "ugas-envelope: trajectories do not decay; "
+                              "asymptotic construction unavailable")
 
     # Decay flows get slow at long horizons; a coarser integrator step keeps
     # evaluation at desk scale without touching the envelope fit.
@@ -202,41 +155,36 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
     V = construct_ugas_V(spec.field, config.equilibrium, envelope,
                          config.massera.t_max, config.massera.tail_tol,
                          step=eval_step)
-    times, g_vals = envelope.beta.decay_profile()
-    reshaping = massera_G(times, g_vals)
+    reshaping = V.reshaping
 
     m = config.manifold
+    x_star = config.equilibrium.coords
     rng = np.random.default_rng(config.seed)
     n_states = min(config.grid.n_points, 50)
     # The reshaping is extremely flat near the equilibrium (values below
     # 1e-12 for algebraic envelopes), so sign checks sample the outer region.
     states = sample_states(m, config.equilibrium, GridSpec(
         n_states, config.grid.radius, config.grid.t0_list), rng, r_min_frac=0.3)
-
-    with _Mapper(workers) as mapper:
-        def state_row(state):
-            t, x = state
-            d = m.dist(x.coords, config.equilibrium.coords)
-            v = V.evaluate(t, x)
-            lie = V.lie_derivative(t, x)
-            return [t, d, v, lie]
-
-        sample_rows = list(mapper(state_row, states))
-
-    v_min = min(r[2] for r in sample_rows)
-    lie_max = max(r[3] for r in sample_rows)
-    v_at_star = V.evaluate(0.0, config.equilibrium)
-
-    s_probe = np.linspace(0.0, float(reshaping.s_knots[-1]), 64)
-    g_gaps = np.diff([reshaping.value(s) for s in s_probe])
-    gp_gaps = np.diff([reshaping.derivative(s) for s in s_probe])
+    t = np.array([s for s, _ in states])
+    x = np.array([pt.coords for _, pt in states])
 
     radii = np.linspace(0.4 * config.grid.radius, config.grid.radius, 10)
-    direction = m.random_tangent(np.random.default_rng(config.seed + 3),
-                                 config.equilibrium.coords, norm=1.0)
-    ray_values = [V.evaluate(0.0, ManifoldPoint(m, m.exp(config.equilibrium.coords,
-                                                         r * direction)))
-                  for r in radii]
+    direction = m.random_tangent(np.random.default_rng(config.seed + 3), x_star, norm=1.0)
+    ray = m.exp(x_star, m.rows(radii) * direction)
+
+    # Every V of this mode (states, Lie stencils, ray, equilibrium) in one batch.
+    plus, minus = lie_stencil(spec.field, t, m.project(x), LIE_H, V.step)
+    v_val, v_plus, v_minus, ray_values, v_at_star = V.evaluate_groups([
+        (t, x), (t + LIE_H, plus), (t - LIE_H, minus), (0.0, ray), (0.0, x_star)])
+    lie = (v_plus - v_minus) / (2.0 * LIE_H)
+    sample_rows = np.stack([t, m.dist(x, x_star), v_val, lie], axis=1).tolist()
+    v_min = float(np.min(v_val))
+    lie_max = float(np.max(lie))
+    v_at_star = float(v_at_star[0])
+
+    s_probe = np.linspace(0.0, float(reshaping.s_knots[-1]), 64)
+    g_gaps = np.diff(reshaping.value(s_probe))
+    gp_gaps = np.diff(reshaping.derivative(s_probe))
     ray_gaps = np.diff(ray_values)
 
     zero_val = reshaping.value(0.0)
@@ -259,7 +207,6 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
     )
     report = CertificationReport(rows)
     payload = {
-        "schema_version": 1,
         "mode": "massera",
         "envelope": envelope.to_json(),
         "certificate": {
@@ -269,14 +216,11 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
         },
         "report": report.to_dict(),
     }
-    _write_json(out_dir / "report.json", payload)
-    (out_dir / "report.txt").write_text(report.to_text())
-    _write_csv(out_dir / "samples.csv", ["t", "distance", "V", "lie_derivative"],
-               sample_rows)
+    _write_reports(out_dir, payload, report.to_text(), (SAMPLES_HEADER, sample_rows))
     return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
 
 
-def run_iss(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> int:
+def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
     """Certify the unforced system, then run the disturbance robustness check."""
     if config.disturbance is None:
         raise ConfigError("iss requires a 'disturbance' config section")
@@ -292,41 +236,27 @@ def run_iss(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> int:
                f"{envelope.stability_class}, not exponentially stable")
         logger.error(msg)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "report.json", {
-            "schema_version": 1, "mode": "iss", "envelope": envelope.to_json(),
-            "report": _failure_report(ANCHOR_ENVELOPE_FIT, msg),
-        })
-        (out_dir / "report.txt").write_text("certification FAILED\n" + msg + "\n")
-        return EXIT_CERTIFICATION_FAILED
+        return _stage_failure(out_dir, "iss", envelope, ANCHOR_ENVELOPE_FIT, msg)
     L = _estimate_lipschitz(config, unforced.field)
     delta = _resolve_delta(config, envelope)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     grid = GridSpec(config.grid.n_points, config.grid.radius, config.grid.t0_list)
-    with _Mapper(workers) as mapper:
-        base_report = verify_converse_certificate(
-            unforced.field, config.equilibrium, L, envelope, delta, config.p,
-            grid, seed=config.seed, step=config.step,
-            envelope_horizon=config.envelope_horizon, map_fn=mapper)
-        certificate = make_certificate(unforced.field, config.equilibrium, L,
-                                       envelope, delta, config.p, step=config.step)
-        if not base_report.verdict:
-            payload = {
-                "schema_version": 1, "mode": "iss",
-                "envelope": envelope.to_json(),
-                "certificate": certificate.to_json(),
-                "unforced_report": base_report.to_dict(),
-                "report": _failure_report("uges-precondition",
-                                          "unforced certification failed"),
-            }
-            _write_json(out_dir / "report.json", payload)
-            (out_dir / "report.txt").write_text(base_report.to_text())
-            return EXIT_CERTIFICATION_FAILED
+    base_report = verify_converse_certificate(
+        unforced.field, config.equilibrium, L, envelope, delta, config.p,
+        grid, seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon)
+    certificate = base_report.certificate
+    payload = {"mode": "iss", "envelope": envelope.to_json(),
+               "certificate": certificate.to_json(), "unforced_report": base_report.to_dict()}
+    if not base_report.verdict:
+        payload["report"] = _failure_report("uges-precondition", "unforced certification failed")
+        _write_reports(out_dir, payload, base_report.to_text())
+        return EXIT_CERTIFICATION_FAILED
 
-        iss_report = iss_certify(spec.field, config.equilibrium, certificate,
-                                 spec.input_signal, spec.input_bound,
-                                 config.iss_horizons, seed=config.seed,
-                                 grid=grid, step=config.step, map_fn=mapper)
+    iss_report = iss_certify(spec.field, config.equilibrium, certificate,
+                             spec.input_signal, spec.input_bound,
+                             config.iss_horizons, seed=config.seed,
+                             grid=grid, step=config.step)
 
     closed = spec.field.with_input_signal(spec.input_signal)
     m = config.manifold
@@ -335,26 +265,16 @@ def run_iss(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> int:
     x0 = ManifoldPoint(m, m.exp(config.equilibrium.coords, v0))
     t_grid = np.arange(0.0, max(config.iss_horizons) + 1e-9, 0.1)
     traj = flow(closed, 0.0, x0, float(t_grid[-1]), config.step)
-    series = []
     stride = max(1, int(round(0.1 / config.step)))
-    for i in range(0, len(traj), stride):
-        t = float(traj.times[i])
-        pt = traj.points[i]
-        series.append([t, m.dist(pt, config.equilibrium.coords),
-                       certificate.V._evaluate_raw(t, pt),
-                       float(np.linalg.norm(np.asarray(spec.input_signal(t))))])
+    times = traj.times[::stride]
+    points = traj.points[::stride]
+    u_norm = [float(np.linalg.norm(np.asarray(spec.input_signal(t)))) for t in times]
+    series = np.stack([times, m.dist(points, config.equilibrium.coords),
+                       certificate.V._evaluate_raw(times, points), u_norm], axis=1).tolist()
 
-    payload = {
-        "schema_version": 1,
-        "mode": "iss",
-        "envelope": envelope.to_json(),
-        "certificate": certificate.to_json(),
-        "unforced_report": base_report.to_dict(),
-        "report": iss_report.to_dict(),
-    }
-    _write_json(out_dir / "report.json", payload)
-    (out_dir / "report.txt").write_text(iss_report.to_text())
-    _write_csv(out_dir / "samples.csv", ["t", "distance", "V", "u_norm"], series)
+    payload["report"] = iss_report.to_dict()
+    _write_reports(out_dir, payload, iss_report.to_text(),
+                   (["t", "distance", "V", "u_norm"], series))
     return EXIT_OK if iss_report.passed else EXIT_CERTIFICATION_FAILED
 
 
@@ -368,12 +288,13 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     x0 = ManifoldPoint(m, m.exp(config.equilibrium.coords, v0))
     field = (spec.field.with_input_signal(spec.input_signal)
              if spec.input_signal is not None else spec.field)
-    for i, t0 in enumerate(config.grid.t0_list):
-        traj = flow(field, t0, x0, t0 + config.fit_horizon, config.step)
+    t0s = np.array(config.grid.t0_list)
+    trajectories = flow(field, t0s, [x0] * len(t0s), t0s + config.fit_horizon, config.step)
+    for i, traj in enumerate(trajectories):
         header, rows = traj.csv_rows()
         header.append("distance")
-        for row, pt in zip(rows, traj.points):
-            row.append(m.dist(pt, config.equilibrium.coords))
+        for row, d in zip(rows, traj.distances_to(config.equilibrium)):
+            row.append(float(d))
         _write_csv(out_dir / f"trajectory_{i}.csv", header, rows)
     return EXIT_OK
 
@@ -390,13 +311,11 @@ def run_verify_geometry(manifold_name: str, seed: int, n: int, out_dir: Path,
     report = run_geometry_suite(manifold, seed, n, inject_fault=inject_fault)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "schema_version": 1,
         "manifold": manifold.name,
         "seed": seed,
         "n": n,
         "report": report.to_dict(),
         "failing": [r.name for r in report.rows if not r.passed],
     }
-    _write_json(out_dir / "report.json", payload)
-    (out_dir / "report.txt").write_text(report.to_text())
+    _write_reports(out_dir, payload, report.to_text())
     return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED

@@ -2,9 +2,11 @@
 
 Every registered system declares its equilibrium and, when one exists, a
 closed-form oracle for the distance to the equilibrium along the flow
-(signature ``oracle(d0, t0, elapsed)``).  Disturbed variants add an input
-channel u acting through an orthonormal tangent frame, so the input
-Lipschitz constant is exactly one per frame coefficient.
+(signature ``oracle(d0, t0, elapsed)``).  Fields are batched: ``rhs(t, X)``
+takes states ``(..., *ambient_shape)`` and a scalar or per-row time.
+Disturbed variants add an input channel u acting through an orthonormal
+tangent frame, so the input Lipschitz constant is exactly one per frame
+coefficient.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def geodesic_attractor(manifold: Manifold, equilibrium, gain: float = 1.0) -> Sy
     at a rate proportional to distance, so d(t) = e^{-gain t} d(0) exactly."""
     x_star = manifold.point(equilibrium)
 
-    def rhs(t: float, coords: np.ndarray) -> np.ndarray:
+    def rhs(t, coords: np.ndarray) -> np.ndarray:
         return gain * manifold.log(coords, x_star.coords)
 
     field = TimeVaryingField(manifold, rhs, equilibrium=x_star.coords)
@@ -81,8 +83,9 @@ def time_varying_attractor(manifold: Manifold, equilibrium, base_gain: float = 1
         raise ValueError("amplitude must stay below the base gain for uniform decay")
     x_star = manifold.point(equilibrium)
 
-    def rhs(t: float, coords: np.ndarray) -> np.ndarray:
-        return (base_gain + amplitude * math.sin(t)) * manifold.log(coords, x_star.coords)
+    def rhs(t, coords: np.ndarray) -> np.ndarray:
+        rate = manifold.rows(base_gain + amplitude * np.sin(t))
+        return rate * manifold.log(coords, x_star.coords)
 
     def oracle(d0: float, t0: float, s: float) -> float:
         integral = base_gain * s - amplitude * (math.cos(t0 + s) - math.cos(t0))
@@ -98,9 +101,9 @@ def cubic_slowdown(manifold: Manifold, equilibrium, gain: float = 1.0) -> System
     algebraic (asymptotically but not exponentially stable)."""
     x_star = manifold.point(equilibrium)
 
-    def rhs(t: float, coords: np.ndarray) -> np.ndarray:
+    def rhs(t, coords: np.ndarray) -> np.ndarray:
         d2 = manifold.dist(coords, x_star.coords) ** 2
-        return gain * d2 * manifold.log(coords, x_star.coords)
+        return manifold.rows(gain * d2) * manifold.log(coords, x_star.coords)
 
     def oracle(d0: float, t0: float, s: float) -> float:
         return 1.0 / math.sqrt(2.0 * gain * s + 1.0 / (d0 * d0))
@@ -119,7 +122,7 @@ def isometric_rotation(manifold: Manifold, equilibrium, rate: float = 1.0) -> Sy
     x_star = manifold.point(equilibrium)
     axis = x_star.coords
 
-    def rhs(t: float, coords: np.ndarray) -> np.ndarray:
+    def rhs(t, coords: np.ndarray) -> np.ndarray:
         return rate * np.cross(axis, coords)
 
     field = TimeVaryingField(manifold, rhs, equilibrium=x_star.coords)
@@ -128,16 +131,20 @@ def isometric_rotation(manifold: Manifold, equilibrium, rate: float = 1.0) -> Sy
 
 
 def frame_input_channel(base_field: TimeVaryingField, n_channels: int):
-    """Input map u -> sum_i u_i e_i(x) over the orthonormal tangent frame."""
+    """Input map u -> sum_i u_i e_i(x) over the orthonormal tangent frame.
+
+    ``u`` holds one coefficient vector shared by all rows, or one per row.
+    """
     m = base_field.manifold
     if n_channels > m.dim:
         raise ValueError(f"{m.name} supports at most {m.dim} input channels")
+    frame_axis = -1 - len(m.ambient_shape)
 
-    def input_rhs(t: float, coords: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def input_rhs(t, coords: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = base_field.eval_raw(t, coords)
         basis = m.tangent_basis(coords)
-        for i in range(min(n_channels, len(u))):
-            out = out + u[i] * basis[i]
+        for i in range(min(n_channels, np.shape(u)[-1])):
+            out = out + m.rows(u[..., i]) * np.take(basis, i, axis=frame_axis)
         return out
 
     return input_rhs
@@ -150,7 +157,8 @@ def make_disturbance_signal(profile: str, amplitude: float, n_channels: int,
 
     "constant" keeps a fixed coefficient direction; "sinusoid" rotates the
     coefficients at the given frequency (constant norm either way, so the
-    declared bound is attained, not just dominated).
+    declared bound is attained, not just dominated).  Signals take a scalar
+    time or per-row times.
     """
     if profile == "constant":
         if direction is None:
@@ -166,10 +174,10 @@ def make_disturbance_signal(profile: str, amplitude: float, n_channels: int,
         if n_channels < 2:
             raise ValueError("sinusoid profile needs two input channels")
 
-        def signal(t: float) -> np.ndarray:
-            u = np.zeros(n_channels)
-            u[0] = math.cos(frequency * t)
-            u[1] = math.sin(frequency * t)
+        def signal(t) -> np.ndarray:
+            u = np.zeros(np.shape(t) + (n_channels,))
+            u[..., 0] = np.cos(frequency * t)
+            u[..., 1] = np.sin(frequency * t)
             return amplitude * u
 
         return signal

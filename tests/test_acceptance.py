@@ -75,7 +75,7 @@ def sphere_grid_quantities(sphere_attractor, sphere_V1, sphere_grid):
         d = SPHERE.dist(x.coords, NORTH)
         v = sphere_V1.evaluate(t, x)
         lie = sphere_V1.lie_derivative(t, x)
-        end = flow_samples(sphere_attractor.field, t, x.coords, [t + LN2], 1e-2)[0]
+        end = flow_samples(sphere_attractor.field, t, x.coords, [LN2], 1e-2)[0]
         telescoped = SPHERE.dist(end, NORTH) - d
         out.append((d, v, lie, telescoped))
     return out

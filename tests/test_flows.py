@@ -72,6 +72,17 @@ def test_flow_hits_final_time_exactly(sphere_attractor):
     assert np.all(np.diff(traj.times) > 0)
 
 
+def test_flow_grid_has_no_sliver_step(sphere_attractor):
+    # [0, 6] at step 0.01 is 600 steps: times t0 + k*step, ending on t1 exactly.
+    traj = flow(sphere_attractor.field, 0.0, _sphere_start(), 6.0, step=1e-2)
+    assert len(traj) == 601
+    assert traj.times[-1] == 6.0
+    assert np.min(np.diff(traj.times)) > 0.99e-2
+    shifted = flow(sphere_attractor.field, math.e, _sphere_start(), math.e + 6.0, step=1e-2)
+    assert len(shifted) == 601
+    assert shifted.times[-1] == math.e + 6.0
+
+
 def test_trajectory_step_reachability(sphere_attractor):
     traj = flow(sphere_attractor.field, 0.0, _sphere_start(1.0), 2.0, step=1e-2)
     max_speed = 1.0  # |f| = distance <= 1 on this run

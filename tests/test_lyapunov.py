@@ -181,7 +181,7 @@ def test_telescoping_identity(sphere_V1, sphere_attractor):
         x = _sphere_state(rng)
         t = rng.uniform(0.0, 5.0)
         lie = sphere_V1.lie_derivative(t, x)
-        end = flow_samples(sphere_attractor.field, t, x.coords, [t + LN2], 1e-2)[0]
+        end = flow_samples(sphere_attractor.field, t, x.coords, [LN2], 1e-2)[0]
         telescoped = SPHERE.dist(end, NORTH) - SPHERE.dist(x.coords, NORTH)
         assert abs(lie - telescoped) < 1e-5
 

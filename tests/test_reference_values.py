@@ -1,0 +1,173 @@
+"""Reference-value gate for the geometry kernel, the integrator and V.
+
+``data/reference_values.json`` holds V, its Lie derivative and differential,
+flow endpoints and pushforwards at fixed states for every manifold x
+registered system pair, plus the disturbed input channel and the Massera
+reshaping.  The values were written by the one-state-at-a-time integrator
+that preceded the batched kernel; the batched code must reproduce V and the
+endpoints to 1e-12 absolute and the finite-difference quantities to 1e-8
+relative.  ``python tests/test_reference_values.py --write`` rewrites the
+file from the current code.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from geolyap.flows import flow, pushforward
+from geolyap.lyapunov import LyapunovFunction, construct_exp_V, massera_G
+from geolyap.manifolds import ManifoldPoint, TangentVector, manifold_from_name
+from geolyap.systems import attach_disturbance, make_system
+
+FIXTURE = Path(__file__).parent / "data" / "reference_values.json"
+STEP = 1e-2
+DELTA = 0.5
+FLOW_SPAN = 1.0
+PUSH_SPAN = 0.5
+ABS_TOL = 1e-12
+REL_TOL = 1e-8
+REL_FLOOR = 1e-12
+
+TV = {"base_gain": 1.5, "amplitude": 0.5}
+CASES = [  # label, manifold, system, params, disturbance profile
+    ("euclidean2/geodesic", "euclidean2", "geodesic_attractor", {"gain": 1.0}, None),
+    ("euclidean2/time-varying", "euclidean2", "time_varying_attractor", TV, None),
+    ("euclidean2/cubic", "euclidean2", "cubic_slowdown", {"gain": 1.0}, None),
+    ("sphere2/geodesic", "sphere2", "geodesic_attractor", {"gain": 1.0}, None),
+    ("sphere2/time-varying", "sphere2", "time_varying_attractor", TV, None),
+    ("sphere2/cubic", "sphere2", "cubic_slowdown", {"gain": 1.0}, None),
+    ("sphere2/rotation", "sphere2", "isometric_rotation", {"rate": 1.0}, None),
+    ("sphere2/disturbed", "sphere2", "geodesic_attractor", {"gain": 1.0}, "sinusoid"),
+    ("so3/geodesic", "so3", "geodesic_attractor", {"gain": 1.0}, None),
+    ("so3/time-varying", "so3", "time_varying_attractor", TV, None),
+    ("so3/cubic", "so3", "cubic_slowdown", {"gain": 1.0}, None),
+    ("so3/disturbed", "so3", "geodesic_attractor", {"gain": 1.0}, "sinusoid"),
+    ("hyperbolic2/geodesic", "hyperbolic2", "geodesic_attractor", {"gain": 1.0}, None),
+    ("hyperbolic2/time-varying", "hyperbolic2", "time_varying_attractor", TV, None),
+    ("hyperbolic2/cubic", "hyperbolic2", "cubic_slowdown", {"gain": 1.0}, None),
+]
+STATE_TIMES = (1.0, math.e)
+
+
+def _system(manifold, system, params, profile, equilibrium):
+    """The registered system and the field to integrate (input channel closed)."""
+    spec = make_system(system, manifold, equilibrium, **params)
+    if profile is None:
+        return spec, spec.field
+    spec = attach_disturbance(spec, profile, 0.1)
+    return spec, spec.field.with_input_signal(spec.input_signal)
+
+
+def _case_inputs(seed: int, manifold):
+    """Equilibrium and (t, x, v) states drawn from the seed (used only by --write)."""
+    rng = np.random.default_rng(seed)
+    x_star = manifold.project(manifold.random_point(rng))
+    states = []
+    for t in STATE_TIMES:
+        r = rng.uniform(0.3, 0.9)
+        x = manifold.exp(x_star, manifold.random_tangent(rng, x_star, norm=r))
+        v = manifold.random_tangent(rng, x, norm=1.0)
+        states.append({"t": t, "x": x.ravel().tolist(), "v": v.ravel().tolist()})
+    return x_star.ravel().tolist(), states
+
+
+def _case_values(manifold, system, params, profile, equilibrium, states):
+    spec, field = _system(manifold, system, params, profile, equilibrium)
+    V = construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=STEP)
+    out = []
+    for s in states:
+        t = s["t"]
+        x = ManifoldPoint(manifold, np.reshape(s["x"], manifold.ambient_shape))
+        v = TangentVector(x, np.reshape(s["v"], manifold.ambient_shape))
+        out.append({
+            "V": V.evaluate(t, x),
+            "LV": V.lie_derivative(t, x),
+            "dV": V.directional_derivative(t, x, v),
+            "flow_end": flow(field, t, x, t + FLOW_SPAN, STEP).points[-1].ravel().tolist(),
+            "pushforward": pushforward(field, t, x, v, t + PUSH_SPAN,
+                                       step=STEP).components.ravel().tolist(),
+        })
+    return out
+
+
+def _massera_values(states):
+    """The reshaping G, G' and a Massera-mode V of the planar cubic system."""
+    times = np.linspace(0.0, 10.0, 41)
+    G = massera_G(times, 1.0 / np.sqrt(2.0 * times + 1.0))
+    s = np.linspace(0.0, 1.2, 13)
+    spec = make_system("cubic_slowdown", manifold_from_name("euclidean2"), [0.0, 0.0])
+    V = LyapunovFunction(spec.field, spec.equilibrium, 8.0, 1.0, step=0.05,
+                         mode="massera", reshaping=G)
+    m = spec.field.manifold
+    return {
+        "G": [G.value(float(si)) for si in s],
+        "G_prime": [G.derivative(float(si)) for si in s],
+        "V": [V.evaluate(st["t"], ManifoldPoint(m, np.asarray(st["x"]))) for st in states],
+    }
+
+
+def write_fixture():
+    cases = {}
+    for i, (label, name, system, params, profile) in enumerate(CASES):
+        m = manifold_from_name(name)
+        equilibrium, states = _case_inputs(i, m)
+        values = _case_values(m, system, params, profile, np.reshape(equilibrium,
+                                                                     m.ambient_shape), states)
+        cases[label] = {"equilibrium": equilibrium, "states": states, "values": values}
+    massera_states = cases["euclidean2/cubic"]["states"]
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps({
+        "cases": cases,
+        "massera": {"states": massera_states, "values": _massera_values(massera_states)},
+    }, indent=1) + "\n")
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(FIXTURE.read_text())
+
+
+def _assert_abs(got, want, what):
+    err = float(np.max(np.abs(np.asarray(got, dtype=float) - np.asarray(want, dtype=float))))
+    assert err <= ABS_TOL, f"{what}: off the reference by {err:.3g}"
+
+
+def _assert_rel(got, want, what):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    err = float(np.linalg.norm(got - want))
+    assert err <= REL_TOL * max(float(np.linalg.norm(want)), REL_FLOOR / REL_TOL), \
+        f"{what}: off the reference by {err:.3g} (reference norm {np.linalg.norm(want):.3g})"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_matches_reference_values(reference, case):
+    label, name, system, params, profile = case
+    m = manifold_from_name(name)
+    entry = reference["cases"][label]
+    got = _case_values(m, system, params, profile,
+                       np.reshape(entry["equilibrium"], m.ambient_shape), entry["states"])
+    for i, (g, want) in enumerate(zip(got, entry["values"])):
+        _assert_abs(g["V"], want["V"], f"{label}[{i}] V")
+        _assert_abs(g["flow_end"], want["flow_end"], f"{label}[{i}] flow endpoint")
+        for key in ("LV", "dV", "pushforward"):
+            _assert_rel(g[key], want[key], f"{label}[{i}] {key}")
+
+
+def test_massera_matches_reference_values(reference):
+    entry = reference["massera"]
+    got = _massera_values(entry["states"])
+    _assert_abs(got["G"], entry["values"]["G"], "G")
+    _assert_abs(got["G_prime"], entry["values"]["G_prime"], "G'")
+    _assert_abs(got["V"], entry["values"]["V"], "Massera V")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        write_fixture()
+    else:
+        sys.exit("usage: python tests/test_reference_values.py --write")
