@@ -61,8 +61,9 @@ CERTIFICATE_CHECKLIST = frozenset({
     ANCHOR_CONTRACTION, ANCHOR_SANDWICH, ANCHOR_DECAY, ANCHOR_TELESCOPE,
     ANCHOR_DIFFERENTIAL, ANCHOR_ISS_POINTWISE, ANCHOR_ISS_ULTIMATE,
 })
-# Stage anchor named by pipeline failures before any certificate exists.
+# Stage anchors named by pipeline failures before any certificate exists.
 ANCHOR_ENVELOPE_FIT = "les-envelope-fit"
+ANCHOR_HORIZON = "les-horizon"
 
 DEFAULT_REL_TOL = 0.02
 DEFAULT_ABS_TOL = 1e-6
@@ -479,7 +480,8 @@ def input_lipschitz_estimate(field: TimeVaryingField, region: Region,
 
 @dataclass(frozen=True)
 class ISSReport:
-    """Robustness outcome: pointwise decay bound and ultimate trajectory bound."""
+    """Robustness outcome: pointwise decay bound and ultimate trajectory bound,
+    with the (t, distance, V, |u|) rows of the series trajectory if one ran."""
 
     c3: float
     c4: float
@@ -490,6 +492,7 @@ class ISSReport:
     measured_d_limsup: float
     ultimate_distance_bound: float
     rows: tuple[CheckRow, ...]
+    series: np.ndarray | None = dataclasses.field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -535,7 +538,8 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
                 certificate: Certificate, input_signal: Callable[[float], np.ndarray],
                 input_bound: float, horizons: Sequence[float], seed: int = 0,
                 grid: GridSpec | None = None, step: float = 1e-2,
-                rel_tol: float = DEFAULT_REL_TOL, traj_tol: float = 0.05) -> ISSReport:
+                rel_tol: float = DEFAULT_REL_TOL, traj_tol: float = 0.05,
+                series_start: np.ndarray | None = None) -> ISSReport:
     """Certify disturbance robustness of a verified exponential certificate.
 
     (a) pointwise: along the disturbed flow, the lie derivative of V stays
@@ -544,7 +548,8 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     c4 L_u |u|_inf / c3 within ``traj_tol`` (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
     ultimate distance bound follows through c1.  Each part evaluates V on
-    its whole sample set in one batched flow.
+    its whole sample set in one batched flow; a ``series_start`` joins the
+    flow of (b), sampled at t = k / 10 (exact decimals) up to the longest horizon.
     """
     if field.input_rhs is None:
         raise ValueError("field has no input channel")
@@ -583,18 +588,21 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     rows = [CheckRow("iss-pointwise-decay", ANCHOR_ISS_POINTWISE,
                      forcing, forcing, worst_pointwise, worst_pointwise >= 0.0)]
 
-    # (b) ultimate bound along disturbed trajectories: tail samples of each
-    # horizon, for all starts at once.
+    # (b) ultimate bound along disturbed trajectories: one flow from t = 0
+    # through the union of every horizon's tail times and the series grid.
     start_dirs = [m.random_tangent(rng, x_star.coords, norm=gs.radius) for _ in range(3)]
     starts = m.exp(x_star.coords, np.array(start_dirs))
-    groups = [(0.0, starts)]
-    measured_d = 0.0
-    for horizon in horizons:
-        ts = np.arange(0.6 * horizon, horizon + 1e-9, 0.25)
-        pts = flow_samples(closed, 0.0, starts, ts, step)
-        measured_d = max(measured_d, float(np.max(m.dist(pts, x_star.coords))))
-        groups.append((np.repeat(ts, len(starts)), pts))
-    v_starts, *v_tails = V.evaluate_groups(groups)
+    tails = [np.arange(0.6 * horizon, horizon + 1e-9, 0.25) for horizon in horizons]
+    series_t = [] if series_start is None else np.arange(10.0 * max_horizon + 1e-6) / 10.0
+    offsets = np.sort(np.concatenate(tails + [series_t]))  # a repeated time adds no step
+    x0 = starts if series_start is None else np.concatenate([starts, series_start[None]])
+    pts = flow_samples(closed, 0.0, x0, offsets, step)
+    n = len(starts)
+    groups = [(0.0, starts)] + [(np.repeat(ts, n), pts[np.searchsorted(offsets, ts), :n])
+                                for ts in tails]
+    measured_d = max(float(np.max(m.dist(x, x_star.coords))) for _, x in groups[1:])
+    series_x = pts[np.searchsorted(offsets, series_t), n:]   # no rows without a series
+    v_starts, *v_tails, v_series = V.evaluate_groups(groups + [(series_t, series_x)])
     v0_max = float(np.max(v_starts))
     measured_limsup = max(float(np.max(v)) for v in v_tails)
     # Comparison equation: V(t) <= V0 e^{-c3 t} + predicted; the transient term
@@ -608,8 +616,11 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
 
     ultimate_d = (max(predicted, 0.0) * (1.0 + traj_tol) / b.c1) ** (1.0 / b.p) \
         if predicted > 0 else 0.0
+    series = None if series_start is None else np.stack([
+        series_t, m.dist(series_x[:, 0], x_star.coords), v_series,
+        [float(np.linalg.norm(input_signal(ti))) for ti in series_t]], axis=1)
     return ISSReport(b.c3, b.c4, L_u, input_bound, predicted, measured_limsup,
-                     measured_d, ultimate_d, tuple(rows))
+                     measured_d, ultimate_d, tuple(rows), series)
 
 
 # -- geometry property suite -------------------------------------------------------

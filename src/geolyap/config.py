@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .certify import GridSpec
 from .manifolds import GeometryError, Manifold, ManifoldPoint, manifold_from_name
 from .systems import SystemSpec, attach_disturbance, available_systems, make_system
 
@@ -30,13 +31,6 @@ class DeltaPolicy:
     mode: str                    # "explicit" | "auto"
     value: float | None = None   # explicit horizon
     target: float | None = None  # auto: target K' in (0, 1)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    n_points: int
-    radius: float
-    t0_list: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class ScenarioConfig:
     equilibrium: ManifoldPoint
     delta: DeltaPolicy
     p: float
-    grid: GridConfig
+    grid: GridSpec
     seed: int
     step: float
     fit_horizon: float
@@ -210,7 +204,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         raise ConfigError("iss_horizons must be positive")
 
     return ScenarioConfig(manifold, system_name, system_params, equilibrium,
-                          delta, p, GridConfig(n_points, radius, t0_list), seed,
+                          delta, p, GridSpec(n_points, radius, t0_list), seed,
                           step, fit_horizon, envelope_horizon, massera,
                           disturbance, iss_horizons)
 

@@ -448,10 +448,11 @@ def contraction_envelope_check(field: TimeVaryingField, L: float,
     upper = d0[:, None] * np.exp(L * offsets)
     flagged = math.isfinite(m.cut_locus_radius) & (d >= m.cut_locus_radius - CUT_FLAG_MARGIN)
     ok = (d * (1.0 + slack) >= lower) & (d <= upper * (1.0 + slack))
+    # Margins count from tau > t: at tau = t both bounds equal d0, a margin of the slack.
+    later = (offsets > 0) & (lower > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lower_margin = np.where(lower > 0, d * (1.0 + slack) / lower - 1.0, math.inf)
-        upper_margin = np.where((lower > 0) & (d > 0), upper * (1.0 + slack) / d - 1.0,
-                                math.inf)
+        lower_margin = np.where(later, d * (1.0 + slack) / lower - 1.0, math.inf)
+        upper_margin = np.where(later & (d > 0), upper * (1.0 + slack) / d - 1.0, math.inf)
     worst_lower, worst_upper = (np.where(np.isfinite(w), w, 0.0) for w in
                                 (lower_margin.min(axis=-1), upper_margin.min(axis=-1)))
     reports = []

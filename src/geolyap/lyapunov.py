@@ -257,11 +257,37 @@ class MasseraFunction:
     grid_spacing: float
 
     def __post_init__(self):
-        from scipy.interpolate import PchipInterpolator  # only Massera mode needs scipy
+        # G' is the monotone cubic Hermite interpolant (PCHIP: Fritsch & Carlson,
+        # SIAM J. Numer. Anal. 17(2), 1980, SciPy's slope rule), G its quartic
+        # antiderivative; coefficient rows are powers of s - s_i, highest first.
+        h, y = np.diff(self.s_knots), self.gprime_knots
+        m = np.diff(y) / h
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        same_sign = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(same_sign, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        # Three-point end slopes, clamped to keep the end intervals' shape.
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(
+            (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0)), 3.0 * m0, end))
+        d = np.concatenate(([end[0]], inner, [end[1]]))
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        cubic = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        # G at the left knots sums the pieces' integrals h (y0 + y1)/2 + h^2 (d0 - d1)/12.
+        pieces = h * (y[:-1] + y[1:]) / 2.0 + h * h * (d[:-1] - d[1:]) / 12.0
+        quartic = np.vstack([cubic / np.arange(4.0, 0.0, -1.0)[:, None],
+                             np.concatenate(([0.0], np.cumsum(pieces[:-1])))])
+        object.__setattr__(self, "_gprime", lambda s: self._interval_poly(cubic, s))
+        object.__setattr__(self, "_g_integral", lambda s: self._interval_poly(quartic, s))
 
-        interp = PchipInterpolator(self.s_knots, self.gprime_knots)
-        object.__setattr__(self, "_gprime", interp)
-        object.__setattr__(self, "_g_integral", interp.antiderivative())
+    def _interval_poly(self, coef, s):
+        """Piecewise polynomial ``coef`` at s by Horner's rule, on the interval holding s."""
+        i = np.clip(np.searchsorted(self.s_knots, s, side="right") - 1, 0, len(self.s_knots) - 2)
+        u, out = s - self.s_knots[i], 0.0
+        for row in coef[:, i]:
+            out = out * u + row
+        return out
 
     def _piecewise(self, s, inside: Callable, beyond: Callable):
         """``inside`` on (0, s_max), ``beyond`` from s_max on, 0 at s <= 0."""

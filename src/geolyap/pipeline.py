@@ -18,6 +18,7 @@ import numpy as np
 
 from .certify import (
     ANCHOR_ENVELOPE_FIT,
+    ANCHOR_HORIZON,
     CertificationReport,
     CheckRow,
     GridSpec,
@@ -31,7 +32,7 @@ from .certify import (
 from .config import ConfigError, ScenarioConfig
 from .envelopes import StabilityEnvelope
 from .flows import Region, flow, lie_stencil, lipschitz_estimate
-from .lyapunov import LIE_H, choose_delta, construct_ugas_V
+from .lyapunov import LIE_H, HorizonError, InvalidDeltaError, choose_delta, construct_ugas_V
 from .manifolds import GeometryError, ManifoldPoint, manifold_from_name
 
 logger = logging.getLogger("geolyap")
@@ -61,8 +62,10 @@ def _write_reports(out_dir: Path, payload: dict, text: str, samples=None):
 
 
 def _stage_failure(out_dir: Path, mode: str, envelope: StabilityEnvelope,
-                   stage_anchor: str, message: str) -> int:
+                   stage_anchor: str, detail: str) -> int:
     """Reports for a run that stopped at a named stage before any certificate."""
+    message = f"{stage_anchor}: {detail}"
+    logger.error(message)
     _write_reports(out_dir, {"mode": mode, "envelope": envelope.to_json(),
                              "report": _failure_report(stage_anchor, message)},
                    "certification FAILED\n" + message + "\n")
@@ -100,6 +103,14 @@ def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float
     return choose_delta(envelope.K, envelope.rate, config.delta.target).delta
 
 
+def _verify_exponential(config: ScenarioConfig, field, envelope: StabilityEnvelope):
+    """estimate L -> choose horizon -> construct V -> verify, on the config grid."""
+    L = _estimate_lipschitz(config, field)
+    return verify_converse_certificate(
+        field, config.equilibrium, L, envelope, _resolve_delta(config, envelope), config.p,
+        config.grid, seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon)
+
+
 def _failure_report(stage_anchor: str, message: str) -> dict:
     return {"verdict": False, "failed_stage": stage_anchor, "message": message, "rows": []}
 
@@ -119,17 +130,13 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
 
     if mode == "exp":
         if not envelope.is_exponential:
-            msg = (f"{ANCHOR_ENVELOPE_FIT}: trajectories classify as "
-                   f"{envelope.stability_class}, not exponentially stable "
-                   f"(fit residual {envelope.fit_residual:.3g})")
-            logger.error(msg)
-            return _stage_failure(out_dir, mode, envelope, ANCHOR_ENVELOPE_FIT, msg)
-        L = _estimate_lipschitz(config, spec.field)
-        delta = _resolve_delta(config, envelope)
-        report = verify_converse_certificate(
-            spec.field, config.equilibrium, L, envelope, delta, config.p,
-            GridSpec(config.grid.n_points, config.grid.radius, config.grid.t0_list),
-            seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon)
+            return _stage_failure(out_dir, mode, envelope, ANCHOR_ENVELOPE_FIT, (
+                f"trajectories classify as {envelope.stability_class}, not exponentially "
+                f"stable (fit residual {envelope.fit_residual:.3g})"))
+        try:
+            report = _verify_exponential(config, spec.field, envelope)
+        except InvalidDeltaError as err:
+            return _stage_failure(out_dir, mode, envelope, ANCHOR_HORIZON, str(err))
         payload = {"mode": mode, "envelope": envelope.to_json(),
                    "certificate": report.certificate.to_json(), "report": report.to_dict()}
         # samples.csv: the verification grid's own quantities, for its first states.
@@ -146,15 +153,16 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
         raise ConfigError("massera mode requires a 'massera' config section")
     if envelope.stability_class == "US":
         return _stage_failure(out_dir, "massera", envelope, "ugas-envelope",
-                              "ugas-envelope: trajectories do not decay; "
-                              "asymptotic construction unavailable")
+                              "trajectories do not decay; asymptotic construction unavailable")
 
     # Decay flows get slow at long horizons; a coarser integrator step keeps
     # evaluation at desk scale without touching the envelope fit.
     eval_step = max(config.step, 0.05)
-    V = construct_ugas_V(spec.field, config.equilibrium, envelope,
-                         config.massera.t_max, config.massera.tail_tol,
-                         step=eval_step)
+    try:
+        V = construct_ugas_V(spec.field, config.equilibrium, envelope,
+                             config.massera.t_max, config.massera.tail_tol, step=eval_step)
+    except HorizonError as err:
+        return _stage_failure(out_dir, "massera", envelope, "ugas-tail", str(err))
     reshaping = V.reshaping
 
     m = config.manifold
@@ -231,20 +239,15 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
 
     unforced = config.build_system_unforced()
     envelope = _fit_trajectories(config, unforced, config.fit_horizon)
-    if not envelope.is_exponential:
-        msg = (f"{ANCHOR_ENVELOPE_FIT}: unforced system classifies as "
-               f"{envelope.stability_class}, not exponentially stable")
-        logger.error(msg)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _stage_failure(out_dir, "iss", envelope, ANCHOR_ENVELOPE_FIT, msg)
-    L = _estimate_lipschitz(config, unforced.field)
-    delta = _resolve_delta(config, envelope)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    grid = GridSpec(config.grid.n_points, config.grid.radius, config.grid.t0_list)
-    base_report = verify_converse_certificate(
-        unforced.field, config.equilibrium, L, envelope, delta, config.p,
-        grid, seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon)
+    if not envelope.is_exponential:
+        return _stage_failure(out_dir, "iss", envelope, ANCHOR_ENVELOPE_FIT, (
+            f"unforced system classifies as {envelope.stability_class}, "
+            "not exponentially stable"))
+    try:
+        base_report = _verify_exponential(config, unforced.field, envelope)
+    except InvalidDeltaError as err:
+        return _stage_failure(out_dir, "iss", envelope, ANCHOR_HORIZON, str(err))
     certificate = base_report.certificate
     payload = {"mode": "iss", "envelope": envelope.to_json(),
                "certificate": certificate.to_json(), "unforced_report": base_report.to_dict()}
@@ -253,28 +256,18 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
         _write_reports(out_dir, payload, base_report.to_text())
         return EXIT_CERTIFICATION_FAILED
 
+    # samples.csv: one disturbed trajectory, integrated with the robustness batch.
+    m = config.manifold
+    v0 = m.random_tangent(np.random.default_rng(config.seed + 4), config.equilibrium.coords,
+                          norm=config.grid.radius)
     iss_report = iss_certify(spec.field, config.equilibrium, certificate,
                              spec.input_signal, spec.input_bound,
                              config.iss_horizons, seed=config.seed,
-                             grid=grid, step=config.step)
-
-    closed = spec.field.with_input_signal(spec.input_signal)
-    m = config.manifold
-    rng = np.random.default_rng(config.seed + 4)
-    v0 = m.random_tangent(rng, config.equilibrium.coords, norm=config.grid.radius)
-    x0 = ManifoldPoint(m, m.exp(config.equilibrium.coords, v0))
-    t_grid = np.arange(0.0, max(config.iss_horizons) + 1e-9, 0.1)
-    traj = flow(closed, 0.0, x0, float(t_grid[-1]), config.step)
-    stride = max(1, int(round(0.1 / config.step)))
-    times = traj.times[::stride]
-    points = traj.points[::stride]
-    u_norm = [float(np.linalg.norm(np.asarray(spec.input_signal(t)))) for t in times]
-    series = np.stack([times, m.dist(points, config.equilibrium.coords),
-                       certificate.V._evaluate_raw(times, points), u_norm], axis=1).tolist()
-
+                             grid=config.grid, step=config.step,
+                             series_start=m.exp(config.equilibrium.coords, v0))
     payload["report"] = iss_report.to_dict()
     _write_reports(out_dir, payload, iss_report.to_text(),
-                   (["t", "distance", "V", "u_norm"], series))
+                   (["t", "distance", "V", "u_norm"], iss_report.series.tolist()))
     return EXIT_OK if iss_report.passed else EXIT_CERTIFICATION_FAILED
 
 

@@ -23,10 +23,17 @@ from geolyap.flows import (
     contraction_envelope_check,
     flow,
     flow_samples,
+    lie_stencil,
     lipschitz_estimate,
     pushforward,
 )
-from geolyap.lyapunov import construct_exp_V, construct_ugas_V, massera_G, theoretical_bounds
+from geolyap.lyapunov import (
+    LIE_H,
+    construct_exp_V,
+    construct_ugas_V,
+    massera_G,
+    theoretical_bounds,
+)
 from geolyap.manifolds import (
     Euclidean,
     Hyperbolic2,
@@ -69,16 +76,22 @@ def sphere_grid(sphere_attractor):
 
 @pytest.fixture(scope="module")
 def sphere_grid_quantities(sphere_attractor, sphere_V1, sphere_grid):
-    """Shared per-state quantities for the sandwich / decay / identity criteria."""
-    out = []
-    for t, x in sphere_grid:
-        d = SPHERE.dist(x.coords, NORTH)
-        v = sphere_V1.evaluate(t, x)
-        lie = sphere_V1.lie_derivative(t, x)
-        end = flow_samples(sphere_attractor.field, t, x.coords, [LN2], 1e-2)[0]
-        telescoped = SPHERE.dist(end, NORTH) - d
-        out.append((d, v, lie, telescoped))
-    return out
+    """Shared per-state quantities for the sandwich / decay / identity criteria.
+
+    Each quantity is one batch over the grid; a batch row equals the row
+    evaluated alone (tests/test_batching.py).
+    """
+    t = np.array([s for s, _ in sphere_grid])
+    x = np.array([pt.coords for _, pt in sphere_grid])
+    d = SPHERE.dist(x, NORTH)
+    plus, minus = lie_stencil(sphere_attractor.field, t, SPHERE.project(x), LIE_H,
+                              sphere_V1.step)
+    v, v_plus, v_minus = sphere_V1.evaluate_groups(
+        [(t, x), (t + LIE_H, plus), (t - LIE_H, minus)])
+    lie = (v_plus - v_minus) / (2.0 * LIE_H)
+    end = flow_samples(sphere_attractor.field, t, x, [LN2], 1e-2)[0]
+    telescoped = SPHERE.dist(end, NORTH) - d
+    return list(zip(d, v, lie, telescoped))
 
 
 def test_criterion_01_geometry_kernel():

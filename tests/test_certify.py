@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geolyap import certify
 from geolyap.certify import (
     CERTIFICATE_CHECKLIST,
     EnvelopeFitError,
@@ -19,7 +20,7 @@ from geolyap.certify import (
     verify_converse_certificate,
 )
 from geolyap.envelopes import KLEnvelope, PowerLaw, StabilityEnvelope
-from geolyap.flows import Region, TimeVaryingField, flow, lipschitz_estimate
+from geolyap.flows import Region, TimeVaryingField, flow, flow_samples, lipschitz_estimate
 from geolyap.lyapunov import InvalidDeltaError, choose_delta
 from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere
 from geolyap.systems import attach_disturbance, make_system
@@ -204,6 +205,8 @@ def test_verify_sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
     assert report.verdict
     for row in report.rows:
         assert row.anchor in CERTIFICATE_CHECKLIST
+    # The contraction margin is measured past the start row, not the 1e-6 slack.
+    assert report.row("contraction-envelope").margin > 1e-3
 
 
 def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):
@@ -333,6 +336,57 @@ def test_iss_doubled_disturbance_scales(sphere_attractor, sphere_certificate):
         2.0 * rep_small.predicted_v_bound, rel=1e-9)
     assert rep_large.measured_v_limsup <= 2.0 * rep_small.measured_v_limsup * 1.05
     assert rep_large.passed
+
+
+def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certificate,
+                                              monkeypatch):
+    # At step 0.05 every tail and series time sits on the step grid, so the
+    # fused flow takes the same steps as separate flows from t = 0.
+    spec = attach_disturbance(sphere_attractor, "constant", 0.1)
+    closed = spec.field.with_input_signal(spec.input_signal)
+    V = sphere_certificate.V
+    step, horizons = 0.05, [2.0, 3.0]
+    series_start = SPHERE.exp(NORTH, np.array([0.0, 0.7, 0.0]))
+    calls = []
+
+    def recording_flow_samples(field, t0, x0, offsets, step):
+        calls.append(np.array(x0))
+        return flow_samples(field, t0, x0, offsets, step)
+
+    monkeypatch.setattr(certify, "flow_samples", recording_flow_samples)
+    report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
+                         spec.input_signal, 0.1, horizons, seed=1,
+                         grid=GridSpec(4, 1.0, T0_LIST), step=step,
+                         series_start=series_start)
+    (x0,) = calls
+    starts = x0[:3]
+    assert np.array_equal(x0[3], series_start)
+
+    tails = [np.arange(0.6 * h, h + 1e-9, 0.25) for h in horizons]
+    tail_pts = [flow_samples(closed, 0.0, starts, ts, step) for ts in tails]
+    tail_v = V.evaluate_groups([(np.repeat(ts, 3), pts) for ts, pts in zip(tails, tail_pts)])
+    assert report.measured_d_limsup == pytest.approx(
+        max(float(np.max(SPHERE.dist(pts, NORTH))) for pts in tail_pts), abs=1e-12)
+    assert report.measured_v_limsup == pytest.approx(
+        max(float(np.max(v)) for v in tail_v), abs=1e-12)
+
+    traj = flow(closed, 0.0, ManifoldPoint(SPHERE, series_start), 3.0, step)
+    times, points = traj.times[::2], traj.points[::2]
+    assert np.array_equal(report.series[:, 0], np.arange(31) / 10.0)
+    np.testing.assert_allclose(report.series[:, 0], times, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.series[:, 1], SPHERE.dist(points, NORTH),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.series[:, 2], V.evaluate(times, ManifoldPoint(
+        SPHERE, points)), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(report.series[:, 3], 0.1)
+
+
+def test_iss_without_series_start_has_no_series(sphere_attractor, sphere_certificate):
+    spec = attach_disturbance(sphere_attractor, "constant", 0.1)
+    report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
+                         spec.input_signal, 0.1, [2.0], seed=1,
+                         grid=GridSpec(4, 1.0, T0_LIST), step=0.05)
+    assert report.series is None and report.passed
 
 
 def test_iss_detects_bound_violation():

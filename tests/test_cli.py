@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from geolyap.cli import main
 from geolyap.config import ConfigError, load_scenario
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _small_config(tmp_path, name="small.json", **overrides):
@@ -101,13 +105,17 @@ def test_certify_rotation_exits_two_naming_fit_stage(tmp_path, capsys):
     assert "les-envelope-fit" in (out / "report.txt").read_text()
 
 
-def test_certify_massera_mode(tmp_path):
-    config = _small_config(
+def _massera_config(tmp_path):
+    return _small_config(
         tmp_path, manifold="euclidean2",
         system={"name": "cubic_slowdown", "params": {"gain": 1.0}},
         equilibrium=[0.0, 0.0],
         grids={"n_points": 12, "radius": 1.0, "t0_list": [0.0, 1.0]},
         massera={"t_max": 20.0, "fit_horizon": 22.0, "tail_tol": 1e-8})
+
+
+def test_certify_massera_mode(tmp_path):
+    config = _massera_config(tmp_path)
     out = tmp_path / "massera"
     rc = main(["certify", "--config", str(config), "--mode", "massera",
                "--out", str(out)])
@@ -115,6 +123,49 @@ def test_certify_massera_mode(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["certificate"]["mode"] == "massera"
     assert report["certificate"]["tail_bound"] <= 1e-8
+
+
+def test_certify_massera_mode_runs_without_scipy(tmp_path):
+    argv = ["certify", "--config", str(_massera_config(tmp_path)), "--mode", "massera",
+            "--out", str(tmp_path / "massera")]
+    script = ("import sys\nfrom geolyap.cli import main\n"
+              f"rc = main({argv!r})\n"
+              "print(rc, any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == ["0", "False"]
+
+
+FAILURE_CASES = {
+    # explicit horizon with K' = 1 - K e^{-lambda delta} < 0 (K about 2.3)
+    "certify-short-delta": (["certify"], "time_varying_gain.json",
+                            {"delta": {"policy": "explicit", "value": 0.001}}, "les-horizon"),
+    "iss-short-delta": (["iss"], "time_varying_gain.json",
+                        {"delta": {"policy": "explicit", "value": 0.001},
+                         "disturbance": {"profile": "constant", "amplitude": 0.1, "bound": 0.1},
+                         "iss_horizons": [8.0]}, "les-horizon"),
+    # the certified truncation tail (about 7e-11) cannot meet the tolerance
+    "massera-tail-tolerance": (["certify", "--mode", "massera"], "cubic_massera.json",
+                               {"massera": {"t_max": 20.0, "fit_horizon": 22.0,
+                                            "tail_tol": 1e-30}}, "ugas-tail"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+def test_construction_failures_exit_two_naming_stage(tmp_path, case):
+    command, name, overrides, anchor = FAILURE_CASES[case]
+    data = json.loads((REPO_CONFIGS / name).read_text())
+    data.update(overrides)
+    config = tmp_path / name
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = main(command + ["--config", str(config), "--out", str(out)])
+    assert rc == 2
+    assert json.loads((out / "report.json").read_text())["report"]["failed_stage"] == anchor
+    assert anchor in (out / "report.txt").read_text()
+    assert not (out / "samples.csv").exists()
 
 
 def test_iss_scenario(tmp_path):

@@ -282,6 +282,23 @@ def test_contraction_sphere_pairs(sphere_attractor):
         assert report.passed and not report.flagged
 
 
+def test_contraction_margin_skips_the_start_row(sphere_attractor):
+    # At tau = t both bounds equal d0, so that row's margin is the slack itself;
+    # the reported margins are the worst over the later rows.
+    x1 = _sphere_start(0.5)
+    x2 = ManifoldPoint(SPHERE, SPHERE.exp(NORTH, np.array([0.0, -0.8, 0.0])))
+    slack = 1e-6
+    report = contraction_envelope_check(sphere_attractor.field, 1.2, x1, x2, 0.0,
+                                        np.linspace(0.0, 3.0, 7), step=1e-2, slack=slack)
+    later = report.rows[1:]
+    assert report.passed and report.rows[0].tau == 0.0
+    assert report.worst_lower_margin == pytest.approx(
+        min(r.measured * (1.0 + slack) / r.lower - 1.0 for r in later), rel=1e-12)
+    assert report.worst_upper_margin == pytest.approx(
+        min(r.upper * (1.0 + slack) / r.measured - 1.0 for r in later), rel=1e-12)
+    assert min(report.worst_lower_margin, report.worst_upper_margin) > 100 * slack
+
+
 # -- timed lie derivative -----------------------------------------------------------------
 
 

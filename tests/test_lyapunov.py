@@ -9,6 +9,7 @@ from geolyap.lyapunov import (
     HorizonError,
     InvalidDeltaError,
     LyapunovFunction,
+    MasseraFunction,
     choose_delta,
     construct_exp_V,
     construct_ugas_V,
@@ -251,6 +252,50 @@ def test_massera_strict_monotonicity():
     assert all(np.diff(values) > 0)
     assert all(np.diff(derivs) > 0)
     assert G.derivative(0.0) == 0.0
+
+
+def _knot_reshaping(s_knots, gprime_knots):
+    """A reshaping on given knots (interpolation only; envelope data is unused)."""
+    s_knots, gprime_knots = np.asarray(s_knots, float), np.asarray(gprime_knots, float)
+    return MasseraFunction(s_knots, gprime_knots, np.zeros(1), np.ones(1), np.ones(1),
+                           k1=0.0, k2=0.0, grid_spacing=1.0)
+
+
+PCHIP_TIMES = np.linspace(0.0, 10.0, 41)
+PCHIP_CASES = {
+    # Algebraic (the reference-value fixture's) and exponential decay envelopes.
+    "algebraic": lambda: massera_G(PCHIP_TIMES, 1.0 / np.sqrt(2.0 * PCHIP_TIMES + 1.0)),
+    "exponential": lambda: massera_G(2.0 * PCHIP_TIMES, np.exp(-2.0 * PCHIP_TIMES)),
+    # Steep second interval: the three-point start slope turns negative -> 0.
+    "end-clamp-zero": lambda: _knot_reshaping([0.0, 1.0, 2.0, 3.0, 4.0],
+                                              [0.0, 0.01, 1.0, 1.2, 1.3]),
+    # Slope sign changes next to both ends: the end slopes clamp to 3 m.
+    "end-clamp-three": lambda: _knot_reshaping([0.0, 1.0, 2.0, 3.0, 4.5, 5.0],
+                                               [0.0, 1.0, -4.0, -3.5, 0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PCHIP_CASES))
+def test_massera_pchip_matches_scipy(case):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    G = PCHIP_CASES[case]()
+    x, y = G.s_knots, G.gprime_knots
+    ref = interpolate.PchipInterpolator(x, y)
+    ref_integral = ref.antiderivative()
+    s_max = float(x[-1])
+    s = np.concatenate([np.linspace(-0.1, 1.3 * s_max, 4001), x])
+    inside = np.clip(s, 0.0, s_max)
+    want_gp = np.where(s <= 0.0, 0.0, np.where(s >= s_max, y[-1], ref(inside)))
+    want_g = np.where(s <= 0.0, 0.0, np.where(
+        s >= s_max, ref_integral(s_max) + y[-1] * (s - s_max), ref_integral(inside)))
+    assert np.max(np.abs(G.derivative(s) - want_gp)) <= 1e-14
+    assert np.max(np.abs(G.value(s) - want_g)) <= 1e-14
+    end_slopes = ref.derivative()([x[0], x[-1]])
+    if case == "end-clamp-zero":
+        assert end_slopes[0] == 0.0
+    if case == "end-clamp-three":
+        first, last = (y[1] - y[0]) / (x[1] - x[0]), (y[-1] - y[-2]) / (x[-1] - x[-2])
+        assert end_slopes == pytest.approx([3.0 * first, 3.0 * last], rel=1e-12)
 
 
 def test_massera_with_weight_function():
