@@ -481,7 +481,7 @@ def input_lipschitz_estimate(field: TimeVaryingField, region: Region,
 @dataclass(frozen=True)
 class ISSReport:
     """Robustness outcome: pointwise decay bound and ultimate trajectory bound,
-    with the (t, distance, V, |u|) rows of the series trajectory if one ran."""
+    with the (t, distance, V, |u|) rows of the series trajectory."""
 
     c3: float
     c4: float
@@ -492,7 +492,7 @@ class ISSReport:
     measured_d_limsup: float
     ultimate_distance_bound: float
     rows: tuple[CheckRow, ...]
-    series: np.ndarray | None = dataclasses.field(default=None, compare=False)
+    series: np.ndarray = dataclasses.field(compare=False)
 
     @property
     def passed(self) -> bool:
@@ -538,8 +538,7 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
                 certificate: Certificate, input_signal: Callable[[float], np.ndarray],
                 input_bound: float, horizons: Sequence[float], seed: int = 0,
                 grid: GridSpec | None = None, step: float = 1e-2,
-                rel_tol: float = DEFAULT_REL_TOL, traj_tol: float = 0.05,
-                series_start: np.ndarray | None = None) -> ISSReport:
+                rel_tol: float = DEFAULT_REL_TOL, traj_tol: float = 0.05) -> ISSReport:
     """Certify disturbance robustness of a verified exponential certificate.
 
     (a) pointwise: along the disturbed flow, the lie derivative of V stays
@@ -548,8 +547,9 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     c4 L_u |u|_inf / c3 within ``traj_tol`` (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
     ultimate distance bound follows through c1.  Each part evaluates V on
-    its whole sample set in one batched flow; a ``series_start`` joins the
-    flow of (b), sampled at t = k / 10 (exact decimals) up to the longest horizon.
+    its whole sample set in one batched flow; a series trajectory, started at
+    the radius from a ``seed + 4`` draw, joins the flow of (b) and is sampled
+    at t = k / 10 (exact decimals) up to the longest horizon.
     """
     if field.input_rhs is None:
         raise ValueError("field has no input channel")
@@ -593,15 +593,17 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     start_dirs = [m.random_tangent(rng, x_star.coords, norm=gs.radius) for _ in range(3)]
     starts = m.exp(x_star.coords, np.array(start_dirs))
     tails = [np.arange(0.6 * horizon, horizon + 1e-9, 0.25) for horizon in horizons]
-    series_t = [] if series_start is None else np.arange(10.0 * max_horizon + 1e-6) / 10.0
+    series_dir = m.random_tangent(np.random.default_rng(seed + 4), x_star.coords,
+                                  norm=gs.radius)
+    series_t = np.arange(10.0 * max_horizon + 1e-6) / 10.0
     offsets = np.sort(np.concatenate(tails + [series_t]))  # a repeated time adds no step
-    x0 = starts if series_start is None else np.concatenate([starts, series_start[None]])
+    x0 = np.concatenate([starts, m.exp(x_star.coords, series_dir)[None]])
     pts = flow_samples(closed, 0.0, x0, offsets, step)
     n = len(starts)
     groups = [(0.0, starts)] + [(np.repeat(ts, n), pts[np.searchsorted(offsets, ts), :n])
                                 for ts in tails]
     measured_d = max(float(np.max(m.dist(x, x_star.coords))) for _, x in groups[1:])
-    series_x = pts[np.searchsorted(offsets, series_t), n:]   # no rows without a series
+    series_x = pts[np.searchsorted(offsets, series_t), n]
     v_starts, *v_tails, v_series = V.evaluate_groups(groups + [(series_t, series_x)])
     v0_max = float(np.max(v_starts))
     measured_limsup = max(float(np.max(v)) for v in v_tails)
@@ -616,8 +618,8 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
 
     ultimate_d = (max(predicted, 0.0) * (1.0 + traj_tol) / b.c1) ** (1.0 / b.p) \
         if predicted > 0 else 0.0
-    series = None if series_start is None else np.stack([
-        series_t, m.dist(series_x[:, 0], x_star.coords), v_series,
+    series = np.stack([
+        series_t, m.dist(series_x, x_star.coords), v_series,
         [float(np.linalg.norm(input_signal(ti))) for ti in series_t]], axis=1)
     return ISSReport(b.c3, b.c4, L_u, input_bound, predicted, measured_limsup,
                      measured_d, ultimate_d, tuple(rows), series)

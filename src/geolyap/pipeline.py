@@ -256,15 +256,11 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
         _write_reports(out_dir, payload, base_report.to_text())
         return EXIT_CERTIFICATION_FAILED
 
-    # samples.csv: one disturbed trajectory, integrated with the robustness batch.
-    m = config.manifold
-    v0 = m.random_tangent(np.random.default_rng(config.seed + 4), config.equilibrium.coords,
-                          norm=config.grid.radius)
+    # samples.csv: the series trajectory integrated with the robustness batch.
     iss_report = iss_certify(spec.field, config.equilibrium, certificate,
                              spec.input_signal, spec.input_bound,
                              config.iss_horizons, seed=config.seed,
-                             grid=config.grid, step=config.step,
-                             series_start=m.exp(config.equilibrium.coords, v0))
+                             grid=config.grid, step=config.step)
     payload["report"] = iss_report.to_dict()
     _write_reports(out_dir, payload, iss_report.to_text(),
                    (["t", "distance", "V", "u_norm"], iss_report.series.tolist()))

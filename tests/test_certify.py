@@ -346,7 +346,6 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     closed = spec.field.with_input_signal(spec.input_signal)
     V = sphere_certificate.V
     step, horizons = 0.05, [2.0, 3.0]
-    series_start = SPHERE.exp(NORTH, np.array([0.0, 0.7, 0.0]))
     calls = []
 
     def recording_flow_samples(field, t0, x0, offsets, step):
@@ -356,11 +355,10 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     monkeypatch.setattr(certify, "flow_samples", recording_flow_samples)
     report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
                          spec.input_signal, 0.1, horizons, seed=1,
-                         grid=GridSpec(4, 1.0, T0_LIST), step=step,
-                         series_start=series_start)
+                         grid=GridSpec(4, 1.0, T0_LIST), step=step)
     (x0,) = calls
-    starts = x0[:3]
-    assert np.array_equal(x0[3], series_start)
+    starts, series_start = x0[:3], x0[3]
+    assert SPHERE.dist(series_start, NORTH) == pytest.approx(1.0, abs=1e-12)
 
     tails = [np.arange(0.6 * h, h + 1e-9, 0.25) for h in horizons]
     tail_pts = [flow_samples(closed, 0.0, starts, ts, step) for ts in tails]
@@ -379,14 +377,6 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     np.testing.assert_allclose(report.series[:, 2], V.evaluate(times, ManifoldPoint(
         SPHERE, points)), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(report.series[:, 3], 0.1)
-
-
-def test_iss_without_series_start_has_no_series(sphere_attractor, sphere_certificate):
-    spec = attach_disturbance(sphere_attractor, "constant", 0.1)
-    report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
-                         spec.input_signal, 0.1, [2.0], seed=1,
-                         grid=GridSpec(4, 1.0, T0_LIST), step=0.05)
-    assert report.series is None and report.passed
 
 
 def test_iss_detects_bound_violation():
