@@ -27,7 +27,8 @@ from .flows import (
     flow_samples,
     geodesic_stencil,
     lie_stencil,
-    pushforward,
+    pushforward_quotient,
+    pushforward_stencil,
     timed_lie_derivative,
 )
 from .lyapunov import (
@@ -364,10 +365,11 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     c1 d^p <= V <= c2 d^p, the decay rate c3, the telescoping identity for
     the lie derivative, the differential bound c4, and the pushforward growth
     bound.  Sample inputs are drawn up front from the seeded generator; each
-    stage then integrates its whole grid as one batch.  Every V value (the
-    states, the Lie-derivative and differential stencils) shares the horizon
-    and comes from one batched flow; the telescoping endpoints integrate
-    separately, so the identity check does not lean on V.
+    stage then integrates its whole grid as one batch.  Everything on the
+    horizon [t, t + delta] reads one flow over V's quadrature nodes: V (at the
+    states and the Lie and differential stencils), the telescoping endpoint
+    (each state's last node, so the identity is checked on V's own flow) and
+    the pushforward (based at that node; its stencil rows join the flow).
     """
     cert = make_certificate(field, x_star, L, envelope, delta, p,
                             n_nodes=n_nodes, step=step)
@@ -398,16 +400,23 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
 
     t = np.array([s for s, _ in states])
     x = np.array([pt.coords for _, pt in states])
+    n = len(x)
     # Unit directions for the differential bound, drawn after the pairs.
     directions = np.array([m.random_tangent(rng, xi, norm=1.0) for xi in x])
     d = m.dist(x, x_star.coords)
     lie_plus, lie_minus = lie_stencil(field, t, m.project(x), LIE_H, step)
     eps_hat = DIFF_EPS / m.norm(x, directions)
     diff_plus, diff_minus = geodesic_stencil(m, x, directions, eps_hat)
-    v_val, v_plus, v_minus, v_dplus, v_dminus = cert.V.evaluate_groups([
-        (t, x), (t + LIE_H, lie_plus), (t - LIE_H, lie_minus), (t, diff_plus), (t, diff_minus)])
+    n_push = min(10, n)
+    push_eps_hat, push_stencil = pushforward_stencil(m, x[:n_push], directions[:n_push])
+    # One flow over V's quadrature nodes: the five V groups (states, Lie and
+    # differential stencils), then the pushforward stencil rows.
+    nodes = cert.V.node_flow(
+        np.concatenate([t, t + LIE_H, t - LIE_H, t, t, t[:n_push], t[:n_push]]),
+        np.concatenate([x, lie_plus, lie_minus, diff_plus, diff_minus, *push_stencil]))
+    v_val, v_plus, v_minus, v_dplus, v_dminus = np.split(cert.V.quadrature(nodes[:, :5 * n]), 5)
     lie = (v_plus - v_minus) / (2.0 * LIE_H)
-    end = flow_samples(field, t, x, [delta], step)[-1]
+    end = nodes[-1, :n]  # the flow at t + delta
     telescoped = m.dist(end, x_star.coords) ** p - d ** p
 
     ratio = v_val / d ** p
@@ -433,11 +442,12 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     rows.append(_upper_row("differential-bound", ANCHOR_DIFFERENTIAL,
                            1.0 + rel_tol, diff_worst, 1.0))
 
-    n_push = min(10, len(states))
-    base = ManifoldPoint(m, x[:n_push])
-    pushed = pushforward(field, t[:n_push], base, TangentVector(base, directions[:n_push]),
-                         t[:n_push] + delta, step=step)
-    push_worst = float(np.max(pushed.norm)) / math.exp(L * delta)
+    # Pushforward of the first directions to t + delta, based at their states' ends.
+    y0 = end[:n_push]
+    pushed = pushforward_quotient(
+        field, t[:n_push], x[:n_push], directions[:n_push], push_eps_hat, y0,
+        nodes[-1, 5 * n:].reshape((2, n_push) + m.ambient_shape), cert.V.node_offsets, cert.V.step)
+    push_worst = float(np.max(m.norm(y0, pushed))) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,
                            1.0 + PUSHFORWARD_TOL, push_worst, 1.0))
 
@@ -523,11 +533,17 @@ class ISSReport:
         return head + CertificationReport(self.rows).to_text()
 
 
+def _input_values(signal: Callable[[float], np.ndarray], times: np.ndarray) -> np.ndarray:
+    """u at every time in one call, one row per time (a constant signal broadcasts)."""
+    u = np.asarray(signal(times), dtype=float)
+    return np.broadcast_to(u, np.shape(times) + u.shape[-1:])
+
+
 def check_input_signal(signal: Callable[[float], np.ndarray], bound: float,
                        horizon: float, n: int = 512) -> float:
     """Scan |u(t)| on a dense grid; raise if the declared bound is violated."""
-    sup = max(float(np.linalg.norm(np.asarray(signal(t), dtype=float)))
-              for t in np.linspace(0.0, horizon, n))
+    sup = float(np.max(np.linalg.norm(_input_values(signal, np.linspace(0.0, horizon, n)),
+                                      axis=-1)))
     if sup > bound * (1.0 + 1e-9) + 1e-15:
         raise InputBoundError(
             f"disturbance reaches |u| = {sup:.6g}, above the declared bound {bound:.6g}")
@@ -546,10 +562,11 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     (b) trajectory: tail suprema of V over each horizon stay below
     c4 L_u |u|_inf / c3 within ``traj_tol`` (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
-    ultimate distance bound follows through c1.  Each part evaluates V on
-    its whole sample set in one batched flow; a series trajectory, started at
-    the radius from a ``seed + 4`` draw, joins the flow of (b) and is sampled
-    at t = k / 10 (exact decimals) up to the longest horizon.
+    ultimate distance bound follows through c1.  The trajectories of (b)
+    integrate in one batched flow; a series trajectory, started at the radius
+    from a ``seed + 4`` draw, joins it and is sampled at t = k / 10 (exact
+    decimals) up to the longest horizon.  Every V of (a), (b) and the series
+    comes from one batched evaluation.
     """
     if field.input_rhs is None:
         raise ValueError("field has no input channel")
@@ -564,11 +581,9 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     max_horizon = max(horizons)
     check_input_signal(input_signal, input_bound, max_horizon + max(gs.t0_list))
     region = Region(x_star, gs.radius)
-    u_dim = np.asarray(input_signal(0.0), dtype=float).shape
-    u_probe = [np.asarray(input_signal(t), dtype=float)
-               for t in np.linspace(0.0, max_horizon, 16)]
-    u_probe.extend(rng.uniform(-max(input_bound, 1.0), max(input_bound, 1.0), size=u_dim)
-                   for _ in range(8))
+    u_probe = list(_input_values(input_signal, np.linspace(0.0, max_horizon, 16)))
+    u_probe.extend(rng.uniform(-max(input_bound, 1.0), max(input_bound, 1.0),
+                               size=u_probe[0].shape) for _ in range(8))
     L_u = input_lipschitz_estimate(field, region, u_probe, seed=seed)
 
     closed = field.with_input_signal(input_signal)
@@ -580,13 +595,6 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     t = np.array([s for s, _ in states])
     x = np.array([pt.coords for _, pt in states])
     plus, minus = lie_stencil(closed, t, m.project(x), LIE_H, step)
-    v_val, v_plus, v_minus = V.evaluate_groups([(t, x), (t + LIE_H, plus), (t - LIE_H, minus)])
-    lie = (v_plus - v_minus) / (2.0 * LIE_H)
-    bound_val = -b.c3 * v_val + forcing
-    scale = b.c3 * v_val + forcing + DEFAULT_ABS_TOL
-    worst_pointwise = float(np.min((bound_val + rel_tol * scale + DEFAULT_ABS_TOL - lie) / scale))
-    rows = [CheckRow("iss-pointwise-decay", ANCHOR_ISS_POINTWISE,
-                     forcing, forcing, worst_pointwise, worst_pointwise >= 0.0)]
 
     # (b) ultimate bound along disturbed trajectories: one flow from t = 0
     # through the union of every horizon's tail times and the series grid.
@@ -602,9 +610,18 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     n = len(starts)
     groups = [(0.0, starts)] + [(np.repeat(ts, n), pts[np.searchsorted(offsets, ts), :n])
                                 for ts in tails]
-    measured_d = max(float(np.max(m.dist(x, x_star.coords))) for _, x in groups[1:])
+    measured_d = max(float(np.max(m.dist(xs, x_star.coords))) for _, xs in groups[1:])
     series_x = pts[np.searchsorted(offsets, series_t), n]
-    v_starts, *v_tails, v_series = V.evaluate_groups(groups + [(series_t, series_x)])
+    # Every V of both parts in one batch: (a)'s states and Lie stencil first.
+    v_val, v_plus, v_minus, v_starts, *v_tails, v_series = V.evaluate_groups(
+        [(t, x), (t + LIE_H, plus), (t - LIE_H, minus)] + groups + [(series_t, series_x)])
+    lie = (v_plus - v_minus) / (2.0 * LIE_H)
+    bound_val = -b.c3 * v_val + forcing
+    scale = b.c3 * v_val + forcing + DEFAULT_ABS_TOL
+    worst_pointwise = float(np.min((bound_val + rel_tol * scale + DEFAULT_ABS_TOL - lie) / scale))
+    rows = [CheckRow("iss-pointwise-decay", ANCHOR_ISS_POINTWISE,
+                     forcing, forcing, worst_pointwise, worst_pointwise >= 0.0)]
+
     v0_max = float(np.max(v_starts))
     measured_limsup = max(float(np.max(v)) for v in v_tails)
     # Comparison equation: V(t) <= V0 e^{-c3 t} + predicted; the transient term
@@ -618,9 +635,8 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
 
     ultimate_d = (max(predicted, 0.0) * (1.0 + traj_tol) / b.c1) ** (1.0 / b.p) \
         if predicted > 0 else 0.0
-    series = np.stack([
-        series_t, m.dist(series_x, x_star.coords), v_series,
-        [float(np.linalg.norm(input_signal(ti))) for ti in series_t]], axis=1)
+    series = np.stack([series_t, m.dist(series_x, x_star.coords), v_series,
+                       np.linalg.norm(_input_values(input_signal, series_t), axis=-1)], axis=1)
     return ISSReport(b.c3, b.c4, L_u, input_bound, predicted, measured_limsup,
                      measured_d, ultimate_d, tuple(rows), series)
 

@@ -32,6 +32,7 @@ from .manifolds import (
 DEFAULT_STEP = 1e-3
 LIPSCHITZ_SAFETY = 1.05   # inflation factor applied before envelope use
 CUT_FLAG_MARGIN = 1e-3    # envelope rows this close to the cut locus are flagged
+PUSHFORWARD_EPS = 1e-5    # arc length of the pushforward stencil
 _GRID_TOL = 1e-9          # relative slack before a gap gets one more substep
 
 
@@ -264,18 +265,53 @@ def geodesic_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray, eps_hat) ->
     return np.stack([m.exp(coords, dv), m.exp(coords, -dv)])
 
 
+def pushforward_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray,
+                        eps: float = PUSHFORWARD_EPS) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row eps_hat = eps / |v| and the stencil exp_x(+/- eps_hat v) of arc length eps."""
+    nv = m.norm(coords, v)
+    eps_hat = eps / np.where(nv == 0.0, 1.0, nv)
+    return eps_hat, geodesic_stencil(m, coords, v, eps_hat)
+
+
+def pushforward_quotient(field: TimeVaryingField, t, coords: np.ndarray, v: np.ndarray,
+                         eps_hat: np.ndarray, y0: np.ndarray, ends: np.ndarray,
+                         offsets: Sequence[float], step: float) -> np.ndarray:
+    """Pushforward components at the flowed base points ``y0``.
+
+    ``ends`` is the :func:`pushforward_stencil` of (coords, v, eps_hat),
+    flowed from the per-row times ``t`` over the elapsed grid ``offsets``;
+    the difference of their logarithms at ``y0`` is divided by 2 eps_hat.
+    Rows whose stencil ends within the cut margin of ``y0`` are rebuilt with
+    eps_hat / 10 and flowed again alone, on the same grid, at most twice
+    before a :class:`CutLocusError`.
+    """
+    m = field.manifold
+    ends = np.array(ends)
+    t_rows = np.broadcast_to(np.asarray(t, dtype=float), np.shape(eps_hat))
+    zero = m.norm(coords, v) == 0.0
+    bad = np.zeros(np.shape(eps_hat), dtype=bool)
+    for attempt in range(3):
+        if attempt:
+            eps_hat = np.where(bad, 0.1 * eps_hat, eps_hat)
+            retry = geodesic_stencil(m, coords[bad], v[bad], eps_hat[bad])
+            ends[:, bad] = flow_samples(field, t_rows[bad], retry, offsets, step)[-1]
+        bad = np.any(m.dist(y0, ends) > m.cut_locus_radius - CUT_MARGIN, axis=0)
+        if not np.any(bad):
+            w = (m.log(y0, ends[0]) - m.log(y0, ends[1])) / m.rows(2.0 * eps_hat)
+            return np.where(m.rows(zero), 0.0, m.project_tangent(y0, w))
+    raise CutLocusError("pushforward stencil kept hitting the cut locus", coords, y0)
+
+
 def pushforward(field: TimeVaryingField, t, x: ManifoldPoint, v: TangentVector,
-                tau, step: float = DEFAULT_STEP, eps: float = 1e-5) -> TangentVector:
+                tau, step: float = DEFAULT_STEP, eps: float = PUSHFORWARD_EPS) -> TangentVector:
     """Flow pushforward of v under x -> phi(tau; t, x).
 
-    Computed by the geodesic-variation central difference: the base point is
-    perturbed by exp_x(+/- eps_hat v), both perturbations are flowed to tau,
-    and the transported difference of logarithms at the flowed base point is
-    divided by 2 eps_hat.  The perturbation arc length is ``eps``.  Rows whose
-    difference stencil hits the cut locus retry with a smaller eps before
-    giving up.  ``x`` and ``v`` may hold a batch of points (leading axes) with
-    per-row ``t`` and ``tau`` sharing one span; the base point, the stencil
-    and every row integrate as one batch.
+    The geodesic-variation central difference of :func:`pushforward_quotient`:
+    the base point and its stencil of arc length ``eps`` integrate as one
+    batch over the step grid of [t, tau].  ``x`` and ``v`` may hold a batch
+    of points (leading axes) with per-row ``t`` and ``tau`` sharing one span.
+    Certificate verification runs the same stencil and quotient on V's
+    quadrature-node flow.
     """
     span = _shared_span(t, tau, "tau must be >= t")
     if x.manifold != field.manifold:
@@ -285,26 +321,13 @@ def pushforward(field: TimeVaryingField, t, x: ManifoldPoint, v: TangentVector,
     m = field.manifold
     if span == 0.0:
         return v
-    nv = m.norm(x.coords, v.components)
-    zero = nv == 0.0
-    eps_hat = eps / np.where(zero, 1.0, nv)
-    t_rows = np.broadcast_to(np.asarray(t, dtype=float), np.shape(nv))
-    start = np.concatenate([m.project(np.array(x.coords))[None],
-                            geodesic_stencil(m, x.coords, v.components, eps_hat)])
-    ends = _advance(field, t, start, span, step)
-    y0, ends = ends[0], ends[1:]
-    bad = np.zeros(np.shape(nv), dtype=bool)
-    for attempt in range(3):
-        if attempt:
-            eps_hat = np.where(bad, 0.1 * eps_hat, eps_hat)
-            retry = geodesic_stencil(m, x.coords[bad], v.components[bad], eps_hat[bad])
-            ends[:, bad] = _advance(field, t_rows[bad], retry, span, step)
-        bad = np.any(m.dist(y0, ends) > m.cut_locus_radius - CUT_MARGIN, axis=0)
-        if not np.any(bad):
-            w = (m.log(y0, ends[0]) - m.log(y0, ends[1])) / m.rows(2.0 * eps_hat)
-            w = np.where(m.rows(zero), 0.0, m.project_tangent(y0, w))
-            return TangentVector(ManifoldPoint(m, y0), w)
-    raise CutLocusError("pushforward stencil kept hitting the cut locus", x.coords, y0)
+    eps_hat, stencil = pushforward_stencil(m, x.coords, v.components, eps)
+    offsets = _step_offsets(span, step)
+    start = np.concatenate([m.project(np.array(x.coords))[None], stencil])
+    ends = flow_samples(field, t, start, offsets, step)[-1]
+    w = pushforward_quotient(field, t, x.coords, v.components, eps_hat, ends[0], ends[1:],
+                             offsets, step)
+    return TangentVector(ManifoldPoint(m, ends[0]), w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -151,6 +151,8 @@ class LyapunovFunction:
     (integrand G(d) over the truncation horizon, with ``tail_bound`` the
     certified truncation error; ``reshaping`` maps distance arrays to G).
     Evaluations share the horizon, so states with their own times batch.
+    An evaluation is :meth:`node_flow` then :meth:`quadrature`, so a caller
+    that needs more of the flow over [t, t + horizon] runs it once.
     """
 
     field: TimeVaryingField
@@ -171,16 +173,27 @@ class LyapunovFunction:
         if self.mode == "massera" and self.reshaping is None:
             raise ValueError("massera mode requires a reshaping function")
 
-    def _evaluate_raw(self, t, coords: np.ndarray):
-        """V at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
+    @property
+    def node_offsets(self) -> np.ndarray:
+        """Elapsed quadrature nodes linspace(0, horizon, n_nodes); the last is the horizon."""
+        return np.linspace(0.0, self.horizon, self.n_nodes)
+
+    def node_flow(self, t, coords: np.ndarray) -> np.ndarray:
+        """Flow states at t + :attr:`node_offsets`, shape ``(n_nodes,) + coords.shape``."""
+        return flow_samples(self.field, t, coords, self.node_offsets, self.step)
+
+    def quadrature(self, nodes: np.ndarray):
+        """V from node states of :meth:`node_flow` (node axis first)."""
         m = self.field.manifold
-        offsets = np.linspace(0.0, self.horizon, self.n_nodes)
-        pts = flow_samples(self.field, t, coords, offsets, self.step)
         # Quadrature nodes last and contiguous: each row sums in the same order
         # whether it is evaluated alone or in a batch.
-        dists = np.ascontiguousarray(np.moveaxis(m.dist(pts, self.x_star.coords), 0, -1))
+        dists = np.ascontiguousarray(np.moveaxis(m.dist(nodes, self.x_star.coords), 0, -1))
         vals = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
         return np.sum(vals * _simpson_weights(self.n_nodes, self.horizon), axis=-1)
+
+    def _evaluate_raw(self, t, coords: np.ndarray):
+        """V at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
+        return self.quadrature(self.node_flow(t, coords))
 
     def evaluate(self, t, x: ManifoldPoint):
         """V(t, x); a batched point with per-row t gives one value per row."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geolyap import certify
+from geolyap import certify, flows, lyapunov
 from geolyap.certify import (
     CERTIFICATE_CHECKLIST,
     EnvelopeFitError,
@@ -20,9 +20,16 @@ from geolyap.certify import (
     verify_converse_certificate,
 )
 from geolyap.envelopes import KLEnvelope, PowerLaw, StabilityEnvelope
-from geolyap.flows import Region, TimeVaryingField, flow, flow_samples, lipschitz_estimate
-from geolyap.lyapunov import InvalidDeltaError, choose_delta
-from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere
+from geolyap.flows import (
+    Region,
+    TimeVaryingField,
+    flow,
+    flow_samples,
+    lipschitz_estimate,
+    pushforward,
+)
+from geolyap.lyapunov import InvalidDeltaError, LyapunovFunction, choose_delta
+from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere, TangentVector
 from geolyap.systems import attach_disturbance, make_system
 
 EUCLID = Euclidean(2)
@@ -209,6 +216,55 @@ def test_verify_sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
     assert report.row("contraction-envelope").margin > 1e-3
 
 
+def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sphere_envelope,
+                                                 monkeypatch):
+    # V, the telescoping endpoints and the pushforward all read one flow over
+    # V's quadrature nodes; the identity check no longer has a flow of its own.
+    field, p, n, n_push = sphere_attractor.field, 2.0, 12, 10
+    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
+    calls, quotients = [], []
+    real_flow, real_quotient = flows.flow_samples, flows.pushforward_quotient
+
+    def recording_flow_samples(f, t0, x0, offsets, step):
+        out = real_flow(f, t0, x0, offsets, step)
+        calls.append((np.array(t0), np.array(x0), np.asarray(offsets, dtype=float), out))
+        return out
+
+    def recording_quotient(*args):
+        out = real_quotient(*args)
+        quotients.append((args, out))
+        return out
+
+    for module in (flows, lyapunov, certify):
+        monkeypatch.setattr(module, "flow_samples", recording_flow_samples)
+    monkeypatch.setattr(certify, "pushforward_quotient", recording_quotient)
+    report = verify_converse_certificate(
+        field, sphere_attractor.equilibrium, sphere_L, sphere_envelope, delta, p,
+        GridSpec(n, 1.0, T0_LIST), seed=7, step=1e-2)
+    assert report.verdict
+
+    (t0, x0, offsets, out), = [c for c in calls if c[2][-1] == delta]
+    assert np.array_equal(offsets, np.linspace(0.0, delta, 65))
+    assert x0.shape == (5 * n + 2 * n_push, 3)
+    t, d, _, lie = report.samples.T
+    assert np.array_equal(t0[:n], t)
+    end = out[-1, :n]
+    telescoped = SPHERE.dist(end, NORTH) ** p - d ** p
+    assert report.row("telescoping-identity").measured == float(np.max(np.abs(lie - telescoped)))
+
+    (args, w), = quotients
+    _, t_push, coords, directions, _, y0, ends, q_offsets, q_step = args
+    assert np.array_equal(y0, end[:n_push])
+    assert np.array_equal(ends, out[-1, 5 * n:].reshape(2, n_push, 3))
+    assert np.array_equal(q_offsets, offsets) and q_step == 1e-2
+    assert report.row("pushforward-growth").measured == \
+        float(np.max(SPHERE.norm(y0, w))) / math.exp(sphere_L * delta)
+    base = ManifoldPoint(SPHERE, coords)
+    public = pushforward(field, t_push, base, TangentVector(base, directions),
+                         t_push + delta, step=1e-2).components
+    assert np.linalg.norm(w - public) <= 1e-8 * np.linalg.norm(public)
+
+
 def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):
     calls = []
 
@@ -346,17 +402,30 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     closed = spec.field.with_input_signal(spec.input_signal)
     V = sphere_certificate.V
     step, horizons = 0.05, [2.0, 3.0]
-    calls = []
+    calls, evaluations = [], []
+    real_evaluate_groups = LyapunovFunction.evaluate_groups
 
     def recording_flow_samples(field, t0, x0, offsets, step):
         calls.append(np.array(x0))
         return flow_samples(field, t0, x0, offsets, step)
 
+    def recording_evaluate_groups(self, groups):
+        out = real_evaluate_groups(self, groups)
+        evaluations.append((groups, out))
+        return out
+
     monkeypatch.setattr(certify, "flow_samples", recording_flow_samples)
+    monkeypatch.setattr(LyapunovFunction, "evaluate_groups", recording_evaluate_groups)
     report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
                          spec.input_signal, 0.1, horizons, seed=1,
                          grid=GridSpec(4, 1.0, T0_LIST), step=step)
     (x0,) = calls
+    # Part (a)'s states and Lie stencil ride in part (b)'s V batch, bit for bit.
+    (groups, values), = evaluations
+    (t, _), (t_plus, _), (t_minus, _) = groups[:3]
+    assert np.array_equal(t_plus, t + certify.LIE_H) and np.array_equal(t_minus, t - certify.LIE_H)
+    for alone, fused in zip(real_evaluate_groups(V, groups[:3]), values[:3]):
+        assert np.array_equal(alone, fused)
     starts, series_start = x0[:3], x0[3]
     assert SPHERE.dist(series_start, NORTH) == pytest.approx(1.0, abs=1e-12)
 
@@ -380,9 +449,17 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
 
 
 def test_iss_detects_bound_violation():
-    signal = lambda t: np.array([0.2, 0.0])
+    calls = []
+
+    def signal(t):
+        calls.append(np.shape(t))
+        return np.array([0.2, 0.0])
+
     with pytest.raises(InputBoundError):
         check_input_signal(signal, 0.1, 10.0)
+    assert calls == [(512,)]  # one call on the whole scan grid; the constant broadcasts
+    wave = attach_disturbance(make_system("geodesic_attractor", SPHERE, NORTH), "sinusoid", 0.1)
+    assert check_input_signal(wave.input_signal, 0.1, 10.0) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_iss_prediction_monotonicity(sphere_certificate):

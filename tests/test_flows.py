@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geolyap import flows
 from geolyap.flows import (
     IntegrationError,
     Region,
@@ -10,12 +11,16 @@ from geolyap.flows import (
     contraction_envelope_check,
     flow,
     flow_samples,
+    geodesic_stencil,
     lipschitz_estimate,
     pushforward,
+    pushforward_quotient,
+    pushforward_stencil,
     semigroup_residual,
     timed_lie_derivative,
 )
 from geolyap.manifolds import (
+    CutLocusError,
     Euclidean,
     ManifoldPoint,
     Sphere,
@@ -194,6 +199,58 @@ def test_pushforward_growth_bound(sphere_attractor):
         tau = rng.uniform(0.1, 1.5)
         out = pushforward(sphere_attractor.field, 0.0, x, v, tau, step=1e-2)
         assert out.norm <= math.exp(L * tau) * v.norm * (1.0 + 1e-3)
+
+
+def _cut_locus_stencil():
+    """Three stencils under a zero field (the flowed ends are the stencil
+    itself), with row 1's plus end moved within the cut margin of its base."""
+    rng = np.random.default_rng(4)
+    coords = np.array([SPHERE.exp(NORTH, SPHERE.random_tangent(rng, NORTH, norm=0.5))
+                       for _ in range(3)])
+    v = np.array([SPHERE.random_tangent(rng, c, norm=1.0) for c in coords])
+    eps_hat, stencil = pushforward_stencil(SPHERE, coords, v)
+    ends = stencil.copy()
+    ends[0, 1] = SPHERE.exp(-coords[1], 1e-7 * v[1])  # pi - 1e-7 from its base
+    field = TimeVaryingField(SPHERE, lambda t, X: np.zeros_like(X))
+    return field, np.array([0.0, 1.0, 2.0]), coords, v, eps_hat, stencil, ends
+
+
+def test_pushforward_retry_reruns_only_the_cut_locus_row(monkeypatch):
+    field, t, coords, v, eps_hat, stencil, ends = _cut_locus_stencil()
+    offsets = np.linspace(0.0, 0.5, 9)
+    calls = []
+    real_flow = flows.flow_samples
+
+    def recording_flow_samples(f, t0, x0, offs, step):
+        calls.append((np.array(t0), np.array(x0), np.asarray(offs), step))
+        return real_flow(f, t0, x0, offs, step)
+
+    monkeypatch.setattr(flows, "flow_samples", recording_flow_samples)
+    w = pushforward_quotient(field, t, coords, v, eps_hat, coords, ends, offsets, 0.1)
+    (t0, x0, offs, step), = calls
+    assert np.array_equal(t0, [1.0]) and np.array_equal(offs, offsets) and step == 0.1
+    assert np.array_equal(x0, geodesic_stencil(SPHERE, coords[[1]], v[[1]], 0.1 * eps_hat[[1]]))
+    np.testing.assert_allclose(w[1], v[1], rtol=0, atol=1e-8)  # the zero flow pushes v to v
+    keep = [0, 2]
+    alone = pushforward_quotient(field, t[keep], coords[keep], v[keep], eps_hat[keep],
+                                 coords[keep], stencil[:, keep], offsets, 0.1)
+    assert np.array_equal(w[keep], alone)
+
+
+def test_pushforward_retries_exhausted_raise(monkeypatch):
+    field, t, coords, v, eps_hat, _, ends = _cut_locus_stencil()
+    reruns = []
+
+    def stuck_flow_samples(f, t0, x0, offs, step):  # every rerun lands at the cut locus again
+        reruns.append(np.array(x0))
+        return ends[None][:, :, [1]]
+
+    monkeypatch.setattr(flows, "flow_samples", stuck_flow_samples)
+    with pytest.raises(CutLocusError):
+        pushforward_quotient(field, t, coords, v, eps_hat, coords, ends, [0.0, 0.5], 0.1)
+    assert [x0.shape for x0 in reruns] == [(2, 1, 3), (2, 1, 3)]
+    assert np.array_equal(reruns[1], geodesic_stencil(SPHERE, coords[[1]], v[[1]],
+                                                      0.1 * (0.1 * eps_hat[[1]])))
 
 
 # -- Lipschitz estimation -------------------------------------------------------------
