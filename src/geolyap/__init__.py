@@ -15,7 +15,6 @@ from .certify import (
     ISSReport,
     classify_stability,
     direct_lyapunov_check,
-    fit_exponential_envelope,
     input_lipschitz_estimate,
     iss_certify,
     make_certificate,
@@ -44,7 +43,6 @@ from .lyapunov import (
     choose_delta,
     construct_exp_V,
     construct_ugas_V,
-    evaluate_V,
     massera_G,
     theoretical_bounds,
 )

@@ -20,15 +20,15 @@ import numpy as np
 from .envelopes import KLEnvelope, PowerLaw, StabilityEnvelope, nonincreasing_in_s
 from .flows import (
     DEFAULT_STEP,
+    PUSHFORWARD_EPS,
     Region,
     TimeVaryingField,
     Trajectory,
+    arc_stencil,
     contraction_envelope_check,
     flow_samples,
-    geodesic_stencil,
     lie_stencil,
     pushforward_quotient,
-    pushforward_stencil,
     timed_lie_derivative,
 )
 from .lyapunov import (
@@ -66,10 +66,13 @@ CERTIFICATE_CHECKLIST = frozenset({
 ANCHOR_ENVELOPE_FIT = "les-envelope-fit"
 ANCHOR_HORIZON = "les-horizon"
 
-DEFAULT_REL_TOL = 0.02
-DEFAULT_ABS_TOL = 1e-6
+REL_TOL = 0.02          # relative slack of the sandwich, decay and differential rows
+ABS_TOL = 1e-6          # absolute slack of the decay and direct-test rows
 TELESCOPE_TOL = 1e-5
 PUSHFORWARD_TOL = 1e-3
+TRAJ_TOL = 0.05         # relative slack of the ISS ultimate bound
+MIN_RATE = 1e-3         # slowest decay rate an exponential fit accepts
+MAX_LOG_RESIDUAL = 0.05  # largest log residual an exponential fit accepts outright
 
 
 class EnvelopeFitError(ValueError):
@@ -201,21 +204,25 @@ def _pooled_rate(elapsed: np.ndarray, logs: np.ndarray) -> tuple[float, float, f
     return float(a), float(rate), residual
 
 
-def fit_exponential_envelope(trajectories: Sequence[Trajectory], x_star: ManifoldPoint,
-                             min_rate: float = 1e-3,
-                             max_log_residual: float = 0.05) -> StabilityEnvelope:
-    """Fit K e^{-rate s} d0 over a trajectory batch.
+def classify_stability(trajectories: Sequence[Trajectory],
+                       x_star: ManifoldPoint) -> StabilityEnvelope:
+    """Classify a trajectory batch: LES fit first, sampled KL/US table otherwise.
 
-    A pooled least-squares fit of log(d/d0) against elapsed time gives the
-    rate; K is then inflated minimally so the envelope dominates every sample
-    exactly (which also forces K >= 1, since the start sample has ratio one).
-    The fit is accepted when the log residual is small, or, for decay with a
-    bounded oscillation (time-varying gains), when the rate is stable between
-    the early and late halves of the data; genuinely sub-exponential decay
-    fails both, since its log slope collapses with time.  Rejected data falls
-    back to a sampled-table classification: UAS when the batch still decays,
-    US when it is merely bounded.
+    The LES fit is K e^{-rate s} d0 over the batch.  A pooled least-squares
+    fit of log(d/d0) against elapsed time gives the rate; K is then inflated
+    minimally so the envelope dominates every sample exactly (which also
+    forces K >= 1, since the start sample has ratio one).  The fit is
+    accepted when the rate reaches MIN_RATE and the log residual stays below
+    MAX_LOG_RESIDUAL, or, for decay with a bounded oscillation (time-varying
+    gains), when the rate is stable between the early and late halves of the
+    data; genuinely sub-exponential decay fails both, since its log slope
+    collapses with time.  Rejected data falls back to a sampled-table
+    classification: UAS when the batch still decays, US when it is merely
+    bounded.
     """
+    kinds = {traj.manifold for traj in trajectories}
+    if len(kinds) != 1 or x_star.manifold not in kinds:
+        raise ManifoldMismatchError("trajectories and equilibrium must share one manifold")
     samples = _trajectory_samples(trajectories, x_star)
     if len(samples) == 0:
         raise EnvelopeFitError("no trajectory starts away from the equilibrium")
@@ -230,13 +237,13 @@ def fit_exponential_envelope(trajectories: Sequence[Trajectory], x_star: Manifol
     if early.sum() >= 4 and late.sum() >= 4:
         _, rate_early, _ = _pooled_rate(elapsed[early], logs[early])
         _, rate_late, _ = _pooled_rate(elapsed[late], logs[late])
-        rate_stable = rate_late >= max(min_rate, 0.5 * rate_early) and residual <= 2.0
+        rate_stable = rate_late >= max(MIN_RATE, 0.5 * rate_early) and residual <= 2.0
 
     r_max = max(d0 for _, _, d0 in samples)
     s_end = max(float(s[-1]) for s, _, _ in samples)
     s_grid = np.linspace(0.0, s_end, 129)
 
-    if rate >= min_rate and (residual <= max_log_residual or rate_stable):
+    if rate >= MIN_RATE and (residual <= MAX_LOG_RESIDUAL or rate_stable):
         K = max(float(np.max(d / (d0 * np.exp(-rate * s)))) for s, d, d0 in samples)
         beta = KLEnvelope.from_exponential(K, float(rate), r_max, s_grid)
         return StabilityEnvelope("LES", K, float(rate), beta, residual,
@@ -262,51 +269,42 @@ def fit_exponential_envelope(trajectories: Sequence[Trajectory], x_star: Manifol
                              r_max, len(samples))
 
 
-def classify_stability(trajectories: Sequence[Trajectory],
-                       x_star: ManifoldPoint) -> StabilityEnvelope:
-    """Classify a trajectory batch: LES fit first, sampled KL/US table otherwise."""
-    kinds = {traj.manifold for traj in trajectories}
-    if len(kinds) != 1 or x_star.manifold not in kinds:
-        raise ManifoldMismatchError("trajectories and equilibrium must share one manifold")
-    return fit_exponential_envelope(trajectories, x_star)
-
-
 # -- direct Lyapunov test --------------------------------------------------------
 
 
-def direct_lyapunov_check(V: Callable[[float, ManifoldPoint], float],
+def direct_lyapunov_check(V: Callable[[np.ndarray, ManifoldPoint], np.ndarray],
                           field: TimeVaryingField,
-                          w1: Callable[[float], float],
-                          w2: Callable[[float], float],
-                          w3: Callable[[float], float],
+                          w1: Callable[[np.ndarray], np.ndarray],
+                          w2: Callable[[np.ndarray], np.ndarray],
+                          w3: Callable[[np.ndarray], np.ndarray],
                           states: Sequence[tuple[float, ManifoldPoint]],
                           x_star: ManifoldPoint,
-                          lie_h: float = 1e-3,
-                          step: float = DEFAULT_STEP,
-                          abs_tol: float = DEFAULT_ABS_TOL) -> CertificationReport:
+                          step: float = DEFAULT_STEP) -> CertificationReport:
     """Pointwise direct test: w1(d) <= V <= w2(d) and lie derivative <= -w3(d).
 
-    Failures become report rows, never exceptions.  When all three comparison
-    functions are power laws of a common exponent, the implied exponential
-    decay rate is recorded as an extra row.
+    The states are checked as one batch: ``V(t, x)`` takes per-row times and
+    a batched point and returns one value per row, and the w's act
+    elementwise on distance arrays.  Failures become report rows, never
+    exceptions.  When all three comparison functions are power laws of a
+    common exponent, the implied exponential decay rate is recorded as an
+    extra row.
     """
-    worst_lower = math.inf
-    worst_upper = math.inf
-    worst_decay = math.inf
-    for t, x in states:
-        d = x.manifold.dist(x.coords, x_star.coords)
-        v = V(t, x)
-        lie = timed_lie_derivative(V, field, t, x, h=lie_h, step=step)
-        worst_lower = min(worst_lower, v - w1(d))
-        worst_upper = min(worst_upper, w2(d) - v)
-        worst_decay = min(worst_decay, -w3(d) - lie)
+    m = x_star.manifold
+    t = np.array([s for s, _ in states])
+    x = ManifoldPoint(m, np.array([pt.coords for _, pt in states]))
+    d = m.dist(x.coords, x_star.coords)
+    v = V(t, x)
+    lie = timed_lie_derivative(V, field, t, x, LIE_H, step)
+    worst_lower = float(np.min(v - w1(d)))
+    worst_upper = float(np.min(w2(d) - v))
+    worst_decay = float(np.min(-w3(d) - lie))
     rows = [
         CheckRow("lower-bound", "direct-lower-bound", 0.0, -worst_lower,
-                 worst_lower, worst_lower >= -abs_tol),
+                 worst_lower, worst_lower >= -ABS_TOL),
         CheckRow("upper-bound", "direct-upper-bound", 0.0, -worst_upper,
-                 worst_upper, worst_upper >= -abs_tol),
+                 worst_upper, worst_upper >= -ABS_TOL),
         CheckRow("decay", "direct-decay", 0.0, -worst_decay,
-                 worst_decay, worst_decay >= -abs_tol),
+                 worst_decay, worst_decay >= -ABS_TOL),
     ]
     if all(isinstance(w, PowerLaw) for w in (w1, w2, w3)) and w1.power == w2.power == w3.power:
         implied_rate = w3.coefficient / (w1.power * w2.coefficient)
@@ -340,13 +338,13 @@ class Certificate:
 
 def make_certificate(field: TimeVaryingField, x_star: ManifoldPoint, L: float,
                      envelope: StabilityEnvelope, delta: float, p: float,
-                     n_nodes: int = 65, step: float = DEFAULT_STEP) -> Certificate:
+                     step: float = DEFAULT_STEP) -> Certificate:
     """Assemble the certificate; rejects horizons with K' <= 0 up front."""
     if not envelope.is_exponential:
         raise EnvelopeFitError(
             f"certificate requires an exponential envelope, got {envelope.stability_class}")
     bounds = theoretical_bounds(L, envelope.K, envelope.rate, delta, p)
-    V = construct_exp_V(field, x_star, delta, p, n_nodes=n_nodes, step=step)
+    V = construct_exp_V(field, x_star, delta, p, step=step)
     return Certificate(V, bounds, envelope, L)
 
 
@@ -354,32 +352,28 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
                                 L: float, envelope: StabilityEnvelope,
                                 delta: float, p: float, grid: GridSpec,
                                 seed: int = 0, step: float = 1e-2,
-                                n_nodes: int = 65,
-                                rel_tol: float = DEFAULT_REL_TOL,
-                                abs_tol: float = DEFAULT_ABS_TOL,
-                                envelope_horizon: float = 3.0,
-                                n_pairs: int | None = None) -> CertificationReport:
+                                envelope_horizon: float = 3.0) -> CertificationReport:
     """Verify every inequality of a constructed exponential certificate.
 
     Rows: the two-sided contraction envelope on sampled pairs, the sandwich
     c1 d^p <= V <= c2 d^p, the decay rate c3, the telescoping identity for
     the lie derivative, the differential bound c4, and the pushforward growth
-    bound.  Sample inputs are drawn up front from the seeded generator; each
-    stage then integrates its whole grid as one batch.  Everything on the
-    horizon [t, t + delta] reads one flow over V's quadrature nodes: V (at the
-    states and the Lie and differential stencils), the telescoping endpoint
-    (each state's last node, so the identity is checked on V's own flow) and
-    the pushforward (based at that node; its stencil rows join the flow).
+    bound, within REL_TOL (and ABS_TOL on the decay).  Sample inputs are
+    drawn up front from the seeded generator; each stage then integrates its
+    whole grid as one batch.  Everything on the horizon [t, t + delta] reads
+    one flow over V's quadrature nodes: V (at the states and the Lie and
+    differential stencils), the telescoping endpoint (each state's last node,
+    so the identity is checked on V's own flow) and the pushforward (based at
+    that node; its stencil rows join the flow).
     """
-    cert = make_certificate(field, x_star, L, envelope, delta, p,
-                            n_nodes=n_nodes, step=step)
+    cert = make_certificate(field, x_star, L, envelope, delta, p, step=step)
     b = cert.bounds
     m = field.manifold
     rng = np.random.default_rng(seed)
     states = sample_states(m, x_star, grid, rng)
 
     # Two-sided contraction envelope on sampled pairs.
-    pair_count = n_pairs if n_pairs is not None else max(4, grid.n_points // 4)
+    pair_count = max(4, grid.n_points // 4)
     taus0 = np.linspace(0.0, envelope_horizon, 7)
     pair_t, pair_x1, pair_x2 = [], [], []
     for i in range(pair_count):
@@ -405,10 +399,10 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     directions = np.array([m.random_tangent(rng, xi, norm=1.0) for xi in x])
     d = m.dist(x, x_star.coords)
     lie_plus, lie_minus = lie_stencil(field, t, m.project(x), LIE_H, step)
-    eps_hat = DIFF_EPS / m.norm(x, directions)
-    diff_plus, diff_minus = geodesic_stencil(m, x, directions, eps_hat)
+    eps_hat, (diff_plus, diff_minus) = arc_stencil(m, x, directions, DIFF_EPS)
     n_push = min(10, n)
-    push_eps_hat, push_stencil = pushforward_stencil(m, x[:n_push], directions[:n_push])
+    push_eps_hat, push_stencil = arc_stencil(m, x[:n_push], directions[:n_push],
+                                             PUSHFORWARD_EPS)
     # One flow over V's quadrature nodes: the five V groups (states, Lie and
     # differential stencils), then the pushforward stencil rows.
     nodes = cert.V.node_flow(
@@ -422,11 +416,11 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     ratio = v_val / d ** p
     ratio_lo = float(np.min(ratio))
     ratio_hi = float(np.max(ratio))
-    rate_lo = float(np.min((-lie + abs_tol) / np.maximum(v_val, 1e-300)))
+    rate_lo = float(np.min((-lie + ABS_TOL) / np.maximum(v_val, 1e-300)))
     telescope_err = float(np.max(np.abs(lie - telescoped)))
-    lo_margin = ratio_lo / b.c1 - (1.0 - rel_tol)
-    hi_margin = (1.0 + rel_tol) - ratio_hi / b.c2
-    decay_margin = rate_lo / b.c3 - (1.0 - rel_tol)
+    lo_margin = ratio_lo / b.c1 - (1.0 - REL_TOL)
+    hi_margin = (1.0 + REL_TOL) - ratio_hi / b.c2
+    decay_margin = rate_lo / b.c3 - (1.0 - REL_TOL)
     rows.append(CheckRow("sandwich-lower", ANCHOR_SANDWICH, b.c1, ratio_lo,
                          lo_margin, lo_margin >= 0.0))
     rows.append(CheckRow("sandwich-upper", ANCHOR_SANDWICH, b.c2, ratio_hi,
@@ -440,7 +434,7 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     dv = (v_dplus - v_dminus) / (2.0 * eps_hat)
     diff_worst = float(np.max(np.abs(dv) / (b.c4 * d ** (p - 1.0))))
     rows.append(_upper_row("differential-bound", ANCHOR_DIFFERENTIAL,
-                           1.0 + rel_tol, diff_worst, 1.0))
+                           1.0 + REL_TOL, diff_worst, 1.0))
 
     # Pushforward of the first directions to t + delta, based at their states' ends.
     y0 = end[:n_push]
@@ -459,11 +453,10 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
 
 
 def input_lipschitz_estimate(field: TimeVaryingField, region: Region,
-                             u_samples: Sequence[np.ndarray],
-                             t_samples: Sequence[float] = (0.0, 1.0),
-                             seed: int = 0, n_points: int = 24) -> float:
+                             u_samples: Sequence[np.ndarray], seed: int = 0) -> float:
     """Max of |f(t, x, u) - f(t, x, 0)| / |u| over sampled states and inputs.
 
+    The states are 24 draws from the region, the times t = 0 and 1.
     Riemannian norm on the field difference, Euclidean norm on the input;
     deterministic given the seed.
     """
@@ -475,9 +468,9 @@ def input_lipschitz_estimate(field: TimeVaryingField, region: Region,
     if not us:
         raise ValueError("all input samples are zero")
     rng = np.random.default_rng(seed)
-    x = np.array([region.sample(rng) for _ in range(n_points)])
+    x = np.array([region.sample(rng) for _ in range(24)])
     u = np.array(us)
-    times = np.asarray(t_samples, dtype=float)
+    times = np.array([0.0, 1.0])
     # Rows: every (state, input, time) triple, forced and unforced in one call.
     rows_x = np.repeat(x, len(u) * len(times), axis=0)
     rows_u = np.tile(np.repeat(u, len(times), axis=0), (len(x), 1))
@@ -540,9 +533,9 @@ def _input_values(signal: Callable[[float], np.ndarray], times: np.ndarray) -> n
 
 
 def check_input_signal(signal: Callable[[float], np.ndarray], bound: float,
-                       horizon: float, n: int = 512) -> float:
-    """Scan |u(t)| on a dense grid; raise if the declared bound is violated."""
-    sup = float(np.max(np.linalg.norm(_input_values(signal, np.linspace(0.0, horizon, n)),
+                       horizon: float) -> float:
+    """Scan |u(t)| on 512 times over [0, horizon]; raise if the declared bound is violated."""
+    sup = float(np.max(np.linalg.norm(_input_values(signal, np.linspace(0.0, horizon, 512)),
                                       axis=-1)))
     if sup > bound * (1.0 + 1e-9) + 1e-15:
         raise InputBoundError(
@@ -553,14 +546,13 @@ def check_input_signal(signal: Callable[[float], np.ndarray], bound: float,
 def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
                 certificate: Certificate, input_signal: Callable[[float], np.ndarray],
                 input_bound: float, horizons: Sequence[float], seed: int = 0,
-                grid: GridSpec | None = None, step: float = 1e-2,
-                rel_tol: float = DEFAULT_REL_TOL, traj_tol: float = 0.05) -> ISSReport:
+                grid: GridSpec | None = None, step: float = 1e-2) -> ISSReport:
     """Certify disturbance robustness of a verified exponential certificate.
 
     (a) pointwise: along the disturbed flow, the lie derivative of V stays
-    below -c3 V + c4 L_u |u|_inf within the relative tolerance;
+    below -c3 V + c4 L_u |u|_inf within REL_TOL;
     (b) trajectory: tail suprema of V over each horizon stay below
-    c4 L_u |u|_inf / c3 within ``traj_tol`` (plus the comparison-equation
+    c4 L_u |u|_inf / c3 within TRAJ_TOL (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
     ultimate distance bound follows through c1.  The trajectories of (b)
     integrate in one batched flow; a series trajectory, started at the radius
@@ -617,8 +609,8 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
         [(t, x), (t + LIE_H, plus), (t - LIE_H, minus)] + groups + [(series_t, series_x)])
     lie = (v_plus - v_minus) / (2.0 * LIE_H)
     bound_val = -b.c3 * v_val + forcing
-    scale = b.c3 * v_val + forcing + DEFAULT_ABS_TOL
-    worst_pointwise = float(np.min((bound_val + rel_tol * scale + DEFAULT_ABS_TOL - lie) / scale))
+    scale = b.c3 * v_val + forcing + ABS_TOL
+    worst_pointwise = float(np.min((bound_val + REL_TOL * scale + ABS_TOL - lie) / scale))
     rows = [CheckRow("iss-pointwise-decay", ANCHOR_ISS_POINTWISE,
                      forcing, forcing, worst_pointwise, worst_pointwise >= 0.0)]
 
@@ -626,14 +618,14 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     measured_limsup = max(float(np.max(v)) for v in v_tails)
     # Comparison equation: V(t) <= V0 e^{-c3 t} + predicted; the transient term
     # keeps the check meaningful for small or zero input bounds.
-    transient = v0_max * math.exp(-b.c3 * (1.0 - rel_tol) * 0.6 * min(horizons))
-    allowed = predicted * (1.0 + traj_tol) + transient
-    scale = max(allowed, DEFAULT_ABS_TOL)
+    transient = v0_max * math.exp(-b.c3 * (1.0 - REL_TOL) * 0.6 * min(horizons))
+    allowed = predicted * (1.0 + TRAJ_TOL) + transient
+    scale = max(allowed, ABS_TOL)
     traj_margin = (allowed - measured_limsup) / scale
     rows.append(CheckRow("iss-ultimate-bound", ANCHOR_ISS_ULTIMATE,
                          predicted, measured_limsup, traj_margin, traj_margin >= 0.0))
 
-    ultimate_d = (max(predicted, 0.0) * (1.0 + traj_tol) / b.c1) ** (1.0 / b.p) \
+    ultimate_d = (max(predicted, 0.0) * (1.0 + TRAJ_TOL) / b.c1) ** (1.0 / b.p) \
         if predicted > 0 else 0.0
     series = np.stack([series_t, m.dist(series_x, x_star.coords), v_series,
                        np.linalg.norm(_input_values(input_signal, series_t), axis=-1)], axis=1)

@@ -3,7 +3,8 @@
 Configs reference built-in systems by registry name; formulas are never
 embedded in config files, which keeps runs auditable.  Validation is strict:
 unknown keys, missing registry names, and out-of-range radii are rejected
-before any output is produced.
+before any output is produced, and the system (with its disturbance) is
+built once at load, so bad parameters are config errors too.
 """
 
 from __future__ import annotations
@@ -96,6 +97,16 @@ def _get(data: dict, key: str, types, context: str, default=None, required=False
     return value
 
 
+def _floats(data: dict, key: str, context: str, default):
+    """A list of numbers as a tuple of floats (``default`` when the key is absent)."""
+    values = _get(data, key, list, context, default=default)
+    if values is None:
+        return None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{context} key {key!r} must be a list of numbers")
+    return tuple(float(v) for v in values)
+
+
 def parse_scenario(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a JSON object")
@@ -151,8 +162,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     _require_keys(grids, {"n_points", "radius", "t0_list"}, "grids")
     n_points = _get(grids, "n_points", int, "grids", required=True)
     radius = float(_get(grids, "radius", (int, float), "grids", required=True))
-    t0_list = tuple(float(t) for t in _get(grids, "t0_list", list, "grids",
-                                           default=[0.0, 1.0, math.e, 10.0]))
+    t0_list = _floats(grids, "t0_list", "grids", [0.0, 1.0, math.e, 10.0])
     if n_points < 1 or radius <= 0 or not t0_list:
         raise ConfigError("grids need n_points >= 1, radius > 0, nonempty t0_list")
     if radius >= manifold.cut_locus_radius:
@@ -168,6 +178,8 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         raise ConfigError("fit_horizon must be positive")
     envelope_horizon = float(_get(data, "envelope_horizon", (int, float),
                                   "top-level", default=3.0))
+    if envelope_horizon <= 0:
+        raise ConfigError("envelope_horizon must be positive")
 
     massera = None
     if data.get("massera") is not None:
@@ -190,23 +202,27 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         if amplitude < 0:
             raise ConfigError("disturbance amplitude must be nonnegative")
         bound = float(_get(ddata, "bound", (int, float), "disturbance", default=amplitude))
-        direction = ddata.get("direction")
         disturbance = DisturbanceConfig(
             profile=_get(ddata, "profile", str, "disturbance", required=True),
             amplitude=amplitude,
             bound=bound,
             frequency=float(_get(ddata, "frequency", (int, float), "disturbance", default=1.0)),
-            direction=tuple(direction) if direction is not None else None,
+            direction=_floats(ddata, "direction", "disturbance", None),
         )
 
-    iss_horizons = tuple(float(t) for t in data.get("iss_horizons", [8.0, 12.0]))
+    iss_horizons = _floats(data, "iss_horizons", "top-level", [8.0, 12.0])
     if any(t <= 0 for t in iss_horizons) or not iss_horizons:
         raise ConfigError("iss_horizons must be positive")
 
-    return ScenarioConfig(manifold, system_name, system_params, equilibrium,
-                          delta, p, GridSpec(n_points, radius, t0_list), seed,
-                          step, fit_horizon, envelope_horizon, massera,
-                          disturbance, iss_horizons)
+    config = ScenarioConfig(manifold, system_name, system_params, equilibrium,
+                            delta, p, GridSpec(n_points, radius, t0_list), seed,
+                            step, fit_horizon, envelope_horizon, massera,
+                            disturbance, iss_horizons)
+    try:
+        config.build_system()
+    except (TypeError, ValueError) as err:  # unknown or out-of-range parameters
+        raise ConfigError(f"cannot build system {system_name!r}: {err}") from err
+    return config
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

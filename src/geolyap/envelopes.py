@@ -65,17 +65,15 @@ class KLEnvelope:
         j = min(max(j, 0), len(self.s_knots) - 1)
         return float(self.table[i, j])
 
-    def decay_profile(self, r: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Samples of s -> beta(r, s); defaults to the largest fitted radius."""
-        r_val = self.r_max if r is None else r
-        values = np.array([self(r_val, float(s)) for s in self.s_knots])
-        return self.s_knots.copy(), values
+    def decay_profile(self) -> tuple[np.ndarray, np.ndarray]:
+        """Samples of s -> beta(r_max, s): the s knots and the last table row."""
+        return self.s_knots.copy(), self.table[-1].copy()
 
     @staticmethod
     def from_exponential(K: float, rate: float, r_max: float,
-                         s_grid: np.ndarray, n_r: int = 9) -> "KLEnvelope":
-        """Tabulate beta(r, s) = K e^{-rate s} r."""
-        r_knots = np.linspace(0.0, r_max, n_r)
+                         s_grid: np.ndarray) -> "KLEnvelope":
+        """Tabulate beta(r, s) = K e^{-rate s} r on 9 radii from 0 to r_max."""
+        r_knots = np.linspace(0.0, r_max, 9)
         s_knots = np.asarray(s_grid, dtype=float)
         decay = K * np.exp(-rate * s_knots)
         return KLEnvelope(r_knots, s_knots, np.outer(r_knots, decay))

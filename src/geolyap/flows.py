@@ -31,6 +31,7 @@ from .manifolds import (
 
 DEFAULT_STEP = 1e-3
 LIPSCHITZ_SAFETY = 1.05   # inflation factor applied before envelope use
+LIPSCHITZ_FD_STEP = 1e-5  # parameter step of the covariant-derivative stencil
 CUT_FLAG_MARGIN = 1e-3    # envelope rows this close to the cut locus are flagged
 PUSHFORWARD_EPS = 1e-5    # arc length of the pushforward stencil
 _GRID_TOL = 1e-9          # relative slack before a gap gets one more substep
@@ -79,13 +80,13 @@ class TimeVaryingField:
                 f"field on {self.manifold.name} evaluated at a {x.manifold.name} point")
         return TangentVector(x, self.eval_raw(t, x.coords))
 
-    def equilibrium_residual(self, t_samples: Sequence[float] = (0.0, 1.0, 5.0, 10.0)) -> float:
-        """Max field norm at the declared equilibrium over sampled times."""
+    def equilibrium_residual(self) -> float:
+        """Max field norm at the declared equilibrium at t = 0, 1, 5 and 10."""
         if self.equilibrium is None:
             raise ValueError("field declares no equilibrium")
         m = self.manifold
         return max(m.norm(self.equilibrium, self.eval_raw(t, self.equilibrium))
-                   for t in t_samples)
+                   for t in (0.0, 1.0, 5.0, 10.0))
 
     def with_input_signal(self, signal: Callable[[float], np.ndarray]) -> "TimeVaryingField":
         """Close the input channel with a signal u(t), yielding f(t, x, u(t))."""
@@ -204,12 +205,6 @@ def _step_offsets(span: float, step: float) -> np.ndarray:
     return offsets
 
 
-def _advance(field: TimeVaryingField, t0, x0: np.ndarray, span: float,
-             step: float) -> np.ndarray:
-    """States after ``span``, stepping on the dense grid of :func:`_step_offsets`."""
-    return flow_samples(field, t0, x0, _step_offsets(span, step), step)[-1]
-
-
 def _shared_span(t0, t1, message: str) -> float:
     """The common length of the rows' time intervals [t0, t1]."""
     spans = np.ravel(np.asarray(t1, dtype=float) - np.asarray(t0, dtype=float))
@@ -253,9 +248,10 @@ def semigroup_residual(field: TimeVaryingField, t0: float, x0: ManifoldPoint,
         raise ValueError(f"need t0 <= t_mid <= t1, got {(t0, t_mid, t1)}")
     m = field.manifold
     x_start = m.project(x0.coords.copy())
-    direct = _advance(field, t0, x_start, t1 - t0, step)
-    mid = _advance(field, t0, x_start, t_mid - t0, step)
-    via = _advance(field, t_mid, mid, t1 - t_mid, step)
+    # Each leg steps on the dense grid of its own span.
+    direct, mid = (flow_samples(field, t0, x_start, _step_offsets(span, step), step)[-1]
+                   for span in (t1 - t0, t_mid - t0))
+    via = flow_samples(field, t_mid, mid, _step_offsets(t1 - t_mid, step), step)[-1]
     return m.dist(direct, via)
 
 
@@ -265,9 +261,12 @@ def geodesic_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray, eps_hat) ->
     return np.stack([m.exp(coords, dv), m.exp(coords, -dv)])
 
 
-def pushforward_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray,
-                        eps: float = PUSHFORWARD_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row eps_hat = eps / |v| and the stencil exp_x(+/- eps_hat v) of arc length eps."""
+def arc_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray,
+                eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row eps_hat = eps / |v| and the stencil exp_x(+/- eps_hat v) of arc length eps.
+
+    A zero ``v`` keeps eps_hat = eps, so both stencil ends are x itself.
+    """
     nv = m.norm(coords, v)
     eps_hat = eps / np.where(nv == 0.0, 1.0, nv)
     return eps_hat, geodesic_stencil(m, coords, v, eps_hat)
@@ -278,7 +277,7 @@ def pushforward_quotient(field: TimeVaryingField, t, coords: np.ndarray, v: np.n
                          offsets: Sequence[float], step: float) -> np.ndarray:
     """Pushforward components at the flowed base points ``y0``.
 
-    ``ends`` is the :func:`pushforward_stencil` of (coords, v, eps_hat),
+    ``ends`` is the :func:`arc_stencil` of (coords, v, eps_hat),
     flowed from the per-row times ``t`` over the elapsed grid ``offsets``;
     the difference of their logarithms at ``y0`` is divided by 2 eps_hat.
     Rows whose stencil ends within the cut margin of ``y0`` are rebuilt with
@@ -303,11 +302,11 @@ def pushforward_quotient(field: TimeVaryingField, t, coords: np.ndarray, v: np.n
 
 
 def pushforward(field: TimeVaryingField, t, x: ManifoldPoint, v: TangentVector,
-                tau, step: float = DEFAULT_STEP, eps: float = PUSHFORWARD_EPS) -> TangentVector:
+                tau, step: float = DEFAULT_STEP) -> TangentVector:
     """Flow pushforward of v under x -> phi(tau; t, x).
 
     The geodesic-variation central difference of :func:`pushforward_quotient`:
-    the base point and its stencil of arc length ``eps`` integrate as one
+    the base point and its stencil of arc length PUSHFORWARD_EPS integrate as one
     batch over the step grid of [t, tau].  ``x`` and ``v`` may hold a batch
     of points (leading axes) with per-row ``t`` and ``tau`` sharing one span.
     Certificate verification runs the same stencil and quotient on V's
@@ -321,7 +320,7 @@ def pushforward(field: TimeVaryingField, t, x: ManifoldPoint, v: TangentVector,
     m = field.manifold
     if span == 0.0:
         return v
-    eps_hat, stencil = pushforward_stencil(m, x.coords, v.components, eps)
+    eps_hat, stencil = arc_stencil(m, x.coords, v.components, PUSHFORWARD_EPS)
     offsets = _step_offsets(span, step)
     start = np.concatenate([m.project(np.array(x.coords))[None], stencil])
     ends = flow_samples(field, t, start, offsets, step)[-1]
@@ -362,14 +361,13 @@ class LipschitzEstimate:
     def combined(self) -> float:
         return max(self.transport_constant, self.covariant_constant)
 
-    def inflated(self, safety: float = LIPSCHITZ_SAFETY) -> float:
+    def inflated(self) -> float:
         """Estimate with the safety factor applied, as used in envelope checks."""
-        return self.combined * safety
+        return self.combined * LIPSCHITZ_SAFETY
 
 
 def lipschitz_estimate(field: TimeVaryingField, region: Region,
-                       t_samples: Sequence[float], n_pairs: int, seed: int,
-                       fd_step: float = 1e-5) -> LipschitzEstimate:
+                       t_samples: Sequence[float], n_pairs: int, seed: int) -> LipschitzEstimate:
     """Estimate the field's Lipschitz constant on a geodesic ball.
 
     Deterministic given the seed.  Half of the covariant-derivative sample
@@ -400,7 +398,7 @@ def lipschitz_estimate(field: TimeVaryingField, region: Region,
         x.append(region.sample(rng, on_boundary=(i % 2 == 0)))
         v.append(m.random_tangent(rng, x[-1], norm=1.0))
     x = np.array(x)
-    x_plus, x_minus = geodesic_stencil(m, x, np.array(v), fd_step)
+    x_plus, x_minus = geodesic_stencil(m, x, np.array(v), LIPSCHITZ_FD_STEP)
 
     # One field call: every sample point at every sample time (leading axis).
     points = np.concatenate([p, q, x_plus, x_minus])
@@ -408,7 +406,8 @@ def lipschitz_estimate(field: TimeVaryingField, region: Region,
                        np.concatenate([points] * len(t_list))).reshape((len(t_list),) + points.shape)
     f_p, f_q, f_plus, f_minus = np.split(f, np.cumsum([len(p), len(q), len(x)]), axis=1)
     transport_max = float(np.max(m.norm(q, m.transport(p, q, f_p) - f_q) / d))
-    dv = (m.transport(x_plus, x, f_plus) - m.transport(x_minus, x, f_minus)) / (2.0 * fd_step)
+    dv = ((m.transport(x_plus, x, f_plus) - m.transport(x_minus, x, f_minus))
+          / (2.0 * LIPSCHITZ_FD_STEP))
     covariant_max = float(np.max(m.norm(x, dv)))
     return LipschitzEstimate(transport_max, covariant_max, region, n_pairs)
 
@@ -505,26 +504,26 @@ def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,
     return flow_samples(both, t, np.stack([coords, coords]), [h], step)[-1]
 
 
-def timed_lie_derivative(V: Callable[[float, ManifoldPoint], float],
-                         field: TimeVaryingField, t: float, x: ManifoldPoint,
-                         h: float = 1e-3, step: float | None = None,
-                         t_floor: float | None = None) -> float:
+def timed_lie_derivative(V: Callable[[np.ndarray, ManifoldPoint], np.ndarray],
+                         field: TimeVaryingField, t, x: ManifoldPoint,
+                         h: float = 1e-3, step: float | None = None):
     """Derivative of V(s, phi(s; t, x)) at s = t along the augmented flow.
 
     Central difference along the flow: the forward point integrates the field
-    over [t, t+h]; the backward point integrates in reverse time.  When a
-    ``t_floor`` is given and t - h would cross it, a forward-only one-sided
-    difference is used instead.
+    over [t, t+h]; the backward point integrates in reverse time.  ``x`` holds
+    one point or a batch with scalar or per-row ``t``.  V is called once, on
+    both stencil ends: its times have shape ``(2,) + rows`` (t + h, then
+    t - h), its point holds the matching batch, and it returns one value per
+    row (or one value for all).
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if x.manifold != field.manifold:
         raise ManifoldMismatchError("point manifold does not match the field")
     m = field.manifold
-    sub = step if step is not None else h / 4.0
-    x0 = m.project(x.coords.copy())
-    if t_floor is not None and t - h < t_floor:
-        x_plus = flow_samples(field, t, x0, [h], sub)[-1]
-        return (V(t + h, ManifoldPoint(m, x_plus)) - V(t, ManifoldPoint(m, x0))) / h
-    x_plus, x_minus = lie_stencil(field, t, x0, h, sub)
-    return (V(t + h, ManifoldPoint(m, x_plus)) - V(t - h, ManifoldPoint(m, x_minus))) / (2.0 * h)
+    rows = np.shape(x.coords)[:np.ndim(x.coords) - len(m.ambient_shape)]
+    t = np.broadcast_to(np.asarray(t, dtype=float), rows)
+    ends = lie_stencil(field, t, m.project(x.coords), h, step if step is not None else h / 4.0)
+    v_plus, v_minus = np.broadcast_to(V(np.stack([t + h, t - h]), ManifoldPoint(m, ends)),
+                                      (2,) + t.shape)
+    return (v_plus - v_minus) / (2.0 * h)

@@ -22,16 +22,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envelopes import KLEnvelope, StabilityEnvelope
-from .flows import (
-    DEFAULT_STEP,
-    TimeVaryingField,
-    flow_samples,
-    geodesic_stencil,
-    timed_lie_derivative,
-)
+from .flows import DEFAULT_STEP, TimeVaryingField, arc_stencil, flow_samples, timed_lie_derivative
 from .manifolds import ManifoldMismatchError, ManifoldPoint, TangentVector
 
-DEFAULT_QUADRATURE_NODES = 65
+QUADRATURE_NODES = 65
 DEFAULT_POWER = 2.0
 LIE_H = 1e-3      # time half-width of the Lie-derivative stencil
 DIFF_EPS = 1e-4   # arc length of the differential stencil
@@ -115,6 +109,8 @@ def theoretical_bounds(L: float, K: float, rate: float, delta: float,
     c1 = (1-e^{-pL delta})/(pL), c2 = K^p (1-e^{-p lambda delta})/(p lambda),
     K'_p = 1 - K^p e^{-p lambda delta}, and
     c4 = p K^{p-1} (e^{(L-(p-1)lambda) delta}-1)/(L-(p-1)lambda).
+    A horizon whose constants overflow or are not finite raises
+    :class:`InvalidDeltaError`, like one with K' <= 0.
     """
     if L <= 0 or rate <= 0 or delta <= 0:
         raise ValueError("L, rate, and delta must be positive")
@@ -122,25 +118,31 @@ def theoretical_bounds(L: float, K: float, rate: float, delta: float,
         raise ValueError(f"envelope gain K must be >= 1, got {K}")
     if p < 1.0:
         raise ValueError(f"power p must be >= 1, got {p}")
-    K_prime = 1.0 - K ** p * math.exp(-p * rate * delta)
-    if K_prime <= 0.0:
-        raise InvalidDeltaError(
-            f"K'={K_prime:.6g} <= 0: horizon delta={delta:.6g} is too short for K={K:.6g}")
-    c1 = _exp_ratio(-p * L, delta)
-    c2 = K ** p * _exp_ratio(-p * rate, delta)
-    c2_alt = K ** p * (-math.expm1(-p * rate * delta)) / (p * L)
-    c3 = K_prime / c2
-    c4 = p * K ** (p - 1.0) * _exp_ratio(L - (p - 1.0) * rate, delta)
+    try:
+        K_prime = 1.0 - K ** p * math.exp(-p * rate * delta)
+        if K_prime <= 0.0:
+            raise InvalidDeltaError(
+                f"K'={K_prime:.6g} <= 0: horizon delta={delta:.6g} is too short for K={K:.6g}")
+        c1 = _exp_ratio(-p * L, delta)
+        c2 = K ** p * _exp_ratio(-p * rate, delta)
+        c2_alt = K ** p * (-math.expm1(-p * rate * delta)) / (p * L)
+        c3 = K_prime / c2
+        c4 = p * K ** (p - 1.0) * _exp_ratio(L - (p - 1.0) * rate, delta)
+        finite = all(map(math.isfinite, (c1, c2, c2_alt, c3, c4)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidDeltaError(f"certificate constants overflow at L={L:.6g}, K={K:.6g}, "
+                                f"delta={delta:.6g}, p={p:.6g}")
     return TheoreticalBounds(c1, c2, c3, c4, K_prime, c2_alt, L, K, rate, delta, p)
 
 
-def _simpson_weights(n_nodes: int, horizon: float) -> np.ndarray:
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError("composite Simpson needs an odd node count >= 3")
-    w = np.ones(n_nodes)
+def _simpson_weights(horizon: float) -> np.ndarray:
+    """Composite Simpson weights on the QUADRATURE_NODES (an odd count) nodes."""
+    w = np.ones(QUADRATURE_NODES)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (horizon / (n_nodes - 1) / 3.0)
+    return w * (horizon / (QUADRATURE_NODES - 1) / 3.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,16 +152,17 @@ class LyapunovFunction:
     ``mode`` is "exponential" (integrand d^p over horizon delta) or "massera"
     (integrand G(d) over the truncation horizon, with ``tail_bound`` the
     certified truncation error; ``reshaping`` maps distance arrays to G).
-    Evaluations share the horizon, so states with their own times batch.
-    An evaluation is :meth:`node_flow` then :meth:`quadrature`, so a caller
-    that needs more of the flow over [t, t + horizon] runs it once.
+    Evaluations share the horizon, so states with their own times batch;
+    so do the Lie and directional derivatives.  An evaluation is
+    :meth:`node_flow` then :meth:`quadrature` (composite Simpson on
+    QUADRATURE_NODES nodes), so a caller that needs more of the flow over
+    [t, t + horizon] runs it once.
     """
 
     field: TimeVaryingField
     x_star: ManifoldPoint
     horizon: float
     p: float
-    n_nodes: int = DEFAULT_QUADRATURE_NODES
     step: float = DEFAULT_STEP
     mode: str = "exponential"
     reshaping: Callable[[np.ndarray], np.ndarray] | None = None
@@ -175,11 +178,11 @@ class LyapunovFunction:
 
     @property
     def node_offsets(self) -> np.ndarray:
-        """Elapsed quadrature nodes linspace(0, horizon, n_nodes); the last is the horizon."""
-        return np.linspace(0.0, self.horizon, self.n_nodes)
+        """The QUADRATURE_NODES elapsed times from 0 to the horizon, evenly spaced."""
+        return np.linspace(0.0, self.horizon, QUADRATURE_NODES)
 
     def node_flow(self, t, coords: np.ndarray) -> np.ndarray:
-        """Flow states at t + :attr:`node_offsets`, shape ``(n_nodes,) + coords.shape``."""
+        """Flow states at t + :attr:`node_offsets`, shape ``(QUADRATURE_NODES,) + coords.shape``."""
         return flow_samples(self.field, t, coords, self.node_offsets, self.step)
 
     def quadrature(self, nodes: np.ndarray):
@@ -189,7 +192,7 @@ class LyapunovFunction:
         # whether it is evaluated alone or in a batch.
         dists = np.ascontiguousarray(np.moveaxis(m.dist(nodes, self.x_star.coords), 0, -1))
         vals = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
-        return np.sum(vals * _simpson_weights(self.n_nodes, self.horizon), axis=-1)
+        return np.sum(vals * _simpson_weights(self.horizon), axis=-1)
 
     def _evaluate_raw(self, t, coords: np.ndarray):
         """V at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
@@ -214,38 +217,26 @@ class LyapunovFunction:
 
     __call__ = evaluate
 
-    def lie_derivative(self, t: float, x: ManifoldPoint, h: float = LIE_H,
-                       t_floor: float | None = None) -> float:
-        return timed_lie_derivative(self.evaluate, self.field, t, x,
-                                    h=h, step=self.step, t_floor=t_floor)
+    def lie_derivative(self, t, x: ManifoldPoint):
+        """LV(t, x) by a central difference of half-width LIE_H along the flow."""
+        return timed_lie_derivative(self.evaluate, self.field, t, x, LIE_H, self.step)
 
-    def directional_derivative(self, t: float, x: ManifoldPoint, v: TangentVector,
-                               eps: float = DIFF_EPS) -> float:
-        """dV(t, .)(v) by a central geodesic difference of arc length eps."""
-        m = self.field.manifold
-        nv = m.norm(x.coords, v.components)
-        if nv == 0.0:
-            return 0.0
-        eps_hat = eps / nv
-        stencil = geodesic_stencil(m, x.coords, v.components, eps_hat)
-        plus, minus = self._evaluate_raw(t, stencil)
-        return float((plus - minus) / (2.0 * eps_hat))
+    def directional_derivative(self, t, x: ManifoldPoint, v: TangentVector):
+        """dV(t, .)(v) by a central geodesic difference of arc length DIFF_EPS."""
+        eps_hat, stencil = arc_stencil(self.field.manifold, x.coords, v.components, DIFF_EPS)
+        t_rows = np.broadcast_to(np.asarray(t, dtype=float), np.shape(eps_hat))
+        plus, minus = self._evaluate_raw(np.stack([t_rows, t_rows]), stencil)
+        return (plus - minus) / (2.0 * eps_hat)
 
 
 def construct_exp_V(field: TimeVaryingField, x_star: ManifoldPoint, delta: float,
-                    p: float = DEFAULT_POWER, n_nodes: int = DEFAULT_QUADRATURE_NODES,
-                    step: float = DEFAULT_STEP) -> LyapunovFunction:
+                    p: float = DEFAULT_POWER, step: float = DEFAULT_STEP) -> LyapunovFunction:
     """Finite-horizon flow-integral certificate for exponential stability."""
     if p < 1.0:
         raise ValueError(f"power p must be >= 1, got {p}")
     if x_star.manifold != field.manifold:
         raise ManifoldMismatchError("equilibrium manifold does not match the field")
-    return LyapunovFunction(field, x_star, delta, p, n_nodes, step, "exponential")
-
-
-def evaluate_V(vf: LyapunovFunction, t: float, x: ManifoldPoint) -> float:
-    """Evaluate a constructed certificate; quadrature error O(step^4 + n_nodes^-4)."""
-    return vf.evaluate(t, x)
+    return LyapunovFunction(field, x_star, delta, p, step, "exponential")
 
 
 # -- class-K reshaping for asymptotic (non-exponential) decay ------------------
@@ -397,10 +388,7 @@ def massera_G(t_grid: Sequence[float], g_values: Sequence[float],
 
 def construct_ugas_V(field: TimeVaryingField, x_star: ManifoldPoint,
                      beta_fit: StabilityEnvelope | KLEnvelope, t_max: float,
-                     tail_tol: float = 1e-8,
-                     h: Callable[[float], float] | None = None,
-                     n_nodes: int = DEFAULT_QUADRATURE_NODES,
-                     step: float = DEFAULT_STEP) -> LyapunovFunction:
+                     tail_tol: float = 1e-8, step: float = DEFAULT_STEP) -> LyapunovFunction:
     """Truncated infinite-horizon certificate for asymptotic stability.
 
     The decay profile g(s) = beta(r_max, s) of the fitted envelope drives the
@@ -411,7 +399,7 @@ def construct_ugas_V(field: TimeVaryingField, x_star: ManifoldPoint,
         raise ManifoldMismatchError("equilibrium manifold does not match the field")
     kl = beta_fit.beta if isinstance(beta_fit, StabilityEnvelope) else beta_fit
     times, g_vals = kl.decay_profile()
-    reshaping = massera_G(times, g_vals, h)
+    reshaping = massera_G(times, g_vals)
     if t_max > float(times[-1]):
         raise HorizonError(
             f"truncation horizon {t_max} exceeds the fitted envelope horizon {times[-1]}")
@@ -420,5 +408,4 @@ def construct_ugas_V(field: TimeVaryingField, x_star: ManifoldPoint,
         raise HorizonError(
             f"certified tail {tail:.3e} exceeds the tolerance {tail_tol:.3e}; "
             "extend the envelope horizon or enlarge t_max")
-    return LyapunovFunction(field, x_star, t_max, 1.0, n_nodes, step,
-                            "massera", reshaping, tail)
+    return LyapunovFunction(field, x_star, t_max, 1.0, step, "massera", reshaping, tail)

@@ -665,11 +665,11 @@ class GeodesicSegment:
         return ManifoldPoint(m, m.exp(self.start.coords,
                                       s * self.initial_velocity.components))
 
-    def covariant_acceleration_residual(self, n_steps: int = 16) -> float:
-        """Max norm of the transport-corrected velocity difference per step."""
+    def covariant_acceleration_residual(self) -> float:
+        """Max norm of the transport-corrected velocity difference over 16 steps."""
         m = self.start.manifold
-        h = 1.0 / n_steps
-        s = np.arange(n_steps + 1) * h
+        h = 1.0 / 16
+        s = np.arange(17) * h
         pts = m.exp(self.start.coords, m.rows(s) * self.initial_velocity.components)
         velocity = m.log(pts[:-1], pts[1:]) / h  # at each node (exact on a geodesic)
         residual = m.transport(pts[1:-1], pts[:-2], velocity[1:]) - velocity[:-1]
@@ -690,21 +690,17 @@ class FirstVariationTerms:
         return abs(self.length_derivative - self.boundary_term)
 
 
-def _curve_length(m: Manifold, curve: Callable[[float], ManifoldPoint],
-                  s_grid: np.ndarray) -> float:
-    pts = np.array([curve(float(s)).coords for s in s_grid])
-    return float(np.sum(m.dist(pts[:-1], pts[1:])))
-
-
 def first_variation_terms(x: ManifoldPoint, y: ManifoldPoint,
-                          variation: Callable[[float, float], ManifoldPoint],
-                          h: float, n_segments: int = 256) -> FirstVariationTerms:
+                          variation: Callable[[float, np.ndarray], ManifoldPoint],
+                          h: float) -> FirstVariationTerms:
     """Compare dl/dt of a curve family against the geodesic boundary term.
 
     ``variation(t, s)`` must be a smooth family of curves over s in
     [0, d(x, y)] whose t = 0 member is the unit-speed minimizing geodesic
-    from x to y.  The length derivative at t = 0 is formed by central
-    differences of discretized arc lengths; the boundary term is
+    from x to y; it takes a scalar s or an array of s (one point per entry).
+    The length derivative at t = 0 is formed by central differences of arc
+    lengths discretized on 256 segments, each curve in one call over the
+    whole s grid; the boundary term is
     <dF/ds, dF/dt> evaluated at the endpoints.  Both carry O(h^2) error,
     so the residual contracts quadratically as h is halved.
     """
@@ -719,9 +715,9 @@ def first_variation_terms(x: ManifoldPoint, y: ManifoldPoint,
     if m.dist(a0, x.coords) > 1e-8 * max(1.0, s_hat) or m.dist(b0, y.coords) > 1e-8 * max(1.0, s_hat):
         raise GeometryError("variation(0, .) does not join x to y")
 
-    s_grid = np.linspace(0.0, s_hat, n_segments + 1)
-    ell_plus = _curve_length(m, lambda s: variation(h, s), s_grid)
-    ell_minus = _curve_length(m, lambda s: variation(-h, s), s_grid)
+    s_grid = np.linspace(0.0, s_hat, 257)
+    ell_plus, ell_minus = (float(np.sum(m.dist(pts[:-1], pts[1:])))
+                           for pts in (variation(h, s_grid).coords, variation(-h, s_grid).coords))
     length_derivative = (ell_plus - ell_minus) / (2.0 * h)
 
     def dt_field(s: float) -> np.ndarray:
@@ -740,38 +736,38 @@ def first_variation_terms(x: ManifoldPoint, y: ManifoldPoint,
 
 
 def first_variation_residual(x: ManifoldPoint, y: ManifoldPoint,
-                             variation: Callable[[float, float], ManifoldPoint],
-                             h: float, n_segments: int = 256) -> float:
+                             variation: Callable[[float, np.ndarray], ManifoldPoint],
+                             h: float) -> float:
     """Residual between the arc-length derivative and the boundary term."""
-    return first_variation_terms(x, y, variation, h, n_segments).residual
+    return first_variation_terms(x, y, variation, h).residual
 
 
 def endpoint_variation(x: ManifoldPoint, y: ManifoldPoint,
-                       w: TangentVector) -> Callable[[float, float], ManifoldPoint]:
-    """Family of geodesics from x to the moving endpoint exp_y(t w)."""
+                       w: TangentVector) -> Callable[[float, np.ndarray], ManifoldPoint]:
+    """Family of geodesics from x to the moving endpoint exp_y(t w); s scalar or an array."""
     _require_base(y, w)
     m = _require_same_manifold(x, y)
     s_hat = m.dist(x.coords, y.coords)
 
-    def family(t: float, s: float) -> ManifoldPoint:
+    def family(t: float, s) -> ManifoldPoint:
         y_t = m.exp(y.coords, t * w.components)
-        return ManifoldPoint(m, m.exp(x.coords, (s / s_hat) * m.log(x.coords, y_t)))
+        return ManifoldPoint(m, m.exp(x.coords, m.rows(s / s_hat) * m.log(x.coords, y_t)))
 
     return family
 
 
 def interior_variation(x: ManifoldPoint, y: ManifoldPoint,
-                       n: TangentVector) -> Callable[[float, float], ManifoldPoint]:
-    """Endpoint-fixed variation bending the geodesic along transported n."""
+                       n: TangentVector) -> Callable[[float, np.ndarray], ManifoldPoint]:
+    """Endpoint-fixed variation bending the geodesic along transported n; s scalar or an array."""
     _require_base(x, n)
     m = _require_same_manifold(x, y)
     s_hat = m.dist(x.coords, y.coords)
 
-    def family(t: float, s: float) -> ManifoldPoint:
-        g = m.exp(x.coords, (s / s_hat) * m.log(x.coords, y.coords))
+    def family(t: float, s) -> ManifoldPoint:
+        g = m.exp(x.coords, m.rows(s / s_hat) * m.log(x.coords, y.coords))
         field = m.transport(x.coords, g, n.components)
-        bump = math.sin(math.pi * s / s_hat)
-        return ManifoldPoint(m, m.exp(g, (t * bump) * field))
+        bump = np.sin(math.pi * np.asarray(s) / s_hat)
+        return ManifoldPoint(m, m.exp(g, m.rows(t * bump) * field))
 
     return family
 

@@ -20,6 +20,7 @@ import numpy as np
 from .flows import TimeVaryingField
 from .manifolds import GeometryError, Manifold, ManifoldPoint
 
+INPUT_CHANNELS = 2  # frame coefficients a disturbance drives
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
@@ -165,6 +166,8 @@ def make_disturbance_signal(profile: str, amplitude: float, n_channels: int,
             direction = np.zeros(n_channels)
             direction[0] = 1.0
         direction = np.asarray(direction, dtype=float)
+        if direction.shape != (n_channels,):
+            raise ValueError(f"direction needs {n_channels} coefficients, got {direction.size}")
         nrm = float(np.linalg.norm(direction))
         if nrm == 0.0:
             raise ValueError("direction must be nonzero")
@@ -186,14 +189,14 @@ def make_disturbance_signal(profile: str, amplitude: float, n_channels: int,
 
 def attach_disturbance(spec: SystemSpec, profile: str, amplitude: float,
                        bound: float | None = None, frequency: float = 1.0,
-                       direction=None, n_channels: int = 2) -> SystemSpec:
-    """Return a copy of the system with an input channel and a bounded signal."""
+                       direction=None) -> SystemSpec:
+    """Return a copy of the system with an INPUT_CHANNELS-channel input and a bounded signal."""
     field = TimeVaryingField(
         spec.field.manifold,
         spec.field.rhs,
-        input_rhs=frame_input_channel(spec.field, n_channels),
+        input_rhs=frame_input_channel(spec.field, INPUT_CHANNELS),
         equilibrium=spec.field.equilibrium,
     )
-    signal = make_disturbance_signal(profile, amplitude, n_channels, frequency, direction)
+    signal = make_disturbance_signal(profile, amplitude, INPUT_CHANNELS, frequency, direction)
     return replace(spec, field=field, input_signal=signal,
                    input_bound=amplitude if bound is None else bound)

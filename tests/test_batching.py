@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+from geolyap.certify import GridSpec, direct_lyapunov_check, sample_states
+from geolyap.envelopes import PowerLaw
 from geolyap.flows import (
     IntegrationError,
     TimeVaryingField,
@@ -18,12 +20,14 @@ from geolyap.flows import (
     flow_samples,
     lie_stencil,
     pushforward,
+    timed_lie_derivative,
 )
-from geolyap.lyapunov import construct_exp_V, massera_G
+from geolyap.lyapunov import LIE_H, construct_exp_V, massera_G
 from geolyap.manifolds import (
     CutLocusError,
     Euclidean,
     Hyperbolic2,
+    ManifoldMismatchError,
     ManifoldPoint,
     Sphere,
     SpecialOrthogonal3,
@@ -92,6 +96,83 @@ def test_integrator_and_V_batch_rows_are_single_rows(m):
         assert np.array_equal(states[:, i], flow_samples(spec.field, t[i], x[i], offsets, 1e-2))
         assert np.array_equal(stencil[:, i], lie_stencil(spec.field, t[i], x[i], 1e-3, 1e-2))
         assert values[i] == V.evaluate(t[i], ManifoldPoint(m, x[i]))
+
+
+def _certificate_grid(m, seed=7):
+    """A time-varying certificate on ``m`` and N_ROWS states at their own start times."""
+    x_star = m.project(m.random_point(np.random.default_rng(seed)))
+    spec = make_system("time_varying_attractor", m, x_star)
+    V = construct_exp_V(spec.field, spec.equilibrium, 0.4, p=2.0, step=1e-2)
+    rng = np.random.default_rng(seed + 1)
+    x = np.array([m.exp(x_star, m.random_tangent(rng, x_star, norm=rng.uniform(0.2, 1.0)))
+                  for _ in range(N_ROWS)])
+    return spec, V, np.array([0.0, 1.0, math.e, 10.0, 0.3]), x
+
+
+@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
+def test_lie_derivative_batch_rows_are_single_rows(m):
+    _, V, t, x = _certificate_grid(m)
+    batch = V.lie_derivative(t, ManifoldPoint(m, x))
+    assert batch.shape == (N_ROWS,)
+    for i in range(N_ROWS):
+        assert batch[i] == V.lie_derivative(t[i], ManifoldPoint(m, x[i]))
+        # the central difference of V at the ends of the Lie stencil, row alone
+        plus, minus = lie_stencil(V.field, t[i], m.project(x[i]), LIE_H, V.step)
+        alone = (V.evaluate(t[i] + LIE_H, ManifoldPoint(m, plus))
+                 - V.evaluate(t[i] - LIE_H, ManifoldPoint(m, minus))) / (2.0 * LIE_H)
+        assert batch[i] == alone
+
+
+@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
+def test_directional_derivative_batch_rows_are_single_rows(m):
+    _, V, t, x = _certificate_grid(m)
+    rng = np.random.default_rng(9)
+    v = np.array([m.random_tangent(rng, xi, norm=rng.uniform(0.5, 2.0)) for xi in x])
+    v[2] = 0.0  # a zero direction differentiates to exactly zero
+    base = ManifoldPoint(m, x)
+    batch = V.directional_derivative(t, base, TangentVector(base, v))
+    assert batch.shape == (N_ROWS,)
+    assert batch[2] == 0.0
+    for i in range(N_ROWS):
+        xi = ManifoldPoint(m, x[i])
+        assert batch[i] == V.directional_derivative(t[i], xi, TangentVector(xi, v[i]))
+
+
+@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
+def test_direct_check_batch_is_worst_single_state(m):
+    spec, V, _, _ = _certificate_grid(m)
+    states = sample_states(m, spec.equilibrium, GridSpec(6, 0.9), np.random.default_rng(3))
+    ws = (PowerLaw(0.1, 2.0), PowerLaw(0.3, 2.0), PowerLaw(0.5, 2.0))
+    batch = direct_lyapunov_check(V.evaluate, spec.field, *ws, states, spec.equilibrium, step=1e-2)
+    alone = [direct_lyapunov_check(V.evaluate, spec.field, *ws, [s], spec.equilibrium, step=1e-2)
+             for s in states]
+    for name in ("lower-bound", "upper-bound", "decay"):
+        assert batch.row(name).margin == min(r.row(name).margin for r in alone)
+        assert batch.row(name).passed == all(r.row(name).passed for r in alone)
+
+
+def test_timed_lie_derivative_calls_V_once_on_both_stencil_ends():
+    _, V, t, x = _certificate_grid(Sphere(2))
+    calls = []
+
+    def recording_V(times, pt):
+        calls.append((np.array(times), np.array(pt.coords)))
+        return V.evaluate(times, pt)
+
+    lie = timed_lie_derivative(recording_V, V.field, t, ManifoldPoint(V.field.manifold, x),
+                               h=LIE_H, step=V.step)
+    assert len(calls) == 1
+    times, coords = calls[0]
+    assert np.array_equal(times, np.stack([t + LIE_H, t - LIE_H]))
+    assert np.array_equal(coords, lie_stencil(V.field, t, Sphere(2).project(x), LIE_H, V.step))
+    assert np.array_equal(lie, V.lie_derivative(t, ManifoldPoint(V.field.manifold, x)))
+
+
+def test_evaluate_rejects_a_point_on_another_manifold():
+    _, V, t, x = _certificate_grid(Sphere(2))
+    assert np.array_equal(V.evaluate(t, ManifoldPoint(Sphere(2), x)), V._evaluate_raw(t, x))
+    with pytest.raises(ManifoldMismatchError):
+        V.evaluate(0.0, Euclidean(2).point([0.0, 0.0]))
 
 
 def test_dense_flow_batch_rows_are_single_flows():

@@ -12,7 +12,6 @@ from geolyap.certify import (
     check_input_signal,
     classify_stability,
     direct_lyapunov_check,
-    fit_exponential_envelope,
     input_lipschitz_estimate,
     iss_certify,
     make_certificate,
@@ -82,8 +81,8 @@ def test_fit_sphere_attractor(sphere_envelope):
 def test_fit_euclidean_double_gain():
     spec = make_system("geodesic_attractor", EUCLID, [0.0, 0.0], gain=2.0)
     rng = np.random.default_rng(3)
-    env = fit_exponential_envelope(_trajectories(spec, EUCLID, rng),
-                                   spec.equilibrium)
+    env = classify_stability(_trajectories(spec, EUCLID, rng),
+                             spec.equilibrium)
     assert env.stability_class == "LES"
     assert env.rate == pytest.approx(2.0, rel=0.02)
 
@@ -101,14 +100,14 @@ def test_fit_rejects_equilibrium_resident_batch(sphere_attractor):
     x_star = sphere_attractor.equilibrium
     resident = [flow(sphere_attractor.field, 0.0, x_star, 2.0, 1e-2)] * 3
     with pytest.raises(EnvelopeFitError):
-        fit_exponential_envelope(resident, x_star)
+        classify_stability(resident, x_star)
 
 
 def test_stationary_trajectory_classifies_us():
     still = TimeVaryingField(SPHERE, lambda t, x: np.zeros(3))
     x0 = ManifoldPoint(SPHERE, SPHERE.exp(NORTH, np.array([0.5, 0.0, 0.0])))
-    env = fit_exponential_envelope([flow(still, 0.0, x0, 4.0, 1e-2)],
-                                   SPHERE.point(NORTH))
+    env = classify_stability([flow(still, 0.0, x0, 4.0, 1e-2)],
+                             SPHERE.point(NORTH))
     assert env.stability_class == "US"
     assert env.K is None
 
@@ -192,7 +191,7 @@ def test_direct_check_flags_inflated_lower_bound(sphere_attractor, sphere_L,
 def test_direct_check_hand_computed_quadratic():
     # V = d^2 on the linear attractor has lie derivative exactly -2 d^2.
     spec = make_system("geodesic_attractor", EUCLID, [0.0, 0.0], gain=1.0)
-    V = lambda t, x: float(np.dot(x.coords, x.coords))
+    V = lambda t, x: np.vecdot(x.coords, x.coords)
     rng = np.random.default_rng(4)
     states = sample_states(EUCLID, spec.equilibrium, GridSpec(10, 1.0, T0_LIST), rng)
     report = direct_lyapunov_check(

@@ -150,6 +150,14 @@ FAILURE_CASES = {
     "massera-tail-tolerance": (["certify", "--mode", "massera"], "cubic_massera.json",
                                {"massera": {"t_max": 20.0, "fit_horizon": 22.0,
                                             "tail_tol": 1e-30}}, "ugas-tail"),
+    # L about 2065 near the cut locus: e^{L delta} in c4 overflows
+    "certify-overflow-lipschitz": (["certify"], "sphere_attractor.json",
+                                   {"grids": {"n_points": 40, "radius": 3.14,
+                                              "t0_list": [0.0, 1.0, math.e, 10.0]}},
+                                   "les-horizon"),
+    # K ** p overflows at p = 1000
+    "certify-overflow-power": (["certify"], "time_varying_gain.json", {"p": 1000},
+                               "les-horizon"),
 }
 
 
@@ -255,6 +263,14 @@ def test_flow_zero_field_constant_rows(tmp_path):
     ({"delta": {"policy": "auto", "target": 1.5}}, "delta"),
     ({"p": 0.5}, "p"),
     ({"surprise": 1}, "unknown"),
+    ({"system": {"name": "geodesic_attractor", "params": {"gian": 1.0}}}, "params"),
+    ({"iss_horizons": 5}, "iss_horizons"),
+    ({"grids": {"n_points": 8, "radius": 1.0, "t0_list": ["a"]}}, "t0_list"),
+    ({"disturbance": {"profile": "square", "amplitude": 0.1}}, "profile"),
+    ({"envelope_horizon": -1}, "envelope_horizon"),
+    ({"envelope_horizon": 0}, "envelope_horizon"),  # a zero-length tau grid passes vacuously
+    ({"disturbance": {"profile": "constant", "amplitude": 0.1,
+                      "direction": [1.0, 0.0, 0.0]}}, "direction"),  # two input channels
 ])
 def test_config_validation_errors(tmp_path, mutation, message):
     config = _small_config(tmp_path, **mutation)

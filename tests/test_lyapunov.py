@@ -13,7 +13,6 @@ from geolyap.lyapunov import (
     choose_delta,
     construct_exp_V,
     construct_ugas_V,
-    evaluate_V,
     massera_G,
     theoretical_bounds,
 )
@@ -112,6 +111,16 @@ def test_bounds_invalid_horizon_rejected():
         theoretical_bounds(1.0, 1.0, 1.0, LN2, p=0.5)
 
 
+@pytest.mark.parametrize("L, K, delta, p", [
+    (2065.0, 1.5, 10.0, 1.0),    # e^{L delta} in c4 overflows
+    (2.0, 2.3, 10.0, 1000.0),    # K ** p overflows
+    (2.5, 1e150, 400.0, 2.0),    # finite factors of c4 whose product is infinite
+], ids=["exp", "power", "product"])
+def test_bounds_overflow_rejected(L, K, delta, p):
+    with pytest.raises(InvalidDeltaError):
+        theoretical_bounds(L, K, 1.0, delta, p=p)
+
+
 # -- exponential-mode construction ---------------------------------------------------
 
 
@@ -153,13 +162,6 @@ def test_sphere_power_scaling(sphere_attractor):
                          LN2, p=2.0, step=1e-2)
     x = ManifoldPoint(SPHERE, SPHERE.exp(NORTH, np.array([1.0, 0.0, 0.0])))
     assert V2.evaluate(0.0, x) == pytest.approx((1.0 - 0.25) / 2.0, abs=1e-5)
-
-
-def test_evaluate_V_module_function(sphere_V1):
-    x = _sphere_state(np.random.default_rng(2))
-    assert evaluate_V(sphere_V1, 0.0, x) == sphere_V1.evaluate(0.0, x)
-    with pytest.raises(Exception):
-        sphere_V1.evaluate(0.0, EUCLID.point([0.0, 0.0]))
 
 
 def test_construction_validation(sphere_attractor):
