@@ -22,7 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envelopes import KLEnvelope, StabilityEnvelope
-from .flows import DEFAULT_STEP, TimeVaryingField, arc_stencil, flow_samples, timed_lie_derivative
+from .flows import (
+    DEFAULT_STEP,
+    TimeVaryingField,
+    arc_stencil,
+    flow_samples,
+    timed_lie_derivative,
+)
 from .manifolds import ManifoldMismatchError, ManifoldPoint, TangentVector
 
 QUADRATURE_NODES = 65

@@ -22,6 +22,7 @@ from .manifolds import GeometryError, Manifold, ManifoldPoint
 
 INPUT_CHANNELS = 2  # frame coefficients a disturbance drives
 
+
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
     """A registered system plus its test metadata."""

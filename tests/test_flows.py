@@ -8,8 +8,8 @@ from geolyap.flows import (
     PUSHFORWARD_EPS,
     IntegrationError,
     Region,
-    arc_stencil,
     TimeVaryingField,
+    arc_stencil,
     contraction_envelope_check,
     flow,
     flow_samples,
