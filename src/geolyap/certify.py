@@ -25,7 +25,8 @@ from .flows import (
     TimeVaryingField,
     Trajectory,
     arc_stencil,
-    contraction_envelope_check,
+    contraction_offsets,
+    contraction_report,
     flow_samples,
     lie_stencil,
     pushforward_quotient,
@@ -348,55 +349,79 @@ def make_certificate(field: TimeVaryingField, x_star: ManifoldPoint, L: float,
     return Certificate(V, bounds, envelope, L)
 
 
+@dataclass(frozen=True)
+class VerificationInputs:
+    """The seeded draws of one verification, in the order they are drawn:
+    the grid states (``t``, ``x``), the contraction pairs (start times
+    ``pair_t``; ``pair_x`` stacks the pairs' first and second states, shape
+    ``(2, pairs, *ambient_shape)``) and one unit direction per state."""
+
+    t: np.ndarray
+    x: np.ndarray
+    pair_t: np.ndarray
+    pair_x: np.ndarray
+    directions: np.ndarray
+
+
+def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
+                             seed: int) -> VerificationInputs:
+    """Everything :func:`verify_converse_certificate` samples, drawn up front."""
+    rng = np.random.default_rng(seed)
+    states = sample_states(m, x_star, grid, rng)
+    pair_t, pair_x = [], []
+    for i in range(max(4, grid.n_points // 4)):
+        pair_t.append(grid.t0_list[i % len(grid.t0_list)])
+        v1 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
+        v2 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
+        pair_x.append((m.exp(x_star.coords, v1), m.exp(x_star.coords, v2)))
+    x = np.array([pt.coords for _, pt in states])
+    directions = np.array([m.random_tangent(rng, xi, norm=1.0) for xi in x])
+    return VerificationInputs(np.array([s for s, _ in states]), x, np.array(pair_t),
+                              np.stack(pair_x, axis=1), directions)
+
+
 def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
                                 L: float, envelope: StabilityEnvelope,
                                 delta: float, p: float, grid: GridSpec,
                                 seed: int = 0, step: float = 1e-2,
-                                envelope_horizon: float = 3.0) -> CertificationReport:
+                                envelope_horizon: float = 3.0,
+                                pair_flow: np.ndarray | None = None) -> CertificationReport:
     """Verify every inequality of a constructed exponential certificate.
 
     Rows: the two-sided contraction envelope on sampled pairs, the sandwich
     c1 d^p <= V <= c2 d^p, the decay rate c3, the telescoping identity for
     the lie derivative, the differential bound c4, and the pushforward growth
     bound, within REL_TOL (and ABS_TOL on the decay).  Sample inputs are
-    drawn up front from the seeded generator; each stage then integrates its
-    whole grid as one batch.  Everything on the horizon [t, t + delta] reads
-    one flow over V's quadrature nodes: V (at the states and the Lie and
-    differential stencils), the telescoping endpoint (each state's last node,
-    so the identity is checked on V's own flow) and the pushforward (based at
-    that node; its stencil rows join the flow).
+    drawn up front by :func:`draw_verification_inputs`; each stage then
+    integrates its whole grid as one batch.  The contraction pairs are read
+    at :func:`contraction_offsets` of ``envelope_horizon``: ``pair_flow``
+    holds their states there, shape ``(offsets, 2, pairs, *ambient_shape)``,
+    when the caller has already integrated them (the pipeline does, in the
+    envelope fit's flow); otherwise they integrate here.  Everything on the
+    horizon [t, t + delta] reads one flow over V's quadrature nodes: V (at the
+    states and the Lie and differential stencils), the telescoping endpoint
+    (each state's last node, so the identity is checked on V's own flow) and
+    the pushforward (based at that node; its stencil rows join the flow).
     """
     cert = make_certificate(field, x_star, L, envelope, delta, p, step=step)
     b = cert.bounds
     m = field.manifold
-    rng = np.random.default_rng(seed)
-    states = sample_states(m, x_star, grid, rng)
+    inputs = draw_verification_inputs(m, x_star, grid, seed)
 
     # Two-sided contraction envelope on sampled pairs.
-    pair_count = max(4, grid.n_points // 4)
-    taus0 = np.linspace(0.0, envelope_horizon, 7)
-    pair_t, pair_x1, pair_x2 = [], [], []
-    for i in range(pair_count):
-        pair_t.append(grid.t0_list[i % len(grid.t0_list)])
-        v1 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
-        v2 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
-        pair_x1.append(m.exp(x_star.coords, v1))
-        pair_x2.append(m.exp(x_star.coords, v2))
-    pair_t = np.array(pair_t)
-    pair_reports = contraction_envelope_check(
-        field, L, ManifoldPoint(m, np.array(pair_x1)), ManifoldPoint(m, np.array(pair_x2)),
-        pair_t, pair_t[:, None] + taus0, step=step)
+    offsets = contraction_offsets(envelope_horizon, step)
+    if pair_flow is None:
+        pair_flow = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, step)
+    pair_reports = contraction_report(m, L, inputs.pair_t[:, None] + offsets, offsets,
+                                      m.dist(*inputs.pair_x), pair_flow)
     contraction_margin = min(min(r.worst_lower_margin, r.worst_upper_margin)
                              for r in pair_reports)
     contraction_pass = all(r.passed for r in pair_reports)
     rows = [CheckRow("contraction-envelope", ANCHOR_CONTRACTION, 0.0,
                      -contraction_margin, contraction_margin, contraction_pass)]
 
-    t = np.array([s for s, _ in states])
-    x = np.array([pt.coords for _, pt in states])
+    t, x, directions = inputs.t, inputs.x, inputs.directions
     n = len(x)
-    # Unit directions for the differential bound, drawn after the pairs.
-    directions = np.array([m.random_tangent(rng, xi, norm=1.0) for xi in x])
     d = m.dist(x, x_star.coords)
     lie_plus, lie_minus = lie_stencil(field, t, m.project(x), LIE_H, step)
     eps_hat, (diff_plus, diff_minus) = arc_stencil(m, x, directions, DIFF_EPS)

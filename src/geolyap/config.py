@@ -2,9 +2,9 @@
 
 Configs reference built-in systems by registry name; formulas are never
 embedded in config files, which keeps runs auditable.  Validation is strict:
-unknown keys, missing registry names, and out-of-range radii are rejected
-before any output is produced, and the system (with its disturbance) is
-built once at load, so bad parameters are config errors too.
+unknown keys, missing registry names, non-finite numbers and out-of-range
+radii are rejected before any output is produced, and the system (with its
+disturbance) is built once at load, so bad parameters are config errors too.
 """
 
 from __future__ import annotations
@@ -107,9 +107,24 @@ def _floats(data: dict, key: str, context: str, default):
     return tuple(float(v) for v in values)
 
 
+def _reject_non_finite(value, where: str):
+    """JSON's NaN and Infinity literals are config errors wherever they appear."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value}")
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        _reject_non_finite(item, f"{where}[{key!r}]")
+
+
 def parse_scenario(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a JSON object")
+    _reject_non_finite(data, "config")
     _require_keys(data, {
         "schema_version", "manifold", "system", "equilibrium", "delta", "p",
         "grids", "seed", "step", "fit_horizon", "envelope_horizon", "massera",

@@ -2,11 +2,12 @@
 
 The integrator is a geometric fourth-order Runge-Kutta scheme: stage
 derivatives are evaluated at points reached by the exponential map, parallel
-transported back to the tangent space at the step's base point, combined with
-the classical RK4 weights, and the step is taken with one exponential map
-followed by constraint projection.  One loop (:func:`flow_samples`) steps a
-batch of states, each from its own start time, on a shared elapsed-time
-grid.  Flow pushforwards are computed by geodesic-variation finite
+transported back to the tangent space at the step's base point along the
+geodesic that stage took (``Manifold.transport_back``, a closed form with no
+logarithm), combined with the classical RK4 weights, and the step is taken
+with one exponential map, which projects onto the manifold.  One loop
+(:func:`flow_samples`) steps a batch of states, each from its own start
+time, on a shared elapsed-time grid.  Flow pushforwards are computed by geodesic-variation finite
 differences, and Lipschitz constants are estimated in the parallel-transport
 sense (transported field differences over distance) alongside the
 covariant-derivative form.
@@ -34,7 +35,7 @@ LIPSCHITZ_SAFETY = 1.05   # inflation factor applied before envelope use
 LIPSCHITZ_FD_STEP = 1e-5  # parameter step of the covariant-derivative stencil
 CUT_FLAG_MARGIN = 1e-3    # envelope rows this close to the cut locus are flagged
 PUSHFORWARD_EPS = 1e-5    # arc length of the pushforward stencil
-_GRID_TOL = 1e-9          # relative slack before a gap gets one more substep
+GRID_TOL = 1e-9           # relative slack before a gap gets one more substep
 
 
 class IntegrationError(RuntimeError):
@@ -144,15 +145,17 @@ class Trajectory:
 
 def _rk4_step(field: TimeVaryingField, t, x: np.ndarray, dt: float) -> np.ndarray:
     m = field.manifold
+
+    def stage(k, h, s):
+        v = h * k
+        end = m.exp(x, v)
+        return m.transport_back(x, v, end, field.eval_raw(s, end))
+
     k1 = field.eval_raw(t, x)
-    x2 = m.exp(x, (0.5 * dt) * k1)
-    k2 = m.transport(x2, x, field.eval_raw(t + 0.5 * dt, x2))
-    x3 = m.exp(x, (0.5 * dt) * k2)
-    k3 = m.transport(x3, x, field.eval_raw(t + 0.5 * dt, x3))
-    x4 = m.exp(x, dt * k3)
-    k4 = m.transport(x4, x, field.eval_raw(t + dt, x4))
-    v = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return m.project(m.exp(x, v))
+    k2 = stage(k1, 0.5 * dt, t + 0.5 * dt)
+    k3 = stage(k2, 0.5 * dt, t + 0.5 * dt)
+    k4 = stage(k3, dt, t + dt)
+    return m.exp(x, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def _check_finite(m: Manifold, x: np.ndarray, t):
@@ -183,7 +186,7 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
         if gap < -1e-12:
             raise ValueError("sample offsets must be nondecreasing and >= 0")
         if gap > 1e-15 * max(1.0, abs(s)):
-            n_sub = max(1, math.ceil(gap / step - _GRID_TOL))
+            n_sub = max(1, math.ceil(gap / step - GRID_TOL))
             base = nodes[-1]
             nodes.extend(base + i * (gap / n_sub) for i in range(1, n_sub))
             nodes.append(s)
@@ -197,9 +200,9 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
     return np.stack([states[i] for i in keep])
 
 
-def _step_offsets(span: float, step: float) -> np.ndarray:
+def step_offsets(span: float, step: float) -> np.ndarray:
     """Elapsed grid 0, step, 2 step, ... ending on ``span`` exactly."""
-    n = max(1, math.ceil(span / step - _GRID_TOL)) if span > 0 else 0
+    n = max(1, math.ceil(span / step - GRID_TOL)) if span > 0 else 0
     offsets = np.arange(n + 1) * step
     offsets[-1] = span
     return offsets
@@ -231,7 +234,7 @@ def flow(field: TimeVaryingField, t0, x0, t1, step: float = DEFAULT_STEP):
     if step <= 0:
         raise ValueError("step must be positive")
     m = field.manifold
-    offsets = _step_offsets(span, step)
+    offsets = step_offsets(span, step)
     starts = np.broadcast_to(np.asarray(t0, dtype=float), (len(points),))
     ends = np.broadcast_to(np.asarray(t1, dtype=float), (len(points),))
     x = m.project(np.stack([p.coords for p in points]))
@@ -249,9 +252,9 @@ def semigroup_residual(field: TimeVaryingField, t0: float, x0: ManifoldPoint,
     m = field.manifold
     x_start = m.project(x0.coords.copy())
     # Each leg steps on the dense grid of its own span.
-    direct, mid = (flow_samples(field, t0, x_start, _step_offsets(span, step), step)[-1]
+    direct, mid = (flow_samples(field, t0, x_start, step_offsets(span, step), step)[-1]
                    for span in (t1 - t0, t_mid - t0))
-    via = flow_samples(field, t_mid, mid, _step_offsets(t1 - t_mid, step), step)[-1]
+    via = flow_samples(field, t_mid, mid, step_offsets(t1 - t_mid, step), step)[-1]
     return m.dist(direct, via)
 
 
@@ -321,7 +324,7 @@ def pushforward(field: TimeVaryingField, t, x: ManifoldPoint, v: TangentVector,
     if span == 0.0:
         return v
     eps_hat, stencil = arc_stencil(m, x.coords, v.components, PUSHFORWARD_EPS)
-    offsets = _step_offsets(span, step)
+    offsets = step_offsets(span, step)
     start = np.concatenate([m.project(np.array(x.coords))[None], stencil])
     ends = flow_samples(field, t, start, offsets, step)[-1]
     w = pushforward_quotient(field, t, x.coords, v.components, eps_hat, ends[0], ends[1:],
@@ -436,20 +439,32 @@ class ContractionReport:
         return any(r.flagged for r in self.rows)
 
 
+def contraction_offsets(horizon: float, step: float) -> np.ndarray:
+    """Elapsed times of the contraction check over ``horizon``.
+
+    The step-grid offsets k * step nearest linspace(0, horizon, 7), none past
+    the horizon and without repeats, so they are nodes of any flow on the
+    step grid (such as the envelope fit's).  A horizon shorter than one step
+    keeps [0, horizon], so that one offset is past the start.
+    """
+    last = math.floor(horizon / step + GRID_TOL)
+    if last == 0:
+        return np.array([0.0, horizon])
+    k = np.minimum(np.rint(np.linspace(0.0, horizon, 7) / step), last)  # nondecreasing
+    return k[np.diff(k, prepend=-1.0) > 0] * step
+
+
 def contraction_envelope_check(field: TimeVaryingField, L: float,
                                x1: ManifoldPoint, x2: ManifoldPoint, t,
                                tau_grid: Sequence[float], step: float = DEFAULT_STEP,
                                slack: float = 1e-6):
     """Verify d0 e^{-L dt} <= d(phi, phi) <= d0 e^{L dt} along the flow.
 
-    The multiplicative slack absorbs integrator error.  Rows whose pair drifts
-    within the cut-locus margin are flagged rather than failed, since the
-    two-sided bound presumes a smoothly varying minimizing geodesic.
-
     ``x1`` and ``x2`` may hold a batch of pairs (one leading axis) with
     per-pair start times ``t`` and one row of ``tau_grid`` per pair, all at
     the same offsets from their ``t``; the 2 x pairs states then integrate as
-    one batch and one report per pair comes back.
+    one batch and one report per pair comes back.  The reports are those of
+    :func:`contraction_report` on that flow.
     """
     m = field.manifold
     single = np.ndim(x1.coords) == len(m.ambient_shape)
@@ -463,9 +478,24 @@ def contraction_envelope_check(field: TimeVaryingField, L: float,
     offsets = elapsed[0]
     if np.any(np.abs(elapsed - offsets) > 1e-9 * max(1.0, float(offsets[-1]))):
         raise ValueError("batched pairs must share one tau grid relative to their t")
-    d0 = m.dist(a, b)
-    pts = flow_samples(field, starts, np.stack([a, b]), offsets, step)
-    d = np.moveaxis(m.dist(pts[:, 0], pts[:, 1]), 0, -1)       # (pairs, taus)
+    ends = flow_samples(field, starts, np.stack([a, b]), offsets, step)
+    reports = contraction_report(m, L, taus, offsets, m.dist(a, b), ends, slack)
+    return reports[0] if single else reports
+
+
+def contraction_report(m: Manifold, L: float, taus: np.ndarray, offsets: np.ndarray,
+                       d0: np.ndarray, ends: np.ndarray,
+                       slack: float = 1e-6) -> list[ContractionReport]:
+    """One :class:`ContractionReport` per pair from its flowed states.
+
+    ``ends`` holds both states of every pair at each elapsed offset, shape
+    ``(len(offsets), 2, pairs, *ambient_shape)``; ``taus`` gives each pair's
+    row times and ``d0`` its starting distance.  The multiplicative slack
+    absorbs integrator error.  Rows whose pair drifts within the cut-locus
+    margin are flagged rather than failed, since the two-sided bound presumes
+    a smoothly varying minimizing geodesic.
+    """
+    d = np.moveaxis(m.dist(ends[:, 0], ends[:, 1]), 0, -1)       # (pairs, taus)
     lower = d0[:, None] * np.exp(-L * offsets)
     upper = d0[:, None] * np.exp(L * offsets)
     flagged = math.isfinite(m.cut_locus_radius) & (d >= m.cut_locus_radius - CUT_FLAG_MARGIN)
@@ -478,12 +508,12 @@ def contraction_envelope_check(field: TimeVaryingField, L: float,
     worst_lower, worst_upper = (np.where(np.isfinite(w), w, 0.0) for w in
                                 (lower_margin.min(axis=-1), upper_margin.min(axis=-1)))
     reports = []
-    for i in range(len(a)):
+    for i in range(len(d0)):
         rows = map(ContractionRow, taus[i].tolist(), d[i].tolist(), lower[i].tolist(),
                    upper[i].tolist(), ok[i].tolist(), flagged[i].tolist())
         reports.append(ContractionReport(tuple(rows), float(worst_lower[i]),
                                          float(worst_upper[i]), bool(np.all(ok[i] | flagged[i]))))
-    return reports[0] if single else reports
+    return reports
 
 
 def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,

@@ -6,8 +6,9 @@ finite-horizon flow integral
     V(t, x) = integral over [t, t+delta] of d(phi(tau; t, x), x*)^p dtau
 
 evaluated by composite Simpson quadrature along one numerically integrated
-trajectory; p = 1 gives the exact theoretical constants, p = 2 (the default)
-keeps the integrand differentiable at the equilibrium.  For asymptotically
+trajectory, on nodes spaced at most one integrator step apart (so the flow
+takes one step per node gap); p = 1 gives the exact theoretical constants,
+p = 2 (the default) keeps the integrand differentiable at the equilibrium.  For asymptotically
 stable systems, the integrand distance is first reshaped by a class-K
 function G built from a sampled decay envelope, making the truncated
 infinite-horizon integral finite with a certified tail bound.
@@ -24,6 +25,7 @@ import numpy as np
 from .envelopes import KLEnvelope, StabilityEnvelope
 from .flows import (
     DEFAULT_STEP,
+    GRID_TOL,
     TimeVaryingField,
     arc_stencil,
     flow_samples,
@@ -31,7 +33,7 @@ from .flows import (
 )
 from .manifolds import ManifoldMismatchError, ManifoldPoint, TangentVector
 
-QUADRATURE_NODES = 65
+MIN_QUADRATURE_INTERVALS = 64
 DEFAULT_POWER = 2.0
 LIE_H = 1e-3      # time half-width of the Lie-derivative stencil
 DIFF_EPS = 1e-4   # arc length of the differential stencil
@@ -143,12 +145,18 @@ def theoretical_bounds(L: float, K: float, rate: float, delta: float,
     return TheoreticalBounds(c1, c2, c3, c4, K_prime, c2_alt, L, K, rate, delta, p)
 
 
-def _simpson_weights(horizon: float) -> np.ndarray:
-    """Composite Simpson weights on the QUADRATURE_NODES (an odd count) nodes."""
-    w = np.ones(QUADRATURE_NODES)
+def quadrature_intervals(horizon: float, step: float) -> int:
+    """Simpson intervals over the horizon: an even count whose spacing is at
+    most ``step``, and never fewer than MIN_QUADRATURE_INTERVALS."""
+    return max(MIN_QUADRATURE_INTERVALS, 2 * math.ceil(horizon / (2.0 * step) - GRID_TOL))
+
+
+def _simpson_weights(horizon: float, intervals: int) -> np.ndarray:
+    """Composite Simpson weights on ``intervals + 1`` evenly spaced nodes."""
+    w = np.ones(intervals + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (horizon / (QUADRATURE_NODES - 1) / 3.0)
+    return w * (horizon / intervals / 3.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +168,9 @@ class LyapunovFunction:
     certified truncation error; ``reshaping`` maps distance arrays to G).
     Evaluations share the horizon, so states with their own times batch;
     so do the Lie and directional derivatives.  An evaluation is
-    :meth:`node_flow` then :meth:`quadrature` (composite Simpson on
-    QUADRATURE_NODES nodes), so a caller that needs more of the flow over
+    :meth:`node_flow` then :meth:`quadrature` (composite Simpson on the
+    :func:`quadrature_intervals` rule, whose nodes sit on the integrator's
+    step grid), so a caller that needs more of the flow over
     [t, t + horizon] runs it once.
     """
 
@@ -183,12 +192,17 @@ class LyapunovFunction:
             raise ValueError("massera mode requires a reshaping function")
 
     @property
+    def intervals(self) -> int:
+        """Simpson intervals of the quadrature, by :func:`quadrature_intervals`."""
+        return quadrature_intervals(self.horizon, self.step)
+
+    @property
     def node_offsets(self) -> np.ndarray:
-        """The QUADRATURE_NODES elapsed times from 0 to the horizon, evenly spaced."""
-        return np.linspace(0.0, self.horizon, QUADRATURE_NODES)
+        """The ``intervals + 1`` elapsed times from 0 to the horizon, evenly spaced."""
+        return np.linspace(0.0, self.horizon, self.intervals + 1)
 
     def node_flow(self, t, coords: np.ndarray) -> np.ndarray:
-        """Flow states at t + :attr:`node_offsets`, shape ``(QUADRATURE_NODES,) + coords.shape``."""
+        """Flow states at t + :attr:`node_offsets`, shape ``(intervals + 1,) + coords.shape``."""
         return flow_samples(self.field, t, coords, self.node_offsets, self.step)
 
     def quadrature(self, nodes: np.ndarray):
@@ -198,7 +212,7 @@ class LyapunovFunction:
         # whether it is evaluated alone or in a batch.
         dists = np.ascontiguousarray(np.moveaxis(m.dist(nodes, self.x_star.coords), 0, -1))
         vals = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
-        return np.sum(vals * _simpson_weights(self.horizon), axis=-1)
+        return np.sum(vals * _simpson_weights(self.horizon, self.intervals), axis=-1)
 
     def _evaluate_raw(self, t, coords: np.ndarray):
         """V at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""

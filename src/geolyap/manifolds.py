@@ -166,6 +166,18 @@ class Manifold(ABC):
         """Parallel transport of ``v`` along the minimizing geodesic."""
 
     @abstractmethod
+    def transport_back(self, coords: np.ndarray, v: np.ndarray, end: np.ndarray,
+                       w: np.ndarray) -> np.ndarray:
+        """Parallel transport of ``w`` from ``end = exp(coords, v)`` back to ``coords``.
+
+        The transport runs along the geodesic s -> exp(coords, s v), which the
+        caller has already taken, for |v| below the cut-locus radius (the
+        stages of an integrator step are far shorter).  It equals
+        ``transport(end, coords, w)`` but, since the geodesic is known, forms
+        no logarithm and checks no cut locus.
+        """
+
+    @abstractmethod
     def random_point(self, rng: np.random.Generator) -> np.ndarray: ...
 
     def rows(self, values) -> np.ndarray:
@@ -280,6 +292,9 @@ class Euclidean(Manifold):
     def transport(self, coords, other, v):
         return np.array(v, dtype=float)
 
+    def transport_back(self, coords, v, end, w):
+        return w
+
     def random_point(self, rng):
         return rng.standard_normal(self.dim)
 
@@ -336,6 +351,32 @@ class Sphere(Manifold):
         _reject_cut(theta, coords, other, "antipodal pair: transport geodesic is not unique")
         factor = np.vecdot(other, v) / (1.0 + c)
         return self.project_tangent(other, v - factor[..., None] * (coords + other))
+
+    def transport_back(self, coords, v, end, w):
+        # The transport formula above, without the logarithm's cut check.
+        factor = np.vecdot(coords, w) / (1.0 + np.vecdot(coords, end))
+        return w - factor[..., None] * (coords + end)
+
+    def tangent_basis(self, coords):
+        """On S^2, the Gram-Schmidt frame in closed form: b0 = (e0 - x0 x) / |.|
+        and b1 = +-x cross b0 = +-(0, x2, -x1) / |.|, signed as Gram-Schmidt
+        signs it (positive along e1, or along e2 when b1 is normal to e1).
+        Rows with |e0 - x0 x| <= 1e-8, and other dimensions, take the generic
+        frame."""
+        coords = np.asarray(coords, dtype=float)
+        if self.dim != 2:
+            return super().tangent_basis(coords)
+        a0 = -coords[..., :1] * coords
+        a0[..., 0] += 1.0
+        n0 = np.maximum(_norm(a0), _TINY)
+        c1, c2 = coords[..., 2] / n0, -coords[..., 1] / n0
+        sign = np.where(np.abs(c1) > 1e-8, np.sign(c1), np.sign(c2))
+        b1 = np.stack([np.zeros_like(c1), sign * c1, sign * c2], axis=-1)
+        basis = np.stack([a0 / n0[..., None], b1], axis=-2)
+        generic = n0 <= 1e-8
+        if generic.any():
+            basis[generic] = super().tangent_basis(coords[generic])
+        return basis
 
     def random_point(self, rng):
         return self.project(rng.standard_normal(self.dim + 1))
@@ -494,6 +535,12 @@ class SpecialOrthogonal3(Manifold):
         V = _hat(self._alg(coords, v))
         return self.project_tangent(other, coords @ H @ V @ H)
 
+    def transport_back(self, coords, v, end, w):
+        # end = coords R(a) for a = alg(coords, v); the tangent end Omega
+        # transports to coords H Omega H^T with the half-angle rotation H = R(a/2).
+        H = _rodrigues(0.5 * self._alg(coords, v))
+        return coords @ H @ _hat(self._alg(end, w)) @ H.mT
+
     def random_point(self, rng):
         return _polar(rng.standard_normal((3, 3)))
 
@@ -555,6 +602,10 @@ class Hyperbolic2(Manifold):
     def transport(self, coords, other, v):
         factor = self._mdot(other, v) / (1.0 - self._mdot(coords, other))
         return self.project_tangent(other, v + factor[..., None] * (coords + other))
+
+    def transport_back(self, coords, v, end, w):
+        factor = self._mdot(coords, w) / (1.0 - self._mdot(coords, end))
+        return w + factor[..., None] * (coords + end)
 
     def random_point(self, rng):
         origin = np.array([1.0, 0.0, 0.0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,10 @@ from .certify import (
     CertificationReport,
     CheckRow,
     GridSpec,
+    VerificationInputs,
     check_input_signal,
     classify_stability,
+    draw_verification_inputs,
     iss_certify,
     run_geometry_suite,
     sample_states,
@@ -31,9 +34,19 @@ from .certify import (
 )
 from .config import ConfigError, ScenarioConfig
 from .envelopes import StabilityEnvelope
-from .flows import Region, flow, lie_stencil, lipschitz_estimate
+from .flows import (
+    IntegrationError,
+    Region,
+    Trajectory,
+    contraction_offsets,
+    flow,
+    flow_samples,
+    lie_stencil,
+    lipschitz_estimate,
+    step_offsets,
+)
 from .lyapunov import LIE_H, HorizonError, InvalidDeltaError, choose_delta, construct_ugas_V
-from .manifolds import GeometryError, ManifoldPoint, manifold_from_name
+from .manifolds import CutLocusError, GeometryError, ManifoldPoint, manifold_from_name
 
 logger = logging.getLogger("geolyap")
 
@@ -42,6 +55,15 @@ EXIT_CERTIFICATION_FAILED = 2
 EXIT_CONFIG_ERROR = 3
 SAMPLES_CSV_ROWS = 24   # certify samples.csv: the first states of the verification grid
 SAMPLES_HEADER = ["t", "distance", "V", "lie_derivative"]
+# Stage anchors of the verification, the asymptotic construction and the
+# robustness check.
+ANCHOR_VERIFICATION = "les-verification"
+ANCHOR_UGAS_ENVELOPE = "ugas-envelope"
+ANCHOR_UGAS_TAIL = "ugas-tail"
+ANCHOR_UGAS_EVALUATION = "ugas-evaluation"
+ANCHOR_ISS_ROBUSTNESS = "iss-robustness"
+# Numerical failures inside a stage: a non-finite flow or a pair at the cut locus.
+NUMERICAL_FAILURES = (IntegrationError, CutLocusError)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
@@ -61,12 +83,31 @@ def _write_reports(out_dir: Path, payload: dict, text: str, samples=None):
         _write_csv(out_dir / "samples.csv", *samples)
 
 
-def _stage_failure(out_dir: Path, mode: str, envelope: StabilityEnvelope,
+class StageFailure(Exception):
+    """A pipeline stage could not finish; ``anchor`` names it in the report."""
+
+    def __init__(self, anchor: str, detail: str):
+        super().__init__(detail)
+        self.anchor = anchor
+
+
+@contextmanager
+def _stage(anchor: str, errors: tuple = NUMERICAL_FAILURES):
+    """Raise ``errors`` from the block as a :class:`StageFailure` of ``anchor``."""
+    try:
+        yield
+    except errors as err:
+        raise StageFailure(anchor, str(err)) from err
+
+
+def _stage_failure(out_dir: Path, mode: str, envelope: StabilityEnvelope | None,
                    stage_anchor: str, detail: str) -> int:
-    """Reports for a run that stopped at a named stage before any certificate."""
+    """Reports for a run that stopped at a named stage, with the envelope
+    when the fit got that far (else null) and no samples.csv."""
     message = f"{stage_anchor}: {detail}"
     logger.error(message)
-    _write_reports(out_dir, {"mode": mode, "envelope": envelope.to_json(),
+    _write_reports(out_dir, {"mode": mode,
+                             "envelope": None if envelope is None else envelope.to_json(),
                              "report": _failure_report(stage_anchor, message)},
                    "certification FAILED\n" + message + "\n")
     return EXIT_CERTIFICATION_FAILED
@@ -81,7 +122,16 @@ def _estimate_lipschitz(config: ScenarioConfig, field) -> float:
     return estimate.inflated()
 
 
-def _fit_trajectories(config: ScenarioConfig, spec, horizon: float):
+def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str,
+                      inputs: VerificationInputs | None = None):
+    """The stability envelope of a seeded batch of trajectories over ``horizon``.
+
+    This is the stage ``anchor``.  With ``inputs``, the verification's
+    contraction pairs join the fit's flow as extra rows, since their flow
+    does not depend on L; their states at :func:`contraction_offsets` of the
+    envelope horizon, which lie on the fit's step grid, come back with the
+    envelope (else None).
+    """
     rng = np.random.default_rng(config.seed + 1)
     m = config.manifold
     starts, t0s = [], []
@@ -90,11 +140,27 @@ def _fit_trajectories(config: ScenarioConfig, spec, horizon: float):
         for _ in range(n_starts):
             r = config.grid.radius * rng.uniform(0.3, 1.0)
             v = m.random_tangent(rng, config.equilibrium.coords, norm=r)
-            starts.append(ManifoldPoint(m, m.exp(config.equilibrium.coords, v)))
+            starts.append(m.exp(config.equilibrium.coords, v))
             t0s.append(t0)
     t0s = np.array(t0s)
-    trajectories = flow(spec.field, t0s, starts, t0s + horizon, config.step)
-    return classify_stability(trajectories, config.equilibrium)
+    offsets = step_offsets(horizon, config.step)
+    x0, t_rows, grid = m.project(np.array(starts)), t0s, offsets
+    if inputs is not None:
+        taus = contraction_offsets(config.envelope_horizon, config.step)
+        x0 = np.concatenate([x0, *inputs.pair_x])
+        t_rows = np.concatenate([t0s, inputs.pair_t, inputs.pair_t])
+        grid = np.sort(np.concatenate([offsets, taus]))  # a repeated time adds no step
+    with _stage(anchor):
+        pts = flow_samples(field, t_rows, x0, grid, config.step)
+    fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
+    trajectories = [Trajectory(m, np.append(t0 + offsets[:-1], t0 + horizon), fit[:, i],
+                               config.step) for i, t0 in enumerate(t0s)]
+    envelope = classify_stability(trajectories, config.equilibrium)
+    logger.info("stability class: %s", envelope.stability_class)
+    if inputs is None:
+        return envelope, None
+    pair_flow = pts[np.searchsorted(grid, taus), len(t0s):]
+    return envelope, pair_flow.reshape((len(taus), 2, -1) + m.ambient_shape)
 
 
 def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float:
@@ -103,12 +169,21 @@ def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float
     return choose_delta(envelope.K, envelope.rate, config.delta.target).delta
 
 
-def _verify_exponential(config: ScenarioConfig, field, envelope: StabilityEnvelope):
-    """estimate L -> choose horizon -> construct V -> verify, on the config grid."""
-    L = _estimate_lipschitz(config, field)
-    return verify_converse_certificate(
-        field, config.equilibrium, L, envelope, _resolve_delta(config, envelope), config.p,
-        config.grid, seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon)
+def _verify_exponential(config: ScenarioConfig, field, envelope: StabilityEnvelope,
+                        pair_flow) -> CertificationReport:
+    """estimate L -> choose horizon -> construct V -> verify, on the config grid.
+
+    ``pair_flow`` is the contraction pairs' flow from the envelope fit.
+    """
+    with _stage(ANCHOR_HORIZON, NUMERICAL_FAILURES + (InvalidDeltaError,)):
+        L = _estimate_lipschitz(config, field)
+        delta = _resolve_delta(config, envelope)
+    # A horizon without decay margin is rejected before verification integrates.
+    with _stage(ANCHOR_HORIZON, (InvalidDeltaError,)), _stage(ANCHOR_VERIFICATION):
+        return verify_converse_certificate(
+            field, config.equilibrium, L, envelope, delta, config.p, config.grid,
+            seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon,
+            pair_flow=pair_flow)
 
 
 def _failure_report(stage_anchor: str, message: str) -> dict:
@@ -116,35 +191,36 @@ def _failure_report(stage_anchor: str, message: str) -> dict:
 
 
 def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int:
-    """estimate L -> fit envelope -> choose horizon -> construct V -> verify."""
+    """fit envelope -> estimate L -> choose horizon -> construct V -> verify."""
     if mode not in ("exp", "massera"):
         raise ConfigError(f"mode must be 'exp' or 'massera', got {mode!r}")
     spec = config.build_system()
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    fit_horizon = (config.massera.fit_horizon
-                   if mode == "massera" and config.massera is not None
-                   else config.fit_horizon)
-    envelope = _fit_trajectories(config, spec, fit_horizon)
-    logger.info("stability class: %s", envelope.stability_class)
-
-    if mode == "exp":
+    envelope = None
+    try:
+        if mode == "massera":
+            horizon = (config.massera.fit_horizon if config.massera is not None
+                       else config.fit_horizon)
+            envelope, _ = _fit_trajectories(config, spec.field, horizon, ANCHOR_UGAS_ENVELOPE)
+            return _run_certify_massera(config, spec, envelope, out_dir)
+        inputs = draw_verification_inputs(config.manifold, config.equilibrium,
+                                          config.grid, config.seed)
+        envelope, pair_flow = _fit_trajectories(config, spec.field, config.fit_horizon,
+                                                ANCHOR_ENVELOPE_FIT, inputs)
         if not envelope.is_exponential:
             return _stage_failure(out_dir, mode, envelope, ANCHOR_ENVELOPE_FIT, (
                 f"trajectories classify as {envelope.stability_class}, not exponentially "
                 f"stable (fit residual {envelope.fit_residual:.3g})"))
-        try:
-            report = _verify_exponential(config, spec.field, envelope)
-        except InvalidDeltaError as err:
-            return _stage_failure(out_dir, mode, envelope, ANCHOR_HORIZON, str(err))
-        payload = {"mode": mode, "envelope": envelope.to_json(),
-                   "certificate": report.certificate.to_json(), "report": report.to_dict()}
-        # samples.csv: the verification grid's own quantities, for its first states.
-        _write_reports(out_dir, payload, report.to_text(),
-                       (SAMPLES_HEADER, report.samples[:SAMPLES_CSV_ROWS].tolist()))
-        return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
-
-    return _run_certify_massera(config, spec, envelope, out_dir)
+        report = _verify_exponential(config, spec.field, envelope, pair_flow)
+    except StageFailure as err:
+        return _stage_failure(out_dir, mode, envelope, err.anchor, str(err))
+    payload = {"mode": mode, "envelope": envelope.to_json(),
+               "certificate": report.certificate.to_json(), "report": report.to_dict()}
+    # samples.csv: the verification grid's own quantities, for its first states.
+    _write_reports(out_dir, payload, report.to_text(),
+                   (SAMPLES_HEADER, report.samples[:SAMPLES_CSV_ROWS].tolist()))
+    return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
 
 
 def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelope,
@@ -152,17 +228,15 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
     if config.massera is None:
         raise ConfigError("massera mode requires a 'massera' config section")
     if envelope.stability_class == "US":
-        return _stage_failure(out_dir, "massera", envelope, "ugas-envelope",
+        return _stage_failure(out_dir, "massera", envelope, ANCHOR_UGAS_ENVELOPE,
                               "trajectories do not decay; asymptotic construction unavailable")
 
     # Decay flows get slow at long horizons; a coarser integrator step keeps
     # evaluation at desk scale without touching the envelope fit.
     eval_step = max(config.step, 0.05)
-    try:
+    with _stage(ANCHOR_UGAS_TAIL, (HorizonError,)):
         V = construct_ugas_V(spec.field, config.equilibrium, envelope,
                              config.massera.t_max, config.massera.tail_tol, step=eval_step)
-    except HorizonError as err:
-        return _stage_failure(out_dir, "massera", envelope, "ugas-tail", str(err))
     reshaping = V.reshaping
 
     m = config.manifold
@@ -181,9 +255,10 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
     ray = m.exp(x_star, m.rows(radii) * direction)
 
     # Every V of this mode (states, Lie stencils, ray, equilibrium) in one batch.
-    plus, minus = lie_stencil(spec.field, t, m.project(x), LIE_H, V.step)
-    v_val, v_plus, v_minus, ray_values, v_at_star = V.evaluate_groups([
-        (t, x), (t + LIE_H, plus), (t - LIE_H, minus), (0.0, ray), (0.0, x_star)])
+    with _stage(ANCHOR_UGAS_EVALUATION):
+        plus, minus = lie_stencil(spec.field, t, m.project(x), LIE_H, V.step)
+        v_val, v_plus, v_minus, ray_values, v_at_star = V.evaluate_groups([
+            (t, x), (t + LIE_H, plus), (t - LIE_H, minus), (0.0, ray), (0.0, x_star)])
     lie = (v_plus - v_minus) / (2.0 * LIE_H)
     sample_rows = np.stack([t, m.dist(x, x_star), v_val, lie], axis=1).tolist()
     v_min = float(np.min(v_val))
@@ -238,29 +313,35 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
     check_input_signal(spec.input_signal, spec.input_bound, horizon_max)
 
     unforced = config.build_system_unforced()
-    envelope = _fit_trajectories(config, unforced, config.fit_horizon)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not envelope.is_exponential:
-        return _stage_failure(out_dir, "iss", envelope, ANCHOR_ENVELOPE_FIT, (
-            f"unforced system classifies as {envelope.stability_class}, "
-            "not exponentially stable"))
+    envelope = None
     try:
-        base_report = _verify_exponential(config, unforced.field, envelope)
-    except InvalidDeltaError as err:
-        return _stage_failure(out_dir, "iss", envelope, ANCHOR_HORIZON, str(err))
-    certificate = base_report.certificate
-    payload = {"mode": "iss", "envelope": envelope.to_json(),
-               "certificate": certificate.to_json(), "unforced_report": base_report.to_dict()}
-    if not base_report.verdict:
-        payload["report"] = _failure_report("uges-precondition", "unforced certification failed")
-        _write_reports(out_dir, payload, base_report.to_text())
-        return EXIT_CERTIFICATION_FAILED
-
-    # samples.csv: the series trajectory integrated with the robustness batch.
-    iss_report = iss_certify(spec.field, config.equilibrium, certificate,
-                             spec.input_signal, spec.input_bound,
-                             config.iss_horizons, seed=config.seed,
-                             grid=config.grid, step=config.step)
+        inputs = draw_verification_inputs(config.manifold, config.equilibrium,
+                                          config.grid, config.seed)
+        envelope, pair_flow = _fit_trajectories(config, unforced.field, config.fit_horizon,
+                                                ANCHOR_ENVELOPE_FIT, inputs)
+        if not envelope.is_exponential:
+            return _stage_failure(out_dir, "iss", envelope, ANCHOR_ENVELOPE_FIT, (
+                f"unforced system classifies as {envelope.stability_class}, "
+                "not exponentially stable"))
+        base_report = _verify_exponential(config, unforced.field, envelope, pair_flow)
+        certificate = base_report.certificate
+        payload = {"mode": "iss", "envelope": envelope.to_json(),
+                   "certificate": certificate.to_json(),
+                   "unforced_report": base_report.to_dict()}
+        if not base_report.verdict:
+            payload["report"] = _failure_report("uges-precondition",
+                                                "unforced certification failed")
+            _write_reports(out_dir, payload, base_report.to_text())
+            return EXIT_CERTIFICATION_FAILED
+        # samples.csv: the series trajectory integrated with the robustness batch.
+        with _stage(ANCHOR_ISS_ROBUSTNESS):
+            iss_report = iss_certify(spec.field, config.equilibrium, certificate,
+                                     spec.input_signal, spec.input_bound,
+                                     config.iss_horizons, seed=config.seed,
+                                     grid=config.grid, step=config.step)
+    except StageFailure as err:
+        return _stage_failure(out_dir, "iss", envelope, err.anchor, str(err))
     payload["report"] = iss_report.to_dict()
     _write_reports(out_dir, payload, iss_report.to_text(),
                    (["t", "distance", "V", "u_norm"], iss_report.series.tolist()))

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geolyap import certify, flows, lyapunov
+from geolyap import certify, flows, lyapunov, pipeline
 from geolyap.certify import (
     CERTIFICATE_CHECKLIST,
     EnvelopeFitError,
@@ -12,6 +14,7 @@ from geolyap.certify import (
     check_input_signal,
     classify_stability,
     direct_lyapunov_check,
+    draw_verification_inputs,
     input_lipschitz_estimate,
     iss_certify,
     make_certificate,
@@ -19,9 +22,11 @@ from geolyap.certify import (
     verify_converse_certificate,
 )
 from geolyap.envelopes import KLEnvelope, PowerLaw, StabilityEnvelope
+from geolyap.config import load_scenario
 from geolyap.flows import (
     Region,
     TimeVaryingField,
+    contraction_offsets,
     flow,
     flow_samples,
     lipschitz_estimate,
@@ -243,7 +248,8 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     assert report.verdict
 
     (t0, x0, offsets, out), = [c for c in calls if c[2][-1] == delta]
-    assert np.array_equal(offsets, np.linspace(0.0, delta, 65))
+    # delta = ln 2 at step 0.01: 70 Simpson intervals, so each node gap is one step.
+    assert np.array_equal(offsets, np.linspace(0.0, delta, 71))
     assert x0.shape == (5 * n + 2 * n_push, 3)
     t, d, _, lie = report.samples.T
     assert np.array_equal(t0[:n], t)
@@ -262,6 +268,30 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     public = pushforward(field, t_push, base, TangentVector(base, directions),
                          t_push + delta, step=1e-2).components
     assert np.linalg.norm(w - public) <= 1e-8 * np.linalg.norm(public)
+
+
+def test_contraction_pairs_ride_the_fit_flow_unchanged():
+    # The pairs join the envelope fit's flow as extra rows: the fit is that
+    # of a flow without them, and the pairs' states at the contraction
+    # offsets are those of their own flow, whose substeps of the offsets'
+    # gaps match the fit's step grid up to rounding.
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    config = dataclasses.replace(load_scenario(configs / "time_varying_gain.json"),
+                                 fit_horizon=2.0, envelope_horizon=0.5)
+    field = config.build_system().field
+    inputs = draw_verification_inputs(config.manifold, config.equilibrium, config.grid,
+                                      config.seed)
+    alone, no_pairs = pipeline._fit_trajectories(config, field, config.fit_horizon,
+                                                 certify.ANCHOR_ENVELOPE_FIT)
+    joint, pair_flow = pipeline._fit_trajectories(config, field, config.fit_horizon,
+                                                  certify.ANCHOR_ENVELOPE_FIT, inputs)
+    assert no_pairs is None
+    assert joint.to_json() == alone.to_json()
+    assert np.array_equal(joint.beta.table, alone.beta.table)
+    offsets = contraction_offsets(config.envelope_horizon, config.step)
+    alone = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, config.step)
+    assert pair_flow.shape == alone.shape
+    assert np.max(np.abs(pair_flow - alone)) <= 1e-14
 
 
 def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):

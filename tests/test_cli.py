@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from geolyap import certify, flows, lyapunov, pipeline
 from geolyap.cli import main
 from geolyap.config import ConfigError, load_scenario
 
@@ -158,6 +159,10 @@ FAILURE_CASES = {
     # K ** p overflows at p = 1000
     "certify-overflow-power": (["certify"], "time_varying_gain.json", {"p": 1000},
                                "les-horizon"),
+    # d' = -1e6 d^3 is too stiff for step 0.01: the fit flow leaves the reals
+    "massera-integration-blowup": (["certify", "--mode", "massera"], "cubic_massera.json",
+                                   {"system": {"name": "cubic_slowdown",
+                                               "params": {"gain": 1e6}}}, "ugas-envelope"),
 }
 
 
@@ -174,6 +179,43 @@ def test_construction_failures_exit_two_naming_stage(tmp_path, case):
     assert json.loads((out / "report.json").read_text())["report"]["failed_stage"] == anchor
     assert anchor in (out / "report.txt").read_text()
     assert not (out / "samples.csv").exists()
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """RK4 steps of every flow_samples call from here on, one entry per flow."""
+    steps = []
+    real_step, real_flow = flows._rk4_step, flows.flow_samples
+
+    def counting_step(*args):
+        steps[-1] += 1
+        return real_step(*args)
+
+    def counting_flow(*args, **kwargs):
+        steps.append(0)
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_rk4_step", counting_step)
+    for module in (flows, lyapunov, certify, pipeline):
+        monkeypatch.setattr(module, "flow_samples", counting_flow)
+    return steps
+
+
+def test_step_counts_per_flow(tmp_path, monkeypatch):
+    # sphere2 at step 0.01 with delta = ln 2.  The envelope fit takes 200
+    # steps over fit_horizon 2 and carries the contraction pairs, whose
+    # offsets lie on its grid; the Lie stencil takes 1; V's 71 quadrature
+    # nodes take 70.  The contraction check has no flow of its own.
+    steps = _count_steps(monkeypatch)
+    base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
+    config = _small_config(tmp_path, **base)
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
+    assert steps == [200, 1, 70]
+    # iss adds its own Lie stencil, the disturbed flow to t = 3 and one V batch.
+    steps.clear()
+    config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
+                           disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
+    assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
+    assert steps == [200, 1, 70, 1, 300, 70]
 
 
 def test_iss_scenario(tmp_path):
@@ -271,6 +313,9 @@ def test_flow_zero_field_constant_rows(tmp_path):
     ({"envelope_horizon": 0}, "envelope_horizon"),  # a zero-length tau grid passes vacuously
     ({"disturbance": {"profile": "constant", "amplitude": 0.1,
                       "direction": [1.0, 0.0, 0.0]}}, "direction"),  # two input channels
+    ({"step": math.nan}, "step"),  # JSON's NaN and Infinity literals
+    ({"fit_horizon": math.inf}, "fit_horizon"),
+    ({"grids": {"n_points": 8, "radius": math.nan, "t0_list": [0.0]}}, "radius"),
 ])
 def test_config_validation_errors(tmp_path, mutation, message):
     config = _small_config(tmp_path, **mutation)

@@ -11,6 +11,7 @@ from geolyap.flows import (
     TimeVaryingField,
     arc_stencil,
     contraction_envelope_check,
+    contraction_offsets,
     flow,
     flow_samples,
     geodesic_stencil,
@@ -355,6 +356,23 @@ def test_contraction_margin_skips_the_start_row(sphere_attractor):
     assert report.worst_upper_margin == pytest.approx(
         min(r.upper * (1.0 + slack) / r.measured - 1.0 for r in later), rel=1e-12)
     assert min(report.worst_lower_margin, report.worst_upper_margin) > 100 * slack
+
+
+@pytest.mark.parametrize("horizon, step, want", [
+    (0.5, 0.01, [0, 8, 17, 25, 33, 42, 50]),   # nearest k to linspace(0, 0.5, 7) / 0.01
+    (3.0, 0.02, [0, 25, 50, 75, 100, 125, 150]),
+    (0.506, 0.01, [0, 8, 17, 25, 34, 42, 50]),  # 0.51 would pass the horizon
+    (0.025, 0.01, [0, 1, 2]),                   # repeats dropped
+])
+def test_contraction_offsets_sit_on_the_step_grid(horizon, step, want):
+    offsets = contraction_offsets(horizon, step)
+    assert np.array_equal(offsets, np.array(want) * step)
+    # The nodes of a step-grid flow over any longer span include them.
+    assert set(offsets.tolist()) <= set(flows.step_offsets(horizon + 1.0, step).tolist())
+
+
+def test_contraction_offsets_shorter_than_a_step():
+    assert contraction_offsets(0.004, 0.01).tolist() == [0.0, 0.004]
 
 
 # -- timed lie derivative -----------------------------------------------------------------

@@ -16,7 +16,13 @@ from geolyap.lyapunov import (
     massera_G,
     theoretical_bounds,
 )
-from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere, TangentVector
+from geolyap.manifolds import (
+    Euclidean,
+    ManifoldPoint,
+    Sphere,
+    TangentVector,
+    manifold_from_name,
+)
 from geolyap.systems import make_system
 
 EUCLID = Euclidean(2)
@@ -136,6 +142,32 @@ def test_sphere_V_closed_form_ratio(sphere_V1):
         x = _sphere_state(rng)
         d = SPHERE.dist(x.coords, NORTH)
         assert sphere_V1.evaluate(0.4, x) == pytest.approx(0.5 * d, abs=1e-5)
+
+
+# Largest |V - d0^p (1 - e^{-p g delta}) / (p g)| over the states of the test
+# below when V used 65 nodes whatever the step (rounded up); the step-grid
+# node rule must not be less accurate.
+V_ERR_AT_65_NODES = {("sphere2", 1.0): 3.94e-11, ("sphere2", 2.0): 4.61e-10,
+                     ("so3", 1.0): 2.80e-11, ("so3", 2.0): 2.41e-10,
+                     ("hyperbolic2", 1.0): 3.94e-11, ("hyperbolic2", 2.0): 4.61e-10}
+
+
+def test_V_closed_form_error_does_not_grow():
+    rng = np.random.default_rng(5)
+    for name, gain in (("sphere2", 1.0), ("so3", 2.0), ("hyperbolic2", 1.0)):
+        m = manifold_from_name(name)
+        x_star = m.project(m.random_point(rng))
+        spec = make_system("geodesic_attractor", m, x_star, gain=gain)
+        delta = LN2 / gain  # 71 nodes on sphere2 and hyperbolic2 at step 0.01; so3 keeps 65
+        x = np.array([m.exp(x_star, m.random_tangent(rng, x_star, norm=r))
+                      for r in np.linspace(0.2, 1.0, 8)])
+        t = np.linspace(0.0, 10.0, 8)
+        d0 = m.dist(x, x_star)
+        for p in (1.0, 2.0):
+            V = construct_exp_V(spec.field, spec.equilibrium, delta, p=p, step=0.01)
+            exact = d0 ** p * -math.expm1(-p * gain * delta) / (p * gain)
+            err = np.max(np.abs(V.evaluate(t, ManifoldPoint(m, x)) - exact))
+            assert err <= V_ERR_AT_65_NODES[name, p], (name, p, err)
 
 
 def test_euclid_quadratic_closed_form(euclid_linear):

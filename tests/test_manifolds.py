@@ -11,6 +11,7 @@ from geolyap.manifolds import (
     GeodesicSegment,
     GeometryError,
     Hyperbolic2,
+    Manifold,
     ManifoldMismatchError,
     ManifoldPoint,
     Sphere,
@@ -250,6 +251,33 @@ def test_transport_carries_geodesic_velocity(m):
     y = m.exp(x, v)
     forward_velocity_at_y = -m.log(y, x)
     np.testing.assert_allclose(m.transport(x, y, v), forward_velocity_at_y, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=lambda m: m.name)
+def test_transport_back_is_transport_along_the_step(m):
+    # The integrator's stage transport: w at exp_x(v) back to x, |v| up to 1.5.
+    rng = np.random.default_rng(17)
+    for norm in np.linspace(0.0, 1.5, 31):
+        x = m.project(m.random_point(rng))
+        v = m.random_tangent(rng, x, norm=norm)
+        y = m.exp(x, v)
+        w = m.random_tangent(rng, y, norm=rng.uniform(0.5, 2.0))
+        err = np.max(np.abs(m.transport_back(x, v, y, w) - m.transport(y, x, w)))
+        assert err <= 1e-12, (norm, err)
+
+
+def test_sphere2_frame_matches_gram_schmidt():
+    s = Sphere(2)
+    rng = np.random.default_rng(19)
+    special = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+               [0.6, 0.8, 0.0], [0.6, -0.8, 0.0],   # x cross b0 normal to e1
+               [1.0, 1e-9, 0.0], [-1.0, 0.0, 1e-10]]  # within 1e-8 of +-e0: generic rows
+    x = s.project(np.concatenate([np.array(special, dtype=float),
+                                  rng.standard_normal((500, 3))]))
+    frame = s.tangent_basis(x)
+    assert np.max(np.abs(frame - Manifold.tangent_basis(s, x))) <= 1e-10
+    assert np.max(np.abs(np.einsum("nij,nkj->nik", frame, frame) - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(np.einsum("nij,nj->ni", frame, x))) <= 1e-12
 
 
 def test_cut_locus_rejection():

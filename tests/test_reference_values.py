@@ -6,8 +6,12 @@ registered system pair, plus the disturbed input channel and the Massera
 reshaping.  The values were written by the one-state-at-a-time integrator
 that preceded the batched kernel; the batched code must reproduce V and the
 endpoints to 1e-12 absolute and the finite-difference quantities to 1e-8
-relative.  ``python tests/test_reference_values.py --write`` rewrites the
-file from the current code.
+relative.  The Massera-mode V is the exception: its quadrature nodes now
+sit on the step grid (161 nodes over the horizon 8 at step 0.05, where 65
+nodes split every gap into three steps), so it is gated by moving closer to
+a 1,601-node value (step 0.005) than the file's value is.
+``python tests/test_reference_values.py --write`` rewrites the file from the
+current code.
 """
 
 import json
@@ -94,13 +98,13 @@ def _case_values(manifold, system, params, profile, equilibrium, states):
     return out
 
 
-def _massera_values(states):
+def _massera_values(states, step=0.05):
     """The reshaping G, G' and a Massera-mode V of the planar cubic system."""
     times = np.linspace(0.0, 10.0, 41)
     G = massera_G(times, 1.0 / np.sqrt(2.0 * times + 1.0))
     s = np.linspace(0.0, 1.2, 13)
     spec = make_system("cubic_slowdown", manifold_from_name("euclidean2"), [0.0, 0.0])
-    V = LyapunovFunction(spec.field, spec.equilibrium, 8.0, 1.0, step=0.05,
+    V = LyapunovFunction(spec.field, spec.equilibrium, 8.0, 1.0, step=step,
                          mode="massera", reshaping=G)
     m = spec.field.manifold
     return {
@@ -163,7 +167,9 @@ def test_massera_matches_reference_values(reference):
     got = _massera_values(entry["states"])
     _assert_abs(got["G"], entry["values"]["G"], "G")
     _assert_abs(got["G_prime"], entry["values"]["G_prime"], "G'")
-    _assert_abs(got["V"], entry["values"]["V"], "Massera V")
+    fine = _massera_values(entry["states"], step=0.005)["V"]  # 1,601 nodes
+    err = np.abs(np.subtract(got["V"], fine))
+    assert np.all(err < np.abs(np.subtract(entry["values"]["V"], fine))), err
 
 
 if __name__ == "__main__":

@@ -4,11 +4,25 @@
 samples of exp-mode ``verify_converse_certificate`` on small sphere2, so3 and
 hyperbolic2 grids, and the report and series of ``iss_certify`` on sphere2,
 together with the inputs they were computed from (equilibrium, Lipschitz
-constant).  The values were written by the code in which the telescoping
-endpoints and the pushforward integrated on their own step grids, apart from
-V.  They now share V's quadrature-node flow, so those two rows may move:
-``telescoping-identity`` within 1e-9 absolute and ``pushforward-growth``
-within 1e-8 relative.  Every other number must be bit-identical.
+constant).  The values were written by the code in which V used 65
+quadrature nodes whatever the step, the integrator transported its stages
+with the generic ``transport``, and the contraction check read the pairs at
+``linspace(0, envelope_horizon, 7)``.  The file is kept as written; the
+current code is compared against it at stated per-quantity tolerances:
+
+- the drawn inputs (sample times and distances, series times and inputs)
+  are bit-identical;
+- V now uses the step-grid node rule (71 nodes at delta = ln 2), so V and
+  every quantity derived from it (sandwich, decay, differential rows, the
+  sample and series V and LV columns, the ISS bounds) move by the change in
+  Simpson quadrature error: within ``V_REL`` relative;
+- ``telescoping-identity`` measures the Lie stencil's own error (about 4e-7)
+  and moves within ``TELESCOPE_ABS`` absolute; ``pushforward-growth`` within
+  ``PUSHFORWARD_REL`` relative; flowed distances within ``FLOW_REL``;
+- the contraction row reads the pairs at the step-grid offsets of
+  ``contraction_offsets``, so it is compared with ``contraction_envelope_check``
+  on those offsets, exactly, not with the file.
+
 ``python tests/test_verification_reference.py --write`` rewrites the file
 from the current code.
 """
@@ -24,19 +38,28 @@ import pytest
 from geolyap.certify import (
     TELESCOPE_TOL,
     GridSpec,
+    draw_verification_inputs,
     iss_certify,
     verify_converse_certificate,
 )
 from geolyap.envelopes import KLEnvelope, StabilityEnvelope
-from geolyap.flows import Region, lipschitz_estimate
+from geolyap.flows import (
+    Region,
+    contraction_envelope_check,
+    contraction_offsets,
+    lipschitz_estimate,
+)
 from geolyap.lyapunov import choose_delta
-from geolyap.manifolds import manifold_from_name
+from geolyap.manifolds import ManifoldPoint, manifold_from_name
 from geolyap.systems import attach_disturbance, make_system
 
 FIXTURE = Path(__file__).parent / "data" / "verification_reference.json"
 STEP = 1e-2
-TELESCOPE_ABS = 1e-9
+ENVELOPE_HORIZON = 0.5
+V_REL = 1e-7
+TELESCOPE_ABS = 1e-7
 PUSHFORWARD_REL = 1e-8
+FLOW_REL = 1e-12
 T0_LIST = (0.0, 1.0, math.e, 10.0)
 TV = {"base_gain": 1.5, "amplitude": 0.5}
 CASES = [  # label, manifold, system, params, envelope (K, rate), n_points, p
@@ -61,7 +84,8 @@ def _verify(case, equilibrium, L):
     delta = choose_delta(K, rate, 0.5).delta
     report = verify_converse_certificate(
         spec.field, spec.equilibrium, L, _envelope(K, rate), delta, p,
-        GridSpec(n_points, 1.0, T0_LIST), seed=3, step=STEP, envelope_horizon=0.5)
+        GridSpec(n_points, 1.0, T0_LIST), seed=3, step=STEP,
+        envelope_horizon=ENVELOPE_HORIZON)
     return spec, report
 
 
@@ -103,38 +127,77 @@ def verified(reference):
                              reference["cases"][case[0]]["L"]) for case in CASES}
 
 
-def _assert_rows(got: list, want: list):
+def _close(got: float, want: float, rel: float, what):
+    assert abs(got - want) <= rel * abs(want), (what, got, want)
+
+
+def _contraction_row(case, spec, L):
+    """The contraction row recomputed by the public check on the step-grid offsets."""
+    m = spec.field.manifold
+    inputs = draw_verification_inputs(m, spec.equilibrium, GridSpec(case[5], 1.0, T0_LIST), 3)
+    taus = inputs.pair_t[:, None] + contraction_offsets(ENVELOPE_HORIZON, STEP)
+    reports = contraction_envelope_check(spec.field, L, ManifoldPoint(m, inputs.pair_x[0]),
+                                         ManifoldPoint(m, inputs.pair_x[1]), inputs.pair_t,
+                                         taus, step=STEP)
+    margin = min(min(r.worst_lower_margin, r.worst_upper_margin) for r in reports)
+    return {"name": "contraction-envelope", "anchor": "contraction-envelope", "theory": 0.0,
+            "measured": -margin, "margin": margin, "pass": all(r.passed for r in reports)}
+
+
+def _assert_rows(got: list, want: list, contraction: dict):
     assert [r["name"] for r in got] == [r["name"] for r in want]
     for g, w in zip(got, want):
+        if g["name"] == "contraction-envelope":
+            assert g == contraction
+            continue
         if g["name"] == "telescoping-identity":
             assert abs(g["measured"] - w["measured"]) <= TELESCOPE_ABS, g
             assert abs(g["margin"] - w["margin"]) <= TELESCOPE_ABS / TELESCOPE_TOL, g
-            g, w = ({k: v for k, v in r.items() if k not in ("measured", "margin")}
-                    for r in (g, w))
-        elif g["name"] == "pushforward-growth":
-            tol = PUSHFORWARD_REL * abs(w["measured"])
-            assert abs(g["measured"] - w["measured"]) <= tol, g
-            assert abs(g["margin"] - w["margin"]) <= tol, g
-            g, w = ({k: v for k, v in r.items() if k not in ("measured", "margin")}
-                    for r in (g, w))
+        else:
+            rel = PUSHFORWARD_REL if g["name"] == "pushforward-growth" else V_REL
+            _close(g["measured"], w["measured"], rel, g)
+            assert abs(g["margin"] - w["margin"]) <= rel * (1.0 + abs(w["margin"])), g
+        g, w = ({k: v for k, v in r.items() if k not in ("measured", "margin")}
+                for r in (g, w))
         assert g == w
 
 
 @pytest.mark.parametrize("label", [c[0] for c in CASES])
 def test_verification_matches_reference(reference, verified, label):
     want = reference["cases"][label]
-    _, report = verified[label]
+    case = next(c for c in CASES if c[0] == label)
+    spec, report = verified[label]
     got = report.to_dict()
     assert got["verdict"] == want["report"]["verdict"]
-    _assert_rows(got["rows"], want["report"]["rows"])
-    assert report.samples.tolist() == want["samples"]
+    _assert_rows(got["rows"], want["report"]["rows"], _contraction_row(case, spec, want["L"]))
+    samples, want_samples = report.samples, np.array(want["samples"])
+    assert np.array_equal(samples[:, :2], want_samples[:, :2])  # t and distance: the draws
+    for column in (2, 3):  # V and LV
+        err = np.abs(samples[:, column] - want_samples[:, column])
+        assert np.all(err <= V_REL * np.abs(want_samples[:, column])), (label, column)
 
 
 def test_iss_matches_reference(reference, verified):
     spec, report = verified["sphere2/geodesic"]
     got = _iss(spec, report.certificate)
-    assert got["series"] == reference["iss"]["series"]
-    assert got["report"] == reference["iss"]["report"]
+    want = reference["iss"]
+    series, want_series = np.array(got["series"]), np.array(want["series"])
+    assert np.array_equal(series[:, [0, 3]], want_series[:, [0, 3]])  # t and |u|
+    assert np.all(np.abs(series[:, 1] - want_series[:, 1]) <= FLOW_REL * want_series[:, 1])
+    assert np.all(np.abs(series[:, 2] - want_series[:, 2]) <= V_REL * want_series[:, 2])
+    report, want_report = got["report"], want["report"]
+    assert report["pass"] == want_report["pass"]
+    assert report["input_bound"] == want_report["input_bound"]
+    _close(report["input_lipschitz"], want_report["input_lipschitz"], FLOW_REL, "L_u")
+    for key in ("c3", "c4", "predicted_v_bound", "ultimate_distance_bound"):
+        assert report[key] == want_report[key], key  # certificate constants: no flow
+    _close(report["measured_d_limsup"], want_report["measured_d_limsup"], FLOW_REL, "d")
+    _close(report["measured_v_limsup"], want_report["measured_v_limsup"], V_REL, "V")
+    for g, w in zip(report["rows"], want_report["rows"]):
+        _close(g["measured"], w["measured"], V_REL, g)
+        assert abs(g["margin"] - w["margin"]) <= V_REL * (1.0 + abs(w["margin"])), g
+        assert ({k: v for k, v in g.items() if k not in ("measured", "margin")}
+                == {k: v for k, v in w.items() if k not in ("measured", "margin")})
 
 
 if __name__ == "__main__":
