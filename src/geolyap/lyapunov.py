@@ -145,12 +145,6 @@ def theoretical_bounds(L: float, K: float, rate: float, delta: float,
     return TheoreticalBounds(c1, c2, c3, c4, K_prime, c2_alt, L, K, rate, delta, p)
 
 
-def quadrature_intervals(horizon: float, step: float) -> int:
-    """Simpson intervals over the horizon: an even count whose spacing is at
-    most ``step``, and never fewer than MIN_QUADRATURE_INTERVALS."""
-    return max(MIN_QUADRATURE_INTERVALS, 2 * math.ceil(horizon / (2.0 * step) - GRID_TOL))
-
-
 def _simpson_weights(horizon: float, intervals: int) -> np.ndarray:
     """Composite Simpson weights on ``intervals + 1`` evenly spaced nodes."""
     w = np.ones(intervals + 1)
@@ -168,9 +162,9 @@ class LyapunovFunction:
     certified truncation error; ``reshaping`` maps distance arrays to G).
     Evaluations share the horizon, so states with their own times batch;
     so do the Lie and directional derivatives.  An evaluation is
-    :meth:`node_flow` then :meth:`quadrature` (composite Simpson on the
-    :func:`quadrature_intervals` rule, whose nodes sit on the integrator's
-    step grid), so a caller that needs more of the flow over
+    :meth:`node_flow` then :meth:`quadrature` (composite Simpson on
+    :attr:`intervals`, whose nodes are at most one integrator step apart),
+    so a caller that needs more of the flow over
     [t, t + horizon] runs it once.
     """
 
@@ -193,8 +187,10 @@ class LyapunovFunction:
 
     @property
     def intervals(self) -> int:
-        """Simpson intervals of the quadrature, by :func:`quadrature_intervals`."""
-        return quadrature_intervals(self.horizon, self.step)
+        """Simpson intervals over the horizon: the fewest even count whose
+        spacing is at most ``step``, and never fewer than MIN_QUADRATURE_INTERVALS."""
+        return max(MIN_QUADRATURE_INTERVALS,
+                   2 * math.ceil(self.horizon / (2.0 * self.step) - GRID_TOL))
 
     @property
     def node_offsets(self) -> np.ndarray:

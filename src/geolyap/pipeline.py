@@ -83,7 +83,7 @@ def _write_reports(out_dir: Path, payload: dict, text: str, samples=None):
         _write_csv(out_dir / "samples.csv", *samples)
 
 
-class StageFailure(Exception):
+class _StageFailure(Exception):
     """A pipeline stage could not finish; ``anchor`` names it in the report."""
 
     def __init__(self, anchor: str, detail: str):
@@ -93,11 +93,11 @@ class StageFailure(Exception):
 
 @contextmanager
 def _stage(anchor: str, errors: tuple = NUMERICAL_FAILURES):
-    """Raise ``errors`` from the block as a :class:`StageFailure` of ``anchor``."""
+    """Raise ``errors`` from the block as a :class:`_StageFailure` of ``anchor``."""
     try:
         yield
     except errors as err:
-        raise StageFailure(anchor, str(err)) from err
+        raise _StageFailure(anchor, str(err)) from err
 
 
 def _stage_failure(out_dir: Path, mode: str, envelope: StabilityEnvelope | None,
@@ -213,7 +213,7 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
                 f"trajectories classify as {envelope.stability_class}, not exponentially "
                 f"stable (fit residual {envelope.fit_residual:.3g})"))
         report = _verify_exponential(config, spec.field, envelope, pair_flow)
-    except StageFailure as err:
+    except _StageFailure as err:
         return _stage_failure(out_dir, mode, envelope, err.anchor, str(err))
     payload = {"mode": mode, "envelope": envelope.to_json(),
                "certificate": report.certificate.to_json(), "report": report.to_dict()}
@@ -340,7 +340,7 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
                                      spec.input_signal, spec.input_bound,
                                      config.iss_horizons, seed=config.seed,
                                      grid=config.grid, step=config.step)
-    except StageFailure as err:
+    except _StageFailure as err:
         return _stage_failure(out_dir, "iss", envelope, err.anchor, str(err))
     payload["report"] = iss_report.to_dict()
     _write_reports(out_dir, payload, iss_report.to_text(),
