@@ -14,14 +14,13 @@ from .certify import (
     GridSpec,
     ISSReport,
     classify_stability,
-    direct_lyapunov_check,
     input_lipschitz_estimate,
     iss_certify,
     make_certificate,
     run_geometry_suite,
     verify_converse_certificate,
 )
-from .envelopes import KLEnvelope, PowerLaw, StabilityEnvelope
+from .envelopes import KLEnvelope, StabilityEnvelope
 from .flows import (
     LipschitzEstimate,
     Region,
@@ -32,8 +31,6 @@ from .flows import (
     flow_samples,
     lipschitz_estimate,
     pushforward,
-    semigroup_residual,
-    timed_lie_derivative,
 )
 from .lyapunov import (
     DeltaChoice,
@@ -49,7 +46,6 @@ from .lyapunov import (
 from .manifolds import (
     CutLocusError,
     Euclidean,
-    GeodesicSegment,
     GeometryError,
     Hyperbolic2,
     Manifold,
@@ -58,15 +54,8 @@ from .manifolds import (
     Sphere,
     SpecialOrthogonal3,
     TangentVector,
-    distance,
-    exp_map,
-    first_variation_residual,
     first_variation_terms,
-    geodesic_point,
-    inner,
-    log_map,
     manifold_from_name,
-    parallel_transport,
 )
 from .systems import SystemSpec, attach_disturbance, available_systems, make_system
 

@@ -1,8 +1,7 @@
 """Stability-envelope fitting and inequality certification.
 
 This module fits exponential / KL decay envelopes from trajectory batches,
-runs the direct Lyapunov test, verifies every inequality carried by a
-constructed certificate (two-sided contraction envelope, sandwich bounds,
+verifies every inequality carried by a constructed certificate (two-sided contraction envelope, sandwich bounds,
 decay rate, telescoping identity, differential and pushforward bounds), and
 executes the disturbance robustness check.  Every report row carries a
 stable anchor string from the fixed checklist so failures are nameable.
@@ -17,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .envelopes import KLEnvelope, PowerLaw, StabilityEnvelope, nonincreasing_in_s
+from .envelopes import KLEnvelope, StabilityEnvelope, nonincreasing_in_s
 from .flows import (
     DEFAULT_STEP,
     PUSHFORWARD_EPS,
@@ -30,7 +29,6 @@ from .flows import (
     flow_samples,
     lie_stencil,
     pushforward_quotient,
-    timed_lie_derivative,
 )
 from .lyapunov import (
     DIFF_EPS,
@@ -46,7 +44,7 @@ from .manifolds import (
     ManifoldPoint,
     TangentVector,
     endpoint_variation,
-    first_variation_residual,
+    first_variation_terms,
 )
 
 # Fixed anchor checklist for certification reports.  The first five appear in
@@ -68,7 +66,7 @@ ANCHOR_ENVELOPE_FIT = "les-envelope-fit"
 ANCHOR_HORIZON = "les-horizon"
 
 REL_TOL = 0.02          # relative slack of the sandwich, decay and differential rows
-ABS_TOL = 1e-6          # absolute slack of the decay and direct-test rows
+ABS_TOL = 1e-6          # absolute slack of the decay and ISS rows
 TELESCOPE_TOL = 1e-5
 PUSHFORWARD_TOL = 1e-3
 TRAJ_TOL = 0.05         # relative slack of the ISS ultimate bound
@@ -268,51 +266,6 @@ def classify_stability(trajectories: Sequence[Trajectory],
     beta = KLEnvelope(r_arr[keep], s_grid, table[keep])
     return StabilityEnvelope(stability_class, None, None, beta, residual,
                              r_max, len(samples))
-
-
-# -- direct Lyapunov test --------------------------------------------------------
-
-
-def direct_lyapunov_check(V: Callable[[np.ndarray, ManifoldPoint], np.ndarray],
-                          field: TimeVaryingField,
-                          w1: Callable[[np.ndarray], np.ndarray],
-                          w2: Callable[[np.ndarray], np.ndarray],
-                          w3: Callable[[np.ndarray], np.ndarray],
-                          states: Sequence[tuple[float, ManifoldPoint]],
-                          x_star: ManifoldPoint,
-                          step: float = DEFAULT_STEP) -> CertificationReport:
-    """Pointwise direct test: w1(d) <= V <= w2(d) and lie derivative <= -w3(d).
-
-    The states are checked as one batch: ``V(t, x)`` takes per-row times and
-    a batched point and returns one value per row, and the w's act
-    elementwise on distance arrays.  Failures become report rows, never
-    exceptions.  When all three comparison functions are power laws of a
-    common exponent, the implied exponential decay rate is recorded as an
-    extra row.
-    """
-    m = x_star.manifold
-    t = np.array([s for s, _ in states])
-    x = ManifoldPoint(m, np.array([pt.coords for _, pt in states]))
-    d = m.dist(x.coords, x_star.coords)
-    v = V(t, x)
-    lie = timed_lie_derivative(V, field, t, x, LIE_H, step)
-    worst_lower = float(np.min(v - w1(d)))
-    worst_upper = float(np.min(w2(d) - v))
-    worst_decay = float(np.min(-w3(d) - lie))
-    rows = [
-        CheckRow("lower-bound", "direct-lower-bound", 0.0, -worst_lower,
-                 worst_lower, worst_lower >= -ABS_TOL),
-        CheckRow("upper-bound", "direct-upper-bound", 0.0, -worst_upper,
-                 worst_upper, worst_upper >= -ABS_TOL),
-        CheckRow("decay", "direct-decay", 0.0, -worst_decay,
-                 worst_decay, worst_decay >= -ABS_TOL),
-    ]
-    if all(isinstance(w, PowerLaw) for w in (w1, w2, w3)) and w1.power == w2.power == w3.power:
-        implied_rate = w3.coefficient / (w1.power * w2.coefficient)
-        rows.append(CheckRow("exponential-rate", "direct-exponential-rate",
-                             implied_rate, implied_rate, 0.0,
-                             all(r.passed for r in rows)))
-    return CertificationReport(tuple(rows))
 
 
 # -- converse certificate verification -------------------------------------------
@@ -732,8 +685,8 @@ def run_geometry_suite(manifold: Manifold, seed: int, n: int,
             break
     w_mix = 0.6 * toward + 0.8 * side
     family = endpoint_variation(x_pt, y_pt, TangentVector(y_pt, w_mix))
-    res_h = first_variation_residual(x_pt, y_pt, family, h=0.08)
-    res_h2 = first_variation_residual(x_pt, y_pt, family, h=0.04)
+    res_h = first_variation_terms(x_pt, y_pt, family, h=0.08).residual
+    res_h2 = first_variation_terms(x_pt, y_pt, family, h=0.04).residual
     ratio = res_h2 / res_h if res_h > 1e-12 else 0.25
 
     rows = [

@@ -1,21 +1,11 @@
-"""Comparison-function machinery: power laws and sampled decay envelopes."""
+"""Decay envelopes: the sampled two-argument (class-KL) bound and the fitted
+stability classification."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PowerLaw:
-    """The class-K comparison function r -> coefficient * r**power."""
-
-    coefficient: float
-    power: float
-
-    def __call__(self, r: float) -> float:
-        return self.coefficient * r ** self.power
 
 
 def nonincreasing_in_s(table: np.ndarray) -> np.ndarray:
@@ -53,10 +43,6 @@ class KLEnvelope:
     @property
     def r_max(self) -> float:
         return float(self.r_knots[-1])
-
-    @property
-    def s_max(self) -> float:
-        return float(self.s_knots[-1])
 
     def __call__(self, r: float, s: float) -> float:
         i = int(np.searchsorted(self.r_knots, min(r, self.r_max), side="left"))

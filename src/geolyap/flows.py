@@ -61,13 +61,6 @@ class TimeVaryingField:
     manifold: Manifold
     rhs: Callable[[float, np.ndarray], np.ndarray]
     input_rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
-    equilibrium: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.equilibrium is not None:
-            eq = self.manifold.project(np.array(self.equilibrium, dtype=float))
-            eq.setflags(write=False)
-            object.__setattr__(self, "equilibrium", eq)
 
     def eval_raw(self, t, coords: np.ndarray) -> np.ndarray:
         raw = np.asarray(self.rhs(t, coords), dtype=float)
@@ -81,14 +74,6 @@ class TimeVaryingField:
                 f"field on {self.manifold.name} evaluated at a {x.manifold.name} point")
         return TangentVector(x, self.eval_raw(t, x.coords))
 
-    def equilibrium_residual(self) -> float:
-        """Max field norm at the declared equilibrium at t = 0, 1, 5 and 10."""
-        if self.equilibrium is None:
-            raise ValueError("field declares no equilibrium")
-        m = self.manifold
-        return max(m.norm(self.equilibrium, self.eval_raw(t, self.equilibrium))
-                   for t in (0.0, 1.0, 5.0, 10.0))
-
     def with_input_signal(self, signal: Callable[[float], np.ndarray]) -> "TimeVaryingField":
         """Close the input channel with a signal u(t), yielding f(t, x, u(t))."""
         if self.input_rhs is None:
@@ -98,7 +83,7 @@ class TimeVaryingField:
         def closed(t, coords: np.ndarray) -> np.ndarray:
             return input_rhs(t, coords, np.asarray(signal(t), dtype=float))
 
-        return TimeVaryingField(self.manifold, closed, equilibrium=None)
+        return TimeVaryingField(self.manifold, closed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +104,6 @@ class Trajectory:
 
     def distances_to(self, x: ManifoldPoint) -> np.ndarray:
         return self.manifold.dist(self.points, x.coords)
-
-    def max_step_length(self) -> float:
-        if len(self.times) < 2:
-            return 0.0
-        return float(np.max(self.manifold.dist(self.points[:-1], self.points[1:])))
-
-    def to_json(self) -> dict:
-        """Serialize as {kind, step, times, points} with points row-major."""
-        return {
-            "kind": self.manifold.name,
-            "step": self.step,
-            "times": self.times.tolist(),
-            "points": [p.ravel().tolist() for p in self.points],
-        }
 
     def csv_rows(self) -> tuple[list[str], list[list[float]]]:
         """Header and rows for the CSV layout (t, then embedding coords)."""
@@ -242,20 +213,6 @@ def flow(field: TimeVaryingField, t0, x0, t1, step: float = DEFAULT_STEP):
     trajectories = [Trajectory(m, np.append(start + offsets[:-1], end), pts[:, i], step)
                     for i, (start, end) in enumerate(zip(starts, ends))]
     return trajectories[0] if single else trajectories
-
-
-def semigroup_residual(field: TimeVaryingField, t0: float, x0: ManifoldPoint,
-                       t_mid: float, t1: float, step: float = DEFAULT_STEP) -> float:
-    """Distance between the direct flow to t1 and the flow restarted at t_mid."""
-    if not t0 <= t_mid <= t1:
-        raise ValueError(f"need t0 <= t_mid <= t1, got {(t0, t_mid, t1)}")
-    m = field.manifold
-    x_start = m.project(x0.coords.copy())
-    # Each leg steps on the dense grid of its own span.
-    direct, mid = (flow_samples(field, t0, x_start, step_offsets(span, step), step)[-1]
-                   for span in (t1 - t0, t_mid - t0))
-    via = flow_samples(field, t_mid, mid, step_offsets(t1 - t_mid, step), step)[-1]
-    return m.dist(direct, via)
 
 
 def geodesic_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray, eps_hat) -> np.ndarray:
@@ -521,7 +478,8 @@ def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,
     """Flow states at t + h and, integrating backward in time, at t - h.
 
     Both directions run as one batch; returns shape ``(2,) + coords.shape``.
-    ``t`` is a scalar or per-row times.
+    ``t`` is a scalar or per-row times.  The Lie derivative of V at (t, x) is
+    the central difference (V(t + h, end+) - V(t - h, end-)) / 2h.
     """
     m = field.manifold
     lead = np.ndim(coords) - len(m.ambient_shape)
@@ -533,27 +491,3 @@ def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,
     both = TimeVaryingField(m, rhs)
     return flow_samples(both, t, np.stack([coords, coords]), [h], step)[-1]
 
-
-def timed_lie_derivative(V: Callable[[np.ndarray, ManifoldPoint], np.ndarray],
-                         field: TimeVaryingField, t, x: ManifoldPoint,
-                         h: float = 1e-3, step: float | None = None):
-    """Derivative of V(s, phi(s; t, x)) at s = t along the augmented flow.
-
-    Central difference along the flow: the forward point integrates the field
-    over [t, t+h]; the backward point integrates in reverse time.  ``x`` holds
-    one point or a batch with scalar or per-row ``t``.  V is called once, on
-    both stencil ends: its times have shape ``(2,) + rows`` (t + h, then
-    t - h), its point holds the matching batch, and it returns one value per
-    row (or one value for all).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if x.manifold != field.manifold:
-        raise ManifoldMismatchError("point manifold does not match the field")
-    m = field.manifold
-    rows = np.shape(x.coords)[:np.ndim(x.coords) - len(m.ambient_shape)]
-    t = np.broadcast_to(np.asarray(t, dtype=float), rows)
-    ends = lie_stencil(field, t, m.project(x.coords), h, step if step is not None else h / 4.0)
-    v_plus, v_minus = np.broadcast_to(V(np.stack([t + h, t - h]), ManifoldPoint(m, ends)),
-                                      (2,) + t.shape)
-    return (v_plus - v_minus) / (2.0 * h)

@@ -29,7 +29,7 @@ from .flows import (
     TimeVaryingField,
     arc_stencil,
     flow_samples,
-    timed_lie_derivative,
+    lie_stencil,
 )
 from .manifolds import ManifoldMismatchError, ManifoldPoint, TangentVector
 
@@ -234,8 +234,16 @@ class LyapunovFunction:
     __call__ = evaluate
 
     def lie_derivative(self, t, x: ManifoldPoint):
-        """LV(t, x) by a central difference of half-width LIE_H along the flow."""
-        return timed_lie_derivative(self.evaluate, self.field, t, x, LIE_H, self.step)
+        """LV(t, x): V's central difference at the ends of :func:`lie_stencil`
+        of half-width LIE_H, both ends in one V batch."""
+        m = self.field.manifold
+        if x.manifold != m:
+            raise ManifoldMismatchError("point manifold does not match the certificate")
+        t = np.broadcast_to(np.asarray(t, dtype=float),
+                            np.shape(x.coords)[:np.ndim(x.coords) - len(m.ambient_shape)])
+        ends = lie_stencil(self.field, t, m.project(x.coords), LIE_H, self.step)
+        v_plus, v_minus = self._evaluate_raw(np.stack([t + LIE_H, t - LIE_H]), ends)
+        return (v_plus - v_minus) / (2.0 * LIE_H)
 
     def directional_derivative(self, t, x: ManifoldPoint, v: TangentVector):
         """dV(t, .)(v) by a central geodesic difference of arc length DIFF_EPS."""
@@ -261,17 +269,16 @@ def construct_exp_V(field: TimeVaryingField, x_star: ManifoldPoint, delta: float
 class MasseraFunction:
     """Constructive class-K reshaping G with integrable composition G(g(t)).
 
-    Built so that G'(g(t_k)) = e^{-t_k} / max(h(t_k), 1) at the envelope
-    knots; G' is then strictly increasing in its argument with G'(0) = 0,
-    and G is its antiderivative (so G(0) = 0, G convex).  ``k1`` and ``k2``
-    bound the integrals of G(u) and G'(u) h for any sampled u <= g.
+    Built so that G'(g(t_k)) = e^{-t_k} at the envelope knots; G' is then
+    strictly increasing in its argument with G'(0) = 0, and G is its
+    antiderivative (so G(0) = 0, G convex).  ``k1`` and ``k2`` bound the
+    integrals of G(u) and G'(u) over the envelope times for any sampled u <= g.
     """
 
     s_knots: np.ndarray          # ascending, s_knots[0] == 0
     gprime_knots: np.ndarray
     envelope_times: np.ndarray
     envelope_values: np.ndarray
-    h_values: np.ndarray
     k1: float
     k2: float
     grid_spacing: float
@@ -348,24 +355,13 @@ class MasseraFunction:
         beyond = float(gs[-1]) * math.exp(self.grid_spacing) * math.exp(-t_end)
         return grid_part + beyond
 
-    def integrals_for(self, u_values: Sequence[float]) -> tuple[float, float]:
-        """Grid integrals of G(u) and G'(u) h for samples on the fit grid."""
-        u = np.asarray(u_values, dtype=float)
-        if len(u) != len(self.envelope_times):
-            raise ValueError("u samples must align with the envelope time grid")
-        i1 = float(np.trapezoid(self.value(u), self.envelope_times))
-        i2 = float(np.trapezoid(self.derivative(u) * self.h_values, self.envelope_times))
-        return i1, i2
 
-
-def massera_G(t_grid: Sequence[float], g_values: Sequence[float],
-              h: Callable[[float], float] | None = None) -> MasseraFunction:
+def massera_G(t_grid: Sequence[float], g_values: Sequence[float]) -> MasseraFunction:
     """Build the reshaping function for a strictly decreasing envelope.
 
-    ``g_values`` must be positive and strictly decreasing over ``t_grid``;
-    ``h`` is a positive nondecreasing weight (defaults to 1).  The returned
-    object reports k1 and k2 such that for any sampled u <= g the grid
-    integrals of G(u) and G'(u) h stay below them.
+    ``g_values`` must be positive and strictly decreasing over ``t_grid``.
+    The returned object reports k1 and k2 such that for any sampled u <= g
+    the grid integrals of G(u) and G'(u) stay below them.
     """
     ts = np.asarray(t_grid, dtype=float)
     gs = np.asarray(g_values, dtype=float)
@@ -377,12 +373,8 @@ def massera_G(t_grid: Sequence[float], g_values: Sequence[float],
         raise ValueError("envelope values must be positive")
     if np.any(np.diff(gs) >= 0):
         raise ValueError("envelope must be strictly decreasing")
-    h_fn = h if h is not None else (lambda t: 1.0)
-    h_vals = np.array([float(h_fn(t)) for t in ts])
-    if np.any(h_vals <= 0) or np.any(np.diff(h_vals) < -1e-12):
-        raise ValueError("weight h must be positive and nondecreasing")
 
-    gprime_at_knots = np.exp(-ts) / np.maximum(h_vals, 1.0)
+    gprime_at_knots = np.exp(-ts)
     # s ascending: reverse the (decreasing) envelope and pin G'(0) = 0.
     s_knots = np.concatenate(([0.0], gs[::-1]))
     gprime_knots = np.concatenate(([0.0], gprime_at_knots[::-1]))
@@ -390,14 +382,14 @@ def massera_G(t_grid: Sequence[float], g_values: Sequence[float],
         raise ValueError("constructed derivative is not strictly increasing; "
                          "check the envelope grid")
     spacing = float(np.max(np.diff(ts)))
-    partial = MasseraFunction(s_knots, gprime_knots, ts, gs, h_vals,
+    partial = MasseraFunction(s_knots, gprime_knots, ts, gs,
                               k1=0.0, k2=0.0, grid_spacing=spacing)
     grid_k1 = float(np.trapezoid(partial.value(gs), ts))
-    grid_k2 = float(np.trapezoid(gprime_at_knots * h_vals, ts))
+    grid_k2 = float(np.trapezoid(gprime_at_knots, ts))
     t_end = float(ts[-1])
     tail_k1 = float(gs[-1]) * math.exp(spacing) * math.exp(-t_end)
     tail_k2 = math.exp(spacing) * math.exp(-t_end)
-    return MasseraFunction(s_knots, gprime_knots, ts, gs, h_vals,
+    return MasseraFunction(s_knots, gprime_knots, ts, gs,
                            k1=grid_k1 + tail_k1, k2=grid_k2 + tail_k2,
                            grid_spacing=spacing)
 

@@ -61,10 +61,6 @@ class ManifoldPoint:
         object.__setattr__(self, "coords", np.array(self.coords, dtype=float))
         self.coords.setflags(write=False)
 
-    def to_json(self) -> dict:
-        """Serialize as {kind, coords} with matrices flattened row-major."""
-        return {"kind": self.manifold.name, "coords": self.coords.ravel().tolist()}
-
     def __repr__(self):
         return f"ManifoldPoint({self.manifold.name}, {self.coords.ravel().tolist()})"
 
@@ -88,14 +84,6 @@ class TangentVector:
     def norm(self) -> float:
         m = self.base.manifold
         return m.norm(self.base.coords, self.components)
-
-    def to_json(self) -> dict:
-        """Serialize as {kind, coords, base}; coords are the components."""
-        return {
-            "kind": self.manifold.name,
-            "coords": self.components.ravel().tolist(),
-            "base": self.base.coords.ravel().tolist(),
-        }
 
     def __repr__(self):
         return f"TangentVector({self.manifold.name}, |v|={np.round(self.norm, 6)})"
@@ -633,7 +621,7 @@ def manifold_from_name(name: str) -> Manifold:
     raise GeometryError(f"unknown manifold name: {name!r}")
 
 
-# -- module-level operations on wrapped values --------------------------------
+# -- first variation of arc length --------------------------------------------
 
 def _require_same_manifold(*points: ManifoldPoint) -> Manifold:
     m = points[0].manifold
@@ -648,86 +636,6 @@ def _require_base(x: ManifoldPoint, v: TangentVector):
     if v.base.manifold != x.manifold or not np.array_equal(v.base.coords, x.coords):
         raise ManifoldMismatchError("tangent vector is not based at the given point")
 
-
-def inner(x: ManifoldPoint, u: TangentVector, v: TangentVector) -> float:
-    """Riemannian inner product of two tangents based at x."""
-    _require_base(x, u)
-    _require_base(x, v)
-    return x.manifold.inner(x.coords, u.components, v.components)
-
-
-def exp_map(x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-    """Geodesic endpoint exp_x(v).  Globally defined on the built-ins."""
-    _require_base(x, v)
-    return ManifoldPoint(x.manifold, x.manifold.exp(x.coords, v.components))
-
-
-def log_map(x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
-    """Initial velocity of the minimizing geodesic from x to y."""
-    m = _require_same_manifold(x, y)
-    return TangentVector(x, m.log(x.coords, y.coords))
-
-
-def distance(x: ManifoldPoint, y: ManifoldPoint) -> float:
-    m = _require_same_manifold(x, y)
-    return m.dist(x.coords, y.coords)
-
-
-def parallel_transport(x: ManifoldPoint, y: ManifoldPoint, v: TangentVector) -> TangentVector:
-    """Transport v from T_x to T_y along the minimizing geodesic."""
-    m = _require_same_manifold(x, y)
-    _require_base(x, v)
-    return TangentVector(y, m.transport(x.coords, y.coords, v.components))
-
-
-def geodesic_point(x: ManifoldPoint, y: ManifoldPoint, s: float) -> ManifoldPoint:
-    """Point at fraction s in [0, 1] along the minimizing geodesic x -> y."""
-    if not 0.0 <= s <= 1.0:
-        raise GeometryError(f"geodesic parameter must lie in [0, 1], got {s}")
-    m = _require_same_manifold(x, y)
-    if s == 0.0:
-        return x
-    if s == 1.0:
-        return y
-    return ManifoldPoint(m, m.exp(x.coords, s * m.log(x.coords, y.coords)))
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicSegment:
-    """The geodesic s -> exp_start(s * velocity) for s in [0, 1].
-
-    Covariant acceleration vanishes identically along the segment; the
-    residual check below verifies this by finite differences against
-    parallel transport.
-    """
-
-    start: ManifoldPoint
-    initial_velocity: TangentVector
-
-    def __post_init__(self):
-        _require_base(self.start, self.initial_velocity)
-
-    @property
-    def length(self) -> float:
-        return self.initial_velocity.norm
-
-    def point(self, s: float) -> ManifoldPoint:
-        m = self.start.manifold
-        return ManifoldPoint(m, m.exp(self.start.coords,
-                                      s * self.initial_velocity.components))
-
-    def covariant_acceleration_residual(self) -> float:
-        """Max norm of the transport-corrected velocity difference over 16 steps."""
-        m = self.start.manifold
-        h = 1.0 / 16
-        s = np.arange(17) * h
-        pts = m.exp(self.start.coords, m.rows(s) * self.initial_velocity.components)
-        velocity = m.log(pts[:-1], pts[1:]) / h  # at each node (exact on a geodesic)
-        residual = m.transport(pts[1:-1], pts[:-2], velocity[1:]) - velocity[:-1]
-        return float(np.max(m.norm(pts[:-2], residual), initial=0.0))
-
-
-# -- first variation of arc length --------------------------------------------
 
 @dataclass(frozen=True)
 class FirstVariationTerms:
@@ -786,13 +694,6 @@ def first_variation_terms(x: ManifoldPoint, y: ManifoldPoint,
     return FirstVariationTerms(length_derivative, boundary)
 
 
-def first_variation_residual(x: ManifoldPoint, y: ManifoldPoint,
-                             variation: Callable[[float, np.ndarray], ManifoldPoint],
-                             h: float) -> float:
-    """Residual between the arc-length derivative and the boundary term."""
-    return first_variation_terms(x, y, variation, h).residual
-
-
 def endpoint_variation(x: ManifoldPoint, y: ManifoldPoint,
                        w: TangentVector) -> Callable[[float, np.ndarray], ManifoldPoint]:
     """Family of geodesics from x to the moving endpoint exp_y(t w); s scalar or an array."""
@@ -822,15 +723,3 @@ def interior_variation(x: ManifoldPoint, y: ManifoldPoint,
 
     return family
 
-
-# -- serialization -------------------------------------------------------------
-
-def point_from_json(data: dict) -> ManifoldPoint:
-    m = manifold_from_name(data["kind"])
-    return m.point(np.asarray(data["coords"], dtype=float))
-
-
-def tangent_from_json(data: dict) -> TangentVector:
-    m = manifold_from_name(data["kind"])
-    base = m.point(np.asarray(data["base"], dtype=float))
-    return m.tangent(base, np.asarray(data["coords"], dtype=float))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -55,13 +56,14 @@ EXIT_CERTIFICATION_FAILED = 2
 EXIT_CONFIG_ERROR = 3
 SAMPLES_CSV_ROWS = 24   # certify samples.csv: the first states of the verification grid
 SAMPLES_HEADER = ["t", "distance", "V", "lie_derivative"]
-# Stage anchors of the verification, the asymptotic construction and the
-# robustness check.
+# Stage anchors of the verification, the asymptotic construction, the
+# robustness check and the flow command.
 ANCHOR_VERIFICATION = "les-verification"
 ANCHOR_UGAS_ENVELOPE = "ugas-envelope"
 ANCHOR_UGAS_TAIL = "ugas-tail"
 ANCHOR_UGAS_EVALUATION = "ugas-evaluation"
 ANCHOR_ISS_ROBUSTNESS = "iss-robustness"
+ANCHOR_FLOW_INTEGRATION = "flow-integration"
 # Numerical failures inside a stage: a non-finite flow or a pair at the cut locus.
 NUMERICAL_FAILURES = (IntegrationError, CutLocusError)
 
@@ -194,15 +196,16 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
     """fit envelope -> estimate L -> choose horizon -> construct V -> verify."""
     if mode not in ("exp", "massera"):
         raise ConfigError(f"mode must be 'exp' or 'massera', got {mode!r}")
+    if mode == "massera" and config.massera is None:
+        raise ConfigError("massera mode requires a 'massera' config section")
     spec = config.build_system()
     out_dir.mkdir(parents=True, exist_ok=True)
 
     envelope = None
     try:
         if mode == "massera":
-            horizon = (config.massera.fit_horizon if config.massera is not None
-                       else config.fit_horizon)
-            envelope, _ = _fit_trajectories(config, spec.field, horizon, ANCHOR_UGAS_ENVELOPE)
+            envelope, _ = _fit_trajectories(config, spec.field, config.massera.fit_horizon,
+                                            ANCHOR_UGAS_ENVELOPE)
             return _run_certify_massera(config, spec, envelope, out_dir)
         inputs = draw_verification_inputs(config.manifold, config.equilibrium,
                                           config.grid, config.seed)
@@ -225,8 +228,6 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
 
 def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelope,
                          out_dir: Path) -> int:
-    if config.massera is None:
-        raise ConfigError("massera mode requires a 'massera' config section")
     if envelope.stability_class == "US":
         return _stage_failure(out_dir, "massera", envelope, ANCHOR_UGAS_ENVELOPE,
                               "trajectories do not decay; asymptotic construction unavailable")
@@ -349,9 +350,12 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
 
 
 def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
-    """Integrate one trajectory per start time and dump plot-ready CSV."""
+    """Integrate one trajectory per start time and dump plot-ready CSV.
+
+    The flow runs before ``out_dir`` exists: a flow that fails numerically
+    exits 2 naming ``flow-integration`` on stderr and writes nothing.
+    """
     spec = config.build_system()
-    out_dir.mkdir(parents=True, exist_ok=True)
     m = config.manifold
     rng = np.random.default_rng(config.seed)
     v0 = m.random_tangent(rng, config.equilibrium.coords, norm=config.grid.radius)
@@ -359,7 +363,12 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     field = (spec.field.with_input_signal(spec.input_signal)
              if spec.input_signal is not None else spec.field)
     t0s = np.array(config.grid.t0_list)
-    trajectories = flow(field, t0s, [x0] * len(t0s), t0s + config.fit_horizon, config.step)
+    try:
+        trajectories = flow(field, t0s, [x0] * len(t0s), t0s + config.fit_horizon, config.step)
+    except NUMERICAL_FAILURES as err:
+        print(f"error: {ANCHOR_FLOW_INTEGRATION}: {err}", file=sys.stderr)
+        return EXIT_CERTIFICATION_FAILED
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(trajectories):
         header, rows = traj.csv_rows()
         header.append("distance")

@@ -34,10 +34,6 @@ class SystemSpec:
     input_signal: Callable[[float], np.ndarray] | None = None
     input_bound: float | None = None
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self.distance_oracle is not None
-
 
 _BUILDERS: dict[str, Callable[..., SystemSpec]] = {}
 
@@ -68,7 +64,7 @@ def geodesic_attractor(manifold: Manifold, equilibrium, gain: float = 1.0) -> Sy
     def rhs(t, coords: np.ndarray) -> np.ndarray:
         return gain * manifold.log(coords, x_star.coords)
 
-    field = TimeVaryingField(manifold, rhs, equilibrium=x_star.coords)
+    field = TimeVaryingField(manifold, rhs)
     return SystemSpec("geodesic_attractor", field, x_star,
                       distance_oracle=lambda d0, t0, s: d0 * math.exp(-gain * s))
 
@@ -93,7 +89,7 @@ def time_varying_attractor(manifold: Manifold, equilibrium, base_gain: float = 1
         integral = base_gain * s - amplitude * (math.cos(t0 + s) - math.cos(t0))
         return d0 * math.exp(-integral)
 
-    field = TimeVaryingField(manifold, rhs, equilibrium=x_star.coords)
+    field = TimeVaryingField(manifold, rhs)
     return SystemSpec("time_varying_attractor", field, x_star, distance_oracle=oracle)
 
 
@@ -110,7 +106,7 @@ def cubic_slowdown(manifold: Manifold, equilibrium, gain: float = 1.0) -> System
     def oracle(d0: float, t0: float, s: float) -> float:
         return 1.0 / math.sqrt(2.0 * gain * s + 1.0 / (d0 * d0))
 
-    field = TimeVaryingField(manifold, rhs, equilibrium=x_star.coords)
+    field = TimeVaryingField(manifold, rhs)
     return SystemSpec("cubic_slowdown", field, x_star, distance_oracle=oracle)
 
 
@@ -127,7 +123,7 @@ def isometric_rotation(manifold: Manifold, equilibrium, rate: float = 1.0) -> Sy
     def rhs(t, coords: np.ndarray) -> np.ndarray:
         return rate * np.cross(axis, coords)
 
-    field = TimeVaryingField(manifold, rhs, equilibrium=x_star.coords)
+    field = TimeVaryingField(manifold, rhs)
     return SystemSpec("isometric_rotation", field, x_star,
                       distance_oracle=lambda d0, t0, s: d0)
 
@@ -196,7 +192,6 @@ def attach_disturbance(spec: SystemSpec, profile: str, amplitude: float,
         spec.field.manifold,
         spec.field.rhs,
         input_rhs=frame_input_channel(spec.field, INPUT_CHANNELS),
-        equilibrium=spec.field.equilibrium,
     )
     signal = make_disturbance_signal(profile, amplitude, INPUT_CHANNELS, frequency, direction)
     return replace(spec, field=field, input_signal=signal,

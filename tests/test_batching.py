@@ -11,8 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from geolyap.certify import GridSpec, direct_lyapunov_check, sample_states
-from geolyap.envelopes import PowerLaw
 from geolyap.flows import (
     IntegrationError,
     TimeVaryingField,
@@ -20,9 +18,8 @@ from geolyap.flows import (
     flow_samples,
     lie_stencil,
     pushforward,
-    timed_lie_derivative,
 )
-from geolyap.lyapunov import LIE_H, construct_exp_V, massera_G
+from geolyap.lyapunov import LIE_H, LyapunovFunction, construct_exp_V, massera_G
 from geolyap.manifolds import (
     CutLocusError,
     Euclidean,
@@ -141,34 +138,27 @@ def test_directional_derivative_batch_rows_are_single_rows(m):
         assert batch[i] == V.directional_derivative(t[i], xi, TangentVector(xi, v[i]))
 
 
-@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
-def test_direct_check_batch_is_worst_single_state(m):
-    spec, V, _, _ = _certificate_grid(m)
-    states = sample_states(m, spec.equilibrium, GridSpec(6, 0.9), np.random.default_rng(3))
-    ws = (PowerLaw(0.1, 2.0), PowerLaw(0.3, 2.0), PowerLaw(0.5, 2.0))
-    batch = direct_lyapunov_check(V.evaluate, spec.field, *ws, states, spec.equilibrium, step=1e-2)
-    alone = [direct_lyapunov_check(V.evaluate, spec.field, *ws, [s], spec.equilibrium, step=1e-2)
-             for s in states]
-    for name in ("lower-bound", "upper-bound", "decay"):
-        assert batch.row(name).margin == min(r.row(name).margin for r in alone)
-        assert batch.row(name).passed == all(r.row(name).passed for r in alone)
-
-
-def test_timed_lie_derivative_calls_V_once_on_both_stencil_ends():
-    _, V, t, x = _certificate_grid(Sphere(2))
+def test_lie_derivative_calls_V_once_on_both_stencil_ends(monkeypatch):
+    m = Sphere(2)
+    _, V, t, x = _certificate_grid(m)
+    ends = lie_stencil(V.field, t, m.project(x), LIE_H, V.step)
+    # V's central difference at the stencil ends, through the public evaluate
+    want = (V.evaluate(t + LIE_H, ManifoldPoint(m, ends[0]))
+            - V.evaluate(t - LIE_H, ManifoldPoint(m, ends[1]))) / (2.0 * LIE_H)
     calls = []
+    raw = LyapunovFunction._evaluate_raw
 
-    def recording_V(times, pt):
-        calls.append((np.array(times), np.array(pt.coords)))
-        return V.evaluate(times, pt)
+    def recording(self, times, coords):
+        calls.append((np.array(times), np.array(coords)))
+        return raw(self, times, coords)
 
-    lie = timed_lie_derivative(recording_V, V.field, t, ManifoldPoint(V.field.manifold, x),
-                               h=LIE_H, step=V.step)
+    monkeypatch.setattr(LyapunovFunction, "_evaluate_raw", recording)
+    lie = V.lie_derivative(t, ManifoldPoint(m, x))
     assert len(calls) == 1
     times, coords = calls[0]
     assert np.array_equal(times, np.stack([t + LIE_H, t - LIE_H]))
-    assert np.array_equal(coords, lie_stencil(V.field, t, Sphere(2).project(x), LIE_H, V.step))
-    assert np.array_equal(lie, V.lie_derivative(t, ManifoldPoint(V.field.manifold, x)))
+    assert np.array_equal(coords, ends)
+    assert np.array_equal(lie, want)
 
 
 def test_evaluate_rejects_a_point_on_another_manifold():

@@ -13,15 +13,13 @@ from geolyap.certify import (
     InputBoundError,
     check_input_signal,
     classify_stability,
-    direct_lyapunov_check,
     draw_verification_inputs,
     input_lipschitz_estimate,
     iss_certify,
     make_certificate,
-    sample_states,
     verify_converse_certificate,
 )
-from geolyap.envelopes import KLEnvelope, PowerLaw, StabilityEnvelope
+from geolyap.envelopes import KLEnvelope, StabilityEnvelope
 from geolyap.config import load_scenario
 from geolyap.flows import (
     Region,
@@ -154,57 +152,6 @@ def test_classify_kind_consistency(sphere_attractor):
         classify_stability(trajs, EUCLID.point([0.0, 0.0]))
 
 
-# -- direct Lyapunov test ------------------------------------------------------------
-
-
-def test_direct_check_passes_with_certificate_constants(sphere_attractor, sphere_L,
-                                                        sphere_envelope):
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
-    cert = make_certificate(sphere_attractor.field, sphere_attractor.equilibrium,
-                            sphere_L, sphere_envelope, delta, 1.0, step=1e-2)
-    b = cert.bounds
-    rng = np.random.default_rng(2)
-    states = sample_states(SPHERE, sphere_attractor.equilibrium,
-                           GridSpec(12, 1.0, T0_LIST), rng)
-    report = direct_lyapunov_check(
-        cert.V.evaluate, sphere_attractor.field,
-        PowerLaw(b.c1 * 0.98, 1.0), PowerLaw(b.c2 * 1.02, 1.0),
-        PowerLaw(b.c3 * b.c1 * 0.9, 1.0),
-        states, sphere_attractor.equilibrium, step=1e-2)
-    assert report.verdict
-    assert report.row("exponential-rate").passed
-
-
-def test_direct_check_flags_inflated_lower_bound(sphere_attractor, sphere_L,
-                                                 sphere_envelope):
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
-    cert = make_certificate(sphere_attractor.field, sphere_attractor.equilibrium,
-                            sphere_L, sphere_envelope, delta, 1.0, step=1e-2)
-    rng = np.random.default_rng(2)
-    states = sample_states(SPHERE, sphere_attractor.equilibrium,
-                           GridSpec(8, 1.0, T0_LIST), rng)
-    report = direct_lyapunov_check(
-        cert.V.evaluate, sphere_attractor.field,
-        PowerLaw(cert.bounds.c2 * 2.0, 1.0),   # deliberately above the upper constant
-        PowerLaw(cert.bounds.c2 * 1.02, 1.0),
-        PowerLaw(0.1, 1.0),
-        states, sphere_attractor.equilibrium, step=1e-2)
-    assert not report.row("lower-bound").passed
-    assert not report.verdict
-
-
-def test_direct_check_hand_computed_quadratic():
-    # V = d^2 on the linear attractor has lie derivative exactly -2 d^2.
-    spec = make_system("geodesic_attractor", EUCLID, [0.0, 0.0], gain=1.0)
-    V = lambda t, x: np.vecdot(x.coords, x.coords)
-    rng = np.random.default_rng(4)
-    states = sample_states(EUCLID, spec.equilibrium, GridSpec(10, 1.0, T0_LIST), rng)
-    report = direct_lyapunov_check(
-        V, spec.field, PowerLaw(0.99, 2.0), PowerLaw(1.01, 2.0),
-        PowerLaw(1.99, 2.0), states, spec.equilibrium, step=1e-2)
-    assert report.verdict
-
-
 # -- converse certificate verification --------------------------------------------------
 
 
@@ -301,7 +248,7 @@ def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):
         calls.append(t)
         return SPHERE.log(coords, NORTH)
 
-    field = TimeVaryingField(SPHERE, counting_rhs, equilibrium=NORTH)
+    field = TimeVaryingField(SPHERE, counting_rhs)
     env = StabilityEnvelope("LES", 2.0, 1.0, sphere_envelope.beta, 0.0, 1.0, 3)
     with pytest.raises(InvalidDeltaError):
         verify_converse_certificate(field, SPHERE.point(NORTH), 1.05, env,
@@ -375,8 +322,7 @@ def test_input_lipschitz_unit_frame(sphere_attractor):
 def test_input_lipschitz_scaled_channel(sphere_attractor):
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
     field = TimeVaryingField(SPHERE, spec.field.rhs,
-                             input_rhs=lambda t, c, u: spec.field.input_rhs(t, c, 2.0 * u),
-                             equilibrium=NORTH)
+                             input_rhs=lambda t, c, u: spec.field.input_rhs(t, c, 2.0 * u))
     region = Region(sphere_attractor.equilibrium, 1.0)
     est = input_lipschitz_estimate(field, region, [np.array([0.1, 0.0])], seed=1)
     assert est == pytest.approx(2.0, rel=0.01)

@@ -181,6 +181,29 @@ def test_construction_failures_exit_two_naming_stage(tmp_path, case):
     assert not (out / "samples.csv").exists()
 
 
+def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
+    # d' = -1e6 d^3 is too stiff for step 0.01: the flow leaves the reals.
+    data = json.loads((REPO_CONFIGS / "cubic_massera.json").read_text())
+    data["system"] = {"name": "cubic_slowdown", "params": {"gain": 1e6}}
+    config = tmp_path / "stiff.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "flow"
+    assert main(["flow", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: flow-integration: non-finite state during integration")
+    assert not out.exists()
+
+
+def test_massera_mode_without_section_fails_before_any_flow(tmp_path, monkeypatch):
+    steps = _count_steps(monkeypatch)
+    out = tmp_path / "m"
+    rc = main(["certify", "--config", str(REPO_CONFIGS / "sphere_attractor.json"),
+               "--mode", "massera", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert steps == []
+
+
 def _count_steps(monkeypatch) -> list[int]:
     """RK4 steps of every flow_samples call from here on, one entry per flow."""
     steps = []
@@ -345,7 +368,9 @@ def test_load_scenario_roundtrip():
     assert config.system_name == "geodesic_attractor"
     assert config.delta.mode == "auto"
     spec = config.build_system()
-    assert spec.field.equilibrium_residual() < 1e-10
+    eq = spec.equilibrium.coords
+    assert max(config.manifold.norm(eq, spec.field.eval_raw(t, eq))
+               for t in (0.0, 1.0, 5.0, 10.0)) < 1e-10
 
 
 def test_load_scenario_rejects_non_json(tmp_path):

@@ -15,11 +15,11 @@ from geolyap.flows import (
     flow,
     flow_samples,
     geodesic_stencil,
+    lie_stencil,
     lipschitz_estimate,
     pushforward,
     pushforward_quotient,
-    semigroup_residual,
-    timed_lie_derivative,
+    step_offsets,
 )
 from geolyap.manifolds import (
     CutLocusError,
@@ -93,7 +93,8 @@ def test_flow_grid_has_no_sliver_step(sphere_attractor):
 def test_trajectory_step_reachability(sphere_attractor):
     traj = flow(sphere_attractor.field, 0.0, _sphere_start(1.0), 2.0, step=1e-2)
     max_speed = 1.0  # |f| = distance <= 1 on this run
-    assert traj.max_step_length() <= 1.01 * traj.step * max_speed
+    step_lengths = SPHERE.dist(traj.points[:-1], traj.points[1:])
+    assert np.max(step_lengths) <= 1.01 * traj.step * max_speed
     for p in traj.points:
         assert SPHERE.constraint_violation(p) < 1e-12
 
@@ -102,7 +103,8 @@ def test_equilibrium_invariance(sphere_attractor):
     x_star = sphere_attractor.equilibrium
     traj = flow(sphere_attractor.field, 0.0, x_star, 10.0, step=1e-2)
     assert max(SPHERE.dist(p, x_star.coords) for p in traj.points) < 1e-9
-    assert sphere_attractor.field.equilibrium_residual() < 1e-10
+    field, eq = sphere_attractor.field, x_star.coords
+    assert max(SPHERE.norm(eq, field.eval_raw(t, eq)) for t in (0.0, 1.0, 5.0, 10.0)) < 1e-10
 
 
 def test_integrator_fourth_order(sphere_attractor):
@@ -142,30 +144,39 @@ def test_field_output_projected_to_tangent_space(sphere_attractor):
 # -- semigroup property -----------------------------------------------------------
 
 
+def _semigroup_residual(field, t0, x0, t_mid, t1, step):
+    """Distance between the direct flow to t1 and the flow restarted at t_mid,
+    each leg on the step grid of its own span."""
+    direct, mid = (flow_samples(field, t0, x0, step_offsets(span, step), step)[-1]
+                   for span in (t1 - t0, t_mid - t0))
+    via = flow_samples(field, t_mid, mid, step_offsets(t1 - t_mid, step), step)[-1]
+    return field.manifold.dist(direct, via)
+
+
 def test_semigroup_trivial_splits_are_exact(sphere_attractor):
-    x0 = _sphere_start()
-    assert semigroup_residual(sphere_attractor.field, 0.0, x0, 0.0, 1.0, 1e-2) == 0.0
-    assert semigroup_residual(sphere_attractor.field, 0.0, x0, 1.0, 1.0, 1e-2) == 0.0
+    x0 = _sphere_start().coords
+    assert _semigroup_residual(sphere_attractor.field, 0.0, x0, 0.0, 1.0, 1e-2) == 0.0
+    assert _semigroup_residual(sphere_attractor.field, 0.0, x0, 1.0, 1.0, 1e-2) == 0.0
 
 
 def test_semigroup_euclidean_closed_form(euclid_linear):
-    x0 = EUCLID.point([1.0, 0.4])
-    res = semigroup_residual(euclid_linear.field, 0.0, x0, 0.5, 1.0, 1e-2)
+    res = _semigroup_residual(euclid_linear.field, 0.0, np.array([1.0, 0.4]), 0.5, 1.0, 1e-2)
     assert res < 1e-9
 
 
 def test_semigroup_off_grid_splits(sphere_attractor):
     rng = np.random.default_rng(3)
-    x0 = _sphere_start(0.8)
+    x0 = _sphere_start(0.8).coords
     for _ in range(100):
         t_mid = rng.uniform(0.0, 1.0)
-        res = semigroup_residual(sphere_attractor.field, 0.0, x0, t_mid, 1.0, 1e-2)
+        res = _semigroup_residual(sphere_attractor.field, 0.0, x0, t_mid, 1.0, 1e-2)
         assert res < 1e-7
 
 
 def test_semigroup_ordering_validated(sphere_attractor):
+    # A restart time past the end is a decreasing offset list.
     with pytest.raises(ValueError):
-        semigroup_residual(sphere_attractor.field, 0.0, _sphere_start(), 2.0, 1.0)
+        flow_samples(sphere_attractor.field, 0.0, _sphere_start().coords, [2.0, 1.0], 1e-2)
 
 
 # -- pushforward -------------------------------------------------------------------
@@ -375,26 +386,28 @@ def test_contraction_offsets_shorter_than_a_step():
     assert contraction_offsets(0.004, 0.01).tolist() == [0.0, 0.004]
 
 
-# -- timed lie derivative -----------------------------------------------------------------
-
-
-def test_lie_derivative_constant_function(sphere_attractor):
-    lie = timed_lie_derivative(lambda t, x: 4.2, sphere_attractor.field, 0.0,
-                               _sphere_start(0.5))
-    assert lie == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lie_derivative_time_only(sphere_attractor):
-    lie = timed_lie_derivative(lambda t, x: t, sphere_attractor.field, 0.3,
-                               _sphere_start(0.5))
-    assert lie == pytest.approx(1.0, abs=1e-10)
+# -- lie stencil ---------------------------------------------------------------------------
 
 
 def test_lie_derivative_quadratic_euclidean(euclid_linear):
-    V = lambda t, x: np.vecdot(x.coords, x.coords)
-    lie = timed_lie_derivative(V, euclid_linear.field, 0.0, EUCLID.point([1.0, 0.0]),
-                               h=5e-4)
+    # V = |x|^2 on the linear attractor has Lie derivative exactly -2 |x|^2.
+    h = 5e-4
+    plus, minus = lie_stencil(euclid_linear.field, 0.0, np.array([1.0, 0.0]), h, h / 4.0)
+    lie = (np.vecdot(plus, plus) - np.vecdot(minus, minus)) / (2.0 * h)
     assert lie == pytest.approx(-2.0, abs=1e-6)
+
+
+def test_lie_stencil_backward_end_runs_time_backward():
+    # On d' = -(1.5 + 0.5 sin t) d, log d changes at rate -(1.5 + 0.5 sin t):
+    # the backward end must see the field at the times from t down to t - h.
+    spec = make_system("time_varying_attractor", EUCLID, [0.0, 0.0])
+    h = 1e-3
+    t = np.array([0.3, 1.0, 2.0])
+    x = np.array([[1.0, 0.0], [0.0, 0.5], [0.3, -0.4]])
+    plus, minus = lie_stencil(spec.field, t, x, h, h / 4.0)
+    rate = (np.log(np.linalg.norm(plus, axis=-1))
+            - np.log(np.linalg.norm(minus, axis=-1))) / (2.0 * h)
+    np.testing.assert_allclose(rate, -(1.5 + 0.5 * np.sin(t)), rtol=0.0, atol=1e-6)
 
 
 def test_distance_rate_matches_transported_field_difference(sphere_attractor):
@@ -438,9 +451,6 @@ def test_trajectory_serialization_and_determinism(sphere_attractor):
     a = flow(sphere_attractor.field, 0.0, x0, 1.0, step=1e-2)
     b = flow(sphere_attractor.field, 0.0, x0, 1.0, step=1e-2)
     assert np.array_equal(a.points, b.points)  # bit-identical reruns
-    data = a.to_json()
-    assert data["kind"] == "sphere2"
-    assert len(data["times"]) == len(data["points"])
     header, rows = a.csv_rows()
     assert header == ["t", "c0", "c1", "c2"]
     assert rows[0][0] == 0.0 and len(rows) == len(a)

@@ -32,8 +32,8 @@ def test_registry_contents():
 ])
 def test_oracles_match_measured_decay(name, params):
     spec = make_system(name, SPHERE, NORTH, **params)
-    assert spec.has_closed_form
-    assert spec.field.equilibrium_residual() < 1e-10
+    eq = spec.equilibrium.coords
+    assert max(SPHERE.norm(eq, spec.field.eval_raw(t, eq)) for t in (0.0, 1.0, 5.0, 10.0)) < 1e-10
     rng = np.random.default_rng(1)
     for t0 in (0.0, 2.0):
         v0 = SPHERE.random_tangent(rng, NORTH, norm=0.8)
