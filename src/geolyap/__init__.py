@@ -14,6 +14,7 @@ from .certify import (
     GridSpec,
     ISSReport,
     classify_stability,
+    draw_verification_inputs,
     input_lipschitz_estimate,
     iss_certify,
     make_certificate,

@@ -105,13 +105,12 @@ class CheckRow:
 class CertificationReport:
     """Collection of check rows; the verdict is their conjunction.
 
-    Converse-certificate verification also attaches the certificate it
-    checked and the quantities of its state grid, one row per state with
-    columns (t, distance, V, lie derivative).
+    Converse-certificate verification also attaches the quantities of its
+    state grid, one row per state with columns (t, distance, V, lie
+    derivative).
     """
 
     rows: tuple[CheckRow, ...]
-    certificate: Certificate | None = dataclasses.field(default=None, compare=False)
     samples: np.ndarray | None = dataclasses.field(default=None, compare=False)
 
     @property
@@ -171,14 +170,16 @@ class GridSpec:
 
 def sample_states(manifold: Manifold, x_star: ManifoldPoint, grid: GridSpec,
                   rng: np.random.Generator,
-                  r_min_frac: float = 0.05) -> list[tuple[float, ManifoldPoint]]:
-    states = []
+                  r_min_frac: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+    """``grid.n_points`` start times ``t`` (cycling through ``t0_list``) and
+    states ``x`` at radii in [r_min_frac, 1] * radius from ``x_star``."""
+    t, x = [], []
     for i in range(grid.n_points):
-        t0 = grid.t0_list[i % len(grid.t0_list)]
+        t.append(grid.t0_list[i % len(grid.t0_list)])
         r = grid.radius * (r_min_frac + (1.0 - r_min_frac) * rng.uniform())
         v = manifold.random_tangent(rng, x_star.coords, norm=r)
-        states.append((t0, ManifoldPoint(manifold, manifold.exp(x_star.coords, v))))
-    return states
+        x.append(manifold.exp(x_star.coords, v))
+    return np.array(t), np.array(x)
 
 
 # -- envelope fitting -----------------------------------------------------------
@@ -320,23 +321,18 @@ def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
                              seed: int) -> VerificationInputs:
     """Everything :func:`verify_converse_certificate` samples, drawn up front."""
     rng = np.random.default_rng(seed)
-    states = sample_states(m, x_star, grid, rng)
+    t, x = sample_states(m, x_star, grid, rng)
     pair_t, pair_x = [], []
     for i in range(max(4, grid.n_points // 4)):
         pair_t.append(grid.t0_list[i % len(grid.t0_list)])
         v1 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
         v2 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
         pair_x.append((m.exp(x_star.coords, v1), m.exp(x_star.coords, v2)))
-    x = np.array([pt.coords for _, pt in states])
     directions = np.array([m.random_tangent(rng, xi, norm=1.0) for xi in x])
-    return VerificationInputs(np.array([s for s, _ in states]), x, np.array(pair_t),
-                              np.stack(pair_x, axis=1), directions)
+    return VerificationInputs(t, x, np.array(pair_t), np.stack(pair_x, axis=1), directions)
 
 
-def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
-                                L: float, envelope: StabilityEnvelope,
-                                delta: float, p: float, grid: GridSpec,
-                                seed: int = 0, step: float = 1e-2,
+def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
                                 envelope_horizon: float = 3.0,
                                 pair_flow: np.ndarray | None = None) -> CertificationReport:
     """Verify every inequality of a constructed exponential certificate.
@@ -344,9 +340,10 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     Rows: the two-sided contraction envelope on sampled pairs, the sandwich
     c1 d^p <= V <= c2 d^p, the decay rate c3, the telescoping identity for
     the lie derivative, the differential bound c4, and the pushforward growth
-    bound, within REL_TOL (and ABS_TOL on the decay).  Sample inputs are
-    drawn up front by :func:`draw_verification_inputs`; each stage then
-    integrates its whole grid as one batch.  The contraction pairs are read
+    bound, within REL_TOL (and ABS_TOL on the decay).  The field, equilibrium,
+    step, p, L and delta are the certificate's; the samples are ``inputs``,
+    from :func:`draw_verification_inputs`, and each stage integrates its whole
+    grid as one batch.  The contraction pairs are read
     at :func:`contraction_offsets` of ``envelope_horizon``: ``pair_flow``
     holds their states there, shape ``(offsets, 2, pairs, *ambient_shape)``,
     when the caller has already integrated them (the pipeline does, in the
@@ -356,10 +353,9 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     (each state's last node, so the identity is checked on V's own flow) and
     the pushforward (based at that node; its stencil rows join the flow).
     """
-    cert = make_certificate(field, x_star, L, envelope, delta, p, step=step)
-    b = cert.bounds
+    V, b, L = cert.V, cert.bounds, cert.L
+    field, x_star, step, p, delta = V.field, V.x_star, V.step, V.p, V.horizon
     m = field.manifold
-    inputs = draw_verification_inputs(m, x_star, grid, seed)
 
     # Two-sided contraction envelope on sampled pairs.
     offsets = contraction_offsets(envelope_horizon, step)
@@ -383,10 +379,10 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
                                              PUSHFORWARD_EPS)
     # One flow over V's quadrature nodes: the five V groups (states, Lie and
     # differential stencils), then the pushforward stencil rows.
-    nodes = cert.V.node_flow(
+    nodes = V.node_flow(
         np.concatenate([t, t + LIE_H, t - LIE_H, t, t, t[:n_push], t[:n_push]]),
         np.concatenate([x, lie_plus, lie_minus, diff_plus, diff_minus, *push_stencil]))
-    v_val, v_plus, v_minus, v_dplus, v_dminus = np.split(cert.V.quadrature(nodes[:, :5 * n]), 5)
+    v_val, v_plus, v_minus, v_dplus, v_dminus = np.split(V.quadrature(nodes[:, :5 * n]), 5)
     lie = (v_plus - v_minus) / (2.0 * LIE_H)
     end = nodes[-1, :n]  # the flow at t + delta
     telescoped = m.dist(end, x_star.coords) ** p - d ** p
@@ -418,13 +414,13 @@ def verify_converse_certificate(field: TimeVaryingField, x_star: ManifoldPoint,
     y0 = end[:n_push]
     pushed = pushforward_quotient(
         field, t[:n_push], x[:n_push], directions[:n_push], push_eps_hat, y0,
-        nodes[-1, 5 * n:].reshape((2, n_push) + m.ambient_shape), cert.V.node_offsets, cert.V.step)
+        nodes[-1, 5 * n:].reshape((2, n_push) + m.ambient_shape), V.node_offsets, step)
     push_worst = float(np.max(m.norm(y0, pushed))) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,
                            1.0 + PUSHFORWARD_TOL, push_worst, 1.0))
 
     samples = np.stack([t, d, v_val, lie], axis=1)
-    return CertificationReport(tuple(rows), certificate=cert, samples=samples)
+    return CertificationReport(tuple(rows), samples=samples)
 
 
 # -- disturbance robustness -------------------------------------------------------
@@ -561,9 +557,7 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     predicted = forcing / b.c3
 
     # (a) pointwise decay inequality on the sampled grid.
-    states = sample_states(m, x_star, gs, rng)
-    t = np.array([s for s, _ in states])
-    x = np.array([pt.coords for _, pt in states])
+    t, x = sample_states(m, x_star, gs, rng)
     plus, minus = lie_stencil(closed, t, m.project(x), LIE_H, step)
 
     # (b) ultimate bound along disturbed trajectories: one flow from t = 0

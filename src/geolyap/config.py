@@ -35,15 +35,6 @@ class DeltaPolicy:
 
 
 @dataclass(frozen=True)
-class DisturbanceConfig:
-    profile: str
-    amplitude: float
-    bound: float
-    frequency: float = 1.0
-    direction: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
 class MasseraConfig:
     t_max: float
     fit_horizon: float
@@ -52,9 +43,11 @@ class MasseraConfig:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
+    """A validated scenario; ``system`` is built at load, with the
+    disturbance's input channel and signal attached when the config has one."""
+
     manifold: Manifold
-    system_name: str
-    system_params: dict
+    system: SystemSpec
     equilibrium: ManifoldPoint
     delta: DeltaPolicy
     p: float
@@ -64,20 +57,10 @@ class ScenarioConfig:
     fit_horizon: float
     envelope_horizon: float = 3.0
     massera: MasseraConfig | None = None
-    disturbance: DisturbanceConfig | None = None
     iss_horizons: tuple[float, ...] = (8.0, 12.0)
 
-    def build_system_unforced(self) -> SystemSpec:
-        return make_system(self.system_name, self.manifold,
-                           self.equilibrium.coords, **self.system_params)
-
     def build_system(self) -> SystemSpec:
-        spec = self.build_system_unforced()
-        if self.disturbance is not None:
-            d = self.disturbance
-            spec = attach_disturbance(spec, d.profile, d.amplitude, d.bound,
-                                      d.frequency, d.direction)
-        return spec
+        return self.system
 
 
 def _require_keys(data: dict, allowed: set[str], context: str):
@@ -208,7 +191,16 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         if massera.t_max <= 0 or massera.fit_horizon < massera.t_max:
             raise ConfigError("massera needs 0 < t_max <= fit_horizon")
 
-    disturbance = None
+    iss_horizons = _floats(data, "iss_horizons", "top-level", [8.0, 12.0])
+    if any(t <= 0 for t in iss_horizons) or not iss_horizons:
+        raise ConfigError("iss_horizons must be positive")
+
+    try:
+        system = make_system(system_name, manifold, equilibrium.coords, **system_params)
+    except (TypeError, ValueError) as err:  # unknown or out-of-range parameters
+        raise ConfigError(f"cannot build system {system_name!r} from params "
+                          f"{system_params}: {err}") from err
+
     if data.get("disturbance") is not None:
         ddata = _get(data, "disturbance", dict, "top-level")
         _require_keys(ddata, {"profile", "amplitude", "bound", "frequency",
@@ -216,28 +208,17 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         amplitude = float(_get(ddata, "amplitude", (int, float), "disturbance", required=True))
         if amplitude < 0:
             raise ConfigError("disturbance amplitude must be nonnegative")
+        profile = _get(ddata, "profile", str, "disturbance", required=True)
         bound = float(_get(ddata, "bound", (int, float), "disturbance", default=amplitude))
-        disturbance = DisturbanceConfig(
-            profile=_get(ddata, "profile", str, "disturbance", required=True),
-            amplitude=amplitude,
-            bound=bound,
-            frequency=float(_get(ddata, "frequency", (int, float), "disturbance", default=1.0)),
-            direction=_floats(ddata, "direction", "disturbance", None),
-        )
-
-    iss_horizons = _floats(data, "iss_horizons", "top-level", [8.0, 12.0])
-    if any(t <= 0 for t in iss_horizons) or not iss_horizons:
-        raise ConfigError("iss_horizons must be positive")
-
-    config = ScenarioConfig(manifold, system_name, system_params, equilibrium,
-                            delta, p, GridSpec(n_points, radius, t0_list), seed,
-                            step, fit_horizon, envelope_horizon, massera,
-                            disturbance, iss_horizons)
-    try:
-        config.build_system()
-    except (TypeError, ValueError) as err:  # unknown or out-of-range parameters
-        raise ConfigError(f"cannot build system {system_name!r}: {err}") from err
-    return config
+        frequency = float(_get(ddata, "frequency", (int, float), "disturbance", default=1.0))
+        direction = _floats(ddata, "direction", "disturbance", None)
+        try:
+            system = attach_disturbance(system, profile, amplitude, bound, frequency, direction)
+        except ValueError as err:  # unknown profile, bad direction, too few dimensions
+            raise ConfigError(f"cannot attach disturbance to {system_name!r}: {err}") from err
+    return ScenarioConfig(manifold, system, equilibrium, delta, p,
+                          GridSpec(n_points, radius, t0_list), seed, step, fit_horizon,
+                          envelope_horizon, massera, iss_horizons)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -314,8 +314,6 @@ class LipschitzEstimate:
 
     transport_constant: float
     covariant_constant: float
-    region: Region
-    n_samples: int
 
     @property
     def combined(self) -> float:
@@ -369,7 +367,7 @@ def lipschitz_estimate(field: TimeVaryingField, region: Region,
     dv = ((m.transport(x_plus, x, f_plus) - m.transport(x_minus, x, f_minus))
           / (2.0 * LIPSCHITZ_FD_STEP))
     covariant_max = float(np.max(m.norm(x, dv)))
-    return LipschitzEstimate(transport_max, covariant_max, region, n_pairs)
+    return LipschitzEstimate(transport_max, covariant_max)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-# Kernel tolerances, double-precision scale.  Configurable in one place.
-POINT_TOL = 1e-12        # sphere / hyperboloid constraint residual after projection
-SO3_POINT_TOL = 1e-10    # orthogonality + determinant residual for rotations
-TANGENT_TOL = 1e-10      # tangency residual for tangent vectors
 CUT_MARGIN = 1e-6        # reject pairs within this angle of the cut locus
 _TINY = 1e-15
 

@@ -21,6 +21,7 @@ import numpy as np
 from .certify import (
     ANCHOR_ENVELOPE_FIT,
     ANCHOR_HORIZON,
+    Certificate,
     CertificationReport,
     CheckRow,
     GridSpec,
@@ -29,6 +30,7 @@ from .certify import (
     classify_stability,
     draw_verification_inputs,
     iss_certify,
+    make_certificate,
     run_geometry_suite,
     sample_states,
     verify_converse_certificate,
@@ -86,31 +88,34 @@ def _write_reports(out_dir: Path, payload: dict, text: str, samples=None):
 
 
 class _StageFailure(Exception):
-    """A pipeline stage could not finish; ``anchor`` names it in the report."""
+    """A pipeline stage could not finish; ``anchor`` names it in the report,
+    which carries ``envelope`` when the fit got that far (else null)."""
 
-    def __init__(self, anchor: str, detail: str):
+    def __init__(self, anchor: str, detail: str, envelope: StabilityEnvelope | None = None):
         super().__init__(detail)
         self.anchor = anchor
+        self.envelope = envelope
 
 
 @contextmanager
-def _stage(anchor: str, errors: tuple = NUMERICAL_FAILURES):
+def _stage(anchor: str, errors: tuple = NUMERICAL_FAILURES,
+           envelope: StabilityEnvelope | None = None):
     """Raise ``errors`` from the block as a :class:`_StageFailure` of ``anchor``."""
     try:
         yield
     except errors as err:
-        raise _StageFailure(anchor, str(err)) from err
+        raise _StageFailure(anchor, str(err), envelope) from err
 
 
-def _stage_failure(out_dir: Path, mode: str, envelope: StabilityEnvelope | None,
-                   stage_anchor: str, detail: str) -> int:
+def _stage_failure(out_dir: Path, mode: str, failure: _StageFailure) -> int:
     """Reports for a run that stopped at a named stage, with the envelope
     when the fit got that far (else null) and no samples.csv."""
-    message = f"{stage_anchor}: {detail}"
+    message = f"{failure.anchor}: {failure}"
     logger.error(message)
+    envelope = failure.envelope
     _write_reports(out_dir, {"mode": mode,
                              "envelope": None if envelope is None else envelope.to_json(),
-                             "report": _failure_report(stage_anchor, message)},
+                             "report": _failure_report(failure.anchor, message)},
                    "certification FAILED\n" + message + "\n")
     return EXIT_CERTIFICATION_FAILED
 
@@ -171,21 +176,29 @@ def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float
     return choose_delta(envelope.K, envelope.rate, config.delta.target).delta
 
 
-def _verify_exponential(config: ScenarioConfig, field, envelope: StabilityEnvelope,
-                        pair_flow) -> CertificationReport:
-    """estimate L -> choose horizon -> construct V -> verify, on the config grid.
+def _certify_exponential(config: ScenarioConfig,
+                         field) -> tuple[Certificate, CertificationReport]:
+    """draw inputs -> fit envelope -> estimate L, construct V -> verify.
 
-    ``pair_flow`` is the contraction pairs' flow from the envelope fit.
+    Each stage runs once; a stage that cannot finish raises its
+    :class:`_StageFailure`.  The contraction pairs ride the fit's flow.
     """
-    with _stage(ANCHOR_HORIZON, NUMERICAL_FAILURES + (InvalidDeltaError,)):
-        L = _estimate_lipschitz(config, field)
-        delta = _resolve_delta(config, envelope)
+    inputs = draw_verification_inputs(config.manifold, config.equilibrium,
+                                      config.grid, config.seed)
+    envelope, pair_flow = _fit_trajectories(config, field, config.fit_horizon,
+                                            ANCHOR_ENVELOPE_FIT, inputs)
+    if not envelope.is_exponential:
+        raise _StageFailure(ANCHOR_ENVELOPE_FIT, (
+            f"trajectories classify as {envelope.stability_class}, not exponentially "
+            f"stable (fit residual {envelope.fit_residual:.3g})"), envelope)
     # A horizon without decay margin is rejected before verification integrates.
-    with _stage(ANCHOR_HORIZON, (InvalidDeltaError,)), _stage(ANCHOR_VERIFICATION):
-        return verify_converse_certificate(
-            field, config.equilibrium, L, envelope, delta, config.p, config.grid,
-            seed=config.seed, step=config.step, envelope_horizon=config.envelope_horizon,
-            pair_flow=pair_flow)
+    with _stage(ANCHOR_HORIZON, NUMERICAL_FAILURES + (InvalidDeltaError,), envelope):
+        L = _estimate_lipschitz(config, field)
+        cert = make_certificate(field, config.equilibrium, L, envelope,
+                                _resolve_delta(config, envelope), config.p, step=config.step)
+    with _stage(ANCHOR_VERIFICATION, envelope=envelope):
+        report = verify_converse_certificate(cert, inputs, config.envelope_horizon, pair_flow)
+    return cert, report
 
 
 def _failure_report(stage_anchor: str, message: str) -> dict:
@@ -193,50 +206,41 @@ def _failure_report(stage_anchor: str, message: str) -> dict:
 
 
 def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int:
-    """fit envelope -> estimate L -> choose horizon -> construct V -> verify."""
+    """The exponential stage sequence, or in massera mode the asymptotic one."""
     if mode not in ("exp", "massera"):
         raise ConfigError(f"mode must be 'exp' or 'massera', got {mode!r}")
     if mode == "massera" and config.massera is None:
         raise ConfigError("massera mode requires a 'massera' config section")
-    spec = config.build_system()
+    field = config.system.field
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    envelope = None
     try:
         if mode == "massera":
-            envelope, _ = _fit_trajectories(config, spec.field, config.massera.fit_horizon,
+            envelope, _ = _fit_trajectories(config, field, config.massera.fit_horizon,
                                             ANCHOR_UGAS_ENVELOPE)
-            return _run_certify_massera(config, spec, envelope, out_dir)
-        inputs = draw_verification_inputs(config.manifold, config.equilibrium,
-                                          config.grid, config.seed)
-        envelope, pair_flow = _fit_trajectories(config, spec.field, config.fit_horizon,
-                                                ANCHOR_ENVELOPE_FIT, inputs)
-        if not envelope.is_exponential:
-            return _stage_failure(out_dir, mode, envelope, ANCHOR_ENVELOPE_FIT, (
-                f"trajectories classify as {envelope.stability_class}, not exponentially "
-                f"stable (fit residual {envelope.fit_residual:.3g})"))
-        report = _verify_exponential(config, spec.field, envelope, pair_flow)
+            return _run_certify_massera(config, field, envelope, out_dir)
+        cert, report = _certify_exponential(config, field)
     except _StageFailure as err:
-        return _stage_failure(out_dir, mode, envelope, err.anchor, str(err))
-    payload = {"mode": mode, "envelope": envelope.to_json(),
-               "certificate": report.certificate.to_json(), "report": report.to_dict()}
+        return _stage_failure(out_dir, mode, err)
+    payload = {"mode": mode, "envelope": cert.envelope.to_json(),
+               "certificate": cert.to_json(), "report": report.to_dict()}
     # samples.csv: the verification grid's own quantities, for its first states.
     _write_reports(out_dir, payload, report.to_text(),
                    (SAMPLES_HEADER, report.samples[:SAMPLES_CSV_ROWS].tolist()))
     return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
 
 
-def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelope,
+def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvelope,
                          out_dir: Path) -> int:
     if envelope.stability_class == "US":
-        return _stage_failure(out_dir, "massera", envelope, ANCHOR_UGAS_ENVELOPE,
-                              "trajectories do not decay; asymptotic construction unavailable")
+        raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
+                            "asymptotic construction unavailable", envelope)
 
     # Decay flows get slow at long horizons; a coarser integrator step keeps
     # evaluation at desk scale without touching the envelope fit.
     eval_step = max(config.step, 0.05)
-    with _stage(ANCHOR_UGAS_TAIL, (HorizonError,)):
-        V = construct_ugas_V(spec.field, config.equilibrium, envelope,
+    with _stage(ANCHOR_UGAS_TAIL, (HorizonError,), envelope):
+        V = construct_ugas_V(field, config.equilibrium, envelope,
                              config.massera.t_max, config.massera.tail_tol, step=eval_step)
     reshaping = V.reshaping
 
@@ -246,18 +250,16 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
     n_states = min(config.grid.n_points, 50)
     # The reshaping is extremely flat near the equilibrium (values below
     # 1e-12 for algebraic envelopes), so sign checks sample the outer region.
-    states = sample_states(m, config.equilibrium, GridSpec(
+    t, x = sample_states(m, config.equilibrium, GridSpec(
         n_states, config.grid.radius, config.grid.t0_list), rng, r_min_frac=0.3)
-    t = np.array([s for s, _ in states])
-    x = np.array([pt.coords for _, pt in states])
 
     radii = np.linspace(0.4 * config.grid.radius, config.grid.radius, 10)
     direction = m.random_tangent(np.random.default_rng(config.seed + 3), x_star, norm=1.0)
     ray = m.exp(x_star, m.rows(radii) * direction)
 
     # Every V of this mode (states, Lie stencils, ray, equilibrium) in one batch.
-    with _stage(ANCHOR_UGAS_EVALUATION):
-        plus, minus = lie_stencil(spec.field, t, m.project(x), LIE_H, V.step)
+    with _stage(ANCHOR_UGAS_EVALUATION, envelope=envelope):
+        plus, minus = lie_stencil(field, t, m.project(x), LIE_H, V.step)
         v_val, v_plus, v_minus, ray_values, v_at_star = V.evaluate_groups([
             (t, x), (t + LIE_H, plus), (t - LIE_H, minus), (0.0, ray), (0.0, x_star)])
     lie = (v_plus - v_minus) / (2.0 * LIE_H)
@@ -305,29 +307,22 @@ def _run_certify_massera(config: ScenarioConfig, spec, envelope: StabilityEnvelo
 
 
 def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
-    """Certify the unforced system, then run the disturbance robustness check."""
-    if config.disturbance is None:
+    """Certify the unforced system, then run the disturbance robustness check.
+
+    The unforced certificate integrates the system's own field: its input
+    channel acts only through :meth:`TimeVaryingField.with_input_signal`.
+    """
+    spec = config.system
+    if spec.input_signal is None:
         raise ConfigError("iss requires a 'disturbance' config section")
-    spec = config.build_system()
     # Contract scan before any output: the generator must respect its bound.
     horizon_max = max(config.iss_horizons) + max(config.grid.t0_list)
     check_input_signal(spec.input_signal, spec.input_bound, horizon_max)
 
-    unforced = config.build_system_unforced()
     out_dir.mkdir(parents=True, exist_ok=True)
-    envelope = None
     try:
-        inputs = draw_verification_inputs(config.manifold, config.equilibrium,
-                                          config.grid, config.seed)
-        envelope, pair_flow = _fit_trajectories(config, unforced.field, config.fit_horizon,
-                                                ANCHOR_ENVELOPE_FIT, inputs)
-        if not envelope.is_exponential:
-            return _stage_failure(out_dir, "iss", envelope, ANCHOR_ENVELOPE_FIT, (
-                f"unforced system classifies as {envelope.stability_class}, "
-                "not exponentially stable"))
-        base_report = _verify_exponential(config, unforced.field, envelope, pair_flow)
-        certificate = base_report.certificate
-        payload = {"mode": "iss", "envelope": envelope.to_json(),
+        certificate, base_report = _certify_exponential(config, spec.field)
+        payload = {"mode": "iss", "envelope": certificate.envelope.to_json(),
                    "certificate": certificate.to_json(),
                    "unforced_report": base_report.to_dict()}
         if not base_report.verdict:
@@ -336,13 +331,13 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
             _write_reports(out_dir, payload, base_report.to_text())
             return EXIT_CERTIFICATION_FAILED
         # samples.csv: the series trajectory integrated with the robustness batch.
-        with _stage(ANCHOR_ISS_ROBUSTNESS):
+        with _stage(ANCHOR_ISS_ROBUSTNESS, envelope=certificate.envelope):
             iss_report = iss_certify(spec.field, config.equilibrium, certificate,
                                      spec.input_signal, spec.input_bound,
                                      config.iss_horizons, seed=config.seed,
                                      grid=config.grid, step=config.step)
     except _StageFailure as err:
-        return _stage_failure(out_dir, "iss", envelope, err.anchor, str(err))
+        return _stage_failure(out_dir, "iss", err)
     payload["report"] = iss_report.to_dict()
     _write_reports(out_dir, payload, iss_report.to_text(),
                    (["t", "distance", "V", "u_norm"], iss_report.series.tolist()))
@@ -355,7 +350,7 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     The flow runs before ``out_dir`` exists: a flow that fails numerically
     exits 2 naming ``flow-integration`` on stderr and writes nothing.
     """
-    spec = config.build_system()
+    spec = config.system
     m = config.manifold
     rng = np.random.default_rng(config.seed)
     v0 = m.random_tangent(rng, config.equilibrium.coords, norm=config.grid.radius)

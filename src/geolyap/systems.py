@@ -118,10 +118,14 @@ def isometric_rotation(manifold: Manifold, equilibrium, rate: float = 1.0) -> Sy
     if manifold.name != "sphere2":
         raise GeometryError("isometric_rotation is defined on sphere2")
     x_star = manifold.point(equilibrium)
-    axis = x_star.coords
+    a0, a1, a2 = x_star.coords
 
     def rhs(t, coords: np.ndarray) -> np.ndarray:
-        return rate * np.cross(axis, coords)
+        # axis x coords, written out: np.cross's generic broadcasting costs
+        # twice as much on a batch, for the same bits.
+        x0, x1, x2 = coords[..., 0], coords[..., 1], coords[..., 2]
+        return rate * np.stack([a1 * x2 - a2 * x1, a2 * x0 - a0 * x2, a0 * x1 - a1 * x0],
+                               axis=-1)
 
     field = TimeVaryingField(manifold, rhs)
     return SystemSpec("isometric_rotation", field, x_star,

@@ -81,8 +81,7 @@ def sphere_grid_quantities(sphere_attractor, sphere_V1, sphere_grid):
     Each quantity is one batch over the grid; a batch row equals the row
     evaluated alone (tests/test_batching.py).
     """
-    t = np.array([s for s, _ in sphere_grid])
-    x = np.array([pt.coords for _, pt in sphere_grid])
+    t, x = sphere_grid
     d = SPHERE.dist(x, NORTH)
     plus, minus = lie_stencil(sphere_attractor.field, t, SPHERE.project(x), LIE_H,
                               sphere_V1.step)
@@ -166,7 +165,8 @@ def test_criterion_05_differential_and_pushforward(sphere_attractor, sphere_V1,
     rng = np.random.default_rng(5)
     dv_worst = 0.0
     push_worst = 0.0
-    for t, x in sphere_grid[:100]:
+    for t, coords in zip(*(a[:100] for a in sphere_grid)):
+        x = ManifoldPoint(SPHERE, coords)
         v = TangentVector(x, SPHERE.random_tangent(rng, x.coords, norm=1.0))
         dv_worst = max(dv_worst, abs(sphere_V1.directional_derivative(t, x, v)))
         tau = t + rng.uniform(0.2, 1.0)
@@ -182,10 +182,11 @@ def test_criterion_06_power_two_reduction():
     V = construct_exp_V(spec.field, spec.equilibrium, 1.0, p=2.0, step=1e-2)
     b = theoretical_bounds(1.0, 1.0, 1.0, 1.0, p=2.0)
     rng = np.random.default_rng(6)
-    states = sample_states(EUCLID, spec.equilibrium, GridSpec(100, 1.0, T0_LIST), rng)
+    ts, xs = sample_states(EUCLID, spec.equilibrium, GridSpec(100, 1.0, T0_LIST), rng)
     sandwich_ok = True
     dv_ok = True
-    for t, x in states:
+    for t, coords in zip(ts, xs):
+        x = ManifoldPoint(EUCLID, coords)
         d = EUCLID.dist(x.coords, np.zeros(2))
         v = V.evaluate(t, x)
         sandwich_ok &= b.c1 * d * d * 0.98 <= v <= b.c2 * d * d * 1.02
@@ -212,10 +213,11 @@ def test_criterion_07_massera_construction():
     gp_strict = all(np.diff([reshaping.derivative(si) for si in s]) > 0)
 
     V = construct_ugas_V(spec.field, spec.equilibrium, envelope, 20.0, step=0.05)
-    states = sample_states(EUCLID, spec.equilibrium, GridSpec(50, 1.0, T0_LIST),
-                           np.random.default_rng(8), r_min_frac=0.3)
-    positive = all(V.evaluate(t, x) > 0 for t, x in states)
-    decaying = all(V.lie_derivative(t, x) < 0 for t, x in states)
+    t, coords = sample_states(EUCLID, spec.equilibrium, GridSpec(50, 1.0, T0_LIST),
+                              np.random.default_rng(8), r_min_frac=0.3)
+    x = ManifoldPoint(EUCLID, coords)
+    positive = bool(np.all(V.evaluate(t, x) > 0))
+    decaying = bool(np.all(V.lie_derivative(t, x) < 0))
     ok = (reshaping.value(0.0) == 0.0 and g_strict and gp_strict
           and math.isfinite(reshaping.k1) and V.tail_bound < 1e-8
           and positive and decaying)

@@ -71,6 +71,14 @@ def sphere_L(sphere_attractor):
     return est.inflated()
 
 
+def _verify(spec, L, envelope, delta, p, n_points, seed):
+    """Build the certificate at step 1e-2, draw its inputs, verify it."""
+    cert = make_certificate(spec.field, spec.equilibrium, L, envelope, delta, p, step=1e-2)
+    inputs = draw_verification_inputs(spec.field.manifold, spec.equilibrium,
+                                      GridSpec(n_points, 1.0, T0_LIST), seed)
+    return verify_converse_certificate(cert, inputs)
+
+
 # -- envelope fitting -------------------------------------------------------------
 
 
@@ -157,9 +165,7 @@ def test_classify_kind_consistency(sphere_attractor):
 
 def test_verify_sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
     delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
-    report = verify_converse_certificate(
-        sphere_attractor.field, sphere_attractor.equilibrium, sphere_L,
-        sphere_envelope, delta, 1.0, GridSpec(16, 1.0, T0_LIST), seed=7, step=1e-2)
+    report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, 1.0, 16, seed=7)
     assert report.verdict
     for row in report.rows:
         assert row.anchor in CERTIFICATE_CHECKLIST
@@ -171,7 +177,7 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
                                                  monkeypatch):
     # V, the telescoping endpoints and the pushforward all read one flow over
     # V's quadrature nodes; the identity check no longer has a flow of its own.
-    field, p, n, n_push = sphere_attractor.field, 2.0, 12, 10
+    p, n, n_push = 2.0, 12, 10
     delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
     calls, quotients = [], []
     real_flow, real_quotient = flows.flow_samples, flows.pushforward_quotient
@@ -189,9 +195,7 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     for module in (flows, lyapunov, certify):
         monkeypatch.setattr(module, "flow_samples", recording_flow_samples)
     monkeypatch.setattr(certify, "pushforward_quotient", recording_quotient)
-    report = verify_converse_certificate(
-        field, sphere_attractor.equilibrium, sphere_L, sphere_envelope, delta, p,
-        GridSpec(n, 1.0, T0_LIST), seed=7, step=1e-2)
+    report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, p, n, seed=7)
     assert report.verdict
 
     (t0, x0, offsets, out), = [c for c in calls if c[2][-1] == delta]
@@ -212,7 +216,7 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     assert report.row("pushforward-growth").measured == \
         float(np.max(SPHERE.norm(y0, w))) / math.exp(sphere_L * delta)
     base = ManifoldPoint(SPHERE, coords)
-    public = pushforward(field, t_push, base, TangentVector(base, directions),
+    public = pushforward(sphere_attractor.field, t_push, base, TangentVector(base, directions),
                          t_push + delta, step=1e-2).components
     assert np.linalg.norm(w - public) <= 1e-8 * np.linalg.norm(public)
 
@@ -251,8 +255,7 @@ def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):
     field = TimeVaryingField(SPHERE, counting_rhs)
     env = StabilityEnvelope("LES", 2.0, 1.0, sphere_envelope.beta, 0.0, 1.0, 3)
     with pytest.raises(InvalidDeltaError):
-        verify_converse_certificate(field, SPHERE.point(NORTH), 1.05, env,
-                                    delta=0.1, p=1.0, grid=GridSpec(8, 1.0, T0_LIST))
+        make_certificate(field, SPHERE.point(NORTH), 1.05, env, delta=0.1, p=1.0)
     assert calls == []
 
 
@@ -279,18 +282,14 @@ def test_verify_time_varying_gain_with_uniform_lower_bound():
                                                         np.linspace(0, 6, 13)),
                             0.0, 1.0, 12)
     delta = choose_delta(env.K, env.rate, 0.5).delta
-    report = verify_converse_certificate(
-        spec.field, spec.equilibrium, L, env, delta, 1.0,
-        GridSpec(12, 1.0, T0_LIST), seed=3, step=1e-2)
+    report = _verify(spec, L, env, delta, 1.0, 12, seed=3)
     assert report.verdict
 
 
 def test_report_serialization_and_column_order(sphere_attractor, sphere_L,
                                                sphere_envelope):
     delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
-    report = verify_converse_certificate(
-        sphere_attractor.field, sphere_attractor.equilibrium, sphere_L,
-        sphere_envelope, delta, 1.0, GridSpec(8, 1.0, T0_LIST), seed=7, step=1e-2)
+    report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, 1.0, 8, seed=7)
     data = report.to_dict()
     assert data["verdict"] is True
     assert list(data["rows"][0]) == ["name", "anchor", "theory", "measured",
@@ -457,12 +456,10 @@ def test_iss_prediction_monotonicity(sphere_certificate):
 # -- report completeness ---------------------------------------------------------------------
 
 
-def test_anchor_checklist_is_exactly_covered(sphere_attractor, sphere_certificate,
-                                             sphere_L, sphere_envelope):
-    delta = sphere_certificate.bounds.delta
+def test_anchor_checklist_is_exactly_covered(sphere_attractor, sphere_certificate):
     verify_report = verify_converse_certificate(
-        sphere_attractor.field, sphere_attractor.equilibrium, sphere_L,
-        sphere_envelope, delta, 1.0, GridSpec(8, 1.0, T0_LIST), seed=7, step=1e-2)
+        sphere_certificate, draw_verification_inputs(SPHERE, sphere_attractor.equilibrium,
+                                                     GridSpec(8, 1.0, T0_LIST), 7))
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
     iss_report = iss_certify(spec.field, sphere_attractor.equilibrium,
                              sphere_certificate, spec.input_signal, 0.1, [8.0],
@@ -475,8 +472,6 @@ def test_classifier_consistency_with_verification(sphere_attractor, sphere_L,
     # Anything that verifies as a converse certificate must have been
     # classified exponentially stable from the same data.
     delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
-    report = verify_converse_certificate(
-        sphere_attractor.field, sphere_attractor.equilibrium, sphere_L,
-        sphere_envelope, delta, 1.0, GridSpec(8, 1.0, T0_LIST), seed=7, step=1e-2)
+    report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, 1.0, 8, seed=7)
     assert report.verdict
     assert sphere_envelope.stability_class == "LES"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from geolyap import certify, flows, lyapunov, pipeline
+from geolyap import certify, config as config_module, flows, lyapunov, pipeline, systems
 from geolyap.cli import main
 from geolyap.config import ConfigError, load_scenario
 
@@ -159,6 +159,11 @@ FAILURE_CASES = {
     # K ** p overflows at p = 1000
     "certify-overflow-power": (["certify"], "time_varying_gain.json", {"p": 1000},
                                "les-horizon"),
+    # the unforced rotation is an isometry: its fit is not exponential
+    "iss-rotation-not-exponential": (["iss"], "rotation_us.json",
+                                     {"disturbance": {"profile": "constant",
+                                                      "amplitude": 0.1, "bound": 0.1}},
+                                     "les-envelope-fit"),
     # d' = -1e6 d^3 is too stiff for step 0.01: the fit flow leaves the reals
     "massera-integration-blowup": (["certify", "--mode", "massera"], "cubic_massera.json",
                                    {"system": {"name": "cubic_slowdown",
@@ -239,6 +244,34 @@ def test_step_counts_per_flow(tmp_path, monkeypatch):
                            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
     assert steps == [200, 1, 70, 1, 300, 70]
+
+
+def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypatch):
+    calls = {"make_system": 0, "draw_verification_inputs": 0}
+
+    def counting(name, module):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (systems, config_module):
+        monkeypatch.setattr(module, "make_system", counting("make_system", module))
+    for module in (certify, pipeline):
+        monkeypatch.setattr(module, "draw_verification_inputs",
+                            counting("draw_verification_inputs", module))
+    base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
+    config = _small_config(tmp_path, **base)
+    assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
+    assert calls == {"make_system": 1, "draw_verification_inputs": 1}
+    calls.update(make_system=0, draw_verification_inputs=0)
+    config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
+                           disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
+    assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
+    assert calls == {"make_system": 1, "draw_verification_inputs": 1}
 
 
 def test_iss_scenario(tmp_path):
@@ -340,12 +373,13 @@ def test_flow_zero_field_constant_rows(tmp_path):
     ({"fit_horizon": math.inf}, "fit_horizon"),
     ({"grids": {"n_points": 8, "radius": math.nan, "t0_list": [0.0]}}, "radius"),
 ])
-def test_config_validation_errors(tmp_path, mutation, message):
+def test_config_validation_errors(tmp_path, capsys, mutation, message):
     config = _small_config(tmp_path, **mutation)
     out = tmp_path / "bad"
     rc = main(["certify", "--config", str(config), "--out", str(out)])
     assert rc == 3
     assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_config_missing_file():
@@ -365,7 +399,7 @@ def test_seed_override_changes_outputs(tmp_path):
 def test_load_scenario_roundtrip():
     config = load_scenario(REPO_CONFIGS / "sphere_attractor.json")
     assert config.manifold.name == "sphere2"
-    assert config.system_name == "geodesic_attractor"
+    assert config.system.name == "geodesic_attractor"
     assert config.delta.mode == "auto"
     spec = config.build_system()
     eq = spec.equilibrium.coords

@@ -55,6 +55,16 @@ def test_rotation_preserves_distance():
         make_system("isometric_rotation", EUCLID, [0.0, 0.0])
 
 
+def test_rotation_field_is_the_cross_product_bit_for_bit():
+    rng = np.random.default_rng(4)
+    axis = SPHERE.project(rng.normal(size=3))  # a tilted axis
+    spec = make_system("isometric_rotation", SPHERE, axis, rate=0.7)
+    x = SPHERE.project(rng.normal(size=(2, 5, 3)))
+    assert np.array_equal(spec.field.rhs(0.0, x), 0.7 * np.cross(spec.equilibrium.coords, x))
+    assert np.array_equal(spec.field.rhs(0.0, x[0, 0]),
+                          0.7 * np.cross(spec.equilibrium.coords, x[0, 0]))
+
+
 def test_time_varying_attractor_rejects_degenerate_gain():
     with pytest.raises(ValueError):
         make_system("time_varying_attractor", SPHERE, NORTH,

@@ -40,6 +40,7 @@ from geolyap.certify import (
     GridSpec,
     draw_verification_inputs,
     iss_certify,
+    make_certificate,
     verify_converse_certificate,
 )
 from geolyap.envelopes import KLEnvelope, StabilityEnvelope
@@ -78,15 +79,15 @@ def _envelope(K, rate):
 
 
 def _verify(case, equilibrium, L):
+    """(spec, certificate, report) of the case's verification."""
     label, name, system, params, (K, rate), n_points, p = case
     m = manifold_from_name(name)
     spec = make_system(system, m, np.reshape(equilibrium, m.ambient_shape), **params)
     delta = choose_delta(K, rate, 0.5).delta
-    report = verify_converse_certificate(
-        spec.field, spec.equilibrium, L, _envelope(K, rate), delta, p,
-        GridSpec(n_points, 1.0, T0_LIST), seed=3, step=STEP,
-        envelope_horizon=ENVELOPE_HORIZON)
-    return spec, report
+    cert = make_certificate(spec.field, spec.equilibrium, L, _envelope(K, rate), delta, p,
+                            step=STEP)
+    inputs = draw_verification_inputs(m, spec.equilibrium, GridSpec(n_points, 1.0, T0_LIST), 3)
+    return spec, cert, verify_converse_certificate(cert, inputs, ENVELOPE_HORIZON)
 
 
 def _iss(spec, certificate):
@@ -106,11 +107,11 @@ def write_fixture():
         spec = make_system(system, m, equilibrium, **params)
         L = lipschitz_estimate(spec.field, Region(spec.equilibrium, 1.0), T0_LIST,
                                n_pairs=32, seed=i).inflated()
-        spec, report = _verify(case, equilibrium.ravel().tolist(), L)
+        spec, cert, report = _verify(case, equilibrium.ravel().tolist(), L)
         cases[label] = {"equilibrium": equilibrium.ravel().tolist(), "L": L,
                         "report": report.to_dict(), "samples": report.samples.tolist()}
         if label == "sphere2/geodesic":
-            iss = _iss(spec, report.certificate)
+            iss = _iss(spec, cert)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps({"cases": cases, "iss": iss}, indent=1) + "\n")
 
@@ -122,7 +123,7 @@ def reference():
 
 @pytest.fixture(scope="module")
 def verified(reference):
-    """Label -> (spec, report) from the current code on the fixture's inputs."""
+    """Label -> (spec, certificate, report) from the current code on the fixture's inputs."""
     return {case[0]: _verify(case, reference["cases"][case[0]]["equilibrium"],
                              reference["cases"][case[0]]["L"]) for case in CASES}
 
@@ -166,7 +167,7 @@ def _assert_rows(got: list, want: list, contraction: dict):
 def test_verification_matches_reference(reference, verified, label):
     want = reference["cases"][label]
     case = next(c for c in CASES if c[0] == label)
-    spec, report = verified[label]
+    spec, _, report = verified[label]
     got = report.to_dict()
     assert got["verdict"] == want["report"]["verdict"]
     _assert_rows(got["rows"], want["report"]["rows"], _contraction_row(case, spec, want["L"]))
@@ -178,8 +179,8 @@ def test_verification_matches_reference(reference, verified, label):
 
 
 def test_iss_matches_reference(reference, verified):
-    spec, report = verified["sphere2/geodesic"]
-    got = _iss(spec, report.certificate)
+    spec, cert, _ = verified["sphere2/geodesic"]
+    got = _iss(spec, cert)
     want = reference["iss"]
     series, want_series = np.array(got["series"]), np.array(want["series"])
     assert np.array_equal(series[:, [0, 3]], want_series[:, [0, 3]])  # t and |u|
