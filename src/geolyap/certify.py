@@ -532,7 +532,8 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     integrate in one batched flow; a series trajectory, started at the radius
     from a ``seed + 4`` draw, joins it and is sampled at t = k / 10 (exact
     decimals) up to the longest horizon.  Every V of (a), (b) and the series
-    comes from one batched evaluation.
+    comes from one batched evaluation.  The caller scans the signal over [0,
+    max(horizons) + max(grid.t0_list)] with :func:`check_input_signal`.
     """
     if field.input_rhs is None:
         raise ValueError("field has no input channel")
@@ -545,7 +546,6 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     rng = np.random.default_rng(seed)
 
     max_horizon = max(horizons)
-    check_input_signal(input_signal, input_bound, max_horizon + max(gs.t0_list))
     region = Region(x_star, gs.radius)
     u_probe = list(_input_values(input_signal, np.linspace(0.0, max_horizon, 16)))
     u_probe.extend(rng.uniform(-max(input_bound, 1.0), max(input_bound, 1.0),

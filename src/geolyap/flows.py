@@ -1,16 +1,17 @@
 """Time-varying vector fields on manifolds: integration and flow analysis.
 
 The integrator is a geometric fourth-order Runge-Kutta scheme: stage
-derivatives are evaluated at points reached by the exponential map, parallel
-transported back to the tangent space at the step's base point along the
-geodesic that stage took (``Manifold.transport_back``, a closed form with no
-logarithm), combined with the classical RK4 weights, and the step is taken
-with one exponential map, which projects onto the manifold.  One loop
-(:func:`flow_samples`) steps a batch of states, each from its own start
-time, on a shared elapsed-time grid.  Flow pushforwards are computed by geodesic-variation finite
-differences, and Lipschitz constants are estimated in the parallel-transport
-sense (transported field differences over distance) alongside the
-covariant-derivative form.
+derivatives are evaluated at points reached by the closed-form geodesic
+(``Manifold.geodesic``, not projected), parallel transported back to the
+tangent space at the step's base point along the geodesic that stage took
+(``Manifold.transport_back``, a closed form with no logarithm), combined with
+the classical RK4 weights, and the step is taken with one exponential map,
+the step's only projection onto the manifold.  One loop (:func:`flow_samples`)
+steps a batch of states, each from its own start time, on a shared
+elapsed-time grid.  Flow pushforwards are computed by geodesic-variation
+finite differences, and Lipschitz constants are estimated in the
+parallel-transport sense (transported field differences over distance)
+alongside the covariant-derivative form.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ class TimeVaryingField:
 
     ``rhs(t, X) -> components`` is the raw kernel used by the integrator: ``X``
     holds one state or a batch ``(..., *ambient_shape)`` and ``t`` is a scalar
-    or per-row times (broadcast per row with ``manifold.rows``).  Outputs are
-    projected onto the tangent spaces at every call.  ``input_rhs(t, X, u)``
-    realizes f(t, x, u) for disturbance studies, with ``u`` shared or per row.
-    Handles must be pure with respect to observable state.
+    or per-row times (broadcast per row with ``manifold.rows``).
+    :meth:`eval_raw` projects its output onto the tangent spaces, so a field
+    built on another composes that field's ``rhs`` and is projected once.
+    ``input_rhs(t, X, u)`` realizes f(t, x, u), before that projection, for
+    disturbance studies, with ``u`` shared or per row.  Handles must be pure
+    with respect to observable state.
     """
 
     manifold: Manifold
@@ -105,26 +108,19 @@ class Trajectory:
     def distances_to(self, x: ManifoldPoint) -> np.ndarray:
         return self.manifold.dist(self.points, x.coords)
 
-    def csv_rows(self) -> tuple[list[str], list[list[float]]]:
-        """Header and rows for the CSV layout (t, then embedding coords)."""
-        n_coords = int(np.prod(self.manifold.ambient_shape))
-        header = ["t"] + [f"c{i}" for i in range(n_coords)]
-        rows = [[float(t)] + [float(c) for c in np.ravel(p)]
-                for t, p in zip(self.times, self.points)]
-        return header, rows
-
 
 def _rk4_step(field: TimeVaryingField, t, x: np.ndarray, dt: float) -> np.ndarray:
     m = field.manifold
+    t_mid = t + 0.5 * dt
 
     def stage(k, h, s):
         v = h * k
-        end = m.exp(x, v)
+        end = m.geodesic(x, v)
         return m.transport_back(x, v, end, field.eval_raw(s, end))
 
     k1 = field.eval_raw(t, x)
-    k2 = stage(k1, 0.5 * dt, t + 0.5 * dt)
-    k3 = stage(k2, 0.5 * dt, t + 0.5 * dt)
+    k2 = stage(k1, 0.5 * dt, t_mid)
+    k3 = stage(k2, 0.5 * dt, t_mid)
     k4 = stage(k3, dt, t + dt)
     return m.exp(x, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
@@ -164,10 +160,12 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
         keep.append(len(nodes) - 1)
     x = np.asarray(x0, dtype=float)
     states = [x]
-    for a, b in zip(nodes, nodes[1:]):
-        x = _rk4_step(field, t0 + a, x, b - a)
-        _check_finite(field.manifold, x, t0 + b)
-        states.append(x)
+    # A flow that blows up is reported by _check_finite, with its time.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for a, b in zip(nodes, nodes[1:]):
+            x = _rk4_step(field, t0 + a, x, b - a)
+            _check_finite(field.manifold, x, t0 + b)
+            states.append(x)
     return np.stack([states[i] for i in keep])
 
 
@@ -484,7 +482,7 @@ def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,
     sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * lead)
 
     def rhs(s, X):
-        return m.rows(sign) * field.eval_raw(np.where(sign > 0, s, 2.0 * t - s), X)
+        return m.rows(sign) * field.rhs(np.where(sign > 0, s, 2.0 * t - s), X)
 
     both = TimeVaryingField(m, rhs)
     return flow_samples(both, t, np.stack([coords, coords]), [h], step)[-1]

@@ -6,9 +6,10 @@ plane in the hyperboloid model.  Points live in an embedding-space
 representation (unit vectors, rotation matrices, Minkowski hyperboloid), so
 every operation -- metric, exponential/logarithm maps, distance, parallel
 transport along minimizing geodesics -- is an exact coordinate-free formula.
-Constraint drift is repaired by projection after each manifold-valued
-computation.  Every kernel op is vectorized over leading batch axes, so a
-single point and a batch of points run the same code.
+Constraint drift is repaired by projection: ``exp`` projects the closed-form
+geodesic point, which ``geodesic`` returns bare for points that are not kept
+(an integrator's stage points).  Every kernel op is vectorized over leading
+batch axes, so a single point and a batch of points run the same code.
 
 Pairs at or beyond each other's cut locus are rejected explicitly
 (:class:`CutLocusError`) rather than resolved by an arbitrary choice of
@@ -134,8 +135,12 @@ class Manifold(ABC):
         """Riemannian inner product of tangents ``u``, ``v`` at ``coords``."""
 
     @abstractmethod
+    def geodesic(self, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`exp` without its projection: on the manifold to rounding."""
+
     def exp(self, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Geodesic endpoint at parameter 1 from ``coords`` with velocity ``v``."""
+        return self.project(self.geodesic(coords, v))
 
     @abstractmethod
     def log(self, coords: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -264,7 +269,7 @@ class Euclidean(Manifold):
     def inner(self, coords, u, v):
         return np.vecdot(u, v)
 
-    def exp(self, coords, v):
+    def geodesic(self, coords, v):
         return coords + v
 
     def log(self, coords, other):
@@ -309,11 +314,11 @@ class Sphere(Manifold):
     def inner(self, coords, u, v):
         return np.vecdot(u, v)
 
-    def exp(self, coords, v):
+    def geodesic(self, coords, v):
         # Rows with |v| below _TINY move by less than 1e-15: no special case.
         theta = _norm(v)
-        return self.project(np.cos(theta)[..., None] * coords
-                            + (np.sin(theta) / np.maximum(theta, _TINY))[..., None] * v)
+        return (np.cos(theta)[..., None] * coords
+                + (np.sin(theta) / np.maximum(theta, _TINY))[..., None] * v)
 
     def _log_parts(self, coords, other):
         c = np.vecdot(coords, other)
@@ -354,9 +359,12 @@ class Sphere(Manifold):
         a0[..., 0] += 1.0
         n0 = np.maximum(_norm(a0), _TINY)
         c1, c2 = coords[..., 2] / n0, -coords[..., 1] / n0
-        sign = np.where(np.abs(c1) > 1e-8, np.sign(c1), np.sign(c2))
-        b1 = np.stack([np.zeros_like(c1), sign * c1, sign * c2], axis=-1)
-        basis = np.stack([a0 / n0[..., None], b1], axis=-2)
+        sign = np.sign(np.where(np.abs(c1) > 1e-8, c1, c2))
+        basis = np.empty(coords.shape[:-1] + (2, 3))
+        basis[..., 0, :] = a0 / n0[..., None]
+        basis[..., 1, 0] = 0.0
+        basis[..., 1, 1] = sign * c1
+        basis[..., 1, 2] = sign * c2
         generic = n0 <= 1e-8
         if generic.any():
             basis[generic] = super().tangent_basis(coords[generic])
@@ -406,10 +414,11 @@ def _rodrigues(w: np.ndarray) -> np.ndarray:
     return _EYE3 + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
 
-def _rotation_angle(Q: np.ndarray) -> np.ndarray:
-    s = 0.5 * _norm(_vee(Q - Q.mT))
+def _rotation_angle(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation angles theta of Q, and s = vee(Q - Q^T) / 2 = sin(theta) * axis."""
+    s = 0.5 * _vee(Q - Q.mT)
     c = 0.5 * (np.trace(Q, axis1=-2, axis2=-1) - 1.0)
-    return np.arctan2(s, c)
+    return np.arctan2(_norm(s), c), s
 
 
 def _near_pi_axis(Q: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -431,11 +440,10 @@ def _near_pi_axis(Q: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray
     return theta[:, None] * n
 
 
-def _rotation_vector(Q: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Rotation vectors of Q with angles theta in [0, pi); the caller rejects
-    angles near pi."""
+def _rotation_vector(Q: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotation vectors of Q with angles theta in [0, pi) and v = sin(theta) *
+    axis; the caller rejects angles near pi."""
     theta = np.asarray(theta)
-    v = 0.5 * _vee(Q - Q.mT)  # = sin(theta) * axis
     small = theta < 1e-7
     if small.any():  # series scale on those rows
         scale = np.where(small, 1.0 + theta * theta / 6.0,
@@ -498,32 +506,33 @@ class SpecialOrthogonal3(Manifold):
     def inner(self, coords, u, v):
         return np.vecdot(self._alg(coords, u), self._alg(coords, v))
 
-    def exp(self, coords, v):
-        return self.project(coords @ _rodrigues(self._alg(coords, v)))
+    def geodesic(self, coords, v):
+        return coords @ _rodrigues(self._alg(coords, v))
 
     def log(self, coords, other):
         Q = coords.mT @ other
-        theta = _rotation_angle(Q)
+        theta, s = _rotation_angle(Q)
         _reject_cut(theta, coords, other, "rotation angle at pi: logarithm map is not unique")
-        return coords @ _hat(_rotation_vector(Q, theta))
+        return coords @ _hat(_rotation_vector(Q, theta, s))
 
     def dist(self, coords, other):
         return _where((coords == other).all(axis=(-2, -1)), 0.0,
-                      _rotation_angle(coords.mT @ other))
+                      _rotation_angle(coords.mT @ other)[0])
 
     def transport(self, coords, other, v):
         Q = coords.mT @ other
-        theta = _rotation_angle(Q)
+        theta, s = _rotation_angle(Q)
         _reject_cut(theta, coords, other, "rotation angle at pi: transport geodesic is not unique")
-        H = _rodrigues(0.5 * _rotation_vector(Q, theta))
+        H = _rodrigues(0.5 * _rotation_vector(Q, theta, s))
         V = _hat(self._alg(coords, v))
         return self.project_tangent(other, coords @ H @ V @ H)
 
     def transport_back(self, coords, v, end, w):
-        # end = coords R(a) for a = alg(coords, v); the tangent end Omega
-        # transports to coords H Omega H^T with the half-angle rotation H = R(a/2).
+        # end = coords R(a) for a = alg(coords, v); the tangent end Omega = hat(omega)
+        # transports to coords H Omega H^T = coords hat(H omega) with the half-angle
+        # rotation H = R(a/2).  H @ omega[..., None]: np.matvec needs NumPy 2.2.
         H = _rodrigues(0.5 * self._alg(coords, v))
-        return coords @ H @ _hat(self._alg(end, w)) @ H.mT
+        return coords @ _hat((H @ self._alg(end, w)[..., None])[..., 0])
 
     def random_point(self, rng):
         return _polar(rng.standard_normal((3, 3)))
@@ -564,11 +573,11 @@ class Hyperbolic2(Manifold):
     def inner(self, coords, u, v):
         return self._mdot(u, v)
 
-    def exp(self, coords, v):
+    def geodesic(self, coords, v):
         # Rows with |v| below _TINY move by less than 1e-15: no special case.
         theta = np.sqrt(np.maximum(self._mdot(v, v), 0.0))
-        return self.project(np.cosh(theta)[..., None] * coords
-                            + (np.sinh(theta) / np.maximum(theta, _TINY))[..., None] * v)
+        return (np.cosh(theta)[..., None] * coords
+                + (np.sinh(theta) / np.maximum(theta, _TINY))[..., None] * v)
 
     def _log_parts(self, coords, other):
         c = -self._mdot(coords, other)

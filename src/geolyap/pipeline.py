@@ -74,8 +74,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)  # the csv module writes floats by repr
 
 
 def _write_reports(out_dir: Path, payload: dict, text: str, samples=None):
@@ -315,7 +314,7 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
     spec = config.system
     if spec.input_signal is None:
         raise ConfigError("iss requires a 'disturbance' config section")
-    # Contract scan before any output: the generator must respect its bound.
+    # The run's one contract scan (iss_certify reads no further), before any output.
     horizon_max = max(config.iss_horizons) + max(config.grid.t0_list)
     check_input_signal(spec.input_signal, spec.input_bound, horizon_max)
 
@@ -364,12 +363,12 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
         print(f"error: {ANCHOR_FLOW_INTEGRATION}: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILED
     out_dir.mkdir(parents=True, exist_ok=True)
+    n_coords = int(np.prod(m.ambient_shape))
+    header = ["t"] + [f"c{i}" for i in range(n_coords)] + ["distance"]
     for i, traj in enumerate(trajectories):
-        header, rows = traj.csv_rows()
-        header.append("distance")
-        for row, d in zip(rows, traj.distances_to(config.equilibrium)):
-            row.append(float(d))
-        _write_csv(out_dir / f"trajectory_{i}.csv", header, rows)
+        table = np.column_stack([traj.times, traj.points.reshape(len(traj), n_coords),
+                                 traj.distances_to(config.equilibrium)])
+        _write_csv(out_dir / f"trajectory_{i}.csv", header, table.tolist())
     return EXIT_OK
 
 

@@ -100,8 +100,8 @@ def cubic_slowdown(manifold: Manifold, equilibrium, gain: float = 1.0) -> System
     x_star = manifold.point(equilibrium)
 
     def rhs(t, coords: np.ndarray) -> np.ndarray:
-        d2 = manifold.dist(coords, x_star.coords) ** 2
-        return manifold.rows(gain * d2) * manifold.log(coords, x_star.coords)
+        w = manifold.log(coords, x_star.coords)  # d(x, x*) = |w|
+        return manifold.rows(gain * manifold.inner(coords, w, w)) * w
 
     def oracle(d0: float, t0: float, s: float) -> float:
         return 1.0 / math.sqrt(2.0 * gain * s + 1.0 / (d0 * d0))
@@ -136,6 +136,8 @@ def frame_input_channel(base_field: TimeVaryingField, n_channels: int):
     """Input map u -> sum_i u_i e_i(x) over the orthonormal tangent frame.
 
     ``u`` holds one coefficient vector shared by all rows, or one per row.
+    Like any ``rhs``, the sum is left to the closed field's ``eval_raw`` to
+    project, so the base field enters through its ``rhs``.
     """
     m = base_field.manifold
     if n_channels > m.dim:
@@ -143,11 +145,10 @@ def frame_input_channel(base_field: TimeVaryingField, n_channels: int):
     frame_axis = -1 - len(m.ambient_shape)
 
     def input_rhs(t, coords: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = base_field.eval_raw(t, coords)
-        basis = m.tangent_basis(coords)
-        for i in range(min(n_channels, np.shape(u)[-1])):
-            out = out + m.rows(u[..., i]) * np.take(basis, i, axis=frame_axis)
-        return out
+        k = min(n_channels, np.shape(u)[-1])
+        # The first k frame vectors, as a view, contracted with u in one call.
+        frame = m.tangent_basis(coords)[(..., slice(k)) + (slice(None),) * len(m.ambient_shape)]
+        return base_field.rhs(t, coords) + np.vecdot(m.rows(u[..., :k]), frame, axis=frame_axis)
 
     return input_rhs
 

@@ -274,7 +274,16 @@ def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypa
     assert calls == {"make_system": 1, "draw_verification_inputs": 1}
 
 
-def test_iss_scenario(tmp_path):
+def test_iss_scenario(tmp_path, monkeypatch):
+    scans = []
+    real_scan = certify.check_input_signal
+
+    def counting_scan(*args):
+        scans.append(args[2])
+        return real_scan(*args)
+
+    for module in (certify, pipeline):
+        monkeypatch.setattr(module, "check_input_signal", counting_scan)
     config = _small_config(
         tmp_path,
         grids={"n_points": 6, "radius": 1.0, "t0_list": [0.0, 1.0]},
@@ -283,6 +292,7 @@ def test_iss_scenario(tmp_path):
     out = tmp_path / "iss"
     rc = main(["iss", "--config", str(config), "--out", str(out)])
     assert rc == 0
+    assert scans == [9.0]  # one scan, over max(iss_horizons) + max(t0_list)
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["pass"] is True
     assert report["report"]["measured_v_limsup"] <= \

@@ -29,6 +29,7 @@ from geolyap.manifolds import (
     SpecialOrthogonal3,
     Hyperbolic2,
     TangentVector,
+    manifold_from_name,
 )
 from geolyap.systems import make_system
 
@@ -116,6 +117,21 @@ def test_integrator_fourth_order(sphere_attractor):
 
     factor = endpoint_error(0.05) / endpoint_error(0.025)
     assert 8.0 <= factor <= 32.0
+
+
+@pytest.mark.parametrize("name", ["sphere2", "so3", "hyperbolic2"])
+def test_step_projects_onto_the_manifold_once(name, monkeypatch):
+    # Stage points come from the bare geodesic; only the step's result is projected.
+    m = manifold_from_name(name)
+    rng = np.random.default_rng(43)
+    x_star = m.project(m.random_point(rng))
+    spec = make_system("geodesic_attractor", m, x_star, gain=1.0)
+    x0 = np.array([m.exp(x_star, m.random_tangent(rng, x_star, norm=0.8)) for _ in range(6)])
+    calls = []
+    real = type(m).project
+    monkeypatch.setattr(type(m), "project", lambda self, c: calls.append(1) or real(self, c))
+    flow_samples(spec.field, 0.0, x0, step_offsets(0.1, 0.01), 0.01)
+    assert len(calls) == 10
 
 
 def test_flow_argument_validation(sphere_attractor):
@@ -451,9 +467,9 @@ def test_trajectory_serialization_and_determinism(sphere_attractor):
     a = flow(sphere_attractor.field, 0.0, x0, 1.0, step=1e-2)
     b = flow(sphere_attractor.field, 0.0, x0, 1.0, step=1e-2)
     assert np.array_equal(a.points, b.points)  # bit-identical reruns
-    header, rows = a.csv_rows()
-    assert header == ["t", "c0", "c1", "c2"]
-    assert rows[0][0] == 0.0 and len(rows) == len(a)
+    # The flow command's CSV rows: t, then the embedding coordinates.
+    table = np.column_stack([a.times, a.points])
+    assert table.shape == (len(a), 4) and table[0, 0] == 0.0
 
 
 def test_so3_attractor_flow_decay():

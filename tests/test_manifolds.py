@@ -383,6 +383,19 @@ def test_exp_output_constraint_drift():
             assert m.constraint_violation(m.exp(x, v)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [Euclidean(3), Sphere(2), SpecialOrthogonal3(), Hyperbolic2()],
+                         ids=lambda m: m.name)
+def test_exp_projects_the_bare_geodesic(m):
+    # Integrator stages use geodesic unprojected: it must stay on the manifold.
+    rng = np.random.default_rng(41)
+    x = np.array([m.project(m.random_point(rng)) for _ in range(16)])
+    v = np.array([m.random_tangent(rng, p, norm=rng.uniform(0.0, 0.1)) for p in x])
+    assert np.array_equal(m.exp(x, v), m.project(m.geodesic(x, v)))
+    for p, w in zip(x, v):
+        assert np.array_equal(m.exp(p, w), m.project(m.geodesic(p, w)))
+    assert np.max(m.constraint_violation(m.geodesic(x, v))) <= 1e-14
+
+
 # -- serialization and naming ----------------------------------------------------
 
 

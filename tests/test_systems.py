@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geolyap.flows import flow
-from geolyap.manifolds import Euclidean, GeometryError, ManifoldPoint, Sphere
+from geolyap.manifolds import Euclidean, GeometryError, Manifold, ManifoldPoint, Sphere
 from geolyap.systems import (
     attach_disturbance,
     available_systems,
@@ -92,6 +92,20 @@ def test_attached_disturbance_uses_orthonormal_frame():
         diff = spec.field.input_rhs(0.0, x, u) - spec.field.input_rhs(0.0, x, np.zeros(2))
         assert SPHERE.norm(x, diff) == pytest.approx(float(np.linalg.norm(u)), abs=1e-12)
     assert spec.input_bound == 0.1
+
+
+def test_sphere2_input_channel_matches_gram_schmidt_frame():
+    # The closed-form frame, contracted with u, against the generic frame; the
+    # first two rows sit within 1e-9 of -e0 and +e0, where the generic frame is used.
+    spec = attach_disturbance(make_system("geodesic_attractor", SPHERE, NORTH), "constant", 0.1)
+    rng = np.random.default_rng(23)
+    x = SPHERE.project(np.concatenate([[[-1.0, 1e-10, 0.0], [1.0, 0.0, -1e-10]],
+                                       rng.standard_normal((40, 3))]))
+    frame = Manifold.tangent_basis(SPHERE, x)
+    u = rng.uniform(-1.0, 1.0, (len(x), 2))
+    for uu in (u, u[0]):  # one u per row, then one shared by all rows
+        want = spec.field.rhs(0.5, x) + np.einsum("...i,...ij->...j", uu, frame)
+        assert np.max(np.abs(spec.field.input_rhs(0.5, x, uu) - want)) <= 1e-12
 
 
 def test_disturbed_flow_stays_bounded():
