@@ -173,13 +173,10 @@ def sample_states(manifold: Manifold, x_star: ManifoldPoint, grid: GridSpec,
                   r_min_frac: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
     """``grid.n_points`` start times ``t`` (cycling through ``t0_list``) and
     states ``x`` at radii in [r_min_frac, 1] * radius from ``x_star``."""
-    t, x = [], []
-    for i in range(grid.n_points):
-        t.append(grid.t0_list[i % len(grid.t0_list)])
-        r = grid.radius * (r_min_frac + (1.0 - r_min_frac) * rng.uniform())
-        v = manifold.random_tangent(rng, x_star.coords, norm=r)
-        x.append(manifold.exp(x_star.coords, v))
-    return np.array(t), np.array(x)
+    v = manifold.random_tangents(
+        rng, x_star.coords, grid.n_points,
+        lambda: grid.radius * (r_min_frac + (1.0 - r_min_frac) * rng.uniform()))
+    return np.resize(grid.t0_list, grid.n_points), manifold.exp(x_star.coords, v)
 
 
 # -- envelope fitting -----------------------------------------------------------
@@ -322,14 +319,12 @@ def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
     """Everything :func:`verify_converse_certificate` samples, drawn up front."""
     rng = np.random.default_rng(seed)
     t, x = sample_states(m, x_star, grid, rng)
-    pair_t, pair_x = [], []
-    for i in range(max(4, grid.n_points // 4)):
-        pair_t.append(grid.t0_list[i % len(grid.t0_list)])
-        v1 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
-        v2 = m.random_tangent(rng, x_star.coords, norm=grid.radius * rng.uniform(0.1, 1.0))
-        pair_x.append((m.exp(x_star.coords, v1), m.exp(x_star.coords, v2)))
-    directions = np.array([m.random_tangent(rng, xi, norm=1.0) for xi in x])
-    return VerificationInputs(t, x, np.array(pair_t), np.stack(pair_x, axis=1), directions)
+    n_pairs = max(4, grid.n_points // 4)
+    v = m.random_tangents(rng, x_star.coords, 2 * n_pairs,
+                          lambda: grid.radius * rng.uniform(0.1, 1.0))
+    pair_x = m.exp(x_star.coords, v).reshape((n_pairs, 2) + m.ambient_shape).swapaxes(0, 1)
+    directions = m.tangent_map(rng, x, rng.standard_normal(x.shape), 1.0)
+    return VerificationInputs(t, x, np.resize(grid.t0_list, n_pairs), pair_x, directions)
 
 
 def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
@@ -442,7 +437,7 @@ def input_lipschitz_estimate(field: TimeVaryingField, region: Region,
     if not us:
         raise ValueError("all input samples are zero")
     rng = np.random.default_rng(seed)
-    x = np.array([region.sample(rng) for _ in range(24)])
+    x = region.samples(rng, 24)
     u = np.array(us)
     times = np.array([0.0, 1.0])
     # Rows: every (state, input, time) triple, forced and unforced in one call.
@@ -562,8 +557,7 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
 
     # (b) ultimate bound along disturbed trajectories: one flow from t = 0
     # through the union of every horizon's tail times and the series grid.
-    start_dirs = [m.random_tangent(rng, x_star.coords, norm=gs.radius) for _ in range(3)]
-    starts = m.exp(x_star.coords, np.array(start_dirs))
+    starts = m.exp(x_star.coords, m.random_tangents(rng, x_star.coords, 3, lambda: gs.radius))
     tails = [np.arange(0.6 * horizon, horizon + 1e-9, 0.25) for horizon in horizons]
     series_dir = m.random_tangent(np.random.default_rng(seed + 4), x_star.coords,
                                   norm=gs.radius)
@@ -622,18 +616,22 @@ def run_geometry_suite(manifold: Manifold, seed: int, n: int,
     m = manifold
     reach = min(m.cut_locus_radius * 0.45, 1.5)
 
-    # Draw every sample first, in the order the checks consume them; each
-    # check then runs on the whole sample stack at once.
-    draws = []
-    for _ in range(n):
-        x = m.project(m.random_point(rng))
-        v = m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0))
-        to_z = m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0))
-        u1 = m.random_tangent(rng, x, norm=1.0)
-        u2 = m.random_tangent(rng, x, norm=1.0)
-        to_w = m.random_tangent(rng, x, norm=reach * rng.uniform(0.05, 1.0))
-        draws.append((x, v, to_z, u1, u2, to_w))
-    x, v, to_z, u1, u2, to_w = (np.array(a) for a in zip(*draws))
+    # Draw each sample's variates as random_point and five random_tangent calls
+    # draw them; map each stack in one batch.  Each check runs on whole stacks.
+    points = np.empty((n,) + m.point_variates)
+    normals = np.empty((n, 5) + m.ambient_shape)  # v, to_z, u1, u2, to_w
+    lengths = np.empty((n, 3))  # of v, to_z, to_w
+    for i in range(n):
+        m.draw_point(rng, points[i])
+        lengths[i, 0] = reach * rng.uniform(0.05, 1.0)
+        rng.standard_normal(out=normals[i, 0])
+        lengths[i, 1] = reach * rng.uniform(0.05, 1.0)
+        rng.standard_normal(out=normals[i, 1:4])
+        lengths[i, 2] = reach * rng.uniform(0.05, 1.0)
+        rng.standard_normal(out=normals[i, 4])
+    x = m.project(m.point_map(points))
+    v, to_z, u1, u2, to_w = (m.tangent_map(rng, x, normals[:, k], norm) for k, norm in
+                             enumerate((lengths[:, 0], lengths[:, 1], 1.0, 1.0, lengths[:, 2])))
     y = m.exp(x, v)
     if inject_fault:
         y = y + 1e-6  # simulated broken renormalization

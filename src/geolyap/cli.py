@@ -81,6 +81,8 @@ def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if args.command == "verify-geometry":
             return run_verify_geometry(args.manifold, args.seed, args.n,
                                        Path(args.out), inject_fault=args.inject_fault)

@@ -168,6 +168,8 @@ def parse_scenario(data: dict) -> ScenarioConfig:
             f"grid radius {radius} reaches the cut-locus bound of {manifold.name}")
 
     seed = _get(data, "seed", int, "top-level", default=0)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     step = float(_get(data, "step", (int, float), "top-level", default=1e-2))
     if step <= 0:
         raise ConfigError("step must be positive")

@@ -294,11 +294,18 @@ class Region:
     center: ManifoldPoint
     radius: float
 
-    def sample(self, rng: np.random.Generator, on_boundary: bool = False) -> np.ndarray:
-        m = self.center.manifold
+    def draw_radius(self, rng: np.random.Generator, on_boundary: bool = False) -> float:
+        """A sample's geodesic radius: its first draw, before its normal."""
         r = self.radius if on_boundary else self.radius * math.sqrt(rng.uniform(0.0, 1.0))
-        v = m.random_tangent(rng, self.center.coords, norm=max(r, 1e-12))
-        return m.exp(self.center.coords, v)
+        return max(r, 1e-12)
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.samples(rng, 1)[0]
+
+    def samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` interior samples, each drawn as its radius, then its normal."""
+        m, c = self.center.manifold, self.center.coords
+        return m.exp(c, m.random_tangents(rng, c, count, lambda: self.draw_radius(rng)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,17 +351,21 @@ def lipschitz_estimate(field: TimeVaryingField, region: Region,
     rng = np.random.default_rng(seed)
     t_list = np.asarray(list(t_samples) or [0.0], dtype=float)
 
-    pairs = np.array([(region.sample(rng), region.sample(rng)) for _ in range(n_pairs)])
+    pairs = region.samples(rng, 2 * n_pairs).reshape((n_pairs, 2) + m.ambient_shape)
     d = m.dist(pairs[:, 0], pairs[:, 1])
     if not np.any(d >= 1e-10):
         raise ValueError("all sampled pairs were degenerate; enlarge the region")
     p, q, d = pairs[d >= 1e-10, 0], pairs[d >= 1e-10, 1], d[d >= 1e-10]
-    x, v = [], []
+    # Per sample: its radius (on the boundary for even i), its normal, its direction's.
+    normals = np.empty((n_pairs, 2) + m.ambient_shape)
+    radii = np.empty(n_pairs)
     for i in range(n_pairs):
-        x.append(region.sample(rng, on_boundary=(i % 2 == 0)))
-        v.append(m.random_tangent(rng, x[-1], norm=1.0))
-    x = np.array(x)
-    x_plus, x_minus = geodesic_stencil(m, x, np.array(v), LIPSCHITZ_FD_STEP)
+        radii[i] = region.draw_radius(rng, on_boundary=(i % 2 == 0))
+        rng.standard_normal(out=normals[i])
+    c = region.center.coords
+    x = m.exp(c, m.tangent_map(rng, c, normals[:, 0], radii))
+    v = m.tangent_map(rng, x, normals[:, 1], 1.0)
+    x_plus, x_minus = geodesic_stencil(m, x, v, LIPSCHITZ_FD_STEP)
 
     # One field call: every sample point at every sample time (leading axis).
     points = np.concatenate([p, q, x_plus, x_minus])

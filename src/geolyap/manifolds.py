@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 CUT_MARGIN = 1e-6        # reject pairs within this angle of the cut locus
+MAX_DIM = 1000           # largest dimension of euclideanN and sphereN
 _TINY = 1e-15
 
 
@@ -166,8 +167,19 @@ class Manifold(ABC):
         no logarithm and checks no cut locus.
         """
 
-    @abstractmethod
-    def random_point(self, rng: np.random.Generator) -> np.ndarray: ...
+    @property
+    def point_variates(self) -> tuple:
+        """Shape of what :meth:`draw_point` draws and :meth:`point_map` maps (batched)."""
+        return self.ambient_shape
+
+    def draw_point(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.standard_normal(out=out)
+
+    def point_map(self, variates: np.ndarray) -> np.ndarray:
+        return self.project(variates)
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return self.point_map(self.draw_point(rng, np.empty(self.point_variates)))
 
     def rows(self, values) -> np.ndarray:
         """Per-row scalars shaped to broadcast against ``(..., *ambient_shape)`` arrays."""
@@ -180,12 +192,35 @@ class Manifold(ABC):
     def random_tangent(self, rng: np.random.Generator, coords: np.ndarray,
                        norm: float = 1.0) -> np.ndarray:
         """Random tangent at one point, of the requested norm, uniform in direction."""
-        for _ in range(16):
-            v = self.project_tangent(coords, rng.standard_normal(self.ambient_shape))
-            n = self.norm(coords, v)
-            if n > 1e-12:
-                return v * (norm / n)
-        raise GeometryError("could not sample a nondegenerate tangent direction")
+        return self.tangent_map(rng, coords, rng.standard_normal(self.ambient_shape), norm)
+
+    def random_tangents(self, rng: np.random.Generator, coords: np.ndarray, count: int,
+                        norm: Callable[[], float]) -> np.ndarray:
+        """``count`` tangents at ``coords``, drawn as ``count`` calls of
+        ``random_tangent(rng, coords, norm())`` draw them, mapped in one batch."""
+        normals = np.empty((count,) + self.ambient_shape)
+        norms = np.empty(count)
+        for i in range(count):
+            norms[i] = norm()
+            rng.standard_normal(out=normals[i])
+        return self.tangent_map(rng, coords, normals, norms)
+
+    def tangent_map(self, rng: np.random.Generator, coords: np.ndarray,
+                    normals: np.ndarray, norms) -> np.ndarray:
+        """:meth:`random_tangent`'s map (batched): ``normals`` projected and scaled to
+        ``norms``.  A row projecting to norm <= 1e-12 is redrawn (16 draws at most)."""
+        v = self.project_tangent(coords, normals)
+        n = np.asarray(self.norm(coords, v))
+        for _ in range(15):
+            bad = n <= 1e-12
+            if not bad.any():
+                break
+            base = np.broadcast_to(coords, v.shape)[bad]
+            v[bad] = self.project_tangent(base, rng.standard_normal(base.shape))
+            n[bad] = self.norm(base, v[bad])
+        if (n <= 1e-12).any():
+            raise GeometryError("could not sample a nondegenerate tangent direction")
+        return v * self.rows(norms / n)
 
     def tangent_basis(self, coords: np.ndarray) -> np.ndarray:
         """Orthonormal tangent bases, shape ``(..., dim, *ambient_shape)``.
@@ -250,8 +285,8 @@ class Euclidean(Manifold):
     """Flat R^n with the standard inner product."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise GeometryError("dimension must be positive")
+        if not 1 <= n <= MAX_DIM:
+            raise GeometryError(f"dimension must be between 1 and {MAX_DIM}")
         self.dim = n
         self.name = f"euclidean{n}"
         self.ambient_shape = (n,)
@@ -272,6 +307,10 @@ class Euclidean(Manifold):
     def geodesic(self, coords, v):
         return coords + v
 
+    def exp(self, coords, v):
+        # The geodesic is a fresh array on the manifold already: no projection copy.
+        return coords + v
+
     def log(self, coords, other):
         return other - coords
 
@@ -284,16 +323,13 @@ class Euclidean(Manifold):
     def transport_back(self, coords, v, end, w):
         return w
 
-    def random_point(self, rng):
-        return rng.standard_normal(self.dim)
-
 
 class Sphere(Manifold):
     """Unit sphere S^n embedded in R^{n+1} with the induced metric."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise GeometryError("dimension must be positive")
+        if not 1 <= n <= MAX_DIM:
+            raise GeometryError(f"dimension must be between 1 and {MAX_DIM}")
         self.dim = n
         self.name = f"sphere{n}"
         self.ambient_shape = (n + 1,)
@@ -369,9 +405,6 @@ class Sphere(Manifold):
         if generic.any():
             basis[generic] = super().tangent_basis(coords[generic])
         return basis
-
-    def random_point(self, rng):
-        return self.project(rng.standard_normal(self.dim + 1))
 
 
 _EYE3 = np.eye(3)
@@ -534,8 +567,8 @@ class SpecialOrthogonal3(Manifold):
         H = _rodrigues(0.5 * self._alg(coords, v))
         return coords @ _hat((H @ self._alg(end, w)[..., None])[..., 0])
 
-    def random_point(self, rng):
-        return _polar(rng.standard_normal((3, 3)))
+    def point_map(self, variates):
+        return _polar(variates)
 
 
 class Hyperbolic2(Manifold):
@@ -552,6 +585,7 @@ class Hyperbolic2(Manifold):
         self.cut_locus_radius = math.inf
 
     _SIGNATURE = np.array([-1.0, 1.0, 1.0])
+    _ORIGIN = np.array([1.0, 0.0, 0.0])
 
     @staticmethod
     def _mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -600,13 +634,18 @@ class Hyperbolic2(Manifold):
         factor = self._mdot(coords, w) / (1.0 - self._mdot(coords, end))
         return w + factor[..., None] * (coords + end)
 
-    def random_point(self, rng):
-        origin = np.array([1.0, 0.0, 0.0])
-        v = self.project_tangent(origin, rng.standard_normal(3))
-        n = self.norm(origin, v)
-        if n < 1e-12:
-            return origin
-        return self.exp(origin, v * (rng.uniform(0.0, 2.0) / n))
+    point_variates = (4,)  # a normal, then a length in [0, 2); a degenerate normal: the origin
+
+    def draw_point(self, rng, out):
+        rng.standard_normal(out=out[:3])
+        out[3] = rng.uniform(0.0, 2.0)
+        return out
+
+    def point_map(self, variates):
+        v = self.project_tangent(self._ORIGIN, variates[..., :3])
+        n = self.norm(self._ORIGIN, v)
+        x = self.exp(self._ORIGIN, v * self.rows(variates[..., 3] / np.maximum(n, 1e-12)))
+        return np.where(self.rows(n < 1e-12), self._ORIGIN, x)
 
 
 _NAME_PATTERNS: list[tuple[re.Pattern, Callable[[re.Match], Manifold]]] = [

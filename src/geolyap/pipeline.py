@@ -57,6 +57,7 @@ EXIT_OK = 0
 EXIT_CERTIFICATION_FAILED = 2
 EXIT_CONFIG_ERROR = 3
 SAMPLES_CSV_ROWS = 24   # certify samples.csv: the first states of the verification grid
+MAX_GEOMETRY_SAMPLES = 100_000  # verify-geometry --n
 SAMPLES_HEADER = ["t", "distance", "V", "lie_derivative"]
 # Stage anchors of the verification, the asymptotic construction, the
 # robustness check and the flow command.
@@ -139,18 +140,11 @@ def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str
     envelope (else None).
     """
     rng = np.random.default_rng(config.seed + 1)
-    m = config.manifold
-    starts, t0s = [], []
-    n_starts = max(3, min(8, config.grid.n_points // 4))
-    for t0 in config.grid.t0_list:
-        for _ in range(n_starts):
-            r = config.grid.radius * rng.uniform(0.3, 1.0)
-            v = m.random_tangent(rng, config.equilibrium.coords, norm=r)
-            starts.append(m.exp(config.equilibrium.coords, v))
-            t0s.append(t0)
-    t0s = np.array(t0s)
+    m, x_star = config.manifold, config.equilibrium.coords
+    t0s = np.repeat(config.grid.t0_list, max(3, min(8, config.grid.n_points // 4)))
+    v = m.random_tangents(rng, x_star, len(t0s), lambda: config.grid.radius * rng.uniform(0.3, 1.0))
     offsets = step_offsets(horizon, config.step)
-    x0, t_rows, grid = m.project(np.array(starts)), t0s, offsets
+    x0, t_rows, grid = m.project(m.exp(x_star, v)), t0s, offsets
     if inputs is not None:
         taus = contraction_offsets(config.envelope_horizon, config.step)
         x0 = np.concatenate([x0, *inputs.pair_x])
@@ -379,8 +373,8 @@ def run_verify_geometry(manifold_name: str, seed: int, n: int, out_dir: Path,
         manifold = manifold_from_name(manifold_name)
     except GeometryError as err:
         raise ConfigError(str(err)) from err
-    if n < 1:
-        raise ConfigError("sample count must be >= 1")
+    if not 1 <= n <= MAX_GEOMETRY_SAMPLES:
+        raise ConfigError(f"sample count must be between 1 and {MAX_GEOMETRY_SAMPLES}")
     report = run_geometry_suite(manifold, seed, n, inject_fault=inject_fault)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {

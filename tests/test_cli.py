@@ -392,6 +392,36 @@ def test_config_validation_errors(tmp_path, capsys, mutation, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, overrides, message", [
+    (["verify-geometry", "--manifold", "sphere2", "--seed", "-1"], None, "seed must be >= 0"),
+    (["certify", "--seed", "-1"], {}, "seed must be >= 0"),
+    (["iss", "--seed", "-1"], {"disturbance": {"profile": "constant", "amplitude": 0.1}},
+     "seed must be >= 0"),
+    (["flow", "--seed", "-1"], {}, "seed must be >= 0"),
+    (["certify"], {"seed": -5}, "seed must be >= 0"),
+    (["flow"], {"seed": -5}, "seed must be >= 0"),
+    (["verify-geometry", "--manifold", "sphere2", "--n", "100001"], None,
+     "sample count must be between 1 and 100000"),
+    (["verify-geometry", "--manifold", "so3", "--n", "100000000000000"], None,
+     "sample count must be between 1 and 100000"),
+    (["verify-geometry", "--manifold", "euclidean100000000000"], None,
+     "dimension must be between 1 and 1000"),
+    (["verify-geometry", "--manifold", "sphere1001"], None,
+     "dimension must be between 1 and 1000"),
+    (["certify"], {"manifold": "euclidean1001", "equilibrium": [0.0] * 1001},
+     "dimension must be between 1 and 1000"),
+])
+def test_out_of_range_inputs_exit_three_before_output(tmp_path, capsys, command,
+                                                      overrides, message):
+    args = list(command)
+    if overrides is not None:
+        args[1:1] = ["--config", str(_small_config(tmp_path, **overrides))]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 3
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_config_missing_file():
     assert main(["certify", "--config", "/nonexistent/cfg.json",
                  "--out", "/tmp/never"]) == 3

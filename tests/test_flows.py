@@ -285,6 +285,19 @@ def test_pushforward_retries_exhausted_raise(monkeypatch):
 # -- Lipschitz estimation -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("m", [SPHERE, SpecialOrthogonal3(), Hyperbolic2()], ids=lambda m: m.name)
+def test_region_samples_equal_single_samples(m):
+    # Region.samples draws each sample's radius, then its normal, as single
+    # random_tangent calls do, and maps the stack in one batch, to the same bits.
+    region = Region(ManifoldPoint(m, m.random_point(np.random.default_rng(3))), 0.8)
+    single, batched = np.random.default_rng(19), np.random.default_rng(19)
+    c = region.center.coords
+    points = [m.exp(c, m.random_tangent(single, c, norm=region.draw_radius(single)))
+              for _ in range(5)]
+    assert [p.tobytes() for p in points] == [p.tobytes() for p in region.samples(batched, 5)]
+    assert single.random() == batched.random()
+
+
 def test_lipschitz_zero_field():
     field = TimeVaryingField(SPHERE, lambda t, x: np.zeros(3))
     est = lipschitz_estimate(field, Region(ManifoldPoint(SPHERE, NORTH), 1.0),

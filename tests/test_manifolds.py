@@ -396,6 +396,76 @@ def test_exp_projects_the_bare_geodesic(m):
     assert np.max(m.constraint_violation(m.geodesic(x, v))) <= 1e-14
 
 
+# -- random draws ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=lambda m: m.name)
+def test_random_draws_equal_their_batched_map_rows(m):
+    # random_point and random_tangent draw their variates, then map them; the
+    # batched maps over variates drawn in the same order give the same bits.
+    single, batched = np.random.default_rng(53), np.random.default_rng(53)
+    points = [m.random_point(single) for _ in range(6)]
+    variates = np.empty((6,) + m.point_variates)
+    for row in variates:
+        m.draw_point(batched, row)
+    mapped = m.point_map(variates)
+    assert [p.tobytes() for p in points] == [p.tobytes() for p in mapped]
+
+    x = m.project(mapped)
+    norms = 1.5 * single.uniform(0.05, 1.0, size=6)
+    tangents = [m.random_tangent(single, p, norm=r) for p, r in zip(x, norms)]
+    batched.uniform(size=6)  # the norms, which the other generator drew
+    normals = batched.standard_normal((6,) + m.ambient_shape)
+    mapped = m.tangent_map(batched, x, normals, norms)
+    assert [v.tobytes() for v in tangents] == [v.tobytes() for v in mapped]
+
+    # random_tangents: a norm drawn before each row's normal, as single calls draw them.
+    tangents = [m.random_tangent(single, x[0], norm=single.uniform(0.1, 1.0)) for _ in range(6)]
+    mapped = m.random_tangents(batched, x[0], 6, lambda: batched.uniform(0.1, 1.0))
+    assert [v.tobytes() for v in tangents] == [v.tobytes() for v in mapped]
+
+
+class _QueuedNormals:
+    """Generator stand-in that returns queued normals and mid-range uniforms."""
+
+    def __init__(self, *normals):
+        self.normals = [np.asarray(g, dtype=float) for g in normals]
+
+    def standard_normal(self, size=None, out=None):
+        g = self.normals.pop(0)
+        if out is None:
+            return g.reshape(size)
+        out[...] = g.reshape(out.shape)
+        return out
+
+    def uniform(self, low=0.0, high=1.0):
+        return 0.5 * (low + high)
+
+
+def test_normal_draw_is_redrawn_to_a_unit_tangent():
+    m, north = Sphere(2), np.array([0.0, 0.0, 1.0])
+    rng = _QueuedNormals([0.0, 0.0, 2.0], [0.0, 3.0, 0.0])
+    assert np.array_equal(m.random_tangent(rng, north), [0.0, 1.0, 0.0])
+    assert rng.normals == []
+    # Batched: only the degenerate row is redrawn, after the whole stack.
+    rng = _QueuedNormals([[0.0, 0.0, -4.0]])
+    x = np.array([north, [1.0, 0.0, 0.0]])
+    v = m.tangent_map(rng, x, np.array([[2.0, 0.0, 0.0], [5.0, 0.0, 0.0]]), 1.0)
+    assert np.array_equal(v, [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert rng.normals == []
+    with pytest.raises(GeometryError, match="nondegenerate"):
+        m.random_tangent(_QueuedNormals(*[north] * 16), north)
+
+
+def test_degenerate_hyperbolic2_point_maps_to_the_origin():
+    m = Hyperbolic2()
+    origin = np.array([1.0, 0.0, 0.0])
+    assert np.array_equal(m.random_point(_QueuedNormals([5.0, 0.0, 0.0])), origin)
+    mapped = m.point_map(np.array([[-2.0, 0.0, 0.0, 1.0], [0.0, 0.6, -0.8, 1.0]]))
+    assert np.array_equal(mapped[0], origin)
+    np.testing.assert_allclose(m.dist(origin, mapped[1]), 1.0, rtol=1e-14)
+
+
 # -- serialization and naming ----------------------------------------------------
 
 
@@ -420,3 +490,7 @@ def test_manifold_from_name():
     assert manifold_from_name("hyperbolic2") == Hyperbolic2()
     with pytest.raises(GeometryError):
         manifold_from_name("torus2")
+    assert manifold_from_name("sphere1000").dim == 1000
+    for name in ("euclidean0", "sphere1001", "euclidean100000000000"):
+        with pytest.raises(GeometryError, match="between 1 and 1000"):
+            manifold_from_name(name)
