@@ -329,7 +329,7 @@ def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
 
 def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
                                 envelope_horizon: float = 3.0,
-                                pair_flow: np.ndarray | None = None) -> CertificationReport:
+                                pair_flow: tuple | None = None) -> CertificationReport:
     """Verify every inequality of a constructed exponential certificate.
 
     Rows: the two-sided contraction envelope on sampled pairs, the sandwich
@@ -338,11 +338,11 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     bound, within REL_TOL (and ABS_TOL on the decay).  The field, equilibrium,
     step, p, L and delta are the certificate's; the samples are ``inputs``,
     from :func:`draw_verification_inputs`, and each stage integrates its whole
-    grid as one batch.  The contraction pairs are read
-    at :func:`contraction_offsets` of ``envelope_horizon``: ``pair_flow``
-    holds their states there, shape ``(offsets, 2, pairs, *ambient_shape)``,
-    when the caller has already integrated them (the pipeline does, in the
-    envelope fit's flow); otherwise they integrate here.  Everything on the
+    grid as one batch.  The contraction pairs are read at the offsets of
+    ``pair_flow = (offsets, states)``, states ``(offsets, 2, pairs, *ambient)``,
+    when the caller has integrated them (the pipeline, in the envelope fit's
+    flow); else at :func:`contraction_offsets` of ``envelope_horizon`` and
+    V's step, integrated here.  Everything on the
     horizon [t, t + delta] reads one flow over V's quadrature nodes: V (at the
     states and the Lie and differential stencils), the telescoping endpoint
     (each state's last node, so the identity is checked on V's own flow) and
@@ -353,11 +353,12 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     m = field.manifold
 
     # Two-sided contraction envelope on sampled pairs.
-    offsets = contraction_offsets(envelope_horizon, step)
     if pair_flow is None:
-        pair_flow = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, step)
+        offsets = contraction_offsets(envelope_horizon, step)
+        pair_flow = offsets, flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, step)
+    offsets, pair_states = pair_flow
     pair_reports = contraction_report(m, L, inputs.pair_t[:, None] + offsets, offsets,
-                                      m.dist(*inputs.pair_x), pair_flow)
+                                      m.dist(*inputs.pair_x), pair_states)
     contraction_margin = min(min(r.worst_lower_margin, r.worst_upper_margin)
                              for r in pair_reports)
     contraction_pass = all(r.passed for r in pair_reports)
@@ -512,6 +513,11 @@ def check_input_signal(signal: Callable[[float], np.ndarray], bound: float,
     return sup
 
 
+def iss_series_start(m: Manifold, x_star: np.ndarray, radius: float, seed: int) -> np.ndarray:
+    """:func:`iss_certify`'s series start: a ``seed + 4`` draw at ``radius``."""
+    return m.exp(x_star, m.random_tangent(np.random.default_rng(seed + 4), x_star, norm=radius))
+
+
 def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
                 certificate: Certificate, input_signal: Callable[[float], np.ndarray],
                 input_bound: float, horizons: Sequence[float], seed: int = 0,
@@ -559,11 +565,9 @@ def iss_certify(field: TimeVaryingField, x_star: ManifoldPoint,
     # through the union of every horizon's tail times and the series grid.
     starts = m.exp(x_star.coords, m.random_tangents(rng, x_star.coords, 3, lambda: gs.radius))
     tails = [np.arange(0.6 * horizon, horizon + 1e-9, 0.25) for horizon in horizons]
-    series_dir = m.random_tangent(np.random.default_rng(seed + 4), x_star.coords,
-                                  norm=gs.radius)
     series_t = np.arange(10.0 * max_horizon + 1e-6) / 10.0
     offsets = np.sort(np.concatenate(tails + [series_t]))  # a repeated time adds no step
-    x0 = np.concatenate([starts, m.exp(x_star.coords, series_dir)[None]])
+    x0 = np.concatenate([starts, iss_series_start(m, x_star.coords, gs.radius, seed)[None]])
     pts = flow_samples(closed, 0.0, x0, offsets, step)
     n = len(starts)
     groups = [(0.0, starts)] + [(np.repeat(ts, n), pts[np.searchsorted(offsets, ts), :n])

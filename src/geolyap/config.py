@@ -75,7 +75,8 @@ def _get(data: dict, key: str, types, context: str, default=None, required=False
             raise ConfigError(f"missing required {context} key: {key!r}")
         return default
     value = data[key]
-    if not isinstance(value, types):
+    # JSON true/false are not numbers, though Python's bool is an int.
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{context} key {key!r} has wrong type {type(value).__name__}")
     return value
 

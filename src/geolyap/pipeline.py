@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,6 +31,7 @@ from .certify import (
     classify_stability,
     draw_verification_inputs,
     iss_certify,
+    iss_series_start,
     make_certificate,
     run_geometry_suite,
     sample_states,
@@ -41,11 +43,13 @@ from .flows import (
     IntegrationError,
     Region,
     Trajectory,
+    choose_step,
     contraction_offsets,
     flow,
     flow_samples,
     lie_stencil,
     lipschitz_estimate,
+    step_error,
     step_offsets,
 )
 from .lyapunov import LIE_H, HorizonError, InvalidDeltaError, choose_delta, construct_ugas_V
@@ -58,6 +62,7 @@ EXIT_CERTIFICATION_FAILED = 2
 EXIT_CONFIG_ERROR = 3
 SAMPLES_CSV_ROWS = 24   # certify samples.csv: the first states of the verification grid
 MAX_GEOMETRY_SAMPLES = 100_000  # verify-geometry --n
+MAX_GEOMETRY_COORDS = 2_000_000  # --n x ambient size: about 300 MB of sample stacks
 SAMPLES_HEADER = ["t", "distance", "V", "lie_derivative"]
 # Stage anchors of the verification, the asymptotic construction, the
 # robustness check and the flow command.
@@ -107,17 +112,23 @@ def _stage(anchor: str, errors: tuple = NUMERICAL_FAILURES,
         raise _StageFailure(anchor, str(err), envelope) from err
 
 
-def _stage_failure(out_dir: Path, mode: str, failure: _StageFailure) -> int:
+def _stage_failure(out_dir: Path, mode: str, failure: _StageFailure, steps: dict) -> int:
     """Reports for a run that stopped at a named stage, with the envelope
-    when the fit got that far (else null) and no samples.csv."""
+    when the fit got that far (else null), the steps so far, no samples.csv."""
     message = f"{failure.anchor}: {failure}"
     logger.error(message)
     envelope = failure.envelope
-    _write_reports(out_dir, {"mode": mode,
-                             "envelope": None if envelope is None else envelope.to_json(),
-                             "report": _failure_report(failure.anchor, message)},
-                   "certification FAILED\n" + message + "\n")
+    payload = {"mode": mode, "envelope": None if envelope is None else envelope.to_json(),
+               "report": _failure_report(failure.anchor, message), "steps": steps}
+    _write_reports(out_dir, payload, "certification FAILED\n" + message + "\n")
     return EXIT_CERTIFICATION_FAILED
+
+
+def _record_step(steps: dict, anchor: str, step: float, estimate: float) -> float:
+    """Report (a non-finite estimate as null) and log a stage's step; return it."""
+    steps[anchor] = {"step": step, "estimate": estimate if math.isfinite(estimate) else None}
+    logger.info("%s: step %.6g, step-doubling error estimate %.3g", anchor, step, estimate)
+    return step
 
 
 def _estimate_lipschitz(config: ScenarioConfig, field) -> float:
@@ -130,37 +141,40 @@ def _estimate_lipschitz(config: ScenarioConfig, field) -> float:
 
 
 def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str,
-                      inputs: VerificationInputs | None = None):
+                      steps: dict, inputs: VerificationInputs | None = None):
     """The stability envelope of a seeded batch of trajectories over ``horizon``.
 
-    This is the stage ``anchor``.  With ``inputs``, the verification's
-    contraction pairs join the fit's flow as extra rows, since their flow
-    does not depend on L; their states at :func:`contraction_offsets` of the
-    envelope horizon, which lie on the fit's step grid, come back with the
+    This is the stage ``anchor``, at the step :func:`choose_step` picks on
+    the fit's rows.  With ``inputs``, the verification's contraction pairs
+    join the fit's flow as extra rows, since their flow does not depend on L;
+    ``(offsets, states)`` at :func:`contraction_offsets` of the envelope
+    horizon at that step (nodes of the fit's grid) come back with the
     envelope (else None).
     """
     rng = np.random.default_rng(config.seed + 1)
     m, x_star = config.manifold, config.equilibrium.coords
     t0s = np.repeat(config.grid.t0_list, max(3, min(8, config.grid.n_points // 4)))
     v = m.random_tangents(rng, x_star, len(t0s), lambda: config.grid.radius * rng.uniform(0.3, 1.0))
-    offsets = step_offsets(horizon, config.step)
-    x0, t_rows, grid = m.project(m.exp(x_star, v)), t0s, offsets
-    if inputs is not None:
-        taus = contraction_offsets(config.envelope_horizon, config.step)
-        x0 = np.concatenate([x0, *inputs.pair_x])
-        t_rows = np.concatenate([t0s, inputs.pair_t, inputs.pair_t])
-        grid = np.sort(np.concatenate([offsets, taus]))  # a repeated time adds no step
+    x0, t_rows = m.project(m.exp(x_star, v)), t0s
     with _stage(anchor):
-        pts = flow_samples(field, t_rows, x0, grid, config.step)
+        step = _record_step(steps, anchor, *choose_step(field, t0s, x0, x_star, horizon,
+                                                        config.step))
+        offsets = grid = step_offsets(horizon, step)
+        if inputs is not None:
+            taus = contraction_offsets(config.envelope_horizon, step)
+            x0 = np.concatenate([x0, *inputs.pair_x])
+            t_rows = np.concatenate([t0s, inputs.pair_t, inputs.pair_t])
+            grid = np.sort(np.concatenate([offsets, taus]))  # a repeated time adds no step
+        pts = flow_samples(field, t_rows, x0, grid, step)
     fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
-    trajectories = [Trajectory(m, np.append(t0 + offsets[:-1], t0 + horizon), fit[:, i],
-                               config.step) for i, t0 in enumerate(t0s)]
+    trajectories = [Trajectory(m, np.append(t0 + offsets[:-1], t0 + horizon), fit[:, i], step)
+                    for i, t0 in enumerate(t0s)]
     envelope = classify_stability(trajectories, config.equilibrium)
     logger.info("stability class: %s", envelope.stability_class)
     if inputs is None:
         return envelope, None
-    pair_flow = pts[np.searchsorted(grid, taus), len(t0s):]
-    return envelope, pair_flow.reshape((len(taus), 2, -1) + m.ambient_shape)
+    pairs = pts[np.searchsorted(grid, taus), len(t0s):]
+    return envelope, (taus, pairs.reshape((len(taus), 2, -1) + m.ambient_shape))
 
 
 def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float:
@@ -169,8 +183,8 @@ def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float
     return choose_delta(envelope.K, envelope.rate, config.delta.target).delta
 
 
-def _certify_exponential(config: ScenarioConfig,
-                         field) -> tuple[Certificate, CertificationReport]:
+def _certify_exponential(config: ScenarioConfig, field,
+                         steps: dict) -> tuple[Certificate, CertificationReport]:
     """draw inputs -> fit envelope -> estimate L, construct V -> verify.
 
     Each stage runs once; a stage that cannot finish raises its
@@ -179,7 +193,7 @@ def _certify_exponential(config: ScenarioConfig,
     inputs = draw_verification_inputs(config.manifold, config.equilibrium,
                                       config.grid, config.seed)
     envelope, pair_flow = _fit_trajectories(config, field, config.fit_horizon,
-                                            ANCHOR_ENVELOPE_FIT, inputs)
+                                            ANCHOR_ENVELOPE_FIT, steps, inputs)
     if not envelope.is_exponential:
         raise _StageFailure(ANCHOR_ENVELOPE_FIT, (
             f"trajectories classify as {envelope.stability_class}, not exponentially "
@@ -206,17 +220,17 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
         raise ConfigError("massera mode requires a 'massera' config section")
     field = config.system.field
     out_dir.mkdir(parents=True, exist_ok=True)
-
+    steps = {}
     try:
         if mode == "massera":
             envelope, _ = _fit_trajectories(config, field, config.massera.fit_horizon,
-                                            ANCHOR_UGAS_ENVELOPE)
-            return _run_certify_massera(config, field, envelope, out_dir)
-        cert, report = _certify_exponential(config, field)
+                                            ANCHOR_UGAS_ENVELOPE, steps)
+            return _run_certify_massera(config, field, envelope, out_dir, steps)
+        cert, report = _certify_exponential(config, field, steps)
     except _StageFailure as err:
-        return _stage_failure(out_dir, mode, err)
+        return _stage_failure(out_dir, mode, err, steps)
     payload = {"mode": mode, "envelope": cert.envelope.to_json(),
-               "certificate": cert.to_json(), "report": report.to_dict()}
+               "certificate": cert.to_json(), "report": report.to_dict(), "steps": steps}
     # samples.csv: the verification grid's own quantities, for its first states.
     _write_reports(out_dir, payload, report.to_text(),
                    (SAMPLES_HEADER, report.samples[:SAMPLES_CSV_ROWS].tolist()))
@@ -224,13 +238,13 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
 
 
 def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvelope,
-                         out_dir: Path) -> int:
+                         out_dir: Path, steps: dict) -> int:
     if envelope.stability_class == "US":
         raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
                             "asymptotic construction unavailable", envelope)
 
     # Decay flows get slow at long horizons; a coarser integrator step keeps
-    # evaluation at desk scale without touching the envelope fit.
+    # evaluation at desk scale.  Its step-doubling estimate is reported, not used.
     eval_step = max(config.step, 0.05)
     with _stage(ANCHOR_UGAS_TAIL, (HorizonError,), envelope):
         V = construct_ugas_V(field, config.equilibrium, envelope,
@@ -252,6 +266,8 @@ def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvel
 
     # Every V of this mode (states, Lie stencils, ray, equilibrium) in one batch.
     with _stage(ANCHOR_UGAS_EVALUATION, envelope=envelope):
+        _record_step(steps, ANCHOR_UGAS_EVALUATION, eval_step,
+                     step_error(field, t, m.project(x), x_star, V.horizon, eval_step))
         plus, minus = lie_stencil(field, t, m.project(x), LIE_H, V.step)
         v_val, v_plus, v_minus, ray_values, v_at_star = V.evaluate_groups([
             (t, x), (t + LIE_H, plus), (t - LIE_H, minus), (0.0, ray), (0.0, x_star)])
@@ -285,16 +301,10 @@ def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvel
                  bool(ray_gaps.min() > 0)),
     )
     report = CertificationReport(rows)
-    payload = {
-        "mode": "massera",
-        "envelope": envelope.to_json(),
-        "certificate": {
-            "mode": "massera", "delta": V.horizon, "p": V.p,
-            "constants": {"k1": reshaping.k1, "k2": reshaping.k2},
-            "tail_bound": V.tail_bound,
-        },
-        "report": report.to_dict(),
-    }
+    certificate = {"mode": "massera", "delta": V.horizon, "p": V.p, "tail_bound": V.tail_bound,
+                   "constants": {"k1": reshaping.k1, "k2": reshaping.k2}}
+    payload = {"mode": "massera", "envelope": envelope.to_json(), "certificate": certificate,
+               "report": report.to_dict(), "steps": steps}
     _write_reports(out_dir, payload, report.to_text(), (SAMPLES_HEADER, sample_rows))
     return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
 
@@ -313,24 +323,30 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
     check_input_signal(spec.input_signal, spec.input_bound, horizon_max)
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    steps = {}
     try:
-        certificate, base_report = _certify_exponential(config, spec.field)
+        certificate, base_report = _certify_exponential(config, spec.field, steps)
         payload = {"mode": "iss", "envelope": certificate.envelope.to_json(),
                    "certificate": certificate.to_json(),
-                   "unforced_report": base_report.to_dict()}
+                   "unforced_report": base_report.to_dict(), "steps": steps}
         if not base_report.verdict:
             payload["report"] = _failure_report("uges-precondition",
                                                 "unforced certification failed")
             _write_reports(out_dir, payload, base_report.to_text())
             return EXIT_CERTIFICATION_FAILED
-        # samples.csv: the series trajectory integrated with the robustness batch.
+        # samples.csv: the series trajectory integrated with the robustness
+        # batch, whose step is piloted on that series row alone.
         with _stage(ANCHOR_ISS_ROBUSTNESS, envelope=certificate.envelope):
-            iss_report = iss_certify(spec.field, config.equilibrium, certificate,
-                                     spec.input_signal, spec.input_bound,
-                                     config.iss_horizons, seed=config.seed,
-                                     grid=config.grid, step=config.step)
+            x_star = config.equilibrium.coords
+            start = iss_series_start(config.manifold, x_star, config.grid.radius, config.seed)
+            step = _record_step(steps, ANCHOR_ISS_ROBUSTNESS, *choose_step(
+                spec.field.with_input_signal(spec.input_signal), 0.0, start[None], x_star,
+                max(config.iss_horizons), config.step))
+            iss_report = iss_certify(spec.field, config.equilibrium, certificate, spec.input_signal,
+                                     spec.input_bound, config.iss_horizons, seed=config.seed,
+                                     grid=config.grid, step=step)
     except _StageFailure as err:
-        return _stage_failure(out_dir, "iss", err)
+        return _stage_failure(out_dir, "iss", err, steps)
     payload["report"] = iss_report.to_dict()
     _write_reports(out_dir, payload, iss_report.to_text(),
                    (["t", "distance", "V", "u_norm"], iss_report.series.tolist()))
@@ -375,14 +391,13 @@ def run_verify_geometry(manifold_name: str, seed: int, n: int, out_dir: Path,
         raise ConfigError(str(err)) from err
     if not 1 <= n <= MAX_GEOMETRY_SAMPLES:
         raise ConfigError(f"sample count must be between 1 and {MAX_GEOMETRY_SAMPLES}")
+    coords = n * math.prod(manifold.ambient_shape)
+    if coords > MAX_GEOMETRY_COORDS:
+        raise ConfigError(f"{n} samples of {manifold.name} take {coords} coordinates, "
+                          f"above the budget of {MAX_GEOMETRY_COORDS}")
     report = run_geometry_suite(manifold, seed, n, inject_fault=inject_fault)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "manifold": manifold.name,
-        "seed": seed,
-        "n": n,
-        "report": report.to_dict(),
-        "failing": [r.name for r in report.rows if not r.passed],
-    }
+    payload = {"manifold": manifold.name, "seed": seed, "n": n, "report": report.to_dict(),
+               "failing": [r.name for r in report.rows if not r.passed]}
     _write_reports(out_dir, payload, report.to_text())
     return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED

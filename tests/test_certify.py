@@ -224,25 +224,32 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
 def test_contraction_pairs_ride_the_fit_flow_unchanged():
     # The pairs join the envelope fit's flow as extra rows: the fit is that
     # of a flow without them, and the pairs' states at the contraction
-    # offsets are those of their own flow, whose substeps of the offsets'
-    # gaps match the fit's step grid up to rounding.
+    # offsets of the fit's chosen step are those of their own flow at that
+    # step, whose substeps of the offsets' gaps match the fit's step grid up
+    # to rounding.  The time-varying fit keeps the config step; the geodesic
+    # attractor's is doubled.
     configs = Path(__file__).resolve().parent.parent / "configs"
-    config = dataclasses.replace(load_scenario(configs / "time_varying_gain.json"),
-                                 fit_horizon=2.0, envelope_horizon=0.5)
-    field = config.build_system().field
-    inputs = draw_verification_inputs(config.manifold, config.equilibrium, config.grid,
-                                      config.seed)
-    alone, no_pairs = pipeline._fit_trajectories(config, field, config.fit_horizon,
-                                                 certify.ANCHOR_ENVELOPE_FIT)
-    joint, pair_flow = pipeline._fit_trajectories(config, field, config.fit_horizon,
-                                                  certify.ANCHOR_ENVELOPE_FIT, inputs)
-    assert no_pairs is None
-    assert joint.to_json() == alone.to_json()
-    assert np.array_equal(joint.beta.table, alone.beta.table)
-    offsets = contraction_offsets(config.envelope_horizon, config.step)
-    alone = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, config.step)
-    assert pair_flow.shape == alone.shape
-    assert np.max(np.abs(pair_flow - alone)) <= 1e-14
+    for name, fit_step in (("time_varying_gain", 0.01), ("sphere_attractor", 0.02)):
+        config = dataclasses.replace(load_scenario(configs / f"{name}.json"),
+                                     fit_horizon=2.0, envelope_horizon=0.5)
+        field = config.build_system().field
+        inputs = draw_verification_inputs(config.manifold, config.equilibrium, config.grid,
+                                          config.seed)
+        alone_steps, joint_steps = {}, {}
+        alone, no_pairs = pipeline._fit_trajectories(config, field, config.fit_horizon,
+                                                     certify.ANCHOR_ENVELOPE_FIT, alone_steps)
+        joint, (taus, pair_flow) = pipeline._fit_trajectories(
+            config, field, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, joint_steps, inputs)
+        assert no_pairs is None
+        assert joint_steps == alone_steps
+        assert joint_steps[certify.ANCHOR_ENVELOPE_FIT]["step"] == fit_step
+        assert joint.to_json() == alone.to_json()
+        assert np.array_equal(joint.beta.table, alone.beta.table)
+        offsets = contraction_offsets(config.envelope_horizon, fit_step)
+        assert np.array_equal(taus, offsets)
+        alone = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, fit_step)
+        assert pair_flow.shape == alone.shape
+        assert np.max(np.abs(pair_flow - alone)) <= 1e-14
 
 
 def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):

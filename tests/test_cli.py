@@ -1,10 +1,12 @@
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geolyap import certify, config as config_module, flows, lyapunov, pipeline, systems
@@ -186,6 +188,89 @@ def test_construction_failures_exit_two_naming_stage(tmp_path, case):
     assert not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("manifold, equilibrium, gain", [
+    ("sphere2", [0.0, 0.0, 1.0], 1.0),
+    ("hyperbolic2", [1.0, 0.0, 0.0], 1.0),
+    ("so3", np.eye(3).ravel().tolist(), 2.0),
+])
+def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibrium, gain):
+    # d(t) = e^{-gain t} d0 exactly, so the envelope is K = 1, rate = gain.
+    # The fit runs at gain * step = 0.02: 2 config steps at gain 1, 1 at gain 2.
+    config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
+                           system={"name": "geodesic_attractor", "params": {"gain": gain}},
+                           fit_horizon=2.0, envelope_horizon=0.5)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["steps"]["les-envelope-fit"]["step"] == 0.02 / gain
+    assert abs(report["envelope"]["K"] - 1.0) <= 1e-10
+    assert abs(report["envelope"]["rate"] / gain - 1.0) <= 2e-9
+
+
+def test_chosen_fit_step_envelope_dominates_time_varying_oracle(tmp_path):
+    # d(t0 + s) / d0 = exp(-(b s - a (cos(t0 + s) - cos t0))) must stay under
+    # K e^{-rate s} on the config step's grid.  The oscillating gain (up to 2)
+    # keeps the fit at the config step.
+    data = json.loads((REPO_CONFIGS / "time_varying_gain.json").read_text())
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(REPO_CONFIGS / "time_varying_gain.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["steps"]["les-envelope-fit"]["step"] == data["step"]
+    K, rate = report["envelope"]["K"], report["envelope"]["rate"]
+    b, a = data["system"]["params"]["base_gain"], data["system"]["params"]["amplitude"]
+    s = np.arange(round(data["fit_horizon"] / data["step"]) + 1) * data["step"]
+    for t0 in data["grids"]["t0_list"]:
+        ratio = np.exp(-(b * s - a * (np.cos(t0 + s) - math.cos(t0))))
+        assert np.max(ratio / (K * np.exp(-rate * s))) - 1.0 <= 1e-6, t0
+
+
+@pytest.mark.parametrize("mode, anchor", [("exp", "les-envelope-fit"),
+                                          ("massera", "ugas-envelope")])
+def test_stiff_field_keeps_the_config_step_and_fails_as_before(tmp_path, mode, anchor):
+    # d' = -1e6 d^3: the pilot leaves the reals, the fit keeps step 0.01 and
+    # its flow fails at the first step, with the message it had without a pilot.
+    data = json.loads((REPO_CONFIGS / "cubic_massera.json").read_text())
+    data["system"] = {"name": "cubic_slowdown", "params": {"gain": 1e6}}
+    config = tmp_path / "stiff.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["certify", "--mode", mode, "--config", str(config), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["steps"] == {anchor: {"step": 0.01, "estimate": None}}
+    assert report["report"]["message"] == (
+        f"{anchor}: non-finite state during integration (t=0.02)")
+
+
+def test_steps_are_reported_logged_and_deterministic(tmp_path, monkeypatch, caplog):
+    # One info line per stage with a chosen or measured step, matching the
+    # report's "steps"; reruns write the same bytes.
+    monkeypatch.setenv("GEOLYAP_LOG", "info")
+    caplog.set_level(logging.INFO, logger="geolyap")
+    base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
+    runs = {
+        "iss": (["iss"], _small_config(
+            tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
+            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})),
+        "massera": (["certify", "--mode", "massera"], _massera_config(tmp_path)),
+    }
+    expected = {"iss": {"les-envelope-fit": 0.02, "iss-robustness": 0.02},
+                "massera": {"ugas-envelope": 0.02, "ugas-evaluation": 0.05}}
+    for name, (command, config) in runs.items():
+        outs = [tmp_path / f"{name}-{i}" for i in range(2)]
+        for out in outs:
+            caplog.clear()
+            assert main(command + ["--config", str(config), "--out", str(out)]) == 0
+        steps = json.loads((outs[0] / "report.json").read_text())["steps"]
+        assert {anchor: entry["step"] for anchor, entry in steps.items()} == expected[name]
+        assert all(0.0 < entry["estimate"] <= flows.STEP_TOL for entry in steps.values())
+        lines = [r.getMessage() for r in caplog.records if "step-doubling" in r.getMessage()]
+        assert lines == [f"{anchor}: step {steps[anchor]['step']:.6g}, step-doubling error "
+                         f"estimate {steps[anchor]['estimate']:.3g}" for anchor in expected[name]]
+        for path in outs[0].iterdir():
+            assert path.read_bytes() == (outs[1] / path.name).read_bytes()
+
+
 def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
     # d' = -1e6 d^3 is too stiff for step 0.01: the flow leaves the reals.
     data = json.loads((REPO_CONFIGS / "cubic_massera.json").read_text())
@@ -229,21 +314,26 @@ def _count_steps(monkeypatch) -> list[int]:
 
 
 def test_step_counts_per_flow(tmp_path, monkeypatch):
-    # sphere2 at step 0.01 with delta = ln 2.  The envelope fit takes 200
-    # steps over fit_horizon 2 and carries the contraction pairs, whose
-    # offsets lie on its grid; the Lie stencil takes 1; V's 71 quadrature
-    # nodes take 70.  The contraction check has no flow of its own.
+    # sphere2 at step 0.01 with delta = ln 2.  The fit's step-doubling pilot
+    # takes 2 steps of 0.16 and 4 of 0.08 and picks step 0.02, so the
+    # envelope fit takes 100 steps over fit_horizon 2 and carries the
+    # contraction pairs, whose offsets lie on its grid; the Lie stencil
+    # takes 1; V's 71 quadrature nodes take 70 (V keeps the config step).
+    # The contraction check has no flow of its own.
     steps = _count_steps(monkeypatch)
     base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
     config = _small_config(tmp_path, **base)
     assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    assert steps == [200, 1, 70]
-    # iss adds its own Lie stencil, the disturbed flow to t = 3 and one V batch.
+    assert steps == [2, 4, 100, 1, 70]
+    # iss adds the disturbed flow's pilot (step 0.02 again), its own Lie
+    # stencil, the disturbed flow to t = 3 and one V batch.  The disturbed
+    # flow splits each 0.1 gap of the series times into 5 steps, and each of
+    # the 4 gaps that a tail time (1.45, 1.95, 2.05, 2.55) halves into 3 + 3.
     steps.clear()
     config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
                            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
-    assert steps == [200, 1, 70, 1, 300, 70]
+    assert steps == [2, 4, 100, 1, 70, 2, 4, 1, 154, 70]
 
 
 def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypatch):
@@ -420,6 +510,59 @@ def test_out_of_range_inputs_exit_three_before_output(tmp_path, capsys, command,
     assert main(args + ["--out", str(out)]) == 3
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutation, key", [
+    ({"seed": True}, "seed"),  # would run as seed 1
+    ({"step": True}, "step"),  # would run as step 1.0
+    ({"schema_version": True}, "schema_version"),
+    ({"p": True}, "p"),
+    ({"fit_horizon": True}, "fit_horizon"),
+    ({"envelope_horizon": False}, "envelope_horizon"),
+    ({"grids": {"n_points": True, "radius": 1.0}}, "n_points"),
+    ({"grids": {"n_points": 8, "radius": True}}, "radius"),
+    ({"delta": {"policy": "explicit", "value": True}}, "value"),
+    ({"delta": {"policy": "auto", "target": False}}, "target"),
+    ({"massera": {"t_max": True, "fit_horizon": 2.0}}, "t_max"),
+    ({"disturbance": {"profile": "constant", "amplitude": True}}, "amplitude"),
+    ({"disturbance": {"profile": "sinusoid", "amplitude": 0.1, "frequency": True}},
+     "frequency"),
+])
+def test_config_booleans_are_not_numbers(tmp_path, capsys, mutation, key):
+    config = _small_config(tmp_path, **mutation)
+    out = tmp_path / "bad"
+    assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert f"key {key!r} has wrong type bool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifold, n, reached", [
+    ("sphere1000", 100_000, False),   # about 100 million coordinates
+    ("sphere1000", 1_999, False),     # 2,000,999
+    ("euclidean1000", 2_001, False),  # 2,001,000
+    ("euclidean1000", 2_000, True),   # exactly the budget
+    ("so3", 100_000, True),           # 900,000
+])
+def test_verify_geometry_caps_samples_times_coordinates(tmp_path, capsys, monkeypatch,
+                                                        manifold, n, reached):
+    # The budget is checked before the suite allocates anything; a stub
+    # suite stands in for the real one, so no test run allocates.
+    class Reached(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(pipeline, "run_geometry_suite", stub)
+    out = tmp_path / "out"
+    args = ["verify-geometry", "--manifold", manifold, "--n", str(n), "--out", str(out)]
+    if reached:
+        with pytest.raises(Reached):
+            main(args)
+    else:
+        assert main(args) == 3
+        assert "above the budget of 2000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_missing_file():

@@ -10,6 +10,7 @@ from geolyap.flows import (
     Region,
     TimeVaryingField,
     arc_stencil,
+    choose_step,
     contraction_envelope_check,
     contraction_offsets,
     flow,
@@ -19,6 +20,7 @@ from geolyap.flows import (
     lipschitz_estimate,
     pushforward,
     pushforward_quotient,
+    step_error,
     step_offsets,
 )
 from geolyap.manifolds import (
@@ -494,3 +496,67 @@ def test_so3_attractor_flow_decay():
     traj = flow(spec.field, 0.0, x0, 1.0, step=1e-2)
     d1 = so3.dist(traj.points[-1], np.eye(3))
     assert d1 == pytest.approx(math.exp(-1.0), abs=1e-6)
+
+
+def _attractor_rows(name, gain, n=6):
+    """geodesic_attractor on ``name`` with n starts at radii in [0.3, 1], half at t = e."""
+    m = manifold_from_name(name)
+    x_star = m.project(m.random_point(np.random.default_rng(3)))
+    spec = make_system("geodesic_attractor", m, x_star, gain=gain)
+    rng = np.random.default_rng(4)
+    x0 = m.exp(x_star, m.random_tangents(rng, x_star, n, lambda: rng.uniform(0.3, 1.0)))
+    return spec.field, np.resize([0.0, math.e], n), x0, x_star
+
+
+@pytest.mark.parametrize("name, gain", [("sphere2", 1.0), ("hyperbolic2", 1.0), ("so3", 2.0)])
+def test_choose_step_calibration_on_the_oracle(name, gain):
+    # STEP_TOL is set so that, from a base step with gain * step = 0.01 (the
+    # pilot then measures gain * step = 0.08), gain * step = 0.02 passes and
+    # 0.04 does not, over horizons 1 to 6.
+    field, t0, x0, x_star = _attractor_rows(name, gain)
+    for horizon in (1.0, 2.0, 3.0, 6.0):
+        step, estimate = choose_step(field, t0, x0, x_star, horizon, 0.01 / gain)
+        assert step == 0.02 / gain, horizon
+        assert 0.0 < estimate <= flows.STEP_TOL < 8.0 * estimate
+
+
+def test_step_error_scales_with_the_step_and_takes_six_pilot_steps(monkeypatch):
+    field, t0, x0, x_star = _attractor_rows("sphere2", 1.0)
+    calls = []
+    real = flows._rk4_step
+
+    def counting(f, t, x, dt):
+        calls.append(dt)
+        return real(f, t, x, dt)
+
+    monkeypatch.setattr(flows, "_rk4_step", counting)
+    coarse = step_error(field, t0, x0, x_star, 6.0, 0.08)
+    assert calls == pytest.approx([0.16] * 2 + [0.08] * 4)
+    assert len(calls) == 3 * flows.PILOT_STEPS
+    # The estimate scales by h^3 (p = 3) from the measured step; a finer
+    # pilot of the same rows agrees within the h^4 behaviour of this field.
+    fine = step_error(field, t0, x0, x_star, 6.0, 0.04)
+    assert 8.0 <= coarse / fine <= 16.0
+    # A horizon shorter than the pilot integrates only the horizon.
+    calls.clear()
+    step_error(field, t0, x0, x_star, 0.1, 0.08)
+    assert calls == pytest.approx([0.05] * 2 + [0.025] * 4)
+
+
+def test_choose_step_keeps_the_base_step_for_a_stiff_field():
+    # d' = -1e6 d^3.  On the plane the pilot leaves the reals, so the stage
+    # keeps the base step with an infinite estimate (its flow then fails
+    # there, as it would without a pilot); on the sphere the pilot stays
+    # finite, with an estimate far above STEP_TOL.
+    for name, finite in (("euclidean2", False), ("sphere2", True)):
+        m = manifold_from_name(name)
+        x_star = m.project(m.random_point(np.random.default_rng(0)))
+        field = make_system("cubic_slowdown", m, x_star, gain=1e6).field
+        rng = np.random.default_rng(1)
+        x0 = m.exp(x_star, m.random_tangents(rng, x_star, 4, lambda: rng.uniform(0.3, 1.0)))
+        step, estimate = choose_step(field, 0.0, x0, x_star, 6.0, 0.01)
+        assert step == 0.01
+        assert math.isfinite(estimate) == finite
+        assert estimate > 1e3 * flows.STEP_TOL
+        assert step_error(field, 0.0, x0, x_star, 6.0, 0.08) == (estimate * 512 if finite
+                                                                 else math.inf)
