@@ -19,6 +19,7 @@ import numpy as np
 from .envelopes import KLEnvelope, StabilityEnvelope, nonincreasing_in_s
 from .flows import (
     DEFAULT_STEP,
+    GRID_TOL,
     PUSHFORWARD_EPS,
     Region,
     TimeVaryingField,
@@ -201,14 +202,26 @@ def _pooled_rate(elapsed: np.ndarray, logs: np.ndarray) -> tuple[float, float, f
     return float(a), float(rate), residual
 
 
-def classify_stability(trajectories: Sequence[Trajectory],
-                       x_star: ManifoldPoint) -> StabilityEnvelope:
+def _chord_slack(s: np.ndarray, y: np.ndarray, resolution: float | None) -> float:
+    """How far y may rise above its samples' chords on a grid of step ``resolution``: 0
+    if they are that fine, else gap^2 / 8 times y's most concave second difference."""
+    gaps = np.diff(s)
+    if resolution is None or len(s) < 3 or gaps.max() <= resolution * (1.0 + GRID_TOL):
+        return 0.0
+    bend = 2.0 * np.diff(np.diff(y) / gaps) / (s[2:] - s[:-2])
+    return float(gaps.max() ** 2 / 8.0 * max(0.0, -float(bend.min())))
+
+
+def classify_stability(trajectories: Sequence[Trajectory], x_star: ManifoldPoint,
+                       resolution: float | None = None) -> StabilityEnvelope:
     """Classify a trajectory batch: LES fit first, sampled KL/US table otherwise.
 
     The LES fit is K e^{-rate s} d0 over the batch.  A pooled least-squares
     fit of log(d/d0) against elapsed time gives the rate; K is then inflated
     minimally so the envelope dominates every sample exactly (which also
-    forces K >= 1, since the start sample has ratio one).  The fit is
+    forces K >= 1, since the start sample has ratio one).  Samples coarser than
+    ``resolution`` add the :func:`_chord_slack` of log d to log K (of d to each
+    table row), so the envelope bounds the flow on that step's grid.  The fit is
     accepted when the rate reaches MIN_RATE and the log residual stays below
     MAX_LOG_RESIDUAL, or, for decay with a bounded oscillation (time-varying
     gains), when the rate is stable between the early and late halves of the
@@ -241,7 +254,8 @@ def classify_stability(trajectories: Sequence[Trajectory],
     s_grid = np.linspace(0.0, s_end, 129)
 
     if rate >= MIN_RATE and (residual <= MAX_LOG_RESIDUAL or rate_stable):
-        K = max(float(np.max(d / (d0 * np.exp(-rate * s)))) for s, d, d0 in samples)
+        K = max(math.exp(_chord_slack(s, np.log(np.maximum(d, 1e-300)), resolution))
+                * float(np.max(d / (d0 * np.exp(-rate * s)))) for s, d, d0 in samples)
         beta = KLEnvelope.from_exponential(K, float(rate), r_max, s_grid)
         return StabilityEnvelope("LES", K, float(rate), beta, residual,
                                  r_max, len(samples))
@@ -255,7 +269,7 @@ def classify_stability(trajectories: Sequence[Trajectory],
     rows = [np.zeros(len(s_grid))]
     for idx in order:
         s, d, d0 = samples[idx]
-        resampled = np.interp(s_grid, s, d, right=float(d[-1]))
+        resampled = np.interp(s_grid, s, d, right=float(d[-1])) + _chord_slack(s, d, resolution)
         rows.append(np.maximum(rows[-1], resampled))
         r_knots.append(d0)
     table = nonincreasing_in_s(np.stack(rows))

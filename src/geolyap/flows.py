@@ -37,8 +37,7 @@ LIPSCHITZ_FD_STEP = 1e-5  # parameter step of the covariant-derivative stencil
 CUT_FLAG_MARGIN = 1e-3    # envelope rows this close to the cut locus are flagged
 PUSHFORWARD_EPS = 1e-5    # arc length of the pushforward stencil
 GRID_TOL = 1e-9           # relative slack before a gap gets one more substep
-STEP_TOL = 2.5e-8         # step_error allowed over a stage's horizon; on geodesic_attractor,
-                          # gain * step 0.02 estimates <= 1.2e-8 and 0.04 >= 5.6e-8
+STEP_TOL = 2e-8           # step_error allowed; calibration in README, "Internal stage steps"
 STEP_MULTIPLES = (1, 2, 4, 8)  # internal stage steps, in config steps
 PILOT_STEPS = 2           # coarse steps of a step_error pilot (the fine run takes twice as many)
 RICHARDSON_ORDER = 3      # the transported scheme's order on generic fields
@@ -184,16 +183,15 @@ def step_offsets(span: float, step: float) -> np.ndarray:
 
 def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
                span: float, step: float) -> float:
-    """Step-doubling estimate of the error of a flow at ``step`` over ``span``.
+    """Step-doubling estimate of a flow's relative error per unit time at ``step``.
 
     A pilot flows the rows (from times ``t0``) over s = min(span, 2 PILOT_STEPS
     step) in PILOT_STEPS and 2 PILOT_STEPS steps.  The fine run's Richardson
     estimate |x_h - x_{h/2}| / (2^p - 1), p = RICHARDSON_ORDER (Hairer, Norsett
-    & Wanner, *Solving ODEs I*, §II.4), relative to the row's start distance
-    to ``x_star``, recurs in each of span / s windows, scaled by rho = d(s) / d0
-    per window before it: (1 - rho^(span/s)) / (1 - rho) times in all.  The
-    worst row's is scaled to ``step`` by h^p.  A pilot that leaves the reals
-    gives an infinite estimate: its coarse steps, not the flow, are unusable.
+    & Wanner, *Solving ODEs I*, §II.4), relative to the row's distance to
+    ``x_star`` at s and over s, bounds a fitted decay rate's error at any
+    horizon.  The worst row's is scaled to ``step`` by h^p; a pilot that leaves
+    the reals gives an infinite estimate (its coarse steps are unusable).
     """
     m = field.manifold
     s = min(span, 2 * PILOT_STEPS * step)
@@ -202,13 +200,9 @@ def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
                         for n in (PILOT_STEPS, 2 * PILOT_STEPS))
     except IntegrationError:
         return math.inf
-    d0 = np.maximum(m.dist(x0, x_star), 1e-12)
-    log_rho = np.log(np.maximum(m.dist(fine, x_star), 1e-300) / d0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        windows = np.where(np.abs(log_rho) < 1e-9, span / s,
-                           np.expm1(span / s * log_rho) / np.expm1(log_rho))
-    worst = float(np.max(m.dist(coarse, fine) / d0 * windows)) / (2 ** RICHARDSON_ORDER - 1)
-    return worst * (2 * PILOT_STEPS * step / s) ** RICHARDSON_ORDER
+    worst = float(np.max(m.dist(coarse, fine) / np.maximum(m.dist(fine, x_star), 1e-12)))
+    scale = (2 * PILOT_STEPS * step / s) ** RICHARDSON_ORDER / (2 ** RICHARDSON_ORDER - 1)
+    return worst * scale / s
 
 
 def choose_step(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,

@@ -144,12 +144,11 @@ def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str
                       steps: dict, inputs: VerificationInputs | None = None):
     """The stability envelope of a seeded batch of trajectories over ``horizon``.
 
-    This is the stage ``anchor``, at the step :func:`choose_step` picks on
-    the fit's rows.  With ``inputs``, the verification's contraction pairs
-    join the fit's flow as extra rows, since their flow does not depend on L;
-    ``(offsets, states)`` at :func:`contraction_offsets` of the envelope
-    horizon at that step (nodes of the fit's grid) come back with the
-    envelope (else None).
+    This is the stage ``anchor``, at the step :func:`choose_step` picks on the
+    fit's rows.  With ``inputs``, the verification's contraction pairs (whose
+    flow does not depend on L) ride the fit's flow; their ``(offsets, states)``
+    at :func:`contraction_offsets` of the envelope horizon at that step come
+    back with the envelope (else None).
     """
     rng = np.random.default_rng(config.seed + 1)
     m, x_star = config.manifold, config.equilibrium.coords
@@ -169,7 +168,7 @@ def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str
     fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
     trajectories = [Trajectory(m, np.append(t0 + offsets[:-1], t0 + horizon), fit[:, i], step)
                     for i, t0 in enumerate(t0s)]
-    envelope = classify_stability(trajectories, config.equilibrium)
+    envelope = classify_stability(trajectories, config.equilibrium, config.step)
     logger.info("stability class: %s", envelope.stability_class)
     if inputs is None:
         return envelope, None
@@ -251,8 +250,7 @@ def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvel
                              config.massera.t_max, config.massera.tail_tol, step=eval_step)
     reshaping = V.reshaping
 
-    m = config.manifold
-    x_star = config.equilibrium.coords
+    m, x_star = config.manifold, config.equilibrium.coords
     rng = np.random.default_rng(config.seed)
     n_states = min(config.grid.n_points, 50)
     # The reshaping is extremely flat near the equilibrium (values below
@@ -278,27 +276,24 @@ def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvel
     v_at_star = float(v_at_star[0])
 
     s_probe = np.linspace(0.0, float(reshaping.s_knots[-1]), 64)
-    g_gaps = np.diff(reshaping.value(s_probe))
-    gp_gaps = np.diff(reshaping.derivative(s_probe))
-    ray_gaps = np.diff(ray_values)
+    monotone = float(min(np.diff(reshaping.value(s_probe)).min(),
+                         np.diff(reshaping.derivative(s_probe)).min()))
+    ray_gap = float(np.diff(ray_values).min())
 
     zero_val = reshaping.value(0.0)
     rows = (
         CheckRow("reshaping-zero", "massera-reshaping", 0.0, zero_val,
                  0.0 if zero_val == 0.0 else -abs(zero_val), zero_val == 0.0),
-        CheckRow("reshaping-monotone", "massera-reshaping", 0.0,
-                 float(min(g_gaps.min(), gp_gaps.min())),
-                 float(min(g_gaps.min(), gp_gaps.min())),
-                 bool(g_gaps.min() > 0 and gp_gaps.min() > 0)),
+        CheckRow("reshaping-monotone", "massera-reshaping", 0.0, monotone, monotone,
+                 monotone > 0),
         CheckRow("truncation-tail", "ugas-tail", config.massera.tail_tol,
                  V.tail_bound, (config.massera.tail_tol - V.tail_bound)
                  / config.massera.tail_tol, V.tail_bound <= config.massera.tail_tol),
         CheckRow("positivity", "ugas-positivity", 0.0, v_min, v_min,
                  v_min > 0.0 and abs(v_at_star) < 1e-12),
         CheckRow("decay", "ugas-decay", 0.0, lie_max, -lie_max, lie_max < 0.0),
-        CheckRow("radial-monotonicity", "ugas-monotonicity", 0.0,
-                 float(ray_gaps.min()), float(ray_gaps.min()),
-                 bool(ray_gaps.min() > 0)),
+        CheckRow("radial-monotonicity", "ugas-monotonicity", 0.0, ray_gap, ray_gap,
+                 ray_gap > 0),
     )
     report = CertificationReport(rows)
     certificate = {"mode": "massera", "delta": V.horizon, "p": V.p, "tail_bound": V.tail_bound,
@@ -330,8 +325,7 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
                    "certificate": certificate.to_json(),
                    "unforced_report": base_report.to_dict(), "steps": steps}
         if not base_report.verdict:
-            payload["report"] = _failure_report("uges-precondition",
-                                                "unforced certification failed")
+            payload["report"] = _failure_report("uges-precondition", "unforced certification failed")
             _write_reports(out_dir, payload, base_report.to_text())
             return EXIT_CERTIFICATION_FAILED
         # samples.csv: the series trajectory integrated with the robustness

@@ -24,6 +24,7 @@ from geolyap.config import load_scenario
 from geolyap.flows import (
     Region,
     TimeVaryingField,
+    Trajectory,
     contraction_offsets,
     flow,
     flow_samples,
@@ -151,6 +152,47 @@ def test_classify_time_varying_gain_as_les():
     env = classify_stability(_trajectories(spec, SPHERE, rng), spec.equilibrium)
     assert env.stability_class == "LES"
     assert env.K >= 1.0
+
+
+def test_chord_slack_covers_concave_stretches_of_coarse_samples():
+    # -s^2 rises gap^2 / 8 * 2 above its chords; convex data never does, and
+    # samples no coarser than the resolution need no slack.
+    s = np.linspace(0.0, 1.0, 11)
+    assert certify._chord_slack(s, -s ** 2, 0.05) == pytest.approx(0.1 ** 2 / 8 * 2)
+    assert certify._chord_slack(s, s ** 2, 0.05) == 0.0
+    assert certify._chord_slack(s, -s ** 2, 0.1) == 0.0
+    assert certify._chord_slack(s, -s ** 2, None) == 0.0
+
+
+def test_coarse_fit_dominates_the_fine_grid_at_its_resolution():
+    # Every 4th sample of time-varying flows at step 1e-2: K fitted to those
+    # alone undercuts the 1e-2 grid between them; with resolution 1e-2 it
+    # covers the whole grid.
+    spec = make_system("time_varying_attractor", SPHERE, [0.0, 0.0, 1.0],
+                       base_gain=1.5, amplitude=0.5)
+    fine = _trajectories(spec, SPHERE, np.random.default_rng(13))
+    coarse = [Trajectory(SPHERE, t.times[::4], t.points[::4], 4e-2) for t in fine]
+
+    def worst_excess(env):
+        return max(float(np.max(t.distances_to(spec.equilibrium) / (
+            env.K * np.exp(-env.rate * (t.times - t.times[0]))
+            * t.distances_to(spec.equilibrium)[0]))) - 1.0 for t in fine)
+
+    assert worst_excess(classify_stability(coarse, spec.equilibrium)) > 1e-5
+    assert worst_excess(classify_stability(coarse, spec.equilibrium, 1e-2)) <= 0.0
+
+
+def test_coarse_cubic_table_stays_above_the_fine_one():
+    # The cubic decay is convex, so the chords of coarser samples lie higher:
+    # the sampled table of every 4th sample needs no slack to dominate.
+    spec = make_system("cubic_slowdown", EUCLID, [0.0, 0.0], gain=1.0)
+    fine = _trajectories(spec, EUCLID, np.random.default_rng(5), horizon=10.0)
+    coarse = [Trajectory(EUCLID, t.times[::4], t.points[::4], 4e-2) for t in fine]
+    table = classify_stability(fine, spec.equilibrium).beta.table
+    coarse_env = classify_stability(coarse, spec.equilibrium, 1e-2)
+    assert coarse_env.stability_class == "UAS"
+    assert np.all(coarse_env.beta.table >= table - 1e-15)
+    assert np.max(coarse_env.beta.table - table) > 1e-5
 
 
 def test_classify_kind_consistency(sphere_attractor):
