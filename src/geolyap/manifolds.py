@@ -7,9 +7,11 @@ representation (unit vectors, rotation matrices, Minkowski hyperboloid), so
 every operation -- metric, exponential/logarithm maps, distance, parallel
 transport along minimizing geodesics -- is an exact coordinate-free formula.
 Constraint drift is repaired by projection: ``exp`` projects the closed-form
-geodesic point, which ``geodesic`` returns bare for points that are not kept
-(an integrator's stage points).  Every kernel op is vectorized over leading
-batch axes, so a single point and a batch of points run the same code.
+geodesic point that ``geodesic`` returns, and the integrator projects each
+ambient RK4 step once (its stage points are ambient sums, off the manifold
+by O(h^2), and take no geodesic).  Every kernel op is vectorized over
+leading batch axes, so a single point and a batch of points run the same
+code.
 
 Pairs at or beyond each other's cut locus are rejected explicitly
 (:class:`CutLocusError`) rather than resolved by an arbitrary choice of
@@ -137,7 +139,9 @@ class Manifold(ABC):
 
     @abstractmethod
     def geodesic(self, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """:meth:`exp` without its projection: on the manifold to rounding."""
+        """:meth:`exp` without its projection: on the manifold to rounding.
+
+        ``exp``'s helper only: integrator stage points do not use it."""
 
     def exp(self, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Geodesic endpoint at parameter 1 from ``coords`` with velocity ``v``."""
@@ -154,18 +158,6 @@ class Manifold(ABC):
     @abstractmethod
     def transport(self, coords: np.ndarray, other: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Parallel transport of ``v`` along the minimizing geodesic."""
-
-    @abstractmethod
-    def transport_back(self, coords: np.ndarray, v: np.ndarray, end: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
-        """Parallel transport of ``w`` from ``end = exp(coords, v)`` back to ``coords``.
-
-        The transport runs along the geodesic s -> exp(coords, s v), which the
-        caller has already taken, for |v| below the cut-locus radius (the
-        stages of an integrator step are far shorter).  It equals
-        ``transport(end, coords, w)`` but, since the geodesic is known, forms
-        no logarithm and checks no cut locus.
-        """
 
     @property
     def point_variates(self) -> tuple:
@@ -320,9 +312,6 @@ class Euclidean(Manifold):
     def transport(self, coords, other, v):
         return np.array(v, dtype=float)
 
-    def transport_back(self, coords, v, end, w):
-        return w
-
 
 class Sphere(Manifold):
     """Unit sphere S^n embedded in R^{n+1} with the induced metric."""
@@ -376,11 +365,6 @@ class Sphere(Manifold):
         _reject_cut(theta, coords, other, "antipodal pair: transport geodesic is not unique")
         factor = np.vecdot(other, v) / (1.0 + c)
         return self.project_tangent(other, v - factor[..., None] * (coords + other))
-
-    def transport_back(self, coords, v, end, w):
-        # The transport formula above, without the logarithm's cut check.
-        factor = np.vecdot(coords, w) / (1.0 + np.vecdot(coords, end))
-        return w - factor[..., None] * (coords + end)
 
     def tangent_basis(self, coords):
         """On S^2, the Gram-Schmidt frame in closed form: b0 = (e0 - x0 x) / |.|
@@ -560,13 +544,6 @@ class SpecialOrthogonal3(Manifold):
         V = _hat(self._alg(coords, v))
         return self.project_tangent(other, coords @ H @ V @ H)
 
-    def transport_back(self, coords, v, end, w):
-        # end = coords R(a) for a = alg(coords, v); the tangent end Omega = hat(omega)
-        # transports to coords H Omega H^T = coords hat(H omega) with the half-angle
-        # rotation H = R(a/2).  H @ omega[..., None]: np.matvec needs NumPy 2.2.
-        H = _rodrigues(0.5 * self._alg(coords, v))
-        return coords @ _hat((H @ self._alg(end, w)[..., None])[..., 0])
-
     def point_map(self, variates):
         return _polar(variates)
 
@@ -629,10 +606,6 @@ class Hyperbolic2(Manifold):
     def transport(self, coords, other, v):
         factor = self._mdot(other, v) / (1.0 - self._mdot(coords, other))
         return self.project_tangent(other, v + factor[..., None] * (coords + other))
-
-    def transport_back(self, coords, v, end, w):
-        factor = self._mdot(coords, w) / (1.0 - self._mdot(coords, end))
-        return w + factor[..., None] * (coords + end)
 
     point_variates = (4,)  # a normal, then a length in [0, 2); a degenerate normal: the origin
 

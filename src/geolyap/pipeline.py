@@ -52,7 +52,7 @@ from .flows import (
     step_error,
     step_offsets,
 )
-from .lyapunov import LIE_H, HorizonError, InvalidDeltaError, choose_delta, construct_ugas_V
+from .lyapunov import LIE_H, InvalidDeltaError, choose_delta, construct_ugas_V
 from .manifolds import CutLocusError, GeometryError, ManifoldPoint, manifold_from_name
 
 logger = logging.getLogger("geolyap")
@@ -245,7 +245,8 @@ def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvel
     # Decay flows get slow at long horizons; a coarser integrator step keeps
     # evaluation at desk scale.  Its step-doubling estimate is reported, not used.
     eval_step = max(config.step, 0.05)
-    with _stage(ANCHOR_UGAS_TAIL, (HorizonError,), envelope):
+    # A HorizonError, or a decay profile the reshaping rejects (both ValueErrors).
+    with _stage(ANCHOR_UGAS_TAIL, (ValueError,), envelope):
         V = construct_ugas_V(field, config.equilibrium, envelope,
                              config.massera.t_max, config.massera.tail_tol, step=eval_step)
     reshaping = V.reshaping

@@ -50,19 +50,16 @@ def _rows(m, seed, reach=1.2):
 def test_kernel_batch_rows_are_single_rows(m):
     # The last so3 row lies past 2.9 rad, so both rotation-vector branches run.
     x, v, w, y = _rows(m, 1, reach=3.0 if m.name == "so3" else 1.2)
-    w_y = m.transport(x, y, w)
     batched = {
         "exp": m.exp(x, v), "log": m.log(x, y), "dist": m.dist(x, y),
         "transport": m.transport(x, y, w), "project": m.project(x + 1e-9),
         "inner": m.inner(x, v, w), "basis": m.tangent_basis(y),
-        "transport_back": m.transport_back(x, v, y, w_y),
     }
     for i in range(N_ROWS):
         single = {
             "exp": m.exp(x[i], v[i]), "log": m.log(x[i], y[i]), "dist": m.dist(x[i], y[i]),
             "transport": m.transport(x[i], y[i], w[i]), "project": m.project(x[i] + 1e-9),
             "inner": m.inner(x[i], v[i], w[i]), "basis": m.tangent_basis(y[i]),
-            "transport_back": m.transport_back(x[i], v[i], y[i], w_y[i]),
         }
         for op, value in single.items():
             assert np.array_equal(batched[op][i], value), f"{m.name} {op} row {i}"

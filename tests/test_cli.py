@@ -12,6 +12,7 @@ import pytest
 from geolyap import certify, config as config_module, flows, lyapunov, pipeline, systems
 from geolyap.cli import main
 from geolyap.config import ConfigError, load_scenario
+from geolyap.envelopes import KLEnvelope, StabilityEnvelope
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -198,12 +199,14 @@ SPHERE_POLE, HYPERBOLIC_ORIGIN, SO3_IDENTITY = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
     ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.01, 2.0, 0.02),
     ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.005, 0.25, 0.02),
     ("so3", SO3_IDENTITY, 2.0, 0.01, 2.0, 0.01),
-    ("so3", SO3_IDENTITY, 2.0, 0.0025, 0.25, 0.01),
+    ("so3", SO3_IDENTITY, 2.0, 0.0025, 0.25, 0.005),
 ])
 def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibrium, gain,
                                                     step, fit_horizon, chosen):
     # d(t) = e^{-gain t} d0 exactly, so the envelope is K = 1, rate = gain.
     # The fit runs at gain * step <= 0.02 from any config step and horizon.
+    # The integration error varies with d0, so K absorbs a misfit of a few
+    # 1e-9: both stay within half the benchmark's 1e-8 oracle bound.
     config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
                            system={"name": "geodesic_attractor", "params": {"gain": gain}},
                            step=step, fit_horizon=fit_horizon,
@@ -212,8 +215,8 @@ def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibri
     assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["steps"]["les-envelope-fit"]["step"] == chosen
-    assert abs(report["envelope"]["K"] - 1.0) <= 1e-10
-    assert abs(report["envelope"]["rate"] / gain - 1.0) <= 2e-9
+    assert abs(report["envelope"]["K"] - 1.0) <= 5e-9
+    assert abs(report["envelope"]["rate"] / gain - 1.0) <= 5e-9
 
 
 @pytest.mark.parametrize("step, fit_horizon, multiple", [(0.01, 6.0, 1), (0.0025, 3.0, 4)])
@@ -297,6 +300,64 @@ def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: flow-integration: non-finite state during integration")
     assert not out.exists()
+
+
+STIFF_CASES = {  # manifold, equilibrium, system, params, message of the failed step
+    "hyperbolic2-geodesic": ("hyperbolic2", [1.0, 0.0, 0.0], "geodesic_attractor",
+                             {"gain": 1e4}, "step left the manifold"),
+    "hyperbolic2-cubic": ("hyperbolic2", [1.0, 0.0, 0.0], "cubic_slowdown",
+                          {"gain": 1e6}, "non-finite state"),
+    "sphere2-cubic": ("sphere2", [0.0, 0.0, 1.0], "cubic_slowdown", {"gain": 1e6},
+                      "non-finite state"),
+    "so3-cubic": ("so3", np.eye(3).ravel().tolist(), "cubic_slowdown", {"gain": 1e6},
+                  "non-finite state"),
+}
+STIFF_COMMANDS = {"flow": (["flow"], None), "certify": (["certify"], "les-envelope-fit"),
+                  "massera": (["certify", "--mode", "massera"], "ugas-envelope")}
+
+
+@pytest.mark.parametrize("command", sorted(STIFF_COMMANDS))
+@pytest.mark.parametrize("case", sorted(STIFF_CASES))
+def test_stiff_step_fails_the_flow_with_exit_two(tmp_path, capsys, case, command):
+    # A step that leaves the reals, or lands where it cannot be projected
+    # back (a spacelike point of the hyperboloid), fails the running stage.
+    manifold, equilibrium, name, params, message = STIFF_CASES[case]
+    argv, anchor = STIFF_COMMANDS[command]
+    config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
+                           system={"name": name, "params": params}, seed=3,
+                           grids={"n_points": 8, "radius": 1.0, "t0_list": [0.0]},
+                           massera={"t_max": 20.0, "fit_horizon": 22.0, "tail_tol": 1e-8})
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
+    if anchor is None:
+        assert capsys.readouterr().err.startswith(f"error: flow-integration: {message}")
+        assert not out.exists()
+        return
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["failed_stage"] == anchor
+    assert report["message"].startswith(f"{anchor}: {message}")
+    assert anchor in (out / "report.txt").read_text()
+    assert not (out / "samples.csv").exists()
+
+
+def test_massera_envelope_the_reshaping_rejects_fails_at_the_tail_stage(tmp_path,
+                                                                         monkeypatch):
+    # A UAS fit whose decay profile is flat is no input for the reshaping:
+    # the run fails at ugas-tail instead of raising.
+    def flat_fit(trajectories, x_star, resolution=None):
+        s = np.linspace(0.0, 22.0, 12)
+        beta = KLEnvelope(np.linspace(0.0, 1.0, 3), s, np.outer([0.0, 0.5, 1.0], np.ones(12)))
+        return StabilityEnvelope("UAS", None, None, beta, 0.0, 1.0, len(trajectories))
+
+    monkeypatch.setattr(pipeline, "classify_stability", flat_fit)
+    out = tmp_path / "out"
+    rc = main(["certify", "--mode", "massera", "--config", str(_massera_config(tmp_path)),
+               "--out", str(out)])
+    assert rc == 2
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["failed_stage"] == "ugas-tail"
+    assert report["message"] == "ugas-tail: envelope must be strictly decreasing"
+    assert not (out / "samples.csv").exists()
 
 
 def test_massera_mode_without_section_fails_before_any_flow(tmp_path, monkeypatch):

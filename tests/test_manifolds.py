@@ -226,19 +226,6 @@ def test_transport_carries_geodesic_velocity(m):
     np.testing.assert_allclose(m.transport(x, y, v), forward_velocity_at_y, atol=1e-10)
 
 
-@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=lambda m: m.name)
-def test_transport_back_is_transport_along_the_step(m):
-    # The integrator's stage transport: w at exp_x(v) back to x, |v| up to 1.5.
-    rng = np.random.default_rng(17)
-    for norm in np.linspace(0.0, 1.5, 31):
-        x = m.project(m.random_point(rng))
-        v = m.random_tangent(rng, x, norm=norm)
-        y = m.exp(x, v)
-        w = m.random_tangent(rng, y, norm=rng.uniform(0.5, 2.0))
-        err = np.max(np.abs(m.transport_back(x, v, y, w) - m.transport(y, x, w)))
-        assert err <= 1e-12, (norm, err)
-
-
 def test_sphere2_frame_matches_gram_schmidt():
     s = Sphere(2)
     rng = np.random.default_rng(19)

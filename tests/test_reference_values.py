@@ -4,14 +4,20 @@
 flow endpoints and pushforwards at fixed states for every manifold x
 registered system pair, plus the disturbed input channel and the Massera
 reshaping.  The values were written by the one-state-at-a-time integrator
-that preceded the batched kernel; the batched code must reproduce V and the
-endpoints to 1e-12 absolute and the finite-difference quantities to 1e-8
-relative.  The Massera-mode V is the exception: its quadrature nodes now
-sit on the step grid (161 nodes over the horizon 8 at step 0.05, where 65
-nodes split every gap into three steps), so it is gated by moving closer to
-a 1,601-node value (step 0.005) than the file's value is.
-``python tests/test_reference_values.py --write`` rewrites the file from the
-current code.
+that preceded the batched kernel, with transported RK4 stages.  The current
+integrator takes its stages in the embedding and projects once per step, so
+on curved manifolds V and the endpoints move by the change in integration
+error: they must match the file to ``SHIFT_TOL`` absolute (1e-12 on the
+plane, whose arithmetic did not change) and a reference run of the same
+code at step / 16 to ``FINE_TOL``.  The exception to the second gate is
+so3/disturbed, whose Gram-Schmidt input frame is discontinuous along the
+flow, so its V does not converge with the step.  The finite-difference
+quantities stay within 1e-8 relative of the file.  The Massera-mode V's
+quadrature nodes sit on the step grid (161 nodes over the horizon 8 at step
+0.05, where 65 nodes split every gap into three steps), so it is gated by
+moving closer to a 1,601-node value (step 0.005) than the file's value is.
+``python tests/test_reference_values.py --write`` writes the file from the
+current code; it refuses to overwrite an existing file.
 """
 
 import json
@@ -33,6 +39,9 @@ DELTA = 0.5
 FLOW_SPAN = 1.0
 PUSH_SPAN = 0.5
 ABS_TOL = 1e-12
+SHIFT_TOL = 5e-9   # V and endpoints against the file on curved manifolds
+FINE_TOL = 1e-9    # V and endpoints against the same code at step / 16
+UNCONVERGED = {"so3/disturbed"}  # discontinuous input frame: no step / 16 gate
 REL_TOL = 1e-8
 REL_FLOOR = 1e-12
 
@@ -79,22 +88,26 @@ def _case_inputs(seed: int, manifold):
     return x_star.ravel().tolist(), states
 
 
-def _case_values(manifold, system, params, profile, equilibrium, states):
+def _case_values(manifold, system, params, profile, equilibrium, states, step=STEP):
+    """Every reference quantity at ``STEP``; V and the endpoint only at another step."""
     spec, field = _system(manifold, system, params, profile, equilibrium)
-    V = construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=STEP)
+    V = construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=step)
     out = []
     for s in states:
         t = s["t"]
         x = ManifoldPoint(manifold, np.reshape(s["x"], manifold.ambient_shape))
         v = TangentVector(x, np.reshape(s["v"], manifold.ambient_shape))
-        out.append({
+        values = {
             "V": V.evaluate(t, x),
-            "LV": V.lie_derivative(t, x),
-            "dV": V.directional_derivative(t, x, v),
-            "flow_end": flow(field, t, x, t + FLOW_SPAN, STEP).points[-1].ravel().tolist(),
-            "pushforward": pushforward(field, t, x, v, t + PUSH_SPAN,
-                                       step=STEP).components.ravel().tolist(),
-        })
+            "flow_end": flow(field, t, x, t + FLOW_SPAN, step).points[-1].ravel().tolist(),
+        }
+        if step == STEP:
+            values.update(
+                LV=V.lie_derivative(t, x),
+                dV=V.directional_derivative(t, x, v),
+                pushforward=pushforward(field, t, x, v, t + PUSH_SPAN,
+                                        step=STEP).components.ravel().tolist())
+        out.append(values)
     return out
 
 
@@ -114,7 +127,10 @@ def _massera_values(states, step=0.05):
     }
 
 
-def write_fixture():
+def write_fixture(path: Path = FIXTURE):
+    """Write the reference file from the current code; never over an existing one."""
+    if path.exists():
+        raise FileExistsError(f"{path} exists: delete it first to write it anew")
     cases = {}
     for i, (label, name, system, params, profile) in enumerate(CASES):
         m = manifold_from_name(name)
@@ -123,8 +139,8 @@ def write_fixture():
                                                                      m.ambient_shape), states)
         cases[label] = {"equilibrium": equilibrium, "states": states, "values": values}
     massera_states = cases["euclidean2/cubic"]["states"]
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps({
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({
         "cases": cases,
         "massera": {"states": massera_states, "values": _massera_values(massera_states)},
     }, indent=1) + "\n")
@@ -135,9 +151,9 @@ def reference():
     return json.loads(FIXTURE.read_text())
 
 
-def _assert_abs(got, want, what):
+def _assert_abs(got, want, what, tol=ABS_TOL):
     err = float(np.max(np.abs(np.asarray(got, dtype=float) - np.asarray(want, dtype=float))))
-    assert err <= ABS_TOL, f"{what}: off the reference by {err:.3g}"
+    assert err <= tol, f"{what}: off the reference by {err:.3g}"
 
 
 def _assert_rel(got, want, what):
@@ -153,13 +169,28 @@ def test_matches_reference_values(reference, case):
     label, name, system, params, profile = case
     m = manifold_from_name(name)
     entry = reference["cases"][label]
-    got = _case_values(m, system, params, profile,
-                       np.reshape(entry["equilibrium"], m.ambient_shape), entry["states"])
+    equilibrium = np.reshape(entry["equilibrium"], m.ambient_shape)
+    got = _case_values(m, system, params, profile, equilibrium, entry["states"])
+    tol = ABS_TOL if name.startswith("euclidean") else SHIFT_TOL
     for i, (g, want) in enumerate(zip(got, entry["values"])):
-        _assert_abs(g["V"], want["V"], f"{label}[{i}] V")
-        _assert_abs(g["flow_end"], want["flow_end"], f"{label}[{i}] flow endpoint")
+        for key in ("V", "flow_end"):
+            _assert_abs(g[key], want[key], f"{label}[{i}] {key}", tol)
         for key in ("LV", "dV", "pushforward"):
             _assert_rel(g[key], want[key], f"{label}[{i}] {key}")
+    if label in UNCONVERGED:
+        return
+    fine = _case_values(m, system, params, profile, equilibrium, entry["states"], STEP / 16)
+    for i, (g, f) in enumerate(zip(got, fine)):
+        for key in ("V", "flow_end"):
+            _assert_abs(g[key], f[key], f"{label}[{i}] {key} at step / 16", FINE_TOL)
+
+
+def test_write_fixture_refuses_an_existing_file(tmp_path):
+    path = tmp_path / "reference_values.json"
+    path.write_text("{}")
+    with pytest.raises(FileExistsError, match="delete it first"):
+        write_fixture(path)
+    assert path.read_text() == "{}"
 
 
 def test_massera_matches_reference_values(reference):
@@ -174,6 +205,9 @@ def test_massera_matches_reference_values(reference):
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        write_fixture()
+        try:
+            write_fixture()
+        except FileExistsError as exc:
+            sys.exit(str(exc))
     else:
         sys.exit("usage: python tests/test_reference_values.py --write")
