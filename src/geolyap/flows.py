@@ -54,16 +54,16 @@ class IntegrationError(RuntimeError):
 class TimeVaryingField:
     """Evaluatable vector field f(t, x), optionally with an input channel.
 
-    ``rhs(t, X) -> components`` is the raw kernel used by the integrator: ``X``
-    holds one state or a batch ``(..., *ambient_shape)`` and ``t`` is a scalar
-    or per-row times (broadcast per row with ``manifold.rows``).  The RK4
-    stage points ``X`` are ambient points within O(step^2 |f|^2) of the
-    manifold, so ``rhs`` must be a smooth formula of the embedding
-    coordinates near it, as every registered system is.
-    :meth:`eval_raw` projects its output onto the tangent spaces, so a field
-    built on another composes that field's ``rhs`` and is projected once.
-    ``input_rhs(t, X, u)`` realizes f(t, x, u), before that projection, for
-    disturbance studies, with ``u`` shared or per row.  Handles must be pure
+    ``rhs(t, X) -> components`` is the field itself, as the integrator
+    evaluates it: ``X`` holds one state or a batch ``(..., *ambient_shape)``
+    and ``t`` is a scalar or per-row times (broadcast per row with
+    ``manifold.rows``).  Its contract: tangent at manifold points, smooth off
+    them.  The RK4 stage points ``X`` are ambient points within
+    O(step^2 |f|^2) of the manifold, where ``rhs`` must be a smooth formula
+    of the embedding coordinates, as every registered system is; nothing
+    projects its output (:func:`flow_samples` checks it at its start rows).
+    ``input_rhs(t, X, u)`` realizes f(t, x, u) for disturbance studies, with
+    ``u`` shared or per row, under the same contract.  Handles must be pure
     with respect to observable state.
     """
 
@@ -72,10 +72,10 @@ class TimeVaryingField:
     input_rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def eval_raw(self, t, coords: np.ndarray) -> np.ndarray:
-        raw = np.asarray(self.rhs(t, coords), dtype=float)
-        if raw.shape != np.shape(coords):
-            raw = np.broadcast_to(raw, np.shape(coords))
-        return self.manifold.project_tangent(coords, raw)
+        raw = self.rhs(t, coords)
+        if isinstance(raw, np.ndarray) and raw.dtype == float and raw.shape == np.shape(coords):
+            return raw
+        return np.broadcast_to(np.asarray(raw, dtype=float), np.shape(coords))
 
     def __call__(self, t: float, x: ManifoldPoint) -> TangentVector:
         if x.manifold != self.manifold:
@@ -125,11 +125,11 @@ def _rk4_step(field: TimeVaryingField, t, x: np.ndarray, dt: float) -> np.ndarra
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_finite(m: Manifold, x: np.ndarray, t):
+def _check_finite(m: Manifold, x: np.ndarray, t0, s: float):
     finite = np.isfinite(x)
-    if not finite.all():
+    if np.count_nonzero(finite) != finite.size:
         row_ok = finite.all(axis=tuple(range(-len(m.ambient_shape), 0)))
-        t_bad = np.broadcast_to(t, np.shape(row_ok))[~row_ok]
+        t_bad = np.broadcast_to(t0 + s, np.shape(row_ok))[~row_ok]
         raise IntegrationError("non-finite state during integration", float(np.ravel(t_bad)[0]))
 
 
@@ -161,12 +161,18 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
     m = field.manifold
     x = np.asarray(x0, dtype=float)
     states = [x]
-    # A step that blows up, or leaves the manifold beyond projection, fails
-    # the flow at that step's time.
+    # rhs, which nothing projects, must be tangent at the start rows to 1e-9
+    # of its norm.  A step that blows up, or leaves the manifold beyond
+    # projection, fails the flow at that step's time.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = field.eval_raw(t0, x)
+        rows = x.shape[:x.ndim - len(m.ambient_shape)] + (-1,)
+        normal, f = (f - m.project_tangent(x, f)).reshape(rows), f.reshape(rows)
+        if np.count_nonzero(np.vecdot(normal, normal) > 1e-18 * np.vecdot(f, f)):
+            raise ValueError(f"the field's rhs is not tangent to {m.name} at the start states")
         for a, b in zip(nodes, nodes[1:]):
             y = _rk4_step(field, t0 + a, x, b - a)
-            _check_finite(m, y, t0 + b)
+            _check_finite(m, y, t0, b)
             try:
                 x = m.project(y)
             except GeometryError as exc:

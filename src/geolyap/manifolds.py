@@ -99,7 +99,7 @@ def _where(cond, a, b):
 
 
 def _reject_cut(angle, coords, other, message: str):
-    if (angle > math.pi - CUT_MARGIN).any():
+    if np.count_nonzero(angle > math.pi - CUT_MARGIN):
         raise CutLocusError(message, coords, other)
 
 
@@ -326,7 +326,7 @@ class Sphere(Manifold):
 
     def project(self, coords):
         nrm = _norm(coords)
-        if (nrm < _TINY).any():
+        if np.count_nonzero(nrm < _TINY):
             raise GeometryError("cannot project the origin onto the sphere")
         return coords / nrm[..., None]
 
@@ -386,7 +386,7 @@ class Sphere(Manifold):
         basis[..., 1, 1] = sign * c1
         basis[..., 1, 2] = sign * c2
         generic = n0 <= 1e-8
-        if generic.any():
+        if np.count_nonzero(generic):
             basis[generic] = super().tangent_basis(coords[generic])
         return basis
 
@@ -421,7 +421,7 @@ def _rodrigues(w: np.ndarray) -> np.ndarray:
     theta = np.sqrt(theta2)
     K = _hat(w)
     small = theta < 1e-8
-    if small.any():  # series coefficients on those rows
+    if np.count_nonzero(small):  # series coefficients on those rows
         safe, safe2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta2)
         a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
         b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe2)
@@ -462,14 +462,14 @@ def _rotation_vector(Q: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndar
     axis; the caller rejects angles near pi."""
     theta = np.asarray(theta)
     small = theta < 1e-7
-    if small.any():  # series scale on those rows
+    if np.count_nonzero(small):  # series scale on those rows
         scale = np.where(small, 1.0 + theta * theta / 6.0,
                          theta / np.sin(np.where(small, 1.0, theta)))
     else:
         scale = theta / np.sin(theta)
     out = v * scale[..., None]
     near_pi = theta >= 2.9
-    if np.any(near_pi):
+    if np.count_nonzero(near_pi):
         out[near_pi] = _near_pi_axis(Q[near_pi], theta[near_pi], v[near_pi])
     return out
 
@@ -499,11 +499,12 @@ class SpecialOrthogonal3(Manifold):
         # Cheap Newton polish for near-rotations, full polar projection otherwise.
         G = coords.mT @ coords
         newton = (_frobenius(G - _EYE3) < 1e-8) & (np.linalg.det(coords) > 0)
-        if newton.all():
+        n_newton = np.count_nonzero(newton)
+        if n_newton == newton.size:
             R = coords @ (1.5 * _EYE3 - 0.5 * G)
             return R @ (1.5 * _EYE3 - 0.5 * (R.mT @ R))
         out = np.empty(np.shape(coords))
-        if newton.any():
+        if n_newton:
             R = coords[newton] @ (1.5 * _EYE3 - 0.5 * G[newton])
             out[newton] = R @ (1.5 * _EYE3 - 0.5 * (R.mT @ R))
         out[~newton] = _polar(coords[~newton])
@@ -570,7 +571,7 @@ class Hyperbolic2(Manifold):
 
     def project(self, coords):
         s = -self._mdot(coords, coords)
-        if (s <= _TINY).any():
+        if np.count_nonzero(s <= _TINY):
             raise GeometryError("coordinates are not timelike; cannot project")
         x = coords / np.sqrt(s)[..., None]
         return np.where((x[..., 0] > 0)[..., None], x, -x)

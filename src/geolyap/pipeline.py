@@ -9,7 +9,6 @@ integrates them as one batch.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -77,10 +76,10 @@ NUMERICAL_FAILURES = (IntegrationError, CutLocusError)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)  # the csv module writes floats by repr
+    """The bytes ``csv.writer`` writes for float and int rows: each cell's repr,
+    joined by commas, each line ended by CRLF."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
 
 
 def _write_reports(out_dir: Path, payload: dict, text: str, samples=None):

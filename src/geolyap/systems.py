@@ -136,8 +136,8 @@ def frame_input_channel(base_field: TimeVaryingField, n_channels: int):
     """Input map u -> sum_i u_i e_i(x) over the orthonormal tangent frame.
 
     ``u`` holds one coefficient vector shared by all rows, or one per row.
-    Like any ``rhs``, the sum is left to the closed field's ``eval_raw`` to
-    project, so the base field enters through its ``rhs``.
+    The frame vectors are tangent, so the sum is a tangent ``rhs`` whenever
+    the base field's ``rhs``, which it composes, is one.
     """
     m = base_field.manifold
     if n_channels > m.dim:

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -199,7 +200,7 @@ SPHERE_POLE, HYPERBOLIC_ORIGIN, SO3_IDENTITY = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
     ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.01, 2.0, 0.02),
     ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.005, 0.25, 0.02),
     ("so3", SO3_IDENTITY, 2.0, 0.01, 2.0, 0.01),
-    ("so3", SO3_IDENTITY, 2.0, 0.0025, 0.25, 0.005),
+    ("so3", SO3_IDENTITY, 2.0, 0.0025, 0.25, 0.01),
 ])
 def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibrium, gain,
                                                     step, fit_horizon, chosen):
@@ -219,14 +220,14 @@ def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibri
     assert abs(report["envelope"]["rate"] / gain - 1.0) <= 5e-9
 
 
-@pytest.mark.parametrize("step, fit_horizon, multiple", [(0.01, 6.0, 1), (0.0025, 3.0, 4)])
+@pytest.mark.parametrize("step, fit_horizon, multiple", [(0.01, 6.0, 1), (0.0025, 3.0, 2)])
 def test_chosen_fit_step_envelope_dominates_time_varying_oracle(tmp_path, step, fit_horizon,
                                                                 multiple):
     # d(t0 + s) / d0 = exp(-(b s - a (cos(t0 + s) - cos t0))) must stay under
     # K e^{-rate s} on the config step's grid.  The shipped step keeps the
-    # fit at the config step; from step 0.0025 the fit samples every 0.01,
-    # where the envelope dominates its samples only and the peak between
-    # them (t0 = 10) lies about 5.6e-6 higher.
+    # fit at the config step; from step 0.0025 the fit samples every 0.005
+    # (the 4x estimate, 1.350e-8, is just over STEP_TOL), and K must cover
+    # the chords' slack between the samples.
     data = json.loads((REPO_CONFIGS / "time_varying_gain.json").read_text())
     data.update(step=step, fit_horizon=fit_horizon)
     config = tmp_path / "time_varying.json"
@@ -368,6 +369,17 @@ def test_massera_mode_without_section_fails_before_any_flow(tmp_path, monkeypatc
     assert rc == 3
     assert not out.exists()
     assert steps == []
+
+
+@pytest.mark.parametrize("rows", [[[-0.0, 5e-324, 1e16], [1 / 3, 7, -2], [0.1, 1e-7, 2.5e15]], []])
+def test_write_csv_matches_the_csv_module(tmp_path, rows):
+    header = ["t", "c0", "distance"]
+    pipeline._write_csv(tmp_path / "written.csv", header, rows)
+    with (tmp_path / "module.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
 
 
 def _count_steps(monkeypatch) -> list[int]:

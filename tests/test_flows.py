@@ -138,6 +138,41 @@ def test_step_projects_onto_the_manifold_once(name, monkeypatch):
     assert len(calls) == 10
 
 
+def test_normal_rhs_fails_before_the_first_step(monkeypatch):
+    # rhs is taken as tangent and never projected: a constant ambient rhs,
+    # normal to the sphere at one start row, fails before any RK4 step.
+    calls = []
+    real = flows._rk4_step
+    monkeypatch.setattr(flows, "_rk4_step", lambda *args: calls.append(1) or real(*args))
+    field = TimeVaryingField(SPHERE, lambda t, X: np.array([1.0, 0.0, 0.0]))
+    x0 = np.array([NORTH, _sphere_start(0.5).coords])
+    with pytest.raises(ValueError, match="not tangent to sphere2"):
+        flow_samples(field, 0.0, x0, [1.0], 0.1)
+    assert calls == []
+
+
+def test_rotation_flow_projects_once_per_step_and_checks_tangency_once(monkeypatch):
+    # The rotation's rhs is a cross product: the flow calls Manifold.project
+    # once per step and project_tangent only in the start-row check.
+    spec = make_system("isometric_rotation", SPHERE, NORTH)
+    rng = np.random.default_rng(44)
+    x0 = SPHERE.exp(NORTH, SPHERE.random_tangents(rng, NORTH, 6, lambda: 0.8))
+    calls = {"project": 0, "project_tangent": 0}
+
+    def counting(name):
+        real = getattr(Sphere, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Sphere, name, counting(name))
+    flow_samples(spec.field, 0.0, x0, step_offsets(0.1, 0.01), 0.01)
+    assert calls == {"project": 10, "project_tangent": 1}
+
+
 def test_flow_argument_validation(sphere_attractor):
     with pytest.raises(ValueError):
         flow(sphere_attractor.field, 1.0, _sphere_start(), 0.0)
@@ -512,25 +547,23 @@ def _attractor_rows(name, gain, n=6):
 
 @pytest.mark.parametrize("name, gain", [("sphere2", 1.0), ("hyperbolic2", 1.0), ("so3", 2.0)])
 def test_step_error_calibration_on_the_oracle(name, gain):
-    # STEP_TOL is set so that gain * step = 0.02 passes on sphere2 and
-    # hyperbolic2 (so3's estimates there straddle it; 0.01 passes) and 0.04
-    # fails everywhere, at every horizon: the estimate is per unit time, so a
+    # STEP_TOL is set so that gain * step = 0.02 passes and 0.04 fails on
+    # every manifold, at every horizon: the estimate is per unit time, so a
     # short horizon does not shrink it.
-    passes = 0.01 if name == "so3" else 0.02
     field, t0, x0, x_star = _attractor_rows(name, gain)
     for horizon in (0.25, 1.0, 3.0, 6.0):
-        assert step_error(field, t0, x0, x_star, horizon, passes / gain) <= flows.STEP_TOL
+        assert step_error(field, t0, x0, x_star, horizon, 0.02 / gain) <= flows.STEP_TOL
         assert step_error(field, t0, x0, x_star, horizon, 0.04 / gain) > flows.STEP_TOL
 
 
 @pytest.mark.parametrize("name, gain, base, chosen", [
     ("sphere2", 1.0, 0.01, 0.02), ("sphere2", 1.0, 0.005, 0.02),
     ("hyperbolic2", 1.0, 0.01, 0.02), ("hyperbolic2", 1.0, 0.005, 0.02),
-    ("so3", 2.0, 0.005, 0.01), ("so3", 2.0, 0.0025, 0.005),
+    ("so3", 2.0, 0.005, 0.01), ("so3", 2.0, 0.0025, 0.01),
 ])
 def test_choose_step_stays_within_the_calibrated_step(name, gain, base, chosen):
-    # Scaled by h^4 from the 8x pilot, the chooser lands on gain * step = 0.02
-    # or below, never on 0.04, from any base step and horizon.
+    # Scaled by h^4 from the 8x pilot, the chooser lands on gain * step = 0.02,
+    # never on 0.04, from any base step and horizon.
     field, t0, x0, x_star = _attractor_rows(name, gain)
     for horizon in (0.25, 1.0, 3.0, 6.0):
         step, estimate = choose_step(field, t0, x0, x_star, horizon, base)
@@ -582,15 +615,16 @@ def test_choose_step_keeps_the_base_step_for_a_stiff_field():
 def _non_radial_rows(name):
     """A smooth non-radial field on ``name`` and 6 states: the disturbed sinusoid
     on sphere2 and hyperbolic2, kept clear of the planes x2 = 0 where their
-    input frames flip, and on so3 an attractor plus the projection of
-    cos(t) C for a fixed matrix C."""
+    input frames flip, and on so3 an attractor plus the tangent projection of
+    cos(t) C for a fixed matrix C (a field's rhs must be tangent)."""
     m = manifold_from_name(name)
     rng = np.random.default_rng(21)
     if name == "so3":
         x_star = m.project(m.random_point(rng))
         C = rng.standard_normal((3, 3))
         attractor = make_system("geodesic_attractor", m, x_star).field
-        field = TimeVaryingField(m, lambda t, X: attractor.rhs(t, X) + m.rows(np.cos(t)) * C)
+        field = TimeVaryingField(
+            m, lambda t, X: attractor.rhs(t, X) + m.project_tangent(X, m.rows(np.cos(t)) * C))
     else:
         origin, v = (NORTH, [0.2, 0.4, 0.0]) if name == "sphere2" else ([1.0, 0.0, 0.0],
                                                                        [0.0, 0.3, 1.2])

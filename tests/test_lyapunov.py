@@ -145,12 +145,11 @@ def test_sphere_V_closed_form_ratio(sphere_V1):
 
 
 # Largest |V - d0^p (1 - e^{-p g delta}) / (p g)| over the states of the test
-# below, measured with the projected RK4 integrator and rounded up (with the
-# transported one it was 3.94e-11, 4.61e-10, 2.80e-11, 2.41e-10, 3.94e-11 and
-# 4.61e-10): a pin against accuracy regressions.
+# below, measured with the projected RK4 integrator on tangent fields (one
+# projection per step) and rounded up: a pin against accuracy regressions.
 V_ERR_MEASURED = {("sphere2", 1.0): 8.6e-11, ("sphere2", 2.0): 4.0e-10,
-                  ("so3", 1.0): 5.4e-11, ("so3", 2.0): 2.8e-10,
-                  ("hyperbolic2", 1.0): 3.2e-11, ("hyperbolic2", 2.0): 3.3e-10}
+                  ("so3", 1.0): 9.5e-12, ("so3", 2.0): 2.2e-10,
+                  ("hyperbolic2", 1.0): 3.3e-11, ("hyperbolic2", 2.0): 3.3e-10}
 
 
 def test_V_closed_form_error_does_not_grow():

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from geolyap import flows
 from geolyap.flows import flow
-from geolyap.manifolds import Euclidean, GeometryError, Manifold, ManifoldPoint, Sphere
+from geolyap.manifolds import (
+    Euclidean,
+    GeometryError,
+    Manifold,
+    ManifoldPoint,
+    Sphere,
+    manifold_from_name,
+)
 from geolyap.systems import (
     attach_disturbance,
     available_systems,
@@ -116,3 +124,40 @@ def test_disturbed_flow_stays_bounded():
     traj = flow(closed, 0.0, x0, 12.0, 1e-2)
     tail = traj.distances_to(spec.equilibrium)[len(traj) // 2:]
     assert np.max(tail) <= 0.1 * 1.2  # ultimate bound |u|/gain with slack
+
+
+def _normal_ratio(m, x, f):
+    """Largest |normal part of f| / |f| over the rows of x (ambient norms)."""
+    normal = (f - m.project_tangent(x, f)).reshape(len(x), -1)
+    f = np.reshape(f, (len(x), -1))
+    return float(np.max(np.linalg.norm(normal, axis=1)
+                        / np.maximum(np.linalg.norm(f, axis=1), 1e-300)))
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "sphere2", "so3", "hyperbolic2"])
+def test_every_field_is_tangent_at_manifold_points(name, monkeypatch):
+    # Nothing projects a field's rhs, so every registered system, its closed
+    # disturbed fields and lie_stencil's two-direction field must return
+    # tangent vectors at manifold points.
+    m = manifold_from_name(name)
+    rng = np.random.default_rng(31)
+    x_star = m.project(m.random_point(rng))
+    x = m.exp(x_star, m.random_tangents(rng, x_star, 16, lambda: rng.uniform(0.1, 1.5)))
+    t = np.linspace(0.0, 10.0, 16)
+    stencils = []
+    monkeypatch.setattr(flows, "flow_samples",
+                        lambda field, t0, X, *args: stencils.append((field, X)) or X[None])
+    for system in available_systems():
+        if system == "isometric_rotation" and name != "sphere2":
+            continue
+        spec = make_system(system, m, x_star)
+        fields = {"plain": spec.field}
+        for profile in ("constant", "sinusoid"):
+            disturbed = attach_disturbance(spec, profile, 0.5)
+            fields[profile] = disturbed.field.with_input_signal(disturbed.input_signal)
+        for label, field in fields.items():
+            assert _normal_ratio(m, x, field.eval_raw(t, x)) <= 1e-12, (system, label)
+            flows.lie_stencil(field, t, x, 0.3, 0.01)
+            both, X = stencils.pop()
+            f = both.eval_raw(t + 0.3, X).reshape((2 * len(x),) + m.ambient_shape)
+            assert _normal_ratio(m, X.reshape(f.shape), f) <= 1e-12, (system, label, "stencil")
