@@ -1,12 +1,12 @@
 """Time-varying vector fields on manifolds: integration and flow analysis.
 
 The integrator is the projection method (Hairer, Lubich & Wanner,
-*Geometric Numerical Integration*, 2nd ed., §IV.4): a classical RK4 step in
-the embedding space, whose stage points ``x + h k`` leave the manifold by
-O(h^2), followed by one projection onto the manifold (``Manifold.project``).
-It keeps order 4 on every smooth field.  One loop (:func:`flow_samples`)
-steps a batch of states, each from its own start time, on a shared
-elapsed-time grid.  Flow pushforwards are computed by geodesic-variation
+*Geometric Numerical Integration*, 2nd ed., §IV.4): a step of an explicit
+Runge-Kutta scheme given as data (:data:`RK4`, :data:`RK8`) in the embedding
+space, then one projection onto the manifold (``Manifold.project``), keeps the
+scheme's order on every smooth field.  One loop (:func:`flow_samples`) steps a
+batch of states, each from its own start time, on a shared elapsed-time grid.
+Flow pushforwards are computed by geodesic-variation
 finite differences, and Lipschitz constants are estimated in the
 parallel-transport sense (transported field differences over distance)
 alongside the covariant-derivative form.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +37,39 @@ CUT_FLAG_MARGIN = 1e-3    # envelope rows this close to the cut locus are flagge
 PUSHFORWARD_EPS = 1e-5    # arc length of the pushforward stencil
 GRID_TOL = 1e-9           # relative slack before a gap gets one more substep
 STEP_TOL = 1.35e-8        # step_error allowed; calibration in README, "Internal stage steps"
-STEP_MULTIPLES = (1, 2, 4, 8)  # internal stage steps, in config steps
 PILOT_STEPS = 2           # coarse steps of a step_error pilot (the fine run takes twice as many)
-RICHARDSON_ORDER = 4      # the projected RK4 scheme's order on smooth fields
+
+# An explicit Runge-Kutta scheme: stages (c_i, ((j, a_ij), ...)) and weights (j, b_j), nonzero
+# entries only; a step adds dt / divisor times the weighted sum.  Its order on smooth fields,
+# and the multiples k of the config step that choose_step tries.
+RungeKutta = NamedTuple("RungeKutta", [("stages", tuple), ("weights", tuple), ("divisor", float),
+                                       ("order", int), ("multiples", tuple)])
+RK4 = RungeKutta(((0.0, ()), (0.5, ((0, 0.5),)), (0.5, ((1, 0.5),)), (1.0, ((2, 1.0),))),
+                 ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0)), 6.0, 4, (1, 2, 4, 8))  # classical
+# DOP853's order-8 solution (Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67-75).
+RK8 = RungeKutta(((0.0, ()), (0.05260015195876773, ((0, 0.05260015195876773),)),
+    (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
+    (0.1183503419072274, ((0, 0.02958758547680685), (2, 0.08876275643042054))),
+    (0.2816496580927726, ((0, 0.2413651341592667), (2, -0.8845494793282861),
+    (3, 0.924834003261792))), (0.3333333333333333, ((0, 0.037037037037037035),
+    (3, 0.17082860872947386), (4, 0.12546768756682242))), (0.25, ((0, 0.037109375),
+    (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125))),
+    (0.3076923076923077, ((0, 0.03709200011850479), (3, 0.17038392571223998),
+    (4, 0.10726203044637328), (5, -0.015319437748624402), (6, 0.008273789163814023))),
+    (0.6512820512820513, ((0, 0.6241109587160757), (3, -3.3608926294469414),
+    (4, -0.868219346841726), (5, 27.59209969944671), (6, 20.154067550477894),
+    (7, -43.48988418106996))), (0.6, ((0, 0.47766253643826434), (3, -2.4881146199716677),
+    (4, -0.590290826836843), (5, 21.230051448181193), (6, 15.279233632882423),
+    (7, -33.28821096898486), (8, -0.020331201708508627))),
+    (0.8571428571428571, ((0, -0.9371424300859873), (3, 5.186372428844064),
+    (4, 1.0914373489967295), (5, -8.149787010746927), (6, -18.52006565999696),
+    (7, 22.739487099350505), (8, 2.4936055526796523), (9, -3.0467644718982196))),
+    (1.0, ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+    (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+    (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)))),
+    ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.04471061572777259)), 1.0, 8, (1, 2, 4, 8, 16, 32, 64))
 
 
 class IntegrationError(RuntimeError):
@@ -115,14 +145,17 @@ class Trajectory:
         return self.manifold.dist(self.points, x.coords)
 
 
-def _rk4_step(field: TimeVaryingField, t, x: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step in the embedding, before its projection onto the manifold."""
-    t_mid = t + 0.5 * dt
-    k1 = field.eval_raw(t, x)
-    k2 = field.eval_raw(t_mid, x + (0.5 * dt) * k1)
-    k3 = field.eval_raw(t_mid, x + (0.5 * dt) * k2)
-    k4 = field.eval_raw(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk_step(field: TimeVaryingField, t, x: np.ndarray, dt: float,
+             scheme: RungeKutta = RK4) -> np.ndarray:
+    """One ``scheme`` step in the embedding, before projection; sums run left to right."""
+    ks = []
+    for c, row in scheme.stages:
+        y = x
+        for j, a in row:
+            y = y + (a * dt) * ks[j]
+        ks.append(field.eval_raw(t + c * dt if c else t, y))
+    terms = [ks[j] if b == 1.0 else b * ks[j] for j, b in scheme.weights]
+    return x + (dt / scheme.divisor) * sum(terms[1:], terms[0])
 
 
 def _check_finite(m: Manifold, x: np.ndarray, t0, s: float):
@@ -134,14 +167,14 @@ def _check_finite(m: Manifold, x: np.ndarray, t0, s: float):
 
 
 def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[float],
-                 step: float = DEFAULT_STEP) -> np.ndarray:
+                 step: float = DEFAULT_STEP, scheme: RungeKutta = RK4) -> np.ndarray:
     """Flow states at the elapsed times ``offsets`` after the start time ``t0``.
 
     ``x0`` holds one state or a batch ``(..., *ambient_shape)``; ``t0`` is a
     scalar or per-row start times.  All rows step together on one shared
     grid: each gap between consecutive offsets (nondecreasing, >= 0) is split
-    into equal substeps no longer than ``step``, so the offsets are hit
-    exactly.  Returns an array of shape ``(len(offsets),) + x0.shape``.
+    into equal projected ``scheme`` steps no longer than ``step``, so the
+    offsets are hit exactly.  Returns an array ``(len(offsets),) + x0.shape``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -171,7 +204,7 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
         if np.count_nonzero(np.vecdot(normal, normal) > 1e-18 * np.vecdot(f, f)):
             raise ValueError(f"the field's rhs is not tangent to {m.name} at the start states")
         for a, b in zip(nodes, nodes[1:]):
-            y = _rk4_step(field, t0 + a, x, b - a)
+            y = _rk_step(field, t0 + a, x, b - a, scheme)
             _check_finite(m, y, t0, b)
             try:
                 x = m.project(y)
@@ -191,40 +224,40 @@ def step_offsets(span: float, step: float) -> np.ndarray:
 
 
 def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
-               span: float, step: float) -> float:
+               span: float, step: float, scheme: RungeKutta = RK4) -> float:
     """Step-doubling estimate of a flow's relative error per unit time at ``step``.
 
     A pilot flows the rows (from times ``t0``) over s = min(span, 2 PILOT_STEPS
-    step) in PILOT_STEPS and 2 PILOT_STEPS steps.  The fine run's Richardson
-    estimate |x_h - x_{h/2}| / (2^p - 1), p = RICHARDSON_ORDER (Hairer, Norsett
-    & Wanner, *Solving ODEs I*, §II.4), relative to the row's distance to
-    ``x_star`` at s and over s, bounds a fitted decay rate's error at any
-    horizon.  The worst row's is scaled to ``step`` by h^p; a pilot that leaves
-    the reals gives an infinite estimate (its coarse steps are unusable).
+    step) in PILOT_STEPS and 2 PILOT_STEPS steps of ``scheme``.  The fine run's
+    Richardson estimate |x_h - x_{h/2}| / (2^p - 1), p = ``scheme.order``
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, §II.4), relative to the row's
+    distance to ``x_star`` at s and over s, bounds a fitted decay rate's error
+    at any horizon.  The worst row's is scaled to ``step`` by h^p; a pilot that
+    leaves the reals gives an infinite estimate (its coarse steps are unusable).
     """
-    m = field.manifold
+    m, p = field.manifold, scheme.order
     s = min(span, 2 * PILOT_STEPS * step)
     try:
-        coarse, fine = (flow_samples(field, t0, x0, [s], s / n)[-1]
+        coarse, fine = (flow_samples(field, t0, x0, [s], s / n, scheme)[-1]
                         for n in (PILOT_STEPS, 2 * PILOT_STEPS))
     except IntegrationError:
         return math.inf
     worst = float(np.max(m.dist(coarse, fine) / np.maximum(m.dist(fine, x_star), 1e-12)))
-    scale = (2 * PILOT_STEPS * step / s) ** RICHARDSON_ORDER / (2 ** RICHARDSON_ORDER - 1)
+    scale = (2 * PILOT_STEPS * step / s) ** p / (2 ** p - 1)
     return worst * scale / s
 
 
 def choose_step(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
-                span: float, base_step: float) -> tuple[float, float]:
-    """The largest ``k * base_step``, k in STEP_MULTIPLES, whose error meets
-    STEP_TOL, and that error, from one :func:`step_error` pilot at the largest
-    k (3 PILOT_STEPS RK4 steps) scaled by h^RICHARDSON_ORDER; else
-    ``base_step``, with an infinite estimate when the pilot left the reals."""
-    top = STEP_MULTIPLES[-1]
-    error = step_error(field, t0, x0, x_star, span, top * base_step)
-    for k in reversed(STEP_MULTIPLES):
-        estimate = error * (k / top) ** RICHARDSON_ORDER
-        if estimate <= STEP_TOL or k == STEP_MULTIPLES[0]:
+                span: float, base_step: float, scheme: RungeKutta = RK4) -> tuple[float, float]:
+    """The largest ``k * base_step``, k in ``scheme.multiples``, whose error
+    meets STEP_TOL, and that error, from one :func:`step_error` pilot at the
+    largest k (3 PILOT_STEPS steps) scaled by h^order; else ``base_step``,
+    with an infinite estimate when the pilot left the reals."""
+    top = scheme.multiples[-1]
+    error = step_error(field, t0, x0, x_star, span, top * base_step, scheme)
+    for k in reversed(scheme.multiples):
+        estimate = error * (k / top) ** scheme.order
+        if estimate <= STEP_TOL or k == scheme.multiples[0]:
             return k * base_step, estimate
 
 

@@ -39,6 +39,8 @@ from .certify import (
 from .config import ConfigError, ScenarioConfig
 from .envelopes import StabilityEnvelope
 from .flows import (
+    RK8,
+    STEP_TOL,
     IntegrationError,
     Region,
     Trajectory,
@@ -124,8 +126,9 @@ def _stage_failure(out_dir: Path, mode: str, failure: _StageFailure, steps: dict
 
 
 def _record_step(steps: dict, anchor: str, step: float, estimate: float) -> float:
-    """Report (a non-finite estimate as null) and log a stage's step; return it."""
-    steps[anchor] = {"step": step, "estimate": estimate if math.isfinite(estimate) else None}
+    """Report (a non-finite estimate as null; if it meets STEP_TOL), log and return a step."""
+    steps[anchor] = {"step": step, "estimate": estimate if math.isfinite(estimate) else None,
+                     "meets_tol": estimate <= STEP_TOL}  # False for inf and nan
     logger.info("%s: step %.6g, step-doubling error estimate %.3g", anchor, step, estimate)
     return step
 
@@ -143,11 +146,11 @@ def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str
                       steps: dict, inputs: VerificationInputs | None = None):
     """The stability envelope of a seeded batch of trajectories over ``horizon``.
 
-    This is the stage ``anchor``, at the step :func:`choose_step` picks on the
-    fit's rows.  With ``inputs``, the verification's contraction pairs (whose
-    flow does not depend on L) ride the fit's flow; their ``(offsets, states)``
-    at :func:`contraction_offsets` of the envelope horizon at that step come
-    back with the envelope (else None).
+    This is the stage ``anchor``: an :data:`RK8` flow at the step :func:`choose_step`
+    picks on the fit's rows, whose grid also holds the :func:`contraction_offsets`
+    of the envelope horizon and config step.  With ``inputs``, the verification's
+    contraction pairs (whose flow does not depend on L) ride it, leaving the fit
+    as is, and come back as ``(offsets, states)`` with the envelope (else None).
     """
     rng = np.random.default_rng(config.seed + 1)
     m, x_star = config.manifold, config.equilibrium.coords
@@ -156,14 +159,14 @@ def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str
     x0, t_rows = m.project(m.exp(x_star, v)), t0s
     with _stage(anchor):
         step = _record_step(steps, anchor, *choose_step(field, t0s, x0, x_star, horizon,
-                                                        config.step))
-        offsets = grid = step_offsets(horizon, step)
+                                                        config.step, RK8))
+        offsets = step_offsets(horizon, step)
+        taus = contraction_offsets(config.envelope_horizon, config.step)
+        grid = np.sort(np.concatenate([offsets, taus]))  # a repeated time adds no step
         if inputs is not None:
-            taus = contraction_offsets(config.envelope_horizon, step)
             x0 = np.concatenate([x0, *inputs.pair_x])
             t_rows = np.concatenate([t0s, inputs.pair_t, inputs.pair_t])
-            grid = np.sort(np.concatenate([offsets, taus]))  # a repeated time adds no step
-        pts = flow_samples(field, t_rows, x0, grid, step)
+        pts = flow_samples(field, t_rows, x0, grid, step, RK8)
     fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
     trajectories = [Trajectory(m, np.append(t0 + offsets[:-1], t0 + horizon), fit[:, i], step)
                     for i, t0 in enumerate(t0s)]

@@ -22,6 +22,7 @@ from geolyap.certify import (
 from geolyap.envelopes import KLEnvelope, StabilityEnvelope
 from geolyap.config import load_scenario
 from geolyap.flows import (
+    RK8,
     Region,
     TimeVaryingField,
     Trajectory,
@@ -30,6 +31,7 @@ from geolyap.flows import (
     flow_samples,
     lipschitz_estimate,
     pushforward,
+    step_offsets,
 )
 from geolyap.lyapunov import InvalidDeltaError, LyapunovFunction, choose_delta
 from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere, TangentVector
@@ -265,13 +267,14 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
 
 def test_contraction_pairs_ride_the_fit_flow_unchanged():
     # The pairs join the envelope fit's flow as extra rows: the fit is that
-    # of a flow without them, and the pairs' states at the contraction
-    # offsets of the fit's chosen step are those of their own flow at that
-    # step, whose substeps of the offsets' gaps match the fit's step grid up
-    # to rounding.  The time-varying fit keeps the config step; the geodesic
-    # attractor's is doubled.
+    # of a flow without them, since the fit's grid carries the contraction
+    # offsets either way, and the pairs' states at those offsets (of the
+    # config step) are those of their own order-8 flow on the fit's grid,
+    # within 1e-12 of an order-8 flow at the config step (measured 7.9e-14).
+    # The geodesic attractor's fit step is 32 config steps, the time-varying
+    # one's 16.
     configs = Path(__file__).resolve().parent.parent / "configs"
-    for name, fit_step in (("time_varying_gain", 0.01), ("sphere_attractor", 0.02)):
+    for name, fit_step in (("time_varying_gain", 0.16), ("sphere_attractor", 0.32)):
         config = dataclasses.replace(load_scenario(configs / f"{name}.json"),
                                      fit_horizon=2.0, envelope_horizon=0.5)
         field = config.build_system().field
@@ -287,11 +290,15 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
         assert joint_steps[certify.ANCHOR_ENVELOPE_FIT]["step"] == fit_step
         assert joint.to_json() == alone.to_json()
         assert np.array_equal(joint.beta.table, alone.beta.table)
-        offsets = contraction_offsets(config.envelope_horizon, fit_step)
-        assert np.array_equal(taus, offsets)
-        alone = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, fit_step)
+        offsets = contraction_offsets(config.envelope_horizon, config.step)
+        assert np.array_equal(taus, offsets) and len(offsets) == 7
+        grid = np.sort(np.concatenate([step_offsets(config.fit_horizon, fit_step), offsets]))
+        alone = flow_samples(field, inputs.pair_t, inputs.pair_x, grid, fit_step, RK8)
+        alone = alone[np.searchsorted(grid, offsets)]
         assert pair_flow.shape == alone.shape
         assert np.max(np.abs(pair_flow - alone)) <= 1e-14
+        fine = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, config.step, RK8)
+        assert np.max(np.abs(pair_flow - fine)) <= 1e-12
 
 
 def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):

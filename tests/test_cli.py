@@ -130,17 +130,33 @@ def test_certify_massera_mode(tmp_path):
     assert report["certificate"]["tail_bound"] <= 1e-8
 
 
-def test_certify_massera_mode_runs_without_scipy(tmp_path):
-    argv = ["certify", "--config", str(_massera_config(tmp_path)), "--mode", "massera",
-            "--out", str(tmp_path / "massera")]
+def _exit_codes_and_scipy_loaded(argvs: list[list[str]]) -> list[str]:
+    """Run each argv through ``main`` in one fresh interpreter; its exit codes,
+    then whether any ``scipy`` module was loaded."""
     script = ("import sys\nfrom geolyap.cli import main\n"
-              f"rc = main({argv!r})\n"
-              "print(rc, any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n")
+              f"rcs = [main(argv) for argv in {argvs!r}]\n"
+              "print(*rcs, any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.split() == ["0", "False"]
+    return result.stdout.split()
+
+
+def test_certify_massera_mode_runs_without_scipy(tmp_path):
+    argv = ["certify", "--config", str(_massera_config(tmp_path)), "--mode", "massera",
+            "--out", str(tmp_path / "massera")]
+    assert _exit_codes_and_scipy_loaded([argv]) == ["0", "False"]
+
+
+def test_certify_and_iss_run_without_scipy(tmp_path):
+    # The envelope fits' order-8 tableau is literal data, not read from SciPy.
+    iss = _small_config(tmp_path, "iss.json", fit_horizon=2.0, envelope_horizon=0.5,
+                        iss_horizons=[2.0, 3.0],
+                        disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
+    argvs = [["certify", "--config", str(_small_config(tmp_path)), "--out", str(tmp_path / "c")],
+             ["iss", "--config", str(iss), "--out", str(tmp_path / "i")]]
+    assert _exit_codes_and_scipy_loaded(argvs) == ["0", "0", "False"]
 
 
 FAILURE_CASES = {
@@ -194,20 +210,21 @@ SPHERE_POLE, HYPERBOLIC_ORIGIN, SO3_IDENTITY = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
 
 
 @pytest.mark.parametrize("manifold, equilibrium, gain, step, fit_horizon, chosen", [
-    ("sphere2", SPHERE_POLE, 1.0, 0.01, 2.0, 0.02),
-    ("sphere2", SPHERE_POLE, 1.0, 0.005, 2.0, 0.02),
-    ("sphere2", SPHERE_POLE, 1.0, 0.01, 0.25, 0.02),
-    ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.01, 2.0, 0.02),
-    ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.005, 0.25, 0.02),
-    ("so3", SO3_IDENTITY, 2.0, 0.01, 2.0, 0.01),
-    ("so3", SO3_IDENTITY, 2.0, 0.0025, 0.25, 0.01),
+    ("sphere2", SPHERE_POLE, 1.0, 0.01, 2.0, 0.32),
+    ("sphere2", SPHERE_POLE, 1.0, 0.005, 2.0, 0.32),
+    ("sphere2", SPHERE_POLE, 1.0, 0.01, 0.25, 0.32),
+    ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.01, 2.0, 0.32),
+    ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.005, 0.25, 0.32),
+    ("so3", SO3_IDENTITY, 2.0, 0.01, 2.0, 0.16),
+    ("so3", SO3_IDENTITY, 2.0, 0.0025, 0.25, 0.16),
 ])
 def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibrium, gain,
                                                     step, fit_horizon, chosen):
     # d(t) = e^{-gain t} d0 exactly, so the envelope is K = 1, rate = gain.
-    # The fit runs at gain * step <= 0.02 from any config step and horizon.
-    # The integration error varies with d0, so K absorbs a misfit of a few
-    # 1e-9: both stay within half the benchmark's 1e-8 oracle bound.
+    # The order-8 fit runs at gain * step = 0.32, the top of its ladder from
+    # config step 0.0025 on so3.  The integration error varies with d0, so K
+    # absorbs a misfit (about 1e-10 here): both stay within half the
+    # benchmark's 1e-8 oracle bound.
     config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
                            system={"name": "geodesic_attractor", "params": {"gain": gain}},
                            step=step, fit_horizon=fit_horizon,
@@ -220,14 +237,13 @@ def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibri
     assert abs(report["envelope"]["rate"] / gain - 1.0) <= 5e-9
 
 
-@pytest.mark.parametrize("step, fit_horizon, multiple", [(0.01, 6.0, 1), (0.0025, 3.0, 2)])
+@pytest.mark.parametrize("step, fit_horizon, multiple", [(0.01, 6.0, 16), (0.0025, 3.0, 64)])
 def test_chosen_fit_step_envelope_dominates_time_varying_oracle(tmp_path, step, fit_horizon,
                                                                 multiple):
     # d(t0 + s) / d0 = exp(-(b s - a (cos(t0 + s) - cos t0))) must stay under
-    # K e^{-rate s} on the config step's grid.  The shipped step keeps the
-    # fit at the config step; from step 0.0025 the fit samples every 0.005
-    # (the 4x estimate, 1.350e-8, is just over STEP_TOL), and K must cover
-    # the chords' slack between the samples.
+    # K e^{-rate s} on the config step's grid.  The order-8 fit samples every
+    # 0.16 (16 shipped steps, and the top of the ladder from step 0.0025),
+    # and K must cover the chords' slack between the samples.
     data = json.loads((REPO_CONFIGS / "time_varying_gain.json").read_text())
     data.update(step=step, fit_horizon=fit_horizon)
     config = tmp_path / "time_varying.json"
@@ -247,8 +263,9 @@ def test_chosen_fit_step_envelope_dominates_time_varying_oracle(tmp_path, step, 
 @pytest.mark.parametrize("mode, anchor", [("exp", "les-envelope-fit"),
                                           ("massera", "ugas-envelope")])
 def test_stiff_field_keeps_the_config_step_and_fails_as_before(tmp_path, mode, anchor):
-    # d' = -1e6 d^3: the pilot leaves the reals, the fit keeps step 0.01 and
-    # its flow fails at the first step, with the message it had without a pilot.
+    # d' = -1e6 d^3: the pilot leaves the reals, the fit keeps step 0.01,
+    # which is not marked as meeting STEP_TOL, and its order-8 flow fails at
+    # its first step (RK4 failed at its second), as it would without a pilot.
     data = json.loads((REPO_CONFIGS / "cubic_massera.json").read_text())
     data["system"] = {"name": "cubic_slowdown", "params": {"gain": 1e6}}
     config = tmp_path / "stiff.json"
@@ -256,9 +273,9 @@ def test_stiff_field_keeps_the_config_step_and_fails_as_before(tmp_path, mode, a
     out = tmp_path / "out"
     assert main(["certify", "--mode", mode, "--config", str(config), "--out", str(out)]) == 2
     report = json.loads((out / "report.json").read_text())
-    assert report["steps"] == {anchor: {"step": 0.01, "estimate": None}}
+    assert report["steps"] == {anchor: {"step": 0.01, "estimate": None, "meets_tol": False}}
     assert report["report"]["message"] == (
-        f"{anchor}: non-finite state during integration (t=0.02)")
+        f"{anchor}: non-finite state during integration (t=0.01)")
 
 
 def test_steps_are_reported_logged_and_deterministic(tmp_path, monkeypatch, caplog):
@@ -273,8 +290,8 @@ def test_steps_are_reported_logged_and_deterministic(tmp_path, monkeypatch, capl
             disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})),
         "massera": (["certify", "--mode", "massera"], _massera_config(tmp_path)),
     }
-    expected = {"iss": {"les-envelope-fit": 0.02, "iss-robustness": 0.02},
-                "massera": {"ugas-envelope": 0.04, "ugas-evaluation": 0.05}}
+    expected = {"iss": {"les-envelope-fit": 0.32, "iss-robustness": 0.02},
+                "massera": {"ugas-envelope": 0.32, "ugas-evaluation": 0.05}}
     for name, (command, config) in runs.items():
         outs = [tmp_path / f"{name}-{i}" for i in range(2)]
         for out in outs:
@@ -282,12 +299,24 @@ def test_steps_are_reported_logged_and_deterministic(tmp_path, monkeypatch, capl
             assert main(command + ["--config", str(config), "--out", str(out)]) == 0
         steps = json.loads((outs[0] / "report.json").read_text())["steps"]
         assert {anchor: entry["step"] for anchor, entry in steps.items()} == expected[name]
-        assert all(0.0 < entry["estimate"] <= flows.STEP_TOL for entry in steps.values())
+        assert all(0.0 < entry["estimate"] <= flows.STEP_TOL and entry["meets_tol"]
+                   for entry in steps.values())
         lines = [r.getMessage() for r in caplog.records if "step-doubling" in r.getMessage()]
         assert lines == [f"{anchor}: step {steps[anchor]['step']:.6g}, step-doubling error "
                          f"estimate {steps[anchor]['estimate']:.3g}" for anchor in expected[name]]
         for path in outs[0].iterdir():
             assert path.read_bytes() == (outs[1] / path.name).read_bytes()
+
+
+def test_step_record_marks_whether_the_estimate_meets_the_tolerance(tmp_path):
+    # The shipped sphere attractor's fit meets STEP_TOL at its chosen step;
+    # the stiff field's keeps the config step and is marked (see above).
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(REPO_CONFIGS / "sphere_attractor.json"),
+                 "--out", str(out)]) == 0
+    entry = json.loads((out / "report.json").read_text())["steps"]["les-envelope-fit"]
+    assert entry["meets_tol"] is True
+    assert 0.0 < entry["estimate"] <= flows.STEP_TOL
 
 
 def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
@@ -303,15 +332,17 @@ def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
-STIFF_CASES = {  # manifold, equilibrium, system, params, message of the failed step
-    "hyperbolic2-geodesic": ("hyperbolic2", [1.0, 0.0, 0.0], "geodesic_attractor",
-                             {"gain": 1e4}, "step left the manifold"),
-    "hyperbolic2-cubic": ("hyperbolic2", [1.0, 0.0, 0.0], "cubic_slowdown",
-                          {"gain": 1e6}, "non-finite state"),
+NON_FINITE, OFF_MANIFOLD = "non-finite state", "step left the manifold"
+STIFF_CASES = {  # manifold, equilibrium, system, params, message per command
+    "hyperbolic2-geodesic": ("hyperbolic2", [1.0, 0.0, 0.0], "geodesic_attractor", {"gain": 1e4},
+                             {"flow": OFF_MANIFOLD, "certify": NON_FINITE, "massera": NON_FINITE}),
+    "hyperbolic2-cubic": ("hyperbolic2", [1.0, 0.0, 0.0], "cubic_slowdown", {"gain": 1e6},
+                          {"flow": NON_FINITE, "certify": OFF_MANIFOLD, "massera": OFF_MANIFOLD}),
     "sphere2-cubic": ("sphere2", [0.0, 0.0, 1.0], "cubic_slowdown", {"gain": 1e6},
-                      "non-finite state"),
+                      {"flow": NON_FINITE, "certify": NON_FINITE,
+                       "massera": "trajectories do not decay"}),
     "so3-cubic": ("so3", np.eye(3).ravel().tolist(), "cubic_slowdown", {"gain": 1e6},
-                  "non-finite state"),
+                  {"flow": NON_FINITE, "certify": NON_FINITE, "massera": NON_FINITE}),
 }
 STIFF_COMMANDS = {"flow": (["flow"], None), "certify": (["certify"], "les-envelope-fit"),
                   "massera": (["certify", "--mode", "massera"], "ugas-envelope")}
@@ -322,8 +353,13 @@ STIFF_COMMANDS = {"flow": (["flow"], None), "certify": (["certify"], "les-envelo
 def test_stiff_step_fails_the_flow_with_exit_two(tmp_path, capsys, case, command):
     # A step that leaves the reals, or lands where it cannot be projected
     # back (a spacelike point of the hyperboloid), fails the running stage.
-    manifold, equilibrium, name, params, message = STIFF_CASES[case]
+    # The fits step by RK8 and `flow` by RK4, so on hyperbolic2 they fail in
+    # different ways.  The sphere2 cubic Massera fit, whose rows do not
+    # include the contraction pairs, stays finite at step 0.01 but is wrong:
+    # it classifies US and fails at the same anchor.
+    manifold, equilibrium, name, params, messages = STIFF_CASES[case]
     argv, anchor = STIFF_COMMANDS[command]
+    message = messages[command]
     config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
                            system={"name": name, "params": params}, seed=3,
                            grids={"n_points": 8, "radius": 1.0, "t0_list": [0.0]},
@@ -385,7 +421,7 @@ def test_write_csv_matches_the_csv_module(tmp_path, rows):
 def _count_steps(monkeypatch) -> list[int]:
     """RK4 steps of every flow_samples call from here on, one entry per flow."""
     steps = []
-    real_step, real_flow = flows._rk4_step, flows.flow_samples
+    real_step, real_flow = flows._rk_step, flows.flow_samples
 
     def counting_step(*args):
         steps[-1] += 1
@@ -395,7 +431,7 @@ def _count_steps(monkeypatch) -> list[int]:
         steps.append(0)
         return real_flow(*args, **kwargs)
 
-    monkeypatch.setattr(flows, "_rk4_step", counting_step)
+    monkeypatch.setattr(flows, "_rk_step", counting_step)
     for module in (flows, lyapunov, certify, pipeline):
         monkeypatch.setattr(module, "flow_samples", counting_flow)
     return steps
@@ -403,17 +439,18 @@ def _count_steps(monkeypatch) -> list[int]:
 
 def test_step_counts_per_flow(tmp_path, monkeypatch):
     # sphere2 at step 0.01 with delta = ln 2.  The fit's step-doubling pilot
-    # takes 2 steps of 0.16 and 4 of 0.08 and picks step 0.02, so the
-    # envelope fit takes 100 steps over fit_horizon 2 and carries the
-    # contraction pairs, whose offsets lie on its grid; the Lie stencil
-    # takes 1; V's 71 quadrature nodes take 70 (V keeps the config step).
-    # The contraction check has no flow of its own.
+    # takes 2 order-8 steps of 1.28 and 4 of 0.64 and picks step 0.32, so the
+    # envelope fit takes 7 steps over fit_horizon 2, plus 6 for the
+    # contraction offsets of the config step (0.08, 0.17, ..., 0.5) that
+    # split its first two steps; the pairs ride that flow.  The Lie stencil
+    # takes 1 RK4 step; V's 71 quadrature nodes take 70 (V keeps the config
+    # step).  The contraction check has no flow of its own.
     steps = _count_steps(monkeypatch)
     base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
     config = _small_config(tmp_path, **base)
     assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    assert steps == [2, 4, 100, 1, 70]
-    # iss adds the disturbed flow's pilot (step 0.02 again), its own Lie
+    assert steps == [2, 4, 13, 1, 70]
+    # iss adds the disturbed flow's RK4 pilot (step 0.02), its own Lie
     # stencil, the disturbed flow to t = 3 and one V batch.  The disturbed
     # flow splits each 0.1 gap of the series times into 5 steps, and each of
     # the 4 gaps that a tail time (1.45, 1.95, 2.05, 2.55) halves into 3 + 3.
@@ -421,7 +458,7 @@ def test_step_counts_per_flow(tmp_path, monkeypatch):
     config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
                            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
-    assert steps == [2, 4, 100, 1, 70, 2, 4, 1, 154, 70]
+    assert steps == [2, 4, 13, 1, 70, 2, 4, 1, 154, 70]
 
 
 def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypatch):

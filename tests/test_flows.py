@@ -7,6 +7,8 @@ from geolyap import flows
 from geolyap.certify import classify_stability
 from geolyap.flows import (
     PUSHFORWARD_EPS,
+    RK4,
+    RK8,
     IntegrationError,
     Region,
     TimeVaryingField,
@@ -140,10 +142,10 @@ def test_step_projects_onto_the_manifold_once(name, monkeypatch):
 
 def test_normal_rhs_fails_before_the_first_step(monkeypatch):
     # rhs is taken as tangent and never projected: a constant ambient rhs,
-    # normal to the sphere at one start row, fails before any RK4 step.
+    # normal to the sphere at one start row, fails before any step.
     calls = []
-    real = flows._rk4_step
-    monkeypatch.setattr(flows, "_rk4_step", lambda *args: calls.append(1) or real(*args))
+    real = flows._rk_step
+    monkeypatch.setattr(flows, "_rk_step", lambda *args: calls.append(1) or real(*args))
     field = TimeVaryingField(SPHERE, lambda t, X: np.array([1.0, 0.0, 0.0]))
     x0 = np.array([NORTH, _sphere_start(0.5).coords])
     with pytest.raises(ValueError, match="not tangent to sphere2"):
@@ -574,13 +576,13 @@ def test_choose_step_stays_within_the_calibrated_step(name, gain, base, chosen):
 def test_step_error_scales_with_the_step_and_takes_six_pilot_steps(monkeypatch):
     field, t0, x0, x_star = _attractor_rows("sphere2", 1.0)
     calls = []
-    real = flows._rk4_step
+    real = flows._rk_step
 
-    def counting(f, t, x, dt):
+    def counting(f, t, x, dt, scheme):
         calls.append(dt)
-        return real(f, t, x, dt)
+        return real(f, t, x, dt, scheme)
 
-    monkeypatch.setattr(flows, "_rk4_step", counting)
+    monkeypatch.setattr(flows, "_rk_step", counting)
     coarse = step_error(field, t0, x0, x_star, 6.0, 0.08)
     assert calls == pytest.approx([0.16] * 2 + [0.08] * 4)
     assert len(calls) == 3 * flows.PILOT_STEPS
@@ -646,6 +648,103 @@ def test_integrator_fourth_order_on_non_radial_fields(name):
     coarse, fine = (float(np.max(m.dist(flow_samples(field, t0, x0, [1.0], h)[-1], reference)))
                     for h in (0.04, 0.02))
     assert 12.0 <= coarse / fine <= 20.0, (coarse, fine)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "hyperbolic2", "so3"])
+def test_rk8_eighth_order_on_non_radial_fields(name):
+    # The projected DOP853 step keeps order 8: over span 1.6, its endpoint
+    # error against a span / 64 run falls at least 2^7x per halving of the
+    # step (span / 4 -> span / 16) while it stays above the rounding floor.
+    field, t0, x0 = _non_radial_rows(name)
+    m, span = field.manifold, 1.6
+    reference = flow_samples(field, t0, x0, [span], span / 64, RK8)[-1]
+    errors = [float(np.max(m.dist(flow_samples(field, t0, x0, [span], span / n, RK8)[-1],
+                                  reference))) for n in (4, 8, 16)]
+    assert errors[1] > 1e-13, errors
+    for coarse, fine in zip(errors, errors[1:]):
+        if fine > 1e-13:
+            assert coarse / fine >= 2.0 ** 7, errors
+
+
+@pytest.mark.parametrize("scheme", [RK4, RK8], ids=["RK4", "RK8"])
+def test_scheme_tableau_is_consistent(scheme):
+    # Each stage's time is the sum of its coefficients, to 1e-15 of their
+    # magnitude (DOP853's rows reach |a| ~ 40; the c = 0.6 row sums to
+    # 0.6 - 1.8e-15), and the weights sum to one.
+    for i, (c, row) in enumerate(scheme.stages):
+        scale = max(1.0, math.fsum(abs(a) for _, a in row))
+        assert abs(math.fsum(a for _, a in row) - c) <= 1e-15 * scale, c
+        assert all(j < i and a != 0.0 for j, a in row)  # explicit, nonzero entries only
+    assert math.fsum(b for _, b in scheme.weights) / scheme.divisor == 1.0
+    assert scheme.multiples == tuple(2 ** i for i in range(len(scheme.multiples)))
+
+
+def test_rk8_tableau_matches_scipy_bit_for_bit():
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    A, B, C = np.zeros((12, 12)), np.zeros(12), np.zeros(12)
+    for i, (c, row) in enumerate(RK8.stages):
+        C[i] = c
+        for j, a in row:
+            A[i, j] = a
+    for j, b in RK8.weights:
+        B[j] = b
+    assert RK8.divisor == 1.0 and (RK8.order, len(RK8.stages)) == (8, 12)
+    assert sum(len(row) for _, row in RK8.stages) == 50 and len(RK8.weights) == 8
+    assert A.tobytes() == np.ascontiguousarray(dop853.A[:12, :12]).tobytes()
+    assert B.tobytes() == np.asarray(dop853.B, dtype=float).tobytes()
+    assert C.tobytes() == np.asarray(dop853.C[:12], dtype=float).tobytes()
+
+
+def _classical_rk4_step(field, t, x, dt):
+    """The classical RK4 step as written before schemes were data, verbatim."""
+    t_mid = t + 0.5 * dt
+    k1 = field.eval_raw(t, x)
+    k2 = field.eval_raw(t_mid, x + (0.5 * dt) * k1)
+    k3 = field.eval_raw(t_mid, x + (0.5 * dt) * k2)
+    k4 = field.eval_raw(t + dt, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "sphere2", "so3", "hyperbolic2"])
+def test_rk4_scheme_reproduces_the_classical_step_bit_for_bit(name):
+    # RK4 through the shared loop takes the same floating-point operations as
+    # the classical step, on per-row and shared times, and over a whole flow.
+    m = manifold_from_name(name)
+    rng = np.random.default_rng(31)
+    x_star = m.project(m.random_point(rng))
+    x0 = m.exp(x_star, m.random_tangents(rng, x_star, 5, lambda: rng.uniform(0.2, 1.2)))
+    t_rows = rng.uniform(0.0, 10.0, 5)
+    fields = [make_system(system, m, x_star).field
+              for system in ("geodesic_attractor", "time_varying_attractor", "cubic_slowdown")]
+    for field in fields:
+        for t, dt in ((0.0, 0.01), (t_rows, 0.3), (math.e, 1.0 / 3.0)):
+            assert (flows._rk_step(field, t, x0, dt, RK4).tobytes()
+                    == _classical_rk4_step(field, t, x0, dt).tobytes())
+        offsets, x, states = step_offsets(0.2, 0.01), x0, [x0]
+        for a, b in zip(offsets, offsets[1:]):
+            x = m.project(_classical_rk4_step(field, t_rows + a, x, b - a))
+            states.append(x)
+        flowed = flow_samples(field, t_rows, x0, offsets, 0.01)
+        assert flowed.tobytes() == np.stack(states).tobytes()
+
+
+@pytest.mark.parametrize("name, gain", [("sphere2", 1.0), ("hyperbolic2", 1.0), ("so3", 2.0)])
+def test_rk8_chosen_step_keeps_the_oracle_rate(name, gain):
+    # The envelope fits' scheme: from any base step and horizon, the RK8 fit
+    # at the chosen step keeps K and rate / gain within 1e-8 of 1.
+    field, t0, x0, x_star = _attractor_rows(name, gain)
+    m = field.manifold
+    for base in (0.01, 0.005, 0.0025):
+        for horizon in (0.25, 1.0, 3.0, 6.0):
+            step, estimate = choose_step(field, t0, x0, x_star, horizon, base, RK8)
+            assert estimate <= flows.STEP_TOL and step >= 0.16 / gain - 1e-12, (base, horizon)
+            offsets = step_offsets(horizon, step)
+            points = flow_samples(field, t0, x0, offsets, step, RK8)
+            trajectories = [Trajectory(m, t + offsets, points[:, i], step)
+                            for i, t in enumerate(t0)]
+            fit = classify_stability(trajectories, ManifoldPoint(m, x_star), base)
+            assert abs(fit.rate / gain - 1.0) <= 1e-8, (base, horizon, fit.rate)
+            assert abs(fit.K - 1.0) <= 1e-8, (base, horizon, fit.K)
 
 
 @pytest.mark.parametrize("name, gain", [("sphere2", 1.0), ("hyperbolic2", 1.0), ("so3", 2.0)])
