@@ -688,11 +688,7 @@ def run_geometry_suite(manifold: Manifold, seed: int, n: int,
     y_pt = ManifoldPoint(m, y)
     toward = m.log(y, x)
     toward = toward / m.norm(y, toward)
-    side = toward
-    for e in m.tangent_basis(y):
-        if abs(m.inner(y, e, toward)) < 0.9:
-            side = e
-            break
+    side = next((e for e in m.tangent_basis(y) if abs(m.inner(y, e, toward)) < 0.9), toward)
     w_mix = 0.6 * toward + 0.8 * side
     family = endpoint_variation(x_pt, y_pt, TangentVector(y_pt, w_mix))
     res_h = first_variation_terms(x_pt, y_pt, family, h=0.08).residual

@@ -383,9 +383,6 @@ class Region:
         r = self.radius if on_boundary else self.radius * math.sqrt(rng.uniform(0.0, 1.0))
         return max(r, 1e-12)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.samples(rng, 1)[0]
-
     def samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` interior samples, each drawn as its radius, then its normal."""
         m, c = self.center.manifold, self.center.coords

@@ -215,34 +215,19 @@ class Manifold(ABC):
         return v * self.rows(norms / n)
 
     def tangent_basis(self, coords: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent bases, shape ``(..., dim, *ambient_shape)``.
-
-        Per row: Gram-Schmidt of the projected ambient axes in order, skipping
-        axes that are (nearly) normal, so each row keeps its own choice of
-        axes; deterministic.
-        """
-        coords = np.asarray(coords, dtype=float)
-        amb = self.ambient_shape
-        lead = coords.shape[:coords.ndim - len(amb)]
-        flat = coords.reshape((-1,) + amb)
-        n_rows, size = len(flat), int(np.prod(amb))
-        axes = np.broadcast_to(
-            self.project_tangent(flat[:, None], np.eye(size).reshape((size,) + amb)),
-            (n_rows, size) + amb)
-        basis = np.zeros((n_rows, self.dim) + amb)
-        count = np.zeros(n_rows, dtype=int)
-        rows = np.arange(n_rows)
-        for i in range(size):
-            v = axes[:, i]
-            for j in range(min(i, self.dim)):  # unfilled slots are zero: nothing to subtract
-                b = basis[:, j]
-                v = v - self.rows(self.inner(flat, v, b)) * b
-            n = self.norm(flat, v)
-            take = (n > 1e-8) & (count < self.dim)
-            basis[rows[take], count[take]] = v[take] / self.rows(n[take])
-            count += take
-            if count.min() == self.dim:
-                return basis.reshape(lead + (self.dim,) + amb)
+        """Orthonormal basis of the tangent space at one point, shape
+        ``(dim, *ambient_shape)``: modified Gram-Schmidt of the projected
+        ambient axes in order, skipping axes that are (nearly) normal."""
+        size = int(np.prod(self.ambient_shape))
+        basis = []
+        for v in self.project_tangent(coords, np.eye(size).reshape((size,) + self.ambient_shape)):
+            for b in basis:
+                v = v - self.inner(coords, v, b) * b
+            n = self.norm(coords, v)
+            if n > 1e-8:
+                basis.append(v / n)
+                if len(basis) == self.dim:
+                    return np.array(basis)
         raise GeometryError(f"degenerate tangent basis at {coords!r}")
 
     # -- wrapper layer ------------------------------------------------------
@@ -365,30 +350,6 @@ class Sphere(Manifold):
         _reject_cut(theta, coords, other, "antipodal pair: transport geodesic is not unique")
         factor = np.vecdot(other, v) / (1.0 + c)
         return self.project_tangent(other, v - factor[..., None] * (coords + other))
-
-    def tangent_basis(self, coords):
-        """On S^2, the Gram-Schmidt frame in closed form: b0 = (e0 - x0 x) / |.|
-        and b1 = +-x cross b0 = +-(0, x2, -x1) / |.|, signed as Gram-Schmidt
-        signs it (positive along e1, or along e2 when b1 is normal to e1).
-        Rows with |e0 - x0 x| <= 1e-8, and other dimensions, take the generic
-        frame."""
-        coords = np.asarray(coords, dtype=float)
-        if self.dim != 2:
-            return super().tangent_basis(coords)
-        a0 = -coords[..., :1] * coords
-        a0[..., 0] += 1.0
-        n0 = np.maximum(_norm(a0), _TINY)
-        c1, c2 = coords[..., 2] / n0, -coords[..., 1] / n0
-        sign = np.sign(np.where(np.abs(c1) > 1e-8, c1, c2))
-        basis = np.empty(coords.shape[:-1] + (2, 3))
-        basis[..., 0, :] = a0 / n0[..., None]
-        basis[..., 1, 0] = 0.0
-        basis[..., 1, 1] = sign * c1
-        basis[..., 1, 2] = sign * c2
-        generic = n0 <= 1e-8
-        if np.count_nonzero(generic):
-            basis[generic] = super().tangent_basis(coords[generic])
-        return basis
 
 
 _EYE3 = np.eye(3)

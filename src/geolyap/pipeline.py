@@ -75,6 +75,7 @@ ANCHOR_ISS_ROBUSTNESS = "iss-robustness"
 ANCHOR_FLOW_INTEGRATION = "flow-integration"
 # Numerical failures inside a stage: a non-finite flow or a pair at the cut locus.
 NUMERICAL_FAILURES = (IntegrationError, CutLocusError)
+FLOW_TOL = 1e-6  # `flow`: bound on its rows' step-doubling error per unit time at `step`
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
@@ -353,8 +354,9 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
 def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     """Integrate one trajectory per start time and dump plot-ready CSV.
 
-    The flow runs before ``out_dir`` exists: a flow that fails numerically
-    exits 2 naming ``flow-integration`` on stderr and writes nothing.
+    The flow runs before ``out_dir`` exists: a flow that fails numerically,
+    or whose step-doubling error at ``step`` is not at most FLOW_TOL, exits 2
+    naming ``flow-integration`` on stderr and writes nothing.
     """
     spec = config.system
     m = config.manifold
@@ -366,8 +368,14 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     t0s = np.array(config.grid.t0_list)
     try:
         trajectories = flow(field, t0s, [x0] * len(t0s), t0s + config.fit_horizon, config.step)
+        error = step_error(field, t0s, np.stack([x0.coords] * len(t0s)),
+                           config.equilibrium.coords, config.fit_horizon, config.step)
     except NUMERICAL_FAILURES as err:
         print(f"error: {ANCHOR_FLOW_INTEGRATION}: {err}", file=sys.stderr)
+        return EXIT_CERTIFICATION_FAILED
+    if not error <= FLOW_TOL:  # a finite flow far beyond the step's stability limit
+        print(f"error: {ANCHOR_FLOW_INTEGRATION}: step-doubling error estimate {error:.3g} "
+              f"per unit time is above {FLOW_TOL:g} at step {config.step:g}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILED
     out_dir.mkdir(parents=True, exist_ok=True)
     n_coords = int(np.prod(m.ambient_shape))

@@ -5,8 +5,8 @@ closed-form oracle for the distance to the equilibrium along the flow
 (signature ``oracle(d0, t0, elapsed)``).  Fields are batched: ``rhs(t, X)``
 takes states ``(..., *ambient_shape)`` and a scalar or per-row time.
 Disturbed variants add an input channel u acting through an orthonormal
-tangent frame, so the input Lipschitz constant is exactly one per frame
-coefficient.
+tangent frame, transported from the equilibrium, so the input Lipschitz
+constant is exactly one per frame coefficient.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ def isometric_rotation(manifold: Manifold, equilibrium, rate: float = 1.0) -> Sy
                       distance_oracle=lambda d0, t0, s: d0)
 
 
-def frame_input_channel(base_field: TimeVaryingField, n_channels: int):
-    """Input map u -> sum_i u_i e_i(x) over the orthonormal tangent frame.
+def frame_input_channel(base_field: TimeVaryingField, n_channels: int, x_star: np.ndarray):
+    """Input map u -> sum_i u_i e_i(x) over an orthonormal basis at ``x_star``
+    parallel-transported to x, a frame smooth off the cut locus of ``x_star``.
 
     ``u`` holds one coefficient vector shared by all rows, or one per row.
     The frame vectors are tangent, so the sum is a tangent ``rhs`` whenever
@@ -143,11 +144,11 @@ def frame_input_channel(base_field: TimeVaryingField, n_channels: int):
     if n_channels > m.dim:
         raise ValueError(f"{m.name} supports at most {m.dim} input channels")
     frame_axis = -1 - len(m.ambient_shape)
+    basis = m.tangent_basis(x_star)[:n_channels]
 
     def input_rhs(t, coords: np.ndarray, u: np.ndarray) -> np.ndarray:
         k = min(n_channels, np.shape(u)[-1])
-        # The first k frame vectors, as a view, contracted with u in one call.
-        frame = m.tangent_basis(coords)[(..., slice(k)) + (slice(None),) * len(m.ambient_shape)]
+        frame = m.transport(x_star, np.expand_dims(coords, frame_axis), basis[:k])
         return base_field.rhs(t, coords) + np.vecdot(m.rows(u[..., :k]), frame, axis=frame_axis)
 
     return input_rhs
@@ -196,7 +197,7 @@ def attach_disturbance(spec: SystemSpec, profile: str, amplitude: float,
     field = TimeVaryingField(
         spec.field.manifold,
         spec.field.rhs,
-        input_rhs=frame_input_channel(spec.field, INPUT_CHANNELS),
+        input_rhs=frame_input_channel(spec.field, INPUT_CHANNELS, spec.equilibrium.coords),
     )
     signal = make_disturbance_signal(profile, amplitude, INPUT_CHANNELS, frequency, direction)
     return replace(spec, field=field, input_signal=signal,

@@ -116,8 +116,8 @@ def test_criterion_02_contraction_envelope():
         L = lipschitz_estimate(spec.field, region, [0.0], 200, seed=2).inflated()
         rng = np.random.default_rng(2)
         # The 100 pairs, drawn first then second state in turn, checked in one batch.
-        x1, x2 = np.moveaxis(np.array([(region.sample(rng), region.sample(rng))
-                                       for _ in range(100)]), 1, 0)
+        x1, x2 = np.moveaxis(
+            region.samples(rng, 200).reshape((100, 2) + manifold.ambient_shape), 1, 0)
         reports = contraction_envelope_check(spec.field, L, ManifoldPoint(manifold, x1),
                                              ManifoldPoint(manifold, x2), 0.0,
                                              taus, step=0.02, slack=1e-6)

@@ -332,6 +332,24 @@ def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("manifold, equilibrium", [
+    ("sphere2", [0.0, 0.0, 1.0]), ("so3", np.eye(3).ravel().tolist())])
+def test_finite_but_wrong_flow_exits_two_without_output(tmp_path, capsys, manifold,
+                                                        equilibrium):
+    # gain 1e4 at step 0.01: every projected step stays finite, but the flow
+    # is far beyond the step's stability limit, and its rows' step-doubling
+    # error per unit time (6e-3 on sphere2, 0.13 on so3) is above FLOW_TOL.
+    config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
+                           system={"name": "geodesic_attractor", "params": {"gain": 1e4}},
+                           seed=3, grids={"n_points": 8, "radius": 0.8, "t0_list": [0.0]})
+    out = tmp_path / "flow"
+    assert main(["flow", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flow-integration: step-doubling error estimate"), err
+    assert float(err.split()[5]) > pipeline.FLOW_TOL
+    assert not out.exists()
+
+
 NON_FINITE, OFF_MANIFOLD = "non-finite state", "step left the manifold"
 STIFF_CASES = {  # manifold, equilibrium, system, params, message per command
     "hyperbolic2-geodesic": ("hyperbolic2", [1.0, 0.0, 0.0], "geodesic_attractor", {"gain": 1e4},

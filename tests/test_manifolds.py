@@ -11,7 +11,6 @@ from geolyap.manifolds import (
     Euclidean,
     GeometryError,
     Hyperbolic2,
-    Manifold,
     ManifoldMismatchError,
     ManifoldPoint,
     Sphere,
@@ -224,20 +223,6 @@ def test_transport_carries_geodesic_velocity(m):
     y = m.exp(x, v)
     forward_velocity_at_y = -m.log(y, x)
     np.testing.assert_allclose(m.transport(x, y, v), forward_velocity_at_y, atol=1e-10)
-
-
-def test_sphere2_frame_matches_gram_schmidt():
-    s = Sphere(2)
-    rng = np.random.default_rng(19)
-    special = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
-               [0.6, 0.8, 0.0], [0.6, -0.8, 0.0],   # x cross b0 normal to e1
-               [1.0, 1e-9, 0.0], [-1.0, 0.0, 1e-10]]  # within 1e-8 of +-e0: generic rows
-    x = s.project(np.concatenate([np.array(special, dtype=float),
-                                  rng.standard_normal((500, 3))]))
-    frame = s.tangent_basis(x)
-    assert np.max(np.abs(frame - Manifold.tangent_basis(s, x))) <= 1e-10
-    assert np.max(np.abs(np.einsum("nij,nkj->nik", frame, frame) - np.eye(2))) <= 1e-12
-    assert np.max(np.abs(np.einsum("nij,nj->ni", frame, x))) <= 1e-12
 
 
 def test_cut_locus_rejection():

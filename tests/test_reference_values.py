@@ -9,10 +9,13 @@ integrator takes its stages in the embedding and projects once per step, so
 on curved manifolds V and the endpoints move by the change in integration
 error: they must match the file to ``SHIFT_TOL`` absolute (1e-12 on the
 plane, whose arithmetic did not change) and a reference run of the same
-code at step / 16 to ``FINE_TOL``.  The exception to the second gate is
-so3/disturbed, whose Gram-Schmidt input frame is discontinuous along the
-flow, so its V does not converge with the step.  The finite-difference
-quantities stay within 1e-8 relative of the file.  The Massera-mode V's
+code at step / 16 to ``FINE_TOL``.  The finite-difference quantities stay
+within 1e-8 relative of the file.  The ``values`` of sphere2/disturbed and
+so3/disturbed were rewritten when the input frame became the equilibrium's
+basis parallel-transported along the geodesic, replacing Gram-Schmidt
+frames that jumped: the disturbance pushes along other directions, so those
+values moved by more than the integration error (V by up to 5.1e-3).  Their
+states and equilibria are the file's own.  The Massera-mode V's
 quadrature nodes sit on the step grid (161 nodes over the horizon 8 at step
 0.05, where 65 nodes split every gap into three steps), so it is gated by
 moving closer to a 1,601-node value (step 0.005) than the file's value is.
@@ -41,7 +44,6 @@ PUSH_SPAN = 0.5
 ABS_TOL = 1e-12
 SHIFT_TOL = 5e-9   # V and endpoints against the file on curved manifolds
 FINE_TOL = 1e-9    # V and endpoints against the same code at step / 16
-UNCONVERGED = {"so3/disturbed"}  # discontinuous input frame: no step / 16 gate
 REL_TOL = 1e-8
 REL_FLOOR = 1e-12
 
@@ -177,8 +179,6 @@ def test_matches_reference_values(reference, case):
             _assert_abs(g[key], want[key], f"{label}[{i}] {key}", tol)
         for key in ("LV", "dV", "pushforward"):
             _assert_rel(g[key], want[key], f"{label}[{i}] {key}")
-    if label in UNCONVERGED:
-        return
     fine = _case_values(m, system, params, profile, equilibrium, entry["states"], STEP / 16)
     for i, (g, f) in enumerate(zip(got, fine)):
         for key in ("V", "flow_end"):

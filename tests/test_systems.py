@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from geolyap import flows
-from geolyap.flows import flow
+from geolyap.certify import input_lipschitz_estimate
+from geolyap.flows import Region, TimeVaryingField, flow
 from geolyap.manifolds import (
     Euclidean,
     GeometryError,
-    Manifold,
     ManifoldPoint,
     Sphere,
     manifold_from_name,
 )
 from geolyap.systems import (
+    INPUT_CHANNELS,
     attach_disturbance,
     available_systems,
+    frame_input_channel,
     make_disturbance_signal,
     make_system,
 )
@@ -102,18 +104,23 @@ def test_attached_disturbance_uses_orthonormal_frame():
     assert spec.input_bound == 0.1
 
 
-def test_sphere2_input_channel_matches_gram_schmidt_frame():
-    # The closed-form frame, contracted with u, against the generic frame; the
-    # first two rows sit within 1e-9 of -e0 and +e0, where the generic frame is used.
-    spec = attach_disturbance(make_system("geodesic_attractor", SPHERE, NORTH), "constant", 0.1)
-    rng = np.random.default_rng(23)
-    x = SPHERE.project(np.concatenate([[[-1.0, 1e-10, 0.0], [1.0, 0.0, -1e-10]],
-                                       rng.standard_normal((40, 3))]))
-    frame = Manifold.tangent_basis(SPHERE, x)
-    u = rng.uniform(-1.0, 1.0, (len(x), 2))
-    for uu in (u, u[0]):  # one u per row, then one shared by all rows
-        want = spec.field.rhs(0.5, x) + np.einsum("...i,...ij->...j", uu, frame)
-        assert np.max(np.abs(spec.field.input_rhs(0.5, x, uu) - want)) <= 1e-12
+@pytest.mark.parametrize("name", ["euclidean3", "sphere2", "sphere3", "so3", "hyperbolic2"])
+def test_transported_frame_is_orthonormal_and_tangent(name):
+    # The full frame (one channel per dimension) under a zero base field, at
+    # 200 points within radius 2.5 of x*; then the 2-channel disturbance.
+    m = manifold_from_name(name)
+    rng = np.random.default_rng(17)
+    x_star = m.project(m.random_point(rng))
+    region = Region(ManifoldPoint(m, x_star), 2.5)
+    x = region.samples(rng, 200)
+    zero = TimeVaryingField(m, lambda t, X: np.zeros(np.shape(X)))
+    frame = frame_input_channel(zero, m.dim, x_star)(0.0, x[:, None], np.eye(m.dim))
+    gram = m.inner(x[:, None, None], frame[:, :, None], frame[:, None, :])
+    assert np.max(np.abs(gram - np.eye(m.dim))) <= 1e-12
+    assert np.max(np.abs(frame - m.project_tangent(x[:, None], frame))) <= 1e-12
+    spec = attach_disturbance(make_system("geodesic_attractor", m, x_star), "constant", 0.1)
+    u_samples = [rng.uniform(-1.0, 1.0, INPUT_CHANNELS) for _ in range(4)]
+    assert abs(input_lipschitz_estimate(spec.field, region, u_samples, seed=3) - 1.0) <= 1e-12
 
 
 def test_disturbed_flow_stays_bounded():

@@ -27,6 +27,12 @@ current code is compared against it at stated per-quantity tolerances:
   ``contraction_offsets``, so it is compared with ``contraction_envelope_check``
   on those offsets, exactly, not with the file.
 
+The ``iss`` entry alone was rewritten when the input frame became the
+equilibrium's basis parallel-transported along the geodesic, replacing a
+closed-form Gram-Schmidt frame: the disturbance pushes along other
+directions, so its flowed distances and V moved by up to 1.1e-2 relative.
+Its series times and inputs are unchanged.
+
 ``python tests/test_verification_reference.py --write`` writes the file from
 the current code; it refuses to overwrite an existing file.
 """
