@@ -34,7 +34,6 @@ from .flows import (
     pushforward,
 )
 from .lyapunov import (
-    DeltaChoice,
     LyapunovFunction,
     MasseraFunction,
     TheoreticalBounds,

@@ -130,6 +130,9 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         raise ConfigError(
             f"unknown system {system_name!r}; available: {available_systems()}")
     system_params = _get(system, "params", dict, "system", default={})
+    for key, value in system_params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"system param {key!r} must be a number, got {json.dumps(value)}")
 
     eq_raw = _get(data, "equilibrium", list, "top-level", required=True)
     try:
@@ -193,6 +196,8 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         )
         if massera.t_max <= 0 or massera.fit_horizon < massera.t_max:
             raise ConfigError("massera needs 0 < t_max <= fit_horizon")
+        if massera.tail_tol <= 0:
+            raise ConfigError("massera tail_tol must be positive")
 
     iss_horizons = _floats(data, "iss_horizons", "top-level", [8.0, 12.0])
     if any(t <= 0 for t in iss_horizons) or not iss_horizons:

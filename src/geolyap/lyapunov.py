@@ -54,26 +54,15 @@ def _exp_ratio(a: float, delta: float) -> float:
     return math.expm1(a * delta) / a
 
 
-@dataclass(frozen=True)
-class DeltaChoice:
-    """Horizon choice with its decay margin K' = 1 - K e^{-lambda delta}."""
-
-    K: float
-    rate: float
-    delta: float
-    K_prime: float
-
-
-def choose_delta(K: float, rate: float, target: float) -> DeltaChoice:
-    """Pick the horizon so the decay margin K' equals ``target`` in (0, 1)."""
+def choose_delta(K: float, rate: float, target: float) -> float:
+    """The horizon delta whose decay margin K' = 1 - K e^{-lambda delta} is ``target``."""
     if not 0.0 < target < 1.0:
         raise InvalidDeltaError(f"target margin must lie in (0, 1), got {target}")
     if K < 1.0:
         raise InvalidDeltaError(f"envelope gain K must be >= 1, got {K}")
     if rate <= 0.0:
         raise InvalidDeltaError(f"decay rate must be positive, got {rate}")
-    delta = math.log(K / (1.0 - target)) / rate
-    return DeltaChoice(K, rate, delta, target)
+    return math.log(K / (1.0 - target)) / rate
 
 
 @dataclass(frozen=True)

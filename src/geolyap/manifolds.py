@@ -6,8 +6,8 @@ plane in the hyperboloid model.  Points live in an embedding-space
 representation (unit vectors, rotation matrices, Minkowski hyperboloid), so
 every operation -- metric, exponential/logarithm maps, distance, parallel
 transport along minimizing geodesics -- is an exact coordinate-free formula.
-Constraint drift is repaired by projection: ``exp`` projects the closed-form
-geodesic point that ``geodesic`` returns, and the integrator projects each
+Constraint drift is repaired by projection: each curved ``exp`` projects its
+closed-form geodesic point, and the integrator projects each
 ambient RK4 step once (its stage points are ambient sums, off the manifold
 by O(h^2), and take no geodesic).  Every kernel op is vectorized over
 leading batch axes, so a single point and a batch of points run the same
@@ -138,14 +138,8 @@ class Manifold(ABC):
         """Riemannian inner product of tangents ``u``, ``v`` at ``coords``."""
 
     @abstractmethod
-    def geodesic(self, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """:meth:`exp` without its projection: on the manifold to rounding.
-
-        ``exp``'s helper only: integrator stage points do not use it."""
-
     def exp(self, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Geodesic endpoint at parameter 1 from ``coords`` with velocity ``v``."""
-        return self.project(self.geodesic(coords, v))
 
     @abstractmethod
     def log(self, coords: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -281,9 +275,6 @@ class Euclidean(Manifold):
     def inner(self, coords, u, v):
         return np.vecdot(u, v)
 
-    def geodesic(self, coords, v):
-        return coords + v
-
     def exp(self, coords, v):
         # The geodesic is a fresh array on the manifold already: no projection copy.
         return coords + v
@@ -324,11 +315,11 @@ class Sphere(Manifold):
     def inner(self, coords, u, v):
         return np.vecdot(u, v)
 
-    def geodesic(self, coords, v):
+    def exp(self, coords, v):
         # Rows with |v| below _TINY move by less than 1e-15: no special case.
         theta = _norm(v)
-        return (np.cos(theta)[..., None] * coords
-                + (np.sin(theta) / np.maximum(theta, _TINY))[..., None] * v)
+        return self.project(np.cos(theta)[..., None] * coords
+                            + (np.sin(theta) / np.maximum(theta, _TINY))[..., None] * v)
 
     def _log_parts(self, coords, other):
         c = np.vecdot(coords, other)
@@ -485,8 +476,8 @@ class SpecialOrthogonal3(Manifold):
     def inner(self, coords, u, v):
         return np.vecdot(self._alg(coords, u), self._alg(coords, v))
 
-    def geodesic(self, coords, v):
-        return coords @ _rodrigues(self._alg(coords, v))
+    def exp(self, coords, v):
+        return self.project(coords @ _rodrigues(self._alg(coords, v)))
 
     def log(self, coords, other):
         Q = coords.mT @ other
@@ -546,11 +537,11 @@ class Hyperbolic2(Manifold):
     def inner(self, coords, u, v):
         return self._mdot(u, v)
 
-    def geodesic(self, coords, v):
+    def exp(self, coords, v):
         # Rows with |v| below _TINY move by less than 1e-15: no special case.
         theta = np.sqrt(np.maximum(self._mdot(v, v), 0.0))
-        return (np.cosh(theta)[..., None] * coords
-                + (np.sinh(theta) / np.maximum(theta, _TINY))[..., None] * v)
+        return self.project(np.cosh(theta)[..., None] * coords
+                            + (np.sinh(theta) / np.maximum(theta, _TINY))[..., None] * v)
 
     def _log_parts(self, coords, other):
         c = -self._mdot(coords, other)

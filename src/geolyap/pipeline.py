@@ -71,6 +71,7 @@ ANCHOR_VERIFICATION = "les-verification"
 ANCHOR_UGAS_ENVELOPE = "ugas-envelope"
 ANCHOR_UGAS_TAIL = "ugas-tail"
 ANCHOR_UGAS_EVALUATION = "ugas-evaluation"
+ANCHOR_UGES_PRECONDITION = "uges-precondition"
 ANCHOR_ISS_ROBUSTNESS = "iss-robustness"
 ANCHOR_FLOW_INTEGRATION = "flow-integration"
 # Numerical failures inside a stage: a non-finite flow or a pair at the cut locus.
@@ -114,15 +115,15 @@ def _stage(anchor: str, errors: tuple = NUMERICAL_FAILURES,
         raise _StageFailure(anchor, str(err), envelope) from err
 
 
-def _stage_failure(out_dir: Path, mode: str, failure: _StageFailure, steps: dict) -> int:
-    """Reports for a run that stopped at a named stage, with the envelope
-    when the fit got that far (else null), the steps so far, no samples.csv."""
+def _stage_failure(out_dir: Path, payload: dict, failure: _StageFailure) -> int:
+    """Reports for a run that stopped at a named stage: the payload built so
+    far, with the envelope when the fit got that far (else null), no samples.csv."""
     message = f"{failure.anchor}: {failure}"
     logger.error(message)
-    envelope = failure.envelope
-    payload = {"mode": mode, "envelope": None if envelope is None else envelope.to_json(),
-               "report": _failure_report(failure.anchor, message), "steps": steps}
-    _write_reports(out_dir, payload, "certification FAILED\n" + message + "\n")
+    envelope = None if failure.envelope is None else failure.envelope.to_json()
+    _write_reports(out_dir, {**payload, "envelope": envelope, "report": {
+        "verdict": False, "failed_stage": failure.anchor, "message": message, "rows": []}},
+        "certification FAILED\n" + message + "\n")
     return EXIT_CERTIFICATION_FAILED
 
 
@@ -134,16 +135,16 @@ def _record_step(steps: dict, anchor: str, step: float, estimate: float) -> floa
     return step
 
 
-def _estimate_lipschitz(config: ScenarioConfig, field) -> float:
+def _estimate_lipschitz(config: ScenarioConfig) -> float:
     region = Region(config.equilibrium, config.grid.radius)
-    estimate = lipschitz_estimate(field, region, config.grid.t0_list,
+    estimate = lipschitz_estimate(config.system.field, region, config.grid.t0_list,
                                   n_pairs=max(32, config.grid.n_points), seed=config.seed)
     logger.info("lipschitz estimate: transport %.4f covariant %.4f",
                 estimate.transport_constant, estimate.covariant_constant)
     return estimate.inflated()
 
 
-def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str,
+def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str,
                       steps: dict, inputs: VerificationInputs | None = None):
     """The stability envelope of a seeded batch of trajectories over ``horizon``.
 
@@ -154,7 +155,7 @@ def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str
     as is, and come back as ``(offsets, states)`` with the envelope (else None).
     """
     rng = np.random.default_rng(config.seed + 1)
-    m, x_star = config.manifold, config.equilibrium.coords
+    m, x_star, field = config.manifold, config.equilibrium.coords, config.system.field
     t0s = np.repeat(config.grid.t0_list, max(3, min(8, config.grid.n_points // 4)))
     v = m.random_tangents(rng, x_star, len(t0s), lambda: config.grid.radius * rng.uniform(0.3, 1.0))
     x0, t_rows = m.project(m.exp(x_star, v)), t0s
@@ -182,10 +183,10 @@ def _fit_trajectories(config: ScenarioConfig, field, horizon: float, anchor: str
 def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float:
     if config.delta.mode == "explicit":
         return config.delta.value
-    return choose_delta(envelope.K, envelope.rate, config.delta.target).delta
+    return choose_delta(envelope.K, envelope.rate, config.delta.target)
 
 
-def _certify_exponential(config: ScenarioConfig, field,
+def _certify_exponential(config: ScenarioConfig,
                          steps: dict) -> tuple[Certificate, CertificationReport]:
     """draw inputs -> fit envelope -> estimate L, construct V -> verify.
 
@@ -194,7 +195,7 @@ def _certify_exponential(config: ScenarioConfig, field,
     """
     inputs = draw_verification_inputs(config.manifold, config.equilibrium,
                                       config.grid, config.seed)
-    envelope, pair_flow = _fit_trajectories(config, field, config.fit_horizon,
+    envelope, pair_flow = _fit_trajectories(config, config.fit_horizon,
                                             ANCHOR_ENVELOPE_FIT, steps, inputs)
     if not envelope.is_exponential:
         raise _StageFailure(ANCHOR_ENVELOPE_FIT, (
@@ -202,16 +203,12 @@ def _certify_exponential(config: ScenarioConfig, field,
             f"stable (fit residual {envelope.fit_residual:.3g})"), envelope)
     # A horizon without decay margin is rejected before verification integrates.
     with _stage(ANCHOR_HORIZON, NUMERICAL_FAILURES + (InvalidDeltaError,), envelope):
-        L = _estimate_lipschitz(config, field)
-        cert = make_certificate(field, config.equilibrium, L, envelope,
+        L = _estimate_lipschitz(config)
+        cert = make_certificate(config.system.field, config.equilibrium, L, envelope,
                                 _resolve_delta(config, envelope), config.p, step=config.step)
     with _stage(ANCHOR_VERIFICATION, envelope=envelope):
         report = verify_converse_certificate(cert, inputs, config.envelope_horizon, pair_flow)
     return cert, report
-
-
-def _failure_report(stage_anchor: str, message: str) -> dict:
-    return {"verdict": False, "failed_stage": stage_anchor, "message": message, "rows": []}
 
 
 def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int:
@@ -220,17 +217,16 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
         raise ConfigError(f"mode must be 'exp' or 'massera', got {mode!r}")
     if mode == "massera" and config.massera is None:
         raise ConfigError("massera mode requires a 'massera' config section")
-    field = config.system.field
     out_dir.mkdir(parents=True, exist_ok=True)
     steps = {}
     try:
         if mode == "massera":
-            envelope, _ = _fit_trajectories(config, field, config.massera.fit_horizon,
+            envelope, _ = _fit_trajectories(config, config.massera.fit_horizon,
                                             ANCHOR_UGAS_ENVELOPE, steps)
-            return _run_certify_massera(config, field, envelope, out_dir, steps)
-        cert, report = _certify_exponential(config, field, steps)
+            return _run_certify_massera(config, envelope, out_dir, steps)
+        cert, report = _certify_exponential(config, steps)
     except _StageFailure as err:
-        return _stage_failure(out_dir, mode, err, steps)
+        return _stage_failure(out_dir, {"mode": mode, "steps": steps}, err)
     payload = {"mode": mode, "envelope": cert.envelope.to_json(),
                "certificate": cert.to_json(), "report": report.to_dict(), "steps": steps}
     # samples.csv: the verification grid's own quantities, for its first states.
@@ -239,7 +235,7 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
     return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
 
 
-def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvelope,
+def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
                          out_dir: Path, steps: dict) -> int:
     if envelope.stability_class == "US":
         raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
@@ -248,6 +244,7 @@ def _run_certify_massera(config: ScenarioConfig, field, envelope: StabilityEnvel
     # Decay flows get slow at long horizons; a coarser integrator step keeps
     # evaluation at desk scale.  Its step-doubling estimate is reported, not used.
     eval_step = max(config.step, 0.05)
+    field = config.system.field
     # A HorizonError, or a decay profile the reshaping rejects (both ValueErrors).
     with _stage(ANCHOR_UGAS_TAIL, (ValueError,), envelope):
         V = construct_ugas_V(field, config.equilibrium, envelope,
@@ -323,15 +320,15 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     steps = {}
+    payload = {"mode": "iss", "steps": steps}
     try:
-        certificate, base_report = _certify_exponential(config, spec.field, steps)
-        payload = {"mode": "iss", "envelope": certificate.envelope.to_json(),
-                   "certificate": certificate.to_json(),
-                   "unforced_report": base_report.to_dict(), "steps": steps}
+        certificate, base_report = _certify_exponential(config, steps)
+        payload.update(envelope=certificate.envelope.to_json(), certificate=certificate.to_json(),
+                       unforced_report=base_report.to_dict())
         if not base_report.verdict:
-            payload["report"] = _failure_report("uges-precondition", "unforced certification failed")
-            _write_reports(out_dir, payload, base_report.to_text())
-            return EXIT_CERTIFICATION_FAILED
+            raise _StageFailure(ANCHOR_UGES_PRECONDITION, "unforced certification failed at "
+                                + ", ".join(r.name for r in base_report.rows if not r.passed),
+                                certificate.envelope)
         # samples.csv: the series trajectory integrated with the robustness
         # batch, whose step is piloted on that series row alone.
         with _stage(ANCHOR_ISS_ROBUSTNESS, envelope=certificate.envelope):
@@ -340,11 +337,11 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
             step = _record_step(steps, ANCHOR_ISS_ROBUSTNESS, *choose_step(
                 spec.field.with_input_signal(spec.input_signal), 0.0, start[None], x_star,
                 max(config.iss_horizons), config.step))
-            iss_report = iss_certify(spec.field, config.equilibrium, certificate, spec.input_signal,
-                                     spec.input_bound, config.iss_horizons, seed=config.seed,
+            iss_report = iss_certify(certificate, spec.input_signal, spec.input_bound,
+                                     config.iss_horizons, seed=config.seed,
                                      grid=config.grid, step=step)
     except _StageFailure as err:
-        return _stage_failure(out_dir, "iss", err, steps)
+        return _stage_failure(out_dir, payload, err)
     payload["report"] = iss_report.to_dict()
     _write_reports(out_dir, payload, iss_report.to_text(),
                    (["t", "distance", "V", "u_norm"], iss_report.series.tolist()))
@@ -355,7 +352,7 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     """Integrate one trajectory per start time and dump plot-ready CSV.
 
     The flow runs before ``out_dir`` exists: a flow that fails numerically,
-    or whose step-doubling error at ``step`` is not at most FLOW_TOL, exits 2
+    or whose step-doubling error at its longest step is not at most FLOW_TOL, exits 2
     naming ``flow-integration`` on stderr and writes nothing.
     """
     spec = config.system
@@ -366,16 +363,18 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     field = (spec.field.with_input_signal(spec.input_signal)
              if spec.input_signal is not None else spec.field)
     t0s = np.array(config.grid.t0_list)
+    step = min(config.step, config.fit_horizon)  # the longest step the flow takes
     try:
-        trajectories = flow(field, t0s, [x0] * len(t0s), t0s + config.fit_horizon, config.step)
-        error = step_error(field, t0s, np.stack([x0.coords] * len(t0s)),
-                           config.equilibrium.coords, config.fit_horizon, config.step)
-    except NUMERICAL_FAILURES as err:
-        print(f"error: {ANCHOR_FLOW_INTEGRATION}: {err}", file=sys.stderr)
-        return EXIT_CERTIFICATION_FAILED
-    if not error <= FLOW_TOL:  # a finite flow far beyond the step's stability limit
-        print(f"error: {ANCHOR_FLOW_INTEGRATION}: step-doubling error estimate {error:.3g} "
-              f"per unit time is above {FLOW_TOL:g} at step {config.step:g}", file=sys.stderr)
+        with _stage(ANCHOR_FLOW_INTEGRATION):
+            trajectories = flow(field, t0s, [x0] * len(t0s), t0s + config.fit_horizon,
+                                config.step)
+            error = step_error(field, t0s, np.stack([x0.coords] * len(t0s)),
+                               config.equilibrium.coords, config.fit_horizon, step)
+        if not error <= FLOW_TOL:  # a finite flow far beyond the step's stability limit
+            raise _StageFailure(ANCHOR_FLOW_INTEGRATION, f"step-doubling error estimate "
+                                f"{error:.3g} per unit time is above {FLOW_TOL:g} at step {step:g}")
+    except _StageFailure as err:
+        print(f"error: {err.anchor}: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILED
     out_dir.mkdir(parents=True, exist_ok=True)
     n_coords = int(np.prod(m.ambient_shape))

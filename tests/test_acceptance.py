@@ -238,14 +238,12 @@ def test_criterion_08_iss_scaling(sphere_attractor):
     envelope = classify_stability(trajs, sphere_attractor.equilibrium)
     L = lipschitz_estimate(sphere_attractor.field, Region(sphere_attractor.equilibrium, 1.0),
                            [0.0], 100, seed=9).inflated()
-    cert = make_certificate(sphere_attractor.field, sphere_attractor.equilibrium,
-                            L, envelope, LN2, 1.0, step=1e-2)
     predicted = []
     measured = []
     for amplitude in (0.05, 0.1, 0.2):
         spec = attach_disturbance(sphere_attractor, "constant", amplitude)
-        report = iss_certify(spec.field, sphere_attractor.equilibrium, cert,
-                             spec.input_signal, amplitude, [8.0, 12.0], seed=9,
+        cert = make_certificate(spec.field, spec.equilibrium, L, envelope, LN2, 1.0, step=1e-2)
+        report = iss_certify(cert, spec.input_signal, amplitude, [8.0, 12.0], seed=9,
                              grid=GridSpec(16, 1.0, T0_LIST), step=1e-2)
         assert report.passed, f"amplitude {amplitude}"
         assert report.measured_v_limsup <= report.predicted_v_bound * 1.05

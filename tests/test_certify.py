@@ -208,7 +208,7 @@ def test_classify_kind_consistency(sphere_attractor):
 
 
 def test_verify_sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
+    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5)
     report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, 1.0, 16, seed=7)
     assert report.verdict
     for row in report.rows:
@@ -222,7 +222,7 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     # V, the telescoping endpoints and the pushforward all read one flow over
     # V's quadrature nodes; the identity check no longer has a flow of its own.
     p, n, n_push = 2.0, 12, 10
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
+    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5)
     calls, quotients = [], []
     real_flow, real_quotient = flows.flow_samples, flows.pushforward_quotient
 
@@ -281,10 +281,10 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
         inputs = draw_verification_inputs(config.manifold, config.equilibrium, config.grid,
                                           config.seed)
         alone_steps, joint_steps = {}, {}
-        alone, no_pairs = pipeline._fit_trajectories(config, field, config.fit_horizon,
+        alone, no_pairs = pipeline._fit_trajectories(config, config.fit_horizon,
                                                      certify.ANCHOR_ENVELOPE_FIT, alone_steps)
         joint, (taus, pair_flow) = pipeline._fit_trajectories(
-            config, field, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, joint_steps, inputs)
+            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, joint_steps, inputs)
         assert no_pairs is None
         assert joint_steps == alone_steps
         assert joint_steps[certify.ANCHOR_ENVELOPE_FIT]["step"] == fit_step
@@ -337,14 +337,14 @@ def test_verify_time_varying_gain_with_uniform_lower_bound():
                             KLEnvelope.from_exponential(math.e, 1.0, 1.0,
                                                         np.linspace(0, 6, 13)),
                             0.0, 1.0, 12)
-    delta = choose_delta(env.K, env.rate, 0.5).delta
+    delta = choose_delta(env.K, env.rate, 0.5)
     report = _verify(spec, L, env, delta, 1.0, 12, seed=3)
     assert report.verdict
 
 
 def test_report_serialization_and_column_order(sphere_attractor, sphere_L,
                                                sphere_envelope):
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
+    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5)
     report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, 1.0, 8, seed=7)
     data = report.to_dict()
     assert data["verdict"] is True
@@ -361,9 +361,14 @@ def test_report_serialization_and_column_order(sphere_attractor, sphere_L,
 
 @pytest.fixture(scope="module")
 def sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
+    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5)
     return make_certificate(sphere_attractor.field, sphere_attractor.equilibrium,
                             sphere_L, sphere_envelope, delta, 1.0, step=1e-2)
+
+
+def _on_field(certificate, spec):
+    """``certificate`` with V on ``spec``'s field, whose input channel iss_certify drives."""
+    return dataclasses.replace(certificate, V=dataclasses.replace(certificate.V, field=spec.field))
 
 
 def test_input_lipschitz_unit_frame(sphere_attractor):
@@ -392,18 +397,16 @@ def test_input_lipschitz_rejects_zero_samples(sphere_attractor):
 
 def test_iss_zero_input_reduces_to_decay_check(sphere_attractor, sphere_certificate):
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
-    report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
-                         lambda t: np.zeros(2), 0.0, [8.0], seed=1,
-                         grid=GridSpec(8, 1.0, T0_LIST), step=1e-2)
+    report = iss_certify(_on_field(sphere_certificate, spec), lambda t: np.zeros(2), 0.0,
+                         [8.0], seed=1, grid=GridSpec(8, 1.0, T0_LIST), step=1e-2)
     assert report.passed
     assert report.predicted_v_bound == 0.0
 
 
 def test_iss_bounded_disturbance(sphere_attractor, sphere_certificate):
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
-    report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
-                         spec.input_signal, 0.1, [8.0, 12.0], seed=1,
-                         grid=GridSpec(12, 1.0, T0_LIST), step=1e-2)
+    report = iss_certify(_on_field(sphere_certificate, spec), spec.input_signal, 0.1,
+                         [8.0, 12.0], seed=1, grid=GridSpec(12, 1.0, T0_LIST), step=1e-2)
     assert report.passed
     assert report.measured_v_limsup <= report.predicted_v_bound * 1.05
     assert report.anchors == {"iss-pointwise-decay", "iss-ultimate-bound"}
@@ -412,11 +415,9 @@ def test_iss_bounded_disturbance(sphere_attractor, sphere_certificate):
 def test_iss_doubled_disturbance_scales(sphere_attractor, sphere_certificate):
     small = attach_disturbance(sphere_attractor, "constant", 0.1)
     large = attach_disturbance(sphere_attractor, "constant", 0.2)
-    rep_small = iss_certify(small.field, sphere_attractor.equilibrium,
-                            sphere_certificate, small.input_signal, 0.1, [10.0],
+    rep_small = iss_certify(_on_field(sphere_certificate, small), small.input_signal, 0.1, [10.0],
                             seed=1, grid=GridSpec(8, 1.0, T0_LIST), step=1e-2)
-    rep_large = iss_certify(large.field, sphere_attractor.equilibrium,
-                            sphere_certificate, large.input_signal, 0.2, [10.0],
+    rep_large = iss_certify(_on_field(sphere_certificate, large), large.input_signal, 0.2, [10.0],
                             seed=1, grid=GridSpec(8, 1.0, T0_LIST), step=1e-2)
     assert rep_large.predicted_v_bound == pytest.approx(
         2.0 * rep_small.predicted_v_bound, rel=1e-9)
@@ -430,7 +431,8 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     # fused flow takes the same steps as separate flows from t = 0.
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
     closed = spec.field.with_input_signal(spec.input_signal)
-    V = sphere_certificate.V
+    certificate = _on_field(sphere_certificate, spec)
+    V = certificate.V
     step, horizons = 0.05, [2.0, 3.0]
     calls, evaluations = [], []
     real_evaluate_groups = LyapunovFunction.evaluate_groups
@@ -446,8 +448,7 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
 
     monkeypatch.setattr(certify, "flow_samples", recording_flow_samples)
     monkeypatch.setattr(LyapunovFunction, "evaluate_groups", recording_evaluate_groups)
-    report = iss_certify(spec.field, sphere_attractor.equilibrium, sphere_certificate,
-                         spec.input_signal, 0.1, horizons, seed=1,
+    report = iss_certify(certificate, spec.input_signal, 0.1, horizons, seed=1,
                          grid=GridSpec(4, 1.0, T0_LIST), step=step)
     (x0,) = calls
     # Part (a)'s states and Lie stencil ride in part (b)'s V batch, bit for bit.
@@ -517,8 +518,7 @@ def test_anchor_checklist_is_exactly_covered(sphere_attractor, sphere_certificat
         sphere_certificate, draw_verification_inputs(SPHERE, sphere_attractor.equilibrium,
                                                      GridSpec(8, 1.0, T0_LIST), 7))
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
-    iss_report = iss_certify(spec.field, sphere_attractor.equilibrium,
-                             sphere_certificate, spec.input_signal, 0.1, [8.0],
+    iss_report = iss_certify(_on_field(sphere_certificate, spec), spec.input_signal, 0.1, [8.0],
                              seed=1, grid=GridSpec(8, 1.0, T0_LIST), step=1e-2)
     assert verify_report.anchors | iss_report.anchors == set(CERTIFICATE_CHECKLIST)
 
@@ -527,7 +527,7 @@ def test_classifier_consistency_with_verification(sphere_attractor, sphere_L,
                                                   sphere_envelope):
     # Anything that verifies as a converse certificate must have been
     # classified exponentially stable from the same data.
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5).delta
+    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5)
     report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, 1.0, 8, seed=7)
     assert report.verdict
     assert sphere_envelope.stability_class == "LES"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -350,6 +351,27 @@ def test_finite_but_wrong_flow_exits_two_without_output(tmp_path, capsys, manifo
     assert not out.exists()
 
 
+def test_flow_shorter_than_its_step_is_checked_at_its_span(tmp_path, monkeypatch):
+    # A flow over 1e-6 takes one step of 1e-6; its error estimate is taken
+    # at that step, not extrapolated to the config step of 0.01.
+    estimates = []
+    real_step_error = pipeline.step_error
+
+    def recording_step_error(*args):
+        estimates.append((args[-1], real_step_error(*args)))
+        return estimates[-1][1]
+
+    monkeypatch.setattr(pipeline, "step_error", recording_step_error)
+    data = json.loads((REPO_CONFIGS / "sphere_attractor.json").read_text())
+    config = _small_config(tmp_path, **{**data, "fit_horizon": 1e-6})
+    out = tmp_path / "flow"
+    assert main(["flow", "--config", str(config), "--out", str(out)]) == 0
+    ((step, estimate),) = estimates
+    assert step == 1e-6 and estimate <= pipeline.FLOW_TOL
+    rows = list(csv.reader((out / "trajectory_0.csv").open()))
+    assert [row[0] for row in rows] == ["t", "0.0", "1e-06"]
+
+
 NON_FINITE, OFF_MANIFOLD = "non-finite state", "step left the manifold"
 STIFF_CASES = {  # manifold, equilibrium, system, params, message per command
     "hyperbolic2-geodesic": ("hyperbolic2", [1.0, 0.0, 0.0], "geodesic_attractor", {"gain": 1e4},
@@ -534,6 +556,34 @@ def test_iss_scenario(tmp_path, monkeypatch):
     assert lines[0] == "t,distance,V,u_norm"
 
 
+def test_failed_unforced_certification_stops_iss_at_its_anchor(tmp_path, monkeypatch, caplog):
+    # A failing unforced row stops the run like any other stage failure.
+    real_verify = pipeline.verify_converse_certificate
+
+    def failing_verify(*args, **kwargs):
+        report = real_verify(*args, **kwargs)
+        first, second, *rest = report.rows
+        second = dataclasses.replace(second, margin=-1.0, passed=False)
+        return dataclasses.replace(report, rows=(first, second, *rest))
+
+    monkeypatch.setattr(pipeline, "verify_converse_certificate", failing_verify)
+    config = _small_config(tmp_path, grids={"n_points": 4, "radius": 1.0, "t0_list": [0.0]},
+                           disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1},
+                           iss_horizons=[8.0])
+    out = tmp_path / "iss"
+    assert main(["iss", "--config", str(config), "--out", str(out)]) == 2
+    payload = json.loads((out / "report.json").read_text())
+    message = "uges-precondition: unforced certification failed at sandwich-lower"
+    assert payload["report"] == {"verdict": False, "failed_stage": "uges-precondition",
+                                 "message": message, "rows": []}
+    assert payload["certificate"]["mode"] == "exponential"
+    assert payload["unforced_report"]["verdict"] is False
+    assert payload["envelope"]["stability_class"] == "LES"
+    assert (out / "report.txt").read_text() == f"certification FAILED\n{message}\n"
+    assert message in [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert not (out / "samples.csv").exists()
+
+
 def test_iss_zero_amplitude_degenerates(tmp_path):
     config = _small_config(
         tmp_path,
@@ -677,6 +727,62 @@ def test_config_booleans_are_not_numbers(tmp_path, capsys, mutation, key):
     assert main(["certify", "--config", str(config), "--out", str(out)]) == 3
     assert not out.exists()
     assert f"key {key!r} has wrong type bool" in capsys.readouterr().err
+
+
+DROP = object()  # a mutation value that deletes its key
+MASSERA = {"t_max": 2.0, "fit_horizon": 4.0}
+CONFIG_ERRORS = {  # command, the document or a mutation of the small config, message
+    "not-an-object": ("certify", [1, 2], "scenario config must be a JSON object"),
+    "missing-key": ("certify", {"grids": DROP}, "missing required top-level key: 'grids'"),
+    "bad-equilibrium": ("certify", {"equilibrium": [0.0, 1.0]}, "bad equilibrium coordinates"),
+    "explicit-delta-zero": ("certify", {"delta": {"policy": "explicit", "value": 0.0}},
+                            "explicit delta must be positive"),
+    "unknown-policy": ("certify", {"delta": {"policy": "guess"}},
+                       "delta policy must be 'explicit' or 'auto', got 'guess'"),
+    "no-start-times": ("certify", {"grids": {"n_points": 8, "radius": 1.0, "t0_list": []}},
+                       "grids need n_points >= 1, radius > 0, nonempty t0_list"),
+    "step-zero": ("flow", {"step": 0}, "step must be positive"),
+    "fit-horizon-negative": ("flow", {"fit_horizon": -1.0}, "fit_horizon must be positive"),
+    "massera-t-max-beyond-fit": ("certify", {"massera": {"t_max": 5.0, "fit_horizon": 4.0}},
+                                 "massera needs 0 < t_max <= fit_horizon"),
+    "iss-horizon-zero": ("iss", {"iss_horizons": [8.0, 0.0]}, "iss_horizons must be positive"),
+    "negative-amplitude": ("iss", {"disturbance": {"profile": "constant", "amplitude": -0.1}},
+                           "disturbance amplitude must be nonnegative"),
+    "massera-tail-tol-zero": ("certify", {"massera": {**MASSERA, "tail_tol": 0.0}},
+                              "massera tail_tol must be positive"),
+    "massera-tail-tol-negative": ("certify", {"massera": {**MASSERA, "tail_tol": -1e-8}},
+                                  "massera tail_tol must be positive"),
+    "param-string": ("certify", {"system": {"name": "geodesic_attractor",
+                                            "params": {"gain": "x"}}},
+                     "system param 'gain' must be a number, got \"x\""),
+    "param-null": ("flow", {"system": {"name": "geodesic_attractor", "params": {"gain": None}}},
+                   "system param 'gain' must be a number, got null"),
+    "param-bool": ("certify", {"system": {"name": "geodesic_attractor",
+                                          "params": {"gain": True}}},
+                   "system param 'gain' must be a number, got true"),
+    "param-list": ("flow", {"system": {"name": "geodesic_attractor", "params": {"gain": [1.0]}}},
+                   "system param 'gain' must be a number, got [1.0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_errors_exit_three_naming_the_fault(tmp_path, capsys, case):
+    command, mutation, message = CONFIG_ERRORS[case]
+    data = json.loads(_small_config(tmp_path).read_text())
+    if isinstance(mutation, dict):
+        for key, value in mutation.items():
+            if value is DROP:
+                del data[key]
+            else:
+                data[key] = value
+    else:
+        data = mutation
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("manifold, n, reached", [

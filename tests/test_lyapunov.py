@@ -56,12 +56,10 @@ def _sphere_state(rng, r_lo=0.1, r_hi=1.0):
 
 
 def test_choose_delta_closed_forms():
-    assert choose_delta(1.0, 1.0, 0.5).delta == pytest.approx(LN2)
-    assert choose_delta(2.0, 1.0, 0.5).delta == pytest.approx(math.log(4.0))
-    assert choose_delta(1.0, 2.0, 0.5).delta == pytest.approx(LN2 / 2.0)
-    choice = choose_delta(1.3, 0.7, 0.25)
-    assert choice.K_prime == pytest.approx(
-        1.0 - choice.K * math.exp(-choice.rate * choice.delta))
+    assert choose_delta(1.0, 1.0, 0.5) == pytest.approx(LN2)
+    assert choose_delta(2.0, 1.0, 0.5) == pytest.approx(math.log(4.0))
+    assert choose_delta(1.0, 2.0, 0.5) == pytest.approx(LN2 / 2.0)
+    assert 1.0 - 1.3 * math.exp(-0.7 * choose_delta(1.3, 0.7, 0.25)) == pytest.approx(0.25)
 
 
 def test_choose_delta_validation():

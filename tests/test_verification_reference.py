@@ -31,12 +31,15 @@ The ``iss`` entry alone was rewritten when the input frame became the
 equilibrium's basis parallel-transported along the geodesic, replacing a
 closed-form Gram-Schmidt frame: the disturbance pushes along other
 directions, so its flowed distances and V moved by up to 1.1e-2 relative.
-Its series times and inputs are unchanged.
+Its series times and inputs are unchanged.  Its ``iss-pointwise-decay``
+``measured`` was rewritten again when that row began to report the worst
+``LV + c3 V`` over the grid instead of repeating its theory.
 
 ``python tests/test_verification_reference.py --write`` writes the file from
 the current code; it refuses to overwrite an existing file.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -94,7 +97,7 @@ def _verify(case, equilibrium, L):
     label, name, system, params, (K, rate), n_points, p = case
     m = manifold_from_name(name)
     spec = make_system(system, m, np.reshape(equilibrium, m.ambient_shape), **params)
-    delta = choose_delta(K, rate, 0.5).delta
+    delta = choose_delta(K, rate, 0.5)
     cert = make_certificate(spec.field, spec.equilibrium, L, _envelope(K, rate), delta, p,
                             step=STEP)
     inputs = draw_verification_inputs(m, spec.equilibrium, GridSpec(n_points, 1.0, T0_LIST), 3)
@@ -103,8 +106,9 @@ def _verify(case, equilibrium, L):
 
 def _iss(spec, certificate):
     disturbed = attach_disturbance(spec, "constant", 0.1)
-    report = iss_certify(disturbed.field, spec.equilibrium, certificate,
-                         disturbed.input_signal, 0.1, ISS_HORIZONS, seed=5,
+    on_input = dataclasses.replace(certificate, V=dataclasses.replace(certificate.V,
+                                                                      field=disturbed.field))
+    report = iss_certify(on_input, disturbed.input_signal, 0.1, ISS_HORIZONS, seed=5,
                          grid=GridSpec(6, 1.0, T0_LIST), step=STEP)
     return {"report": report.to_dict(), "series": report.series.tolist()}
 
