@@ -2,7 +2,7 @@
 
 This module fits exponential / KL decay envelopes from trajectory batches,
 verifies every inequality carried by a constructed certificate (two-sided contraction envelope, sandwich bounds,
-decay rate, telescoping identity, differential and pushforward bounds), and
+decay rate, telescoped decay step, differential and pushforward bounds), and
 executes the disturbance robustness check.  Every report row carries a
 stable anchor string from the fixed checklist so failures are nameable.
 """
@@ -28,12 +28,10 @@ from .flows import (
     contraction_offsets,
     contraction_report,
     flow_samples,
-    lie_stencil,
     pushforward_quotient,
 )
 from .lyapunov import (
     DIFF_EPS,
-    LIE_H,
     LyapunovFunction,
     TheoreticalBounds,
     construct_exp_V,
@@ -68,7 +66,6 @@ ANCHOR_HORIZON = "les-horizon"
 
 REL_TOL = 0.02          # relative slack of the sandwich, decay and differential rows
 ABS_TOL = 1e-6          # absolute slack of the decay and ISS rows
-TELESCOPE_TOL = 1e-5
 PUSHFORWARD_TOL = 1e-3
 TRAJ_TOL = 0.05         # relative slack of the ISS ultimate bound
 MIN_RATE = 1e-3         # slowest decay rate an exponential fit accepts
@@ -346,9 +343,10 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     """Verify every inequality of a constructed exponential certificate.
 
     Rows: the two-sided contraction envelope on sampled pairs, the sandwich
-    c1 d^p <= V <= c2 d^p, the decay rate c3, the telescoping identity for
-    the lie derivative, the differential bound c4, and the pushforward growth
-    bound, within REL_TOL (and ABS_TOL on the decay).  The field, equilibrium,
+    c1 d^p <= V <= c2 d^p, the decay rate c3 of LV (the flow-integral identity
+    LV = d(phi(t + delta))^p - d^p), the telescoped decay step d(phi(t +
+    delta))^p <= (1 - K') d^p, the differential bound c4, and the pushforward
+    growth bound, within REL_TOL (and ABS_TOL on the decay).  The field, equilibrium,
     step, p, L and delta are the certificate's; the samples are ``inputs``,
     from :func:`draw_verification_inputs`, and each stage integrates its whole
     grid as one batch.  The contraction pairs are read at the offsets of
@@ -356,10 +354,10 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     when the caller has integrated them (the pipeline, in the envelope fit's
     flow); else at :func:`contraction_offsets` of ``envelope_horizon`` and
     V's step, integrated here.  Everything on the
-    horizon [t, t + delta] reads one flow over V's quadrature nodes: V (at the
-    states and the Lie and differential stencils), the telescoping endpoint
-    (each state's last node, so the identity is checked on V's own flow) and
-    the pushforward (based at that node; its stencil rows join the flow).
+    horizon [t, t + delta] reads one flow over V's quadrature nodes: V and LV
+    at the states, V at the differential stencil, the telescoped endpoint
+    (each state's last node) and the pushforward (based at that node; its
+    stencil rows join the flow).
     """
     V, b = cert.V, cert.bounds
     field, x_star, step, p, delta, L = V.field, V.x_star, V.step, V.p, V.horizon, b.L
@@ -381,37 +379,35 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     t, x, directions = inputs.t, inputs.x, inputs.directions
     n = len(x)
     d = m.dist(x, x_star.coords)
-    lie_plus, lie_minus = lie_stencil(field, t, m.project(x), LIE_H, step)
     eps_hat, (diff_plus, diff_minus) = arc_stencil(m, x, directions, DIFF_EPS)
     n_push = min(10, n)
     push_eps_hat, push_stencil = arc_stencil(m, x[:n_push], directions[:n_push],
                                              PUSHFORWARD_EPS)
-    # One flow over V's quadrature nodes: the five V groups (states, Lie and
-    # differential stencils), then the pushforward stencil rows.
-    nodes = V.node_flow(
-        np.concatenate([t, t + LIE_H, t - LIE_H, t, t, t[:n_push], t[:n_push]]),
-        np.concatenate([x, lie_plus, lie_minus, diff_plus, diff_minus, *push_stencil]))
-    v_val, v_plus, v_minus, v_dplus, v_dminus = np.split(V.quadrature(nodes[:, :5 * n]), 5)
-    lie = (v_plus - v_minus) / (2.0 * LIE_H)
+    # One flow over V's quadrature nodes: the three V groups (states and the
+    # differential stencil), then the pushforward stencil rows.
+    nodes = V.node_flow(np.concatenate([t, t, t, t[:n_push], t[:n_push]]),
+                        np.concatenate([x, diff_plus, diff_minus, *push_stencil]))
+    values, lies = V.quadrature(nodes[:, :3 * n])
+    (v_val, v_dplus, v_dminus), lie = np.split(values, 3), lies[:n]
     end = nodes[-1, :n]  # the flow at t + delta
-    telescoped = m.dist(end, x_star.coords) ** p - d ** p
 
     ratio = v_val / d ** p
     ratio_lo = float(np.min(ratio))
     ratio_hi = float(np.max(ratio))
     rate_lo = float(np.min((-lie + ABS_TOL) / np.maximum(v_val, 1e-300)))
-    telescope_err = float(np.max(np.abs(lie - telescoped)))
+    step_ratio = float(np.max(m.dist(end, x_star.coords) ** p / d ** p))
     lo_margin = ratio_lo / b.c1 - (1.0 - REL_TOL)
     hi_margin = (1.0 + REL_TOL) - ratio_hi / b.c2
     decay_margin = rate_lo / b.c3 - (1.0 - REL_TOL)
+    step_margin = (1.0 + REL_TOL) - step_ratio / (1.0 - b.K_prime)
     rows.append(CheckRow("sandwich-lower", ANCHOR_SANDWICH, b.c1, ratio_lo,
                          lo_margin, lo_margin >= 0.0))
     rows.append(CheckRow("sandwich-upper", ANCHOR_SANDWICH, b.c2, ratio_hi,
                          hi_margin, hi_margin >= 0.0))
     rows.append(CheckRow("lie-decay", ANCHOR_DECAY, b.c3, rate_lo,
                          decay_margin, decay_margin >= 0.0))
-    rows.append(_upper_row("telescoping-identity", ANCHOR_TELESCOPE,
-                           TELESCOPE_TOL, telescope_err, TELESCOPE_TOL))
+    rows.append(CheckRow("telescoping-identity", ANCHOR_TELESCOPE, 1.0 - b.K_prime,
+                         step_ratio, step_margin, step_margin >= 0.0))
 
     # Differential bound |dV(v)| <= c4 d^{p-1}|v| on the unit directions.
     dv = (v_dplus - v_dminus) / (2.0 * eps_hat)
@@ -423,7 +419,7 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     y0 = end[:n_push]
     pushed = pushforward_quotient(
         field, t[:n_push], x[:n_push], directions[:n_push], push_eps_hat, y0,
-        nodes[-1, 5 * n:].reshape((2, n_push) + m.ambient_shape), V.node_offsets, step)
+        nodes[-1, 3 * n:].reshape((2, n_push) + m.ambient_shape), V.node_offsets, step)
     push_worst = float(np.max(m.norm(y0, pushed))) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,
                            1.0 + PUSHFORWARD_TOL, push_worst, 1.0))
@@ -538,7 +534,9 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
 
     The field (with its input channel) and the equilibrium are V's.
     (a) pointwise: along the disturbed flow, the lie derivative of V stays
-    below -c3 V + c4 L_u |u|_inf within REL_TOL (measured: the worst LV + c3 V);
+    below -c3 V + c4 L_u |u|_inf within REL_TOL (measured: the worst LV + c3 V),
+    LV being V's flow-integral identity plus dV(w) for the disturbance's part w
+    of the closed field, by a geodesic difference of arc length DIFF_EPS;
     (b) trajectory: tail suprema of V over each horizon stay below
     c4 L_u |u|_inf / c3 within TRAJ_TOL (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
@@ -571,7 +569,8 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
 
     # (a) pointwise decay inequality on the sampled grid.
     t, x = sample_states(m, x_star, gs, rng)
-    plus, minus = lie_stencil(closed, t, m.project(x), LIE_H, step)
+    w = m.project_tangent(x, closed.eval_raw(t, x) - field.eval_raw(t, x))
+    eps_hat, (plus, minus) = arc_stencil(m, x, w, DIFF_EPS)
 
     # (b) ultimate bound along disturbed trajectories: one flow from t = 0
     # through the union of every horizon's tail times and the series grid.
@@ -586,10 +585,10 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
                                 for ts in tails]
     measured_d = max(float(np.max(m.dist(xs, x_star.coords))) for _, xs in groups[1:])
     series_x = pts[np.searchsorted(offsets, series_t), n]
-    # Every V of both parts in one batch: (a)'s states and Lie stencil first.
-    v_val, v_plus, v_minus, v_starts, *v_tails, v_series = V.evaluate_groups(
-        [(t, x), (t + LIE_H, plus), (t - LIE_H, minus)] + groups + [(series_t, series_x)])
-    lie = (v_plus - v_minus) / (2.0 * LIE_H)
+    # Every V of both parts in one batch: (a)'s states and dV(w) stencil first.
+    (v_val, v_plus, v_minus, v_starts, *v_tails, v_series), (lie, *_) = V.evaluate_groups(
+        [(t, x), (t, plus), (t, minus)] + groups + [(series_t, series_x)])
+    lie = lie + (v_plus - v_minus) / (2.0 * eps_hat)
     bound_val = -b.c3 * v_val + forcing
     scale = b.c3 * v_val + forcing + ABS_TOL
     worst_pointwise = float(np.min((bound_val + REL_TOL * scale + ABS_TOL - lie) / scale))

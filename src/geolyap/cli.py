@@ -94,7 +94,7 @@ def main(argv=None) -> int:
         if args.command == "flow":
             return run_flow(config, Path(args.out))
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, InputBoundError) as err:
+    except (ConfigError, InputBoundError, OSError) as err:  # OSError: unusable --config or --out
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -235,7 +235,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return parse_scenario(data)

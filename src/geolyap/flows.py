@@ -560,22 +560,3 @@ def contraction_report(m: Manifold, L: float, taus: np.ndarray, offsets: np.ndar
                                          float(worst_upper[i]), bool(np.all(ok[i] | flagged[i]))))
     return reports
 
-
-def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,
-                step: float) -> np.ndarray:
-    """Flow states at t + h and, integrating backward in time, at t - h.
-
-    Both directions run as one batch; returns shape ``(2,) + coords.shape``.
-    ``t`` is a scalar or per-row times.  The Lie derivative of V at (t, x) is
-    the central difference (V(t + h, end+) - V(t - h, end-)) / 2h.
-    """
-    m = field.manifold
-    lead = np.ndim(coords) - len(m.ambient_shape)
-    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * lead)
-
-    def rhs(s, X):
-        return m.rows(sign) * field.rhs(np.where(sign > 0, s, 2.0 * t - s), X)
-
-    both = TimeVaryingField(m, rhs)
-    return flow_samples(both, t, np.stack([coords, coords]), [h], step)[-1]
-

@@ -8,10 +8,12 @@ finite-horizon flow integral
 evaluated by composite Simpson quadrature along one numerically integrated
 trajectory, on nodes spaced at most one integrator step apart (so the flow
 takes one step per node gap); p = 1 gives the exact theoretical constants,
-p = 2 (the default) keeps the integrand differentiable at the equilibrium.  For asymptotically
-stable systems, the integrand distance is first reshaped by a class-K
-function G built from a sampled decay envelope, making the truncated
-infinite-horizon integral finite with a certified tail bound.
+p = 2 (the default) keeps the integrand differentiable at the equilibrium.  Its
+derivative along the flow, LV = d(phi(t+delta), x*)^p - d(x, x*)^p, is read
+from the same trajectory.  For asymptotically stable systems, the integrand
+distance is first reshaped by a class-K function G built from a sampled decay
+envelope, making the truncated infinite-horizon integral finite with a
+certified tail bound.
 """
 
 from __future__ import annotations
@@ -23,19 +25,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envelopes import KLEnvelope, StabilityEnvelope
-from .flows import (
-    DEFAULT_STEP,
-    GRID_TOL,
-    TimeVaryingField,
-    arc_stencil,
-    flow_samples,
-    lie_stencil,
-)
+from .flows import DEFAULT_STEP, GRID_TOL, TimeVaryingField, arc_stencil, flow_samples
 from .manifolds import ManifoldMismatchError, ManifoldPoint, TangentVector
 
 MIN_QUADRATURE_INTERVALS = 64
 DEFAULT_POWER = 2.0
-LIE_H = 1e-3      # time half-width of the Lie-derivative stencil
 DIFF_EPS = 1e-4   # arc length of the differential stencil
 
 
@@ -153,7 +147,7 @@ class LyapunovFunction:
     so do the Lie and directional derivatives.  An evaluation is
     :meth:`node_flow` then :meth:`quadrature` (composite Simpson on
     :attr:`intervals`, whose nodes are at most one integrator step apart),
-    so a caller that needs more of the flow over
+    which also gives LV, so a caller that needs more of the flow over
     [t, t + horizon] runs it once.
     """
 
@@ -190,55 +184,53 @@ class LyapunovFunction:
         """Flow states at t + :attr:`node_offsets`, shape ``(intervals + 1,) + coords.shape``."""
         return flow_samples(self.field, t, coords, self.node_offsets, self.step)
 
-    def quadrature(self, nodes: np.ndarray):
-        """V from node states of :meth:`node_flow` (node axis first)."""
+    def quadrature(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V, composite Simpson of g = d^p (G(d) in massera mode), and LV = g(last
+        node) - g(first node), V's exact derivative along the flow (the flow-integral
+        identity), from node states of :meth:`node_flow` (node axis first)."""
         m = self.field.manifold
         # Quadrature nodes last and contiguous: each row sums in the same order
         # whether it is evaluated alone or in a batch.
         dists = np.ascontiguousarray(np.moveaxis(m.dist(nodes, self.x_star.coords), 0, -1))
-        vals = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
-        return np.sum(vals * _simpson_weights(self.horizon, self.intervals), axis=-1)
+        g = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
+        w = _simpson_weights(self.horizon, self.intervals)
+        return np.sum(g * w, axis=-1), g[..., -1] - g[..., 0]
 
-    def _evaluate_raw(self, t, coords: np.ndarray):
-        """V at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
+    def _evaluate_raw(self, t, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V and LV at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
         return self.quadrature(self.node_flow(t, coords))
+
+    def _at_point(self, t, x: ManifoldPoint, which: int):
+        if x.manifold != self.field.manifold:
+            raise ManifoldMismatchError("point manifold does not match the certificate")
+        value = self._evaluate_raw(t, x.coords)[which]
+        return float(value) if np.ndim(value) == 0 else value
 
     def evaluate(self, t, x: ManifoldPoint):
         """V(t, x); a batched point with per-row t gives one value per row."""
-        if x.manifold != self.field.manifold:
-            raise ManifoldMismatchError("point manifold does not match the certificate")
-        value = self._evaluate_raw(t, x.coords)
-        return float(value) if np.ndim(value) == 0 else value
+        return self._at_point(t, x, 0)
 
-    def evaluate_groups(self, groups: Sequence[tuple]) -> list[np.ndarray]:
-        """V over ``(times, states)`` groups (one time per state, or shared)
-        in one batched flow; the values come back split per group."""
+    def lie_derivative(self, t, x: ManifoldPoint):
+        """LV(t, x) by the flow-integral identity of :meth:`quadrature`."""
+        return self._at_point(t, x, 1)
+
+    def evaluate_groups(self, groups: Sequence[tuple]) -> tuple[list, list]:
+        """V and LV over ``(times, states)`` groups (one time per state, or
+        shared) in one batched flow; both come back split per group."""
         m = self.field.manifold
         states = [np.reshape(x, (-1,) + m.ambient_shape) for _, x in groups]
         times = np.concatenate([np.broadcast_to(np.asarray(t, dtype=float), (len(x),))
                                 for (t, _), x in zip(groups, states)])
-        values = self._evaluate_raw(times, np.concatenate(states))
-        return np.split(values, np.cumsum([len(x) for x in states])[:-1])
+        cuts = np.cumsum([len(x) for x in states])[:-1]
+        return tuple(np.split(q, cuts) for q in self._evaluate_raw(times, np.concatenate(states)))
 
     __call__ = evaluate
-
-    def lie_derivative(self, t, x: ManifoldPoint):
-        """LV(t, x): V's central difference at the ends of :func:`lie_stencil`
-        of half-width LIE_H, both ends in one V batch."""
-        m = self.field.manifold
-        if x.manifold != m:
-            raise ManifoldMismatchError("point manifold does not match the certificate")
-        t = np.broadcast_to(np.asarray(t, dtype=float),
-                            np.shape(x.coords)[:np.ndim(x.coords) - len(m.ambient_shape)])
-        ends = lie_stencil(self.field, t, m.project(x.coords), LIE_H, self.step)
-        v_plus, v_minus = self._evaluate_raw(np.stack([t + LIE_H, t - LIE_H]), ends)
-        return (v_plus - v_minus) / (2.0 * LIE_H)
 
     def directional_derivative(self, t, x: ManifoldPoint, v: TangentVector):
         """dV(t, .)(v) by a central geodesic difference of arc length DIFF_EPS."""
         eps_hat, stencil = arc_stencil(self.field.manifold, x.coords, v.components, DIFF_EPS)
         t_rows = np.broadcast_to(np.asarray(t, dtype=float), np.shape(eps_hat))
-        plus, minus = self._evaluate_raw(np.stack([t_rows, t_rows]), stencil)
+        plus, minus = self._evaluate_raw(np.stack([t_rows, t_rows]), stencil)[0]
         return (plus - minus) / (2.0 * eps_hat)
 
 

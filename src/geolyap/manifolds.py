@@ -560,6 +560,11 @@ class Hyperbolic2(Manifold):
         factor = self._mdot(other, v) / (1.0 - self._mdot(coords, other))
         return self.project_tangent(other, v + factor[..., None] * (coords + other))
 
+    def tangent_map(self, rng, coords, normals, norms):
+        # Projecting at x tilts the draws radially; at the origin it is isotropic.
+        return self.transport(self._ORIGIN, coords,
+                              super().tangent_map(rng, self._ORIGIN, normals, norms))
+
     point_variates = (4,)  # a normal, then a length in [0, 2); a degenerate normal: the origin
 
     def draw_point(self, rng, out):

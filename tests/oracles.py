@@ -1,0 +1,52 @@
+"""Test-only oracles.
+
+The library reads V's Lie derivative from the flow-integral identity
+LV(t, x) = g(phi(t + horizon; t, x)) - g(x).  The oracle here differentiates V
+numerically instead: a central difference in time over the flow's own
+stencil, (V(t + h, phi(t + h)) - V(t - h, phi(t - h))) / 2h, which agrees
+with the identity to O(h^2).
+"""
+
+import numpy as np
+
+from geolyap import flows
+from geolyap.flows import TimeVaryingField
+
+LIE_H = 1e-3  # time half-width of the stencil
+
+
+def lie_stencil(field: TimeVaryingField, t, coords: np.ndarray, h: float,
+                step: float) -> np.ndarray:
+    """Flow states at t + h and, integrating backward in time, at t - h.
+
+    Both directions run as one batch; returns shape ``(2,) + coords.shape``.
+    ``t`` is a scalar or per-row times.
+    """
+    m = field.manifold
+    lead = np.ndim(coords) - len(m.ambient_shape)
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * lead)
+
+    def rhs(s, X):
+        return m.rows(sign) * field.rhs(np.where(sign > 0, s, 2.0 * t - s), X)
+
+    both = TimeVaryingField(m, rhs)
+    return flows.flow_samples(both, t, np.stack([coords, coords]), [h], step)[-1]
+
+
+def lie_difference(V, t, coords: np.ndarray, h: float = LIE_H, field=None):
+    """LV by V's central difference at the ends of :func:`lie_stencil` of
+    ``field`` (V's own by default, else a field V is differentiated along)."""
+    m = V.field.manifold
+    t = np.broadcast_to(np.asarray(t, dtype=float),
+                        np.shape(coords)[:np.ndim(coords) - len(m.ambient_shape)])
+    ends = lie_stencil(V.field if field is None else field, t, m.project(coords), h, V.step)
+    v_plus, v_minus = V._evaluate_raw(np.stack([t + h, t - h]), ends)[0]
+    return (v_plus - v_minus) / (2.0 * h)
+
+
+def assert_second_order(oracle, lie, scale, what):
+    """``oracle(h)`` at h = 2e-3 and 1e-3 lies within 10 h^2 of ``lie``, relative
+    to ``scale``, and its gap falls by at least 3 per halving (or to 1e-10)."""
+    gaps = [float(np.max(np.abs(oracle(h) - lie) / scale)) for h in (2e-3, 1e-3)]
+    assert gaps[0] <= 10 * 2e-3 ** 2 and gaps[1] <= 10 * 1e-3 ** 2, (what, gaps)
+    assert gaps[1] <= gaps[0] / 3.0 + 1e-10, (what, gaps)

@@ -16,10 +16,9 @@ from geolyap.flows import (
     TimeVaryingField,
     flow,
     flow_samples,
-    lie_stencil,
     pushforward,
 )
-from geolyap.lyapunov import LIE_H, LyapunovFunction, construct_exp_V, massera_G
+from geolyap.lyapunov import LyapunovFunction, construct_exp_V, massera_G
 from geolyap.manifolds import (
     CutLocusError,
     Euclidean,
@@ -86,12 +85,10 @@ def test_integrator_and_V_batch_rows_are_single_rows(m):
     t = np.array([0.0, 1.0, math.e, 10.0, 0.3])
     offsets = [0.0, 0.05, 0.3]
     states = flow_samples(spec.field, t, x, offsets, 1e-2)
-    stencil = lie_stencil(spec.field, t, x, 1e-3, 1e-2)
     V = construct_exp_V(spec.field, spec.equilibrium, 0.4, p=2.0, step=1e-2)
-    values = V._evaluate_raw(t, x)
+    values = V._evaluate_raw(t, x)[0]
     for i in range(N_ROWS):
         assert np.array_equal(states[:, i], flow_samples(spec.field, t[i], x[i], offsets, 1e-2))
-        assert np.array_equal(stencil[:, i], lie_stencil(spec.field, t[i], x[i], 1e-3, 1e-2))
         assert values[i] == V.evaluate(t[i], ManifoldPoint(m, x[i]))
 
 
@@ -113,11 +110,9 @@ def test_lie_derivative_batch_rows_are_single_rows(m):
     assert batch.shape == (N_ROWS,)
     for i in range(N_ROWS):
         assert batch[i] == V.lie_derivative(t[i], ManifoldPoint(m, x[i]))
-        # the central difference of V at the ends of the Lie stencil, row alone
-        plus, minus = lie_stencil(V.field, t[i], m.project(x[i]), LIE_H, V.step)
-        alone = (V.evaluate(t[i] + LIE_H, ManifoldPoint(m, plus))
-                 - V.evaluate(t[i] - LIE_H, ManifoldPoint(m, minus))) / (2.0 * LIE_H)
-        assert batch[i] == alone
+        # the flow-integral identity on the row's own node flow, row alone
+        d = m.dist(V.node_flow(t[i], x[i]), V.x_star.coords)
+        assert batch[i] == d[-1] ** V.p - d[0] ** V.p
 
 
 @pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
@@ -135,13 +130,11 @@ def test_directional_derivative_batch_rows_are_single_rows(m):
         assert batch[i] == V.directional_derivative(t[i], xi, TangentVector(xi, v[i]))
 
 
-def test_lie_derivative_calls_V_once_on_both_stencil_ends(monkeypatch):
+def test_lie_derivative_calls_V_once_on_the_states(monkeypatch):
+    # LV comes with V from one node flow of the states themselves: no stencil.
     m = Sphere(2)
     _, V, t, x = _certificate_grid(m)
-    ends = lie_stencil(V.field, t, m.project(x), LIE_H, V.step)
-    # V's central difference at the stencil ends, through the public evaluate
-    want = (V.evaluate(t + LIE_H, ManifoldPoint(m, ends[0]))
-            - V.evaluate(t - LIE_H, ManifoldPoint(m, ends[1]))) / (2.0 * LIE_H)
+    values, want = V._evaluate_raw(t, x)
     calls = []
     raw = LyapunovFunction._evaluate_raw
 
@@ -153,14 +146,14 @@ def test_lie_derivative_calls_V_once_on_both_stencil_ends(monkeypatch):
     lie = V.lie_derivative(t, ManifoldPoint(m, x))
     assert len(calls) == 1
     times, coords = calls[0]
-    assert np.array_equal(times, np.stack([t + LIE_H, t - LIE_H]))
-    assert np.array_equal(coords, ends)
+    assert np.array_equal(times, t) and np.array_equal(coords, x)
     assert np.array_equal(lie, want)
+    assert np.array_equal(V.evaluate(t, ManifoldPoint(m, x)), values)
 
 
 def test_evaluate_rejects_a_point_on_another_manifold():
     _, V, t, x = _certificate_grid(Sphere(2))
-    assert np.array_equal(V.evaluate(t, ManifoldPoint(Sphere(2), x)), V._evaluate_raw(t, x))
+    assert np.array_equal(V.evaluate(t, ManifoldPoint(Sphere(2), x)), V._evaluate_raw(t, x)[0])
     with pytest.raises(ManifoldMismatchError):
         V.evaluate(0.0, Euclidean(2).point([0.0, 0.0]))
 

@@ -26,6 +26,7 @@ from geolyap.flows import (
     Region,
     TimeVaryingField,
     Trajectory,
+    arc_stencil,
     contraction_offsets,
     flow,
     flow_samples,
@@ -33,9 +34,10 @@ from geolyap.flows import (
     pushforward,
     step_offsets,
 )
-from geolyap.lyapunov import InvalidDeltaError, LyapunovFunction, choose_delta
+from geolyap.lyapunov import DIFF_EPS, InvalidDeltaError, LyapunovFunction, choose_delta
 from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere, TangentVector
 from geolyap.systems import attach_disturbance, make_system
+from oracles import assert_second_order, lie_difference
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -219,8 +221,8 @@ def test_verify_sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
 
 def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sphere_envelope,
                                                  monkeypatch):
-    # V, the telescoping endpoints and the pushforward all read one flow over
-    # V's quadrature nodes; the identity check no longer has a flow of its own.
+    # V, LV (the flow-integral identity), the telescoped endpoints and the
+    # pushforward all read one flow over V's quadrature nodes.
     p, n, n_push = 2.0, 12, 10
     delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5)
     calls, quotients = [], []
@@ -245,17 +247,18 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     (t0, x0, offsets, out), = [c for c in calls if c[2][-1] == delta]
     # delta = ln 2 at step 0.01: 70 Simpson intervals, so each node gap is one step.
     assert np.array_equal(offsets, np.linspace(0.0, delta, 71))
-    assert x0.shape == (5 * n + 2 * n_push, 3)
+    assert x0.shape == (3 * n + 2 * n_push, 3)
     t, d, _, lie = report.samples.T
     assert np.array_equal(t0[:n], t)
     end = out[-1, :n]
-    telescoped = SPHERE.dist(end, NORTH) ** p - d ** p
-    assert report.row("telescoping-identity").measured == float(np.max(np.abs(lie - telescoped)))
+    assert np.array_equal(lie, SPHERE.dist(end, NORTH) ** p - SPHERE.dist(out[0, :n], NORTH) ** p)
+    assert report.row("telescoping-identity").measured == \
+        float(np.max(SPHERE.dist(end, NORTH) ** p / d ** p))
 
     (args, w), = quotients
     _, t_push, coords, directions, _, y0, ends, q_offsets, q_step = args
     assert np.array_equal(y0, end[:n_push])
-    assert np.array_equal(ends, out[-1, 5 * n:].reshape(2, n_push, 3))
+    assert np.array_equal(ends, out[-1, 3 * n:].reshape(2, n_push, 3))
     assert np.array_equal(q_offsets, offsets) and q_step == 1e-2
     assert report.row("pushforward-growth").measured == \
         float(np.max(SPHERE.norm(y0, w))) / math.exp(sphere_L * delta)
@@ -451,18 +454,22 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     report = iss_certify(certificate, spec.input_signal, 0.1, horizons, seed=1,
                          grid=GridSpec(4, 1.0, T0_LIST), step=step)
     (x0,) = calls
-    # Part (a)'s states and Lie stencil ride in part (b)'s V batch, bit for bit.
-    (groups, values), = evaluations
-    (t, _), (t_plus, _), (t_minus, _) = groups[:3]
-    assert np.array_equal(t_plus, t + certify.LIE_H) and np.array_equal(t_minus, t - certify.LIE_H)
-    for alone, fused in zip(real_evaluate_groups(V, groups[:3]), values[:3]):
+    # Part (a)'s states and the dV(w) stencil of the disturbance's part w of
+    # the closed field ride in part (b)'s V batch, bit for bit.
+    (groups, (values, lies)), = evaluations
+    (t, x), (t_plus, plus), (t_minus, minus) = groups[:3]
+    assert np.array_equal(t_plus, t) and np.array_equal(t_minus, t)
+    w = SPHERE.project_tangent(x, closed.eval_raw(t, x) - V.field.eval_raw(t, x))
+    assert np.array_equal(np.stack([plus, minus]), arc_stencil(SPHERE, x, w, DIFF_EPS)[1])
+    alone_values, alone_lies = real_evaluate_groups(V, groups[:3])
+    for alone, fused in zip(alone_values + alone_lies, values[:3] + lies[:3]):
         assert np.array_equal(alone, fused)
     starts, series_start = x0[:3], x0[3]
     assert SPHERE.dist(series_start, NORTH) == pytest.approx(1.0, abs=1e-12)
 
     tails = [np.arange(0.6 * h, h + 1e-9, 0.25) for h in horizons]
     tail_pts = [flow_samples(closed, 0.0, starts, ts, step) for ts in tails]
-    tail_v = V.evaluate_groups([(np.repeat(ts, 3), pts) for ts, pts in zip(tails, tail_pts)])
+    tail_v, _ = V.evaluate_groups([(np.repeat(ts, 3), pts) for ts, pts in zip(tails, tail_pts)])
     assert report.measured_d_limsup == pytest.approx(
         max(float(np.max(SPHERE.dist(pts, NORTH))) for pts in tail_pts), abs=1e-12)
     assert report.measured_v_limsup == pytest.approx(
@@ -477,6 +484,37 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     np.testing.assert_allclose(report.series[:, 2], V.evaluate(times, ManifoldPoint(
         SPHERE, points)), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(report.series[:, 3], 0.1)
+
+
+@pytest.mark.parametrize("profile", ["constant", "sinusoid"])
+def test_iss_lie_derivative_matches_the_central_difference_to_second_order(
+        sphere_attractor, sphere_certificate, monkeypatch, profile):
+    # Along the disturbed field, LV is V's flow-integral identity plus dV(w),
+    # w the disturbance's part of the closed field: the pointwise row reads
+    # it, and a central difference of V along the closed flow converges to it.
+    spec = attach_disturbance(sphere_attractor, profile, 0.1)
+    closed = spec.field.with_input_signal(spec.input_signal)
+    certificate = _on_field(sphere_certificate, spec)
+    V, b = certificate.V, certificate.bounds
+    states = []
+    real_evaluate_groups = LyapunovFunction.evaluate_groups
+
+    def recording_evaluate_groups(self, groups):
+        states.append(groups[0])
+        return real_evaluate_groups(self, groups)
+
+    monkeypatch.setattr(LyapunovFunction, "evaluate_groups", recording_evaluate_groups)
+    report = iss_certify(certificate, spec.input_signal, 0.1, [2.0], seed=1,
+                         grid=GridSpec(8, 1.0, T0_LIST), step=0.05)
+    (t, x), = states
+    base = ManifoldPoint(SPHERE, x)
+    w = SPHERE.project_tangent(x, closed.eval_raw(t, x) - V.field.eval_raw(t, x))
+    values = V.evaluate(t, base)
+    lie = V.lie_derivative(t, base) + V.directional_derivative(t, base, TangentVector(base, w))
+    assert report.rows[0].measured == pytest.approx(float(np.max(lie + b.c3 * values)),
+                                                    rel=1e-12)
+    assert_second_order(lambda h: lie_difference(V, t, x, h, field=closed), lie,
+                        np.abs(lie) + values, profile)
 
 
 def test_iss_detects_bound_violation():

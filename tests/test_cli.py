@@ -482,23 +482,23 @@ def test_step_counts_per_flow(tmp_path, monkeypatch):
     # takes 2 order-8 steps of 1.28 and 4 of 0.64 and picks step 0.32, so the
     # envelope fit takes 7 steps over fit_horizon 2, plus 6 for the
     # contraction offsets of the config step (0.08, 0.17, ..., 0.5) that
-    # split its first two steps; the pairs ride that flow.  The Lie stencil
-    # takes 1 RK4 step; V's 71 quadrature nodes take 70 (V keeps the config
-    # step).  The contraction check has no flow of its own.
+    # split its first two steps; the pairs ride that flow.  V's 71 quadrature
+    # nodes take 70 (V keeps the config step); LV reads the same flow.  The
+    # contraction check has no flow of its own.
     steps = _count_steps(monkeypatch)
     base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
     config = _small_config(tmp_path, **base)
     assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    assert steps == [2, 4, 13, 1, 70]
-    # iss adds the disturbed flow's RK4 pilot (step 0.02), its own Lie
-    # stencil, the disturbed flow to t = 3 and one V batch.  The disturbed
-    # flow splits each 0.1 gap of the series times into 5 steps, and each of
-    # the 4 gaps that a tail time (1.45, 1.95, 2.05, 2.55) halves into 3 + 3.
+    assert steps == [2, 4, 13, 70]
+    # iss adds the disturbed flow's RK4 pilot (step 0.02), the disturbed
+    # flow to t = 3 and one V batch.  The disturbed flow splits each 0.1 gap
+    # of the series times into 5 steps, and each of the 4 gaps that a tail
+    # time (1.45, 1.95, 2.05, 2.55) halves into 3 + 3.
     steps.clear()
     config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
                            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
-    assert steps == [2, 4, 13, 1, 70, 2, 4, 1, 154, 70]
+    assert steps == [2, 4, 13, 70, 2, 4, 154, 70]
 
 
 def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypatch):
@@ -812,6 +812,29 @@ def test_verify_geometry_caps_samples_times_coordinates(tmp_path, capsys, monkey
         assert main(args) == 3
         assert "above the budget of 2000000" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for command in ("certify", "iss", "flow", "verify-geometry")
+    for case in ("config-directory", "config-not-utf8", "out-file", "out-under-file")
+    if command != "verify-geometry" or case.startswith("out")])
+def test_unusable_config_or_out_path_exits_three_without_output(tmp_path, capsys, command,
+                                                                 case):
+    config = _small_config(tmp_path, disturbance={"profile": "constant", "amplitude": 0.1})
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = {"out-file": blocker, "out-under-file": blocker / "out"}.get(case, tmp_path / "out")
+    if case == "config-directory":
+        config = tmp_path / "configs"
+        config.mkdir()
+    elif case == "config-not-utf8":
+        config.write_bytes(b"\xff\xfe{")
+    args = ["--manifold", "sphere2", "--n", "10"] if command == "verify-geometry" \
+        else ["--config", str(config)]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, *args, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "keep"
 
 
 def test_config_missing_file():

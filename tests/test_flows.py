@@ -20,7 +20,6 @@ from geolyap.flows import (
     flow,
     flow_samples,
     geodesic_stencil,
-    lie_stencil,
     lipschitz_estimate,
     pushforward,
     pushforward_quotient,
@@ -38,6 +37,7 @@ from geolyap.manifolds import (
     manifold_from_name,
 )
 from geolyap.systems import attach_disturbance, available_systems, make_system
+from oracles import lie_stencil
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -373,6 +373,25 @@ def test_lipschitz_transport_below_covariant():
         assert est.transport_constant <= est.covariant_constant * 1.05
 
 
+@pytest.mark.parametrize("name", ["sphere2", "hyperbolic2"])
+def test_lipschitz_estimate_reaches_the_closed_form(name):
+    # The geodesic attractor's covariant derivative at distance r has
+    # eigenvalue gain radially and gain r cot r (S^2) or gain r coth r (H^2)
+    # transversally, so L(r) = gain max(1, r |cot r|) or gain r coth r.  Only
+    # draws isotropic in the metric reach the transverse peak far out.
+    m = manifold_from_name(name)
+    equilibrium = [1.0, 0.0, 0.0] if name == "hyperbolic2" else [0.0, 0.0, 1.0]
+    for gain in (1.0, 2.0):
+        spec = make_system("geodesic_attractor", m, equilibrium, gain=gain)
+        for r in (0.5, 1.0, 2.0, 3.0, 3.1):
+            closed = gain * (r / math.tanh(r) if name == "hyperbolic2"
+                             else max(1.0, abs(r / math.tan(r))))
+            for seed in range(4):
+                L = lipschitz_estimate(spec.field, Region(spec.equilibrium, r), [0.0], 64,
+                                       seed=seed).inflated()
+                assert L >= closed, (gain, r, seed, L, closed)
+
+
 def test_lipschitz_deterministic_and_validated(sphere_attractor):
     region = Region(sphere_attractor.equilibrium, 1.0)
     a = lipschitz_estimate(sphere_attractor.field, region, [0.0], 50, seed=9)
@@ -455,7 +474,7 @@ def test_contraction_offsets_shorter_than_a_step():
     assert contraction_offsets(0.004, 0.01).tolist() == [0.0, 0.004]
 
 
-# -- lie stencil ---------------------------------------------------------------------------
+# -- the Lie stencil of the central-difference oracle (tests/oracles.py) ------------
 
 
 def test_lie_derivative_quadratic_euclidean(euclid_linear):

@@ -5,7 +5,9 @@ for six manifolds at three seeds and two sample counts, plus one run with the
 fault injected.  The values were written by the suite that drew and mapped
 its samples one point at a time; the suite now draws in the same generator
 order and maps each sample stack in one batch, so every report must match the
-file exactly.  ``python tests/test_geometry_reference.py --write`` rewrites
+file exactly.  The hyperbolic2 cases were rewritten when its tangent draws
+became isotropic in the metric (the normals' spatial part at the origin,
+transported to each point), which moves every drawn tangent.  ``python tests/test_geometry_reference.py --write`` rewrites
 the file from the current code.
 """
 

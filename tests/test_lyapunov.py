@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geolyap.certify import classify_stability
+from geolyap.certify import GridSpec, classify_stability, sample_states
 from geolyap.flows import flow, flow_samples
 from geolyap.lyapunov import (
     HorizonError,
@@ -23,7 +23,8 @@ from geolyap.manifolds import (
     TangentVector,
     manifold_from_name,
 )
-from geolyap.systems import make_system
+from geolyap.systems import available_systems, make_system
+from oracles import assert_second_order, lie_difference
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -50,6 +51,26 @@ def sphere_V1(sphere_attractor):
 def _sphere_state(rng, r_lo=0.1, r_hi=1.0):
     v = SPHERE.random_tangent(rng, NORTH, norm=rng.uniform(r_lo, r_hi))
     return ManifoldPoint(SPHERE, SPHERE.exp(NORTH, v))
+
+
+# -- LV: the flow-integral identity against a central-difference oracle ---------------
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "sphere2", "so3", "hyperbolic2"])
+def test_lie_identity_matches_the_central_difference_to_second_order(name):
+    m = manifold_from_name(name)
+    rng = np.random.default_rng(5)
+    x_star = m.project(m.random_point(rng))
+    x = m.exp(x_star, m.random_tangents(rng, x_star, 6, lambda: rng.uniform(0.2, 1.2)))
+    t = np.array([0.0, 1.0, math.e, 10.0, 0.3, 5.0])
+    for system in available_systems():
+        if system == "isometric_rotation" and name != "sphere2":
+            continue
+        spec = make_system(system, m, x_star)
+        V = construct_exp_V(spec.field, spec.equilibrium, 0.5, p=2.0, step=1e-2)
+        values, lie = V._evaluate_raw(t, x)
+        assert_second_order(lambda h: lie_difference(V, t, x, h), lie, np.abs(lie) + values,
+                            (name, system))
 
 
 # -- horizon choice -------------------------------------------------------------
@@ -209,6 +230,9 @@ def test_construction_validation(sphere_attractor):
 
 
 def test_telescoping_identity(sphere_V1, sphere_attractor):
+    # LV is the identity d(phi(t + delta)) - d(x) on V's own node flow: an
+    # independent flow to t + delta gives it to rounding, and V's central
+    # difference converges to it.
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = _sphere_state(rng)
@@ -216,7 +240,8 @@ def test_telescoping_identity(sphere_V1, sphere_attractor):
         lie = sphere_V1.lie_derivative(t, x)
         end = flow_samples(sphere_attractor.field, t, x.coords, [LN2], 1e-2)[0]
         telescoped = SPHERE.dist(end, NORTH) - SPHERE.dist(x.coords, NORTH)
-        assert abs(lie - telescoped) < 1e-5
+        assert abs(lie - telescoped) < 1e-12
+        assert abs(lie_difference(sphere_V1, t, x.coords) - lie) < 1e-5
 
 
 def test_sandwich_and_decay(sphere_V1):
@@ -369,6 +394,20 @@ def test_ugas_construction_positive_and_decaying(cubic_envelope):
         x = EUCLID.point(EUCLID.random_tangent(rng, np.zeros(2), norm=rng.uniform(0.4, 1.0)))
         assert V.evaluate(0.0, x) > 0.0
         assert V.lie_derivative(0.0, x) < 0.0
+
+
+def test_massera_lie_identity_matches_the_central_difference_to_second_order(cubic_envelope):
+    # LV = G(d(end)) - G(d(x)).  At step 0.0125 the discretization's own gap
+    # between the two (fourth order in the step, 1.8e-5 at step 0.05) sits
+    # below the central difference's h^2 term.
+    spec, envelope = cubic_envelope
+    V = construct_ugas_V(spec.field, spec.equilibrium, envelope, 20.0, step=0.0125)
+    t, x = sample_states(EUCLID, spec.equilibrium, GridSpec(6, 1.0, (0.0, 1.0, math.e, 10.0)),
+                         np.random.default_rng(3), r_min_frac=0.4)
+    values, lie = V._evaluate_raw(t, x)
+    assert np.all(lie < 0.0)
+    assert_second_order(lambda h: lie_difference(V, t, x, h), lie, np.abs(lie) + values,
+                        "massera")
 
 
 def test_ugas_monotone_along_ray(cubic_envelope):

@@ -384,6 +384,22 @@ def test_random_draws_equal_their_batched_map_rows(m):
     assert [v.tobytes() for v in tangents] == [v.tobytes() for v in mapped]
 
 
+@pytest.mark.parametrize("m", ALL_MANIFOLDS, ids=lambda m: m.name)
+def test_random_tangents_are_isotropic_in_the_metric(m):
+    # Unit draws at a point far from the origin (distance 3 on hyperbolic2)
+    # have coefficients c in an orthonormal frame with E[c c^T] = I / dim.
+    rng = np.random.default_rng(11)
+    x = m.project(m.random_point(rng))
+    if m.name == "hyperbolic2":
+        x = m.exp(np.array([1.0, 0.0, 0.0]), np.array([0.0, 3.0 * 0.6, 3.0 * 0.8]))
+    v = m.random_tangents(rng, x, 4000, lambda: 1.0)
+    basis = m.tangent_basis(x)
+    c = np.stack([m.inner(x, v, e) for e in basis], axis=-1)
+    np.testing.assert_allclose(np.sum(c * c, axis=-1), 1.0, rtol=1e-9)
+    second = c.T @ c / len(c)
+    assert np.max(np.abs(second - np.eye(m.dim) / m.dim)) < 0.03, second
+
+
 class _QueuedNormals:
     """Generator stand-in that returns queued normals and mid-range uniforms."""
 

@@ -10,7 +10,11 @@ on curved manifolds V and the endpoints move by the change in integration
 error: they must match the file to ``SHIFT_TOL`` absolute (1e-12 on the
 plane, whose arithmetic did not change) and a reference run of the same
 code at step / 16 to ``FINE_TOL``.  The finite-difference quantities stay
-within 1e-8 relative of the file.  The ``values`` of sphere2/disturbed and
+within 1e-8 relative of the file.  The ``LV`` entries were rewritten when LV
+became V's flow-integral identity d(phi(t + delta))^p - d^p, replacing a
+central difference of V in time whose own error was 4e-8 to 2.3e-6 relative;
+each is gated by its closed form on the geodesic cases and by a central
+difference that converges to it at second order.  The ``values`` of sphere2/disturbed and
 so3/disturbed were rewritten when the input frame became the equilibrium's
 basis parallel-transported along the geodesic, replacing Gram-Schmidt
 frames that jumped: the disturbance pushes along other directions, so those
@@ -35,6 +39,7 @@ from geolyap.flows import flow, pushforward
 from geolyap.lyapunov import LyapunovFunction, construct_exp_V, massera_G
 from geolyap.manifolds import ManifoldPoint, TangentVector, manifold_from_name
 from geolyap.systems import attach_disturbance, make_system
+from oracles import assert_second_order, lie_difference
 
 FIXTURE = Path(__file__).parent / "data" / "reference_values.json"
 STEP = 1e-2
@@ -183,6 +188,36 @@ def test_matches_reference_values(reference, case):
     for i, (g, f) in enumerate(zip(got, fine)):
         for key in ("V", "flow_end"):
             _assert_abs(g[key], f[key], f"{label}[{i}] {key} at step / 16", FINE_TOL)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_reference_lie_derivatives_match_the_central_difference(reference, case):
+    label, name, system, params, profile = case
+    m = manifold_from_name(name)
+    entry = reference["cases"][label]
+    spec, field = _system(m, system, params, profile,
+                          np.reshape(entry["equilibrium"], m.ambient_shape))
+    V = construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=STEP)
+    t = np.array([s["t"] for s in entry["states"]])
+    x = np.array([np.reshape(s["x"], m.ambient_shape) for s in entry["states"]])
+    lie = np.array([v["LV"] for v in entry["values"]])
+    scale = np.abs(lie) + np.array([v["V"] for v in entry["values"]])
+    assert_second_order(lambda h: lie_difference(V, t, x, h), lie, scale, label)
+
+
+@pytest.mark.parametrize("label", [c[0] for c in CASES if c[2] == "geodesic_attractor"
+                                   and c[4] is None])
+def test_geodesic_lie_derivative_matches_its_closed_form(reference, label):
+    # d(t) = e^{-t} d0 exactly, so LV = d0^2 (e^{-2 DELTA} - 1) = d0^2 (e^{-1} - 1).
+    case = next(c for c in CASES if c[0] == label)
+    m = manifold_from_name(case[1])
+    entry = reference["cases"][label]
+    equilibrium = np.reshape(entry["equilibrium"], m.ambient_shape)
+    got = _case_values(m, *case[2:], equilibrium, entry["states"])
+    for s, g in zip(entry["states"], got):
+        d = m.dist(np.reshape(s["x"], m.ambient_shape), equilibrium)
+        want = d * d * math.expm1(-2.0 * DELTA)
+        assert abs(g["LV"] - want) <= 1e-9 * abs(want), (label, g["LV"], want)
 
 
 def test_write_fixture_refuses_an_existing_file(tmp_path):

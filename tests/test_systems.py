@@ -21,6 +21,7 @@ from geolyap.systems import (
     make_disturbance_signal,
     make_system,
 )
+from oracles import lie_stencil
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -144,8 +145,8 @@ def _normal_ratio(m, x, f):
 @pytest.mark.parametrize("name", ["euclidean2", "sphere2", "so3", "hyperbolic2"])
 def test_every_field_is_tangent_at_manifold_points(name, monkeypatch):
     # Nothing projects a field's rhs, so every registered system, its closed
-    # disturbed fields and lie_stencil's two-direction field must return
-    # tangent vectors at manifold points.
+    # disturbed fields and the oracle's two-direction Lie-stencil field must
+    # return tangent vectors at manifold points.
     m = manifold_from_name(name)
     rng = np.random.default_rng(31)
     x_star = m.project(m.random_point(rng))
@@ -164,7 +165,7 @@ def test_every_field_is_tangent_at_manifold_points(name, monkeypatch):
             fields[profile] = disturbed.field.with_input_signal(disturbed.input_signal)
         for label, field in fields.items():
             assert _normal_ratio(m, x, field.eval_raw(t, x)) <= 1e-12, (system, label)
-            flows.lie_stencil(field, t, x, 0.3, 0.01)
+            lie_stencil(field, t, x, 0.3, 0.01)
             both, X = stencils.pop()
             f = both.eval_raw(t + 0.3, X).reshape((2 * len(x),) + m.ambient_shape)
             assert _normal_ratio(m, X.reshape(f.shape), f) <= 1e-12, (system, label, "stencil")
