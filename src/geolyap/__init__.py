@@ -27,11 +27,9 @@ from .flows import (
     Region,
     TimeVaryingField,
     Trajectory,
-    contraction_envelope_check,
     flow,
     flow_samples,
     lipschitz_estimate,
-    pushforward,
 )
 from .lyapunov import (
     LyapunovFunction,
@@ -53,8 +51,6 @@ from .manifolds import (
     ManifoldPoint,
     Sphere,
     SpecialOrthogonal3,
-    TangentVector,
-    first_variation_terms,
     manifold_from_name,
 )
 from .systems import SystemSpec, attach_disturbance, available_systems, make_system

@@ -21,6 +21,7 @@ from .flows import (
     DEFAULT_STEP,
     GRID_TOL,
     PUSHFORWARD_EPS,
+    RK8,
     Region,
     TimeVaryingField,
     Trajectory,
@@ -37,14 +38,7 @@ from .lyapunov import (
     construct_exp_V,
     theoretical_bounds,
 )
-from .manifolds import (
-    Manifold,
-    ManifoldMismatchError,
-    ManifoldPoint,
-    TangentVector,
-    endpoint_variation,
-    first_variation_terms,
-)
+from .manifolds import Manifold, ManifoldMismatchError, ManifoldPoint
 
 # Fixed anchor checklist for certification reports.  The first five appear in
 # converse-certificate reports, the last two in robustness reports; together
@@ -541,9 +535,9 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
     c4 L_u |u|_inf / c3 within TRAJ_TOL (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
     ultimate distance bound follows through c1.  The trajectories of (b)
-    integrate in one batched flow; a series trajectory, started at the radius
-    from a ``seed + 4`` draw, joins it and is sampled at t = k / 10 (exact
-    decimals) up to the longest horizon.  Every V of (a), (b) and the series
+    integrate in one batched :data:`RK8` flow at ``step``; a series trajectory,
+    started at the radius from a ``seed + 4`` draw, joins it and is sampled at
+    t = k / 10 (exact decimals) up to the longest horizon.  Every V of (a), (b) and the series
     comes from one batched evaluation.  The caller scans the signal over [0,
     max(horizons) + max(grid.t0_list)] with :func:`check_input_signal`.
     """
@@ -579,7 +573,7 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
     series_t = np.arange(10.0 * max_horizon + 1e-6) / 10.0
     offsets = np.sort(np.concatenate(tails + [series_t]))  # a repeated time adds no step
     x0 = np.concatenate([starts, iss_series_start(m, x_star.coords, gs.radius, seed)[None]])
-    pts = flow_samples(closed, 0.0, x0, offsets, step)
+    pts = flow_samples(closed, 0.0, x0, offsets, step, RK8)
     n = len(starts)
     groups = [(0.0, starts)] + [(np.repeat(ts, n), pts[np.searchsorted(offsets, ts), :n])
                                 for ts in tails]
@@ -622,10 +616,10 @@ def run_geometry_suite(manifold: Manifold, seed: int, n: int,
     """Property suite over the geometry kernel.
 
     Rows: exp/log round trips, transport isometry, triangle inequality,
-    distance vs. extrapolated arc length, first-variation order of
-    convergence, and constraint drift after projection.  ``inject_fault``
-    deliberately skips the renormalization step of the round trip (test
-    hook for the failure path).
+    distance vs. extrapolated arc length, the first variation of distance's
+    order of convergence, and constraint drift after projection.
+    ``inject_fault`` deliberately skips the renormalization step of the round
+    trip (test hook for the failure path).
     """
     rng = np.random.default_rng(seed)
     m = manifold
@@ -675,22 +669,22 @@ def run_geometry_suite(manifold: Manifold, seed: int, n: int,
         extrapolated = (4.0 * chord_sum(128) - chord_sum(64)) / 3.0
         arc_worst = max(arc_worst, abs(extrapolated - d))
 
-    # First-variation order: halving h should shrink the residual ~4x.  The
-    # endpoint moves obliquely (part stretching, part bending) so the length
-    # function has genuine curvature in t.
+    # First-variation order: the gradient of d(x, .) at y is -log_y(x)/d (do
+    # Carmo, ch. 9), so the central difference of d(x, exp_y(+/-h w)) over 2h
+    # misses -<toward, w> by O(h^2); halving h should shrink the residual ~4x.
+    # The endpoint moves obliquely (part stretching, part bending) so the
+    # distance has genuine curvature in h.
     x = m.project(m.random_point(rng))
     v = m.random_tangent(rng, x, norm=min(reach, 1.0))
     y = m.exp(x, v)
-    x_pt = ManifoldPoint(m, x)
-    y_pt = ManifoldPoint(m, y)
     toward = m.log(y, x)
     toward = toward / m.norm(y, toward)
     side = next((e for e in m.tangent_basis(y) if abs(m.inner(y, e, toward)) < 0.9), toward)
     w_mix = 0.6 * toward + 0.8 * side
-    family = endpoint_variation(x_pt, y_pt, TangentVector(y_pt, w_mix))
-    res_h = first_variation_terms(x_pt, y_pt, family, h=0.08).residual
-    res_h2 = first_variation_terms(x_pt, y_pt, family, h=0.04).residual
-    ratio = res_h2 / res_h if res_h > 1e-12 else 0.25
+    hs = np.array([0.08, 0.04])
+    d_plus, d_minus = m.dist(x, m.exp(y, m.rows(np.stack([hs, -hs])) * w_mix))
+    res_h, res_h2 = np.abs((d_plus - d_minus) / (2.0 * hs) + m.inner(y, toward, w_mix))
+    ratio = float(res_h2 / res_h) if res_h > 1e-12 else 0.25
 
     rows = [
         _upper_row("exp-log-roundtrip", "exp-log-roundtrip", 1e-8, roundtrip_worst, 1e-8),

@@ -27,7 +27,6 @@ from .manifolds import (
     Manifold,
     ManifoldMismatchError,
     ManifoldPoint,
-    TangentVector,
 )
 
 DEFAULT_STEP = 1e-3
@@ -40,12 +39,11 @@ STEP_TOL = 1.35e-8        # step_error allowed; calibration in README, "Internal
 PILOT_STEPS = 2           # coarse steps of a step_error pilot (the fine run takes twice as many)
 
 # An explicit Runge-Kutta scheme: stages (c_i, ((j, a_ij), ...)) and weights (j, b_j), nonzero
-# entries only; a step adds dt / divisor times the weighted sum.  Its order on smooth fields,
-# and the multiples k of the config step that choose_step tries.
+# entries only; a step adds dt / divisor times the weighted sum.  Its order on smooth fields.
 RungeKutta = NamedTuple("RungeKutta", [("stages", tuple), ("weights", tuple), ("divisor", float),
-                                       ("order", int), ("multiples", tuple)])
+                                       ("order", int)])
 RK4 = RungeKutta(((0.0, ()), (0.5, ((0, 0.5),)), (0.5, ((1, 0.5),)), (1.0, ((2, 1.0),))),
-                 ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0)), 6.0, 4, (1, 2, 4, 8))  # classical
+                 ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0)), 6.0, 4)  # classical
 # DOP853's order-8 solution (Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67-75).
 RK8 = RungeKutta(((0.0, ()), (0.05260015195876773, ((0, 0.05260015195876773),)),
     (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
@@ -69,7 +67,7 @@ RK8 = RungeKutta(((0.0, ()), (0.05260015195876773, ((0, 0.05260015195876773),)),
     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)))),
     ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
     (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-    (10, 0.20136540080403034), (11, 0.04471061572777259)), 1.0, 8, (1, 2, 4, 8, 16, 32, 64))
+    (10, 0.20136540080403034), (11, 0.04471061572777259)), 1.0, 8)
 
 
 class IntegrationError(RuntimeError):
@@ -88,7 +86,7 @@ class TimeVaryingField:
     evaluates it: ``X`` holds one state or a batch ``(..., *ambient_shape)``
     and ``t`` is a scalar or per-row times (broadcast per row with
     ``manifold.rows``).  Its contract: tangent at manifold points, smooth off
-    them.  The RK4 stage points ``X`` are ambient points within
+    them.  The stage points ``X`` of a step are ambient points within
     O(step^2 |f|^2) of the manifold, where ``rhs`` must be a smooth formula
     of the embedding coordinates, as every registered system is; nothing
     projects its output (:func:`flow_samples` checks it at its start rows).
@@ -106,12 +104,6 @@ class TimeVaryingField:
         if isinstance(raw, np.ndarray) and raw.dtype == float and raw.shape == np.shape(coords):
             return raw
         return np.broadcast_to(np.asarray(raw, dtype=float), np.shape(coords))
-
-    def __call__(self, t: float, x: ManifoldPoint) -> TangentVector:
-        if x.manifold != self.manifold:
-            raise ManifoldMismatchError(
-                f"field on {self.manifold.name} evaluated at a {x.manifold.name} point")
-        return TangentVector(x, self.eval_raw(t, x.coords))
 
     def with_input_signal(self, signal: Callable[[float], np.ndarray]) -> "TimeVaryingField":
         """Close the input channel with a signal u(t), yielding f(t, x, u(t))."""
@@ -248,28 +240,17 @@ def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
 
 
 def choose_step(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
-                span: float, base_step: float, scheme: RungeKutta = RK4) -> tuple[float, float]:
-    """The largest ``k * base_step``, k in ``scheme.multiples``, whose error
-    meets STEP_TOL, and that error, from one :func:`step_error` pilot at the
-    largest k (3 PILOT_STEPS steps) scaled by h^order; else ``base_step``,
-    with an infinite estimate when the pilot left the reals."""
-    top = scheme.multiples[-1]
-    error = step_error(field, t0, x0, x_star, span, top * base_step, scheme)
-    for k in reversed(scheme.multiples):
-        estimate = error * (k / top) ** scheme.order
-        if estimate <= STEP_TOL or k == scheme.multiples[0]:
+                span: float, base_step: float) -> tuple[float, float]:
+    """The largest :data:`RK8` step ``k * base_step``, k = 64, 32, ..., 1, whose
+    error meets STEP_TOL, and that error, from one :func:`step_error` pilot at
+    k = 64 scaled by h^8.  When no k does, ``base_step`` and its own pilot's
+    estimate (infinite when that pilot left the reals)."""
+    error = step_error(field, t0, x0, x_star, span, 64 * base_step, RK8)
+    for k in (64, 32, 16, 8, 4, 2, 1):
+        estimate = error * (k / 64) ** RK8.order
+        if estimate <= STEP_TOL:
             return k * base_step, estimate
-
-
-def _shared_span(t0, t1, message: str) -> float:
-    """The common length of the rows' time intervals [t0, t1]."""
-    spans = np.ravel(np.asarray(t1, dtype=float) - np.asarray(t0, dtype=float))
-    if np.any(spans < 0):
-        raise ValueError(message)
-    span = float(spans.max())
-    if np.any(spans < span - 1e-9 * max(1.0, span)):
-        raise ValueError("batched rows must share one time span")
-    return span
+    return base_step, step_error(field, t0, x0, x_star, span, base_step, RK8)
 
 
 def flow(field: TimeVaryingField, t0, x0, t1, step: float = DEFAULT_STEP):
@@ -283,7 +264,12 @@ def flow(field: TimeVaryingField, t0, x0, t1, step: float = DEFAULT_STEP):
     points = [x0] if single else list(x0)
     if any(p.manifold != field.manifold for p in points):
         raise ManifoldMismatchError("initial condition manifold does not match the field")
-    span = _shared_span(t0, t1, f"t1 must be >= t0, got [{t0}, {t1}]")
+    spans = np.ravel(np.asarray(t1, dtype=float) - np.asarray(t0, dtype=float))
+    if np.any(spans < 0):
+        raise ValueError(f"t1 must be >= t0, got [{t0}, {t1}]")
+    span = float(spans.max())
+    if np.any(spans < span - 1e-9 * max(1.0, span)):
+        raise ValueError("batched rows must share one time span")
     if step <= 0:
         raise ValueError("step must be positive")
     m = field.manifold
@@ -341,34 +327,6 @@ def pushforward_quotient(field: TimeVaryingField, t, coords: np.ndarray, v: np.n
             w = (m.log(y0, ends[0]) - m.log(y0, ends[1])) / m.rows(2.0 * eps_hat)
             return np.where(m.rows(zero), 0.0, m.project_tangent(y0, w))
     raise CutLocusError("pushforward stencil kept hitting the cut locus", coords, y0)
-
-
-def pushforward(field: TimeVaryingField, t, x: ManifoldPoint, v: TangentVector,
-                tau, step: float = DEFAULT_STEP) -> TangentVector:
-    """Flow pushforward of v under x -> phi(tau; t, x).
-
-    The geodesic-variation central difference of :func:`pushforward_quotient`:
-    the base point and its stencil of arc length PUSHFORWARD_EPS integrate as one
-    batch over the step grid of [t, tau].  ``x`` and ``v`` may hold a batch
-    of points (leading axes) with per-row ``t`` and ``tau`` sharing one span.
-    Certificate verification runs the same stencil and quotient on V's
-    quadrature-node flow.
-    """
-    span = _shared_span(t, tau, "tau must be >= t")
-    if x.manifold != field.manifold:
-        raise ManifoldMismatchError("point manifold does not match the field")
-    if v.base.manifold != x.manifold or not np.array_equal(v.base.coords, x.coords):
-        raise ManifoldMismatchError("tangent vector is not based at the given point")
-    m = field.manifold
-    if span == 0.0:
-        return v
-    eps_hat, stencil = arc_stencil(m, x.coords, v.components, PUSHFORWARD_EPS)
-    offsets = step_offsets(span, step)
-    start = np.concatenate([m.project(np.array(x.coords))[None], stencil])
-    ends = flow_samples(field, t, start, offsets, step)[-1]
-    w = pushforward_quotient(field, t, x.coords, v.components, eps_hat, ends[0], ends[1:],
-                             offsets, step)
-    return TangentVector(ManifoldPoint(m, ends[0]), w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,35 +455,6 @@ def contraction_offsets(horizon: float, step: float) -> np.ndarray:
         return np.array([0.0, horizon])
     k = np.minimum(np.rint(np.linspace(0.0, horizon, 7) / step), last)  # nondecreasing
     return k[np.diff(k, prepend=-1.0) > 0] * step
-
-
-def contraction_envelope_check(field: TimeVaryingField, L: float,
-                               x1: ManifoldPoint, x2: ManifoldPoint, t,
-                               tau_grid: Sequence[float], step: float = DEFAULT_STEP,
-                               slack: float = 1e-6):
-    """Verify d0 e^{-L dt} <= d(phi, phi) <= d0 e^{L dt} along the flow.
-
-    ``x1`` and ``x2`` may hold a batch of pairs (one leading axis) with
-    per-pair start times ``t`` and one row of ``tau_grid`` per pair, all at
-    the same offsets from their ``t``; the 2 x pairs states then integrate as
-    one batch and one report per pair comes back.  The reports are those of
-    :func:`contraction_report` on that flow.
-    """
-    m = field.manifold
-    single = np.ndim(x1.coords) == len(m.ambient_shape)
-    a, b = (x1.coords[None], x2.coords[None]) if single else (x1.coords, x2.coords)
-    starts = np.broadcast_to(np.asarray(t, dtype=float), (len(a),))
-    taus = np.sort(np.broadcast_to(np.asarray(tau_grid, dtype=float),
-                                   (len(a), np.shape(tau_grid)[-1])), axis=-1)
-    elapsed = taus - starts[:, None]
-    if np.any(elapsed[:, 0] < 0):
-        raise ValueError("tau grid must start at or after t")
-    offsets = elapsed[0]
-    if np.any(np.abs(elapsed - offsets) > 1e-9 * max(1.0, float(offsets[-1]))):
-        raise ValueError("batched pairs must share one tau grid relative to their t")
-    ends = flow_samples(field, starts, np.stack([a, b]), offsets, step)
-    reports = contraction_report(m, L, taus, offsets, m.dist(a, b), ends, slack)
-    return reports[0] if single else reports
 
 
 def contraction_report(m: Manifold, L: float, taus: np.ndarray, offsets: np.ndarray,

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envelopes import KLEnvelope, StabilityEnvelope
-from .flows import DEFAULT_STEP, GRID_TOL, TimeVaryingField, arc_stencil, flow_samples
-from .manifolds import ManifoldMismatchError, ManifoldPoint, TangentVector
+from .flows import DEFAULT_STEP, GRID_TOL, TimeVaryingField, flow_samples
+from .manifolds import ManifoldMismatchError, ManifoldPoint
 
 MIN_QUADRATURE_INTERVALS = 64
 DEFAULT_POWER = 2.0
@@ -143,10 +143,9 @@ class LyapunovFunction:
     ``mode`` is "exponential" (integrand d^p over horizon delta) or "massera"
     (integrand G(d) over the truncation horizon, with ``tail_bound`` the
     certified truncation error; ``reshaping`` maps distance arrays to G).
-    Evaluations share the horizon, so states with their own times batch;
-    so do the Lie and directional derivatives.  An evaluation is
-    :meth:`node_flow` then :meth:`quadrature` (composite Simpson on
-    :attr:`intervals`, whose nodes are at most one integrator step apart),
+    Evaluations share the horizon, so states with their own times batch.  An
+    evaluation is :meth:`node_flow` then :meth:`quadrature` (composite Simpson
+    on :attr:`intervals`, whose nodes are at most one integrator step apart),
     which also gives LV, so a caller that needs more of the flow over
     [t, t + horizon] runs it once.
     """
@@ -200,19 +199,12 @@ class LyapunovFunction:
         """V and LV at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
         return self.quadrature(self.node_flow(t, coords))
 
-    def _at_point(self, t, x: ManifoldPoint, which: int):
-        if x.manifold != self.field.manifold:
-            raise ManifoldMismatchError("point manifold does not match the certificate")
-        value = self._evaluate_raw(t, x.coords)[which]
-        return float(value) if np.ndim(value) == 0 else value
-
     def evaluate(self, t, x: ManifoldPoint):
         """V(t, x); a batched point with per-row t gives one value per row."""
-        return self._at_point(t, x, 0)
-
-    def lie_derivative(self, t, x: ManifoldPoint):
-        """LV(t, x) by the flow-integral identity of :meth:`quadrature`."""
-        return self._at_point(t, x, 1)
+        if x.manifold != self.field.manifold:
+            raise ManifoldMismatchError("point manifold does not match the certificate")
+        value = self._evaluate_raw(t, x.coords)[0]
+        return float(value) if np.ndim(value) == 0 else value
 
     def evaluate_groups(self, groups: Sequence[tuple]) -> tuple[list, list]:
         """V and LV over ``(times, states)`` groups (one time per state, or
@@ -223,15 +215,6 @@ class LyapunovFunction:
                                 for (t, _), x in zip(groups, states)])
         cuts = np.cumsum([len(x) for x in states])[:-1]
         return tuple(np.split(q, cuts) for q in self._evaluate_raw(times, np.concatenate(states)))
-
-    __call__ = evaluate
-
-    def directional_derivative(self, t, x: ManifoldPoint, v: TangentVector):
-        """dV(t, .)(v) by a central geodesic difference of arc length DIFF_EPS."""
-        eps_hat, stencil = arc_stencil(self.field.manifold, x.coords, v.components, DIFF_EPS)
-        t_rows = np.broadcast_to(np.asarray(t, dtype=float), np.shape(eps_hat))
-        plus, minus = self._evaluate_raw(np.stack([t_rows, t_rows]), stencil)[0]
-        return (plus - minus) / (2.0 * eps_hat)
 
 
 def construct_exp_V(field: TimeVaryingField, x_star: ManifoldPoint, delta: float,

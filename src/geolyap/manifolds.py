@@ -38,7 +38,7 @@ class GeometryError(ValueError):
 
 
 class ManifoldMismatchError(GeometryError):
-    """Operands live on different manifolds or in different tangent spaces."""
+    """Operands live on different manifolds."""
 
 
 class CutLocusError(GeometryError):
@@ -65,30 +65,6 @@ class ManifoldPoint:
         return f"ManifoldPoint({self.manifold.name}, {self.coords.ravel().tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A tangent vector: base point plus embedding-space components."""
-
-    base: ManifoldPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.array(self.components, dtype=float))
-        self.components.setflags(write=False)
-
-    @property
-    def manifold(self) -> "Manifold":
-        return self.base.manifold
-
-    @property
-    def norm(self) -> float:
-        m = self.base.manifold
-        return m.norm(self.base.coords, self.components)
-
-    def __repr__(self):
-        return f"TangentVector({self.manifold.name}, |v|={np.round(self.norm, 6)})"
-
-
 def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
@@ -109,8 +85,8 @@ class Manifold(ABC):
     The abstract methods form the raw ndarray layer used by integrators and
     estimators.  They take arrays ``(..., *ambient_shape)`` whose leading
     (batch) axes broadcast row by row; a single point has none.  A check that
-    fails on any row raises for the whole call.  ``point``/``tangent`` wrap
-    validated arrays into :class:`ManifoldPoint` / :class:`TangentVector`.
+    fails on any row raises for the whole call.  ``point`` wraps validated
+    coordinates into a :class:`ManifoldPoint`.
     All operations are pure and instances are stateless.
     """
 
@@ -235,12 +211,6 @@ class Manifold(ABC):
             raise GeometryError(
                 f"{self.name} expects {self.ambient_shape} coordinates, got shape {arr.shape}")
         return ManifoldPoint(self, self.project(arr))
-
-    def tangent(self, base: ManifoldPoint, components) -> TangentVector:
-        if base.manifold != self:
-            raise ManifoldMismatchError(f"base point lives on {base.manifold.name}, not {self.name}")
-        arr = np.array(components, dtype=float).reshape(self.ambient_shape)
-        return TangentVector(base, self.project_tangent(base.coords, arr))
 
     def __eq__(self, other):
         return type(self) is type(other) and self.dim == other.dim
@@ -594,107 +564,3 @@ def manifold_from_name(name: str) -> Manifold:
         if m:
             return builder(m)
     raise GeometryError(f"unknown manifold name: {name!r}")
-
-
-# -- first variation of arc length --------------------------------------------
-
-def _require_same_manifold(*points: ManifoldPoint) -> Manifold:
-    m = points[0].manifold
-    for p in points[1:]:
-        if p.manifold != m:
-            raise ManifoldMismatchError(
-                f"points live on different manifolds: {m.name} vs {p.manifold.name}")
-    return m
-
-
-def _require_base(x: ManifoldPoint, v: TangentVector):
-    if v.base.manifold != x.manifold or not np.array_equal(v.base.coords, x.coords):
-        raise ManifoldMismatchError("tangent vector is not based at the given point")
-
-
-@dataclass(frozen=True)
-class FirstVariationTerms:
-    """Finite-difference length derivative vs. geodesic boundary term."""
-
-    length_derivative: float
-    boundary_term: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.length_derivative - self.boundary_term)
-
-
-def first_variation_terms(x: ManifoldPoint, y: ManifoldPoint,
-                          variation: Callable[[float, np.ndarray], ManifoldPoint],
-                          h: float) -> FirstVariationTerms:
-    """Compare dl/dt of a curve family against the geodesic boundary term.
-
-    ``variation(t, s)`` must be a smooth family of curves over s in
-    [0, d(x, y)] whose t = 0 member is the unit-speed minimizing geodesic
-    from x to y; it takes a scalar s or an array of s (one point per entry).
-    The length derivative at t = 0 is formed by central differences of arc
-    lengths discretized on 256 segments, each curve in one call over the
-    whole s grid; the boundary term is
-    <dF/ds, dF/dt> evaluated at the endpoints.  Both carry O(h^2) error,
-    so the residual contracts quadratically as h is halved.
-    """
-    m = _require_same_manifold(x, y)
-    s_hat = m.dist(x.coords, y.coords)
-    if s_hat < 1e-9:
-        raise GeometryError("degenerate geodesic: endpoints coincide")
-    if h <= 0:
-        raise GeometryError("variation step h must be positive")
-    a0 = variation(0.0, 0.0).coords
-    b0 = variation(0.0, s_hat).coords
-    if m.dist(a0, x.coords) > 1e-8 * max(1.0, s_hat) or m.dist(b0, y.coords) > 1e-8 * max(1.0, s_hat):
-        raise GeometryError("variation(0, .) does not join x to y")
-
-    s_grid = np.linspace(0.0, s_hat, 257)
-    ell_plus, ell_minus = (float(np.sum(m.dist(pts[:-1], pts[1:])))
-                           for pts in (variation(h, s_grid).coords, variation(-h, s_grid).coords))
-    length_derivative = (ell_plus - ell_minus) / (2.0 * h)
-
-    def dt_field(s: float) -> np.ndarray:
-        p0 = variation(0.0, s).coords
-        vp = m.log(p0, variation(h, s).coords)
-        vm = m.log(p0, variation(-h, s).coords)
-        return (vp - vm) / (2.0 * h)
-
-    eps_s = s_hat * 1e-4
-    u_a = m.log(a0, variation(0.0, eps_s).coords)
-    u_a = u_a / m.norm(a0, u_a)
-    u_b = -m.log(b0, variation(0.0, s_hat - eps_s).coords)
-    u_b = u_b / m.norm(b0, u_b)
-    boundary = m.inner(b0, u_b, dt_field(s_hat)) - m.inner(a0, u_a, dt_field(0.0))
-    return FirstVariationTerms(length_derivative, boundary)
-
-
-def endpoint_variation(x: ManifoldPoint, y: ManifoldPoint,
-                       w: TangentVector) -> Callable[[float, np.ndarray], ManifoldPoint]:
-    """Family of geodesics from x to the moving endpoint exp_y(t w); s scalar or an array."""
-    _require_base(y, w)
-    m = _require_same_manifold(x, y)
-    s_hat = m.dist(x.coords, y.coords)
-
-    def family(t: float, s) -> ManifoldPoint:
-        y_t = m.exp(y.coords, t * w.components)
-        return ManifoldPoint(m, m.exp(x.coords, m.rows(s / s_hat) * m.log(x.coords, y_t)))
-
-    return family
-
-
-def interior_variation(x: ManifoldPoint, y: ManifoldPoint,
-                       n: TangentVector) -> Callable[[float, np.ndarray], ManifoldPoint]:
-    """Endpoint-fixed variation bending the geodesic along transported n; s scalar or an array."""
-    _require_base(x, n)
-    m = _require_same_manifold(x, y)
-    s_hat = m.dist(x.coords, y.coords)
-
-    def family(t: float, s) -> ManifoldPoint:
-        g = m.exp(x.coords, m.rows(s / s_hat) * m.log(x.coords, y.coords))
-        field = m.transport(x.coords, g, n.components)
-        bump = np.sin(math.pi * np.asarray(s) / s_hat)
-        return ManifoldPoint(m, m.exp(g, m.rows(t * bump) * field))
-
-    return family
-

@@ -126,11 +126,23 @@ def _stage_failure(out_dir: Path, payload: dict, failure: _StageFailure) -> int:
     return EXIT_CERTIFICATION_FAILED
 
 
-def _record_step(steps: dict, anchor: str, step: float, estimate: float) -> float:
-    """Report (a non-finite estimate as null; if it meets STEP_TOL), log and return a step."""
+def _require_resolved(anchor: str, step: float, estimate: float,
+                      envelope: StabilityEnvelope | None = None):
+    """Fail the stage ``anchor`` when a step's error estimate is not at most FLOW_TOL
+    (a flow far beyond the step's stability limit can stay finite, and wrong)."""
+    if not estimate <= FLOW_TOL:
+        raise _StageFailure(anchor, f"step-doubling error estimate {estimate:.3g} per unit "
+                            f"time is above {FLOW_TOL:g} at step {step:g}", envelope)
+
+
+def _record_step(steps: dict, anchor: str, step: float, estimate: float,
+                 envelope: StabilityEnvelope | None = None) -> float:
+    """Report (a non-finite estimate as null; if it meets STEP_TOL), log and return a
+    step; a step with an estimate above FLOW_TOL fails the stage ``anchor``."""
     steps[anchor] = {"step": step, "estimate": estimate if math.isfinite(estimate) else None,
                      "meets_tol": estimate <= STEP_TOL}  # False for inf and nan
     logger.info("%s: step %.6g, step-doubling error estimate %.3g", anchor, step, estimate)
+    _require_resolved(anchor, step, estimate, envelope)
     return step
 
 
@@ -160,7 +172,7 @@ def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str,
     x0, t_rows = m.project(m.exp(x_star, v)), t0s
     with _stage(anchor):
         step = _record_step(steps, anchor, *choose_step(field, t0s, x0, x_star, horizon,
-                                                        config.step, RK8))
+                                                        config.step))
         offsets = step_offsets(horizon, step)
         taus = contraction_offsets(config.envelope_horizon, config.step)
         grid = np.sort(np.concatenate([offsets, taus]))  # a repeated time adds no step
@@ -240,8 +252,8 @@ def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
         raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
                             "asymptotic construction unavailable", envelope)
 
-    # Decay flows get slow at long horizons; a coarser integrator step keeps
-    # evaluation at desk scale.  Its step-doubling estimate is reported, not used.
+    # Decay flows get slow at long horizons; a coarser step keeps evaluation at
+    # desk scale.  Its step-doubling estimate is reported and held to FLOW_TOL.
     eval_step = max(config.step, 0.05)
     field = config.system.field
     # A HorizonError, or a decay profile the reshaping rejects (both ValueErrors).
@@ -265,7 +277,7 @@ def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
     # Every V of this mode (states with their LV, ray, equilibrium) in one batch.
     with _stage(ANCHOR_UGAS_EVALUATION, envelope=envelope):
         _record_step(steps, ANCHOR_UGAS_EVALUATION, eval_step,
-                     step_error(field, t, m.project(x), x_star, V.horizon, eval_step))
+                     step_error(field, t, m.project(x), x_star, V.horizon, eval_step), envelope)
         (v_val, ray_values, v_at_star), (lie, _, _) = V.evaluate_groups(
             [(t, x), (0.0, ray), (0.0, x_star)])
     sample_rows = np.stack([t, m.dist(x, x_star), v_val, lie], axis=1).tolist()
@@ -327,13 +339,13 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
                                 + ", ".join(r.name for r in base_report.rows if not r.passed),
                                 certificate.envelope)
         # samples.csv: the series trajectory integrated with the robustness
-        # batch, whose step is piloted on that series row alone.
+        # batch, whose RK8 step is piloted on that series row alone.
         with _stage(ANCHOR_ISS_ROBUSTNESS, envelope=certificate.envelope):
             x_star = config.equilibrium.coords
             start = iss_series_start(config.manifold, x_star, config.grid.radius, config.seed)
             step = _record_step(steps, ANCHOR_ISS_ROBUSTNESS, *choose_step(
                 spec.field.with_input_signal(spec.input_signal), 0.0, start[None], x_star,
-                max(config.iss_horizons), config.step))
+                max(config.iss_horizons), config.step), certificate.envelope)
             iss_report = iss_certify(certificate, spec.input_signal, spec.input_bound,
                                      config.iss_horizons, seed=config.seed,
                                      grid=config.grid, step=step)
@@ -367,9 +379,7 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
                                 config.step)
             error = step_error(field, t0s, np.stack([x0.coords] * len(t0s)),
                                config.equilibrium.coords, config.fit_horizon, step)
-        if not error <= FLOW_TOL:  # a finite flow far beyond the step's stability limit
-            raise _StageFailure(ANCHOR_FLOW_INTEGRATION, f"step-doubling error estimate "
-                                f"{error:.3g} per unit time is above {FLOW_TOL:g} at step {step:g}")
+        _require_resolved(ANCHOR_FLOW_INTEGRATION, step, error)
     except _StageFailure as err:
         print(f"error: {err.anchor}: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILED

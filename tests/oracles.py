@@ -1,16 +1,18 @@
-"""Test-only oracles.
+"""Test-only oracles and compositions.
 
 The library reads V's Lie derivative from the flow-integral identity
 LV(t, x) = g(phi(t + horizon; t, x)) - g(x).  The oracle here differentiates V
 numerically instead: a central difference in time over the flow's own
 stencil, (V(t + h, phi(t + h)) - V(t - h, phi(t - h))) / 2h, which agrees
-with the identity to O(h^2).
+with the identity to O(h^2).  Below: dV(v), the pushforward and the contraction check
+composed, as verification composes them, from the library's own primitives.
 """
 
 import numpy as np
 
 from geolyap import flows
 from geolyap.flows import TimeVaryingField
+from geolyap.lyapunov import DIFF_EPS
 
 LIE_H = 1e-3  # time half-width of the stencil
 
@@ -50,3 +52,31 @@ def assert_second_order(oracle, lie, scale, what):
     gaps = [float(np.max(np.abs(oracle(h) - lie) / scale)) for h in (2e-3, 1e-3)]
     assert gaps[0] <= 10 * 2e-3 ** 2 and gaps[1] <= 10 * 1e-3 ** 2, (what, gaps)
     assert gaps[1] <= gaps[0] / 3.0 + 1e-10, (what, gaps)
+
+
+def directional_derivative(V, t, coords: np.ndarray, v: np.ndarray):
+    """dV(t, .)(v) as verification reads it: V at the DIFF_EPS arc stencil, one batch."""
+    eps_hat, stencil = flows.arc_stencil(V.field.manifold, coords, v, DIFF_EPS)
+    t = np.broadcast_to(np.asarray(t, dtype=float), np.shape(eps_hat))
+    plus, minus = V.quadrature(V.node_flow(np.stack([t, t]), stencil))[0]
+    return (plus - minus) / (2.0 * eps_hat)
+
+
+def pushforward(field: TimeVaryingField, t, coords: np.ndarray, v: np.ndarray, span, step):
+    """(y0, w): ``coords`` flowed over ``span`` and v's pushforward at y0, as
+    verification reads it (the PUSHFORWARD_EPS arc stencil flows with y0)."""
+    m = field.manifold
+    eps_hat, stencil = flows.arc_stencil(m, coords, v, flows.PUSHFORWARD_EPS)
+    offsets = flows.step_offsets(span, step)
+    ends = flows.flow_samples(field, t, np.concatenate([m.project(coords)[None], stencil]),
+                              offsets, step)[-1]
+    return ends[0], flows.pushforward_quotient(field, t, coords, v, eps_hat, ends[0], ends[1:],
+                                               offsets, step)
+
+
+def contraction_reports(field: TimeVaryingField, L, t, x1, x2, offsets, step, slack=1e-6):
+    """One contraction report per pair (x1, x2), each from its own time ``t``."""
+    m = field.manifold
+    ends = flows.flow_samples(field, t, np.stack([x1, x2]), offsets, step)
+    taus = np.broadcast_to(np.asarray(t, dtype=float), (len(x1),))[:, None] + offsets
+    return flows.contraction_report(m, L, taus, np.asarray(offsets), m.dist(x1, x2), ends, slack)

@@ -18,14 +18,7 @@ from geolyap.certify import (
     sample_states,
 )
 from geolyap.cli import main as cli_main
-from geolyap.flows import (
-    Region,
-    contraction_envelope_check,
-    flow,
-    flow_samples,
-    lipschitz_estimate,
-    pushforward,
-)
+from geolyap.flows import Region, flow, flow_samples, lipschitz_estimate
 from geolyap.lyapunov import (
     construct_exp_V,
     construct_ugas_V,
@@ -38,10 +31,9 @@ from geolyap.manifolds import (
     ManifoldPoint,
     Sphere,
     SpecialOrthogonal3,
-    TangentVector,
 )
 from geolyap.systems import attach_disturbance, make_system
-from oracles import lie_difference
+from oracles import contraction_reports, directional_derivative, lie_difference, pushforward
 
 LN2 = math.log(2.0)
 SPHERE = Sphere(2)
@@ -115,9 +107,7 @@ def test_criterion_02_contraction_envelope():
         # The 100 pairs, drawn first then second state in turn, checked in one batch.
         x1, x2 = np.moveaxis(
             region.samples(rng, 200).reshape((100, 2) + manifold.ambient_shape), 1, 0)
-        reports = contraction_envelope_check(spec.field, L, ManifoldPoint(manifold, x1),
-                                             ManifoldPoint(manifold, x2), 0.0,
-                                             taus, step=0.02, slack=1e-6)
+        reports = contraction_reports(spec.field, L, 0.0, x1, x2, taus, 0.02, slack=1e-6)
         worst = math.inf
         for report in reports:
             assert report.passed and not report.flagged, manifold.name
@@ -128,8 +118,7 @@ def test_criterion_02_contraction_envelope():
     spec = make_system("geodesic_attractor", EUCLID, [0.0, 0.0], gain=1.0)
     rng = np.random.default_rng(3)
     x1, x2 = np.moveaxis(rng.uniform(-1, 1, (10, 2, 2)), 1, 0)
-    reports = contraction_envelope_check(spec.field, 1.0, ManifoldPoint(EUCLID, x1),
-                                         ManifoldPoint(EUCLID, x2), 0.0, taus, step=1e-2)
+    reports = contraction_reports(spec.field, 1.0, 0.0, x1, x2, taus, 1e-2)
     for report in reports:
         for row in report.rows:
             assert abs(row.measured / row.lower - 1.0) <= 1e-8
@@ -163,13 +152,12 @@ def test_criterion_05_differential_and_pushforward(sphere_attractor, sphere_V1,
     rng = np.random.default_rng(5)
     dv_worst = 0.0
     push_worst = 0.0
-    for t, coords in zip(*(a[:100] for a in sphere_grid)):
-        x = ManifoldPoint(SPHERE, coords)
-        v = TangentVector(x, SPHERE.random_tangent(rng, x.coords, norm=1.0))
-        dv_worst = max(dv_worst, abs(sphere_V1.directional_derivative(t, x, v)))
+    for t, x in zip(*(a[:100] for a in sphere_grid)):
+        v = SPHERE.random_tangent(rng, x, norm=1.0)
+        dv_worst = max(dv_worst, abs(directional_derivative(sphere_V1, t, x, v)))
         tau = t + rng.uniform(0.2, 1.0)
-        out = pushforward(sphere_attractor.field, t, x, v, tau, step=1e-2)
-        push_worst = max(push_worst, out.norm / math.exp(1.0 * (tau - t)))
+        y0, w = pushforward(sphere_attractor.field, t, x, v, tau - t, 1e-2)
+        push_worst = max(push_worst, SPHERE.norm(y0, w) / math.exp(1.0 * (tau - t)))
     _verdict(5, dv_worst <= b.c4 * 1.02 and push_worst <= 1.0 + 1e-3,
              f"|dV| worst {dv_worst:.4f} <= c4(1+2%); pushforward ratio "
              f"{push_worst:.4f} <= 1+1e-3")
@@ -188,8 +176,8 @@ def test_criterion_06_power_two_reduction():
         d = EUCLID.dist(x.coords, np.zeros(2))
         v = V.evaluate(t, x)
         sandwich_ok &= b.c1 * d * d * 0.98 <= v <= b.c2 * d * d * 1.02
-        w = TangentVector(x, EUCLID.random_tangent(rng, x.coords, norm=1.0))
-        dv_ok &= abs(V.directional_derivative(t, x, w)) <= b.c4 * d * 1.02
+        w = EUCLID.random_tangent(rng, x.coords, norm=1.0)
+        dv_ok &= abs(directional_derivative(V, t, x.coords, w)) <= b.c4 * d * 1.02
     _verdict(6, sandwich_ok and dv_ok,
              f"p=2: c1=c2={b.c1:.4f} sandwich and |dV| <= c4 d within 2%")
 
@@ -213,9 +201,9 @@ def test_criterion_07_massera_construction():
     V = construct_ugas_V(spec.field, spec.equilibrium, envelope, 20.0, step=0.05)
     t, coords = sample_states(EUCLID, spec.equilibrium, GridSpec(50, 1.0, T0_LIST),
                               np.random.default_rng(8), r_min_frac=0.3)
-    x = ManifoldPoint(EUCLID, coords)
-    positive = bool(np.all(V.evaluate(t, x) > 0))
-    decaying = bool(np.all(V.lie_derivative(t, x) < 0))
+    values, lies = V.quadrature(V.node_flow(t, coords))
+    positive = bool(np.all(values > 0))
+    decaying = bool(np.all(lies < 0))
     ok = (reshaping.value(0.0) == 0.0 and g_strict and gp_strict
           and math.isfinite(reshaping.k1) and V.tail_bound < 1e-8
           and positive and decaying)

@@ -11,13 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from geolyap.flows import (
-    IntegrationError,
-    TimeVaryingField,
-    flow,
-    flow_samples,
-    pushforward,
-)
+from geolyap.flows import IntegrationError, TimeVaryingField, flow, flow_samples
 from geolyap.lyapunov import LyapunovFunction, construct_exp_V, massera_G
 from geolyap.manifolds import (
     CutLocusError,
@@ -27,9 +21,9 @@ from geolyap.manifolds import (
     ManifoldPoint,
     Sphere,
     SpecialOrthogonal3,
-    TangentVector,
 )
 from geolyap.systems import attach_disturbance, make_system
+from oracles import directional_derivative, pushforward
 
 MANIFOLDS = [Euclidean(3), Sphere(2), SpecialOrthogonal3(), Hyperbolic2()]
 N_ROWS = 5
@@ -106,10 +100,10 @@ def _certificate_grid(m, seed=7):
 @pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
 def test_lie_derivative_batch_rows_are_single_rows(m):
     _, V, t, x = _certificate_grid(m)
-    batch = V.lie_derivative(t, ManifoldPoint(m, x))
+    batch = V.quadrature(V.node_flow(t, x))[1]
     assert batch.shape == (N_ROWS,)
     for i in range(N_ROWS):
-        assert batch[i] == V.lie_derivative(t[i], ManifoldPoint(m, x[i]))
+        assert batch[i] == V.quadrature(V.node_flow(t[i], x[i]))[1]
         # the flow-integral identity on the row's own node flow, row alone
         d = m.dist(V.node_flow(t[i], x[i]), V.x_star.coords)
         assert batch[i] == d[-1] ** V.p - d[0] ** V.p
@@ -121,13 +115,11 @@ def test_directional_derivative_batch_rows_are_single_rows(m):
     rng = np.random.default_rng(9)
     v = np.array([m.random_tangent(rng, xi, norm=rng.uniform(0.5, 2.0)) for xi in x])
     v[2] = 0.0  # a zero direction differentiates to exactly zero
-    base = ManifoldPoint(m, x)
-    batch = V.directional_derivative(t, base, TangentVector(base, v))
+    batch = directional_derivative(V, t, x, v)
     assert batch.shape == (N_ROWS,)
     assert batch[2] == 0.0
     for i in range(N_ROWS):
-        xi = ManifoldPoint(m, x[i])
-        assert batch[i] == V.directional_derivative(t[i], xi, TangentVector(xi, v[i]))
+        assert batch[i] == directional_derivative(V, t[i], x[i], v[i])
 
 
 def test_lie_derivative_calls_V_once_on_the_states(monkeypatch):
@@ -143,12 +135,11 @@ def test_lie_derivative_calls_V_once_on_the_states(monkeypatch):
         return raw(self, times, coords)
 
     monkeypatch.setattr(LyapunovFunction, "_evaluate_raw", recording)
-    lie = V.lie_derivative(t, ManifoldPoint(m, x))
+    (got,), (lie,) = V.evaluate_groups([(t, x)])
     assert len(calls) == 1
     times, coords = calls[0]
     assert np.array_equal(times, t) and np.array_equal(coords, x)
-    assert np.array_equal(lie, want)
-    assert np.array_equal(V.evaluate(t, ManifoldPoint(m, x)), values)
+    assert np.array_equal(lie, want) and np.array_equal(got, values)
 
 
 def test_evaluate_rejects_a_point_on_another_manifold():
@@ -179,14 +170,11 @@ def test_pushforward_batch_rows_are_single_rows():
     x = sphere.exp(spec.equilibrium.coords, 0.5 * sphere.log(spec.equilibrium.coords, x))
     w = sphere.project_tangent(x, w)
     w[2] = 0.0  # a zero tangent row pushes forward to zero
-    t = np.arange(float(N_ROWS))  # t + 0.5 - t is exactly 0.5 on every row
-    base = ManifoldPoint(sphere, x)
-    out = pushforward(spec.field, t, base, TangentVector(base, w), t + 0.5, step=1e-2)
+    t = np.arange(float(N_ROWS))
+    _, out = pushforward(spec.field, t, x, w, 0.5, 1e-2)
     for i in range(N_ROWS):
-        xi = ManifoldPoint(sphere, x[i])
-        alone = pushforward(spec.field, t[i], xi, TangentVector(xi, w[i]), t[i] + 0.5, step=1e-2)
-        assert np.array_equal(out.components[i], alone.components)
-    assert np.all(out.components[2] == 0.0)
+        assert np.array_equal(out[i], pushforward(spec.field, t[i], x[i], w[i], 0.5, 1e-2)[1])
+    assert np.all(out[2] == 0.0)
 
 
 @pytest.mark.parametrize("m, antipode", [

@@ -31,13 +31,12 @@ from geolyap.flows import (
     flow,
     flow_samples,
     lipschitz_estimate,
-    pushforward,
     step_offsets,
 )
 from geolyap.lyapunov import DIFF_EPS, InvalidDeltaError, LyapunovFunction, choose_delta
-from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere, TangentVector
+from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere
 from geolyap.systems import attach_disturbance, make_system
-from oracles import assert_second_order, lie_difference
+from oracles import assert_second_order, directional_derivative, lie_difference, pushforward
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -262,9 +261,7 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     assert np.array_equal(q_offsets, offsets) and q_step == 1e-2
     assert report.row("pushforward-growth").measured == \
         float(np.max(SPHERE.norm(y0, w))) / math.exp(sphere_L * delta)
-    base = ManifoldPoint(SPHERE, coords)
-    public = pushforward(sphere_attractor.field, t_push, base, TangentVector(base, directions),
-                         t_push + delta, step=1e-2).components
+    public = pushforward(sphere_attractor.field, t_push, coords, directions, delta, 1e-2)[1]
     assert np.linalg.norm(w - public) <= 1e-8 * np.linalg.norm(public)
 
 
@@ -431,7 +428,7 @@ def test_iss_doubled_disturbance_scales(sphere_attractor, sphere_certificate):
 def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certificate,
                                               monkeypatch):
     # At step 0.05 every tail and series time sits on the step grid, so the
-    # fused flow takes the same steps as separate flows from t = 0.
+    # fused RK8 flow takes the same steps as separate RK8 flows from t = 0.
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
     closed = spec.field.with_input_signal(spec.input_signal)
     certificate = _on_field(sphere_certificate, spec)
@@ -440,9 +437,10 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     calls, evaluations = [], []
     real_evaluate_groups = LyapunovFunction.evaluate_groups
 
-    def recording_flow_samples(field, t0, x0, offsets, step):
+    def recording_flow_samples(field, t0, x0, offsets, step, scheme):
         calls.append(np.array(x0))
-        return flow_samples(field, t0, x0, offsets, step)
+        assert scheme is RK8
+        return flow_samples(field, t0, x0, offsets, step, scheme)
 
     def recording_evaluate_groups(self, groups):
         out = real_evaluate_groups(self, groups)
@@ -468,15 +466,15 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     assert SPHERE.dist(series_start, NORTH) == pytest.approx(1.0, abs=1e-12)
 
     tails = [np.arange(0.6 * h, h + 1e-9, 0.25) for h in horizons]
-    tail_pts = [flow_samples(closed, 0.0, starts, ts, step) for ts in tails]
+    tail_pts = [flow_samples(closed, 0.0, starts, ts, step, RK8) for ts in tails]
     tail_v, _ = V.evaluate_groups([(np.repeat(ts, 3), pts) for ts, pts in zip(tails, tail_pts)])
     assert report.measured_d_limsup == pytest.approx(
         max(float(np.max(SPHERE.dist(pts, NORTH))) for pts in tail_pts), abs=1e-12)
     assert report.measured_v_limsup == pytest.approx(
         max(float(np.max(v)) for v in tail_v), abs=1e-12)
 
-    traj = flow(closed, 0.0, ManifoldPoint(SPHERE, series_start), 3.0, step)
-    times, points = traj.times[::2], traj.points[::2]
+    times = step_offsets(3.0, step)[::2]
+    points = flow_samples(closed, 0.0, series_start, times, step, RK8)
     assert np.array_equal(report.series[:, 0], np.arange(31) / 10.0)
     np.testing.assert_allclose(report.series[:, 0], times, rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.series[:, 1], SPHERE.dist(points, NORTH),
@@ -507,10 +505,9 @@ def test_iss_lie_derivative_matches_the_central_difference_to_second_order(
     report = iss_certify(certificate, spec.input_signal, 0.1, [2.0], seed=1,
                          grid=GridSpec(8, 1.0, T0_LIST), step=0.05)
     (t, x), = states
-    base = ManifoldPoint(SPHERE, x)
     w = SPHERE.project_tangent(x, closed.eval_raw(t, x) - V.field.eval_raw(t, x))
-    values = V.evaluate(t, base)
-    lie = V.lie_derivative(t, base) + V.directional_derivative(t, base, TangentVector(base, w))
+    values, lie = V.quadrature(V.node_flow(t, x))
+    lie = lie + directional_derivative(V, t, x, w)
     assert report.rows[0].measured == pytest.approx(float(np.max(lie + b.c3 * values)),
                                                     rel=1e-12)
     assert_second_order(lambda h: lie_difference(V, t, x, h, field=closed), lie,

@@ -22,8 +22,8 @@ current code is compared against it at stated per-quantity tolerances:
   per step: within ``FLOW_REL`` relative; the input Lipschitz constant
   involves no flow and stays within ``INPUT_REL``;
 - the contraction row reads the pairs at the step-grid offsets of
-  ``contraction_offsets``, so it is compared with ``contraction_envelope_check``
-  on those offsets, exactly, not with the file.
+  ``contraction_offsets``, so it is compared with ``contraction_report`` on
+  its own flow of those offsets, exactly, not with the file.
 
 The ``iss`` entry alone was rewritten when the input frame became the
 equilibrium's basis parallel-transported along the geodesic, replacing a
@@ -65,15 +65,11 @@ from geolyap.certify import (
     verify_converse_certificate,
 )
 from geolyap.envelopes import KLEnvelope, StabilityEnvelope
-from geolyap.flows import (
-    Region,
-    contraction_envelope_check,
-    contraction_offsets,
-    lipschitz_estimate,
-)
+from geolyap.flows import Region, contraction_offsets, lipschitz_estimate
 from geolyap.lyapunov import choose_delta
-from geolyap.manifolds import ManifoldPoint, manifold_from_name
+from geolyap.manifolds import manifold_from_name
 from geolyap.systems import attach_disturbance, make_system
+from oracles import contraction_reports
 
 FIXTURE = Path(__file__).parent / "data" / "verification_reference.json"
 STEP = 1e-2
@@ -158,13 +154,11 @@ def _close(got: float, want: float, rel: float, what):
 
 
 def _contraction_row(case, spec, L):
-    """The contraction row recomputed by the public check on the step-grid offsets."""
+    """The contraction row recomputed from its own flow on the step-grid offsets."""
     m = spec.field.manifold
     inputs = draw_verification_inputs(m, spec.equilibrium, GridSpec(case[5], 1.0, T0_LIST), 3)
-    taus = inputs.pair_t[:, None] + contraction_offsets(ENVELOPE_HORIZON, STEP)
-    reports = contraction_envelope_check(spec.field, L, ManifoldPoint(m, inputs.pair_x[0]),
-                                         ManifoldPoint(m, inputs.pair_x[1]), inputs.pair_t,
-                                         taus, step=STEP)
+    reports = contraction_reports(spec.field, L, inputs.pair_t, *inputs.pair_x,
+                                  contraction_offsets(ENVELOPE_HORIZON, STEP), STEP)
     margin = min(min(r.worst_lower_margin, r.worst_upper_margin) for r in reports)
     return {"name": "contraction-envelope", "anchor": "contraction-envelope", "theory": 0.0,
             "measured": -margin, "margin": margin, "pass": all(r.passed for r in reports)}
