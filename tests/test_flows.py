@@ -746,6 +746,28 @@ def test_rk4_scheme_reproduces_the_classical_step_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name, gain", [("sphere2", 1.0), ("hyperbolic2", 1.0), ("so3", 2.0)])
+def test_rk8_chosen_step_keeps_the_oracle_rate(name, gain):
+    # The ladder picks the largest RK8 rung that meets STEP_TOL: its estimate
+    # does, the rung above (estimate * 2^8) does not unless it is the top one,
+    # and the RK8 fit at that step keeps K and rate / gain within 1e-8 of 1.
+    field, t0, x0, x_star = _attractor_rows(name, gain)
+    m = field.manifold
+    for base in (0.01, 0.005, 0.0025):
+        for horizon in (0.25, 1.0, 3.0, 6.0):
+            step, estimate = choose_step(field, t0, x0, x_star, horizon, base)
+            assert estimate <= flows.STEP_TOL and step >= 0.16 / gain - 1e-12, (base, horizon)
+            assert (step == 64 * base
+                    or estimate * 2 ** RK8.order > flows.STEP_TOL), (base, horizon, step)
+            offsets = step_offsets(horizon, step)
+            points = flow_samples(field, t0, x0, offsets, step, RK8)
+            trajectories = [Trajectory(m, t + offsets, points[:, i], step)
+                            for i, t in enumerate(t0)]
+            fit = classify_stability(trajectories, ManifoldPoint(m, x_star), base)
+            assert abs(fit.rate / gain - 1.0) <= 1e-8, (base, horizon, fit.rate)
+            assert abs(fit.K - 1.0) <= 1e-8, (base, horizon, fit.K)
+
+
+@pytest.mark.parametrize("name, gain", [("sphere2", 1.0), ("hyperbolic2", 1.0), ("so3", 2.0)])
 def test_chosen_step_keeps_the_oracle_rate(name, gain):
     # On d(t) = e^{-gain t} d0 the RK8 envelope fit at the chosen step keeps K
     # and rate / gain within 1e-8 of 1, the benchmark's oracle bound, from any
@@ -754,8 +776,7 @@ def test_chosen_step_keeps_the_oracle_rate(name, gain):
     m = field.manifold
     for base in (0.01, 0.005, 0.0025):
         for horizon in (0.25, 0.5, 1.0, 2.0, 3.0, 6.0):
-            step, estimate = choose_step(field, t0, x0, x_star, horizon, base)
-            assert estimate <= flows.STEP_TOL and step >= 0.16 / gain - 1e-12, (base, horizon)
+            step, _ = choose_step(field, t0, x0, x_star, horizon, base)
             offsets = step_offsets(horizon, step)
             points = flow_samples(field, t0, x0, offsets, step, RK8)
             trajectories = [Trajectory(m, t + offsets, points[:, i], step)
