@@ -13,6 +13,7 @@ from .certify import (
     CheckRow,
     GridSpec,
     ISSReport,
+    StabilityEnvelope,
     classify_stability,
     draw_verification_inputs,
     input_lipschitz_estimate,
@@ -21,7 +22,6 @@ from .certify import (
     run_geometry_suite,
     verify_converse_certificate,
 )
-from .envelopes import KLEnvelope, StabilityEnvelope
 from .flows import (
     LipschitzEstimate,
     Region,

@@ -1,6 +1,6 @@
 """Stability-envelope fitting and inequality certification.
 
-This module fits exponential / KL decay envelopes from trajectory batches,
+This module fits exponential / sampled decay envelopes from trajectory batches,
 verifies every inequality carried by a constructed certificate (two-sided contraction envelope, sandwich bounds,
 decay rate, telescoped decay step, differential and pushforward bounds), and
 executes the disturbance robustness check.  Every report row carries a
@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .envelopes import KLEnvelope, StabilityEnvelope, nonincreasing_in_s
 from .flows import (
     DEFAULT_STEP,
     GRID_TOL,
@@ -24,7 +23,6 @@ from .flows import (
     RK8,
     Region,
     TimeVaryingField,
-    Trajectory,
     arc_stencil,
     contraction_offsets,
     contraction_report,
@@ -38,7 +36,7 @@ from .lyapunov import (
     construct_exp_V,
     theoretical_bounds,
 )
-from .manifolds import Manifold, ManifoldMismatchError, ManifoldPoint
+from .manifolds import Manifold, ManifoldPoint
 
 # Fixed anchor checklist for certification reports.  The first five appear in
 # converse-certificate reports, the last two in robustness reports; together
@@ -174,15 +172,38 @@ def sample_states(manifold: Manifold, x_star: ManifoldPoint, grid: GridSpec,
 # -- envelope fitting -----------------------------------------------------------
 
 
-def _trajectory_samples(trajectories: Sequence[Trajectory], x_star: ManifoldPoint):
-    """Per-trajectory (elapsed, distance, d0), dropping equilibrium-resident runs."""
-    out = []
-    for traj in trajectories:
-        d = traj.distances_to(x_star)
-        if d[0] < 1e-9:
-            continue
-        out.append((traj.times - traj.times[0], d, float(d[0])))
-    return out
+@dataclass(frozen=True, eq=False)
+class StabilityEnvelope:
+    """Fitted stability classification of a batch of trajectories.
+
+    ``stability_class`` is one of "LES", "UAS", "US".  For LES fits the data
+    is dominated pointwise by K e^{-rate s} d0, with K >= 1.  Every class
+    carries the decay profile g(s) = beta(region_radius, s) at ``decay_times``:
+    nonincreasing, and dominating every trajectory of the batch.
+    """
+
+    stability_class: str
+    K: float | None
+    rate: float | None
+    decay_times: np.ndarray
+    decay_values: np.ndarray
+    fit_residual: float
+    region_radius: float
+    n_samples: int
+
+    @property
+    def is_exponential(self) -> bool:
+        return self.stability_class == "LES"
+
+    def to_json(self) -> dict:
+        return {
+            "stability_class": self.stability_class,
+            "K": self.K,
+            "rate": self.rate,
+            "fit_residual": self.fit_residual,
+            "region_radius": self.region_radius,
+            "n_samples": self.n_samples,
+        }
 
 
 def _pooled_rate(elapsed: np.ndarray, logs: np.ndarray) -> tuple[float, float, float]:
@@ -193,82 +214,71 @@ def _pooled_rate(elapsed: np.ndarray, logs: np.ndarray) -> tuple[float, float, f
     return float(a), float(rate), residual
 
 
-def _chord_slack(s: np.ndarray, y: np.ndarray, resolution: float | None) -> float:
-    """How far y may rise above its samples' chords on a grid of step ``resolution``: 0
-    if they are that fine, else gap^2 / 8 times y's most concave second difference."""
+def _chord_slack(s: np.ndarray, y: np.ndarray, resolution: float) -> np.ndarray:
+    """How far each column of y may rise above its samples' chords on a grid of
+    step ``resolution``: 0 if the samples ``s`` are that fine, else gap^2 / 8
+    times the column's most concave second difference."""
     gaps = np.diff(s)
-    if resolution is None or len(s) < 3 or gaps.max() <= resolution * (1.0 + GRID_TOL):
-        return 0.0
-    bend = 2.0 * np.diff(np.diff(y) / gaps) / (s[2:] - s[:-2])
-    return float(gaps.max() ** 2 / 8.0 * max(0.0, -float(bend.min())))
+    if len(s) < 3 or gaps.max() <= resolution * (1.0 + GRID_TOL):
+        return np.zeros(y.shape[1])
+    bend = 2.0 * np.diff(np.diff(y, axis=0) / gaps[:, None], axis=0) / (s[2:] - s[:-2])[:, None]
+    return gaps.max() ** 2 / 8.0 * np.maximum(0.0, -bend.min(axis=0))
 
 
-def classify_stability(trajectories: Sequence[Trajectory], x_star: ManifoldPoint,
-                       resolution: float | None = None) -> StabilityEnvelope:
-    """Classify a trajectory batch: LES fit first, sampled KL/US table otherwise.
+def classify_stability(elapsed: np.ndarray, d: np.ndarray,
+                       resolution: float) -> StabilityEnvelope:
+    """Classify a trajectory batch: LES fit first, sampled decay profile otherwise.
 
-    The LES fit is K e^{-rate s} d0 over the batch.  A pooled least-squares
-    fit of log(d/d0) against elapsed time gives the rate; K is then inflated
+    ``d`` holds the distances to x* of each trajectory (a column) at the times
+    ``elapsed`` since its start; columns that start at x* are dropped.  The
+    LES fit is K e^{-rate s} d0 over the batch.  A pooled least-squares fit of
+    log(d/d0) against elapsed time gives the rate; K is then inflated
     minimally so the envelope dominates every sample exactly (which also
     forces K >= 1, since the start sample has ratio one).  Samples coarser than
     ``resolution`` add the :func:`_chord_slack` of log d to log K (of d to each
-    table row), so the envelope bounds the flow on that step's grid.  The fit is
-    accepted when the rate reaches MIN_RATE and the log residual stays below
-    MAX_LOG_RESIDUAL, or, for decay with a bounded oscillation (time-varying
-    gains), when the rate is stable between the early and late halves of the
-    data; genuinely sub-exponential decay fails both, since its log slope
-    collapses with time.  Rejected data falls back to a sampled-table
-    classification: UAS when the batch still decays, US when it is merely
-    bounded.
+    column of the profile), so the envelope bounds the flow on that step's grid.
+    The fit is accepted when the rate reaches MIN_RATE and the log residual
+    stays below MAX_LOG_RESIDUAL, or, for decay with a bounded oscillation
+    (time-varying gains), when the rate is stable between the early and late
+    halves of the data; genuinely sub-exponential decay fails both, since its
+    log slope collapses with time.  Rejected data falls back to a sampled
+    profile: UAS when the batch still decays, US when it is merely bounded.
     """
-    kinds = {traj.manifold for traj in trajectories}
-    if len(kinds) != 1 or x_star.manifold not in kinds:
-        raise ManifoldMismatchError("trajectories and equilibrium must share one manifold")
-    samples = _trajectory_samples(trajectories, x_star)
-    if len(samples) == 0:
+    d = d[:, d[0] >= 1e-9]
+    if d.shape[1] == 0:
         raise EnvelopeFitError("no trajectory starts away from the equilibrium")
-    elapsed = np.concatenate([s for s, _, _ in samples])
-    logs = np.concatenate([np.log(np.maximum(d, 1e-300) / d0) for _, d, d0 in samples])
-    _, rate, residual = _pooled_rate(elapsed, logs)
+    d0 = d[0]
+    s_all = np.tile(elapsed, d.shape[1])
+    logs = np.log(np.maximum(d, 1e-300) / d0).T.ravel()
+    _, rate, residual = _pooled_rate(s_all, logs)
 
-    mid = 0.5 * float(np.max(elapsed))
-    early = elapsed <= mid
+    mid = 0.5 * float(elapsed[-1])
+    early = s_all <= mid
     late = ~early
     rate_stable = False
     if early.sum() >= 4 and late.sum() >= 4:
-        _, rate_early, _ = _pooled_rate(elapsed[early], logs[early])
-        _, rate_late, _ = _pooled_rate(elapsed[late], logs[late])
+        _, rate_early, _ = _pooled_rate(s_all[early], logs[early])
+        _, rate_late, _ = _pooled_rate(s_all[late], logs[late])
         rate_stable = rate_late >= max(MIN_RATE, 0.5 * rate_early) and residual <= 2.0
 
-    r_max = max(d0 for _, _, d0 in samples)
-    s_end = max(float(s[-1]) for s, _, _ in samples)
-    s_grid = np.linspace(0.0, s_end, 129)
+    r_max = float(d0.max())
+    s_grid = np.linspace(0.0, float(elapsed[-1]), 129)
 
     if rate >= MIN_RATE and (residual <= MAX_LOG_RESIDUAL or rate_stable):
-        K = max(math.exp(_chord_slack(s, np.log(np.maximum(d, 1e-300)), resolution))
-                * float(np.max(d / (d0 * np.exp(-rate * s)))) for s, d, d0 in samples)
-        beta = KLEnvelope.from_exponential(K, float(rate), r_max, s_grid)
-        return StabilityEnvelope("LES", K, float(rate), beta, residual,
-                                 r_max, len(samples))
+        slack = _chord_slack(elapsed, np.log(np.maximum(d, 1e-300)), resolution)
+        K = float(np.max(np.exp(slack) * np.max(d / (d0 * np.exp(-rate * elapsed)[:, None]),
+                                                 axis=0)))
+        return StabilityEnvelope("LES", K, rate, s_grid, r_max * (K * np.exp(-rate * s_grid)),
+                                 residual, r_max, d.shape[1])
 
     # Slow (e.g. cubic) decay barely moves small starts over a short horizon,
     # so the decaying / merely-bounded split sits near one, not at one half.
-    decay_ratio = max(float(d[-1] / d0) for _, d, d0 in samples)
-    stability_class = "UAS" if decay_ratio < 0.9 else "US"
-    order = np.argsort([d0 for _, _, d0 in samples])
-    r_knots = [0.0]
-    rows = [np.zeros(len(s_grid))]
-    for idx in order:
-        s, d, d0 = samples[idx]
-        resampled = np.interp(s_grid, s, d, right=float(d[-1])) + _chord_slack(s, d, resolution)
-        rows.append(np.maximum(rows[-1], resampled))
-        r_knots.append(d0)
-    table = nonincreasing_in_s(np.stack(rows))
-    r_arr = np.asarray(r_knots)
-    keep = np.concatenate(([True], np.diff(r_arr) > 1e-12))
-    beta = KLEnvelope(r_arr[keep], s_grid, table[keep])
-    return StabilityEnvelope(stability_class, None, None, beta, residual,
-                             r_max, len(samples))
+    stability_class = "UAS" if float(np.max(d[-1] / d0)) < 0.9 else "US"
+    slack = _chord_slack(elapsed, d, resolution)
+    top = np.max([np.interp(s_grid, elapsed, col) + c for col, c in zip(d.T, slack)], axis=0)
+    profile = np.maximum.accumulate(top[::-1])[::-1]
+    return StabilityEnvelope(stability_class, None, None, s_grid, profile,
+                             residual, r_max, d.shape[1])
 
 
 # -- converse certificate verification -------------------------------------------

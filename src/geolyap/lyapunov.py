@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .envelopes import KLEnvelope, StabilityEnvelope
 from .flows import DEFAULT_STEP, GRID_TOL, TimeVaryingField, flow_samples
 from .manifolds import ManifoldMismatchError, ManifoldPoint
 
@@ -243,8 +242,6 @@ class MasseraFunction:
     gprime_knots: np.ndarray
     envelope_times: np.ndarray
     envelope_values: np.ndarray
-    k1: float
-    k2: float
     grid_spacing: float
 
     def __post_init__(self):
@@ -319,6 +316,18 @@ class MasseraFunction:
         beyond = float(gs[-1]) * math.exp(self.grid_spacing) * math.exp(-t_end)
         return grid_part + beyond
 
+    @property
+    def k1(self) -> float:
+        """Bound on the integral of G(u) over the envelope times and beyond: the whole tail."""
+        return self.tail_bound(float(self.envelope_times[0]))
+
+    @property
+    def k2(self) -> float:
+        """The same bound for G'(u), whose knot values are e^{-t}."""
+        ts = self.envelope_times
+        return (float(np.trapezoid(np.exp(-ts), ts))
+                + math.exp(self.grid_spacing) * math.exp(-float(ts[-1])))
+
 
 def massera_G(t_grid: Sequence[float], g_values: Sequence[float]) -> MasseraFunction:
     """Build the reshaping function for a strictly decreasing envelope.
@@ -345,32 +354,21 @@ def massera_G(t_grid: Sequence[float], g_values: Sequence[float]) -> MasseraFunc
     if np.any(np.diff(gprime_knots) <= 0):
         raise ValueError("constructed derivative is not strictly increasing; "
                          "check the envelope grid")
-    spacing = float(np.max(np.diff(ts)))
-    partial = MasseraFunction(s_knots, gprime_knots, ts, gs,
-                              k1=0.0, k2=0.0, grid_spacing=spacing)
-    grid_k1 = float(np.trapezoid(partial.value(gs), ts))
-    grid_k2 = float(np.trapezoid(gprime_at_knots, ts))
-    t_end = float(ts[-1])
-    tail_k1 = float(gs[-1]) * math.exp(spacing) * math.exp(-t_end)
-    tail_k2 = math.exp(spacing) * math.exp(-t_end)
-    return MasseraFunction(s_knots, gprime_knots, ts, gs,
-                           k1=grid_k1 + tail_k1, k2=grid_k2 + tail_k2,
-                           grid_spacing=spacing)
+    return MasseraFunction(s_knots, gprime_knots, ts, gs, float(np.max(np.diff(ts))))
 
 
-def construct_ugas_V(field: TimeVaryingField, x_star: ManifoldPoint,
-                     beta_fit: StabilityEnvelope | KLEnvelope, t_max: float,
-                     tail_tol: float = 1e-8, step: float = DEFAULT_STEP) -> LyapunovFunction:
+def construct_ugas_V(field: TimeVaryingField, x_star: ManifoldPoint, times: np.ndarray,
+                     g_vals: np.ndarray, t_max: float, tail_tol: float = 1e-8,
+                     step: float = DEFAULT_STEP) -> LyapunovFunction:
     """Truncated infinite-horizon certificate for asymptotic stability.
 
-    The decay profile g(s) = beta(r_max, s) of the fitted envelope drives the
+    The decay profile g(s) = beta(r_max, s), sampled as ``g_vals`` at ``times``
+    (a fitted envelope's ``decay_times`` and ``decay_values``), drives the
     reshaping construction; the truncation horizon must leave a certified
     tail below ``tail_tol``, otherwise a :class:`HorizonError` is raised.
     """
     if x_star.manifold != field.manifold:
         raise ManifoldMismatchError("equilibrium manifold does not match the field")
-    kl = beta_fit.beta if isinstance(beta_fit, StabilityEnvelope) else beta_fit
-    times, g_vals = kl.decay_profile()
     reshaping = massera_G(times, g_vals)
     if t_max > float(times[-1]):
         raise HorizonError(

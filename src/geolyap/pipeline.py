@@ -25,6 +25,7 @@ from .certify import (
     CertificationReport,
     CheckRow,
     GridSpec,
+    StabilityEnvelope,
     VerificationInputs,
     check_input_signal,
     classify_stability,
@@ -37,13 +38,11 @@ from .certify import (
     verify_converse_certificate,
 )
 from .config import ConfigError, ScenarioConfig
-from .envelopes import StabilityEnvelope
 from .flows import (
     RK8,
     STEP_TOL,
     IntegrationError,
     Region,
-    Trajectory,
     choose_step,
     contraction_offsets,
     flow,
@@ -149,7 +148,7 @@ def _record_step(steps: dict, anchor: str, step: float, estimate: float,
 def _estimate_lipschitz(config: ScenarioConfig) -> float:
     region = Region(config.equilibrium, config.grid.radius)
     estimate = lipschitz_estimate(config.system.field, region, config.grid.t0_list,
-                                  n_pairs=max(32, config.grid.n_points), seed=config.seed)
+                                  n_pairs=max(64, config.grid.n_points), seed=config.seed)
     logger.info("lipschitz estimate: transport %.4f covariant %.4f",
                 estimate.transport_constant, estimate.covariant_constant)
     return estimate.inflated()
@@ -181,9 +180,7 @@ def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str,
             t_rows = np.concatenate([t0s, inputs.pair_t, inputs.pair_t])
         pts = flow_samples(field, t_rows, x0, grid, step, RK8)
     fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
-    trajectories = [Trajectory(m, np.append(t0 + offsets[:-1], t0 + horizon), fit[:, i], step)
-                    for i, t0 in enumerate(t0s)]
-    envelope = classify_stability(trajectories, config.equilibrium, config.step)
+    envelope = classify_stability(offsets, m.dist(fit, x_star), config.step)
     logger.info("stability class: %s", envelope.stability_class)
     if inputs is None:
         return envelope, None
@@ -258,8 +255,9 @@ def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
     field = config.system.field
     # A HorizonError, or a decay profile the reshaping rejects (both ValueErrors).
     with _stage(ANCHOR_UGAS_TAIL, (ValueError,), envelope):
-        V = construct_ugas_V(field, config.equilibrium, envelope,
-                             config.massera.t_max, config.massera.tail_tol, step=eval_step)
+        V = construct_ugas_V(field, config.equilibrium, envelope.decay_times,
+                             envelope.decay_values, config.massera.t_max,
+                             config.massera.tail_tol, step=eval_step)
     reshaping = V.reshaping
 
     m, x_star = config.manifold, config.equilibrium.coords

@@ -5,7 +5,8 @@ LV(t, x) = g(phi(t + horizon; t, x)) - g(x).  The oracle here differentiates V
 numerically instead: a central difference in time over the flow's own
 stencil, (V(t + h, phi(t + h)) - V(t - h, phi(t - h))) / 2h, which agrees
 with the identity to O(h^2).  Below: dV(v), the pushforward and the contraction check
-composed, as verification composes them, from the library's own primitives.
+composed, as verification composes them, from the library's own primitives,
+and the distance table an envelope fit reads.
 """
 
 import numpy as np
@@ -80,3 +81,11 @@ def contraction_reports(field: TimeVaryingField, L, t, x1, x2, offsets, step, sl
     ends = flows.flow_samples(field, t, np.stack([x1, x2]), offsets, step)
     taus = np.broadcast_to(np.asarray(t, dtype=float), (len(x1),))[:, None] + offsets
     return flows.contraction_report(m, L, taus, np.asarray(offsets), m.dist(x1, x2), ends, slack)
+
+
+def distance_table(trajectories, x_star):
+    """(elapsed, d) of ``flow`` trajectories sharing one span, as
+    ``classify_stability`` reads them: the first one's elapsed times and each
+    trajectory's distances to ``x_star`` as a column."""
+    elapsed = trajectories[0].times - trajectories[0].times[0]
+    return elapsed, np.stack([t.distances_to(x_star) for t in trajectories], axis=1)

@@ -33,7 +33,13 @@ from geolyap.manifolds import (
     SpecialOrthogonal3,
 )
 from geolyap.systems import attach_disturbance, make_system
-from oracles import contraction_reports, directional_derivative, lie_difference, pushforward
+from oracles import (
+    contraction_reports,
+    directional_derivative,
+    distance_table,
+    lie_difference,
+    pushforward,
+)
 
 LN2 = math.log(2.0)
 SPHERE = Sphere(2)
@@ -189,16 +195,16 @@ def test_criterion_07_massera_construction():
     for r in (0.5, 0.75, 1.0):
         v0 = EUCLID.random_tangent(rng, np.zeros(2), norm=r)
         trajs.append(flow(spec.field, 0.0, EUCLID.point(v0), 22.0, 1e-2))
-    envelope = classify_stability(trajs, spec.equilibrium)
+    envelope = classify_stability(*distance_table(trajs, spec.equilibrium), 1e-2)
     assert envelope.stability_class == "UAS"
 
-    times, g_vals = envelope.beta.decay_profile()
+    times, g_vals = envelope.decay_times, envelope.decay_values
     reshaping = massera_G(times, g_vals)
     s = np.linspace(0.0, float(reshaping.s_knots[-1]), 64)
     g_strict = all(np.diff([reshaping.value(si) for si in s]) > 0)
     gp_strict = all(np.diff([reshaping.derivative(si) for si in s]) > 0)
 
-    V = construct_ugas_V(spec.field, spec.equilibrium, envelope, 20.0, step=0.05)
+    V = construct_ugas_V(spec.field, spec.equilibrium, times, g_vals, 20.0, step=0.05)
     t, coords = sample_states(EUCLID, spec.equilibrium, GridSpec(50, 1.0, T0_LIST),
                               np.random.default_rng(8), r_min_frac=0.3)
     values, lies = V.quadrature(V.node_flow(t, coords))
@@ -221,7 +227,7 @@ def test_criterion_08_iss_scaling(sphere_attractor):
             trajs.append(flow(sphere_attractor.field, t0,
                               ManifoldPoint(SPHERE, SPHERE.exp(NORTH, v0)),
                               t0 + 6.0, 1e-2))
-    envelope = classify_stability(trajs, sphere_attractor.equilibrium)
+    envelope = classify_stability(*distance_table(trajs, sphere_attractor.equilibrium), 1e-2)
     L = lipschitz_estimate(sphere_attractor.field, Region(sphere_attractor.equilibrium, 1.0),
                            [0.0], 100, seed=9).inflated()
     predicted = []

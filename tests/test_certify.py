@@ -11,6 +11,7 @@ from geolyap.certify import (
     EnvelopeFitError,
     GridSpec,
     InputBoundError,
+    StabilityEnvelope,
     check_input_signal,
     classify_stability,
     draw_verification_inputs,
@@ -19,13 +20,11 @@ from geolyap.certify import (
     make_certificate,
     verify_converse_certificate,
 )
-from geolyap.envelopes import KLEnvelope, StabilityEnvelope
-from geolyap.config import load_scenario
+from geolyap.config import load_scenario, parse_scenario
 from geolyap.flows import (
     RK8,
     Region,
     TimeVaryingField,
-    Trajectory,
     arc_stencil,
     contraction_offsets,
     flow,
@@ -36,7 +35,13 @@ from geolyap.flows import (
 from geolyap.lyapunov import DIFF_EPS, InvalidDeltaError, LyapunovFunction, choose_delta
 from geolyap.manifolds import Euclidean, ManifoldPoint, Sphere
 from geolyap.systems import attach_disturbance, make_system
-from oracles import assert_second_order, directional_derivative, lie_difference, pushforward
+from oracles import (
+    assert_second_order,
+    directional_derivative,
+    distance_table,
+    lie_difference,
+    pushforward,
+)
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -63,8 +68,7 @@ def sphere_attractor():
 @pytest.fixture(scope="module")
 def sphere_envelope(sphere_attractor):
     rng = np.random.default_rng(7)
-    return classify_stability(_trajectories(sphere_attractor, SPHERE, rng),
-                              sphere_attractor.equilibrium)
+    return _fit(_trajectories(sphere_attractor, SPHERE, rng), sphere_attractor.equilibrium)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,18 @@ def sphere_L(sphere_attractor):
                              Region(sphere_attractor.equilibrium, 1.0),
                              [0.0], 100, seed=7)
     return est.inflated()
+
+
+def _fit(trajectories, x_star):
+    """classify_stability on the distance table of ``flow`` trajectories, at
+    their own step 1e-2 (so no chord slack)."""
+    return classify_stability(*distance_table(trajectories, x_star), 1e-2)
+
+
+def _exponential(K, rate):
+    """An LES envelope K e^{-rate s} over s in [0, 6] on the unit ball."""
+    s = np.linspace(0.0, 6.0, 13)
+    return StabilityEnvelope("LES", K, rate, s, K * np.exp(-rate * s), 0.0, 1.0, 12)
 
 
 def _verify(spec, L, envelope, delta, p, n_points, seed):
@@ -96,8 +112,7 @@ def test_fit_sphere_attractor(sphere_envelope):
 def test_fit_euclidean_double_gain():
     spec = make_system("geodesic_attractor", EUCLID, [0.0, 0.0], gain=2.0)
     rng = np.random.default_rng(3)
-    env = classify_stability(_trajectories(spec, EUCLID, rng),
-                             spec.equilibrium)
+    env = _fit(_trajectories(spec, EUCLID, rng), spec.equilibrium)
     assert env.stability_class == "LES"
     assert env.rate == pytest.approx(2.0, rel=0.02)
 
@@ -115,14 +130,13 @@ def test_fit_rejects_equilibrium_resident_batch(sphere_attractor):
     x_star = sphere_attractor.equilibrium
     resident = [flow(sphere_attractor.field, 0.0, x_star, 2.0, 1e-2)] * 3
     with pytest.raises(EnvelopeFitError):
-        classify_stability(resident, x_star)
+        _fit(resident, x_star)
 
 
 def test_stationary_trajectory_classifies_us():
     still = TimeVaryingField(SPHERE, lambda t, x: np.zeros(3))
     x0 = ManifoldPoint(SPHERE, SPHERE.exp(NORTH, np.array([0.5, 0.0, 0.0])))
-    env = classify_stability([flow(still, 0.0, x0, 4.0, 1e-2)],
-                             SPHERE.point(NORTH))
+    env = _fit([flow(still, 0.0, x0, 4.0, 1e-2)], SPHERE.point(NORTH))
     assert env.stability_class == "US"
     assert env.K is None
 
@@ -130,21 +144,21 @@ def test_stationary_trajectory_classifies_us():
 def test_classify_cubic_slowdown_as_uas():
     spec = make_system("cubic_slowdown", EUCLID, [0.0, 0.0], gain=1.0)
     rng = np.random.default_rng(5)
-    env = classify_stability(_trajectories(spec, EUCLID, rng, horizon=10.0),
-                             spec.equilibrium)
+    trajs = _trajectories(spec, EUCLID, rng, horizon=10.0)
+    env = _fit(trajs, spec.equilibrium)
     assert env.stability_class == "UAS"
     assert env.fit_residual > 0.05
-    # The sampled table dominates the closed-form decay profile.
-    for r in (0.4, 0.8):
-        for s in (0.0, 2.0, 8.0):
-            true_d = spec.distance_oracle(r, 0.0, s)
-            assert env.beta(r, s) >= true_d * (1.0 - 1e-6)
+    # The decay profile dominates every trajectory's closed-form decay.
+    for traj in trajs:
+        d0 = float(traj.distances_to(spec.equilibrium)[0])
+        for s, g in zip(env.decay_times, env.decay_values):
+            assert g >= spec.distance_oracle(d0, 0.0, s) * (1.0 - 1e-6)
 
 
 def test_classify_rotation_as_us():
     spec = make_system("isometric_rotation", SPHERE, [0.0, 0.0, 1.0], rate=1.0)
     rng = np.random.default_rng(9)
-    env = classify_stability(_trajectories(spec, SPHERE, rng), spec.equilibrium)
+    env = _fit(_trajectories(spec, SPHERE, rng), spec.equilibrium)
     assert env.stability_class == "US"
 
 
@@ -152,19 +166,18 @@ def test_classify_time_varying_gain_as_les():
     spec = make_system("time_varying_attractor", SPHERE, [0.0, 0.0, 1.0],
                        base_gain=1.5, amplitude=0.5)
     rng = np.random.default_rng(13)
-    env = classify_stability(_trajectories(spec, SPHERE, rng), spec.equilibrium)
+    env = _fit(_trajectories(spec, SPHERE, rng), spec.equilibrium)
     assert env.stability_class == "LES"
     assert env.K >= 1.0
 
 
 def test_chord_slack_covers_concave_stretches_of_coarse_samples():
     # -s^2 rises gap^2 / 8 * 2 above its chords; convex data never does, and
-    # samples no coarser than the resolution need no slack.
+    # samples no coarser than the resolution need no slack.  One slack per column.
     s = np.linspace(0.0, 1.0, 11)
-    assert certify._chord_slack(s, -s ** 2, 0.05) == pytest.approx(0.1 ** 2 / 8 * 2)
-    assert certify._chord_slack(s, s ** 2, 0.05) == 0.0
-    assert certify._chord_slack(s, -s ** 2, 0.1) == 0.0
-    assert certify._chord_slack(s, -s ** 2, None) == 0.0
+    columns = np.stack([-s ** 2, s ** 2], axis=1)
+    assert certify._chord_slack(s, columns, 0.05) == pytest.approx([0.1 ** 2 / 8 * 2, 0.0])
+    assert np.array_equal(certify._chord_slack(s, columns, 0.1), [0.0, 0.0])
 
 
 def test_coarse_fit_dominates_the_fine_grid_at_its_resolution():
@@ -173,36 +186,45 @@ def test_coarse_fit_dominates_the_fine_grid_at_its_resolution():
     # covers the whole grid.
     spec = make_system("time_varying_attractor", SPHERE, [0.0, 0.0, 1.0],
                        base_gain=1.5, amplitude=0.5)
-    fine = _trajectories(spec, SPHERE, np.random.default_rng(13))
-    coarse = [Trajectory(SPHERE, t.times[::4], t.points[::4], 4e-2) for t in fine]
+    elapsed, d = distance_table(_trajectories(spec, SPHERE, np.random.default_rng(13)),
+                                spec.equilibrium)
 
     def worst_excess(env):
-        return max(float(np.max(t.distances_to(spec.equilibrium) / (
-            env.K * np.exp(-env.rate * (t.times - t.times[0]))
-            * t.distances_to(spec.equilibrium)[0]))) - 1.0 for t in fine)
+        return float(np.max(d / (env.K * np.exp(-env.rate * elapsed)[:, None] * d[0]))) - 1.0
 
-    assert worst_excess(classify_stability(coarse, spec.equilibrium)) > 1e-5
-    assert worst_excess(classify_stability(coarse, spec.equilibrium, 1e-2)) <= 0.0
+    assert worst_excess(classify_stability(elapsed[::4], d[::4], 4e-2)) > 1e-5
+    assert worst_excess(classify_stability(elapsed[::4], d[::4], 1e-2)) <= 0.0
 
 
 def test_coarse_cubic_table_stays_above_the_fine_one():
     # The cubic decay is convex, so the chords of coarser samples lie higher:
-    # the sampled table of every 4th sample needs no slack to dominate.
+    # the decay profile of every 4th sample needs no slack to dominate.
     spec = make_system("cubic_slowdown", EUCLID, [0.0, 0.0], gain=1.0)
-    fine = _trajectories(spec, EUCLID, np.random.default_rng(5), horizon=10.0)
-    coarse = [Trajectory(EUCLID, t.times[::4], t.points[::4], 4e-2) for t in fine]
-    table = classify_stability(fine, spec.equilibrium).beta.table
-    coarse_env = classify_stability(coarse, spec.equilibrium, 1e-2)
+    elapsed, d = distance_table(_trajectories(spec, EUCLID, np.random.default_rng(5),
+                                              horizon=10.0), spec.equilibrium)
+    profile = classify_stability(elapsed, d, 1e-2).decay_values
+    coarse_env = classify_stability(elapsed[::4], d[::4], 1e-2)
     assert coarse_env.stability_class == "UAS"
-    assert np.all(coarse_env.beta.table >= table - 1e-15)
-    assert np.max(coarse_env.beta.table - table) > 1e-5
+    assert np.all(coarse_env.decay_values >= profile - 1e-15)
+    assert np.max(coarse_env.decay_values - profile) > 1e-5
 
 
-def test_classify_kind_consistency(sphere_attractor):
-    rng = np.random.default_rng(1)
-    trajs = _trajectories(sphere_attractor, SPHERE, rng, n_per_start=1)
-    with pytest.raises(Exception):
-        classify_stability(trajs, EUCLID.point([0.0, 0.0]))
+def test_decay_profile_dominates_trajectories_that_start_together():
+    # Two algebraic decays from d0 = 1: the profile dominates both at every
+    # sample (held from its last knot), the slower one too.
+    elapsed = np.linspace(0.0, 8.0, 257)
+    d = np.stack([1.0 / np.sqrt(1.0 + 4.0 * elapsed), 1.0 / np.sqrt(1.0 + 0.5 * elapsed)],
+                 axis=1)
+    env = classify_stability(elapsed, d, 1.0 / 32.0)
+    assert env.stability_class == "UAS"
+    held = env.decay_values[np.searchsorted(env.decay_times, elapsed, side="right") - 1]
+    assert np.all(held[:, None] >= d)
+
+
+def test_exponential_decay_profile_is_the_envelope_at_the_region_radius(sphere_envelope):
+    env = sphere_envelope
+    r_max, K, rate = env.region_radius, env.K, env.rate
+    assert np.array_equal(env.decay_values, r_max * (K * np.exp(-rate * env.decay_times)))
 
 
 # -- converse certificate verification --------------------------------------------------
@@ -265,6 +287,23 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     assert np.linalg.norm(w - public) <= 1e-8 * np.linalg.norm(public)
 
 
+@pytest.mark.parametrize("manifold, equilibrium, radius, seed", [
+    ("sphere2", [0.0, 0.0, 1.0], 3.1, 10), ("hyperbolic2", [1.0, 0.0, 0.0], 3.0, 18)])
+def test_pipeline_lipschitz_estimate_reaches_the_closed_form(manifold, equilibrium, radius,
+                                                             seed):
+    # The geodesic attractor's L(r) is max(1, r |cot r|) on S^2 and r coth r
+    # on H^2.  Drawing 32 pairs, these seeds read 0.906 and 0.998 of it; the
+    # pipeline draws at least 64 on a grid of 24 points.
+    config = parse_scenario({
+        "schema_version": 1, "manifold": manifold, "equilibrium": equilibrium,
+        "system": {"name": "geodesic_attractor", "params": {"gain": 1.0}},
+        "delta": {"policy": "auto", "target": 0.5}, "p": 1, "seed": seed, "step": 0.01,
+        "grids": {"n_points": 24, "radius": radius, "t0_list": [0.0]}, "fit_horizon": 2.0})
+    closed = (radius / math.tanh(radius) if manifold == "hyperbolic2"
+              else max(1.0, abs(radius / math.tan(radius))))
+    assert pipeline._estimate_lipschitz(config) >= closed
+
+
 def test_contraction_pairs_ride_the_fit_flow_unchanged():
     # The pairs join the envelope fit's flow as extra rows: the fit is that
     # of a flow without them, since the fit's grid carries the contraction
@@ -289,7 +328,7 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
         assert joint_steps == alone_steps
         assert joint_steps[certify.ANCHOR_ENVELOPE_FIT]["step"] == fit_step
         assert joint.to_json() == alone.to_json()
-        assert np.array_equal(joint.beta.table, alone.beta.table)
+        assert np.array_equal(joint.decay_values, alone.decay_values)
         offsets = contraction_offsets(config.envelope_horizon, config.step)
         assert np.array_equal(taus, offsets) and len(offsets) == 7
         grid = np.sort(np.concatenate([step_offsets(config.fit_horizon, fit_step), offsets]))
@@ -309,17 +348,14 @@ def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):
         return SPHERE.log(coords, NORTH)
 
     field = TimeVaryingField(SPHERE, counting_rhs)
-    env = StabilityEnvelope("LES", 2.0, 1.0, sphere_envelope.beta, 0.0, 1.0, 3)
+    env = dataclasses.replace(sphere_envelope, K=2.0, rate=1.0)
     with pytest.raises(InvalidDeltaError):
         make_certificate(field, SPHERE.point(NORTH), 1.05, env, delta=0.1, p=1.0)
     assert calls == []
 
 
 def test_verify_nonexponential_envelope_rejected(sphere_attractor):
-    env = StabilityEnvelope("US", None, None,
-                            KLEnvelope.from_exponential(1.0, 1.0, 1.0,
-                                                        np.linspace(0, 6, 13)),
-                            0.0, 1.0, 3)
+    env = dataclasses.replace(_exponential(1.0, 1.0), stability_class="US", K=None, rate=None)
     with pytest.raises(EnvelopeFitError):
         make_certificate(sphere_attractor.field, sphere_attractor.equilibrium,
                          1.0, env, math.log(2.0), 1.0)
@@ -333,10 +369,7 @@ def test_verify_time_varying_gain_with_uniform_lower_bound():
     est = lipschitz_estimate(spec.field, Region(spec.equilibrium, 1.0),
                              [0.0, 1.0, 2.0, 4.0], 100, seed=3)
     L = est.inflated()
-    env = StabilityEnvelope("LES", math.e, 1.0,
-                            KLEnvelope.from_exponential(math.e, 1.0, 1.0,
-                                                        np.linspace(0, 6, 13)),
-                            0.0, 1.0, 12)
+    env = _exponential(math.e, 1.0)
     delta = choose_delta(env.K, env.rate, 0.5)
     report = _verify(spec, L, env, delta, 1.0, 12, seed=3)
     assert report.verdict

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from geolyap import certify, config as config_module, flows, lyapunov, pipeline, systems
+from geolyap.certify import StabilityEnvelope
 from geolyap.cli import main
 from geolyap.config import ConfigError, load_scenario
-from geolyap.envelopes import KLEnvelope, StabilityEnvelope
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -422,10 +422,9 @@ def test_massera_envelope_the_reshaping_rejects_fails_at_the_tail_stage(tmp_path
                                                                          monkeypatch):
     # A UAS fit whose decay profile is flat is no input for the reshaping:
     # the run fails at ugas-tail instead of raising.
-    def flat_fit(trajectories, x_star, resolution=None):
+    def flat_fit(elapsed, d, resolution):
         s = np.linspace(0.0, 22.0, 12)
-        beta = KLEnvelope(np.linspace(0.0, 1.0, 3), s, np.outer([0.0, 0.5, 1.0], np.ones(12)))
-        return StabilityEnvelope("UAS", None, None, beta, 0.0, 1.0, len(trajectories))
+        return StabilityEnvelope("UAS", None, None, s, np.ones(12), 0.0, 1.0, d.shape[1])
 
     monkeypatch.setattr(pipeline, "classify_stability", flat_fit)
     out = tmp_path / "out"

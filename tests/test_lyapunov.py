@@ -23,7 +23,7 @@ from geolyap.manifolds import (
     manifold_from_name,
 )
 from geolyap.systems import available_systems, make_system
-from oracles import assert_second_order, directional_derivative, lie_difference
+from oracles import assert_second_order, directional_derivative, distance_table, lie_difference
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -319,8 +319,7 @@ def test_massera_strict_monotonicity():
 def _knot_reshaping(s_knots, gprime_knots):
     """A reshaping on given knots (interpolation only; envelope data is unused)."""
     s_knots, gprime_knots = np.asarray(s_knots, float), np.asarray(gprime_knots, float)
-    return MasseraFunction(s_knots, gprime_knots, np.zeros(1), np.ones(1),
-                           k1=0.0, k2=0.0, grid_spacing=1.0)
+    return MasseraFunction(s_knots, gprime_knots, np.zeros(1), np.ones(1), grid_spacing=1.0)
 
 
 PCHIP_TIMES = np.linspace(0.0, 10.0, 41)
@@ -379,12 +378,13 @@ def cubic_envelope():
     for r in (0.5, 0.75, 1.0):
         v0 = EUCLID.random_tangent(rng, np.zeros(2), norm=r)
         trajs.append(flow(spec.field, 0.0, EUCLID.point(v0), 22.0, 1e-2))
-    return spec, classify_stability(trajs, spec.equilibrium)
+    envelope = classify_stability(*distance_table(trajs, spec.equilibrium), 1e-2)
+    return spec, (envelope.decay_times, envelope.decay_values)
 
 
 def test_ugas_construction_positive_and_decaying(cubic_envelope):
-    spec, envelope = cubic_envelope
-    V = construct_ugas_V(spec.field, spec.equilibrium, envelope, 20.0, step=0.05)
+    spec, profile = cubic_envelope
+    V = construct_ugas_V(spec.field, spec.equilibrium, *profile, 20.0, step=0.05)
     assert V.tail_bound < 1e-8
     assert V.evaluate(0.0, spec.equilibrium) == 0.0
     rng = np.random.default_rng(8)
@@ -399,8 +399,8 @@ def test_massera_lie_identity_matches_the_central_difference_to_second_order(cub
     # LV = G(d(end)) - G(d(x)).  At step 0.0125 the discretization's own gap
     # between the two (fourth order in the step, 1.8e-5 at step 0.05) sits
     # below the central difference's h^2 term.
-    spec, envelope = cubic_envelope
-    V = construct_ugas_V(spec.field, spec.equilibrium, envelope, 20.0, step=0.0125)
+    spec, profile = cubic_envelope
+    V = construct_ugas_V(spec.field, spec.equilibrium, *profile, 20.0, step=0.0125)
     t, x = sample_states(EUCLID, spec.equilibrium, GridSpec(6, 1.0, (0.0, 1.0, math.e, 10.0)),
                          np.random.default_rng(3), r_min_frac=0.4)
     values, lie = V._evaluate_raw(t, x)
@@ -410,16 +410,16 @@ def test_massera_lie_identity_matches_the_central_difference_to_second_order(cub
 
 
 def test_ugas_monotone_along_ray(cubic_envelope):
-    spec, envelope = cubic_envelope
-    V = construct_ugas_V(spec.field, spec.equilibrium, envelope, 20.0, step=0.05)
+    spec, profile = cubic_envelope
+    V = construct_ugas_V(spec.field, spec.equilibrium, *profile, 20.0, step=0.05)
     values = [V.evaluate(0.0, EUCLID.point([r, 0.0]))
               for r in np.linspace(0.4, 1.0, 10)]
     assert all(np.diff(values) > 0)
 
 
 def test_ugas_horizon_errors(cubic_envelope):
-    spec, envelope = cubic_envelope
+    spec, profile = cubic_envelope
     with pytest.raises(HorizonError):
-        construct_ugas_V(spec.field, spec.equilibrium, envelope, 50.0)
+        construct_ugas_V(spec.field, spec.equilibrium, *profile, 50.0)
     with pytest.raises(HorizonError):
-        construct_ugas_V(spec.field, spec.equilibrium, envelope, 5.0, tail_tol=1e-12)
+        construct_ugas_V(spec.field, spec.equilibrium, *profile, 5.0, tail_tol=1e-12)

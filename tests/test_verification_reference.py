@@ -59,12 +59,12 @@ import pytest
 
 from geolyap.certify import (
     GridSpec,
+    StabilityEnvelope,
     draw_verification_inputs,
     iss_certify,
     make_certificate,
     verify_converse_certificate,
 )
-from geolyap.envelopes import KLEnvelope, StabilityEnvelope
 from geolyap.flows import Region, contraction_offsets, lipschitz_estimate
 from geolyap.lyapunov import choose_delta
 from geolyap.manifolds import manifold_from_name
@@ -91,8 +91,8 @@ ISS_HORIZONS = (2.0, 3.0)
 
 
 def _envelope(K, rate):
-    beta = KLEnvelope.from_exponential(K, rate, 1.0, np.linspace(0.0, 6.0, 13))
-    return StabilityEnvelope("LES", K, rate, beta, 0.0, 1.0, 12)
+    s = np.linspace(0.0, 6.0, 13)
+    return StabilityEnvelope("LES", K, rate, s, K * np.exp(-rate * s), 0.0, 1.0, 12)
 
 
 def _verify(case, equilibrium, L):
