@@ -39,11 +39,13 @@ STEP_TOL = 1.35e-8        # step_error allowed; calibration in README, "Internal
 PILOT_STEPS = 2           # coarse steps of a step_error pilot (the fine run takes twice as many)
 
 # An explicit Runge-Kutta scheme: stages (c_i, ((j, a_ij), ...)) and weights (j, b_j), nonzero
-# entries only; a step adds dt / divisor times the weighted sum.  Its order on smooth fields.
+# entries only; a step adds dt / divisor times the weighted sum.  Its order on smooth fields,
+# and its interpolant or None: the extra stages after the FSAL stage f(t + dt, x_new) and the
+# rows (j, d_j) of the interpolant's upper coefficients (see _interpolate).
 RungeKutta = NamedTuple("RungeKutta", [("stages", tuple), ("weights", tuple), ("divisor", float),
-                                       ("order", int)])
+                                       ("order", int), ("dense", tuple | None)])
 RK4 = RungeKutta(((0.0, ()), (0.5, ((0, 0.5),)), (0.5, ((1, 0.5),)), (1.0, ((2, 1.0),))),
-                 ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0)), 6.0, 4)  # classical
+                 ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0)), 6.0, 4, None)  # classical
 # DOP853's order-8 solution (Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67-75).
 RK8 = RungeKutta(((0.0, ()), (0.05260015195876773, ((0, 0.05260015195876773),)),
     (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
@@ -67,7 +69,33 @@ RK8 = RungeKutta(((0.0, ()), (0.05260015195876773, ((0, 0.05260015195876773),)),
     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)))),
     ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
     (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-    (10, 0.20136540080403034), (11, 0.04471061572777259)), 1.0, 8)
+    (10, 0.20136540080403034), (11, 0.04471061572777259)), 1.0, 8,
+    # DOP853's order-7 interpolant (Hairer, Norsett & Wanner, *Solving ODEs I*, §II.6).
+    (((0.1, ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+    (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+    (11, 0.007567897660545699), (12, -0.008298))), (0.2, ((0, 0.03183464816350214),
+    (5, 0.028300909672366776), (6, 0.053541988307438566), (7, -0.05492374857139099),
+    (10, -0.00010834732869724932), (11, 0.0003825710908356584), (12, -0.00034046500868740456),
+    (13, 0.1413124436746325))), (0.7777777777777778, ((0, -0.42889630158379194),
+    (5, -4.697621415361164), (6, 7.683421196062599), (7, 4.06898981839711),
+    (8, 0.3567271874552811), (12, -0.0013990241651590145), (13, 2.9475147891527724),
+    (14, -9.15095847217987)))),
+    (((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+    (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+    (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+    (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+    (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+    (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+    (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+    (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+    (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+    (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+    (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+    (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+    (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)))))
 
 
 class IntegrationError(RuntimeError):
@@ -137,25 +165,53 @@ class Trajectory:
         return self.manifold.dist(self.points, x.coords)
 
 
-def _rk_step(field: TimeVaryingField, t, x: np.ndarray, dt: float,
-             scheme: RungeKutta = RK4) -> np.ndarray:
-    """One ``scheme`` step in the embedding, before projection; sums run left to right."""
-    ks = []
-    for c, row in scheme.stages:
+def _rk_stages(field: TimeVaryingField, t, x: np.ndarray, dt: float, stages, ks: list):
+    """Append the ``stages`` (c_i, row) of a step from ``x`` to ``ks``; sums run left to right."""
+    for c, row in stages:
         y = x
         for j, a in row:
             y = y + (a * dt) * ks[j]
         ks.append(field.eval_raw(t + c * dt if c else t, y))
+
+
+def _rk_step(field: TimeVaryingField, t, x: np.ndarray, dt: float,
+             scheme: RungeKutta = RK4, ks: list | None = None) -> np.ndarray:
+    """One ``scheme`` step in the embedding, before projection.  ``ks`` collects its
+    stages, and may come holding the first (FSAL)."""
+    ks = [] if ks is None else ks
+    _rk_stages(field, t, x, dt, scheme.stages[len(ks):], ks)
     terms = [ks[j] if b == 1.0 else b * ks[j] for j, b in scheme.weights]
     return x + (dt / scheme.divisor) * sum(terms[1:], terms[0])
 
 
-def _check_finite(m: Manifold, x: np.ndarray, t0, s: float):
-    finite = np.isfinite(x)
+def _interpolate(field: TimeVaryingField, t, x: np.ndarray, x_new: np.ndarray, dt: float,
+                 scheme: RungeKutta, ks: list, thetas: np.ndarray) -> np.ndarray:
+    """A step's dense output (SciPy's ``Dop853DenseOutput``) at the fractions ``thetas`` of
+    ``dt``, stacked, before projection; ``ks`` holds the step's stages and f(t + dt, x_new)."""
+    extra, rows = scheme.dense
+    _rk_stages(field, t, x, dt, extra, ks)
+    dx = x_new - x
+    F = [dx, dt * ks[0] - dx, 2.0 * dx - dt * (ks[len(scheme.stages)] + ks[0])]
+    F += [dt * sum(d * ks[j] for j, d in row) for row in rows]
+    th, y = np.reshape(thetas, (-1,) + (1,) * x.ndim), 0.0
+    for i, f in enumerate(reversed(F)):  # Horner form in th and 1 - th
+        y = (y + f) * (th if i % 2 == 0 else 1.0 - th)
+    return x + y
+
+
+def _checked_project(m: Manifold, y: np.ndarray, t0, s: float) -> np.ndarray:
+    """``y`` projected onto ``m``; a non-finite ``y`` or a failed projection fails the
+    flow at the time t0 + s."""
+    finite = np.isfinite(y)
     if np.count_nonzero(finite) != finite.size:
         row_ok = finite.all(axis=tuple(range(-len(m.ambient_shape), 0)))
         t_bad = np.broadcast_to(t0 + s, np.shape(row_ok))[~row_ok]
         raise IntegrationError("non-finite state during integration", float(np.ravel(t_bad)[0]))
+    try:
+        return m.project(y)
+    except GeometryError as exc:
+        raise IntegrationError(f"step left the manifold: {exc}",
+                               float(np.ravel(t0 + s)[0])) from exc
 
 
 def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[float],
@@ -164,28 +220,40 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
 
     ``x0`` holds one state or a batch ``(..., *ambient_shape)``; ``t0`` is a
     scalar or per-row start times.  All rows step together on one shared
-    grid: each gap between consecutive offsets (nondecreasing, >= 0) is split
-    into equal projected ``scheme`` steps no longer than ``step``, so the
-    offsets are hit exactly.  Returns an array ``(len(offsets),) + x0.shape``.
+    grid of projected ``scheme`` steps; ``offsets`` are nondecreasing and >= 0.
+    A scheme with an interpolant (:data:`RK8`) steps on
+    ``step_offsets(max(offsets), step)``: an offset within GRID_TOL step of a
+    node reads that node, any other the projected interpolant of its step.
+    Otherwise each gap between consecutive offsets is split into equal steps
+    no longer than ``step``, so the offsets are hit exactly.  Returns an
+    array ``(len(offsets),) + x0.shape``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    nodes = [0.0]
-    keep = []
-    for s in offsets:
-        s = float(s)
-        gap = s - nodes[-1]
-        if gap < -1e-12:
-            raise ValueError("sample offsets must be nondecreasing and >= 0")
-        if gap > 1e-15 * max(1.0, abs(s)):
-            n_sub = max(1, math.ceil(gap / step - GRID_TOL))
-            base = nodes[-1]
-            nodes.extend(base + i * (gap / n_sub) for i in range(1, n_sub))
-            nodes.append(s)
-        keep.append(len(nodes) - 1)
+    s = np.asarray(offsets, dtype=float).reshape(-1)
+    if np.any(np.diff(s, prepend=0.0) < -1e-12):
+        raise ValueError("sample offsets must be nondecreasing and >= 0")
+    reads = {}  # step ending at node i -> the samples read from its interpolant
+    if scheme.dense is not None:
+        nodes = step_offsets(float(np.max(s, initial=0.0)), step)
+        keep = np.searchsorted(nodes, s - GRID_TOL * step).tolist()  # first node >= s - tol
+        for k, i in enumerate(keep):
+            if i and nodes[i] - s[k] > GRID_TOL * step:  # inside (nodes[i - 1], nodes[i])
+                reads.setdefault(i, []).append(k)
+        nodes = nodes.tolist()
+    else:
+        nodes, keep = [0.0], []
+        for s_k in s.tolist():
+            gap = s_k - nodes[-1]
+            if gap > 1e-15 * max(1.0, abs(s_k)):
+                n_sub = max(1, math.ceil(gap / step - GRID_TOL))
+                base = nodes[-1]
+                nodes.extend(base + i * (gap / n_sub) for i in range(1, n_sub))
+                nodes.append(s_k)
+            keep.append(len(nodes) - 1)
     m = field.manifold
     x = np.asarray(x0, dtype=float)
-    states = [x]
+    states, samples = [x], {}
     # rhs, which nothing projects, must be tangent at the start rows to 1e-9
     # of its norm.  A step that blows up, or leaves the manifold beyond
     # projection, fails the flow at that step's time.
@@ -195,16 +263,18 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
         normal, f = (f - m.project_tangent(x, f)).reshape(rows), f.reshape(rows)
         if np.count_nonzero(np.vecdot(normal, normal) > 1e-18 * np.vecdot(f, f)):
             raise ValueError(f"the field's rhs is not tangent to {m.name} at the start states")
-        for a, b in zip(nodes, nodes[1:]):
-            y = _rk_step(field, t0 + a, x, b - a, scheme)
-            _check_finite(m, y, t0, b)
-            try:
-                x = m.project(y)
-            except GeometryError as exc:
-                raise IntegrationError(f"step left the manifold: {exc}",
-                                       float(np.ravel(t0 + b)[0])) from exc
+        fsal = []
+        for i, (a, b) in enumerate(zip(nodes, nodes[1:]), 1):
+            ks, fsal = fsal, []
+            x_new = _checked_project(m, _rk_step(field, t0 + a, x, b - a, scheme, ks), t0, b)
+            if i in reads:  # f(t0 + b, x_new): the interpolant's stage, the next step's first
+                fsal = [field.eval_raw(t0 + b, x_new)]
+                ys = _interpolate(field, t0 + a, x, x_new, b - a, scheme, ks + fsal,
+                                  (s[reads[i]] - a) / (b - a))
+                samples.update(zip(reads[i], _checked_project(m, ys, t0, b)))
+            x = x_new
             states.append(x)
-    return np.stack([states[i] for i in keep])
+    return np.stack([samples[k] if k in samples else states[i] for k, i in enumerate(keep)])
 
 
 def step_offsets(span: float, step: float) -> np.ndarray:
@@ -241,16 +311,17 @@ def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
 
 def choose_step(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
                 span: float, base_step: float) -> tuple[float, float]:
-    """The largest :data:`RK8` step ``k * base_step``, k = 64, 32, ..., 1, whose
-    error meets STEP_TOL, and that error, from one :func:`step_error` pilot at
-    k = 64 scaled by h^8.  When no k does, ``base_step`` and its own pilot's
-    estimate (infinite when that pilot left the reals)."""
-    error = step_error(field, t0, x0, x_star, span, 64 * base_step, RK8)
-    for k in (64, 32, 16, 8, 4, 2, 1):
-        estimate = error * (k / 64) ** RK8.order
+    """The largest :data:`RK8` step ``min(k * base_step, span)``, k = 64, 32, ..., 1,
+    whose error meets STEP_TOL, and that error, from one :func:`step_error` pilot
+    at the top rung scaled by h^8.  When no k does, the last rung and its own
+    pilot's estimate (infinite when that pilot left the reals)."""
+    rungs = [min(k * base_step, span) for k in (64, 32, 16, 8, 4, 2, 1)]
+    error = step_error(field, t0, x0, x_star, span, rungs[0], RK8)
+    for h in rungs:
+        estimate = error * (h / rungs[0]) ** RK8.order
         if estimate <= STEP_TOL:
-            return k * base_step, estimate
-    return base_step, step_error(field, t0, x0, x_star, span, base_step, RK8)
+            return h, estimate
+    return rungs[-1], step_error(field, t0, x0, x_star, span, rungs[-1], RK8)
 
 
 def flow(field: TimeVaryingField, t0, x0, t1, step: float = DEFAULT_STEP):

@@ -308,10 +308,11 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
     # The pairs join the envelope fit's flow as extra rows: the fit is that
     # of a flow without them, since the fit's grid carries the contraction
     # offsets either way, and the pairs' states at those offsets (of the
-    # config step) are those of their own order-8 flow on the fit's grid,
-    # within 1e-12 of an order-8 flow at the config step (measured 7.9e-14).
-    # The geodesic attractor's fit step is 32 config steps, the time-varying
-    # one's 16.
+    # config step) are those of their own order-8 flow on the fit's grid.
+    # Off the fit's nodes they are read from the step's order-7 interpolant,
+    # within 1e-8 of an order-8 flow at the config step (measured 5.1e-9 on
+    # the geodesic attractor, 1.0e-9 on the time-varying one).  The geodesic
+    # attractor's fit step is 32 config steps, the time-varying one's 16.
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name, fit_step in (("time_varying_gain", 0.16), ("sphere_attractor", 0.32)):
         config = dataclasses.replace(load_scenario(configs / f"{name}.json"),
@@ -337,7 +338,7 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
         assert pair_flow.shape == alone.shape
         assert np.max(np.abs(pair_flow - alone)) <= 1e-14
         fine = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, config.step, RK8)
-        assert np.max(np.abs(pair_flow - fine)) <= 1e-12
+        assert np.max(np.abs(pair_flow - fine)) <= 1e-8
 
 
 def test_verify_rejects_bad_horizon_before_any_flow(sphere_envelope):

@@ -151,13 +151,15 @@ def test_certify_massera_mode_runs_without_scipy(tmp_path):
 
 
 def test_certify_and_iss_run_without_scipy(tmp_path):
-    # The envelope fits' order-8 tableau is literal data, not read from SciPy.
+    # The order-8 tableau and its interpolant are literal data, not read from
+    # SciPy: the fits, the disturbed flow and `flow` step with them.
     iss = _small_config(tmp_path, "iss.json", fit_horizon=2.0, envelope_horizon=0.5,
                         iss_horizons=[2.0, 3.0],
                         disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     argvs = [["certify", "--config", str(_small_config(tmp_path)), "--out", str(tmp_path / "c")],
-             ["iss", "--config", str(iss), "--out", str(tmp_path / "i")]]
-    assert _exit_codes_and_scipy_loaded(argvs) == ["0", "0", "False"]
+             ["iss", "--config", str(iss), "--out", str(tmp_path / "i")],
+             ["flow", "--config", str(iss), "--out", str(tmp_path / "f")]]
+    assert _exit_codes_and_scipy_loaded(argvs) == ["0", "0", "0", "False"]
 
 
 FAILURE_CASES = {
@@ -213,17 +215,21 @@ SPHERE_POLE, HYPERBOLIC_ORIGIN, SO3_IDENTITY = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
 @pytest.mark.parametrize("manifold, equilibrium, gain, step, fit_horizon, chosen", [
     ("sphere2", SPHERE_POLE, 1.0, 0.01, 2.0, 0.32),
     ("sphere2", SPHERE_POLE, 1.0, 0.005, 2.0, 0.32),
-    ("sphere2", SPHERE_POLE, 1.0, 0.01, 0.25, 0.32),
+    ("sphere2", SPHERE_POLE, 1.0, 0.01, 0.25, 0.25),
     ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.01, 2.0, 0.32),
-    ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.005, 0.25, 0.32),
+    ("hyperbolic2", HYPERBOLIC_ORIGIN, 1.0, 0.005, 0.25, 0.25),
     ("so3", SO3_IDENTITY, 2.0, 0.01, 2.0, 0.16),
     ("so3", SO3_IDENTITY, 2.0, 0.0025, 0.25, 0.16),
+    ("sphere2", SPHERE_POLE, 1.0, 0.01, 0.05, 0.05),
+    ("sphere2", SPHERE_POLE, 1.0, 0.01, 1e-6, 1e-6),
 ])
 def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibrium, gain,
                                                     step, fit_horizon, chosen):
     # d(t) = e^{-gain t} d0 exactly, so the envelope is K = 1, rate = gain.
     # The order-8 fit runs at gain * step = 0.32, the top of its ladder from
-    # config step 0.0025 on so3.  The integration error varies with d0, so K
+    # config step 0.0025 on so3, or one step of a horizon shorter than that
+    # (0.25 on sphere2 and hyperbolic2, 0.05 and 1e-6 on sphere2): no rung of
+    # the ladder is longer than the span.  The integration error varies with d0, so K
     # absorbs a misfit (about 1e-10 here): both stay within half the
     # benchmark's 1e-8 oracle bound.
     config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
@@ -336,28 +342,36 @@ def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
     ("sphere2", [0.0, 0.0, 1.0]), ("so3", np.eye(3).ravel().tolist())])
 def test_finite_but_wrong_flow_exits_two_without_output(tmp_path, capsys, manifold,
                                                         equilibrium):
-    # gain 1e4 at step 0.01: every projected step stays finite, but the flow
-    # is far beyond the step's stability limit, and its rows' step-doubling
-    # error per unit time (6e-3 on sphere2, 0.13 on so3) is above FLOW_TOL.
-    config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
-                           system={"name": "geodesic_attractor", "params": {"gain": 1e4}},
-                           seed=3, grids={"n_points": 8, "radius": 0.8, "t0_list": [0.0]})
-    out = tmp_path / "flow"
-    assert main(["flow", "--config", str(config), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: flow-integration: step-doubling error estimate"), err
-    assert float(err.split()[5]) > pipeline.FLOW_TOL
-    assert not out.exists()
+    # Each flow stays finite but is wrong.  On sphere2 the chooser's pilot at
+    # 64 config steps is fooled (both of its runs land near one spurious
+    # point), and it picks 0.08 at gain 10 and 0.32 at gain 3e4; the flow is
+    # then measured at the step it takes (2.5e-6 at gain 10) and at the config
+    # step (2.3e-3 at gain 3e4).  On so3 at gain 100 no rung passes, and the
+    # config step reads 2.2e-4.  Each is above FLOW_TOL.  (At gain 1e4 the
+    # order-8 flow leaves the reals on both manifolds.)
+    cases = {"sphere2": [(10.0, 0.08), (3e4, 0.01)], "so3": [(100.0, 0.01)]}[manifold]
+    for gain, step in cases:
+        config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
+                               system={"name": "geodesic_attractor", "params": {"gain": gain}},
+                               seed=3, grids={"n_points": 8, "radius": 0.8, "t0_list": [0.0]})
+        out = tmp_path / "flow"
+        assert main(["flow", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: flow-integration: step-doubling error estimate"), err
+        assert float(err.split()[5]) > pipeline.FLOW_TOL
+        assert err.rstrip().endswith(f"at step {step:g}"), err
+        assert not out.exists()
 
 
 def test_flow_shorter_than_its_step_is_checked_at_its_span(tmp_path, monkeypatch):
-    # A flow over 1e-6 takes one step of 1e-6; its error estimate is taken
-    # at that step, not extrapolated to the config step of 0.01.
+    # A flow over 1e-6 takes one step of 1e-6: the step chooser's ladder and
+    # pilot stop at the span, and the flow's error estimate is taken at that
+    # step, not at a rung of 64 config steps.
     estimates = []
     real_step_error = pipeline.step_error
 
     def recording_step_error(*args):
-        estimates.append((args[-1], real_step_error(*args)))
+        estimates.append((args[5], real_step_error(*args)))
         return estimates[-1][1]
 
     monkeypatch.setattr(pipeline, "step_error", recording_step_error)
@@ -372,15 +386,17 @@ def test_flow_shorter_than_its_step_is_checked_at_its_span(tmp_path, monkeypatch
 
 
 NON_FINITE, OFF_MANIFOLD = "non-finite state", "step left the manifold"
-INF, STIFF = ("step-doubling error estimate inf per unit time is above 1e-06 at step 0.01",
-              "step-doubling error estimate 0.00134 per unit time is above 1e-06 at step 0.01")
+INF, STIFF, STIFF_FLOW = (
+    "step-doubling error estimate inf per unit time is above 1e-06 at step 0.01",
+    "step-doubling error estimate 0.00134 per unit time is above 1e-06 at step 0.01",
+    "step-doubling error estimate 0.00172 per unit time is above 1e-06 at step 0.01")
 STIFF_CASES = {  # manifold, equilibrium, system, params, message per command
     "hyperbolic2-geodesic": ("hyperbolic2", [1.0, 0.0, 0.0], "geodesic_attractor", {"gain": 1e4},
                              {"flow": OFF_MANIFOLD, "certify": INF, "massera": INF}),
     "hyperbolic2-cubic": ("hyperbolic2", [1.0, 0.0, 0.0], "cubic_slowdown", {"gain": 1e6},
-                          {"flow": NON_FINITE, "certify": INF, "massera": INF}),
+                          {"flow": OFF_MANIFOLD, "certify": INF, "massera": INF}),
     "sphere2-cubic": ("sphere2", [0.0, 0.0, 1.0], "cubic_slowdown", {"gain": 1e6},
-                      {"flow": NON_FINITE, "certify": STIFF, "massera": STIFF}),
+                      {"flow": STIFF_FLOW, "certify": STIFF, "massera": STIFF}),
     "so3-cubic": ("so3", np.eye(3).ravel().tolist(), "cubic_slowdown", {"gain": 1e6},
                   {"flow": NON_FINITE, "certify": INF, "massera": INF}),
 }
@@ -393,7 +409,10 @@ STIFF_COMMANDS = {"flow": (["flow"], None), "certify": (["certify"], "les-envelo
 def test_stiff_step_fails_the_flow_with_exit_two(tmp_path, capsys, case, command):
     # A step that leaves the reals, or lands where it cannot be projected
     # back (a spacelike point of the hyperboloid), fails the running stage.
-    # `flow` fails in its own RK4 flow.  The fits fail before theirs: no rung
+    # `flow` fails in its own RK8 flow at the config step (no rung of its
+    # ladder passes either), except on the sphere2 cubic field, where that
+    # flow stays finite and its estimate at the config step fails it after the
+    # flow, with its own rows' estimate.  The fits fail before theirs: no rung
     # of the RK8 ladder meets STEP_TOL, and the config step's own estimate is
     # infinite (its pilot left the reals or the manifold) or, on the sphere2
     # cubic field, finite but far above FLOW_TOL, where the fit's flow would
@@ -480,26 +499,27 @@ def _count_steps(monkeypatch) -> list[int]:
 def test_step_counts_per_flow(tmp_path, monkeypatch):
     # sphere2 at step 0.01 with delta = ln 2.  The fit's step-doubling pilot
     # takes 2 order-8 steps of 1.28 and 4 of 0.64 and picks step 0.32, so the
-    # envelope fit takes 7 steps over fit_horizon 2, plus 6 for the
-    # contraction offsets of the config step (0.08, 0.17, ..., 0.5) that
-    # split its first two steps; the pairs ride that flow.  V's 71 quadrature
-    # nodes take 70 (V keeps the config step); LV reads the same flow.  The
-    # contraction check has no flow of its own.
+    # envelope fit takes 7 steps over fit_horizon 2; the contraction offsets
+    # of the config step (0.08, 0.17, ..., 0.5) and the pairs that ride that
+    # flow are read from its interpolant.  V's 71 quadrature nodes take 70 (V
+    # keeps the config step); LV reads the same flow.  The contraction check
+    # has no flow of its own.
     steps = _count_steps(monkeypatch)
     base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
     config = _small_config(tmp_path, **base)
     assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    assert steps == [2, 4, 13, 70]
+    assert steps == [2, 4, 7, 70]
     # iss adds the disturbed flow's RK8 pilot (2 steps of 1.28 and 4 of
     # 0.64; it picks step 0.32), the disturbed flow to t = 3 and one V batch.
-    # The disturbed flow takes one step per 0.1 gap of the series times, and
-    # two in each of the 4 gaps that a tail time (1.45, 1.95, 2.05, 2.55)
-    # splits.
+    # The disturbed flow takes the recorded step, ceil(3 / 0.32) = 10 steps,
+    # and reads the series and tail times from its interpolant.
     steps.clear()
     config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
                            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
-    assert steps == [2, 4, 13, 70, 2, 4, 34, 70]
+    assert steps == [2, 4, 7, 70, 2, 4, 10, 70]
+    record = json.loads((tmp_path / "i" / "report.json").read_text())["steps"]["iss-robustness"]
+    assert record["step"] == 0.32 and steps[6] == math.ceil(3.0 / record["step"])
 
 
 def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypatch):

@@ -581,11 +581,11 @@ def test_choose_step_stays_within_the_calibrated_step(name, gain, base, rk4_step
     # 0.02 (test_step_error_calibration_on_the_oracle).  The RK8 chooser,
     # scaled by h^8 from its 64x pilot, steps 16 times as far at the same
     # tolerance: it lands on gain * step = 0.32, never on 0.64, from any base
-    # step and horizon.
+    # step and horizon, or on the horizon when that is shorter.
     field, t0, x0, x_star = _attractor_rows(name, gain)
     for horizon in (0.25, 1.0, 3.0, 6.0):
         step, estimate = choose_step(field, t0, x0, x_star, horizon, base)
-        assert step == 16 * rk4_step, horizon
+        assert step == min(16 * rk4_step, horizon), horizon
         assert 0.0 < estimate <= flows.STEP_TOL
 
 
@@ -594,9 +594,9 @@ def test_step_error_scales_with_the_step_and_takes_six_pilot_steps(monkeypatch):
     calls = []
     real = flows._rk_step
 
-    def counting(f, t, x, dt, scheme):
+    def counting(f, t, x, dt, scheme, ks):
         calls.append(dt)
-        return real(f, t, x, dt, scheme)
+        return real(f, t, x, dt, scheme, ks)
 
     monkeypatch.setattr(flows, "_rk_step", counting)
     coarse = step_error(field, t0, x0, x_star, 6.0, 0.08)
@@ -711,6 +711,78 @@ def test_rk8_tableau_matches_scipy_bit_for_bit():
     assert C.tobytes() == np.asarray(dop853.C[:12], dtype=float).tobytes()
 
 
+def test_rk8_interpolant_matches_scipy_bit_for_bit():
+    # DOP853's dense output: 3 extra stages after the FSAL stage (index 12)
+    # and the 4 rows of D, over the 16 stages.
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    extra, rows = RK8.dense
+    A, C, D = np.zeros((3, 16)), np.zeros(3), np.zeros((4, 16))
+    for i, (c, row) in enumerate(extra):
+        C[i] = c
+        for j, a in row:
+            A[i, j] = a
+    for i, row in enumerate(rows):
+        for j, d in row:
+            D[i, j] = d
+    assert (len(extra), len(rows), dop853.INTERPOLATOR_POWER) == (3, 4, 7)
+    assert all(a != 0.0 for _, row in extra for _, a in row)
+    assert all(d != 0.0 for row in rows for _, d in row)
+    assert A.tobytes() == np.ascontiguousarray(dop853.A[13:16]).tobytes()
+    assert C.tobytes() == np.asarray(dop853.C[13:16], dtype=float).tobytes()
+    assert D.tobytes() == np.ascontiguousarray(dop853.D, dtype=float).tobytes()
+    assert RK4.dense is None
+
+
+@pytest.mark.parametrize("name, system, params", [
+    ("sphere2", "geodesic_attractor", {}), ("hyperbolic2", "geodesic_attractor", {}),
+    ("so3", "geodesic_attractor", {"gain": 2.0}), ("euclidean2", "cubic_slowdown", {}),
+    ("sphere2", "time_varying_attractor", {}), ("hyperbolic2", "time_varying_attractor", {}),
+])
+def test_interpolated_samples_match_the_closed_form(name, system, params):
+    # `flow`'s setting: 4 starts at distance 1 (the shipped grid radius) and
+    # start times 0, 1, e and 10, rows every 0.01 over 6, at the step the
+    # chooser picks (0.16 or 0.32).  The samples between nodes come from the
+    # order-7 interpolant, within 1e-7 of the closed-form distance (measured
+    # 1.9e-8 at most, on hyperbolic2; 1.3e-9 at the nodes).
+    m = manifold_from_name(name)
+    rng = np.random.default_rng(2)
+    x_star = m.project(m.random_point(rng))
+    spec = make_system(system, m, x_star, **params)
+    x0 = m.exp(x_star, m.random_tangents(rng, x_star, 4, lambda: 1.0))
+    t0 = np.array([0.0, 1.0, math.e, 10.0])
+    step, _ = choose_step(spec.field, t0, x0, x_star, 6.0, 0.01)
+    offsets = step_offsets(6.0, 0.01)
+    d = m.dist(flow_samples(spec.field, t0, x0, offsets, step, RK8), x_star)
+    between = np.abs(offsets / step - np.rint(offsets / step)) > 1e-6
+    assert step in (0.16, 0.32) and np.count_nonzero(between) >= 500
+    for i, start in enumerate(t0):
+        exact = np.array([spec.distance_oracle(d[0, i], start, s) for s in offsets])
+        assert np.max(np.abs(d[:, i] - exact) / exact) <= 1e-7, (i, step)
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "sphere2", "so3", "hyperbolic2"])
+def test_rk8_node_flow_is_the_projected_step_loop_bit_for_bit(name):
+    # Offsets on the step grid read the projected nodes: the flow is a loop
+    # of _rk_step and project.  Samples between the nodes (their interpolant
+    # hands its f(t + dt, x_new) stage to the next step) leave the nodes'
+    # bits as they are.
+    m = manifold_from_name(name)
+    rng = np.random.default_rng(12)
+    x_star = m.project(m.random_point(rng))
+    field = make_system("time_varying_attractor", m, x_star).field
+    x0 = m.exp(x_star, m.random_tangents(rng, x_star, 3, lambda: rng.uniform(0.2, 1.0)))
+    t_rows = rng.uniform(0.0, 10.0, 3)
+    nodes, x, states = step_offsets(2.0, 0.32), x0, [x0]
+    for a, b in zip(nodes, nodes[1:]):
+        x = m.project(flows._rk_step(field, t_rows + a, x, b - a, RK8))
+        states.append(x)
+    assert flow_samples(field, t_rows, x0, nodes, 0.32, RK8).tobytes() \
+        == np.stack(states).tobytes()
+    mixed = np.sort(np.concatenate([nodes, [0.05, 0.4, 0.41, 1.99]]))
+    flowed = flow_samples(field, t_rows, x0, mixed, 0.32, RK8)
+    assert flowed[np.isin(mixed, nodes)].tobytes() == np.stack(states).tobytes()
+
+
 def _classical_rk4_step(field, t, x, dt):
     """The classical RK4 step as written before schemes were data, verbatim."""
     t_mid = t + 0.5 * dt
@@ -747,15 +819,16 @@ def test_rk4_scheme_reproduces_the_classical_step_bit_for_bit(name):
 @pytest.mark.parametrize("name, gain", [("sphere2", 1.0), ("hyperbolic2", 1.0), ("so3", 2.0)])
 def test_rk8_chosen_step_keeps_the_oracle_rate(name, gain):
     # The ladder picks the largest RK8 rung that meets STEP_TOL: its estimate
-    # does, the rung above (estimate * 2^8) does not unless it is the top one,
-    # and the RK8 fit at that step keeps K and rate / gain within 1e-8 of 1.
+    # does, the rung above (estimate * 2^8) does not unless it is the top one
+    # (64 base steps, or the horizon when that is shorter), and the RK8 fit at
+    # that step keeps K and rate / gain within 1e-8 of 1.
     field, t0, x0, x_star = _attractor_rows(name, gain)
     m = field.manifold
     for base in (0.01, 0.005, 0.0025):
         for horizon in (0.25, 1.0, 3.0, 6.0):
             step, estimate = choose_step(field, t0, x0, x_star, horizon, base)
             assert estimate <= flows.STEP_TOL and step >= 0.16 / gain - 1e-12, (base, horizon)
-            assert (step == 64 * base
+            assert (step == min(64 * base, horizon)
                     or estimate * 2 ** RK8.order > flows.STEP_TOL), (base, horizon, step)
             offsets = step_offsets(horizon, step)
             points = flow_samples(field, t0, x0, offsets, step, RK8)
