@@ -20,7 +20,6 @@ from .flows import (
     DEFAULT_STEP,
     GRID_TOL,
     PUSHFORWARD_EPS,
-    RK8,
     Region,
     TimeVaryingField,
     arc_stencil,
@@ -62,6 +61,7 @@ PUSHFORWARD_TOL = 1e-3
 TRAJ_TOL = 0.05         # relative slack of the ISS ultimate bound
 MIN_RATE = 1e-3         # slowest decay rate an exponential fit accepts
 MAX_LOG_RESIDUAL = 0.05  # largest log residual an exponential fit accepts outright
+FLOOR_FACTOR = 1e10     # rounding_floor in roundings of x*
 
 
 class EnvelopeFitError(ValueError):
@@ -225,12 +225,21 @@ def _chord_slack(s: np.ndarray, y: np.ndarray, resolution: float) -> np.ndarray:
     return gaps.max() ** 2 / 8.0 * np.maximum(0.0, -bend.min(axis=0))
 
 
-def classify_stability(elapsed: np.ndarray, d: np.ndarray,
-                       resolution: float) -> StabilityEnvelope:
+def rounding_floor(m: Manifold, x_star: np.ndarray) -> float:
+    """FLOOR_FACTOR times the longest Riemannian length at ``x_star`` of one rounding of one
+    ambient coordinate, eps max(1, |x*|_inf) (calibration in README, "Internal stage steps")."""
+    eps = np.finfo(float).eps * max(1.0, float(np.max(np.abs(x_star))))
+    axes = np.eye(x_star.size).reshape((x_star.size,) + m.ambient_shape)
+    return FLOOR_FACTOR * eps * float(np.max(m.norm(x_star, m.project_tangent(x_star, axes))))
+
+
+def classify_stability(elapsed: np.ndarray, d: np.ndarray, resolution: float,
+                       floor: float = 0.0) -> StabilityEnvelope:
     """Classify a trajectory batch: LES fit first, sampled decay profile otherwise.
 
     ``d`` holds the distances to x* of each trajectory (a column) at the times
-    ``elapsed`` since its start; columns that start at x* are dropped.  The
+    ``elapsed`` since its start; columns that start at x* (or below ``floor``, a
+    :func:`rounding_floor`) are dropped, and so are the times from the first below it.  The
     LES fit is K e^{-rate s} d0 over the batch.  A pooled least-squares fit of
     log(d/d0) against elapsed time gives the rate; K is then inflated
     minimally so the envelope dominates every sample exactly (which also
@@ -244,9 +253,13 @@ def classify_stability(elapsed: np.ndarray, d: np.ndarray,
     log slope collapses with time.  Rejected data falls back to a sampled
     profile: UAS when the batch still decays, US when it is merely bounded.
     """
-    d = d[:, d[0] >= 1e-9]
+    d = d[:, d[0] >= max(1e-9, floor)]
     if d.shape[1] == 0:
-        raise EnvelopeFitError("no trajectory starts away from the equilibrium")
+        raise EnvelopeFitError(f"no trajectory starts {max(1e-9, floor):.3g} or more from x*")
+    n = int(np.argmax(np.any(d < floor, axis=1))) or len(d)
+    if n < 2:
+        raise EnvelopeFitError(f"trajectories fall below the rounding floor {floor:.3g} at once")
+    elapsed, d = elapsed[:n], d[:n]
     d0 = d[0]
     s_all = np.tile(elapsed, d.shape[1])
     logs = np.log(np.maximum(d, 1e-300) / d0).T.ravel()
@@ -357,20 +370,21 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     ``pair_flow = (offsets, states)``, states ``(offsets, 2, pairs, *ambient)``,
     when the caller has integrated them (the pipeline, in the envelope fit's
     flow); else at :func:`contraction_offsets` of ``envelope_horizon`` and
-    V's step, integrated here.  Everything on the
+    V's step, integrated here at V's flow step.  Everything on the
     horizon [t, t + delta] reads one flow over V's quadrature nodes: V and LV
     at the states, V at the differential stencil, the telescoped endpoint
     (each state's last node) and the pushforward (based at that node; its
-    stencil rows join the flow).
+    stencil rows join the flow, and its cut-locus retries take V's flow step).
     """
     V, b = cert.V, cert.bounds
-    field, x_star, step, p, delta, L = V.field, V.x_star, V.step, V.p, V.horizon, b.L
+    field, x_star, p, delta, L = V.field, V.x_star, V.p, V.horizon, b.L
     m = field.manifold
 
     # Two-sided contraction envelope on sampled pairs.
     if pair_flow is None:
-        offsets = contraction_offsets(envelope_horizon, step)
-        pair_flow = offsets, flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, step)
+        offsets = contraction_offsets(envelope_horizon, V.step)
+        pair_flow = offsets, flow_samples(field, inputs.pair_t, inputs.pair_x, offsets,
+                                          V.flow_step)
     offsets, pair_states = pair_flow
     pair_reports = contraction_report(m, L, inputs.pair_t[:, None] + offsets, offsets,
                                       m.dist(*inputs.pair_x), pair_states)
@@ -423,7 +437,7 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     y0 = end[:n_push]
     pushed = pushforward_quotient(
         field, t[:n_push], x[:n_push], directions[:n_push], push_eps_hat, y0,
-        nodes[-1, 3 * n:].reshape((2, n_push) + m.ambient_shape), V.node_offsets, step)
+        nodes[-1, 3 * n:].reshape((2, n_push) + m.ambient_shape), V.node_offsets, V.flow_step)
     push_worst = float(np.max(m.norm(y0, pushed))) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,
                            1.0 + PUSHFORWARD_TOL, push_worst, 1.0))
@@ -545,7 +559,7 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
     c4 L_u |u|_inf / c3 within TRAJ_TOL (plus the comparison-equation
     transient, which also covers the unforced |u|_inf = 0 case).  The
     ultimate distance bound follows through c1.  The trajectories of (b)
-    integrate in one batched :data:`RK8` flow at ``step``; a series trajectory,
+    integrate in one batched flow at ``step``; a series trajectory,
     started at the radius from a ``seed + 4`` draw, joins it and is sampled at
     t = k / 10 (exact decimals) up to the longest horizon.  Every V of (a), (b) and the series
     comes from one batched evaluation.  The caller scans the signal over [0,
@@ -583,7 +597,7 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
     series_t = np.arange(10.0 * max_horizon + 1e-6) / 10.0
     offsets = np.sort(np.concatenate(tails + [series_t]))  # a repeated time adds no step
     x0 = np.concatenate([starts, iss_series_start(m, x_star.coords, gs.radius, seed)[None]])
-    pts = flow_samples(closed, 0.0, x0, offsets, step, RK8)
+    pts = flow_samples(closed, 0.0, x0, offsets, step)
     n = len(starts)
     groups = [(0.0, starts)] + [(np.repeat(ts, n), pts[np.searchsorted(offsets, ts), :n])
                                 for ts in tails]

@@ -1,11 +1,11 @@
 """Time-varying vector fields on manifolds: integration and flow analysis.
 
-The integrator is the projection method (Hairer, Lubich & Wanner,
-*Geometric Numerical Integration*, 2nd ed., §IV.4): a step of an explicit
-Runge-Kutta scheme given as data (:data:`RK4`, :data:`RK8`) in the embedding
-space, then one projection onto the manifold (``Manifold.project``), keeps the
-scheme's order on every smooth field.  One loop (:func:`flow_samples`) steps a
-batch of states, each from its own start time, on a shared elapsed-time grid.
+The integrator is the projection method (Hairer, Lubich & Wanner, *Geometric
+Numerical Integration*, 2nd ed., §IV.4): a step of DOP853's order-8 Runge-Kutta
+scheme (:data:`RK8`) in the embedding space, then one projection onto the manifold
+(``Manifold.project``), keeps the scheme's order on every smooth field.  One loop
+(:func:`flow_samples`) steps a batch of states, each from its own start time, on a
+shared elapsed-time grid and reads the times between its nodes from the interpolant.
 Flow pushforwards are computed by geodesic-variation
 finite differences, and Lipschitz constants are estimated in the
 parallel-transport sense (transported field differences over distance)
@@ -34,18 +34,16 @@ LIPSCHITZ_SAFETY = 1.05   # inflation factor applied before envelope use
 LIPSCHITZ_FD_STEP = 1e-5  # parameter step of the covariant-derivative stencil
 CUT_FLAG_MARGIN = 1e-3    # envelope rows this close to the cut locus are flagged
 PUSHFORWARD_EPS = 1e-5    # arc length of the pushforward stencil
-GRID_TOL = 1e-9           # relative slack before a gap gets one more substep
+GRID_TOL = 1e-9           # relative slack before a span gets one more step
 STEP_TOL = 1.35e-8        # step_error allowed; calibration in README, "Internal stage steps"
 PILOT_STEPS = 2           # coarse steps of a step_error pilot (the fine run takes twice as many)
 
 # An explicit Runge-Kutta scheme: stages (c_i, ((j, a_ij), ...)) and weights (j, b_j), nonzero
-# entries only; a step adds dt / divisor times the weighted sum.  Its order on smooth fields,
-# and its interpolant or None: the extra stages after the FSAL stage f(t + dt, x_new) and the
-# rows (j, d_j) of the interpolant's upper coefficients (see _interpolate).
-RungeKutta = NamedTuple("RungeKutta", [("stages", tuple), ("weights", tuple), ("divisor", float),
-                                       ("order", int), ("dense", tuple | None)])
-RK4 = RungeKutta(((0.0, ()), (0.5, ((0, 0.5),)), (0.5, ((1, 0.5),)), (1.0, ((2, 1.0),))),
-                 ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0)), 6.0, 4, None)  # classical
+# entries only; a step adds dt times the weighted sum.  Its order on smooth fields, and its
+# interpolant: the extra stages after the FSAL stage f(t + dt, x_new) and the rows (j, d_j)
+# of the interpolant's upper coefficients (see _interpolate).
+RungeKutta = NamedTuple("RungeKutta", [("stages", tuple), ("weights", tuple), ("order", int),
+                                       ("dense", tuple)])
 # DOP853's order-8 solution (Prince & Dormand, J. Comput. Appl. Math. 7 (1981) 67-75).
 RK8 = RungeKutta(((0.0, ()), (0.05260015195876773, ((0, 0.05260015195876773),)),
     (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
@@ -69,7 +67,7 @@ RK8 = RungeKutta(((0.0, ()), (0.05260015195876773, ((0, 0.05260015195876773),)),
     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)))),
     ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
     (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-    (10, 0.20136540080403034), (11, 0.04471061572777259)), 1.0, 8,
+    (10, 0.20136540080403034), (11, 0.04471061572777259)), 8,
     # DOP853's order-7 interpolant (Hairer, Norsett & Wanner, *Solving ODEs I*, §II.6).
     (((0.1, ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
     (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
@@ -175,23 +173,23 @@ def _rk_stages(field: TimeVaryingField, t, x: np.ndarray, dt: float, stages, ks:
 
 
 def _rk_step(field: TimeVaryingField, t, x: np.ndarray, dt: float,
-             scheme: RungeKutta = RK4, ks: list | None = None) -> np.ndarray:
-    """One ``scheme`` step in the embedding, before projection.  ``ks`` collects its
+             ks: list | None = None) -> np.ndarray:
+    """One :data:`RK8` step in the embedding, before projection.  ``ks`` collects its
     stages, and may come holding the first (FSAL)."""
     ks = [] if ks is None else ks
-    _rk_stages(field, t, x, dt, scheme.stages[len(ks):], ks)
-    terms = [ks[j] if b == 1.0 else b * ks[j] for j, b in scheme.weights]
-    return x + (dt / scheme.divisor) * sum(terms[1:], terms[0])
+    _rk_stages(field, t, x, dt, RK8.stages[len(ks):], ks)
+    terms = [b * ks[j] for j, b in RK8.weights]
+    return x + dt * sum(terms[1:], terms[0])
 
 
 def _interpolate(field: TimeVaryingField, t, x: np.ndarray, x_new: np.ndarray, dt: float,
-                 scheme: RungeKutta, ks: list, thetas: np.ndarray) -> np.ndarray:
+                 ks: list, thetas: np.ndarray) -> np.ndarray:
     """A step's dense output (SciPy's ``Dop853DenseOutput``) at the fractions ``thetas`` of
     ``dt``, stacked, before projection; ``ks`` holds the step's stages and f(t + dt, x_new)."""
-    extra, rows = scheme.dense
+    extra, rows = RK8.dense
     _rk_stages(field, t, x, dt, extra, ks)
     dx = x_new - x
-    F = [dx, dt * ks[0] - dx, 2.0 * dx - dt * (ks[len(scheme.stages)] + ks[0])]
+    F = [dx, dt * ks[0] - dx, 2.0 * dx - dt * (ks[len(RK8.stages)] + ks[0])]
     F += [dt * sum(d * ks[j] for j, d in row) for row in rows]
     th, y = np.reshape(thetas, (-1,) + (1,) * x.ndim), 0.0
     for i, f in enumerate(reversed(F)):  # Horner form in th and 1 - th
@@ -215,42 +213,28 @@ def _checked_project(m: Manifold, y: np.ndarray, t0, s: float) -> np.ndarray:
 
 
 def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[float],
-                 step: float = DEFAULT_STEP, scheme: RungeKutta = RK4) -> np.ndarray:
+                 step: float = DEFAULT_STEP) -> np.ndarray:
     """Flow states at the elapsed times ``offsets`` after the start time ``t0``.
 
     ``x0`` holds one state or a batch ``(..., *ambient_shape)``; ``t0`` is a
     scalar or per-row start times.  All rows step together on one shared
-    grid of projected ``scheme`` steps; ``offsets`` are nondecreasing and >= 0.
-    A scheme with an interpolant (:data:`RK8`) steps on
-    ``step_offsets(max(offsets), step)``: an offset within GRID_TOL step of a
-    node reads that node, any other the projected interpolant of its step.
-    Otherwise each gap between consecutive offsets is split into equal steps
-    no longer than ``step``, so the offsets are hit exactly.  Returns an
-    array ``(len(offsets),) + x0.shape``.
+    grid of projected :data:`RK8` steps, ``step_offsets(max(offsets), step)``;
+    ``offsets`` are nondecreasing and >= 0.  An offset within GRID_TOL step of
+    a node reads that node, any other the projected interpolant of its step.
+    Returns an array ``(len(offsets),) + x0.shape``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     s = np.asarray(offsets, dtype=float).reshape(-1)
     if np.any(np.diff(s, prepend=0.0) < -1e-12):
         raise ValueError("sample offsets must be nondecreasing and >= 0")
+    nodes = step_offsets(float(np.max(s, initial=0.0)), step)
+    keep = np.searchsorted(nodes, s - GRID_TOL * step).tolist()  # first node >= s - tol
     reads = {}  # step ending at node i -> the samples read from its interpolant
-    if scheme.dense is not None:
-        nodes = step_offsets(float(np.max(s, initial=0.0)), step)
-        keep = np.searchsorted(nodes, s - GRID_TOL * step).tolist()  # first node >= s - tol
-        for k, i in enumerate(keep):
-            if i and nodes[i] - s[k] > GRID_TOL * step:  # inside (nodes[i - 1], nodes[i])
-                reads.setdefault(i, []).append(k)
-        nodes = nodes.tolist()
-    else:
-        nodes, keep = [0.0], []
-        for s_k in s.tolist():
-            gap = s_k - nodes[-1]
-            if gap > 1e-15 * max(1.0, abs(s_k)):
-                n_sub = max(1, math.ceil(gap / step - GRID_TOL))
-                base = nodes[-1]
-                nodes.extend(base + i * (gap / n_sub) for i in range(1, n_sub))
-                nodes.append(s_k)
-            keep.append(len(nodes) - 1)
+    for k, i in enumerate(keep):
+        if i and nodes[i] - s[k] > GRID_TOL * step:  # inside (nodes[i - 1], nodes[i])
+            reads.setdefault(i, []).append(k)
+    nodes = nodes.tolist()
     m = field.manifold
     x = np.asarray(x0, dtype=float)
     states, samples = [x], {}
@@ -266,10 +250,10 @@ def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[
         fsal = []
         for i, (a, b) in enumerate(zip(nodes, nodes[1:]), 1):
             ks, fsal = fsal, []
-            x_new = _checked_project(m, _rk_step(field, t0 + a, x, b - a, scheme, ks), t0, b)
+            x_new = _checked_project(m, _rk_step(field, t0 + a, x, b - a, ks), t0, b)
             if i in reads:  # f(t0 + b, x_new): the interpolant's stage, the next step's first
                 fsal = [field.eval_raw(t0 + b, x_new)]
-                ys = _interpolate(field, t0 + a, x, x_new, b - a, scheme, ks + fsal,
+                ys = _interpolate(field, t0 + a, x, x_new, b - a, ks + fsal,
                                   (s[reads[i]] - a) / (b - a))
                 samples.update(zip(reads[i], _checked_project(m, ys, t0, b)))
             x = x_new
@@ -286,21 +270,20 @@ def step_offsets(span: float, step: float) -> np.ndarray:
 
 
 def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
-               span: float, step: float, scheme: RungeKutta = RK4) -> float:
+               span: float, step: float) -> float:
     """Step-doubling estimate of a flow's relative error per unit time at ``step``.
 
-    A pilot flows the rows (from times ``t0``) over s = min(span, 2 PILOT_STEPS
-    step) in PILOT_STEPS and 2 PILOT_STEPS steps of ``scheme``.  The fine run's
-    Richardson estimate |x_h - x_{h/2}| / (2^p - 1), p = ``scheme.order``
-    (Hairer, Norsett & Wanner, *Solving ODEs I*, §II.4), relative to the row's
-    distance to ``x_star`` at s and over s, bounds a fitted decay rate's error
+    A pilot flows the rows (from times ``t0``) over s = min(span, 2 PILOT_STEPS step) in
+    PILOT_STEPS and 2 PILOT_STEPS steps.  The fine run's Richardson estimate |x_h - x_{h/2}|
+    / (2^p - 1), p = ``RK8.order`` (Hairer, Norsett & Wanner, *Solving ODEs I*, §II.4),
+    relative to the row's distance to ``x_star`` at s and over s, bounds a fitted decay rate's error
     at any horizon.  The worst row's is scaled to ``step`` by h^p; a pilot that
     leaves the reals gives an infinite estimate (its coarse steps are unusable).
     """
-    m, p = field.manifold, scheme.order
+    m, p = field.manifold, RK8.order
     s = min(span, 2 * PILOT_STEPS * step)
     try:
-        coarse, fine = (flow_samples(field, t0, x0, [s], s / n, scheme)[-1]
+        coarse, fine = (flow_samples(field, t0, x0, [s], s / n)[-1]
                         for n in (PILOT_STEPS, 2 * PILOT_STEPS))
     except IntegrationError:
         return math.inf
@@ -316,12 +299,12 @@ def choose_step(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
     at the top rung scaled by h^8.  When no k does, the last rung and its own
     pilot's estimate (infinite when that pilot left the reals)."""
     rungs = [min(k * base_step, span) for k in (64, 32, 16, 8, 4, 2, 1)]
-    error = step_error(field, t0, x0, x_star, span, rungs[0], RK8)
+    error = step_error(field, t0, x0, x_star, span, rungs[0])
     for h in rungs:
         estimate = error * (h / rungs[0]) ** RK8.order
         if estimate <= STEP_TOL:
             return h, estimate
-    return rungs[-1], step_error(field, t0, x0, x_star, span, rungs[-1], RK8)
+    return rungs[-1], step_error(field, t0, x0, x_star, span, rungs[-1])
 
 
 def flow(field: TimeVaryingField, t0, x0, t1, step: float = DEFAULT_STEP):

@@ -6,8 +6,8 @@ finite-horizon flow integral
     V(t, x) = integral over [t, t+delta] of d(phi(tau; t, x), x*)^p dtau
 
 evaluated by composite Simpson quadrature along one numerically integrated
-trajectory, on nodes spaced at most one integrator step apart (so the flow
-takes one step per node gap); p = 1 gives the exact theoretical constants,
+trajectory, on evenly spaced nodes that the flow reads from its interpolant
+between its own, longer steps; p = 1 gives the exact theoretical constants,
 p = 2 (the default) keeps the integrand differentiable at the equilibrium.  Its
 derivative along the flow, LV = d(phi(t+delta), x*)^p - d(x, x*)^p, is read
 from the same trajectory.  For asymptotically stable systems, the integrand
@@ -144,9 +144,9 @@ class LyapunovFunction:
     certified truncation error; ``reshaping`` maps distance arrays to G).
     Evaluations share the horizon, so states with their own times batch.  An
     evaluation is :meth:`node_flow` then :meth:`quadrature` (composite Simpson
-    on :attr:`intervals`, whose nodes are at most one integrator step apart),
-    which also gives LV, so a caller that needs more of the flow over
-    [t, t + horizon] runs it once.
+    on :attr:`intervals`, whose nodes are at most ``step`` apart), which also
+    gives LV, so a caller that needs more of the flow over [t, t + horizon]
+    runs it once.  The node flow steps at ``flow_step`` (``step`` if None).
     """
 
     field: TimeVaryingField
@@ -157,8 +157,11 @@ class LyapunovFunction:
     mode: str = "exponential"
     reshaping: Callable[[np.ndarray], np.ndarray] | None = None
     tail_bound: float = 0.0
+    flow_step: float | None = None
 
     def __post_init__(self):
+        if self.flow_step is None:
+            object.__setattr__(self, "flow_step", self.step)
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.mode not in ("exponential", "massera"):
@@ -180,7 +183,7 @@ class LyapunovFunction:
 
     def node_flow(self, t, coords: np.ndarray) -> np.ndarray:
         """Flow states at t + :attr:`node_offsets`, shape ``(intervals + 1,) + coords.shape``."""
-        return flow_samples(self.field, t, coords, self.node_offsets, self.step)
+        return flow_samples(self.field, t, coords, self.node_offsets, self.flow_step)
 
     def quadrature(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """V, composite Simpson of g = d^p (G(d) in massera mode), and LV = g(last

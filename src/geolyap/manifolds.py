@@ -7,8 +7,8 @@ representation (unit vectors, rotation matrices, Minkowski hyperboloid), so
 every operation -- metric, exponential/logarithm maps, distance, parallel
 transport along minimizing geodesics -- is an exact coordinate-free formula.
 Constraint drift is repaired by projection: each curved ``exp`` projects its
-closed-form geodesic point, and the integrator projects each
-ambient RK4 step once (its stage points are ambient sums, off the manifold
+closed-form geodesic point, and the integrator projects each ambient
+Runge-Kutta step once (its stage points are ambient sums, off the manifold
 by O(h^2), and take no geodesic).  Every kernel op is vectorized over
 leading batch axes, so a single point and a batch of points run the same
 code.

@@ -9,6 +9,7 @@ integrates them as one batch.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -24,6 +25,7 @@ from .certify import (
     Certificate,
     CertificationReport,
     CheckRow,
+    EnvelopeFitError,
     GridSpec,
     StabilityEnvelope,
     VerificationInputs,
@@ -33,13 +35,13 @@ from .certify import (
     iss_certify,
     iss_series_start,
     make_certificate,
+    rounding_floor,
     run_geometry_suite,
     sample_states,
     verify_converse_certificate,
 )
 from .config import ConfigError, ScenarioConfig
 from .flows import (
-    RK8,
     STEP_TOL,
     IntegrationError,
     Region,
@@ -124,23 +126,17 @@ def _stage_failure(out_dir: Path, payload: dict, failure: _StageFailure) -> int:
     return EXIT_CERTIFICATION_FAILED
 
 
-def _require_resolved(anchor: str, step: float, estimate: float,
-                      envelope: StabilityEnvelope | None = None):
-    """Fail the stage ``anchor`` when a step's error estimate is not at most FLOW_TOL
-    (a flow far beyond the step's stability limit can stay finite, and wrong)."""
-    if not estimate <= FLOW_TOL:
-        raise _StageFailure(anchor, f"step-doubling error estimate {estimate:.3g} per unit "
-                            f"time is above {FLOW_TOL:g} at step {step:g}", envelope)
-
-
 def _record_step(steps: dict, anchor: str, step: float, estimate: float,
                  envelope: StabilityEnvelope | None = None) -> float:
     """Report (a non-finite estimate as null; if it meets STEP_TOL), log and return a
-    step; a step with an estimate above FLOW_TOL fails the stage ``anchor``."""
+    step.  A step whose estimate is not at most FLOW_TOL fails the stage ``anchor``
+    (a flow far beyond the step's stability limit can stay finite, and wrong)."""
     steps[anchor] = {"step": step, "estimate": estimate if math.isfinite(estimate) else None,
                      "meets_tol": estimate <= STEP_TOL}  # False for inf and nan
     logger.info("%s: step %.6g, step-doubling error estimate %.3g", anchor, step, estimate)
-    _require_resolved(anchor, step, estimate, envelope)
+    if not estimate <= FLOW_TOL:
+        raise _StageFailure(anchor, f"step-doubling error estimate {estimate:.3g} per unit "
+                            f"time is above {FLOW_TOL:g} at step {step:g}", envelope)
     return step
 
 
@@ -157,7 +153,7 @@ def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str,
                       steps: dict, inputs: VerificationInputs | None = None):
     """The stability envelope of a seeded batch of trajectories over ``horizon``.
 
-    This is the stage ``anchor``: an :data:`RK8` flow at the step :func:`choose_step`
+    This is the stage ``anchor``: a flow at the step :func:`choose_step`
     picks on the fit's rows, whose grid also holds the :func:`contraction_offsets`
     of the envelope horizon and config step.  With ``inputs``, the verification's
     contraction pairs (whose flow does not depend on L) ride it, leaving the fit
@@ -168,7 +164,7 @@ def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str,
     t0s = np.repeat(config.grid.t0_list, max(3, min(8, config.grid.n_points // 4)))
     v = m.random_tangents(rng, x_star, len(t0s), lambda: config.grid.radius * rng.uniform(0.3, 1.0))
     x0, t_rows = m.project(m.exp(x_star, v)), t0s
-    with _stage(anchor):
+    with _stage(anchor, NUMERICAL_FAILURES + (EnvelopeFitError,)):
         step = _record_step(steps, anchor, *choose_step(field, t0s, x0, x_star, horizon,
                                                         config.step))
         offsets = step_offsets(horizon, step)
@@ -177,9 +173,10 @@ def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str,
         if inputs is not None:
             x0 = np.concatenate([x0, *inputs.pair_x])
             t_rows = np.concatenate([t0s, inputs.pair_t, inputs.pair_t])
-        pts = flow_samples(field, t_rows, x0, grid, step, RK8)
-    fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
-    envelope = classify_stability(offsets, m.dist(fit, x_star), config.step)
+        pts = flow_samples(field, t_rows, x0, grid, step)
+        fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
+        envelope = classify_stability(offsets, m.dist(fit, x_star), config.step,
+                                      floor=rounding_floor(m, x_star))
     logger.info("stability class: %s", envelope.stability_class)
     if inputs is None:
         return envelope, None
@@ -214,6 +211,10 @@ def _certify_exponential(config: ScenarioConfig,
         cert = make_certificate(config.system.field, config.equilibrium, L, envelope,
                                 _resolve_delta(config, envelope), config.p, step=config.step)
     with _stage(ANCHOR_VERIFICATION, envelope=envelope):
+        flow_step = _record_step(steps, ANCHOR_VERIFICATION, *choose_step(
+            config.system.field, inputs.t, inputs.x, config.equilibrium.coords,
+            cert.V.horizon, config.step), envelope)
+        cert = dataclasses.replace(cert, V=dataclasses.replace(cert.V, flow_step=flow_step))
         report = verify_converse_certificate(cert, inputs, config.envelope_horizon, pair_flow)
     return cert, report
 
@@ -248,15 +249,12 @@ def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
         raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
                             "asymptotic construction unavailable", envelope)
 
-    # Decay flows get slow at long horizons; a coarser step keeps evaluation at
-    # desk scale.  Its step-doubling estimate is reported and held to FLOW_TOL.
-    eval_step = max(config.step, 0.05)
-    field = config.system.field
+    # V's Simpson nodes sit at least 0.05 apart: closer ones add little at long horizons.
     # A HorizonError, or a decay profile the reshaping rejects (both ValueErrors).
     with _stage(ANCHOR_UGAS_TAIL, (ValueError,), envelope):
-        V = construct_ugas_V(field, config.equilibrium, envelope.decay_times,
+        V = construct_ugas_V(config.system.field, config.equilibrium, envelope.decay_times,
                              envelope.decay_values, config.massera.t_max,
-                             config.massera.tail_tol, step=eval_step)
+                             config.massera.tail_tol, step=max(config.step, 0.05))
     reshaping = V.reshaping
 
     m, x_star = config.manifold, config.equilibrium.coords
@@ -273,8 +271,9 @@ def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
 
     # Every V of this mode (states with their LV, ray, equilibrium) in one batch.
     with _stage(ANCHOR_UGAS_EVALUATION, envelope=envelope):
-        _record_step(steps, ANCHOR_UGAS_EVALUATION, eval_step,
-                     step_error(field, t, m.project(x), x_star, V.horizon, eval_step), envelope)
+        flow_step = _record_step(steps, ANCHOR_UGAS_EVALUATION, *choose_step(
+            V.field, t, x, x_star, V.horizon, config.step), envelope)
+        V = dataclasses.replace(V, flow_step=flow_step)
         (v_val, ray_values, v_at_star), (lie, _, _) = V.evaluate_groups(
             [(t, x), (0.0, ray), (0.0, x_star)])
     sample_rows = np.stack([t, m.dist(x, x_star), v_val, lie], axis=1).tolist()
@@ -357,8 +356,8 @@ def run_iss(config: ScenarioConfig, out_dir: Path) -> int:
 def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     """Integrate one trajectory per start time and dump plot-ready CSV.
 
-    The rows sit on t0 + k step, ending on the horizon, and are read from an
-    :data:`RK8` flow (its nodes, or its interpolant) at the step
+    The rows sit on t0 + k step, ending on the horizon, and are read from a
+    flow (its nodes, or its interpolant) at the step
     :func:`choose_step` picks on those trajectories.  The flow runs before
     ``out_dir`` exists: a flow that fails numerically, or whose step-doubling
     error at the step it takes or at ``min(step, fit_horizon)`` is not at most
@@ -376,12 +375,12 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     try:
         with _stage(ANCHOR_FLOW_INTEGRATION):
             step = choose_step(field, t0s, x0, x_star, config.fit_horizon, config.step)[0]
-            pts = flow_samples(field, t0s, x0, offsets, step, RK8)
+            pts = flow_samples(field, t0s, x0, offsets, step)
         # The pick is scaled from a pilot at 64 steps, which a field far beyond that
         # step's stability limit can fool; the flow is measured where it steps and at `step`.
         for h in sorted({min(config.step, config.fit_horizon), step}):
             _record_step({}, ANCHOR_FLOW_INTEGRATION, h, step_error(
-                field, t0s, x0, x_star, config.fit_horizon, h, RK8))
+                field, t0s, x0, x_star, config.fit_horizon, h))
     except _StageFailure as err:
         print(f"error: {err.anchor}: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILED

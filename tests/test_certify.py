@@ -8,6 +8,7 @@ import pytest
 from geolyap import certify, flows, lyapunov, pipeline
 from geolyap.certify import (
     CERTIFICATE_CHECKLIST,
+    FLOOR_FACTOR,
     EnvelopeFitError,
     GridSpec,
     InputBoundError,
@@ -18,14 +19,15 @@ from geolyap.certify import (
     input_lipschitz_estimate,
     iss_certify,
     make_certificate,
+    rounding_floor,
     verify_converse_certificate,
 )
 from geolyap.config import load_scenario, parse_scenario
 from geolyap.flows import (
-    RK8,
     Region,
     TimeVaryingField,
     arc_stencil,
+    choose_step,
     contraction_offsets,
     flow,
     flow_samples,
@@ -50,14 +52,15 @@ T0_LIST = (0.0, 1.0, math.e, 10.0)
 
 
 def _trajectories(spec, manifold, rng, horizon=6.0, n_per_start=3, radii=(0.3, 1.0)):
-    trajs = []
+    """``flow`` at step 1e-2 from ``n_per_start`` draws per start time, as one batch."""
+    t0s, starts = [], []
     for t0 in T0_LIST:
         for _ in range(n_per_start):
             v0 = manifold.random_tangent(rng, spec.equilibrium.coords,
                                          norm=rng.uniform(*radii))
-            x0 = ManifoldPoint(manifold, manifold.exp(spec.equilibrium.coords, v0))
-            trajs.append(flow(spec.field, t0, x0, t0 + horizon, 1e-2))
-    return trajs
+            t0s.append(t0)
+            starts.append(ManifoldPoint(manifold, manifold.exp(spec.equilibrium.coords, v0)))
+    return flow(spec.field, np.array(t0s), starts, np.array(t0s) + horizon, 1e-2)
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +95,14 @@ def _exponential(K, rate):
 
 
 def _verify(spec, L, envelope, delta, p, n_points, seed):
-    """Build the certificate at step 1e-2, draw its inputs, verify it."""
+    """Build the certificate at step 1e-2, draw its inputs and verify it, with V's
+    node flow at the step the chooser picks on the inputs' states, as in the pipeline."""
     cert = make_certificate(spec.field, spec.equilibrium, L, envelope, delta, p, step=1e-2)
     inputs = draw_verification_inputs(spec.field.manifold, spec.equilibrium,
                                       GridSpec(n_points, 1.0, T0_LIST), seed)
+    flow_step, _ = choose_step(spec.field, inputs.t, inputs.x, spec.equilibrium.coords,
+                               delta, 1e-2)
+    cert = dataclasses.replace(cert, V=dataclasses.replace(cert.V, flow_step=flow_step))
     return verify_converse_certificate(cert, inputs)
 
 
@@ -131,6 +138,22 @@ def test_fit_rejects_equilibrium_resident_batch(sphere_attractor):
     resident = [flow(sphere_attractor.field, 0.0, x_star, 2.0, 1e-2)] * 3
     with pytest.raises(EnvelopeFitError):
         _fit(resident, x_star)
+
+
+def test_fit_drops_the_times_below_the_rounding_floor():
+    # d = d0 e^{-s} read to 1e-16, where rounding noise takes over, against the
+    # same table cut at the floor: the first time any column is below it.
+    floor = rounding_floor(SPHERE, NORTH)
+    assert floor == FLOOR_FACTOR * np.finfo(float).eps
+    s = np.linspace(0.0, 40.0, 401)
+    d = np.array([[0.5], [1.0]]).T * np.exp(-s)[:, None]
+    noisy = np.where(d < 1e-15, 1e-15 * (1.0 + (np.arange(401) % 3))[:, None], d)
+    assert classify_stability(s, noisy, 0.1).K > 1.5
+    kept = classify_stability(s, noisy, 0.1, floor=floor)
+    assert kept.K == pytest.approx(1.0, abs=1e-12) and kept.rate == pytest.approx(1.0, rel=1e-12)
+    assert kept.decay_times[-1] == s[np.argmax(d[:, 0] < floor) - 1]
+    with pytest.raises(EnvelopeFitError, match="rounding floor"):
+        classify_stability(s, noisy, 0.1, floor=0.48)
 
 
 def test_stationary_trajectory_classifies_us():
@@ -251,7 +274,7 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
 
     def recording_flow_samples(f, t0, x0, offsets, step):
         out = real_flow(f, t0, x0, offsets, step)
-        calls.append((np.array(t0), np.array(x0), np.asarray(offsets, dtype=float), out))
+        calls.append((np.array(t0), np.array(x0), np.asarray(offsets, dtype=float), out, step))
         return out
 
     def recording_quotient(*args):
@@ -265,9 +288,12 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, p, n, seed=7)
     assert report.verdict
 
-    (t0, x0, offsets, out), = [c for c in calls if c[2][-1] == delta]
-    # delta = ln 2 at step 0.01: 70 Simpson intervals, so each node gap is one step.
-    assert np.array_equal(offsets, np.linspace(0.0, delta, 71))
+    # The chooser's pilot flows the states to delta too, sampling only its end.
+    (t0, x0, offsets, out, flow_step), = [c for c in calls if len(c[2]) > 1
+                                          and c[2][-1] == delta]
+    # delta = ln 2 at step 0.01: 70 Simpson intervals, read from a flow at the
+    # chooser's step.
+    assert np.array_equal(offsets, np.linspace(0.0, delta, 71)) and flow_step == 0.32
     assert x0.shape == (3 * n + 2 * n_push, 3)
     t, d, _, lie = report.samples.T
     assert np.array_equal(t0[:n], t)
@@ -280,7 +306,7 @@ def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sp
     _, t_push, coords, directions, _, y0, ends, q_offsets, q_step = args
     assert np.array_equal(y0, end[:n_push])
     assert np.array_equal(ends, out[-1, 3 * n:].reshape(2, n_push, 3))
-    assert np.array_equal(q_offsets, offsets) and q_step == 1e-2
+    assert np.array_equal(q_offsets, offsets) and q_step == flow_step
     assert report.row("pushforward-growth").measured == \
         float(np.max(SPHERE.norm(y0, w))) / math.exp(sphere_L * delta)
     public = pushforward(sphere_attractor.field, t_push, coords, directions, delta, 1e-2)[1]
@@ -333,11 +359,11 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
         offsets = contraction_offsets(config.envelope_horizon, config.step)
         assert np.array_equal(taus, offsets) and len(offsets) == 7
         grid = np.sort(np.concatenate([step_offsets(config.fit_horizon, fit_step), offsets]))
-        alone = flow_samples(field, inputs.pair_t, inputs.pair_x, grid, fit_step, RK8)
+        alone = flow_samples(field, inputs.pair_t, inputs.pair_x, grid, fit_step)
         alone = alone[np.searchsorted(grid, offsets)]
         assert pair_flow.shape == alone.shape
         assert np.max(np.abs(pair_flow - alone)) <= 1e-14
-        fine = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, config.step, RK8)
+        fine = flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, config.step)
         assert np.max(np.abs(pair_flow - fine)) <= 1e-8
 
 
@@ -462,7 +488,7 @@ def test_iss_doubled_disturbance_scales(sphere_attractor, sphere_certificate):
 def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certificate,
                                               monkeypatch):
     # At step 0.05 every tail and series time sits on the step grid, so the
-    # fused RK8 flow takes the same steps as separate RK8 flows from t = 0.
+    # fused flow takes the same steps as separate flows from t = 0.
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
     closed = spec.field.with_input_signal(spec.input_signal)
     certificate = _on_field(sphere_certificate, spec)
@@ -471,10 +497,9 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     calls, evaluations = [], []
     real_evaluate_groups = LyapunovFunction.evaluate_groups
 
-    def recording_flow_samples(field, t0, x0, offsets, step, scheme):
+    def recording_flow_samples(field, t0, x0, offsets, step):
         calls.append(np.array(x0))
-        assert scheme is RK8
-        return flow_samples(field, t0, x0, offsets, step, scheme)
+        return flow_samples(field, t0, x0, offsets, step)
 
     def recording_evaluate_groups(self, groups):
         out = real_evaluate_groups(self, groups)
@@ -500,7 +525,7 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
     assert SPHERE.dist(series_start, NORTH) == pytest.approx(1.0, abs=1e-12)
 
     tails = [np.arange(0.6 * h, h + 1e-9, 0.25) for h in horizons]
-    tail_pts = [flow_samples(closed, 0.0, starts, ts, step, RK8) for ts in tails]
+    tail_pts = [flow_samples(closed, 0.0, starts, ts, step) for ts in tails]
     tail_v, _ = V.evaluate_groups([(np.repeat(ts, 3), pts) for ts, pts in zip(tails, tail_pts)])
     assert report.measured_d_limsup == pytest.approx(
         max(float(np.max(SPHERE.dist(pts, NORTH))) for pts in tail_pts), abs=1e-12)
@@ -508,7 +533,7 @@ def test_iss_fused_flow_matches_separate_flows(sphere_attractor, sphere_certific
         max(float(np.max(v)) for v in tail_v), abs=1e-12)
 
     times = step_offsets(3.0, step)[::2]
-    points = flow_samples(closed, 0.0, series_start, times, step, RK8)
+    points = flow_samples(closed, 0.0, series_start, times, step)
     assert np.array_equal(report.series[:, 0], np.arange(31) / 10.0)
     np.testing.assert_allclose(report.series[:, 0], times, rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.series[:, 1], SPHERE.dist(points, NORTH),

@@ -296,8 +296,9 @@ def test_steps_are_reported_logged_and_deterministic(tmp_path, monkeypatch, capl
             disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})),
         "massera": (["certify", "--mode", "massera"], _massera_config(tmp_path)),
     }
-    expected = {"iss": {"les-envelope-fit": 0.32, "iss-robustness": 0.32},
-                "massera": {"ugas-envelope": 0.32, "ugas-evaluation": 0.05}}
+    expected = {"iss": {"les-envelope-fit": 0.32, "les-verification": 0.32,
+                        "iss-robustness": 0.32},
+                "massera": {"ugas-envelope": 0.32, "ugas-evaluation": 0.32}}
     for name, (command, config) in runs.items():
         outs = [tmp_path / f"{name}-{i}" for i in range(2)]
         for out in outs:
@@ -336,6 +337,25 @@ def test_flow_integration_failure_exits_two_without_output(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: flow-integration: non-finite state during integration")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("manifold, equilibrium", [
+    ("sphere2", [0.0, 0.0, 1.0]), ("so3", np.eye(3).ravel().tolist()),
+    ("hyperbolic2", [1.0, 0.0, 0.0])])
+def test_fast_decay_fit_stops_at_the_rounding_floor(tmp_path, manifold, equilibrium):
+    # At gain 10 the fit's rows reach distances of 1e-15 by s = 3.4, where
+    # rounding sets them: read to the end, sphere2 fitted K = 13.09 and rate
+    # 9.628, hyperbolic2 K = 14.95.  The fit stops where a row falls below
+    # rounding_floor, and the envelope keeps the closed form.
+    config = _small_config(tmp_path, manifold=manifold, equilibrium=equilibrium,
+                           system={"name": "geodesic_attractor", "params": {"gain": 10.0}},
+                           seed=3, grids={"n_points": 8, "radius": 0.8, "t0_list": [0.0]})
+    out = tmp_path / "out"
+    rc = main(["certify", "--config", str(config), "--out", str(out)])
+    envelope = json.loads((out / "report.json").read_text())["envelope"]
+    assert rc in (0, 2)
+    if rc == 0:
+        assert abs(envelope["K"] - 1.0) <= 1e-8 and abs(envelope["rate"] / 10.0 - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("manifold, equilibrium", [
@@ -441,7 +461,7 @@ def test_massera_envelope_the_reshaping_rejects_fails_at_the_tail_stage(tmp_path
                                                                          monkeypatch):
     # A UAS fit whose decay profile is flat is no input for the reshaping:
     # the run fails at ugas-tail instead of raising.
-    def flat_fit(elapsed, d, resolution):
+    def flat_fit(elapsed, d, resolution, floor):
         s = np.linspace(0.0, 22.0, 12)
         return StabilityEnvelope("UAS", None, None, s, np.ones(12), 0.0, 1.0, d.shape[1])
 
@@ -478,7 +498,7 @@ def test_write_csv_matches_the_csv_module(tmp_path, rows):
 
 
 def _count_steps(monkeypatch) -> list[int]:
-    """RK4 steps of every flow_samples call from here on, one entry per flow."""
+    """Steps of every flow_samples call from here on, one entry per flow."""
     steps = []
     real_step, real_flow = flows._rk_step, flows.flow_samples
 
@@ -501,15 +521,19 @@ def test_step_counts_per_flow(tmp_path, monkeypatch):
     # takes 2 order-8 steps of 1.28 and 4 of 0.64 and picks step 0.32, so the
     # envelope fit takes 7 steps over fit_horizon 2; the contraction offsets
     # of the config step (0.08, 0.17, ..., 0.5) and the pairs that ride that
-    # flow are read from its interpolant.  V's 71 quadrature nodes take 70 (V
-    # keeps the config step); LV reads the same flow.  The contraction check
-    # has no flow of its own.
+    # flow are read from its interpolant.  V's pilot on its state rows spans
+    # delta (2 steps of delta / 2 and 4 of delta / 4) and picks 0.32 too, so
+    # V's 71 quadrature nodes take ceil(delta / 0.32) = 3 steps and are read
+    # from the interpolant; LV reads the same flow.
+    # The contraction check has no flow of its own.
     steps = _count_steps(monkeypatch)
     base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
     config = _small_config(tmp_path, **base)
     assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    assert steps == [2, 4, 7, 70]
-    # iss adds the disturbed flow's RK8 pilot (2 steps of 1.28 and 4 of
+    assert steps == [2, 4, 7, 2, 4, 3]
+    record = json.loads((tmp_path / "c" / "report.json").read_text())["steps"]["les-verification"]
+    assert record["step"] == 0.32 and steps[5] == math.ceil(math.log(2.0) / record["step"])
+    # iss adds the disturbed flow's pilot (2 steps of 1.28 and 4 of
     # 0.64; it picks step 0.32), the disturbed flow to t = 3 and one V batch.
     # The disturbed flow takes the recorded step, ceil(3 / 0.32) = 10 steps,
     # and reads the series and tail times from its interpolant.
@@ -517,9 +541,9 @@ def test_step_counts_per_flow(tmp_path, monkeypatch):
     config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
                            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
-    assert steps == [2, 4, 7, 70, 2, 4, 10, 70]
+    assert steps == [2, 4, 7, 2, 4, 3, 2, 4, 10, 3]
     record = json.loads((tmp_path / "i" / "report.json").read_text())["steps"]["iss-robustness"]
-    assert record["step"] == 0.32 and steps[6] == math.ceil(3.0 / record["step"])
+    assert record["step"] == 0.32 and steps[8] == math.ceil(3.0 / record["step"])
 
 
 def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypatch):

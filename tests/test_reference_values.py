@@ -4,13 +4,13 @@
 flow endpoints and pushforwards at fixed states for every manifold x
 registered system pair, plus the disturbed input channel and the Massera
 reshaping.  The values were written by the one-state-at-a-time integrator
-that preceded the batched kernel, with transported RK4 stages.  The current
-integrator takes its stages in the embedding and projects once per step, so
-on curved manifolds V and the endpoints move by the change in integration
-error: they must match the file to ``SHIFT_TOL`` absolute (1e-12 on the
-plane, whose arithmetic did not change) and a reference run of the same
-code at step / 16 to ``FINE_TOL``.  The finite-difference quantities stay
-within 1e-8 relative of the file.  The ``LV`` entries were rewritten when LV
+that preceded the batched kernel, with transported fourth-order stages.  The
+current integrator takes DOP853's order-8 stages in the embedding and
+projects once per step, so V and the endpoints move by the change in
+integration error, on the plane too: they must match the file to
+``SHIFT_TOL`` absolute and a finer run of the same code (quadrature nodes
+at step / 16, integrator step step / 2) to ``FINE_TOL``.  The
+finite-difference quantities stay within 1e-8 relative of the file.  The ``LV`` entries were rewritten when LV
 became V's flow-integral identity d(phi(t + delta))^p - d^p, replacing a
 central difference of V in time whose own error was 4e-8 to 2.3e-6 relative;
 each is gated by its closed form on the geodesic cases and by a central
@@ -27,6 +27,7 @@ moving closer to a 1,601-node value (step 0.005) than the file's value is.
 current code; it refuses to overwrite an existing file.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -47,8 +48,8 @@ DELTA = 0.5
 FLOW_SPAN = 1.0
 PUSH_SPAN = 0.5
 ABS_TOL = 1e-12
-SHIFT_TOL = 5e-9   # V and endpoints against the file on curved manifolds
-FINE_TOL = 1e-9    # V and endpoints against the same code at step / 16
+SHIFT_TOL = 5e-9   # V and endpoints against the file
+FINE_TOL = 1e-9    # V and endpoints against the same code on a finer grid
 REL_TOL = 1e-8
 REL_FLOOR = 1e-12
 
@@ -95,10 +96,13 @@ def _case_inputs(seed: int, manifold):
     return x_star.ravel().tolist(), states
 
 
-def _case_values(manifold, system, params, profile, equilibrium, states, step=STEP):
-    """Every reference quantity at ``STEP``; V and the endpoint only at another step."""
+def _case_values(manifold, system, params, profile, equilibrium, states, step=STEP,
+                 flow_step=STEP):
+    """Every reference quantity at ``STEP``; V and the endpoint only, with V's nodes
+    ``step`` apart and both flows at ``flow_step``, at other steps."""
     spec, field = _system(manifold, system, params, profile, equilibrium)
-    V = construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=step)
+    V = dataclasses.replace(construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=step),
+                            flow_step=flow_step)
     out = []
     for s in states:
         t = s["t"]
@@ -106,7 +110,7 @@ def _case_values(manifold, system, params, profile, equilibrium, states, step=ST
         v = np.reshape(s["v"], manifold.ambient_shape)
         values = {
             "V": V.evaluate(t, x),
-            "flow_end": flow(field, t, x, t + FLOW_SPAN, step).points[-1].ravel().tolist(),
+            "flow_end": flow(field, t, x, t + FLOW_SPAN, flow_step).points[-1].ravel().tolist(),
         }
         if step == STEP:
             values.update(
@@ -178,16 +182,16 @@ def test_matches_reference_values(reference, case):
     entry = reference["cases"][label]
     equilibrium = np.reshape(entry["equilibrium"], m.ambient_shape)
     got = _case_values(m, system, params, profile, equilibrium, entry["states"])
-    tol = ABS_TOL if name.startswith("euclidean") else SHIFT_TOL
     for i, (g, want) in enumerate(zip(got, entry["values"])):
         for key in ("V", "flow_end"):
-            _assert_abs(g[key], want[key], f"{label}[{i}] {key}", tol)
+            _assert_abs(g[key], want[key], f"{label}[{i}] {key}", SHIFT_TOL)
         for key in ("LV", "dV", "pushforward"):
             _assert_rel(g[key], want[key], f"{label}[{i}] {key}")
-    fine = _case_values(m, system, params, profile, equilibrium, entry["states"], STEP / 16)
+    fine = _case_values(m, system, params, profile, equilibrium, entry["states"], STEP / 16,
+                        STEP / 2)
     for i, (g, f) in enumerate(zip(got, fine)):
         for key in ("V", "flow_end"):
-            _assert_abs(g[key], f[key], f"{label}[{i}] {key} at step / 16", FINE_TOL)
+            _assert_abs(g[key], f[key], f"{label}[{i}] {key} on the finer grid", FINE_TOL)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])

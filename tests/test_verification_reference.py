@@ -18,8 +18,8 @@ current code is compared against it at stated per-quantity tolerances:
   quadrature error: within ``V_REL`` relative; ``pushforward-growth`` within
   ``PUSHFORWARD_REL`` relative;
 - flowed distances move by the change in integration error, since the
-  integrator now takes its RK4 stages in the embedding and projects once
-  per step: within ``FLOW_REL`` relative; the input Lipschitz constant
+  integrator now takes DOP853's order-8 stages in the embedding and
+  projects once per step: within ``FLOW_REL`` relative; the input Lipschitz constant
   involves no flow and stays within ``INPUT_REL``;
 - the contraction row reads the pairs at the step-grid offsets of
   ``contraction_offsets``, so it is compared with ``contraction_report`` on
