@@ -332,13 +332,20 @@ class VerificationInputs:
     """The seeded draws of one verification, in the order they are drawn:
     the grid states (``t``, ``x``), the contraction pairs (start times
     ``pair_t``; ``pair_x`` stacks the pairs' first and second states, shape
-    ``(2, pairs, *ambient_shape)``) and one unit direction per state."""
+    ``(2, pairs, *ambient_shape)``) and one unit direction per state.  Then
+    V's rows (``v_t``, ``v_x``): the states, their :func:`arc_stencil` of arc
+    DIFF_EPS along the directions (``diff_eps_hat``), and that of arc
+    PUSHFORWARD_EPS of the first ten states (``push_eps_hat``)."""
 
     t: np.ndarray
     x: np.ndarray
     pair_t: np.ndarray
     pair_x: np.ndarray
     directions: np.ndarray
+    v_t: np.ndarray
+    v_x: np.ndarray
+    diff_eps_hat: np.ndarray
+    push_eps_hat: np.ndarray
 
 
 def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
@@ -351,11 +358,16 @@ def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
                           lambda: grid.radius * rng.uniform(0.1, 1.0))
     pair_x = m.exp(x_star.coords, v).reshape((n_pairs, 2) + m.ambient_shape).swapaxes(0, 1)
     directions = m.tangent_map(rng, x, rng.standard_normal(x.shape), 1.0)
-    return VerificationInputs(t, x, np.resize(grid.t0_list, n_pairs), pair_x, directions)
+    diff_eps_hat, diff = arc_stencil(m, x, directions, DIFF_EPS)
+    n_push = min(10, len(x))
+    push_eps_hat, push = arc_stencil(m, x[:n_push], directions[:n_push], PUSHFORWARD_EPS)
+    return VerificationInputs(t, x, np.resize(grid.t0_list, n_pairs), pair_x, directions,
+                              np.concatenate([t, t, t, t[:n_push], t[:n_push]]),
+                              np.concatenate([x, *diff, *push]), diff_eps_hat, push_eps_hat)
 
 
 def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
-                                envelope_horizon: float = 3.0,
+                                nodes: np.ndarray, envelope_horizon: float = 3.0,
                                 pair_flow: tuple | None = None) -> CertificationReport:
     """Verify every inequality of a constructed exponential certificate.
 
@@ -371,10 +383,14 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     when the caller has integrated them (the pipeline, in the envelope fit's
     flow); else at :func:`contraction_offsets` of ``envelope_horizon`` and
     V's step, integrated here at V's flow step.  Everything on the
-    horizon [t, t + delta] reads one flow over V's quadrature nodes: V and LV
-    at the states, V at the differential stencil, the telescoped endpoint
-    (each state's last node) and the pushforward (based at that node; its
-    stencil rows join the flow, and its cut-locus retries take V's flow step).
+    horizon [t, t + delta] reads ``nodes``, the states of V's rows
+    (``inputs.v_x``) at V's quadrature nodes, shape ``(len(V.node_offsets),
+    len(inputs.v_x), *ambient)``, from one flow (the pipeline's is the
+    envelope fit's, continued past its span if delta lies beyond): V and LV at
+    the states, V at the differential stencil, the telescoped endpoint (each
+    state's last node) and the pushforward (based at that node, from its
+    stencil rows; its cut-locus retries flow at V's flow step, the step of
+    the flow the nodes were read from).
     """
     V, b = cert.V, cert.bounds
     field, x_star, p, delta, L = V.field, V.x_star, V.p, V.horizon, b.L
@@ -395,16 +411,10 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
                      -contraction_margin, contraction_margin, contraction_pass)]
 
     t, x, directions = inputs.t, inputs.x, inputs.directions
-    n = len(x)
+    n, n_push = len(x), len(inputs.push_eps_hat)
     d = m.dist(x, x_star.coords)
-    eps_hat, (diff_plus, diff_minus) = arc_stencil(m, x, directions, DIFF_EPS)
-    n_push = min(10, n)
-    push_eps_hat, push_stencil = arc_stencil(m, x[:n_push], directions[:n_push],
-                                             PUSHFORWARD_EPS)
-    # One flow over V's quadrature nodes: the three V groups (states and the
-    # differential stencil), then the pushforward stencil rows.
-    nodes = V.node_flow(np.concatenate([t, t, t, t[:n_push], t[:n_push]]),
-                        np.concatenate([x, diff_plus, diff_minus, *push_stencil]))
+    # The three V groups (states and the differential stencil), then the
+    # pushforward stencil rows.
     values, lies = V.quadrature(nodes[:, :3 * n])
     (v_val, v_dplus, v_dminus), lie = np.split(values, 3), lies[:n]
     end = nodes[-1, :n]  # the flow at t + delta
@@ -428,7 +438,7 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
                          step_ratio, step_margin, step_margin >= 0.0))
 
     # Differential bound |dV(v)| <= c4 d^{p-1}|v| on the unit directions.
-    dv = (v_dplus - v_dminus) / (2.0 * eps_hat)
+    dv = (v_dplus - v_dminus) / (2.0 * inputs.diff_eps_hat)
     diff_worst = float(np.max(np.abs(dv) / (b.c4 * d ** (p - 1.0))))
     rows.append(_upper_row("differential-bound", ANCHOR_DIFFERENTIAL,
                            1.0 + REL_TOL, diff_worst, 1.0))
@@ -436,7 +446,7 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     # Pushforward of the first directions to t + delta, based at their states' ends.
     y0 = end[:n_push]
     pushed = pushforward_quotient(
-        field, t[:n_push], x[:n_push], directions[:n_push], push_eps_hat, y0,
+        field, t[:n_push], x[:n_push], directions[:n_push], inputs.push_eps_hat, y0,
         nodes[-1, 3 * n:].reshape((2, n_push) + m.ambient_shape), V.node_offsets, V.flow_step)
     push_worst = float(np.max(m.norm(y0, pushed))) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,

@@ -4,8 +4,8 @@ The integrator is the projection method (Hairer, Lubich & Wanner, *Geometric
 Numerical Integration*, 2nd ed., §IV.4): a step of DOP853's order-8 Runge-Kutta
 scheme (:data:`RK8`) in the embedding space, then one projection onto the manifold
 (``Manifold.project``), keeps the scheme's order on every smooth field.  One loop
-(:func:`flow_samples`) steps a batch of states, each from its own start time, on a
-shared elapsed-time grid and reads the times between its nodes from the interpolant.
+(:meth:`DenseFlow.advance`) steps a batch of states, each from its own start time, on a
+shared elapsed-time grid, and the times between its nodes are read from the interpolant.
 Flow pushforwards are computed by geodesic-variation
 finite differences, and Lipschitz constants are estimated in the
 parallel-transport sense (transported field differences over distance)
@@ -37,6 +37,8 @@ PUSHFORWARD_EPS = 1e-5    # arc length of the pushforward stencil
 GRID_TOL = 1e-9           # relative slack before a span gets one more step
 STEP_TOL = 1.35e-8        # step_error allowed; calibration in README, "Internal stage steps"
 PILOT_STEPS = 2           # coarse steps of a step_error pilot (the fine run takes twice as many)
+RUNGS = (64, 32, 16, 8, 4, 2, 1)  # choose_step's ladder, in multiples of the base step
+ROUNDING_ULPS = 8         # a pilot difference this many ulps of a row's coordinates is rounding
 
 # An explicit Runge-Kutta scheme: stages (c_i, ((j, a_ij), ...)) and weights (j, b_j), nonzero
 # entries only; a step adds dt times the weighted sum.  Its order on smooth fields, and its
@@ -174,10 +176,9 @@ def _rk_stages(field: TimeVaryingField, t, x: np.ndarray, dt: float, stages, ks:
 
 def _rk_step(field: TimeVaryingField, t, x: np.ndarray, dt: float,
              ks: list | None = None) -> np.ndarray:
-    """One :data:`RK8` step in the embedding, before projection.  ``ks`` collects its
-    stages, and may come holding the first (FSAL)."""
+    """One :data:`RK8` step in the embedding, before projection; ``ks`` collects its stages."""
     ks = [] if ks is None else ks
-    _rk_stages(field, t, x, dt, RK8.stages[len(ks):], ks)
+    _rk_stages(field, t, x, dt, RK8.stages, ks)
     terms = [b * ks[j] for j, b in RK8.weights]
     return x + dt * sum(terms[1:], terms[0])
 
@@ -212,53 +213,91 @@ def _checked_project(m: Manifold, y: np.ndarray, t0, s: float) -> np.ndarray:
                                float(np.ravel(t0 + s)[0])) from exc
 
 
+class DenseFlow:
+    """Projected :data:`RK8` steps of a batch ``x0`` ``(..., *ambient_shape)`` from the
+    start times ``t0`` (scalar or per row) that keep what each step's interpolant reads
+    (its states and stages k0, k5-k12): like SciPy's ``OdeSolution``, the flow is read at
+    any elapsed time of its span after it has run, and :meth:`advance` continues it."""
+
+    def __init__(self, field: TimeVaryingField, t0, x0: np.ndarray):
+        m = field.manifold
+        x = np.asarray(x0, dtype=float)
+        # rhs, which nothing projects, must be tangent at the start rows to 1e-9 of its norm.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = field.eval_raw(t0, x)
+            rows = x.shape[:x.ndim - len(m.ambient_shape)] + (-1,)
+            normal, f = (f - m.project_tangent(x, f)).reshape(rows), f.reshape(rows)
+            if np.count_nonzero(np.vecdot(normal, normal) > 1e-18 * np.vecdot(f, f)):
+                raise ValueError(f"the field's rhs is not tangent to {m.name} at the start states")
+        self.field, self.t0 = field, t0
+        self.nodes, self.states = [0.0], [x]  # elapsed times of the steps' ends, and states
+        self._stages, self._step = [], 0.0    # each step's kept stages; the longest grid step
+
+    def advance(self, span: float, step: float) -> "DenseFlow":
+        """Step every row from the last node to the elapsed time ``span`` on the grid
+        ``last + step_offsets(span - last, step)``, ending on ``span``; returns the flow.
+        A step that blows up, or leaves the manifold beyond projection, fails the flow
+        at that step's time."""
+        if step <= 0:
+            raise ValueError("step must be positive")
+        grid = (self.nodes[-1] + step_offsets(span - self.nodes[-1], step)).tolist()
+        grid[-1] = span
+        field, t0, x = self.field, self.t0, self.states[-1]
+        self._step = max(self._step, step)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for a, b in zip(grid, grid[1:]):
+                ks = []
+                x = _checked_project(field.manifold, _rk_step(field, t0 + a, x, b - a, ks), t0, b)
+                ks[1:5] = [None] * 4  # stages the interpolant does not read
+                self.nodes.append(b)
+                self.states.append(x)
+                self._stages.append(ks)
+        return self
+
+    def __call__(self, offsets: Sequence[float]) -> np.ndarray:
+        """States at the elapsed times ``offsets`` of the flow's span, ``(len(offsets),) +
+        x0.shape``: an offset within GRID_TOL of the longest step from a node reads that
+        node, any other the projected interpolant of its step."""
+        s = np.asarray(offsets, dtype=float).reshape(-1)
+        nodes, tol = np.array(self.nodes), GRID_TOL * self._step
+        keep = np.searchsorted(nodes, s - tol).tolist()  # first node >= s - tol
+        if keep and max(keep) == len(nodes):
+            raise ValueError(f"sample offsets past the flow's end {self.nodes[-1]}")
+        reads = {}  # step ending at node i -> the samples read from its interpolant
+        for k, i in enumerate(keep):
+            if i and nodes[i] - s[k] > tol:  # inside (nodes[i - 1], nodes[i])
+                reads.setdefault(i, []).append(k)
+        samples = [self.states[i] for i in keep]
+        field, t0 = self.field, self.t0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i, ks in reads.items():
+                a, b, x_new = self.nodes[i - 1], self.nodes[i], self.states[i]
+                # f(t0 + b, x_new): the next step's first stage.
+                fsal = self._stages[i][0] if i < len(self._stages) else field.eval_raw(t0 + b, x_new)
+                ys = _interpolate(field, t0 + a, self.states[i - 1], x_new, b - a,
+                                  self._stages[i - 1] + [fsal], (s[ks] - a) / (b - a))
+                for k, y in zip(ks, _checked_project(field.manifold, ys, t0, b)):
+                    samples[k] = y
+        return np.stack(samples)
+
+    def take(self, rows) -> "DenseFlow":
+        """The flow of the rows ``rows`` (an index of the leading axis) alone."""
+        flow = object.__new__(DenseFlow)
+        flow.field, flow.t0 = self.field, self.t0[rows] if np.ndim(self.t0) else self.t0
+        flow.nodes, flow._step = list(self.nodes), self._step
+        flow.states = [x[rows] for x in self.states]
+        flow._stages = [[k if k is None else k[rows] for k in ks] for ks in self._stages]
+        return flow
+
+
 def flow_samples(field: TimeVaryingField, t0, x0: np.ndarray, offsets: Sequence[float],
                  step: float = DEFAULT_STEP) -> np.ndarray:
-    """Flow states at the elapsed times ``offsets`` after the start time ``t0``.
-
-    ``x0`` holds one state or a batch ``(..., *ambient_shape)``; ``t0`` is a
-    scalar or per-row start times.  All rows step together on one shared
-    grid of projected :data:`RK8` steps, ``step_offsets(max(offsets), step)``;
-    ``offsets`` are nondecreasing and >= 0.  An offset within GRID_TOL step of
-    a node reads that node, any other the projected interpolant of its step.
-    Returns an array ``(len(offsets),) + x0.shape``.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    """States ``(len(offsets),) + x0.shape`` of a :class:`DenseFlow` on the grid
+    ``step_offsets(max(offsets), step)`` at the nondecreasing elapsed times ``offsets``."""
     s = np.asarray(offsets, dtype=float).reshape(-1)
     if np.any(np.diff(s, prepend=0.0) < -1e-12):
         raise ValueError("sample offsets must be nondecreasing and >= 0")
-    nodes = step_offsets(float(np.max(s, initial=0.0)), step)
-    keep = np.searchsorted(nodes, s - GRID_TOL * step).tolist()  # first node >= s - tol
-    reads = {}  # step ending at node i -> the samples read from its interpolant
-    for k, i in enumerate(keep):
-        if i and nodes[i] - s[k] > GRID_TOL * step:  # inside (nodes[i - 1], nodes[i])
-            reads.setdefault(i, []).append(k)
-    nodes = nodes.tolist()
-    m = field.manifold
-    x = np.asarray(x0, dtype=float)
-    states, samples = [x], {}
-    # rhs, which nothing projects, must be tangent at the start rows to 1e-9
-    # of its norm.  A step that blows up, or leaves the manifold beyond
-    # projection, fails the flow at that step's time.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f = field.eval_raw(t0, x)
-        rows = x.shape[:x.ndim - len(m.ambient_shape)] + (-1,)
-        normal, f = (f - m.project_tangent(x, f)).reshape(rows), f.reshape(rows)
-        if np.count_nonzero(np.vecdot(normal, normal) > 1e-18 * np.vecdot(f, f)):
-            raise ValueError(f"the field's rhs is not tangent to {m.name} at the start states")
-        fsal = []
-        for i, (a, b) in enumerate(zip(nodes, nodes[1:]), 1):
-            ks, fsal = fsal, []
-            x_new = _checked_project(m, _rk_step(field, t0 + a, x, b - a, ks), t0, b)
-            if i in reads:  # f(t0 + b, x_new): the interpolant's stage, the next step's first
-                fsal = [field.eval_raw(t0 + b, x_new)]
-                ys = _interpolate(field, t0 + a, x, x_new, b - a, ks + fsal,
-                                  (s[reads[i]] - a) / (b - a))
-                samples.update(zip(reads[i], _checked_project(m, ys, t0, b)))
-            x = x_new
-            states.append(x)
-    return np.stack([samples[k] if k in samples else states[i] for k, i in enumerate(keep)])
+    return DenseFlow(field, t0, x0).advance(float(np.max(s, initial=0.0)), step)(s)
 
 
 def step_offsets(span: float, step: float) -> np.ndarray:
@@ -277,7 +316,9 @@ def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
     PILOT_STEPS and 2 PILOT_STEPS steps.  The fine run's Richardson estimate |x_h - x_{h/2}|
     / (2^p - 1), p = ``RK8.order`` (Hairer, Norsett & Wanner, *Solving ODEs I*, §II.4),
     relative to the row's distance to ``x_star`` at s and over s, bounds a fitted decay rate's error
-    at any horizon.  The worst row's is scaled to ``step`` by h^p; a pilot that
+    at any horizon.  A difference within ROUNDING_ULPS ulps of the row's largest coordinate
+    is rounding, not truncation, and counts as 0 (else it would read as a large error per
+    unit time over a tiny s).  The worst row's is scaled to ``step`` by h^p; a pilot that
     leaves the reals gives an infinite estimate (its coarse steps are unusable).
     """
     m, p = field.manifold, RK8.order
@@ -287,7 +328,10 @@ def step_error(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
                         for n in (PILOT_STEPS, 2 * PILOT_STEPS))
     except IntegrationError:
         return math.inf
-    worst = float(np.max(m.dist(coarse, fine) / np.maximum(m.dist(fine, x_star), 1e-12)))
+    diff = m.dist(coarse, fine)
+    ulp = np.finfo(float).eps * np.max(np.abs(fine), axis=tuple(range(-len(m.ambient_shape), 0)))
+    diff = np.where(diff <= ROUNDING_ULPS * ulp, 0.0, diff)
+    worst = float(np.max(diff / np.maximum(m.dist(fine, x_star), 1e-12)))
     scale = (2 * PILOT_STEPS * step / s) ** p / (2 ** p - 1)
     return worst * scale / s
 
@@ -298,7 +342,7 @@ def choose_step(field: TimeVaryingField, t0, x0: np.ndarray, x_star: np.ndarray,
     whose error meets STEP_TOL, and that error, from one :func:`step_error` pilot
     at the top rung scaled by h^8.  When no k does, the last rung and its own
     pilot's estimate (infinite when that pilot left the reals)."""
-    rungs = [min(k * base_step, span) for k in (64, 32, 16, 8, 4, 2, 1)]
+    rungs = [min(k * base_step, span) for k in RUNGS]
     error = step_error(field, t0, x0, x_star, span, rungs[0])
     for h in rungs:
         estimate = error * (h / rungs[0]) ** RK8.order

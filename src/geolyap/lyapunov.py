@@ -146,7 +146,10 @@ class LyapunovFunction:
     evaluation is :meth:`node_flow` then :meth:`quadrature` (composite Simpson
     on :attr:`intervals`, whose nodes are at most ``step`` apart), which also
     gives LV, so a caller that needs more of the flow over [t, t + horizon]
-    runs it once.  The node flow steps at ``flow_step`` (``step`` if None).
+    runs it once.  ``flow_step`` (``step`` if None) is the step of the flow
+    the nodes are read from: :meth:`node_flow`'s, and in a certification
+    that of the envelope fit's flow, or of its continuation past the fit's
+    span, which the pushforward's cut-locus retries also take.
     """
 
     field: TimeVaryingField
@@ -188,7 +191,8 @@ class LyapunovFunction:
     def quadrature(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """V, composite Simpson of g = d^p (G(d) in massera mode), and LV = g(last
         node) - g(first node), V's exact derivative along the flow (the flow-integral
-        identity), from node states of :meth:`node_flow` (node axis first)."""
+        identity), from node states at :attr:`node_offsets` (node axis first), such as
+        :meth:`node_flow`'s."""
         m = self.field.manifold
         # Quadrature nodes last and contiguous: each row sums in the same order
         # whether it is evaluated alone or in a batch.

@@ -4,7 +4,8 @@ Each runner validates everything it needs before creating any output file
 (config errors must not leave partial output), then writes reports and CSV
 dumps with deterministic bytes: seeded sampling, ordered reductions, sorted
 JSON keys, and no timestamps.  Each stage draws its samples up front and
-integrates them as one batch.
+integrates them as one batch; a certification's V and contraction pairs
+ride its envelope fit's flow.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ from .certify import (
 )
 from .config import ConfigError, ScenarioConfig
 from .flows import (
+    GRID_TOL,
+    RUNGS,
     STEP_TOL,
+    DenseFlow,
     IntegrationError,
     Region,
     choose_step,
@@ -149,39 +153,61 @@ def _estimate_lipschitz(config: ScenarioConfig) -> float:
     return estimate.inflated()
 
 
-def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str,
-                      steps: dict, inputs: VerificationInputs | None = None):
+def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str, steps: dict,
+                      v_rows: tuple, inputs: VerificationInputs | None = None):
     """The stability envelope of a seeded batch of trajectories over ``horizon``.
 
-    This is the stage ``anchor``: a flow at the step :func:`choose_step`
-    picks on the fit's rows, whose grid also holds the :func:`contraction_offsets`
-    of the envelope horizon and config step.  With ``inputs``, the verification's
-    contraction pairs (whose flow does not depend on L) ride it, leaving the fit
-    as is, and come back as ``(offsets, states)`` with the envelope (else None).
+    This is the stage ``anchor``: one flow at the step :func:`choose_step`
+    picks on the fit's rows and V's state rows, whose span also holds the
+    :func:`contraction_offsets` of the envelope horizon and config step.
+    V's rows ``v_rows = (times, states, n)``, the first ``n`` of them its
+    states, ride it, and with ``inputs`` the verification's contraction pairs
+    (whose flow does not depend on L) do too, leaving the fit as is.  Returns
+    the envelope, V's rows' flow as ``(flow, n, (step, estimate))`` for
+    :func:`_read_V_nodes`, and the pairs' ``(offsets, states)`` (else None).
     """
     rng = np.random.default_rng(config.seed + 1)
     m, x_star, field = config.manifold, config.equilibrium.coords, config.system.field
     t0s = np.repeat(config.grid.t0_list, max(3, min(8, config.grid.n_points // 4)))
     v = m.random_tangents(rng, x_star, len(t0s), lambda: config.grid.radius * rng.uniform(0.3, 1.0))
-    x0, t_rows = m.project(m.exp(x_star, v)), t0s
+    x0 = m.project(m.exp(x_star, v))
+    v_t, v_x, n = v_rows
+    groups = [(t0s, x0), (v_t, v_x)] + ([] if inputs is None else
+                                        [(inputs.pair_t, pair) for pair in inputs.pair_x])
     with _stage(anchor, NUMERICAL_FAILURES + (EnvelopeFitError,)):
-        step = _record_step(steps, anchor, *choose_step(field, t0s, x0, x_star, horizon,
-                                                        config.step))
+        pick = choose_step(field, np.concatenate([t0s, v_t[:n]]), np.concatenate([x0, v_x[:n]]),
+                           x_star, horizon, config.step)
+        step = _record_step(steps, anchor, *pick)
         offsets = step_offsets(horizon, step)
         taus = contraction_offsets(config.envelope_horizon, config.step)
-        grid = np.sort(np.concatenate([offsets, taus]))  # a repeated time adds no step
-        if inputs is not None:
-            x0 = np.concatenate([x0, *inputs.pair_x])
-            t_rows = np.concatenate([t0s, inputs.pair_t, inputs.pair_t])
-        pts = flow_samples(field, t_rows, x0, grid, step)
-        fit = pts[np.searchsorted(grid, offsets), :len(t0s)]
+        flow = DenseFlow(field, np.concatenate([t for t, _ in groups]),
+                         np.concatenate([x for _, x in groups])).advance(max(horizon, taus[-1]),
+                                                                          step)
+        fit = flow.take(slice(0, len(t0s)))(offsets)
         envelope = classify_stability(offsets, m.dist(fit, x_star), config.step,
                                       floor=rounding_floor(m, x_star))
     logger.info("stability class: %s", envelope.stability_class)
-    if inputs is None:
-        return envelope, None
-    pairs = pts[np.searchsorted(grid, taus), len(t0s):]
-    return envelope, (taus, pairs.reshape((len(taus), 2, -1) + m.ambient_shape))
+    cut = len(t0s) + len(v_x)
+    pairs = None if inputs is None else (taus, flow.take(slice(cut, None))(taus).reshape(
+        (len(taus), 2, -1) + m.ambient_shape))
+    return envelope, (flow.take(slice(len(t0s), cut)), n, pick), pairs
+
+
+def _read_V_nodes(config: ScenarioConfig, V, shared: tuple, anchor: str, steps: dict,
+                  envelope: StabilityEnvelope):
+    """V at the step of the flow it reads (recorded as ``anchor``), and its rows' states
+    at its nodes: the fit's flow ``shared``, whose rows past its span continue at the
+    step :func:`choose_step` picks on V's state rows for the remainder."""
+    flow, n, pick = shared
+    span = flow.nodes[-1]
+    extend = V.horizon - span > GRID_TOL * pick[0]
+    if extend:
+        pick = choose_step(V.field, flow.t0[:n] + span, flow.states[-1][:n],
+                           V.x_star.coords, V.horizon - span, config.step)
+    step = _record_step(steps, anchor, *pick, envelope)
+    if extend:
+        flow.advance(V.horizon, step)
+    return dataclasses.replace(V, flow_step=step), flow(V.node_offsets)
 
 
 def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float:
@@ -195,12 +221,13 @@ def _certify_exponential(config: ScenarioConfig,
     """draw inputs -> fit envelope -> estimate L, construct V -> verify.
 
     Each stage runs once; a stage that cannot finish raises its
-    :class:`_StageFailure`.  The contraction pairs ride the fit's flow.
+    :class:`_StageFailure`.  The contraction pairs and V's rows ride the fit's flow.
     """
     inputs = draw_verification_inputs(config.manifold, config.equilibrium,
                                       config.grid, config.seed)
-    envelope, pair_flow = _fit_trajectories(config, config.fit_horizon,
-                                            ANCHOR_ENVELOPE_FIT, steps, inputs)
+    envelope, shared, pair_flow = _fit_trajectories(
+        config, config.fit_horizon, ANCHOR_ENVELOPE_FIT, steps,
+        (inputs.v_t, inputs.v_x, len(inputs.x)), inputs)
     if not envelope.is_exponential:
         raise _StageFailure(ANCHOR_ENVELOPE_FIT, (
             f"trajectories classify as {envelope.stability_class}, not exponentially "
@@ -211,11 +238,10 @@ def _certify_exponential(config: ScenarioConfig,
         cert = make_certificate(config.system.field, config.equilibrium, L, envelope,
                                 _resolve_delta(config, envelope), config.p, step=config.step)
     with _stage(ANCHOR_VERIFICATION, envelope=envelope):
-        flow_step = _record_step(steps, ANCHOR_VERIFICATION, *choose_step(
-            config.system.field, inputs.t, inputs.x, config.equilibrium.coords,
-            cert.V.horizon, config.step), envelope)
-        cert = dataclasses.replace(cert, V=dataclasses.replace(cert.V, flow_step=flow_step))
-        report = verify_converse_certificate(cert, inputs, config.envelope_horizon, pair_flow)
+        V, nodes = _read_V_nodes(config, cert.V, shared, ANCHOR_VERIFICATION, steps, envelope)
+        cert = dataclasses.replace(cert, V=V)
+        report = verify_converse_certificate(cert, inputs, nodes, config.envelope_horizon,
+                                             pair_flow)
     return cert, report
 
 
@@ -229,9 +255,7 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
     steps = {}
     try:
         if mode == "massera":
-            envelope, _ = _fit_trajectories(config, config.massera.fit_horizon,
-                                            ANCHOR_UGAS_ENVELOPE, steps)
-            return _run_certify_massera(config, envelope, out_dir, steps)
+            return _run_certify_massera(config, out_dir, steps)
         cert, report = _certify_exponential(config, steps)
     except _StageFailure as err:
         return _stage_failure(out_dir, {"mode": mode, "steps": steps}, err)
@@ -243,8 +267,22 @@ def run_certify(config: ScenarioConfig, out_dir: Path, mode: str = "exp") -> int
     return EXIT_OK if report.verdict else EXIT_CERTIFICATION_FAILED
 
 
-def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
-                         out_dir: Path, steps: dict) -> int:
+def _run_certify_massera(config: ScenarioConfig, out_dir: Path, steps: dict) -> int:
+    m, x_star = config.manifold, config.equilibrium.coords
+    rng = np.random.default_rng(config.seed)
+    n_states = min(config.grid.n_points, 50)
+    # The reshaping is extremely flat near the equilibrium (values below
+    # 1e-12 for algebraic envelopes), so sign checks sample the outer region.
+    t, x = sample_states(m, config.equilibrium, GridSpec(
+        n_states, config.grid.radius, config.grid.t0_list), rng, r_min_frac=0.3)
+    radii = np.linspace(0.4 * config.grid.radius, config.grid.radius, 10)
+    direction = m.random_tangent(np.random.default_rng(config.seed + 3), x_star, norm=1.0)
+    ray = m.exp(x_star, m.rows(radii) * direction)
+    # V's rows (states, ray, equilibrium) ride the fit's flow.
+    envelope, shared, _ = _fit_trajectories(
+        config, config.massera.fit_horizon, ANCHOR_UGAS_ENVELOPE, steps,
+        (np.concatenate([t, np.zeros(len(ray) + 1)]), np.concatenate([x, ray, x_star[None]]),
+         n_states))
     if envelope.stability_class == "US":
         raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
                             "asymptotic construction unavailable", envelope)
@@ -256,26 +294,11 @@ def _run_certify_massera(config: ScenarioConfig, envelope: StabilityEnvelope,
                              envelope.decay_values, config.massera.t_max,
                              config.massera.tail_tol, step=max(config.step, 0.05))
     reshaping = V.reshaping
-
-    m, x_star = config.manifold, config.equilibrium.coords
-    rng = np.random.default_rng(config.seed)
-    n_states = min(config.grid.n_points, 50)
-    # The reshaping is extremely flat near the equilibrium (values below
-    # 1e-12 for algebraic envelopes), so sign checks sample the outer region.
-    t, x = sample_states(m, config.equilibrium, GridSpec(
-        n_states, config.grid.radius, config.grid.t0_list), rng, r_min_frac=0.3)
-
-    radii = np.linspace(0.4 * config.grid.radius, config.grid.radius, 10)
-    direction = m.random_tangent(np.random.default_rng(config.seed + 3), x_star, norm=1.0)
-    ray = m.exp(x_star, m.rows(radii) * direction)
-
-    # Every V of this mode (states with their LV, ray, equilibrium) in one batch.
     with _stage(ANCHOR_UGAS_EVALUATION, envelope=envelope):
-        flow_step = _record_step(steps, ANCHOR_UGAS_EVALUATION, *choose_step(
-            V.field, t, x, x_star, V.horizon, config.step), envelope)
-        V = dataclasses.replace(V, flow_step=flow_step)
-        (v_val, ray_values, v_at_star), (lie, _, _) = V.evaluate_groups(
-            [(t, x), (0.0, ray), (0.0, x_star)])
+        V, nodes = _read_V_nodes(config, V, shared, ANCHOR_UGAS_EVALUATION, steps, envelope)
+        values, lies = V.quadrature(nodes)
+    v_val, ray_values, v_at_star = np.split(values, [n_states, n_states + len(ray)])
+    lie = lies[:n_states]
     sample_rows = np.stack([t, m.dist(x, x_star), v_val, lie], axis=1).tolist()
     v_min = float(np.min(v_val))
     lie_max = float(np.max(lie))
@@ -374,13 +397,15 @@ def run_flow(config: ScenarioConfig, out_dir: Path) -> int:
     offsets = step_offsets(config.fit_horizon, config.step)
     try:
         with _stage(ANCHOR_FLOW_INTEGRATION):
-            step = choose_step(field, t0s, x0, x_star, config.fit_horizon, config.step)[0]
+            step, estimate = choose_step(field, t0s, x0, x_star, config.fit_horizon, config.step)
             pts = flow_samples(field, t0s, x0, offsets, step)
         # The pick is scaled from a pilot at 64 steps, which a field far beyond that
         # step's stability limit can fool; the flow is measured where it steps and at `step`.
+        # At the top rung, or when no rung passes, the pick's estimate is its pilot's own.
+        measured = step == min(RUNGS[0] * config.step, config.fit_horizon) or estimate > STEP_TOL
         for h in sorted({min(config.step, config.fit_horizon), step}):
-            _record_step({}, ANCHOR_FLOW_INTEGRATION, h, step_error(
-                field, t0s, x0, x_star, config.fit_horizon, h))
+            _record_step({}, ANCHOR_FLOW_INTEGRATION, h, estimate if h == step and measured
+                         else step_error(field, t0s, x0, x_star, config.fit_horizon, h))
     except _StageFailure as err:
         print(f"error: {err.anchor}: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION_FAILED

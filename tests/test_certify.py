@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geolyap import certify, flows, lyapunov, pipeline
+from geolyap import certify, flows, pipeline
 from geolyap.certify import (
     CERTIFICATE_CHECKLIST,
     FLOOR_FACTOR,
@@ -103,7 +103,7 @@ def _verify(spec, L, envelope, delta, p, n_points, seed):
     flow_step, _ = choose_step(spec.field, inputs.t, inputs.x, spec.equilibrium.coords,
                                delta, 1e-2)
     cert = dataclasses.replace(cert, V=dataclasses.replace(cert.V, flow_step=flow_step))
-    return verify_converse_certificate(cert, inputs)
+    return verify_converse_certificate(cert, inputs, cert.V.node_flow(inputs.v_t, inputs.v_x))
 
 
 # -- envelope fitting -------------------------------------------------------------
@@ -263,53 +263,66 @@ def test_verify_sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
     assert report.row("contraction-envelope").margin > 1e-3
 
 
-def test_verify_horizon_quantities_share_one_flow(sphere_attractor, sphere_L, sphere_envelope,
-                                                 monkeypatch):
+def test_verify_horizon_quantities_share_one_flow(monkeypatch):
     # V, LV (the flow-integral identity), the telescoped endpoints and the
-    # pushforward all read one flow over V's quadrature nodes.
-    p, n, n_push = 2.0, 12, 10
-    delta = choose_delta(sphere_envelope.K, sphere_envelope.rate, 0.5)
-    calls, quotients = [], []
-    real_flow, real_quotient = flows.flow_samples, flows.pushforward_quotient
+    # pushforward all read V's rows of the envelope fit's one flow, at V's
+    # quadrature nodes, from its interpolant.
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    config = dataclasses.replace(load_scenario(configs / "sphere_attractor.json"),
+                                 fit_horizon=2.0, envelope_horizon=0.5)
+    made, quotients, verified = [], [], []
+    real_quotient, real_verify = certify.pushforward_quotient, pipeline.verify_converse_certificate
 
-    def recording_flow_samples(f, t0, x0, offsets, step):
-        out = real_flow(f, t0, x0, offsets, step)
-        calls.append((np.array(t0), np.array(x0), np.asarray(offsets, dtype=float), out, step))
-        return out
+    class RecordingFlow(flows.DenseFlow):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
     def recording_quotient(*args):
-        out = real_quotient(*args)
-        quotients.append((args, out))
-        return out
+        quotients.append((args, real_quotient(*args)))
+        return quotients[-1][1]
 
-    for module in (flows, lyapunov, certify):
-        monkeypatch.setattr(module, "flow_samples", recording_flow_samples)
+    def recording_verify(*args):
+        verified.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(pipeline, "DenseFlow", RecordingFlow)
     monkeypatch.setattr(certify, "pushforward_quotient", recording_quotient)
-    report = _verify(sphere_attractor, sphere_L, sphere_envelope, delta, p, n, seed=7)
+    monkeypatch.setattr(pipeline, "verify_converse_certificate", recording_verify)
+    steps = {}
+    cert, report = pipeline._certify_exponential(config, steps)
     assert report.verdict
 
-    # The chooser's pilot flows the states to delta too, sampling only its end.
-    (t0, x0, offsets, out, flow_step), = [c for c in calls if len(c[2]) > 1
-                                          and c[2][-1] == delta]
-    # delta = ln 2 at step 0.01: 70 Simpson intervals, read from a flow at the
-    # chooser's step.
-    assert np.array_equal(offsets, np.linspace(0.0, delta, 71)) and flow_step == 0.32
-    assert x0.shape == (3 * n + 2 * n_push, 3)
-    t, d, _, lie = report.samples.T
-    assert np.array_equal(t0[:n], t)
-    end = out[-1, :n]
-    assert np.array_equal(lie, SPHERE.dist(end, NORTH) ** p - SPHERE.dist(out[0, :n], NORTH) ** p)
+    (shared,), ((_, inputs, nodes, _, _),) = made, verified
+    V, p, n, n_push = cert.V, cert.V.p, len(inputs.x), len(inputs.push_eps_hat)
+    # The fit's rows, then V's (states, differential and pushforward stencils), then the pairs.
+    n_fit = len(shared.states[0]) - len(inputs.v_x) - 2 * len(inputs.pair_t)
+    assert np.array_equal(shared.states[0][n_fit:n_fit + len(inputs.v_x)], inputs.v_x)
+    assert inputs.v_x.shape == (3 * n + 2 * n_push, 3)
+    # delta = ln(2 K) / rate at step 0.01: 70 Simpson intervals, within the span 2.
+    assert V.horizon < shared.nodes[-1] == 2.0 and len(V.node_offsets) == 71
+    assert steps["les-verification"] == steps["les-envelope-fit"]
+    assert V.flow_step == steps["les-verification"]["step"] == 0.32
+    v_rows = shared.take(slice(n_fit, n_fit + len(inputs.v_x)))
+    assert np.array_equal(nodes, v_rows(V.node_offsets))
+    t, d, v, lie = report.samples.T
+    assert np.array_equal(t, inputs.t)
+    values, lies = V.quadrature(nodes[:, :3 * n])
+    assert np.array_equal(v, values[:n]) and np.array_equal(lie, lies[:n])
+    end = nodes[-1, :n]
+    x_star = config.equilibrium.coords
+    assert np.array_equal(lie, SPHERE.dist(end, x_star) ** p - SPHERE.dist(nodes[0, :n], x_star) ** p)
     assert report.row("telescoping-identity").measured == \
-        float(np.max(SPHERE.dist(end, NORTH) ** p / d ** p))
+        float(np.max(SPHERE.dist(end, x_star) ** p / d ** p))
 
     (args, w), = quotients
-    _, t_push, coords, directions, _, y0, ends, q_offsets, q_step = args
+    field, t_push, coords, directions, _, y0, ends, q_offsets, q_step = args
     assert np.array_equal(y0, end[:n_push])
-    assert np.array_equal(ends, out[-1, 3 * n:].reshape(2, n_push, 3))
-    assert np.array_equal(q_offsets, offsets) and q_step == flow_step
+    assert np.array_equal(ends, nodes[-1, 3 * n:].reshape(2, n_push, 3))
+    assert np.array_equal(q_offsets, V.node_offsets) and q_step == V.flow_step
     assert report.row("pushforward-growth").measured == \
-        float(np.max(SPHERE.norm(y0, w))) / math.exp(sphere_L * delta)
-    public = pushforward(sphere_attractor.field, t_push, coords, directions, delta, 1e-2)[1]
+        float(np.max(SPHERE.norm(y0, w))) / math.exp(cert.bounds.L * V.horizon)
+    public = pushforward(field, t_push, coords, directions, V.horizon, 1e-2)[1]
     assert np.linalg.norm(w - public) <= 1e-8 * np.linalg.norm(public)
 
 
@@ -331,9 +344,9 @@ def test_pipeline_lipschitz_estimate_reaches_the_closed_form(manifold, equilibri
 
 
 def test_contraction_pairs_ride_the_fit_flow_unchanged():
-    # The pairs join the envelope fit's flow as extra rows: the fit is that
-    # of a flow without them, since the fit's grid carries the contraction
-    # offsets either way, and the pairs' states at those offsets (of the
+    # The pairs join the envelope fit's flow (with V's rows) as extra rows: the
+    # fit is that of a flow without them, since the fit's grid carries the
+    # contraction offsets either way, and the pairs' states at those offsets (of the
     # config step) are those of their own order-8 flow on the fit's grid.
     # Off the fit's nodes they are read from the step's order-7 interpolant,
     # within 1e-8 of an order-8 flow at the config step (measured 5.1e-9 on
@@ -347,10 +360,11 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
         inputs = draw_verification_inputs(config.manifold, config.equilibrium, config.grid,
                                           config.seed)
         alone_steps, joint_steps = {}, {}
-        alone, no_pairs = pipeline._fit_trajectories(config, config.fit_horizon,
-                                                     certify.ANCHOR_ENVELOPE_FIT, alone_steps)
-        joint, (taus, pair_flow) = pipeline._fit_trajectories(
-            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, joint_steps, inputs)
+        v_rows = (inputs.v_t, inputs.v_x, len(inputs.x))
+        alone, _, no_pairs = pipeline._fit_trajectories(
+            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, alone_steps, v_rows)
+        joint, _, (taus, pair_flow) = pipeline._fit_trajectories(
+            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, joint_steps, v_rows, inputs)
         assert no_pairs is None
         assert joint_steps == alone_steps
         assert joint_steps[certify.ANCHOR_ENVELOPE_FIT]["step"] == fit_step
@@ -608,9 +622,10 @@ def test_iss_prediction_monotonicity(sphere_certificate):
 
 
 def test_anchor_checklist_is_exactly_covered(sphere_attractor, sphere_certificate):
+    inputs = draw_verification_inputs(SPHERE, sphere_attractor.equilibrium,
+                                      GridSpec(8, 1.0, T0_LIST), 7)
     verify_report = verify_converse_certificate(
-        sphere_certificate, draw_verification_inputs(SPHERE, sphere_attractor.equilibrium,
-                                                     GridSpec(8, 1.0, T0_LIST), 7))
+        sphere_certificate, inputs, sphere_certificate.V.node_flow(inputs.v_t, inputs.v_x))
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
     iss_report = iss_certify(_on_field(sphere_certificate, spec), spec.input_signal, 0.1, [8.0],
                              seed=1, grid=GridSpec(8, 1.0, T0_LIST), step=1e-2)

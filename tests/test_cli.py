@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geolyap import certify, config as config_module, flows, lyapunov, pipeline, systems
+from geolyap import certify, config as config_module, flows, pipeline, systems
 from geolyap.certify import StabilityEnvelope
 from geolyap.cli import main
 from geolyap.config import ConfigError, load_scenario
@@ -244,6 +244,36 @@ def test_chosen_fit_step_keeps_the_oracle_envelope(tmp_path, manifold, equilibri
     assert abs(report["envelope"]["rate"] / gain - 1.0) <= 5e-9
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_V_past_the_fit_span_reads_the_flow_continued_at_its_own_step(tmp_path, monkeypatch, p):
+    # An explicit delta of 3 fit horizons lies past the fit's one flow (step
+    # 0.32 over 2): V's rows continue over [2, 6] at the step the chooser picks
+    # on V's state rows for that remainder, 0.64, never at the fit's step, and
+    # les-verification names that pick.  d(t) = e^{-s} d0 exactly, so V = d0^p
+    # (1 - e^{-p delta}) / p: within 4.3e-10 (p = 1) and 7.6e-10 (p = 2) here,
+    # where V on a flow of its own at 0.32 reads 3.1e-10 and 7.2e-10.
+    steps = _count_steps(monkeypatch)
+    config = _small_config(tmp_path, fit_horizon=2.0, envelope_horizon=0.5, p=p,
+                           delta={"policy": "explicit", "value": 6.0})
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
+    # Pilot and flow over the fit's span, then pilot and flow over the remainder.
+    assert steps == [2, 4, 7, 2, 4, 7]
+    record = json.loads((out / "report.json").read_text())["steps"]
+    assert record["les-envelope-fit"]["step"] == 0.32
+    loaded = load_scenario(config)
+    field, x_star = loaded.system.field, loaded.equilibrium.coords
+    inputs = certify.draw_verification_inputs(loaded.manifold, loaded.equilibrium,
+                                              loaded.grid, loaded.seed)
+    at_span = flows.flow_samples(field, inputs.t, inputs.x, [2.0], 0.32)[-1]
+    pick = flows.choose_step(field, inputs.t + 2.0, at_span, x_star, 4.0, 0.01)
+    assert pick[0] == 0.64
+    assert (record["les-verification"]["step"], record["les-verification"]["estimate"]) == pick
+    _, d0, V, _ = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1).T
+    exact = d0 ** p * -math.expm1(-p * 6.0) / p
+    assert np.max(np.abs(V - exact)) <= {1: 4.3e-10, 2: 7.6e-10}[p]
+
+
 @pytest.mark.parametrize("step, fit_horizon, multiple", [(0.01, 6.0, 16), (0.0025, 3.0, 64)])
 def test_chosen_fit_step_envelope_dominates_time_varying_oracle(tmp_path, step, fit_horizon,
                                                                 multiple):
@@ -383,18 +413,52 @@ def test_finite_but_wrong_flow_exits_two_without_output(tmp_path, capsys, manifo
         assert not out.exists()
 
 
-def test_flow_shorter_than_its_step_is_checked_at_its_span(tmp_path, monkeypatch):
-    # A flow over 1e-6 takes one step of 1e-6: the step chooser's ladder and
-    # pilot stop at the span, and the flow's error estimate is taken at that
-    # step, not at a rung of 64 config steps.
+def _record_step_errors(monkeypatch) -> list[tuple[float, float]]:
+    """(step, estimate) of every step_error pilot from here on, the chooser's included."""
     estimates = []
-    real_step_error = pipeline.step_error
+    real_step_error = flows.step_error
 
     def recording_step_error(*args):
         estimates.append((args[5], real_step_error(*args)))
         return estimates[-1][1]
 
-    monkeypatch.setattr(pipeline, "step_error", recording_step_error)
+    for module in (flows, pipeline):
+        monkeypatch.setattr(module, "step_error", recording_step_error)
+    return estimates
+
+
+def test_flow_at_the_top_rung_reuses_the_choosers_pilot(tmp_path, monkeypatch):
+    # rotation_us picks the top rung, 64 config steps: its pilot there is the
+    # check at the pick, and only the config step takes a pilot of its own.
+    estimates = _record_step_errors(monkeypatch)
+    assert main(["flow", "--config", str(REPO_CONFIGS / "rotation_us.json"),
+                 "--out", str(tmp_path / "flow")]) == 0
+    assert [step for step, _ in estimates] == [0.64, 0.01]
+
+
+@pytest.mark.parametrize("fit_horizon", [1e-8, 1e-10])
+def test_flow_over_a_tiny_span_reads_rounding_as_no_error(tmp_path, fit_horizon):
+    # The coarse and fine pilots over 1e-8 or 1e-10 differ by rounding only
+    # (about one ulp), which over so short a span read as up to 6.4e-4 per unit
+    # time: within ROUNDING_ULPS of the coordinates, a difference counts as 0.
+    data = json.loads((REPO_CONFIGS / "sphere_attractor.json").read_text())
+    config = _small_config(tmp_path, **{**data, "fit_horizon": fit_horizon})
+    out = tmp_path / "flow"
+    assert main(["flow", "--config", str(config), "--out", str(out)]) == 0
+    spec = load_scenario(config).build_system()
+    for i, t0 in enumerate(data["grids"]["t0_list"]):
+        rows = np.loadtxt(out / f"trajectory_{i}.csv", delimiter=",", skiprows=1)
+        assert rows[-1, 0] == t0 + fit_horizon
+        d0, d1 = rows[:, -1]
+        assert abs(d1 - spec.distance_oracle(d0, t0, fit_horizon)) <= 1e-15
+
+
+def test_flow_shorter_than_its_step_is_checked_at_its_span(tmp_path, monkeypatch):
+    # A flow over 1e-6 takes one step of 1e-6: the step chooser's ladder and
+    # pilot stop at the span, and the flow's error estimate is taken at that
+    # step, not at a rung of 64 config steps.  That is the chooser's own pilot,
+    # which the check at the pick does not run again.
+    estimates = _record_step_errors(monkeypatch)
     data = json.loads((REPO_CONFIGS / "sphere_attractor.json").read_text())
     config = _small_config(tmp_path, **{**data, "fit_horizon": 1e-6})
     out = tmp_path / "flow"
@@ -406,9 +470,8 @@ def test_flow_shorter_than_its_step_is_checked_at_its_span(tmp_path, monkeypatch
 
 
 NON_FINITE, OFF_MANIFOLD = "non-finite state", "step left the manifold"
-INF, STIFF, STIFF_FLOW = (
+INF, STIFF_FLOW = (
     "step-doubling error estimate inf per unit time is above 1e-06 at step 0.01",
-    "step-doubling error estimate 0.00134 per unit time is above 1e-06 at step 0.01",
     "step-doubling error estimate 0.00172 per unit time is above 1e-06 at step 0.01")
 STIFF_CASES = {  # manifold, equilibrium, system, params, message per command
     "hyperbolic2-geodesic": ("hyperbolic2", [1.0, 0.0, 0.0], "geodesic_attractor", {"gain": 1e4},
@@ -416,7 +479,7 @@ STIFF_CASES = {  # manifold, equilibrium, system, params, message per command
     "hyperbolic2-cubic": ("hyperbolic2", [1.0, 0.0, 0.0], "cubic_slowdown", {"gain": 1e6},
                           {"flow": OFF_MANIFOLD, "certify": INF, "massera": INF}),
     "sphere2-cubic": ("sphere2", [0.0, 0.0, 1.0], "cubic_slowdown", {"gain": 1e6},
-                      {"flow": STIFF_FLOW, "certify": STIFF, "massera": STIFF}),
+                      {"flow": STIFF_FLOW, "certify": INF, "massera": INF}),
     "so3-cubic": ("so3", np.eye(3).ravel().tolist(), "cubic_slowdown", {"gain": 1e6},
                   {"flow": NON_FINITE, "certify": INF, "massera": INF}),
 }
@@ -434,9 +497,10 @@ def test_stiff_step_fails_the_flow_with_exit_two(tmp_path, capsys, case, command
     # flow stays finite and its estimate at the config step fails it after the
     # flow, with its own rows' estimate.  The fits fail before theirs: no rung
     # of the RK8 ladder meets STEP_TOL, and the config step's own estimate is
-    # infinite (its pilot left the reals or the manifold) or, on the sphere2
-    # cubic field, finite but far above FLOW_TOL, where the fit's flow would
-    # stay finite but wrong.
+    # infinite: the pilot, on the fit's rows and V's state rows, left the reals
+    # or the manifold (on the sphere2 cubic field, on V's state rows only; the
+    # fit's rows alone read 0.00134 there, where the fit's flow would stay
+    # finite but wrong).
     manifold, equilibrium, name, params, messages = STIFF_CASES[case]
     argv, anchor = STIFF_COMMANDS[command]
     message = messages[command]
@@ -498,52 +562,62 @@ def test_write_csv_matches_the_csv_module(tmp_path, rows):
 
 
 def _count_steps(monkeypatch) -> list[int]:
-    """Steps of every flow_samples call from here on, one entry per flow."""
+    """Steps of every flow from here on, one entry per stretch a flow advances
+    (a flow_samples call is one)."""
     steps = []
-    real_step, real_flow = flows._rk_step, flows.flow_samples
+    real_step, real_advance = flows._rk_step, flows.DenseFlow.advance
 
     def counting_step(*args):
         steps[-1] += 1
         return real_step(*args)
 
-    def counting_flow(*args, **kwargs):
+    def counting_advance(self, *args):
         steps.append(0)
-        return real_flow(*args, **kwargs)
+        return real_advance(self, *args)
 
     monkeypatch.setattr(flows, "_rk_step", counting_step)
-    for module in (flows, lyapunov, certify, pipeline):
-        monkeypatch.setattr(module, "flow_samples", counting_flow)
+    monkeypatch.setattr(flows.DenseFlow, "advance", counting_advance)
     return steps
 
 
 def test_step_counts_per_flow(tmp_path, monkeypatch):
-    # sphere2 at step 0.01 with delta = ln 2.  The fit's step-doubling pilot
-    # takes 2 order-8 steps of 1.28 and 4 of 0.64 and picks step 0.32, so the
-    # envelope fit takes 7 steps over fit_horizon 2; the contraction offsets
-    # of the config step (0.08, 0.17, ..., 0.5) and the pairs that ride that
-    # flow are read from its interpolant.  V's pilot on its state rows spans
-    # delta (2 steps of delta / 2 and 4 of delta / 4) and picks 0.32 too, so
-    # V's 71 quadrature nodes take ceil(delta / 0.32) = 3 steps and are read
-    # from the interpolant; LV reads the same flow.
-    # The contraction check has no flow of its own.
+    # sphere2 at step 0.01 with delta = ln 2.  One step-doubling pilot, on the
+    # fit's rows and V's state rows, takes 2 order-8 steps of 1.28 and 4 of
+    # 0.64 and picks step 0.32, so the one flow takes 7 steps over fit_horizon
+    # 2.  The contraction offsets of the config step (0.08, 0.17, ..., 0.5)
+    # of the pairs that ride it are read from its interpolant, and so are V's
+    # 71 quadrature nodes of its rows (delta lies within the span); LV reads
+    # the same nodes.  Neither V nor the contraction check has a flow of its own.
     steps = _count_steps(monkeypatch)
     base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}
     config = _small_config(tmp_path, **base)
     assert main(["certify", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    assert steps == [2, 4, 7, 2, 4, 3]
-    record = json.loads((tmp_path / "c" / "report.json").read_text())["steps"]["les-verification"]
-    assert record["step"] == 0.32 and steps[5] == math.ceil(math.log(2.0) / record["step"])
+    assert steps == [2, 4, 7]
+    record = json.loads((tmp_path / "c" / "report.json").read_text())["steps"]
+    assert record["les-verification"] == record["les-envelope-fit"]
+    assert record["les-verification"]["step"] == 0.32
     # iss adds the disturbed flow's pilot (2 steps of 1.28 and 4 of
-    # 0.64; it picks step 0.32), the disturbed flow to t = 3 and one V batch.
-    # The disturbed flow takes the recorded step, ceil(3 / 0.32) = 10 steps,
-    # and reads the series and tail times from its interpolant.
+    # 0.64; it picks step 0.32), the disturbed flow to t = 3 and one V batch
+    # at the shared flow's step, ceil(delta / 0.32) = 3 steps.  The disturbed
+    # flow takes the recorded step, ceil(3 / 0.32) = 10 steps, and reads the
+    # series and tail times from its interpolant.
     steps.clear()
     config = _small_config(tmp_path, "iss.json", **base, iss_horizons=[2.0, 3.0],
                            disturbance={"profile": "constant", "amplitude": 0.1, "bound": 0.1})
     assert main(["iss", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
-    assert steps == [2, 4, 7, 2, 4, 3, 2, 4, 10, 3]
+    assert steps == [2, 4, 7, 2, 4, 10, 3]
     record = json.loads((tmp_path / "i" / "report.json").read_text())["steps"]["iss-robustness"]
-    assert record["step"] == 0.32 and steps[8] == math.ceil(3.0 / record["step"])
+    assert record["step"] == 0.32 and steps[5] == math.ceil(3.0 / record["step"])
+    # Massera: one pilot on the fit's rows and V's 50 state rows, then one flow
+    # over the fit horizon 22 at its pick 0.32, ceil(22 / 0.32) = 69 steps,
+    # which V (t_max 20) reads its states, ray and equilibrium from.
+    steps.clear()
+    assert main(["certify", "--mode", "massera", "--config",
+                 str(REPO_CONFIGS / "cubic_massera.json"), "--out", str(tmp_path / "m")]) == 0
+    assert steps == [2, 4, 69]
+    record = json.loads((tmp_path / "m" / "report.json").read_text())["steps"]
+    assert record["ugas-evaluation"] == record["ugas-envelope"]
+    assert record["ugas-evaluation"]["step"] == 0.32
 
 
 def test_each_run_builds_its_system_and_draws_its_inputs_once(tmp_path, monkeypatch):

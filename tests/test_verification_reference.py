@@ -104,7 +104,8 @@ def _verify(case, equilibrium, L):
     cert = make_certificate(spec.field, spec.equilibrium, L, _envelope(K, rate), delta, p,
                             step=STEP)
     inputs = draw_verification_inputs(m, spec.equilibrium, GridSpec(n_points, 1.0, T0_LIST), 3)
-    return spec, cert, verify_converse_certificate(cert, inputs, ENVELOPE_HORIZON)
+    nodes = cert.V.node_flow(inputs.v_t, inputs.v_x)
+    return spec, cert, verify_converse_certificate(cert, inputs, nodes, ENVELOPE_HORIZON)
 
 
 def _iss(spec, certificate):
