@@ -382,15 +382,15 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     ``pair_flow = (offsets, states)``, states ``(offsets, 2, pairs, *ambient)``,
     when the caller has integrated them (the pipeline, in the envelope fit's
     flow); else at :func:`contraction_offsets` of ``envelope_horizon`` and
-    V's step, integrated here at V's flow step.  Everything on the
+    V's step, integrated here at V's step.  Everything on the
     horizon [t, t + delta] reads ``nodes``, the states of V's rows
     (``inputs.v_x``) at V's quadrature nodes, shape ``(len(V.node_offsets),
     len(inputs.v_x), *ambient)``, from one flow (the pipeline's is the
     envelope fit's, continued past its span if delta lies beyond): V and LV at
     the states, V at the differential stencil, the telescoped endpoint (each
     state's last node) and the pushforward (based at that node, from its
-    stencil rows; its cut-locus retries flow at V's flow step, the step of
-    the flow the nodes were read from).
+    stencil rows; its cut-locus retries flow to delta at V's step, the step
+    of the flow the nodes were read from).
     """
     V, b = cert.V, cert.bounds
     field, x_star, p, delta, L = V.field, V.x_star, V.p, V.horizon, b.L
@@ -399,14 +399,12 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     # Two-sided contraction envelope on sampled pairs.
     if pair_flow is None:
         offsets = contraction_offsets(envelope_horizon, V.step)
-        pair_flow = offsets, flow_samples(field, inputs.pair_t, inputs.pair_x, offsets,
-                                          V.flow_step)
+        pair_flow = offsets, flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, V.step)
     offsets, pair_states = pair_flow
-    pair_reports = contraction_report(m, L, inputs.pair_t[:, None] + offsets, offsets,
-                                      m.dist(*inputs.pair_x), pair_states)
-    contraction_margin = min(min(r.worst_lower_margin, r.worst_upper_margin)
-                             for r in pair_reports)
-    contraction_pass = all(r.passed for r in pair_reports)
+    lower, upper, passed, _ = contraction_report(m, L, offsets, m.dist(*inputs.pair_x),
+                                                 pair_states)
+    contraction_margin = float(min(lower.min(), upper.min()))
+    contraction_pass = bool(passed.all())
     rows = [CheckRow("contraction-envelope", ANCHOR_CONTRACTION, 0.0,
                      -contraction_margin, contraction_margin, contraction_pass)]
 
@@ -447,7 +445,7 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     y0 = end[:n_push]
     pushed = pushforward_quotient(
         field, t[:n_push], x[:n_push], directions[:n_push], inputs.push_eps_hat, y0,
-        nodes[-1, 3 * n:].reshape((2, n_push) + m.ambient_shape), V.node_offsets, V.flow_step)
+        nodes[-1, 3 * n:].reshape((2, n_push) + m.ambient_shape), delta, V.step)
     push_worst = float(np.max(m.norm(y0, pushed))) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,
                            1.0 + PUSHFORWARD_TOL, push_worst, 1.0))

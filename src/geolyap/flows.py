@@ -267,7 +267,7 @@ class DenseFlow:
         for k, i in enumerate(keep):
             if i and nodes[i] - s[k] > tol:  # inside (nodes[i - 1], nodes[i])
                 reads.setdefault(i, []).append(k)
-        samples = [self.states[i] for i in keep]
+        samples = np.stack([self.states[i] for i in keep])
         field, t0 = self.field, self.t0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i, ks in reads.items():
@@ -276,9 +276,8 @@ class DenseFlow:
                 fsal = self._stages[i][0] if i < len(self._stages) else field.eval_raw(t0 + b, x_new)
                 ys = _interpolate(field, t0 + a, self.states[i - 1], x_new, b - a,
                                   self._stages[i - 1] + [fsal], (s[ks] - a) / (b - a))
-                for k, y in zip(ks, _checked_project(field.manifold, ys, t0, b)):
-                    samples[k] = y
-        return np.stack(samples)
+                samples[ks] = _checked_project(field.manifold, ys, t0, b)
+        return samples
 
     def take(self, rows) -> "DenseFlow":
         """The flow of the rows ``rows`` (an index of the leading axis) alone."""
@@ -400,15 +399,15 @@ def arc_stencil(m: Manifold, coords: np.ndarray, v: np.ndarray,
 
 def pushforward_quotient(field: TimeVaryingField, t, coords: np.ndarray, v: np.ndarray,
                          eps_hat: np.ndarray, y0: np.ndarray, ends: np.ndarray,
-                         offsets: Sequence[float], step: float) -> np.ndarray:
+                         span: float, step: float) -> np.ndarray:
     """Pushforward components at the flowed base points ``y0``.
 
     ``ends`` is the :func:`arc_stencil` of (coords, v, eps_hat),
-    flowed from the per-row times ``t`` over the elapsed grid ``offsets``;
-    the difference of their logarithms at ``y0`` is divided by 2 eps_hat.
-    Rows whose stencil ends within the cut margin of ``y0`` are rebuilt with
-    eps_hat / 10 and flowed again alone, on the same grid, at most twice
-    before a :class:`CutLocusError`.
+    flowed from the per-row times ``t`` over ``span`` on the grid
+    ``step_offsets(span, step)``; the difference of their logarithms at ``y0``
+    is divided by 2 eps_hat.  Rows whose stencil ends within the cut margin of
+    ``y0`` are rebuilt with eps_hat / 10 and flowed again alone, on the same
+    grid, at most twice before a :class:`CutLocusError`.
     """
     m = field.manifold
     ends = np.array(ends)
@@ -419,7 +418,7 @@ def pushforward_quotient(field: TimeVaryingField, t, coords: np.ndarray, v: np.n
         if attempt:
             eps_hat = np.where(bad, 0.1 * eps_hat, eps_hat)
             retry = geodesic_stencil(m, coords[bad], v[bad], eps_hat[bad])
-            ends[:, bad] = flow_samples(field, t_rows[bad], retry, offsets, step)[-1]
+            ends[:, bad] = flow_samples(field, t_rows[bad], retry, [span], step)[-1]
         bad = np.any(m.dist(y0, ends) > m.cut_locus_radius - CUT_MARGIN, axis=0)
         if not np.any(bad):
             w = (m.log(y0, ends[0]) - m.log(y0, ends[1])) / m.rows(2.0 * eps_hat)
@@ -516,30 +515,6 @@ def lipschitz_estimate(field: TimeVaryingField, region: Region,
     return LipschitzEstimate(transport_max, covariant_max)
 
 
-@dataclass(frozen=True)
-class ContractionRow:
-    tau: float
-    measured: float
-    lower: float
-    upper: float
-    passed: bool
-    flagged: bool  # pair came within the cut-locus margin; bound not certified
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Two-sided exponential envelope check on one pair of initial states."""
-
-    rows: tuple[ContractionRow, ...]
-    worst_lower_margin: float
-    worst_upper_margin: float
-    passed: bool
-
-    @property
-    def flagged(self) -> bool:
-        return any(r.flagged for r in self.rows)
-
-
 def contraction_offsets(horizon: float, step: float) -> np.ndarray:
     """Elapsed times of the contraction check over ``horizon``.
 
@@ -555,19 +530,20 @@ def contraction_offsets(horizon: float, step: float) -> np.ndarray:
     return k[np.diff(k, prepend=-1.0) > 0] * step
 
 
-def contraction_report(m: Manifold, L: float, taus: np.ndarray, offsets: np.ndarray,
-                       d0: np.ndarray, ends: np.ndarray,
-                       slack: float = 1e-6) -> list[ContractionReport]:
-    """One :class:`ContractionReport` per pair from its flowed states.
+def contraction_report(m: Manifold, L: float, offsets: np.ndarray, d0: np.ndarray,
+                       ends: np.ndarray, slack: float = 1e-6) -> tuple[np.ndarray, ...]:
+    """The two-sided exponential envelope check of pairs from their flowed states:
+    per pair, its worst lower and upper margins, whether it passed and whether it
+    was flagged.
 
     ``ends`` holds both states of every pair at each elapsed offset, shape
-    ``(len(offsets), 2, pairs, *ambient_shape)``; ``taus`` gives each pair's
-    row times and ``d0`` its starting distance.  The multiplicative slack
-    absorbs integrator error.  Rows whose pair drifts within the cut-locus
-    margin are flagged rather than failed, since the two-sided bound presumes
-    a smoothly varying minimizing geodesic.
+    ``(len(offsets), 2, pairs, *ambient_shape)``, and ``d0`` is each pair's
+    starting distance.  The multiplicative slack absorbs integrator error.
+    Offsets at which a pair drifts within the cut-locus margin flag it and
+    are not failed, since the two-sided bound presumes a smoothly varying
+    minimizing geodesic.
     """
-    d = np.moveaxis(m.dist(ends[:, 0], ends[:, 1]), 0, -1)       # (pairs, taus)
+    d = np.moveaxis(m.dist(ends[:, 0], ends[:, 1]), 0, -1)       # (pairs, offsets)
     lower = d0[:, None] * np.exp(-L * offsets)
     upper = d0[:, None] * np.exp(L * offsets)
     flagged = math.isfinite(m.cut_locus_radius) & (d >= m.cut_locus_radius - CUT_FLAG_MARGIN)
@@ -579,11 +555,4 @@ def contraction_report(m: Manifold, L: float, taus: np.ndarray, offsets: np.ndar
         upper_margin = np.where(later & (d > 0), upper * (1.0 + slack) / d - 1.0, math.inf)
     worst_lower, worst_upper = (np.where(np.isfinite(w), w, 0.0) for w in
                                 (lower_margin.min(axis=-1), upper_margin.min(axis=-1)))
-    reports = []
-    for i in range(len(d0)):
-        rows = map(ContractionRow, taus[i].tolist(), d[i].tolist(), lower[i].tolist(),
-                   upper[i].tolist(), ok[i].tolist(), flagged[i].tolist())
-        reports.append(ContractionReport(tuple(rows), float(worst_lower[i]),
-                                         float(worst_upper[i]), bool(np.all(ok[i] | flagged[i]))))
-    return reports
-
+    return worst_lower, worst_upper, np.all(ok | flagged, axis=-1), np.any(flagged, axis=-1)

@@ -5,9 +5,9 @@ finite-horizon flow integral
 
     V(t, x) = integral over [t, t+delta] of d(phi(tau; t, x), x*)^p dtau
 
-evaluated by composite Simpson quadrature along one numerically integrated
-trajectory, on evenly spaced nodes that the flow reads from its interpolant
-between its own, longer steps; p = 1 gives the exact theoretical constants,
+evaluated along one numerically integrated trajectory by 7-point
+Gauss-Legendre quadrature on each step of that flow, whose nodes are read
+from the flow's interpolant; p = 1 gives the exact theoretical constants,
 p = 2 (the default) keeps the integrand differentiable at the equilibrium.  Its
 derivative along the flow, LV = d(phi(t+delta), x*)^p - d(x, x*)^p, is read
 from the same trajectory.  For asymptotically stable systems, the integrand
@@ -20,16 +20,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .flows import DEFAULT_STEP, GRID_TOL, TimeVaryingField, flow_samples
+from .flows import DEFAULT_STEP, TimeVaryingField, flow_samples, step_offsets
 from .manifolds import ManifoldMismatchError, ManifoldPoint
 
-MIN_QUADRATURE_INTERVALS = 64
 DEFAULT_POWER = 2.0
 DIFF_EPS = 1e-4   # arc length of the differential stencil
+# 7-point Gauss-Legendre (node, weight) pairs on [-1, 1], exact to degree 13: SciPy's
+# literals (the G7 entries of scipy.integrate._quad_vec._quadrature_gk15).
+G7 = ((-0.9491079123427585, 0.1294849661688697), (-0.7415311855993945, 0.27970539148927664),
+      (-0.4058451513773972, 0.3818300505051189), (0.0, 0.4179591836734694),
+      (0.4058451513773972, 0.3818300505051189), (0.7415311855993945, 0.27970539148927664),
+      (0.9491079123427585, 0.1294849661688697))
 
 
 class InvalidDeltaError(ValueError):
@@ -127,14 +133,6 @@ def theoretical_bounds(L: float, K: float, rate: float, delta: float,
     return TheoreticalBounds(c1, c2, c3, c4, K_prime, c2_alt, L, K, rate, delta, p)
 
 
-def _simpson_weights(horizon: float, intervals: int) -> np.ndarray:
-    """Composite Simpson weights on ``intervals + 1`` evenly spaced nodes."""
-    w = np.ones(intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (horizon / intervals / 3.0)
-
-
 @dataclass(frozen=True, eq=False)
 class LyapunovFunction:
     """Flow-integral Lyapunov function; evaluation is pure and reentrant.
@@ -142,14 +140,14 @@ class LyapunovFunction:
     ``mode`` is "exponential" (integrand d^p over horizon delta) or "massera"
     (integrand G(d) over the truncation horizon, with ``tail_bound`` the
     certified truncation error; ``reshaping`` maps distance arrays to G).
-    Evaluations share the horizon, so states with their own times batch.  An
-    evaluation is :meth:`node_flow` then :meth:`quadrature` (composite Simpson
-    on :attr:`intervals`, whose nodes are at most ``step`` apart), which also
-    gives LV, so a caller that needs more of the flow over [t, t + horizon]
-    runs it once.  ``flow_step`` (``step`` if None) is the step of the flow
-    the nodes are read from: :meth:`node_flow`'s, and in a certification
-    that of the envelope fit's flow, or of its continuation past the fit's
-    span, which the pushforward's cut-locus retries also take.
+    Evaluations share the horizon, so states with their own times batch.
+    ``step`` is the step of the flow the nodes are read from: :meth:`node_flow`'s,
+    and in a certification that of the envelope fit's flow, or of its
+    continuation past the fit's span, which the pushforward's cut-locus
+    retries also take.  An evaluation is :meth:`node_flow` then
+    :meth:`quadrature`, 7-point Gauss-Legendre on each interval of
+    ``step_offsets(horizon, step)``, the flow's steps, which also gives LV,
+    so a caller that needs more of the flow over [t, t + horizon] runs it once.
     """
 
     field: TimeVaryingField
@@ -160,11 +158,8 @@ class LyapunovFunction:
     mode: str = "exponential"
     reshaping: Callable[[np.ndarray], np.ndarray] | None = None
     tail_bound: float = 0.0
-    flow_step: float | None = None
 
     def __post_init__(self):
-        if self.flow_step is None:
-            object.__setattr__(self, "flow_step", self.step)
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.mode not in ("exponential", "massera"):
@@ -172,24 +167,28 @@ class LyapunovFunction:
         if self.mode == "massera" and self.reshaping is None:
             raise ValueError("massera mode requires a reshaping function")
 
-    @property
-    def intervals(self) -> int:
-        """Simpson intervals over the horizon: the fewest even count whose
-        spacing is at most ``step``, and never fewer than MIN_QUADRATURE_INTERVALS."""
-        return max(MIN_QUADRATURE_INTERVALS,
-                   2 * math.ceil(self.horizon / (2.0 * self.step) - GRID_TOL))
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`node_offsets` and their weights: G7 on each step, 0 at the two ends."""
+        grid = step_offsets(self.horizon, self.step)
+        half = np.diff(grid)[:, None] / 2.0
+        x, w = np.array(G7).T
+        return (np.concatenate(([0.0], ((grid[:-1, None] + half) + half * x).ravel(),
+                                [self.horizon])),
+                np.concatenate(([0.0], (half * w).ravel(), [0.0])))
 
     @property
     def node_offsets(self) -> np.ndarray:
-        """The ``intervals + 1`` elapsed times from 0 to the horizon, evenly spaced."""
-        return np.linspace(0.0, self.horizon, self.intervals + 1)
+        """The elapsed times 0, then 7 Gauss-Legendre nodes inside each step of
+        ``step_offsets(horizon, step)``, then the horizon; the two ends weigh 0."""
+        return self._rule[0]
 
     def node_flow(self, t, coords: np.ndarray) -> np.ndarray:
-        """Flow states at t + :attr:`node_offsets`, shape ``(intervals + 1,) + coords.shape``."""
-        return flow_samples(self.field, t, coords, self.node_offsets, self.flow_step)
+        """Flow states at t + :attr:`node_offsets`, shape ``(len(node_offsets),) + coords.shape``."""
+        return flow_samples(self.field, t, coords, self.node_offsets, self.step)
 
     def quadrature(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """V, composite Simpson of g = d^p (G(d) in massera mode), and LV = g(last
+        """V, the Gauss-Legendre sum of g = d^p (G(d) in massera mode), and LV = g(last
         node) - g(first node), V's exact derivative along the flow (the flow-integral
         identity), from node states at :attr:`node_offsets` (node axis first), such as
         :meth:`node_flow`'s."""
@@ -198,8 +197,7 @@ class LyapunovFunction:
         # whether it is evaluated alone or in a batch.
         dists = np.ascontiguousarray(np.moveaxis(m.dist(nodes, self.x_star.coords), 0, -1))
         g = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
-        w = _simpson_weights(self.horizon, self.intervals)
-        return np.sum(g * w, axis=-1), g[..., -1] - g[..., 0]
+        return np.sum(g * self._rule[1], axis=-1), g[..., -1] - g[..., 0]
 
     def _evaluate_raw(self, t, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """V and LV at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
@@ -261,7 +259,7 @@ class MasseraFunction:
         same_sign = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = np.where(same_sign, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
-        # Three-point end slopes, clamped to keep the end intervals' shape.
+        # Three-point end slopes, clamped to keep the end pieces' shape.
         h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
         end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
         end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(
@@ -277,18 +275,22 @@ class MasseraFunction:
         object.__setattr__(self, "_g_integral", lambda s: self._interval_poly(quartic, s))
 
     def _interval_poly(self, coef, s):
-        """Piecewise polynomial ``coef`` at s by Horner's rule, on the interval holding s."""
+        """Piecewise polynomial ``coef`` at s clipped to the knots, by Horner's rule on the
+        interval holding it; in place, one coefficient row at a time (V evaluates it on
+        every quadrature node of every row at once)."""
         i = np.clip(np.searchsorted(self.s_knots, s, side="right") - 1, 0, len(self.s_knots) - 2)
-        u, out = s - self.s_knots[i], 0.0
-        for row in coef[:, i]:
-            out = out * u + row
+        u, out = np.clip(s, 0.0, self.s_knots[-1]) - self.s_knots[i], coef[0][i]
+        for row in coef[1:]:
+            out *= u
+            out += row[i]
         return out
 
     def _piecewise(self, s, inside: Callable, beyond: Callable):
         """``inside`` on (0, s_max), ``beyond`` from s_max on, 0 at s <= 0."""
         s = np.asarray(s, dtype=float)
         s_max = float(self.s_knots[-1])
-        out = np.where(s >= s_max, beyond(s, s_max), inside(np.clip(s, 0.0, s_max)))
+        inner = inside(s)  # before beyond's array exists: a lower peak on V's node stacks
+        out = np.where(s >= s_max, beyond(s, s_max), inner)
         out = np.where(s <= 0.0, 0.0, out)
         return float(out) if out.ndim == 0 else out
 

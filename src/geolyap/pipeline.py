@@ -207,7 +207,8 @@ def _read_V_nodes(config: ScenarioConfig, V, shared: tuple, anchor: str, steps: 
     step = _record_step(steps, anchor, *pick, envelope)
     if extend:
         flow.advance(V.horizon, step)
-    return dataclasses.replace(V, flow_step=step), flow(V.node_offsets)
+    V = dataclasses.replace(V, step=step)
+    return V, flow(V.node_offsets)
 
 
 def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float:
@@ -236,7 +237,7 @@ def _certify_exponential(config: ScenarioConfig,
     with _stage(ANCHOR_HORIZON, NUMERICAL_FAILURES + (InvalidDeltaError,), envelope):
         L = _estimate_lipschitz(config)
         cert = make_certificate(config.system.field, config.equilibrium, L, envelope,
-                                _resolve_delta(config, envelope), config.p, step=config.step)
+                                _resolve_delta(config, envelope), config.p)
     with _stage(ANCHOR_VERIFICATION, envelope=envelope):
         V, nodes = _read_V_nodes(config, cert.V, shared, ANCHOR_VERIFICATION, steps, envelope)
         cert = dataclasses.replace(cert, V=V)
@@ -287,12 +288,11 @@ def _run_certify_massera(config: ScenarioConfig, out_dir: Path, steps: dict) -> 
         raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
                             "asymptotic construction unavailable", envelope)
 
-    # V's Simpson nodes sit at least 0.05 apart: closer ones add little at long horizons.
     # A HorizonError, or a decay profile the reshaping rejects (both ValueErrors).
     with _stage(ANCHOR_UGAS_TAIL, (ValueError,), envelope):
         V = construct_ugas_V(config.system.field, config.equilibrium, envelope.decay_times,
                              envelope.decay_values, config.massera.t_max,
-                             config.massera.tail_tol, step=max(config.step, 0.05))
+                             config.massera.tail_tol)
     reshaping = V.reshaping
     with _stage(ANCHOR_UGAS_EVALUATION, envelope=envelope):
         V, nodes = _read_V_nodes(config, V, shared, ANCHOR_UGAS_EVALUATION, steps, envelope)

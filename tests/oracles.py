@@ -68,19 +68,20 @@ def pushforward(field: TimeVaryingField, t, coords: np.ndarray, v: np.ndarray, s
     verification reads it (the PUSHFORWARD_EPS arc stencil flows with y0)."""
     m = field.manifold
     eps_hat, stencil = flows.arc_stencil(m, coords, v, flows.PUSHFORWARD_EPS)
-    offsets = flows.step_offsets(span, step)
     ends = flows.flow_samples(field, t, np.concatenate([m.project(coords)[None], stencil]),
-                              offsets, step)[-1]
+                              [span], step)[-1]
     return ends[0], flows.pushforward_quotient(field, t, coords, v, eps_hat, ends[0], ends[1:],
-                                               offsets, step)
+                                               span, step)
 
 
 def contraction_reports(field: TimeVaryingField, L, t, x1, x2, offsets, step, slack=1e-6):
-    """One contraction report per pair (x1, x2), each from its own time ``t``."""
+    """The contraction check of the pairs (x1, x2), each from its own time ``t``:
+    ``contraction_report``'s per-pair worst lower and upper margins, passes and
+    flags, then the pairs' distances at the offsets, shape ``(pairs, offsets)``."""
     m = field.manifold
     ends = flows.flow_samples(field, t, np.stack([x1, x2]), offsets, step)
-    taus = np.broadcast_to(np.asarray(t, dtype=float), (len(x1),))[:, None] + offsets
-    return flows.contraction_report(m, L, taus, np.asarray(offsets), m.dist(x1, x2), ends, slack)
+    report = flows.contraction_report(m, L, np.asarray(offsets), m.dist(x1, x2), ends, slack)
+    return report + (m.dist(ends[:, 0], ends[:, 1]).T,)
 
 
 def distance_table(trajectories, x_star):

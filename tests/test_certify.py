@@ -95,14 +95,12 @@ def _exponential(K, rate):
 
 
 def _verify(spec, L, envelope, delta, p, n_points, seed):
-    """Build the certificate at step 1e-2, draw its inputs and verify it, with V's
-    node flow at the step the chooser picks on the inputs' states, as in the pipeline."""
-    cert = make_certificate(spec.field, spec.equilibrium, L, envelope, delta, p, step=1e-2)
+    """Build the certificate, draw its inputs and verify it, with V at the step the
+    chooser picks on the inputs' states from the base step 1e-2, as in the pipeline."""
     inputs = draw_verification_inputs(spec.field.manifold, spec.equilibrium,
                                       GridSpec(n_points, 1.0, T0_LIST), seed)
-    flow_step, _ = choose_step(spec.field, inputs.t, inputs.x, spec.equilibrium.coords,
-                               delta, 1e-2)
-    cert = dataclasses.replace(cert, V=dataclasses.replace(cert.V, flow_step=flow_step))
+    step, _ = choose_step(spec.field, inputs.t, inputs.x, spec.equilibrium.coords, delta, 1e-2)
+    cert = make_certificate(spec.field, spec.equilibrium, L, envelope, delta, p, step=step)
     return verify_converse_certificate(cert, inputs, cert.V.node_flow(inputs.v_t, inputs.v_x))
 
 
@@ -299,10 +297,11 @@ def test_verify_horizon_quantities_share_one_flow(monkeypatch):
     n_fit = len(shared.states[0]) - len(inputs.v_x) - 2 * len(inputs.pair_t)
     assert np.array_equal(shared.states[0][n_fit:n_fit + len(inputs.v_x)], inputs.v_x)
     assert inputs.v_x.shape == (3 * n + 2 * n_push, 3)
-    # delta = ln(2 K) / rate at step 0.01: 70 Simpson intervals, within the span 2.
-    assert V.horizon < shared.nodes[-1] == 2.0 and len(V.node_offsets) == 71
+    # delta = ln(2 K) / rate, within the span 2: 3 steps of the flow at 0.32, 7
+    # Gauss-Legendre nodes inside each, and the two ends.
+    assert V.horizon < shared.nodes[-1] == 2.0 and len(V.node_offsets) == 23
     assert steps["les-verification"] == steps["les-envelope-fit"]
-    assert V.flow_step == steps["les-verification"]["step"] == 0.32
+    assert V.step == steps["les-verification"]["step"] == 0.32
     v_rows = shared.take(slice(n_fit, n_fit + len(inputs.v_x)))
     assert np.array_equal(nodes, v_rows(V.node_offsets))
     t, d, v, lie = report.samples.T
@@ -316,14 +315,35 @@ def test_verify_horizon_quantities_share_one_flow(monkeypatch):
         float(np.max(SPHERE.dist(end, x_star) ** p / d ** p))
 
     (args, w), = quotients
-    field, t_push, coords, directions, _, y0, ends, q_offsets, q_step = args
+    field, t_push, coords, directions, _, y0, ends, q_span, q_step = args
     assert np.array_equal(y0, end[:n_push])
     assert np.array_equal(ends, nodes[-1, 3 * n:].reshape(2, n_push, 3))
-    assert np.array_equal(q_offsets, V.node_offsets) and q_step == V.flow_step
+    assert q_span == V.horizon == V.node_offsets[-1] and q_step == V.step
     assert report.row("pushforward-growth").measured == \
         float(np.max(SPHERE.norm(y0, w))) / math.exp(cert.bounds.L * V.horizon)
     public = pushforward(field, t_push, coords, directions, V.horizon, 1e-2)[1]
     assert np.linalg.norm(w - public) <= 1e-8 * np.linalg.norm(public)
+
+
+def test_massera_V_is_close_to_its_fine_quadrature(tmp_path, monkeypatch):
+    # The Massera stage's V on configs/cubic_massera.json reads its 50 states'
+    # nodes from the fit's flow at step 0.32; the same V on Gauss-Legendre
+    # steps of 0.02, with its own flow at 0.02, is within 5e-7 relative.
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    config = load_scenario(configs / "cubic_massera.json")
+    read, real_read = [], pipeline._read_V_nodes
+
+    def recording_read(config, V, shared, *args):
+        read.append((shared, real_read(config, V, shared, *args)))
+        return read[-1][1]
+
+    monkeypatch.setattr(pipeline, "_read_V_nodes", recording_read)
+    assert pipeline.run_certify(config, tmp_path, mode="massera") == 0
+    ((flow, n, _), (V, nodes)), = read
+    assert n == 50 and V.step == 0.32
+    values = V.quadrature(nodes)[0][:n]
+    fine = dataclasses.replace(V, step=0.02)._evaluate_raw(flow.t0[:n], flow.states[0][:n])[0]
+    assert np.max(np.abs(values - fine) / fine) <= 5e-7
 
 
 @pytest.mark.parametrize("manifold, equilibrium, radius, seed", [

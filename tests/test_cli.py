@@ -133,10 +133,12 @@ def test_certify_massera_mode(tmp_path):
 
 def _exit_codes_and_scipy_loaded(argvs: list[list[str]]) -> list[str]:
     """Run each argv through ``main`` in one fresh interpreter; its exit codes,
-    then whether any ``scipy`` module was loaded."""
+    then whether any ``scipy`` module was loaded, then whether any
+    ``numpy.polynomial`` module was (V's quadrature rule is typed in)."""
     script = ("import sys\nfrom geolyap.cli import main\n"
               f"rcs = [main(argv) for argv in {argvs!r}]\n"
-              "print(*rcs, any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n")
+              "print(*rcs, any(name.partition('.')[0] == 'scipy' for name in sys.modules),\n"
+              "      any(name.startswith('numpy.polynomial') for name in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -147,7 +149,7 @@ def _exit_codes_and_scipy_loaded(argvs: list[list[str]]) -> list[str]:
 def test_certify_massera_mode_runs_without_scipy(tmp_path):
     argv = ["certify", "--config", str(_massera_config(tmp_path)), "--mode", "massera",
             "--out", str(tmp_path / "massera")]
-    assert _exit_codes_and_scipy_loaded([argv]) == ["0", "False"]
+    assert _exit_codes_and_scipy_loaded([argv]) == ["0", "False", "False"]
 
 
 def test_certify_and_iss_run_without_scipy(tmp_path):
@@ -159,7 +161,7 @@ def test_certify_and_iss_run_without_scipy(tmp_path):
     argvs = [["certify", "--config", str(_small_config(tmp_path)), "--out", str(tmp_path / "c")],
              ["iss", "--config", str(iss), "--out", str(tmp_path / "i")],
              ["flow", "--config", str(iss), "--out", str(tmp_path / "f")]]
-    assert _exit_codes_and_scipy_loaded(argvs) == ["0", "0", "0", "False"]
+    assert _exit_codes_and_scipy_loaded(argvs) == ["0", "0", "0", "False", "False"]
 
 
 FAILURE_CASES = {
@@ -586,7 +588,8 @@ def test_step_counts_per_flow(tmp_path, monkeypatch):
     # 0.64 and picks step 0.32, so the one flow takes 7 steps over fit_horizon
     # 2.  The contraction offsets of the config step (0.08, 0.17, ..., 0.5)
     # of the pairs that ride it are read from its interpolant, and so are V's
-    # 71 quadrature nodes of its rows (delta lies within the span); LV reads
+    # 23 quadrature nodes of its rows (delta lies within the span; 7
+    # Gauss-Legendre nodes inside each of its 3 steps, and the ends); LV reads
     # the same nodes.  Neither V nor the contraction check has a flow of its own.
     steps = _count_steps(monkeypatch)
     base = {"fit_horizon": 2.0, "envelope_horizon": 0.5}

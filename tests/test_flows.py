@@ -275,7 +275,6 @@ def _cut_locus_stencil():
 
 def test_pushforward_retry_reruns_only_the_cut_locus_row(monkeypatch):
     field, t, coords, v, eps_hat, stencil, ends = _cut_locus_stencil()
-    offsets = np.linspace(0.0, 0.5, 9)
     calls = []
     real_flow = flows.flow_samples
 
@@ -284,14 +283,14 @@ def test_pushforward_retry_reruns_only_the_cut_locus_row(monkeypatch):
         return real_flow(f, t0, x0, offs, step)
 
     monkeypatch.setattr(flows, "flow_samples", recording_flow_samples)
-    w = pushforward_quotient(field, t, coords, v, eps_hat, coords, ends, offsets, 0.1)
+    w = pushforward_quotient(field, t, coords, v, eps_hat, coords, ends, 0.5, 0.1)
     (t0, x0, offs, step), = calls
-    assert np.array_equal(t0, [1.0]) and np.array_equal(offs, offsets) and step == 0.1
+    assert np.array_equal(t0, [1.0]) and np.array_equal(offs, [0.5]) and step == 0.1
     assert np.array_equal(x0, geodesic_stencil(SPHERE, coords[[1]], v[[1]], 0.1 * eps_hat[[1]]))
     np.testing.assert_allclose(w[1], v[1], rtol=0, atol=1e-8)  # the zero flow pushes v to v
     keep = [0, 2]
     alone = pushforward_quotient(field, t[keep], coords[keep], v[keep], eps_hat[keep],
-                                 coords[keep], stencil[:, keep], offsets, 0.1)
+                                 coords[keep], stencil[:, keep], 0.5, 0.1)
     assert np.array_equal(w[keep], alone)
 
 
@@ -305,7 +304,7 @@ def test_pushforward_retries_exhausted_raise(monkeypatch):
 
     monkeypatch.setattr(flows, "flow_samples", stuck_flow_samples)
     with pytest.raises(CutLocusError):
-        pushforward_quotient(field, t, coords, v, eps_hat, coords, ends, [0.0, 0.5], 0.1)
+        pushforward_quotient(field, t, coords, v, eps_hat, coords, ends, 0.5, 0.1)
     assert [x0.shape for x0 in reruns] == [(2, 1, 3), (2, 1, 3)]
     assert np.array_equal(reruns[1], geodesic_stencil(SPHERE, coords[[1]], v[[1]],
                                                       0.1 * (0.1 * eps_hat[[1]])))
@@ -398,19 +397,19 @@ def test_lipschitz_deterministic_and_validated(sphere_attractor):
 
 def test_contraction_identical_points_pass(sphere_attractor):
     x = _sphere_start(0.5).coords[None]
-    report, = contraction_reports(sphere_attractor.field, 1.0, 0.0, x, x, [0.0, 1.0, 2.0], 1e-2)
-    assert report.passed
-    assert all(r.measured == 0.0 for r in report.rows)
+    _, _, passed, _, d = contraction_reports(sphere_attractor.field, 1.0, 0.0, x, x,
+                                             [0.0, 1.0, 2.0], 1e-2)
+    assert passed.tolist() == [True]
+    assert np.all(d == 0.0)
 
 
 def test_contraction_euclidean_sits_on_lower_envelope(euclid_linear):
     x1, x2 = np.array([[1.0, 0.0]]), np.array([[-0.3, 0.4]])
     taus = np.linspace(0.0, 3.0, 7)
-    report, = contraction_reports(euclid_linear.field, 1.0, 0.0, x1, x2, taus, 1e-2)
-    assert report.passed
+    _, _, passed, _, d = contraction_reports(euclid_linear.field, 1.0, 0.0, x1, x2, taus, 1e-2)
+    assert passed.tolist() == [True]
     d0 = EUCLID.dist(x1[0], x2[0])
-    for row in report.rows:
-        assert abs(row.measured / (d0 * math.exp(-row.tau)) - 1.0) < 1e-8
+    assert np.max(np.abs(d[0] / (d0 * np.exp(-taus)) - 1.0)) < 1e-8
 
 
 def test_contraction_sphere_pairs(sphere_attractor):
@@ -420,8 +419,9 @@ def test_contraction_sphere_pairs(sphere_attractor):
     taus = np.linspace(0.0, 3.0, 5)
     # 20 pairs, drawn first then second state in turn, checked in one batch.
     x1, x2 = np.moveaxis(region.samples(rng, 40).reshape((20, 2, 3)), 1, 0)
-    for report in contraction_reports(sphere_attractor.field, L, 0.0, x1, x2, taus, 1e-2):
-        assert report.passed and not report.flagged
+    _, _, passed, flagged, _ = contraction_reports(sphere_attractor.field, L, 0.0, x1, x2,
+                                                   taus, 1e-2)
+    assert passed.all() and not flagged.any() and len(passed) == 20
 
 
 def test_contraction_margin_skips_the_start_row(sphere_attractor):
@@ -430,15 +430,16 @@ def test_contraction_margin_skips_the_start_row(sphere_attractor):
     x1 = _sphere_start(0.5).coords[None]
     x2 = SPHERE.exp(NORTH, np.array([0.0, -0.8, 0.0]))[None]
     slack = 1e-6
-    report, = contraction_reports(sphere_attractor.field, 1.2, 0.0, x1, x2,
-                                  np.linspace(0.0, 3.0, 7), 1e-2, slack)
-    later = report.rows[1:]
-    assert report.passed and report.rows[0].tau == 0.0
-    assert report.worst_lower_margin == pytest.approx(
-        min(r.measured * (1.0 + slack) / r.lower - 1.0 for r in later), rel=1e-12)
-    assert report.worst_upper_margin == pytest.approx(
-        min(r.upper * (1.0 + slack) / r.measured - 1.0 for r in later), rel=1e-12)
-    assert min(report.worst_lower_margin, report.worst_upper_margin) > 100 * slack
+    taus = np.linspace(0.0, 3.0, 7)
+    (lower_margin,), (upper_margin,), passed, _, (d,) = contraction_reports(
+        sphere_attractor.field, 1.2, 0.0, x1, x2, taus, 1e-2, slack)
+    d0, later = d[0], slice(1, None)
+    assert passed.tolist() == [True] and taus[0] == 0.0
+    assert lower_margin == pytest.approx(
+        np.min(d[later] * (1.0 + slack) / (d0 * np.exp(-1.2 * taus[later])) - 1.0), rel=1e-12)
+    assert upper_margin == pytest.approx(
+        np.min(d0 * np.exp(1.2 * taus[later]) * (1.0 + slack) / d[later] - 1.0), rel=1e-12)
+    assert min(lower_margin, upper_margin) > 100 * slack
 
 
 @pytest.mark.parametrize("horizon, step, want", [

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from geolyap.certify import GridSpec, classify_stability, sample_states
-from geolyap.flows import choose_step, flow, flow_samples
+from geolyap.flows import DenseFlow, choose_step, flow, flow_samples
 from geolyap.lyapunov import (
+    G7,
     HorizonError,
     InvalidDeltaError,
     LyapunovFunction,
@@ -165,14 +166,14 @@ def test_sphere_V_closed_form_ratio(sphere_V1):
 
 # Largest |V - d0^p (1 - e^{-p g delta}) / (p g)| over the states of the tests
 # below, measured and rounded up: pins against accuracy regressions.  With
-# the node flow at the node spacing 0.01, Simpson's own error dominates;
-# at the chooser's pick the interpolant's error adds to it.
-V_ERR_MEASURED = {("sphere2", 1.0): 2.7e-11, ("sphere2", 2.0): 3.3e-10,
-                  ("so3", 1.0): 2.0e-11, ("so3", 2.0): 2.3e-10,
-                  ("hyperbolic2", 1.0): 2.7e-11, ("hyperbolic2", 2.0): 3.3e-10}
-V_ERR_AT_PICK = {("sphere2", 1.0): 3.0e-10, ("sphere2", 2.0): 6.0e-10,
-                 ("so3", 1.0): 1.8e-10, ("so3", 2.0): 4.5e-10,
-                 ("hyperbolic2", 1.0): 5.0e-10, ("hyperbolic2", 2.0): 3.6e-10}
+# the node flow at step 0.01 both the flow's and the quadrature's errors are
+# at rounding; at the chooser's pick the interpolant's error is all of it.
+V_ERR_MEASURED = {("sphere2", 1.0): 2.4e-16, ("sphere2", 2.0): 2.3e-16,
+                  ("so3", 1.0): 5.6e-17, ("so3", 2.0): 5.6e-17,
+                  ("hyperbolic2", 1.0): 7.3e-16, ("hyperbolic2", 2.0): 1.2e-15}
+V_ERR_AT_PICK = {("sphere2", 1.0): 2.7e-10, ("sphere2", 2.0): 2.7e-10,
+                 ("so3", 1.0): 1.6e-10, ("so3", 2.0): 2.2e-10,
+                 ("hyperbolic2", 1.0): 5.2e-10, ("hyperbolic2", 2.0): 6.8e-10}
 PICKS = {"sphere2": 0.32, "so3": 0.16, "hyperbolic2": 0.32}
 
 
@@ -183,7 +184,7 @@ def _closed_form_cases():
         m = manifold_from_name(name)
         x_star = m.project(m.random_point(rng))
         spec = make_system("geodesic_attractor", m, x_star, gain=gain)
-        delta = LN2 / gain  # 71 nodes on sphere2 and hyperbolic2 at step 0.01; so3 keeps 65
+        delta = LN2 / gain  # 3 steps at the pick, 70 (so3: 35) at step 0.01
         x = np.array([m.exp(x_star, m.random_tangent(rng, x_star, norm=r))
                       for r in np.linspace(0.2, 1.0, 8)])
         yield name, spec, gain, delta, np.linspace(0.0, 10.0, 8), x
@@ -205,15 +206,68 @@ def test_V_closed_form_error_does_not_grow():
 
 
 def test_V_at_the_chosen_step_keeps_its_closed_form():
-    # The pipeline's V: nodes 0.01 apart, read from the interpolant of a flow
-    # at the step the chooser picks on V's own states over delta.
+    # The pipeline's V: Gauss-Legendre nodes on the steps of a flow at the
+    # step the chooser picks on V's own states over delta, read from its
+    # interpolant.
     for name, spec, gain, delta, t, x in _closed_form_cases():
         pick, _ = choose_step(spec.field, t, x, spec.equilibrium.coords, delta, 0.01)
         assert pick == PICKS[name]
         for p in (1.0, 2.0):
-            V = construct_exp_V(spec.field, spec.equilibrium, delta, p=p, step=0.01)
-            err = _closed_form_error(dataclasses.replace(V, flow_step=pick), gain, t, x)
+            V = construct_exp_V(spec.field, spec.equilibrium, delta, p=p, step=pick)
+            err = _closed_form_error(V, gain, t, x)
             assert err <= V_ERR_AT_PICK[name, p], (name, p, err)
+
+
+def test_V_at_the_chosen_step_is_the_exact_integral_of_its_flow():
+    # Gauss-Legendre on a quarter of each step reads the same interpolant as
+    # V's nodes: the two agree to rounding, so V's error is the flow's alone.
+    for name, spec, gain, delta, t, x in _closed_form_cases():
+        pick = PICKS[name]
+        flow = DenseFlow(spec.field, t, x).advance(delta, pick)
+        for p in (1.0, 2.0):
+            V = construct_exp_V(spec.field, spec.equilibrium, delta, p=p, step=pick)
+            V4 = dataclasses.replace(V, step=pick / 4)
+            gap = np.max(np.abs(V.quadrature(flow(V.node_offsets))[0]
+                                - V4.quadrature(flow(V4.node_offsets))[0]))
+            assert gap <= 1e-13, (name, p, gap)
+
+
+def test_gauss_legendre_rule_integrates_degree_13_exactly():
+    x, w = np.array(G7).T
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for k in range(14):
+        assert abs(np.sum(w * x ** k) - (1.0 + (-1.0) ** k) / (k + 1)) <= 1e-15, k
+    V = construct_exp_V(make_system("geodesic_attractor", EUCLID, [0.0, 0.0]).field,
+                        EUCLID.point([0.0, 0.0]), 1.0, step=0.3)
+    # Steps 0.3, 0.3, 0.3 and 0.1: the two ends, then 7 nodes inside each.
+    offsets, weights = V._rule
+    assert offsets[0] == 0.0 and offsets[-1] == 1.0 and weights[0] == weights[-1] == 0.0
+    assert np.all(np.diff(offsets) > 0) and len(offsets) == 30
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(offsets[-8:-1], 0.9 + 0.05 * (1.0 + x), rtol=0, atol=1e-15)
+
+
+def test_gauss_legendre_constants_match_scipy_bit_for_bit(monkeypatch):
+    quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
+    seen = []
+    monkeypatch.setattr(quad_vec, "_quadrature_gk", lambda a, b, f, norm, x, w, v: seen.append(
+        (x, w)))
+    quad_vec._quadrature_gk15(0.0, 1.0, None, None)
+    (kronrod, gauss_weights), = seen
+    x, w = np.array(G7).T
+    # G7's nodes are K15's odd entries, in descending order.
+    assert x[::-1].tobytes() == np.array(kronrod[1::2], dtype=float).tobytes()
+    assert w[::-1].tobytes() == np.array(gauss_weights, dtype=float).tobytes()
+
+
+def test_gauss_legendre_constants_match_numpy_within_four_ulp():
+    # NumPy computes its rule (by a Golub-Welsch eigensolve and one Newton
+    # step) where SciPy types in correctly rounded values: the nodes differ
+    # by at most 1 ulp, the weights by up to 4.
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    x, w = np.array(G7).T
+    assert np.all(np.abs(x - nodes) <= 2 * np.spacing(np.abs(nodes)))
+    assert np.all(np.abs(w - weights) <= 4 * np.spacing(weights))
 
 
 def test_euclid_quadratic_closed_form(euclid_linear):

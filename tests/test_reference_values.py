@@ -8,8 +8,10 @@ that preceded the batched kernel, with transported fourth-order stages.  The
 current integrator takes DOP853's order-8 stages in the embedding and
 projects once per step, so V and the endpoints move by the change in
 integration error, on the plane too: they must match the file to
-``SHIFT_TOL`` absolute and a finer run of the same code (quadrature nodes
-at step / 16, integrator step step / 2) to ``FINE_TOL``.  The
+``SHIFT_TOL`` absolute and a finer run of the same code (flow and
+quadrature steps at step / 2) to ``FINE_TOL``.  V now sums 7
+Gauss-Legendre nodes inside each step of its flow; it moved by the
+previous rule's error at step 0.01, at most 6.3e-10 absolute.  The
 finite-difference quantities stay within 1e-8 relative of the file.  The ``LV`` entries were rewritten when LV
 became V's flow-integral identity d(phi(t + delta))^p - d^p, replacing a
 central difference of V in time whose own error was 4e-8 to 2.3e-6 relative;
@@ -19,15 +21,14 @@ so3/disturbed were rewritten when the input frame became the equilibrium's
 basis parallel-transported along the geodesic, replacing Gram-Schmidt
 frames that jumped: the disturbance pushes along other directions, so those
 values moved by more than the integration error (V by up to 5.1e-3).  Their
-states and equilibria are the file's own.  The Massera-mode V's
-quadrature nodes sit on the step grid (161 nodes over the horizon 8 at step
-0.05, where 65 nodes split every gap into three steps), so it is gated by
-moving closer to a 1,601-node value (step 0.005) than the file's value is.
+states and equilibria are the file's own.  The Massera-mode V (horizon 8,
+step 0.05: 160 flow steps, 7 nodes inside each) was written with a coarser
+rule, so it is gated by moving closer to the same V at step 0.005 than the
+file's value is.
 ``python tests/test_reference_values.py --write`` writes the file from the
 current code; it refuses to overwrite an existing file.
 """
 
-import dataclasses
 import json
 import math
 import sys
@@ -96,13 +97,11 @@ def _case_inputs(seed: int, manifold):
     return x_star.ravel().tolist(), states
 
 
-def _case_values(manifold, system, params, profile, equilibrium, states, step=STEP,
-                 flow_step=STEP):
-    """Every reference quantity at ``STEP``; V and the endpoint only, with V's nodes
-    ``step`` apart and both flows at ``flow_step``, at other steps."""
+def _case_values(manifold, system, params, profile, equilibrium, states, step=STEP):
+    """Every reference quantity at ``STEP``; V and the endpoint only, with both flows
+    (and V's quadrature) at ``step``, at other steps."""
     spec, field = _system(manifold, system, params, profile, equilibrium)
-    V = dataclasses.replace(construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=step),
-                            flow_step=flow_step)
+    V = construct_exp_V(field, spec.equilibrium, DELTA, p=2.0, step=step)
     out = []
     for s in states:
         t = s["t"]
@@ -110,7 +109,7 @@ def _case_values(manifold, system, params, profile, equilibrium, states, step=ST
         v = np.reshape(s["v"], manifold.ambient_shape)
         values = {
             "V": V.evaluate(t, x),
-            "flow_end": flow(field, t, x, t + FLOW_SPAN, flow_step).points[-1].ravel().tolist(),
+            "flow_end": flow(field, t, x, t + FLOW_SPAN, step).points[-1].ravel().tolist(),
         }
         if step == STEP:
             values.update(
@@ -187,8 +186,7 @@ def test_matches_reference_values(reference, case):
             _assert_abs(g[key], want[key], f"{label}[{i}] {key}", SHIFT_TOL)
         for key in ("LV", "dV", "pushforward"):
             _assert_rel(g[key], want[key], f"{label}[{i}] {key}")
-    fine = _case_values(m, system, params, profile, equilibrium, entry["states"], STEP / 16,
-                        STEP / 2)
+    fine = _case_values(m, system, params, profile, equilibrium, entry["states"], STEP / 2)
     for i, (g, f) in enumerate(zip(got, fine)):
         for key in ("V", "flow_end"):
             _assert_abs(g[key], f[key], f"{label}[{i}] {key} on the finer grid", FINE_TOL)
@@ -237,7 +235,7 @@ def test_massera_matches_reference_values(reference):
     got = _massera_values(entry["states"])
     _assert_abs(got["G"], entry["values"]["G"], "G")
     _assert_abs(got["G_prime"], entry["values"]["G_prime"], "G'")
-    fine = _massera_values(entry["states"], step=0.005)["V"]  # 1,601 nodes
+    fine = _massera_values(entry["states"], step=0.005)["V"]
     err = np.abs(np.subtract(got["V"], fine))
     assert np.all(err < np.abs(np.subtract(entry["values"]["V"], fine))), err
 
