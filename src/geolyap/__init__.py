@@ -23,10 +23,12 @@ from .certify import (
     verify_converse_certificate,
 )
 from .flows import (
+    DenseFlow,
     LipschitzEstimate,
     Region,
     TimeVaryingField,
     Trajectory,
+    contraction_offsets,
     flow,
     flow_samples,
     lipschitz_estimate,

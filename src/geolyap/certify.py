@@ -20,10 +20,10 @@ from .flows import (
     DEFAULT_STEP,
     GRID_TOL,
     PUSHFORWARD_EPS,
+    DenseFlow,
     Region,
     TimeVaryingField,
     arc_stencil,
-    contraction_offsets,
     contraction_report,
     flow_samples,
     pushforward_quotient,
@@ -347,6 +347,13 @@ class VerificationInputs:
     diff_eps_hat: np.ndarray
     push_eps_hat: np.ndarray
 
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start times and states of the flow :func:`verify_converse_certificate` reads:
+        V's rows, then the pairs' first states, then their second states."""
+        return (np.concatenate([self.v_t, self.pair_t, self.pair_t]),
+                np.concatenate([self.v_x, *self.pair_x]))
+
 
 def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
                              seed: int) -> VerificationInputs:
@@ -367,8 +374,7 @@ def draw_verification_inputs(m: Manifold, x_star: ManifoldPoint, grid: GridSpec,
 
 
 def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
-                                nodes: np.ndarray, envelope_horizon: float = 3.0,
-                                pair_flow: tuple | None = None) -> CertificationReport:
+                                flow: DenseFlow, offsets: np.ndarray) -> CertificationReport:
     """Verify every inequality of a constructed exponential certificate.
 
     Rows: the two-sided contraction envelope on sampled pairs, the sandwich
@@ -377,30 +383,21 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     delta))^p <= (1 - K') d^p, the differential bound c4, and the pushforward
     growth bound, within REL_TOL (and ABS_TOL on the decay).  The field, equilibrium,
     step, p, L and delta are the certificate's; the samples are ``inputs``,
-    from :func:`draw_verification_inputs`, and each stage integrates its whole
-    grid as one batch.  The contraction pairs are read at the offsets of
-    ``pair_flow = (offsets, states)``, states ``(offsets, 2, pairs, *ambient)``,
-    when the caller has integrated them (the pipeline, in the envelope fit's
-    flow); else at :func:`contraction_offsets` of ``envelope_horizon`` and
-    V's step, integrated here at V's step.  Everything on the
-    horizon [t, t + delta] reads ``nodes``, the states of V's rows
-    (``inputs.v_x``) at V's quadrature nodes, shape ``(len(V.node_offsets),
-    len(inputs.v_x), *ambient)``, from one flow (the pipeline's is the
-    envelope fit's, continued past its span if delta lies beyond): V and LV at
-    the states, V at the differential stencil, the telescoped endpoint (each
-    state's last node) and the pushforward (based at that node, from its
-    stencil rows; its cut-locus retries flow to delta at V's step, the step
-    of the flow the nodes were read from).
+    from :func:`draw_verification_inputs`.  Everything is read from ``flow``, one
+    :class:`DenseFlow` of ``inputs.rows`` (the pipeline's is the envelope fit's, continued
+    past its span if delta lies beyond): the pairs at the elapsed ``offsets``
+    (:func:`contraction_offsets`), and V's rows through :meth:`LyapunovFunction.quadrature`,
+    which gives V, LV and the states at t + delta, where the telescoped step and the
+    pushforward are based (its cut-locus retries flow to delta at V's step).
     """
     V, b = cert.V, cert.bounds
     field, x_star, p, delta, L = V.field, V.x_star, V.p, V.horizon, b.L
     m = field.manifold
+    n_v = len(inputs.v_x)
 
     # Two-sided contraction envelope on sampled pairs.
-    if pair_flow is None:
-        offsets = contraction_offsets(envelope_horizon, V.step)
-        pair_flow = offsets, flow_samples(field, inputs.pair_t, inputs.pair_x, offsets, V.step)
-    offsets, pair_states = pair_flow
+    pair_states = flow.take(slice(n_v, None))(offsets).reshape(
+        (len(offsets), 2, -1) + m.ambient_shape)
     lower, upper, passed, _ = contraction_report(m, L, offsets, m.dist(*inputs.pair_x),
                                                  pair_states)
     contraction_margin = float(min(lower.min(), upper.min()))
@@ -411,11 +408,11 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     t, x, directions = inputs.t, inputs.x, inputs.directions
     n, n_push = len(x), len(inputs.push_eps_hat)
     d = m.dist(x, x_star.coords)
-    # The three V groups (states and the differential stencil), then the
+    # V's rows: the three V groups (states and the differential stencil), then the
     # pushforward stencil rows.
-    values, lies = V.quadrature(nodes[:, :3 * n])
-    (v_val, v_dplus, v_dminus), lie = np.split(values, 3), lies[:n]
-    end = nodes[-1, :n]  # the flow at t + delta
+    values, lies, ends = V.quadrature(flow.take(slice(0, n_v)))
+    (v_val, v_dplus, v_dminus), lie = np.split(values[:3 * n], 3), lies[:n]
+    end = ends[:n]  # the flow at t + delta
 
     ratio = v_val / d ** p
     ratio_lo = float(np.min(ratio))
@@ -445,7 +442,7 @@ def verify_converse_certificate(cert: Certificate, inputs: VerificationInputs,
     y0 = end[:n_push]
     pushed = pushforward_quotient(
         field, t[:n_push], x[:n_push], directions[:n_push], inputs.push_eps_hat, y0,
-        nodes[-1, 3 * n:].reshape((2, n_push) + m.ambient_shape), delta, V.step)
+        ends[3 * n:].reshape((2, n_push) + m.ambient_shape), delta, V.step)
     push_worst = float(np.max(m.norm(y0, pushed))) / math.exp(L * delta)
     rows.append(_upper_row("pushforward-growth", ANCHOR_DIFFERENTIAL,
                            1.0 + PUSHFORWARD_TOL, push_worst, 1.0))
@@ -554,8 +551,8 @@ def iss_series_start(m: Manifold, x_star: np.ndarray, radius: float, seed: int) 
 
 
 def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.ndarray],
-                input_bound: float, horizons: Sequence[float], seed: int = 0,
-                grid: GridSpec | None = None, step: float = 1e-2) -> ISSReport:
+                input_bound: float, horizons: Sequence[float], seed: int,
+                grid: GridSpec, step: float) -> ISSReport:
     """Certify disturbance robustness of a verified exponential certificate.
 
     The field (with its input channel) and the equilibrium are V's.
@@ -579,11 +576,10 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
         raise ValueError("field has no input channel")
     if input_bound < 0:
         raise ValueError("input bound must be nonnegative")
-    gs = grid if grid is not None else GridSpec(24, 1.0)
     rng = np.random.default_rng(seed)
 
     max_horizon = max(horizons)
-    region = Region(x_star, gs.radius)
+    region = Region(x_star, grid.radius)
     u_probe = list(_input_values(input_signal, np.linspace(0.0, max_horizon, 16)))
     u_probe.extend(rng.uniform(-max(input_bound, 1.0), max(input_bound, 1.0),
                                size=u_probe[0].shape) for _ in range(8))
@@ -594,17 +590,17 @@ def iss_certify(certificate: Certificate, input_signal: Callable[[float], np.nda
     predicted = forcing / b.c3
 
     # (a) pointwise decay inequality on the sampled grid.
-    t, x = sample_states(m, x_star, gs, rng)
+    t, x = sample_states(m, x_star, grid, rng)
     w = m.project_tangent(x, closed.eval_raw(t, x) - field.eval_raw(t, x))
     eps_hat, (plus, minus) = arc_stencil(m, x, w, DIFF_EPS)
 
     # (b) ultimate bound along disturbed trajectories: one flow from t = 0
     # through the union of every horizon's tail times and the series grid.
-    starts = m.exp(x_star.coords, m.random_tangents(rng, x_star.coords, 3, lambda: gs.radius))
+    starts = m.exp(x_star.coords, m.random_tangents(rng, x_star.coords, 3, lambda: grid.radius))
     tails = [np.arange(0.6 * horizon, horizon + 1e-9, 0.25) for horizon in horizons]
     series_t = np.arange(10.0 * max_horizon + 1e-6) / 10.0
     offsets = np.sort(np.concatenate(tails + [series_t]))  # a repeated time adds no step
-    x0 = np.concatenate([starts, iss_series_start(m, x_star.coords, gs.radius, seed)[None]])
+    x0 = np.concatenate([starts, iss_series_start(m, x_star.coords, grid.radius, seed)[None]])
     pts = flow_samples(closed, 0.0, x0, offsets, step)
     n = len(starts)
     groups = [(0.0, starts)] + [(np.repeat(ts, n), pts[np.searchsorted(offsets, ts), :n])

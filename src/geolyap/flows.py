@@ -519,9 +519,10 @@ def contraction_offsets(horizon: float, step: float) -> np.ndarray:
     """Elapsed times of the contraction check over ``horizon``.
 
     The step-grid offsets k * step nearest linspace(0, horizon, 7), none past
-    the horizon and without repeats, so they are nodes of any flow on the
-    step grid (such as the envelope fit's).  A horizon shorter than one step
-    keeps [0, horizon], so that one offset is past the start.
+    the horizon and without repeats.  A flow at a longer step, such as the
+    envelope fit's at its pick, has only 0 among its nodes and reads the others
+    from its interpolant, within the check's 1e-6 slack.  A horizon shorter
+    than one step keeps [0, horizon], so that one offset is past the start.
     """
     last = math.floor(horizon / step + GRID_TOL)
     if last == 0:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .flows import DEFAULT_STEP, TimeVaryingField, flow_samples, step_offsets
+from .flows import DEFAULT_STEP, GRID_TOL, DenseFlow, TimeVaryingField
 from .manifolds import ManifoldMismatchError, ManifoldPoint
 
 DEFAULT_POWER = 2.0
@@ -96,7 +95,7 @@ class TheoreticalBounds:
 
 
 def theoretical_bounds(L: float, K: float, rate: float, delta: float,
-                       p: float = 1.0) -> TheoreticalBounds:
+                       p: float) -> TheoreticalBounds:
     """Certificate constants from the envelope data and the horizon.
 
     For p = 1: c1 = (1-e^{-L delta})/L, c2 = K(1-e^{-lambda delta})/lambda,
@@ -141,13 +140,11 @@ class LyapunovFunction:
     (integrand G(d) over the truncation horizon, with ``tail_bound`` the
     certified truncation error; ``reshaping`` maps distance arrays to G).
     Evaluations share the horizon, so states with their own times batch.
-    ``step`` is the step of the flow the nodes are read from: :meth:`node_flow`'s,
-    and in a certification that of the envelope fit's flow, or of its
-    continuation past the fit's span, which the pushforward's cut-locus
-    retries also take.  An evaluation is :meth:`node_flow` then
-    :meth:`quadrature`, 7-point Gauss-Legendre on each interval of
-    ``step_offsets(horizon, step)``, the flow's steps, which also gives LV,
-    so a caller that needs more of the flow over [t, t + horizon] runs it once.
+    ``step`` is the step of the flow V reads: :meth:`node_flow`'s, and in a
+    certification that of the envelope fit's flow, or of its continuation past
+    the fit's span, which the pushforward's cut-locus retries also take.  An
+    evaluation is :meth:`quadrature` of :meth:`node_flow`, which also gives LV and
+    the states at the horizon, so a caller that needs more of the flow runs it once.
     """
 
     field: TimeVaryingField
@@ -167,41 +164,34 @@ class LyapunovFunction:
         if self.mode == "massera" and self.reshaping is None:
             raise ValueError("massera mode requires a reshaping function")
 
-    @cached_property
-    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`node_offsets` and their weights: G7 on each step, 0 at the two ends."""
-        grid = step_offsets(self.horizon, self.step)
+    def node_flow(self, t, coords: np.ndarray) -> DenseFlow:
+        """The :class:`DenseFlow` of ``coords`` from the times ``t`` over the horizon, at
+        :attr:`step`."""
+        return DenseFlow(self.field, t, coords).advance(self.horizon, self.step)
+
+    def quadrature(self, flow: DenseFlow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """V, LV and the states at t + horizon of each row of ``flow``, such as :meth:`node_flow`'s.
+        V is G7 on each of the flow's steps: the panel edges are its nodes below horizon -
+        GRID_TOL step, then the horizon, and the nodes inside are read from its interpolant.
+        LV = g(phi(t + horizon)) - g(x), g = d^p (G(d) in massera mode), is V's exact
+        derivative along the flow (the flow-integral identity)."""
+        grid = np.array(flow.nodes)
+        grid = np.append(grid[grid < self.horizon - GRID_TOL * self.step], self.horizon)
         half = np.diff(grid)[:, None] / 2.0
         x, w = np.array(G7).T
-        return (np.concatenate(([0.0], ((grid[:-1, None] + half) + half * x).ravel(),
-                                [self.horizon])),
-                np.concatenate(([0.0], (half * w).ravel(), [0.0])))
-
-    @property
-    def node_offsets(self) -> np.ndarray:
-        """The elapsed times 0, then 7 Gauss-Legendre nodes inside each step of
-        ``step_offsets(horizon, step)``, then the horizon; the two ends weigh 0."""
-        return self._rule[0]
-
-    def node_flow(self, t, coords: np.ndarray) -> np.ndarray:
-        """Flow states at t + :attr:`node_offsets`, shape ``(len(node_offsets),) + coords.shape``."""
-        return flow_samples(self.field, t, coords, self.node_offsets, self.step)
-
-    def quadrature(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """V, the Gauss-Legendre sum of g = d^p (G(d) in massera mode), and LV = g(last
-        node) - g(first node), V's exact derivative along the flow (the flow-integral
-        identity), from node states at :attr:`node_offsets` (node axis first), such as
-        :meth:`node_flow`'s."""
+        states = flow(np.concatenate(([0.0], ((grid[:-1, None] + half) + half * x).ravel(),
+                                      [self.horizon])))
         m = self.field.manifold
         # Quadrature nodes last and contiguous: each row sums in the same order
         # whether it is evaluated alone or in a batch.
-        dists = np.ascontiguousarray(np.moveaxis(m.dist(nodes, self.x_star.coords), 0, -1))
+        dists = np.ascontiguousarray(np.moveaxis(m.dist(states, self.x_star.coords), 0, -1))
         g = self.reshaping(dists) if self.mode == "massera" else dists ** self.p
-        return np.sum(g * self._rule[1], axis=-1), g[..., -1] - g[..., 0]
+        weights = np.concatenate(([0.0], (half * w).ravel(), [0.0]))
+        return np.sum(g * weights, axis=-1), g[..., -1] - g[..., 0], states[-1]
 
     def _evaluate_raw(self, t, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """V and LV at one state or a batch ``(..., *ambient_shape)``, t scalar or per row."""
-        return self.quadrature(self.node_flow(t, coords))
+        return self.quadrature(self.node_flow(t, coords))[:2]
 
     def evaluate(self, t, x: ManifoldPoint):
         """V(t, x); a batched point with per-row t gives one value per row."""

@@ -29,7 +29,6 @@ from .certify import (
     EnvelopeFitError,
     GridSpec,
     StabilityEnvelope,
-    VerificationInputs,
     check_input_signal,
     classify_stability,
     draw_verification_inputs,
@@ -154,51 +153,42 @@ def _estimate_lipschitz(config: ScenarioConfig) -> float:
 
 
 def _fit_trajectories(config: ScenarioConfig, horizon: float, anchor: str, steps: dict,
-                      v_rows: tuple, inputs: VerificationInputs | None = None):
+                      rows: tuple, n: int):
     """The stability envelope of a seeded batch of trajectories over ``horizon``.
 
     This is the stage ``anchor``: one flow at the step :func:`choose_step`
-    picks on the fit's rows and V's state rows, whose span also holds the
-    :func:`contraction_offsets` of the envelope horizon and config step.
-    V's rows ``v_rows = (times, states, n)``, the first ``n`` of them its
-    states, ride it, and with ``inputs`` the verification's contraction pairs
-    (whose flow does not depend on L) do too, leaving the fit as is.  Returns
-    the envelope, V's rows' flow as ``(flow, n, (step, estimate))`` for
-    :func:`_read_V_nodes`, and the pairs' ``(offsets, states)`` (else None).
+    picks on the fit's rows and the first ``n`` of ``rows = (times, states)``
+    (V's states), whose span also holds the :func:`contraction_offsets` of the
+    envelope horizon and config step.  ``rows`` ride it, leaving the fit as is.
+    Returns the envelope, the flow of ``rows`` and the pick ``(step, estimate)``.
     """
     rng = np.random.default_rng(config.seed + 1)
     m, x_star, field = config.manifold, config.equilibrium.coords, config.system.field
     t0s = np.repeat(config.grid.t0_list, max(3, min(8, config.grid.n_points // 4)))
     v = m.random_tangents(rng, x_star, len(t0s), lambda: config.grid.radius * rng.uniform(0.3, 1.0))
     x0 = m.project(m.exp(x_star, v))
-    v_t, v_x, n = v_rows
-    groups = [(t0s, x0), (v_t, v_x)] + ([] if inputs is None else
-                                        [(inputs.pair_t, pair) for pair in inputs.pair_x])
+    times, states = rows
     with _stage(anchor, NUMERICAL_FAILURES + (EnvelopeFitError,)):
-        pick = choose_step(field, np.concatenate([t0s, v_t[:n]]), np.concatenate([x0, v_x[:n]]),
-                           x_star, horizon, config.step)
+        pick = choose_step(field, np.concatenate([t0s, times[:n]]),
+                           np.concatenate([x0, states[:n]]), x_star, horizon, config.step)
         step = _record_step(steps, anchor, *pick)
         offsets = step_offsets(horizon, step)
         taus = contraction_offsets(config.envelope_horizon, config.step)
-        flow = DenseFlow(field, np.concatenate([t for t, _ in groups]),
-                         np.concatenate([x for _, x in groups])).advance(max(horizon, taus[-1]),
-                                                                          step)
+        flow = DenseFlow(field, np.concatenate([t0s, times]),
+                         np.concatenate([x0, states])).advance(max(horizon, taus[-1]), step)
         fit = flow.take(slice(0, len(t0s)))(offsets)
         envelope = classify_stability(offsets, m.dist(fit, x_star), config.step,
                                       floor=rounding_floor(m, x_star))
     logger.info("stability class: %s", envelope.stability_class)
-    cut = len(t0s) + len(v_x)
-    pairs = None if inputs is None else (taus, flow.take(slice(cut, None))(taus).reshape(
-        (len(taus), 2, -1) + m.ambient_shape))
-    return envelope, (flow.take(slice(len(t0s), cut)), n, pick), pairs
+    return envelope, flow.take(slice(len(t0s), None)), pick
 
 
-def _read_V_nodes(config: ScenarioConfig, V, shared: tuple, anchor: str, steps: dict,
-                  envelope: StabilityEnvelope):
-    """V at the step of the flow it reads (recorded as ``anchor``), and its rows' states
-    at its nodes: the fit's flow ``shared``, whose rows past its span continue at the
-    step :func:`choose_step` picks on V's state rows for the remainder."""
-    flow, n, pick = shared
+def _continue_for_V(config: ScenarioConfig, V, flow: DenseFlow, n: int, pick: tuple,
+                    anchor: str, steps: dict, envelope: StabilityEnvelope):
+    """V at the step of the flow it reads, recorded as ``anchor``: the fit's ``pick``, or,
+    when V's horizon lies past the span of ``flow`` (the fit's flow of V's rows), the step
+    :func:`choose_step` picks on its first ``n`` rows (V's states) for the remainder, at
+    which the flow continues."""
     span = flow.nodes[-1]
     extend = V.horizon - span > GRID_TOL * pick[0]
     if extend:
@@ -207,8 +197,7 @@ def _read_V_nodes(config: ScenarioConfig, V, shared: tuple, anchor: str, steps: 
     step = _record_step(steps, anchor, *pick, envelope)
     if extend:
         flow.advance(V.horizon, step)
-    V = dataclasses.replace(V, step=step)
-    return V, flow(V.node_offsets)
+    return dataclasses.replace(V, step=step)
 
 
 def _resolve_delta(config: ScenarioConfig, envelope: StabilityEnvelope) -> float:
@@ -226,9 +215,8 @@ def _certify_exponential(config: ScenarioConfig,
     """
     inputs = draw_verification_inputs(config.manifold, config.equilibrium,
                                       config.grid, config.seed)
-    envelope, shared, pair_flow = _fit_trajectories(
-        config, config.fit_horizon, ANCHOR_ENVELOPE_FIT, steps,
-        (inputs.v_t, inputs.v_x, len(inputs.x)), inputs)
+    envelope, flow, pick = _fit_trajectories(config, config.fit_horizon, ANCHOR_ENVELOPE_FIT,
+                                             steps, inputs.rows, len(inputs.x))
     if not envelope.is_exponential:
         raise _StageFailure(ANCHOR_ENVELOPE_FIT, (
             f"trajectories classify as {envelope.stability_class}, not exponentially "
@@ -239,10 +227,10 @@ def _certify_exponential(config: ScenarioConfig,
         cert = make_certificate(config.system.field, config.equilibrium, L, envelope,
                                 _resolve_delta(config, envelope), config.p)
     with _stage(ANCHOR_VERIFICATION, envelope=envelope):
-        V, nodes = _read_V_nodes(config, cert.V, shared, ANCHOR_VERIFICATION, steps, envelope)
-        cert = dataclasses.replace(cert, V=V)
-        report = verify_converse_certificate(cert, inputs, nodes, config.envelope_horizon,
-                                             pair_flow)
+        cert = dataclasses.replace(cert, V=_continue_for_V(
+            config, cert.V, flow, len(inputs.x), pick, ANCHOR_VERIFICATION, steps, envelope))
+        report = verify_converse_certificate(
+            cert, inputs, flow, contraction_offsets(config.envelope_horizon, config.step))
     return cert, report
 
 
@@ -280,10 +268,10 @@ def _run_certify_massera(config: ScenarioConfig, out_dir: Path, steps: dict) -> 
     direction = m.random_tangent(np.random.default_rng(config.seed + 3), x_star, norm=1.0)
     ray = m.exp(x_star, m.rows(radii) * direction)
     # V's rows (states, ray, equilibrium) ride the fit's flow.
-    envelope, shared, _ = _fit_trajectories(
+    envelope, flow, pick = _fit_trajectories(
         config, config.massera.fit_horizon, ANCHOR_UGAS_ENVELOPE, steps,
-        (np.concatenate([t, np.zeros(len(ray) + 1)]), np.concatenate([x, ray, x_star[None]]),
-         n_states))
+        (np.concatenate([t, np.zeros(len(ray) + 1)]), np.concatenate([x, ray, x_star[None]])),
+        n_states)
     if envelope.stability_class == "US":
         raise _StageFailure(ANCHOR_UGAS_ENVELOPE, "trajectories do not decay; "
                             "asymptotic construction unavailable", envelope)
@@ -295,8 +283,9 @@ def _run_certify_massera(config: ScenarioConfig, out_dir: Path, steps: dict) -> 
                              config.massera.tail_tol)
     reshaping = V.reshaping
     with _stage(ANCHOR_UGAS_EVALUATION, envelope=envelope):
-        V, nodes = _read_V_nodes(config, V, shared, ANCHOR_UGAS_EVALUATION, steps, envelope)
-        values, lies = V.quadrature(nodes)
+        V = _continue_for_V(config, V, flow, n_states, pick, ANCHOR_UGAS_EVALUATION, steps,
+                            envelope)
+        values, lies, _ = V.quadrature(flow)
     v_val, ray_values, v_at_star = np.split(values, [n_states, n_states + len(ray)])
     lie = lies[:n_states]
     sample_rows = np.stack([t, m.dist(x, x_star), v_val, lie], axis=1).tolist()

@@ -5,15 +5,17 @@ LV(t, x) = g(phi(t + horizon; t, x)) - g(x).  The oracle here differentiates V
 numerically instead: a central difference in time over the flow's own
 stencil, (V(t + h, phi(t + h)) - V(t - h, phi(t - h))) / 2h, which agrees
 with the identity to O(h^2).  Below: dV(v), the pushforward and the contraction check
-composed, as verification composes them, from the library's own primitives,
-and the distance table an envelope fit reads.
+composed, as verification composes them, from the library's own primitives, V's
+Gauss-Legendre rule on any panel grid, a verification on a flow of its own, and the
+distance table an envelope fit reads.
 """
 
 import numpy as np
 
 from geolyap import flows
+from geolyap.certify import verify_converse_certificate
 from geolyap.flows import TimeVaryingField
-from geolyap.lyapunov import DIFF_EPS
+from geolyap.lyapunov import DIFF_EPS, G7
 
 LIE_H = 1e-3  # time half-width of the stencil
 
@@ -61,6 +63,26 @@ def directional_derivative(V, t, coords: np.ndarray, v: np.ndarray):
     t = np.broadcast_to(np.asarray(t, dtype=float), np.shape(eps_hat))
     plus, minus = V.quadrature(V.node_flow(np.stack([t, t]), stencil))[0]
     return (plus - minus) / (2.0 * eps_hat)
+
+
+def gauss_legendre(V, flow: flows.DenseFlow, grid: np.ndarray) -> np.ndarray:
+    """V of each row of ``flow`` by ``lyapunov.G7`` on the panels of ``grid`` (elapsed
+    times from 0 to V's horizon), its nodes read from the flow."""
+    x, w = np.array(G7).T
+    half = np.diff(grid)[:, None] / 2.0
+    states = flow(((grid[:-1, None] + half) + half * x).ravel())
+    d = np.moveaxis(V.field.manifold.dist(states, V.x_star.coords), 0, -1)
+    g = V.reshaping(d) if V.mode == "massera" else d ** V.p
+    return np.sum(g * (half * w).ravel(), axis=-1)
+
+
+def verify_on_own_flow(cert, inputs, envelope_horizon: float):
+    """``verify_converse_certificate`` on one flow of ``inputs.rows`` at V's step, over
+    delta and the contraction offsets of ``envelope_horizon`` at that step."""
+    V = cert.V
+    offsets = flows.contraction_offsets(envelope_horizon, V.step)
+    flow = flows.DenseFlow(V.field, *inputs.rows).advance(max(V.horizon, offsets[-1]), V.step)
+    return verify_converse_certificate(cert, inputs, flow, offsets)
 
 
 def pushforward(field: TimeVaryingField, t, coords: np.ndarray, v: np.ndarray, span, step):

@@ -213,7 +213,7 @@ def test_criterion_07_massera_construction():
     V = construct_ugas_V(spec.field, spec.equilibrium, times, g_vals, 20.0, step=0.05)
     t, coords = sample_states(EUCLID, spec.equilibrium, GridSpec(50, 1.0, T0_LIST),
                               np.random.default_rng(8), r_min_frac=0.3)
-    values, lies = V.quadrature(V.node_flow(t, coords))
+    values, lies, _ = V.quadrature(V.node_flow(t, coords))
     positive = bool(np.all(values > 0))
     decaying = bool(np.all(lies < 0))
     ok = (reshaping.value(0.0) == 0.0 and g_strict and gp_strict

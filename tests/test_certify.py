@@ -20,7 +20,6 @@ from geolyap.certify import (
     iss_certify,
     make_certificate,
     rounding_floor,
-    verify_converse_certificate,
 )
 from geolyap.config import load_scenario, parse_scenario
 from geolyap.flows import (
@@ -41,8 +40,10 @@ from oracles import (
     assert_second_order,
     directional_derivative,
     distance_table,
+    gauss_legendre,
     lie_difference,
     pushforward,
+    verify_on_own_flow,
 )
 
 EUCLID = Euclidean(2)
@@ -101,7 +102,7 @@ def _verify(spec, L, envelope, delta, p, n_points, seed):
                                       GridSpec(n_points, 1.0, T0_LIST), seed)
     step, _ = choose_step(spec.field, inputs.t, inputs.x, spec.equilibrium.coords, delta, 1e-2)
     cert = make_certificate(spec.field, spec.equilibrium, L, envelope, delta, p, step=step)
-    return verify_converse_certificate(cert, inputs, cert.V.node_flow(inputs.v_t, inputs.v_x))
+    return verify_on_own_flow(cert, inputs, 3.0)
 
 
 # -- envelope fitting -------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_verify_sphere_certificate(sphere_attractor, sphere_L, sphere_envelope):
 def test_verify_horizon_quantities_share_one_flow(monkeypatch):
     # V, LV (the flow-integral identity), the telescoped endpoints and the
     # pushforward all read V's rows of the envelope fit's one flow, at V's
-    # quadrature nodes, from its interpolant.
+    # quadrature nodes, from its interpolant; the contraction pairs are its last rows.
     configs = Path(__file__).resolve().parent.parent / "configs"
     config = dataclasses.replace(load_scenario(configs / "sphere_attractor.json"),
                                  fit_horizon=2.0, envelope_horizon=0.5)
@@ -291,34 +292,39 @@ def test_verify_horizon_quantities_share_one_flow(monkeypatch):
     cert, report = pipeline._certify_exponential(config, steps)
     assert report.verdict
 
-    (shared,), ((_, inputs, nodes, _, _),) = made, verified
+    (shared,), ((_, inputs, rows, taus),) = made, verified
     V, p, n, n_push = cert.V, cert.V.p, len(inputs.x), len(inputs.push_eps_hat)
-    # The fit's rows, then V's (states, differential and pushforward stencils), then the pairs.
-    n_fit = len(shared.states[0]) - len(inputs.v_x) - 2 * len(inputs.pair_t)
-    assert np.array_equal(shared.states[0][n_fit:n_fit + len(inputs.v_x)], inputs.v_x)
+    # The fit's rows, then the verification's: V's (states, differential and
+    # pushforward stencils), then the pairs' first and second states.
+    n_fit = len(shared.states[0]) - len(inputs.rows[1])
+    assert np.array_equal(shared.states[0][n_fit:], inputs.rows[1])
+    assert np.array_equal(rows.states[0], inputs.rows[1]) and rows.nodes == shared.nodes
     assert inputs.v_x.shape == (3 * n + 2 * n_push, 3)
-    # delta = ln(2 K) / rate, within the span 2: 3 steps of the flow at 0.32, 7
-    # Gauss-Legendre nodes inside each, and the two ends.
-    assert V.horizon < shared.nodes[-1] == 2.0 and len(V.node_offsets) == 23
+    assert np.array_equal(taus, contraction_offsets(0.5, config.step))
+    # delta = ln(2 K) / rate, within the span 2: 3 steps of the flow at 0.32,
+    # V's Gauss-Legendre panels.
+    assert V.horizon < shared.nodes[-1] == 2.0 and len(step_offsets(V.horizon, 0.32)) == 4
     assert steps["les-verification"] == steps["les-envelope-fit"]
     assert V.step == steps["les-verification"]["step"] == 0.32
-    v_rows = shared.take(slice(n_fit, n_fit + len(inputs.v_x)))
-    assert np.array_equal(nodes, v_rows(V.node_offsets))
+    v_rows = rows.take(slice(0, len(inputs.v_x)))
+    values, lies, ends = V.quadrature(v_rows)
+    on_steps = gauss_legendre(V, v_rows, step_offsets(V.horizon, 0.32))
+    assert np.max(np.abs(values - on_steps)) <= 1e-15 * np.max(values)
     t, d, v, lie = report.samples.T
     assert np.array_equal(t, inputs.t)
-    values, lies = V.quadrature(nodes[:, :3 * n])
     assert np.array_equal(v, values[:n]) and np.array_equal(lie, lies[:n])
-    end = nodes[-1, :n]
+    end = ends[:n]
+    assert np.array_equal(ends, v_rows([V.horizon])[0])
     x_star = config.equilibrium.coords
-    assert np.array_equal(lie, SPHERE.dist(end, x_star) ** p - SPHERE.dist(nodes[0, :n], x_star) ** p)
+    assert np.array_equal(lie, SPHERE.dist(end, x_star) ** p - SPHERE.dist(inputs.x, x_star) ** p)
     assert report.row("telescoping-identity").measured == \
         float(np.max(SPHERE.dist(end, x_star) ** p / d ** p))
 
     (args, w), = quotients
-    field, t_push, coords, directions, _, y0, ends, q_span, q_step = args
+    field, t_push, coords, directions, _, y0, stencil_ends, q_span, q_step = args
     assert np.array_equal(y0, end[:n_push])
-    assert np.array_equal(ends, nodes[-1, 3 * n:].reshape(2, n_push, 3))
-    assert q_span == V.horizon == V.node_offsets[-1] and q_step == V.step
+    assert np.array_equal(stencil_ends, ends[3 * n:].reshape(2, n_push, 3))
+    assert q_span == V.horizon and q_step == V.step
     assert report.row("pushforward-growth").measured == \
         float(np.max(SPHERE.norm(y0, w))) / math.exp(cert.bounds.L * V.horizon)
     public = pushforward(field, t_push, coords, directions, V.horizon, 1e-2)[1]
@@ -331,17 +337,17 @@ def test_massera_V_is_close_to_its_fine_quadrature(tmp_path, monkeypatch):
     # steps of 0.02, with its own flow at 0.02, is within 5e-7 relative.
     configs = Path(__file__).resolve().parent.parent / "configs"
     config = load_scenario(configs / "cubic_massera.json")
-    read, real_read = [], pipeline._read_V_nodes
+    read, real_continue = [], pipeline._continue_for_V
 
-    def recording_read(config, V, shared, *args):
-        read.append((shared, real_read(config, V, shared, *args)))
-        return read[-1][1]
+    def recording_continue(config, V, flow, n, *args):
+        read.append((flow, n, real_continue(config, V, flow, n, *args)))
+        return read[-1][2]
 
-    monkeypatch.setattr(pipeline, "_read_V_nodes", recording_read)
+    monkeypatch.setattr(pipeline, "_continue_for_V", recording_continue)
     assert pipeline.run_certify(config, tmp_path, mode="massera") == 0
-    ((flow, n, _), (V, nodes)), = read
+    (flow, n, V), = read
     assert n == 50 and V.step == 0.32
-    values = V.quadrature(nodes)[0][:n]
+    values = V.quadrature(flow)[0][:n]
     fine = dataclasses.replace(V, step=0.02)._evaluate_raw(flow.t0[:n], flow.states[0][:n])[0]
     assert np.max(np.abs(values - fine) / fine) <= 5e-7
 
@@ -380,18 +386,20 @@ def test_contraction_pairs_ride_the_fit_flow_unchanged():
         inputs = draw_verification_inputs(config.manifold, config.equilibrium, config.grid,
                                           config.seed)
         alone_steps, joint_steps = {}, {}
-        v_rows = (inputs.v_t, inputs.v_x, len(inputs.x))
-        alone, _, no_pairs = pipeline._fit_trajectories(
-            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, alone_steps, v_rows)
-        joint, _, (taus, pair_flow) = pipeline._fit_trajectories(
-            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, joint_steps, v_rows, inputs)
-        assert no_pairs is None
+        alone, _, _ = pipeline._fit_trajectories(
+            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, alone_steps,
+            (inputs.v_t, inputs.v_x), len(inputs.x))
+        joint, rows, _ = pipeline._fit_trajectories(
+            config, config.fit_horizon, certify.ANCHOR_ENVELOPE_FIT, joint_steps, inputs.rows,
+            len(inputs.x))
         assert joint_steps == alone_steps
         assert joint_steps[certify.ANCHOR_ENVELOPE_FIT]["step"] == fit_step
         assert joint.to_json() == alone.to_json()
         assert np.array_equal(joint.decay_values, alone.decay_values)
         offsets = contraction_offsets(config.envelope_horizon, config.step)
-        assert np.array_equal(taus, offsets) and len(offsets) == 7
+        assert len(offsets) == 7
+        pair_flow = rows.take(slice(len(inputs.v_x), None))(offsets).reshape(
+            (len(offsets),) + inputs.pair_x.shape)
         grid = np.sort(np.concatenate([step_offsets(config.fit_horizon, fit_step), offsets]))
         alone = flow_samples(field, inputs.pair_t, inputs.pair_x, grid, fit_step)
         alone = alone[np.searchsorted(grid, offsets)]
@@ -599,7 +607,7 @@ def test_iss_lie_derivative_matches_the_central_difference_to_second_order(
                          grid=GridSpec(8, 1.0, T0_LIST), step=0.05)
     (t, x), = states
     w = SPHERE.project_tangent(x, closed.eval_raw(t, x) - V.field.eval_raw(t, x))
-    values, lie = V.quadrature(V.node_flow(t, x))
+    values, lie, _ = V.quadrature(V.node_flow(t, x))
     lie = lie + directional_derivative(V, t, x, w)
     assert report.rows[0].measured == pytest.approx(float(np.max(lie + b.c3 * values)),
                                                     rel=1e-12)
@@ -644,8 +652,7 @@ def test_iss_prediction_monotonicity(sphere_certificate):
 def test_anchor_checklist_is_exactly_covered(sphere_attractor, sphere_certificate):
     inputs = draw_verification_inputs(SPHERE, sphere_attractor.equilibrium,
                                       GridSpec(8, 1.0, T0_LIST), 7)
-    verify_report = verify_converse_certificate(
-        sphere_certificate, inputs, sphere_certificate.V.node_flow(inputs.v_t, inputs.v_x))
+    verify_report = verify_on_own_flow(sphere_certificate, inputs, 3.0)
     spec = attach_disturbance(sphere_attractor, "constant", 0.1)
     iss_report = iss_certify(_on_field(sphere_certificate, spec), spec.input_signal, 0.1, [8.0],
                              seed=1, grid=GridSpec(8, 1.0, T0_LIST), step=1e-2)

@@ -15,6 +15,7 @@ from geolyap import certify, config as config_module, flows, pipeline, systems
 from geolyap.certify import StabilityEnvelope
 from geolyap.cli import main
 from geolyap.config import ConfigError, load_scenario
+from geolyap.lyapunov import G7
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -251,10 +252,19 @@ def test_V_past_the_fit_span_reads_the_flow_continued_at_its_own_step(tmp_path, 
     # An explicit delta of 3 fit horizons lies past the fit's one flow (step
     # 0.32 over 2): V's rows continue over [2, 6] at the step the chooser picks
     # on V's state rows for that remainder, 0.64, never at the fit's step, and
-    # les-verification names that pick.  d(t) = e^{-s} d0 exactly, so V = d0^p
-    # (1 - e^{-p delta}) / p: within 4.3e-10 (p = 1) and 7.6e-10 (p = 2) here,
-    # where V on a flow of its own at 0.32 reads 3.1e-10 and 7.2e-10.
+    # les-verification names that pick.  V's Gauss-Legendre panels are that
+    # flow's own steps, 0.32 up to 2 and 0.64 on, so every panel edge is a node
+    # of the flow.  d(t) = e^{-s} d0 exactly, so V = d0^p (1 - e^{-p delta}) /
+    # p: within 3.7e-10 (p = 1) and 3.2e-10 (p = 2) here, where V on a flow of
+    # its own at 0.32 reads 3.1e-10 and 7.2e-10.
     steps = _count_steps(monkeypatch)
+    reads, real_call = [], flows.DenseFlow.__call__
+
+    def recording_call(self, offsets):
+        reads.append((list(self.nodes), np.asarray(offsets, dtype=float)))
+        return real_call(self, offsets)
+
+    monkeypatch.setattr(flows.DenseFlow, "__call__", recording_call)
     config = _small_config(tmp_path, fit_horizon=2.0, envelope_horizon=0.5, p=p,
                            delta={"policy": "explicit", "value": 6.0})
     out = tmp_path / "out"
@@ -271,9 +281,17 @@ def test_V_past_the_fit_span_reads_the_flow_continued_at_its_own_step(tmp_path, 
     pick = flows.choose_step(field, inputs.t + 2.0, at_span, x_star, 4.0, 0.01)
     assert pick[0] == 0.64
     assert (record["les-verification"]["step"], record["les-verification"]["estimate"]) == pick
+    # V's read: 0, then 7 Gauss-Legendre nodes c + h x_j in each panel [c - h, c + h], then delta.
+    (nodes, offsets), = [(nodes, s) for nodes, s in reads if s[-1] == 6.0]
+    panels = offsets[1:-1].reshape(-1, 7)
+    centre, half = panels[:, 3], (panels[:, 6] - panels[:, 0]) / (2.0 * G7[6][0])
+    edges = np.concatenate([centre - half, centre[-1:] + half[-1:]])
+    assert np.allclose(centre[1:] - half[1:], centre[:-1] + half[:-1], rtol=0, atol=1e-12)
+    assert len(edges) == len(nodes) == 15 and nodes[-1] == 6.0
+    assert np.allclose(edges, nodes, rtol=0, atol=1e-12)
     _, d0, V, _ = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1).T
     exact = d0 ** p * -math.expm1(-p * 6.0) / p
-    assert np.max(np.abs(V - exact)) <= {1: 4.3e-10, 2: 7.6e-10}[p]
+    assert np.max(np.abs(V - exact)) <= {1: 3.7e-10, 2: 3.2e-10}[p]
 
 
 @pytest.mark.parametrize("step, fit_horizon, multiple", [(0.01, 6.0, 16), (0.0025, 3.0, 64)])

@@ -8,7 +8,7 @@ it must raise ``SRC_LINES`` and say why in CHANGES.md.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geolyap"
-SRC_LINES = 3290
+SRC_LINES = 3268
 
 
 def test_library_line_total_is_pinned():

@@ -1,11 +1,17 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from geolyap.certify import GridSpec, classify_stability, sample_states
-from geolyap.flows import DenseFlow, choose_step, flow, flow_samples
+from geolyap.flows import (
+    DenseFlow,
+    TimeVaryingField,
+    choose_step,
+    flow,
+    flow_samples,
+    step_offsets,
+)
 from geolyap.lyapunov import (
     G7,
     HorizonError,
@@ -25,7 +31,13 @@ from geolyap.manifolds import (
     manifold_from_name,
 )
 from geolyap.systems import available_systems, make_system
-from oracles import assert_second_order, directional_derivative, distance_table, lie_difference
+from oracles import (
+    assert_second_order,
+    directional_derivative,
+    distance_table,
+    gauss_legendre,
+    lie_difference,
+)
 
 EUCLID = Euclidean(2)
 SPHERE = Sphere(2)
@@ -226,9 +238,8 @@ def test_V_at_the_chosen_step_is_the_exact_integral_of_its_flow():
         flow = DenseFlow(spec.field, t, x).advance(delta, pick)
         for p in (1.0, 2.0):
             V = construct_exp_V(spec.field, spec.equilibrium, delta, p=p, step=pick)
-            V4 = dataclasses.replace(V, step=pick / 4)
-            gap = np.max(np.abs(V.quadrature(flow(V.node_offsets))[0]
-                                - V4.quadrature(flow(V4.node_offsets))[0]))
+            gap = np.max(np.abs(V.quadrature(flow)[0]
+                                - gauss_legendre(V, flow, step_offsets(delta, pick / 4))))
             assert gap <= 1e-13, (name, p, gap)
 
 
@@ -237,13 +248,24 @@ def test_gauss_legendre_rule_integrates_degree_13_exactly():
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
     for k in range(14):
         assert abs(np.sum(w * x ** k) - (1.0 + (-1.0) ** k) / (k + 1)) <= 1e-15, k
-    V = construct_exp_V(make_system("geodesic_attractor", EUCLID, [0.0, 0.0]).field,
-                        EUCLID.point([0.0, 0.0]), 1.0, step=0.3)
-    # Steps 0.3, 0.3, 0.3 and 0.1: the two ends, then 7 nodes inside each.
-    offsets, weights = V._rule
-    assert offsets[0] == 0.0 and offsets[-1] == 1.0 and weights[0] == weights[-1] == 0.0
+    # V's panels are its flow's steps 0.3, 0.3, 0.3 and 0.1: it reads the two ends,
+    # then 7 nodes inside each.  From x* under a unit drift d(tau) = tau, so V with
+    # integrand d^k (k = 0 sums the weights) is the integral of tau^k over [0, 1].
+    drift = TimeVaryingField(EUCLID, lambda t, x: np.broadcast_to([1.0, 0.0], np.shape(x)))
+    reads = []
+
+    class RecordingFlow(DenseFlow):
+        def __call__(self, offsets):
+            reads.append(np.asarray(offsets))
+            return super().__call__(offsets)
+
+    for k in range(14):
+        V = LyapunovFunction(drift, EUCLID.point([0.0, 0.0]), 1.0, float(k), step=0.3)
+        value = V.quadrature(RecordingFlow(drift, 0.0, np.zeros(2)).advance(1.0, 0.3))[0]
+        assert abs(value - 1.0 / (k + 1)) <= 1e-15, k
+    offsets = reads[0]
+    assert offsets[0] == 0.0 and offsets[-1] == 1.0
     assert np.all(np.diff(offsets) > 0) and len(offsets) == 30
-    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(offsets[-8:-1], 0.9 + 0.05 * (1.0 + x), rtol=0, atol=1e-15)
 
 
@@ -332,7 +354,7 @@ def test_sandwich_and_decay(sphere_V1):
         x = _sphere_state(rng)
         t = rng.uniform(0.0, 3.0)
         d = SPHERE.dist(x.coords, NORTH)
-        v, lie = sphere_V1.quadrature(sphere_V1.node_flow(t, x.coords))
+        v, lie, _ = sphere_V1.quadrature(sphere_V1.node_flow(t, x.coords))
         assert v == sphere_V1.evaluate(t, x)
         assert b.c1 * d * 0.98 <= v <= b.c2 * d * 1.02
         assert lie <= -b.c3 * v * 0.98 + 1e-6
@@ -471,7 +493,7 @@ def test_ugas_construction_positive_and_decaying(cubic_envelope):
     rng = np.random.default_rng(8)
     for _ in range(10):
         x = EUCLID.point(EUCLID.random_tangent(rng, np.zeros(2), norm=rng.uniform(0.4, 1.0)))
-        value, lie = V.quadrature(V.node_flow(0.0, x.coords))
+        value, lie, _ = V.quadrature(V.node_flow(0.0, x.coords))
         assert value > 0.0 and value == V.evaluate(0.0, x)
         assert lie < 0.0
 

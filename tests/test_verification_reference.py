@@ -25,6 +25,11 @@ current code is compared against it at stated per-quantity tolerances:
   ``contraction_offsets``, so it is compared with ``contraction_report`` on
   its own flow of those offsets, exactly, not with the file.
 
+The verification reads one flow of the inputs' rows at V's step
+(``oracles.verify_on_own_flow``): V reads its Gauss-Legendre panels from that
+flow's steps, and the pairs ride it with V's rows, their states bit for bit
+those of a flow of their own.
+
 The ``iss`` entry alone was rewritten when the input frame became the
 equilibrium's basis parallel-transported along the geodesic, replacing a
 closed-form Gram-Schmidt frame: the disturbance pushes along other
@@ -63,13 +68,12 @@ from geolyap.certify import (
     draw_verification_inputs,
     iss_certify,
     make_certificate,
-    verify_converse_certificate,
 )
 from geolyap.flows import Region, contraction_offsets, lipschitz_estimate
 from geolyap.lyapunov import choose_delta
 from geolyap.manifolds import manifold_from_name
 from geolyap.systems import attach_disturbance, make_system
-from oracles import contraction_reports
+from oracles import contraction_reports, verify_on_own_flow
 
 FIXTURE = Path(__file__).parent / "data" / "verification_reference.json"
 STEP = 1e-2
@@ -104,8 +108,7 @@ def _verify(case, equilibrium, L):
     cert = make_certificate(spec.field, spec.equilibrium, L, _envelope(K, rate), delta, p,
                             step=STEP)
     inputs = draw_verification_inputs(m, spec.equilibrium, GridSpec(n_points, 1.0, T0_LIST), 3)
-    nodes = cert.V.node_flow(inputs.v_t, inputs.v_x)
-    return spec, cert, verify_converse_certificate(cert, inputs, nodes, ENVELOPE_HORIZON)
+    return spec, cert, verify_on_own_flow(cert, inputs, ENVELOPE_HORIZON)
 
 
 def _iss(spec, certificate):
